@@ -1,8 +1,8 @@
 """Micro-benchmarks of the simulation substrate itself.
 
 These are conventional pytest-benchmark micro-benchmarks (many rounds) that
-track the throughput of the pieces every experiment depends on: the fast
-cache engine, the placement hashes and the EVT fit.  They are not paper
+track the throughput of the pieces every experiment depends on: the numpy
+campaign engine, the placement hashes and the EVT fit.  They are not paper
 artefacts, but regressions here multiply directly into the campaign times of
 every other bench.
 """
@@ -10,58 +10,31 @@ every other bench.
 import gc
 import json
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-import repro.core.placement as placement_module
-from repro.cache.fastsim import CompiledTrace, FastHierarchySimulator
+from repro.cache.fastsim import CompiledTrace
 from repro.core.placement import PlacementGeometry, make_placement
 from repro.engine import NumpyEngine, get_engine
-from repro.engine.jit import numba_missing_reason
 from repro.engine.mapcache import reset_map_cache
 from repro.engine.numpy_engine import derive_seed_arrays
-from repro.mbpta.evt import fit_gumbel
-from repro.mbpta.protocol import apply_mbpta
 from repro.platform.leon3 import platform_setup
+from repro.pwcet.evt import fit_gumbel
+from repro.pwcet.protocol import apply_mbpta
 from repro.workloads.eembc import eembc_trace
 
-#: Batch sizes for the fast-vs-numpy engine comparison.  The numpy engine
-#: simulates all seeds of a batch as one array program, so its advantage
-#: grows with the batch: the acceptance bar is >= 3x at 64+ runs for the
-#: interpreter path and >= 10x over the pre-plan engine at 256 runs for the
-#: plan path.
+#: Batch sizes of the engine throughput rows.  The numpy engine simulates
+#: all seeds of a batch as one array program, so its per-run cost falls as
+#: the batch grows.
 ENGINE_BATCH_RUNS = (16, 64, 256)
+
+#: Seeds of each batch replayed on the reference oracle as well: enough to
+#: catch a divergence, few enough that the slow model stays cheap.
+REFERENCE_SEEDS = 4
 
 #: Machine-readable benchmark trajectory, tracked across PRs (repo root).
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
-
-
-@contextmanager
-def _pre_plan_maps():
-    """Re-enable the pre-plan per-seed placement-map loop.
-
-    Deleting the vectorized ``set_index_matrix`` overrides makes the
-    randomized policies fall back to :meth:`PlacementPolicy.set_index_matrix`
-    — the reseed-per-seed loop that *was* the numpy engine's map-building
-    path before trace compilation landed.  Combined with ``use_plan=False``
-    this reconstructs the pre-plan engine exactly, so the speedup column is
-    measured against the real historical baseline instead of a guess.
-    """
-    saved = []
-    for cls in (
-        placement_module.HashRandomPlacement,
-        placement_module.RandomModuloPlacement,
-    ):
-        if "set_index_matrix" in cls.__dict__:
-            saved.append((cls, cls.__dict__["set_index_matrix"]))
-            delattr(cls, "set_index_matrix")
-    try:
-        yield
-    finally:
-        for cls, method in saved:
-            setattr(cls, "set_index_matrix", method)
 
 
 def _emit_bench_json(path: Path, payload: dict) -> None:
@@ -74,45 +47,23 @@ def compiled_a2time():
     return CompiledTrace(eembc_trace("a2time"))
 
 
-def test_fast_engine_single_run(benchmark, compiled_a2time):
-    simulator = FastHierarchySimulator(platform_setup("rm"), compiled_a2time)
+def test_engine_single_run(benchmark, compiled_a2time):
+    simulator = NumpyEngine().simulator(platform_setup("rm"), compiled_a2time)
     result = benchmark(simulator.run, 42)
     assert result.cycles > 0
 
 
-def test_fast_engine_batch_runs(benchmark, compiled_a2time):
-    """Chunked batch API: K seeds per call, trace setup amortised once."""
-    simulator = FastHierarchySimulator(platform_setup("rm"), compiled_a2time)
-    results = benchmark(simulator.run_batch, list(range(8)))
-    assert len(results) == 8
-    assert all(result.cycles > 0 for result in results)
-
-
-def test_fast_engine_batch_deterministic_placement(benchmark, compiled_a2time):
-    """Deterministic (modulo) placement reuses seed-invariant set/tag maps."""
-    simulator = FastHierarchySimulator(platform_setup("modulo"), compiled_a2time)
+def test_engine_batch_deterministic_placement(benchmark, compiled_a2time):
+    """Deterministic (modulo) placement collapses a batch to one lane."""
+    simulator = NumpyEngine().simulator(platform_setup("modulo"), compiled_a2time)
     results = benchmark(simulator.run_batch, list(range(8)))
     assert len({result.cycles for result in results}) == 1  # seed-insensitive
 
 
-@pytest.mark.parametrize(
-    "engine_name",
-    [
-        "fast",
-        "numpy",
-        pytest.param(
-            "jit",
-            marks=pytest.mark.skipif(
-                numba_missing_reason() is not None,
-                reason="numba not installed (optional 'jit' extra)",
-            ),
-        ),
-    ],
-)
 @pytest.mark.parametrize("runs", ENGINE_BATCH_RUNS)
-def test_engine_batch_throughput(benchmark, compiled_a2time, engine_name, runs):
-    """Batch throughput of each registered batch engine at campaign sizes."""
-    simulator = get_engine(engine_name).simulator(platform_setup("rm"), compiled_a2time)
+def test_engine_batch_throughput(benchmark, compiled_a2time, runs):
+    """Batch throughput of the production engine at campaign sizes."""
+    simulator = NumpyEngine().simulator(platform_setup("rm"), compiled_a2time)
     seeds = list(range(runs))
     results = benchmark.pedantic(simulator.run_batch, args=(seeds,), rounds=1, iterations=1)
     assert len(results) == runs
@@ -123,9 +74,8 @@ def _timed_batch(simulator, seeds, repeats=1, warmup=0):
 
     ``warmup`` untimed calls run first (ramping the CPU governor and filling
     every lazy cache), and the garbage collector is paused around each timed
-    call after a pre-emptive collection — a collection triggered mid-run by
-    the preceding tiers' garbage otherwise lands in whichever row is being
-    timed.
+    call after a pre-emptive collection, so a collection triggered by
+    earlier garbage does not land in the row being timed.
     """
     best = None
     results = None
@@ -160,7 +110,7 @@ def _map_build_seconds(simulator, seeds):
     ):
         if slot_state is None:
             continue
-        _config, policy, randomized, _tags, _static = slot_state
+        _config, policy, randomized, _static = slot_state
         if not randomized:
             continue
         lines = simulator._lines if rows is None else simulator._lines[rows]
@@ -171,92 +121,51 @@ def _map_build_seconds(simulator, seeds):
     return total
 
 
-def test_numpy_vs_fast_batch_speedup(compiled_a2time, capsys):
-    """Head-to-head over every engine tier, plus bit-exactness.
+def test_plan_cold_warm_batches(compiled_a2time, capsys):
+    """Cold and warm plan batches, the map-build share, and bit-exactness.
 
-    Columns: the fast per-seed engine, the plan-compiled numpy path (the
-    default), the per-access numpy interpreter (the fallback path), the
-    reconstructed *pre-plan* numpy engine (interpreter + per-seed map
-    building — the baseline the tentpole's >=10x target is measured
-    against), and the numba jit tier when numba is installed.  Prints the
-    speedup table (the EXPERIMENTS.md numbers come from here) and persists
-    the trajectory to BENCH_engine.json so perf is tracked across PRs.  No
-    timing assertion is made because shared CI boxes are noisy —
-    bit-exactness, the part that must never regress, is asserted for every
-    tier at every size.
+    Cold is a fresh simulator on an empty map cache (it pays the placement
+    maps); warm reuses the maps and derived tables memoized by the cold
+    run.  Prints the table (the EXPERIMENTS.md numbers come from here) and
+    persists it to BENCH_engine.json so perf is tracked across PRs.  No
+    timing assertion is made because shared CI boxes are noisy; the first
+    seeds of every batch are asserted bit-exact against the reference
+    oracle.
     """
     config = platform_setup("rm")
-    fast = get_engine("fast").simulator(config, compiled_a2time)
-    plan_sim = NumpyEngine().simulator(config, compiled_a2time)
-    interp_sim = NumpyEngine(use_plan=False).simulator(config, compiled_a2time)
-    jit_sim = None
-    if numba_missing_reason() is None:
-        jit_sim = get_engine("jit").simulator(config, compiled_a2time)
+    warm_sim = NumpyEngine().simulator(config, compiled_a2time)
+    reference = get_engine("reference").simulator(config, compiled_a2time)
+    oracle = reference.run_batch(list(range(REFERENCE_SEEDS)))
 
     rows = []
     with capsys.disabled():
-        print("\nengine tiers, batch throughput (a2time, rm setup; seconds)")
-        header = "runs |     fast |  pre-plan |  interp | plan cold/warm (map share)"
-        if jit_sim is not None:
-            header += " |     jit"
-        print(header + " | plan vs fast | plan vs pre-plan")
+        print("\nnumpy engine, batch throughput (a2time, rm setup; seconds)")
+        print("runs |  cold |  warm | map share | runs/s warm")
         for runs in ENGINE_BATCH_RUNS:
             seeds = list(range(runs))
-            fast_results, fast_seconds = _timed_batch(fast, seeds)
-            with _pre_plan_maps():
-                pre_plan_sim = NumpyEngine(use_plan=False).simulator(
-                    config, compiled_a2time
-                )
-                pre_results, pre_seconds = _timed_batch(
-                    pre_plan_sim, seeds, repeats=2
-                )
-            interp_results, interp_seconds = _timed_batch(
-                interp_sim, seeds, repeats=2
-            )
-            # Cold: fresh simulator, empty map cache — pays the map build.
             reset_map_cache()
             cold_sim = NumpyEngine().simulator(config, compiled_a2time)
-            cold_results, plan_cold_seconds = _timed_batch(cold_sim, seeds)
+            cold_results, cold_seconds = _timed_batch(cold_sim, seeds)
             map_build_seconds = _map_build_seconds(cold_sim, seeds)
-            # Warm: maps and derived tables memoized from the cold run.
             # Untimed warmups plus best-of-8: the timed target is the
             # steady-state cost a campaign pays per batch, and a straggler
             # (GC pause, governor ramp) otherwise decides the row.
-            plan_results, plan_seconds = _timed_batch(
-                plan_sim, seeds, repeats=8, warmup=2
+            warm_results, warm_seconds = _timed_batch(
+                warm_sim, seeds, repeats=8, warmup=2
             )
-            assert plan_results == fast_results  # bit-exact, always
-            assert cold_results == fast_results
-            assert interp_results == fast_results
-            assert pre_results == fast_results
+            assert cold_results == warm_results
+            assert warm_results[:REFERENCE_SEEDS] == oracle  # bit-exact, always
             row = {
                 "runs": runs,
-                "fast_seconds": fast_seconds,
-                "pre_plan_seconds": pre_seconds,
-                "interp_seconds": interp_seconds,
-                "plan_cold_seconds": plan_cold_seconds,
-                "plan_seconds": plan_seconds,
+                "plan_cold_seconds": cold_seconds,
+                "plan_seconds": warm_seconds,
                 "map_build_seconds": map_build_seconds,
-                "map_build_share": map_build_seconds / plan_cold_seconds,
-                "plan_speedup_vs_fast": fast_seconds / plan_seconds,
-                "plan_speedup_vs_pre_plan": pre_seconds / plan_seconds,
+                "map_build_share": map_build_seconds / cold_seconds,
             }
-            line = (
-                f"{runs:4d} | {fast_seconds:8.3f} | {pre_seconds:9.3f} | "
-                f"{interp_seconds:7.3f} | {plan_cold_seconds:7.3f}"
-                f"/{plan_seconds:.3f} ({row['map_build_share']:4.0%} map)"
+            print(
+                f"{runs:4d} | {cold_seconds:5.3f} | {warm_seconds:5.3f} | "
+                f"{row['map_build_share']:9.0%} | {runs / warm_seconds:11.0f}"
             )
-            if jit_sim is not None:
-                jit_results, jit_seconds = _timed_batch(jit_sim, seeds, repeats=3)
-                assert jit_results == fast_results
-                row["jit_seconds"] = jit_seconds
-                row["jit_speedup_vs_pre_plan"] = pre_seconds / jit_seconds
-                line += f" | {jit_seconds:7.3f}"
-            line += (
-                f" | {row['plan_speedup_vs_fast']:11.1f}x"
-                f" | {row['plan_speedup_vs_pre_plan']:15.1f}x"
-            )
-            print(line)
             rows.append(row)
     _emit_bench_json(
         BENCH_JSON,
@@ -264,7 +173,7 @@ def test_numpy_vs_fast_batch_speedup(compiled_a2time, capsys):
             "benchmark": "engine-batch-throughput",
             "workload": "a2time",
             "setup": "rm",
-            "numba_available": numba_missing_reason() is None,
+            "reference_seeds": REFERENCE_SEEDS,
             "rows": rows,
         },
     )

@@ -28,8 +28,6 @@ import os
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.campaign import CampaignResult, run_campaign
 from repro.study import (
     HierarchySpec,
@@ -67,7 +65,7 @@ SWEEP_WIDTH = 8
 RUNS_PER_SCENARIO = 32
 
 
-def _sweep(engine: str):
+def _sweep():
     workload = WorkloadSpec.eembc("a2time")
     hierarchy = HierarchySpec.named("rm")
     return [
@@ -76,7 +74,6 @@ def _sweep(engine: str):
             hierarchy=hierarchy,
             runs=RUNS_PER_SCENARIO,
             master_seed=1000 * index,
-            engine=engine,
             label=f"replica_{index}",
         )
         for index in range(SWEEP_WIDTH)
@@ -98,10 +95,9 @@ def _sequential(scenarios):
     return campaigns
 
 
-@pytest.mark.parametrize("engine_name", ["fast", "numpy"])
-def test_batched_study_execution(benchmark, engine_name):
+def test_batched_study_execution(benchmark):
     """Wall-clock of the batched runner over the whole sweep."""
-    scenarios = _sweep(engine_name)
+    scenarios = _sweep()
     results = benchmark.pedantic(
         execute_scenarios, args=(scenarios,), rounds=1, iterations=1
     )
@@ -109,35 +105,33 @@ def test_batched_study_execution(benchmark, engine_name):
 
 
 def test_batched_vs_sequential_speedup(capsys):
-    """Cross-scenario batching gain per engine (prints the measured table)."""
+    """Cross-scenario batching gain (prints the measured table)."""
+    scenarios = _sweep()
+    start = time.perf_counter()
+    sequential = _sequential(scenarios)
+    sequential_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    batched = execute_scenarios(scenarios)
+    batched_seconds = time.perf_counter() - start
     with capsys.disabled():
         print("\nstudy batching: sequential run_campaign vs fused engine batch")
         print(f"({SWEEP_WIDTH} scenarios x {RUNS_PER_SCENARIO} runs, a2time, rm)")
-        print("engine | sequential (s) | batched (s) | speedup")
-        for engine_name in ("fast", "numpy"):
-            scenarios = _sweep(engine_name)
-            start = time.perf_counter()
-            sequential = _sequential(scenarios)
-            sequential_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            batched = execute_scenarios(scenarios)
-            batched_seconds = time.perf_counter() - start
-            print(
-                f"{engine_name:6} | {sequential_seconds:14.2f} | "
-                f"{batched_seconds:11.2f} | "
-                f"{sequential_seconds / batched_seconds:.2f}x"
-            )
-            for scenario in scenarios:
-                assert (
-                    batched.campaign(scenario.label).execution_times
-                    == sequential[scenario.label].execution_times
-                )
+        print("sequential (s) | batched (s) | speedup")
+        print(
+            f"{sequential_seconds:14.2f} | {batched_seconds:11.2f} | "
+            f"{sequential_seconds / batched_seconds:.2f}x"
+        )
+    for scenario in scenarios:
+        assert (
+            batched.campaign(scenario.label).execution_times
+            == sequential[scenario.label].execution_times
+        )
 
 
 def test_cache_hit_speedup(tmp_path, capsys):
     """Resolving a sweep from the result store vs simulating it."""
     store = ResultStore(tmp_path / "store")
-    scenarios = _sweep("fast")
+    scenarios = _sweep()
     start = time.perf_counter()
     cold = execute_scenarios(scenarios, store=store)
     cold_seconds = time.perf_counter() - start
@@ -255,7 +249,7 @@ def _shard_payload(scenario, campaign, start, count):
         "start": start,
         "count": count,
         "workload": campaign.workload,
-        "engine": "fast",
+        "engine": "numpy",
         "cycles": list(times),
         "memory_accesses": [65_536] * count,
         "il1_misses": [306] * count,
@@ -370,7 +364,7 @@ def test_store_roundtrip_breakdown(tmp_path, capsys):
     ) / (columnar["shard_publish_seconds"] + columnar["reassembly_seconds"])
 
     # --- warm `study run`: sim vs store-I/O vs analysis --------------------
-    scenarios = _sweep("fast")
+    scenarios = _sweep()
     study_store = ResultStore(tmp_path / "study_store")
     start = time.perf_counter()
     execute_scenarios(scenarios, store=study_store)

@@ -3,9 +3,9 @@
 Campaign execution can be parallelised with ``--jobs N`` (or ``REPRO_JOBS``):
 results are bit-exact for any jobs value, only the wall-clock time changes.
 
-    python results/run_all.py                  # serial, fast engine
+    python results/run_all.py                  # serial, numpy engine
     python results/run_all.py --jobs 0         # one worker per CPU
-    python results/run_all.py --engine numpy   # vectorized batch engine
+    python results/run_all.py --engine reference   # the slow oracle
 """
 import argparse, json, time
 from dataclasses import replace

@@ -6,17 +6,18 @@ The package is organised in layers (see DESIGN.md):
 * :mod:`repro.core` — the paper's contribution: placement policies (modulo,
   XOR, hRP, Random Modulo), permutation networks and hardware-style PRNGs.
 * :mod:`repro.cache` — set-associative cache and hierarchy models plus the
-  fast campaign engine.
+  compiled-trace representation the campaign engines replay.
 * :mod:`repro.cpu` — memory-access traces, a small ISA with assembler and
   interpreter, and the trace-driven timing core.
-* :mod:`repro.engine` — simulation engine registry and backends (``fast``,
-  ``reference``, and the vectorized ``numpy`` batch engine).
+* :mod:`repro.engine` — simulation engine registry and backends (the
+  vectorized ``numpy`` batch engine, the default, and the ``reference``
+  oracle).
 * :mod:`repro.workloads` — EEMBC Automotive stand-ins and the synthetic
   vector kernel.
 * :mod:`repro.pwcet` — the pWCET analysis subsystem: EVT/Gumbel fitting,
   i.i.d. admission tests, the estimator registry (``gumbel-pwm``,
   ``gumbel-mle``, ``exponential-excess``) and the vectorized batch MBPTA
-  pipeline (:mod:`repro.mbpta` remains a compatibility alias).
+  pipeline.
 * :mod:`repro.hardware` — ASIC and FPGA cost models for the placement
   modules (Table 1).
 * :mod:`repro.analysis` — measurement campaigns and one driver per paper
@@ -70,7 +71,6 @@ from .engine import (
     engine_capabilities,
     get_engine,
     register_engine,
-    registered_engines,
 )
 from .pwcet import (
     Estimator,
@@ -145,7 +145,6 @@ __all__ = [
     # engine
     "available_engines",
     "engine_capabilities",
-    "registered_engines",
     "get_engine",
     "register_engine",
     # pwcet

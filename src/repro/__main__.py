@@ -48,11 +48,10 @@ scenarios whose spec hash is already stored are loaded instead of
 re-simulated, so a repeated ``study run`` is a full cache hit.
 
 ``--engine`` accepts any registered simulation engine
-(:func:`repro.engine.registered_engines`; ``python -m repro engines``
-prints the capability matrix).  All built-in engines are bit-exact, so the
-flag only changes wall-clock time; asking for an engine whose optional
-dependency is missing (the numba-backed ``jit`` tier) fails up front with
-the install hint.  ``--estimator``
+(:func:`repro.engine.available_engines`; ``python -m repro engines``
+prints the capability matrix).  The default is the production ``numpy``
+engine; ``reference`` is the slow oracle it is checked against.  Both are
+bit-exact, so the flag only changes wall-clock time.  ``--estimator``
 accepts any registered pWCET estimator
 (:func:`repro.pwcet.available_estimators`); the default ``gumbel-pwm``
 reproduces the paper's protocol, and ``python -m repro pwcet compare``
@@ -99,7 +98,7 @@ from .analysis.report import (
     render_result,
     render_rows,
 )
-from .engine import engine_capabilities, get_engine, registered_engines
+from .engine import available_engines, engine_capabilities, get_engine
 from .pwcet import (
     MBPTA_MIN_RUNS,
     MbptaConfig,
@@ -138,11 +137,11 @@ def _add_campaign_arguments(
     )
     parser.add_argument(
         "--engine",
-        choices=registered_engines(),
+        choices=available_engines(),
         default=None,
-        help="simulation engine (all built-in engines are bit-exact; "
-        "'numpy' vectorizes whole seed batches, 'jit' needs the numba "
-        "extra; see 'python -m repro engines')",
+        help="simulation engine (default 'numpy', the vectorized production "
+        "engine; 'reference' is the bit-exact oracle; see "
+        "'python -m repro engines')",
     )
     parser.add_argument(
         "--estimator",
@@ -181,8 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser(
         "engines",
-        help="print the simulation-engine capability matrix "
-        "(including optional-dependency availability)",
+        help="print the simulation-engine capability matrix",
     )
 
     run = subparsers.add_parser("run", help="run one experiment (or 'all')")
@@ -763,25 +761,14 @@ def _print_engine_matrix() -> None:
     matrix = engine_capabilities()
     flag = lambda value: "yes" if value else "no"  # noqa: E731
     width = max(len(name) for name in matrix)
-    print(f"{'engine'.ljust(width)}  batch  bit-exact  parallel  available")
+    print(f"{'engine'.ljust(width)}  batch  bit-exact  parallel")
     for name, caps in matrix.items():
-        availability = "yes"
-        if not caps["available"]:
-            availability = f"no ({caps['availability']})"
         print(
             f"{name.ljust(width)}  "
             f"{flag(caps['supports_batch']).ljust(5)}  "
             f"{flag(caps['bit_exact']).ljust(9)}  "
-            f"{flag(caps['requires_pickle']).ljust(8)}  "
-            f"{availability}"
+            f"{flag(caps['requires_pickle'])}"
         )
-    for name, caps in matrix.items():
-        if caps["plan_fallback"]:
-            print(f"{name}: plan fallback: {caps['plan_fallback']}")
-    from .engine.jit import numba_missing_reason
-
-    importable = "importable" if numba_missing_reason() is None else "not importable"
-    print(f"numba (optional, backs the 'jit' engine): {importable}")
 
 
 def _validated_settings(
@@ -798,10 +785,7 @@ def _validated_settings(
     if settings.resume and settings.shard_size is None:
         parser.error("--resume only applies to sharded runs; pass --shard-size too")
     try:
-        engine = get_engine(settings.engine)  # catches bad REPRO_ENGINE values too
-        availability = engine.availability()
-        if availability is not None:
-            parser.error(availability)
+        get_engine(settings.engine)  # catches bad REPRO_ENGINE values too
         if settings.estimator:
             # Resolve through the config so the legacy "pwm"/"mle" aliases
             # stay usable from REPRO_ESTIMATOR; catches bad values too.

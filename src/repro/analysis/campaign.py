@@ -17,7 +17,7 @@ from ..cache.hierarchy import HierarchyConfig
 from ..core.prng import derive_run_seeds
 from ..cpu.core import ExecutionTimingModel, TraceDrivenCore, TraceRunResult
 from ..cpu.trace import Trace
-from ..engine import get_engine
+from ..engine import DEFAULT_ENGINE, get_engine
 from ..workloads.base import MemoryLayout, random_layouts
 
 __all__ = ["CampaignResult", "run_campaign", "run_layout_campaign"]
@@ -87,7 +87,7 @@ def run_campaign(
     runs: int,
     master_seed: int = 0,
     setup: str = "",
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
     timing: ExecutionTimingModel = ExecutionTimingModel(),
     keep_run_results: bool = False,
     jobs: int = 1,
@@ -147,7 +147,7 @@ def run_layout_campaign(
     master_seed: int = 0,
     setup: str = "deterministic",
     layouts: Optional[Sequence[MemoryLayout]] = None,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
     timing: ExecutionTimingModel = ExecutionTimingModel(),
     jobs: int = 1,
     chunk_size: Optional[int] = None,

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cache.hierarchy import HierarchyConfig
+from ..engine import DEFAULT_ENGINE
 from ..hardware import FpgaDevice
 from ..pwcet.protocol import MbptaConfig
 from ..platform.leon3 import Leon3Parameters, platform_setup
@@ -102,7 +103,7 @@ class ExperimentSettings:
     runs: int = 300
     master_seed: int = 20160605
     scale: float = 1.0
-    engine: str = "fast"
+    engine: str = DEFAULT_ENGINE
     jobs: int = 1
     estimator: str = ""
     shard_size: Optional[int] = None

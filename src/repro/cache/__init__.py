@@ -1,4 +1,4 @@
-"""Cache substrate: set-associative caches, hierarchies and the fast engine."""
+"""Cache substrate: set-associative caches, hierarchies and compiled traces."""
 
 from .cache import (
     WRITE_BACK,
@@ -9,12 +9,7 @@ from .cache import (
     SetAssociativeCache,
     derive_policy_seeds,
 )
-from .fastsim import (
-    CompiledTrace,
-    FastHierarchySimulator,
-    FastRunResult,
-    simulate_trace,
-)
+from .fastsim import CompiledTrace, FastRunResult
 from .hierarchy import CacheHierarchy, HierarchyConfig, MemoryTimings, derive_cache_seeds
 from .replacement import (
     REPLACEMENT_NAMES,
@@ -35,9 +30,7 @@ __all__ = [
     "SetAssociativeCache",
     "derive_policy_seeds",
     "CompiledTrace",
-    "FastHierarchySimulator",
     "FastRunResult",
-    "simulate_trace",
     "CacheHierarchy",
     "HierarchyConfig",
     "MemoryTimings",

@@ -1,9 +1,10 @@
 """Reference model of a set-associative cache.
 
 This is the object-oriented, easy-to-inspect cache model used by the unit
-tests, the mini-ISA interpreter and the examples.  The measurement campaigns
-use the flat-array engine in :mod:`repro.cache.fastsim`, which is
-cross-validated against this model in the test suite.
+tests, the mini-ISA interpreter and the ``reference`` engine.  The
+measurement campaigns use the vectorized ``numpy`` engine
+(:mod:`repro.engine.numpy_engine`), which is cross-validated against this
+model in the test suite.
 
 The model tracks tags, valid and dirty bits per way, delegates the
 address-to-set mapping to a :class:`~repro.core.placement.PlacementPolicy`
@@ -22,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.bits import is_power_of_two
 from ..core.placement import PlacementGeometry, PlacementPolicy, make_placement
 from ..core.prng import SplitMix64
-from .replacement import ReplacementPolicy, make_replacement
+from .replacement import REPLACEMENT_NAMES, ReplacementPolicy, make_replacement
 
 __all__ = [
     "CacheConfig",
@@ -36,9 +37,9 @@ __all__ = [
 def derive_policy_seeds(cache_seed: int) -> Tuple[int, int]:
     """Derive independent (placement, replacement) seeds from a cache seed.
 
-    Both simulation engines (the reference model here and the fast campaign
-    engine) use this helper so that identical cache seeds produce identical
-    random placements *and* identical random-replacement victim sequences.
+    The reference model uses this helper, and the numpy engine vectorizes
+    the same chain, so that identical cache seeds produce identical random
+    placements *and* identical random-replacement victim sequences.
     """
     expander = SplitMix64(cache_seed)
     return expander.next_uint64(), expander.next_uint64()
@@ -99,6 +100,13 @@ class CacheConfig:
             raise ValueError(
                 f"{self.name}: write_policy must be '{WRITE_THROUGH}' or "
                 f"'{WRITE_BACK}', got {self.write_policy!r}"
+            )
+        # Exact names only: the engines compare against these literals, so a
+        # variant spelling ("LRU") would otherwise run as another policy.
+        if self.replacement not in REPLACEMENT_NAMES:
+            raise ValueError(
+                f"{self.name}: replacement must be one of {REPLACEMENT_NAMES}, "
+                f"got {self.replacement!r}"
             )
 
     @property

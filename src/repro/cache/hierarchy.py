@@ -31,8 +31,8 @@ __all__ = [
 def derive_cache_seeds(hierarchy_seed: int) -> tuple[int, int, int]:
     """Derive (IL1, DL1, L2) cache seeds from one per-run hierarchy seed.
 
-    Shared by the reference hierarchy and the fast campaign engine so that
-    the two simulate bit-identical runs for the same seed.
+    Used by the reference hierarchy and vectorized by the numpy campaign
+    engine, so that the two simulate bit-identical runs for the same seed.
     """
     expander = SplitMix64(hierarchy_seed)
     return expander.next_uint64(), expander.next_uint64(), expander.next_uint64()

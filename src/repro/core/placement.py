@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .benes import PermutationNetwork, make_permutation_network
 from .bits import bit_slice, ceil_log2, fold_xor, is_power_of_two, mask, rotate_left
@@ -157,8 +157,8 @@ class PlacementPolicy(ABC):
     # The numpy campaign engine (repro.engine.numpy_engine) evaluates one
     # placement map per (seed, cache) pair; these hooks let each policy do
     # that as array arithmetic instead of a Python loop per line.  They are
-    # bit-exact with set_index()/tag() — the engine equivalence tests replay
-    # both paths.  numpy is imported lazily so repro.core stays importable
+    # bit-exact with set_index() — the engine equivalence tests replay both
+    # paths.  numpy is imported lazily so repro.core stays importable
     # without it.
 
     def _line_addresses_array(self, addresses):
@@ -196,13 +196,6 @@ class PlacementPolicy(ABC):
             matrix[:, column] = self.set_index_array(addresses)
         return matrix
 
-    def tag_array(self, addresses):
-        """Vector counterpart of :meth:`tag` (uint64 in, int64 out)."""
-        lines = self._line_addresses_array(addresses)
-        if self.needs_index_in_tag:
-            return lines.astype("int64")
-        return (lines >> self.geometry.index_bits).astype("int64")
-
     def describe(self) -> Dict[str, object]:
         """Structured description used by reports and experiment logs."""
         return {
@@ -212,21 +205,6 @@ class PlacementPolicy(ABC):
             "line_size": self.geometry.line_size,
             "needs_index_in_tag": self.needs_index_in_tag,
         }
-
-    def routing_params(self) -> Optional[Dict[str, object]]:
-        """Scalar routing recipe for in-kernel map evaluation, or ``None``.
-
-        The jit tier (:mod:`repro.engine.jit`) computes set indices on the
-        fly inside the per-lane kernel instead of materializing the
-        ``(lines, seeds)`` matrix up front.  A policy that supports this
-        returns the geometry/wiring constants the kernel needs; ``None``
-        means the map must be materialized (deterministic policies, and the
-        wide-geometry cases where the vector paths also fall back to the
-        scalar model).  The in-kernel evaluation is bit-exact with
-        :meth:`set_index_matrix` — a hypothesis property in the test suite
-        asserts it.
-        """
-        return None
 
 
 def _fold_xor_array(values, in_width: int, out_width: int):
@@ -367,19 +345,6 @@ class HashRandomPlacement(PlacementPolicy):
             index ^= ((row & line).bit_count() & 1) << bit
         return index
 
-    def routing_params(self) -> Optional[Dict[str, object]]:
-        if self._hash_width > 64:
-            # The matrix rows straddle one machine word; the vector paths
-            # fall back to the scalar model here too.
-            return None
-        return {
-            "kind": "hrp",
-            "index_bits": self.geometry.index_bits,
-            "hash_width": self._hash_width,
-            "offset_bits": self.geometry.offset_bits,
-            "address_bits": self.geometry.address_bits,
-        }
-
     def set_index_array(self, addresses):
         import numpy as np
 
@@ -508,28 +473,6 @@ class RandomModuloPlacement(PlacementPolicy):
         modulo_index = geometry.modulo_index(address)
         upper = geometry.line_address(address) >> geometry.index_bits
         return self.network.apply(modulo_index, self._controls_for(upper))
-
-    def routing_params(self) -> Optional[Dict[str, object]]:
-        geometry = self.geometry
-        n_controls = self.network.num_switches
-        if (
-            not 0 < n_controls < 64
-            or geometry.upper_bits > 64
-            or geometry.address_bits > 64
-        ):
-            # Same wide-geometry guard as the vector paths: the control word
-            # or upper field would not fit one machine word.
-            return None
-        return {
-            "kind": "rm",
-            "index_bits": geometry.index_bits,
-            "n_controls": n_controls,
-            "upper_bits": geometry.upper_bits,
-            "offset_bits": geometry.offset_bits,
-            "address_bits": geometry.address_bits,
-            "wire_a": [wire_a for wire_a, _ in self.network.switches],
-            "wire_b": [wire_b for _, wire_b in self.network.switches],
-        }
 
     def set_index_array(self, addresses):
         import numpy as np

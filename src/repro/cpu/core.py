@@ -7,12 +7,12 @@ interpreter), this core replays it against a cache hierarchy and produces
 the execution time in cycles.
 
 Back-ends are selected by registry name through :mod:`repro.engine`
-(``"fast"``, ``"reference"``, ``"numpy"``, plus anything registered later);
-:meth:`TraceDrivenCore.run` and :meth:`TraceDrivenCore.run_batch` resolve
-the name, build (and cache) the engine's simulator for this (config, trace)
-pair, and add the same per-instruction execute cost on top of the raw
-memory latencies — so all engines produce identical cycle counts for
-identical seeds.
+(``"numpy"``, the default, ``"reference"``, plus anything registered
+later); :meth:`TraceDrivenCore.run` and :meth:`TraceDrivenCore.run_batch`
+resolve the name, build (and cache) the engine's simulator for this
+(config, trace) pair, and add the same per-instruction execute cost on top
+of the raw memory latencies — so all engines produce identical cycle counts
+for identical seeds.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Dict, List, Sequence, Union
 
 from ..cache.fastsim import CompiledTrace, FastRunResult
 from ..cache.hierarchy import HierarchyConfig
-from ..engine import Engine, EngineSimulator, get_engine
+from ..engine import DEFAULT_ENGINE, Engine, EngineSimulator, get_engine
 from .trace import Trace
 
 #: Engine selector: a registry name, or an already-resolved Engine (used by
@@ -77,7 +77,7 @@ def timing_overhead_cycles(trace: Trace, timing: ExecutionTimingModel) -> int:
     """Execute-stage cycles added on top of the memory latencies of ``trace``.
 
     Shared by :class:`TraceDrivenCore` and the parallel campaign executor so
-    the two always add the same overhead to the raw fast-engine cycles.
+    the two always add the same overhead to the raw engine cycles.
     """
     counts = trace.counts()
     return (
@@ -89,7 +89,7 @@ def timing_overhead_cycles(trace: Trace, timing: ExecutionTimingModel) -> int:
 def wrap_fast_result(
     result: FastRunResult, overhead_cycles: int, accesses: int
 ) -> TraceRunResult:
-    """Convert a raw fast-engine result into a :class:`TraceRunResult`."""
+    """Convert a raw engine result into a :class:`TraceRunResult`."""
     return TraceRunResult(
         cycles=result.cycles + overhead_cycles,
         memory_accesses=result.memory_accesses,
@@ -146,26 +146,16 @@ class TraceDrivenCore:
     def _wrap(self, result: FastRunResult) -> TraceRunResult:
         return wrap_fast_result(result, self._overhead_cycles, len(self.trace))
 
-    def run(self, seed: int, engine: EngineLike = "fast") -> TraceRunResult:
+    def run(self, seed: int, engine: EngineLike = DEFAULT_ENGINE) -> TraceRunResult:
         """Replay the trace with the selected engine under hierarchy seed ``seed``."""
         return self._wrap(self._simulator(engine).run(seed))
 
     def run_batch(
-        self, seeds: Sequence[int], engine: EngineLike = "fast"
+        self, seeds: Sequence[int], engine: EngineLike = DEFAULT_ENGINE
     ) -> List[TraceRunResult]:
         """Replay the trace once per seed, setting the engine up only once."""
         simulator = self._simulator(engine)
         return [self._wrap(result) for result in simulator.run_batch(seeds)]
-
-    # Convenience wrappers kept for the established call sites and tests.
-
-    def run_fast(self, seed: int) -> TraceRunResult:
-        """Replay the trace with the fast engine (shorthand for ``run``)."""
-        return self.run(seed, engine="fast")
-
-    def run_fast_batch(self, seeds: Sequence[int]) -> List[TraceRunResult]:
-        """Batch shorthand for the fast engine."""
-        return self.run_batch(seeds, engine="fast")
 
     def run_reference(self, seed: int) -> TraceRunResult:
         """Replay the trace with the reference hierarchy model."""

@@ -8,7 +8,7 @@ branches pay a small redirection penalty.
 
 Besides producing an execution-time measurement directly, the interpreter
 can record the program's memory-access :class:`~repro.cpu.trace.Trace`.  The
-measurement campaigns use that recorded trace with the fast cache engine, so
+measurement campaigns use that recorded trace with the campaign engine, so
 a workload only has to be *executed* once even when it is *measured*
 thousands of times with different placement seeds.
 """

@@ -14,7 +14,7 @@ minimal 32-register RISC ISA ("TISA", tiny ISA) with that shape:
 Programs are built with :mod:`repro.cpu.assembler` and executed by
 :mod:`repro.cpu.interpreter`, which drives a
 :class:`~repro.cache.hierarchy.CacheHierarchy` and can also record a
-:class:`~repro.cpu.trace.Trace` for later replay in the fast engine.
+:class:`~repro.cpu.trace.Trace` for later replay in the campaign engine.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ byte addresses.  The EEMBC-like kernels and the synthetic vector benchmark
 generate traces directly; the mini-ISA interpreter produces them as a side
 effect of executing a program.
 
-Traces are deliberately simple (two parallel lists) so that the fast
-campaign engine can iterate them with minimal overhead, while still offering
+Traces are deliberately simple (two parallel lists) so that trace
+compilation can iterate them with minimal overhead, while still offering
 convenience helpers (footprints, slicing, concatenation, repetition) for the
 workload generators and the tests.
 """

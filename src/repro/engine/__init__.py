@@ -2,66 +2,54 @@
 
 Engine selection everywhere in the repository goes through this package:
 
->>> from repro.engine import available_engines, get_engine
+>>> from repro.engine import DEFAULT_ENGINE, available_engines, get_engine
 >>> available_engines()
-('fast', 'numpy', 'reference')
->>> get_engine("fast").supports_batch
+('numpy', 'reference')
+>>> DEFAULT_ENGINE
+'numpy'
+>>> get_engine("numpy").supports_batch
 True
 
 Built-in backends:
 
-* ``fast``      — flat-array per-access Python engine (the historical
-  campaign workhorse, :mod:`repro.cache.fastsim`);
+* ``numpy``     — the production engine: a vectorized batch engine that
+  executes a compiled :class:`~repro.engine.plan.TracePlan` for all seeds of
+  a campaign chunk simultaneously (numpy is a declared dependency of the
+  package);
 * ``reference`` — object-oriented hierarchy model, slow but inspectable
-  (ground truth for cross-validation);
-* ``numpy``     — vectorized batch engine simulating all seeds of a campaign
-  chunk simultaneously (numpy is a declared dependency of the package); by
-  default it executes a compiled :class:`~repro.engine.plan.TracePlan` and
-  falls back to the per-access interpreter for unsupported configurations;
-* ``jit``       — the same compiled plan run by a numba-compiled per-lane
-  kernel.  numba is optional (the ``jit`` extra): the engine is always
-  *registered* but only *available* when numba imports —
-  :func:`registered_engines` lists it either way,
-  :func:`available_engines` only when usable.
+  (the oracle the production engine is checked against).
 
-All are bit-exact with each other.  See DESIGN.md ("Engines") for the
+The two are bit-exact with each other.  See DESIGN.md ("Engines") for the
 capability matrix and how to add a backend.
 """
 
 from __future__ import annotations
 
 from .base import (
+    DEFAULT_ENGINE,
     Engine,
     EngineSimulator,
     available_engines,
     engine_capabilities,
     get_engine,
     register_engine,
-    registered_engines,
     unregister_engine,
 )
-from .fast import FastEngine
-from .jit import JitEngine, JitUnavailable
 from .numpy_engine import NumpyEngine
 from .reference import ReferenceEngine
 
 __all__ = [
+    "DEFAULT_ENGINE",
     "Engine",
     "EngineSimulator",
-    "FastEngine",
-    "JitEngine",
-    "JitUnavailable",
     "NumpyEngine",
     "ReferenceEngine",
     "available_engines",
     "engine_capabilities",
     "get_engine",
     "register_engine",
-    "registered_engines",
     "unregister_engine",
 ]
 
-register_engine(FastEngine())
 register_engine(ReferenceEngine())
 register_engine(NumpyEngine())
-register_engine(JitEngine())

@@ -8,7 +8,8 @@ no caller outside this package compares engine names against string
 literals.  Every layer — :class:`~repro.cpu.core.TraceDrivenCore`, the
 campaign executors (serial and process-parallel), the experiment drivers,
 the CLI — resolves the requested name with :func:`get_engine` and drives the
-resulting :class:`EngineSimulator`.
+resulting :class:`EngineSimulator`.  When no engine is named, every layer
+uses :data:`DEFAULT_ENGINE`.
 
 Capability flags describe what callers may rely on:
 
@@ -27,16 +28,6 @@ Capability flags describe what callers may rely on:
     shipped between processes.  All built-in engines rebuild cheaply, so the
     parallel executor supports them all.
 
-Engines with optional dependencies (the ``jit`` tier needs numba) are always
-*registered* — they appear in :func:`registered_engines`, the CLI accepts
-them and :func:`get_engine` resolves them, so asking for one without its
-dependency produces the engine's own clear error naming the missing extra
-instead of an "unknown engine" message.  :func:`available_engines` filters
-the registry down to the engines that can actually run here
-(:meth:`Engine.availability` returns ``None``); callers that iterate "every
-engine" — the equivalence suites, the campaign layers — use the available
-set and keep working on machines without the optional extras.
-
 To add a backend: subclass :class:`Engine`, implement :meth:`Engine.simulator`
 returning an object with ``run(seed)`` / ``run_batch(seeds)`` producing
 :class:`~repro.cache.fastsim.FastRunResult`, and call
@@ -46,22 +37,26 @@ returning an object with ``run(seed)`` / ``run_batch(seeds)`` producing
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Protocol, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache.fastsim import CompiledTrace, FastRunResult
     from ..cache.hierarchy import HierarchyConfig
 
 __all__ = [
+    "DEFAULT_ENGINE",
     "Engine",
     "EngineSimulator",
     "register_engine",
     "unregister_engine",
     "get_engine",
-    "registered_engines",
     "available_engines",
     "engine_capabilities",
 ]
+
+#: The engine every layer uses when none is named: the production engine.
+#: ``reference`` is the oracle it is checked against.
+DEFAULT_ENGINE = "numpy"
 
 
 class EngineSimulator(Protocol):
@@ -79,7 +74,7 @@ class EngineSimulator(Protocol):
 class Engine(ABC):
     """A named simulation backend with declared capabilities."""
 
-    #: Registry name (``"fast"``, ``"reference"``, ``"numpy"``, ...).
+    #: Registry name (``"numpy"``, ``"reference"``, ...).
     name: str = "abstract"
     #: run_batch amortises/vectorises work across seeds.
     supports_batch: bool = True
@@ -95,34 +90,6 @@ class Engine(ABC):
     ) -> EngineSimulator:
         """Build a simulator for one (hierarchy, compiled trace) pair."""
 
-    def availability(self) -> Optional[str]:
-        """``None`` when the engine can run here, else why it cannot.
-
-        Engines with optional dependencies override this to report the
-        missing extra (the ``jit`` tier returns an install hint when numba
-        is not importable); built-in engines are always available.
-        """
-        return None
-
-    @property
-    def available(self) -> bool:
-        """Whether :meth:`simulator` can be used on this machine."""
-        return self.availability() is None
-
-    def plan_fallback(self) -> Optional[str]:
-        """``None`` when the engine has no compiled-plan tier, else what
-        happens when plan compilation raises
-        :class:`~repro.engine.plan.PlanUnsupported` for a configuration.
-
-        Engines executing a compiled :class:`~repro.engine.plan.TracePlan`
-        override this so callers (and ``python -m repro engines``) can see
-        which configurations leave the fast path and where they land —
-        without building a simulator first.  The concrete per-configuration
-        reason is on the built simulator (``plan_error``) and is logged once
-        per simulator by ``run_batch``.
-        """
-        return None
-
     def describe(self) -> Dict[str, object]:
         """Structured capability summary (used by docs, reports and tests)."""
         return {
@@ -130,9 +97,6 @@ class Engine(ABC):
             "supports_batch": self.supports_batch,
             "bit_exact": self.bit_exact,
             "requires_pickle": self.requires_pickle,
-            "available": self.available,
-            "availability": self.availability(),
-            "plan_fallback": self.plan_fallback(),
         }
 
 
@@ -161,34 +125,20 @@ def unregister_engine(name: str) -> None:
     _REGISTRY.pop(name, None)
 
 
-def registered_engines() -> Tuple[str, ...]:
-    """Names of all registered engines, sorted (usable here or not)."""
-    return tuple(sorted(_REGISTRY))
-
-
 def available_engines() -> Tuple[str, ...]:
-    """Names of the registered engines that can run here, sorted.
-
-    Excludes engines whose optional dependency is missing (see
-    :meth:`Engine.availability`); callers that iterate "every engine"
-    use this so optional tiers degrade by absence, not by crashing.
-    """
-    return tuple(
-        name for name in registered_engines() if _REGISTRY[name].available
-    )
+    """Names of all registered engines, sorted."""
+    return tuple(sorted(_REGISTRY))
 
 
 def get_engine(name: str) -> Engine:
     """Resolve an engine by registry name.
 
     Unknown names raise :class:`ValueError` listing the registered names.
-    Registered-but-unavailable engines resolve normally; their
-    :meth:`Engine.simulator` raises the clear dependency error.
     """
     try:
         return _REGISTRY[name]
     except KeyError:
-        registered = ", ".join(registered_engines()) or "<none>"
+        registered = ", ".join(available_engines()) or "<none>"
         raise ValueError(
             f"unknown engine {name!r}; registered engines: {registered}"
         ) from None
@@ -196,4 +146,4 @@ def get_engine(name: str) -> Engine:
 
 def engine_capabilities() -> Dict[str, Dict[str, object]]:
     """Capability matrix of every registered engine (name -> describe())."""
-    return {name: _REGISTRY[name].describe() for name in registered_engines()}
+    return {name: _REGISTRY[name].describe() for name in available_engines()}

@@ -1,51 +1,42 @@
 """NumPy batch engine: simulate every seed of a campaign simultaneously.
 
-The fast engine replays the trace once per seed; a 1000-run campaign is 1000
-Python loops over the trace.  This engine turns the campaign into **one**
-array program: at every step all seeds advance together, with cache state
-carried as per-lane arrays.
+This is the production engine.  A campaign becomes **one** array program
+instead of one Python loop over the trace per seed: at every step all seeds
+advance together, with cache state carried as per-lane arrays.
 
-Two execution paths share the setup and seed-derivation machinery:
-
-* the **plan path** (default) executes a :class:`~repro.engine.plan.TracePlan`
-  compiled by :func:`~repro.engine.plan.compile_plan`: guaranteed hits are
-  elided from the program entirely, hit detection is one read of a
-  ``(lines, lanes)`` presence map (line -> way, ``-1`` = absent) instead of a
-  tag gather-and-compare, invalid-way selection is a per-set occupancy
-  counter (ways fill in order and are never invalidated), and hierarchies
-  whose conflict signature proves seed invariance simulate one lane and
-  replicate the result across the batch;
-* the **interpreter path** (:class:`_LaneCache` + ``_run_lanes_interp``) is
-  the original per-access program, kept as the fallback for configurations
-  the plan compiler does not model and as an independent cross-check.
+The engine executes a :class:`~repro.engine.plan.TracePlan` compiled by
+:func:`~repro.engine.plan.compile_plan`: guaranteed hits are elided from the
+program entirely, hit detection is one read of a ``(lines, lanes)`` presence
+map (line -> way, ``-1`` = absent) instead of a tag gather-and-compare,
+invalid-way selection is a per-set occupancy counter (ways fill in order and
+are never invalidated), and hierarchies whose conflict signature proves seed
+invariance simulate one lane and replicate the result across the batch.
 
 Placement maps are evaluated per (seed, cache) with the vectorized policy
 hooks (:meth:`repro.core.placement.PlacementPolicy.set_index_array`), only
 over the rows each slot can actually index, and memoized by content hash
 (:mod:`repro.engine.mapcache`) so repeated batches, resumed shards, and
 overlapping sweeps never rebuild a map twice; deterministic policies share
-one seed-invariant map exactly like the fast engine's static maps.  Seed derivation (hierarchy -> cache -> policy seeds)
-runs the same SplitMix64 chain as
+one seed-invariant map.  Seed derivation (hierarchy -> cache -> policy
+seeds) runs the same SplitMix64 chain as
 :func:`repro.cache.hierarchy.derive_cache_seeds` /
 :func:`repro.cache.cache.derive_policy_seeds`, vectorized, so the engine is
-**bit-exact** with the fast and reference engines for every seed: same
-cycles, same miss counters, same victim streams.  Elision never removes a
-victim draw (only guaranteed hits are dropped, and hits never draw), so the
-per-lane SplitMix64 victim streams are consumed in exactly the fast engine's
+**bit-exact** with the reference engine for every seed: same cycles, same
+miss counters, same victim streams.  Elision never removes a victim draw
+(only guaranteed hits are dropped, and hits never draw), so the per-lane
+SplitMix64 victim streams are consumed in exactly the reference model's
 order.  The cross-engine equivalence tests assert all of this.
 """
 
 from __future__ import annotations
 
-import logging
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..cache.cache import WRITE_BACK, CacheConfig
-from ..cache.fastsim import FETCH_KIND, STORE_KIND, CompiledTrace, FastRunResult
+from ..cache.fastsim import FETCH_KIND, CompiledTrace, FastRunResult
 from ..cache.hierarchy import HierarchyConfig
-from ..cache.replacement import REPLACEMENT_NAMES
 from ..core.bits import mask
 from ..core.placement import make_placement, placement_is_randomized
 from ..core.prng import (
@@ -53,6 +44,9 @@ from ..core.prng import (
     SPLITMIX64_MIX1,
     SPLITMIX64_MIX2,
 )
+from .base import Engine
+from .mapcache import cached_set_index_matrix
+from .plan import TracePlan, compile_plan
 
 _SM64_GAMMA = np.uint64(SPLITMIX64_GAMMA)
 _SM64_MIX1 = np.uint64(SPLITMIX64_MIX1)
@@ -83,13 +77,9 @@ def splitmix64_next_array(states):
     z = out >> _SM64_S31
     z ^= out
     return z
-from .base import Engine
-from .mapcache import cached_set_index_matrix
-from .plan import PlanUnsupported, TracePlan, compile_plan
+
 
 __all__ = ["NumpyEngine", "DEFAULT_MAX_LANES", "derive_seed_arrays"]
-
-logger = logging.getLogger(__name__)
 
 #: Seeds simulated per internal chunk.  Bounds the working set (state arrays
 #: and per-seed placement maps grow linearly with the lane count) without
@@ -120,175 +110,12 @@ def derive_seed_arrays(seeds: Sequence[int]):
     return per_cache
 
 
-class _ReplacementRng:
-    """Shared vectorized ``SplitMix64.next_below(ways)`` victim stream."""
-
-    ways: int
-    rng_state: np.ndarray
-
-    def _advance_rng(self, idx: np.ndarray) -> np.ndarray:
-        states = self.rng_state[idx]
-        out = splitmix64_next_array(states)
-        self.rng_state[idx] = states
-        return out
-
-    def _draw_below(self, idx: np.ndarray, values=None) -> np.ndarray:
-        """Vectorized ``SplitMix64.next_below(ways)`` for the given lanes."""
-        bound = self.ways
-        if values is None:
-            values = self._advance_rng(idx)
-        if not bound & (bound - 1):
-            # Masked values fit in an int64, so reinterpreting the bits is
-            # free and exact — no astype copy.
-            try:
-                way_mask = self._way_mask
-            except AttributeError:
-                way_mask = self._way_mask = np.uint64(bound - 1)
-            return (values & way_mask).view(np.int64)
-        if _U64_SPACE % bound == 0:
-            return (values % bound).astype(np.int64)
-        limit = np.uint64(_U64_SPACE - _U64_SPACE % bound)
-        accepted = values < limit
-        if accepted.all():
-            # Rejection is rare (non-power-of-two ``ways`` only, and the
-            # reject band is a vanishing fraction of the 64-bit space).
-            return (values % bound).astype(np.int64)
-        result = np.empty(idx.size, dtype=np.int64)
-        pending = np.arange(idx.size)
-        while True:
-            result[pending[accepted]] = (values[accepted] % bound).astype(np.int64)
-            pending = pending[~accepted]
-            if not pending.size:
-                return result
-            values = self._advance_rng(idx[pending])
-            accepted = values < limit
-
-    def _draw_below_all(self) -> np.ndarray:
-        """``_draw_below`` over every lane: the state advances in place, no
-        gather/scatter round-trip."""
-        return self._draw_below(self._all_idx, splitmix64_next_array(self.rng_state))
-
-
-class _LaneCache(_ReplacementRng):
-    """One cache level in interpreter form: tag arrays per (lane, set, way)."""
-
-    def __init__(
-        self,
-        config: CacheConfig,
-        n_lanes: int,
-        line_sets: np.ndarray,
-        line_tags: np.ndarray,
-        replacement_states: np.ndarray,
-    ) -> None:
-        if config.replacement not in REPLACEMENT_NAMES:
-            raise ValueError(
-                f"numpy engine supports {REPLACEMENT_NAMES} replacement, "
-                f"got {config.replacement!r} for {config.name}"
-            )
-        self.n_lanes = n_lanes
-        self.ways = config.ways
-        self.write_back = config.write_policy == WRITE_BACK
-        self.lru = config.replacement == "lru"
-        self.fifo = config.replacement == "fifo"
-        self.plru = config.replacement == "plru"
-        #: Hits mutate replacement metadata (LRU stamps / PLRU tree bits).
-        self.touches = self.lru or self.plru
-        #: (U, n_lanes) per-seed set indices, or (U,) when seed-invariant.
-        self.line_sets = line_sets
-        self.line_tags = line_tags
-        self.tag_list = line_tags.tolist()
-        shape = (n_lanes, config.num_sets, config.ways)
-        self.tags = np.full(shape, -1, dtype=np.int64)
-        self.dirty = np.zeros(shape, dtype=bool)
-        self.victims = np.zeros(shape, dtype=np.int64)
-        if self.lru:
-            self.stamp = np.zeros(shape, dtype=np.int64)
-            self._clock = 0
-        elif self.plru:
-            if config.ways & (config.ways - 1):
-                raise ValueError(
-                    f"plru replacement requires a power-of-two associativity, "
-                    f"got {config.ways} for {config.name}"
-                )
-            self._plru_depth = config.ways.bit_length() - 1
-            self.plru_bits = np.zeros(
-                (n_lanes, config.num_sets, config.ways - 1), dtype=np.uint8
-            )
-        elif self.fifo:
-            self.fifo_next = np.zeros((n_lanes, config.num_sets), dtype=np.int16)
-        else:
-            self.rng_state = replacement_states
-        self.misses = np.zeros(n_lanes, dtype=np.int64)
-        self.accesses = np.zeros(n_lanes, dtype=np.int64)
-
-    # -------------------------------------------------------------- indexing
-
-    def sets_for(self, uid: int) -> np.ndarray:
-        """Per-lane set index of unique line ``uid`` (shape ``(n_lanes,)``)."""
-        if self.line_sets.ndim == 2:
-            return self.line_sets[uid]
-        return np.broadcast_to(self.line_sets[uid], (self.n_lanes,))
-
-    def sets_at(self, idx: np.ndarray, uids: np.ndarray) -> np.ndarray:
-        """Set indices for per-lane line ids (writeback targets)."""
-        if self.line_sets.ndim == 2:
-            return self.line_sets[uids, idx]
-        return self.line_sets[uids]
-
-    # ------------------------------------------------------------ replacement
-
-    def touch(self, idx: np.ndarray, sets: np.ndarray, ways: np.ndarray) -> None:
-        if not idx.size:
-            return
-        if self.lru:
-            self._clock += 1
-            self.stamp[idx, sets, ways] = self._clock
-        elif self.plru:
-            # Flip the tree bits along the leaf-to-root path to point away
-            # from the used way (all leaves share one depth: ways is a
-            # power of two).  A node is its parent's left child iff its
-            # heap index is odd.
-            bits = self.plru_bits
-            node = ways.astype(np.int64) + (self.ways - 1)
-            for _ in range(self._plru_depth):
-                parent = (node - 1) >> 1
-                bits[idx, sets, parent] = (node & 1).astype(np.uint8)
-                node = parent
-
-    def choose_victim(self, idx: np.ndarray, sets: np.ndarray) -> np.ndarray:
-        """First invalid way per lane, else the replacement policy's victim."""
-        rows = self.tags[idx, sets]
-        invalid = rows < 0
-        victim = invalid.argmax(axis=1)
-        full = ~invalid.any(axis=1)
-        if full.any():
-            full_idx = idx[full]
-            full_sets = sets[full]
-            if self.lru:
-                victim[full] = self.stamp[full_idx, full_sets].argmin(axis=1)
-            elif self.fifo:
-                head = self.fifo_next[full_idx, full_sets].astype(np.int64)
-                nxt = head + 1
-                nxt[nxt == self.ways] = 0
-                self.fifo_next[full_idx, full_sets] = nxt
-                victim[full] = head
-            elif self.plru:
-                bits = self.plru_bits
-                node = np.zeros(full_idx.shape, dtype=np.int64)
-                for _ in range(self._plru_depth):
-                    node = 2 * node + 1 + bits[full_idx, full_sets, node]
-                victim[full] = node - (self.ways - 1)
-            else:
-                victim[full] = self._draw_below(full_idx)
-        return victim
-
-
-class _PlanCache(_ReplacementRng):
+class _PlanCache:
     """One cache level in plan-execution form: presence map + flat cells.
 
     ``way_of[uid, lane]`` is the way holding unique line ``uid`` in ``lane``
-    (``-1`` = absent), replacing the interpreter's tag gather-and-compare
-    with one row read.  All per-(lane, set, way) state lives in flat arrays
+    (``-1`` = absent), replacing a tag gather-and-compare with one row
+    read.  All per-(lane, set, way) state lives in flat arrays
     addressed by precomputed cell indices: ``occ_cell[uid, lane]`` is the
     (lane, set) cell of ``uid`` and ``occ_cell * ways + way`` its way cell,
     so the hot path gathers with one integer add instead of a 3-D
@@ -323,7 +150,7 @@ class _PlanCache(_ReplacementRng):
         config: CacheConfig,
         n_lanes: int,
         line_sets: np.ndarray,
-        line_tags: np.ndarray,
+        n_lines: int,
         replacement_states: np.ndarray,
         cell_memo: Optional[dict] = None,
         buffers: Optional[dict] = None,
@@ -361,7 +188,6 @@ class _PlanCache(_ReplacementRng):
                     cell_memo.clear()
                 cell_memo[memo_key] = (line_sets, self.occ_cell, self.way_cell)
         cells = n_lanes * config.num_sets * config.ways
-        n_lines = len(line_tags)
         pooled = self._pooled
         self.way_of = pooled(buffers, "way_of", (n_lines, n_lanes), np.int16, -1)
         self.occupancy = pooled(
@@ -414,19 +240,65 @@ class _PlanCache(_ReplacementRng):
         """Record a hit/fill of way ``ways`` in the (lane, set) cells.
 
         LRU stamps the flat way cells; PLRU flips the tree bits of the
-        ``occ_cells`` rows away from the used way (see ``_LaneCache.touch``
-        for the bit layout).  Stateless policies ignore the call.
+        ``occ_cells`` rows away from the used way.  Stateless policies
+        ignore the call.
         """
         if self.lru:
             self._clock += 1
             self.stamp[cells] = self._clock
         elif self.plru:
+            # Flip the tree bits along the leaf-to-root path to point away
+            # from the used way (all leaves share one depth: ways is a
+            # power of two).  A node is its parent's left child iff its
+            # heap index is odd.
             bits = self.plru_bits
             node = ways.astype(np.int64) + (self.ways - 1)
             for _ in range(self._plru_depth):
                 parent = (node - 1) >> 1
                 bits[occ_cells, parent] = (node & 1).astype(np.uint8)
                 node = parent
+
+    def _advance_rng(self, idx: np.ndarray) -> np.ndarray:
+        states = self.rng_state[idx]
+        out = splitmix64_next_array(states)
+        self.rng_state[idx] = states
+        return out
+
+    def _draw_below(self, idx: np.ndarray, values=None) -> np.ndarray:
+        """Vectorized ``SplitMix64.next_below(ways)`` for the given lanes."""
+        bound = self.ways
+        if values is None:
+            values = self._advance_rng(idx)
+        if not bound & (bound - 1):
+            # Masked values fit in an int64, so reinterpreting the bits is
+            # free and exact — no astype copy.
+            try:
+                way_mask = self._way_mask
+            except AttributeError:
+                way_mask = self._way_mask = np.uint64(bound - 1)
+            return (values & way_mask).view(np.int64)
+        if _U64_SPACE % bound == 0:
+            return (values % bound).astype(np.int64)
+        limit = np.uint64(_U64_SPACE - _U64_SPACE % bound)
+        accepted = values < limit
+        if accepted.all():
+            # Rejection is rare (non-power-of-two ``ways`` only, and the
+            # reject band is a vanishing fraction of the 64-bit space).
+            return (values % bound).astype(np.int64)
+        result = np.empty(idx.size, dtype=np.int64)
+        pending = np.arange(idx.size)
+        while True:
+            result[pending[accepted]] = (values[accepted] % bound).astype(np.int64)
+            pending = pending[~accepted]
+            if not pending.size:
+                return result
+            values = self._advance_rng(idx[pending])
+            accepted = values < limit
+
+    def _draw_below_all(self) -> np.ndarray:
+        """``_draw_below`` over every lane: the state advances in place, no
+        gather/scatter round-trip."""
+        return self._draw_below(self._all_idx, splitmix64_next_array(self.rng_state))
 
     def _policy_victims(self, occ_cells, idx, all_lanes=False) -> np.ndarray:
         """Replacement victims for full sets (one per entry of ``occ_cells``)."""
@@ -466,7 +338,7 @@ class _PlanCache(_ReplacementRng):
         per-lane array for writeback targets).  With ``collect`` the dirty
         evicted victims are returned as ``(lanes, uids)`` (else
         ``(None, None)``) — demand fills charge them, plain L2 write
-        allocations drop them, mirroring the fast engine.  ``all_lanes``
+        allocations drop them.  ``all_lanes``
         asserts ``idx`` covers every lane in order (the dominant cold-miss
         case), turning scatters into whole-row writes.
         """
@@ -607,14 +479,12 @@ class _VectorSimulator:
         config: HierarchyConfig,
         compiled: CompiledTrace,
         max_lanes: Optional[int] = None,
-        use_plan: Optional[bool] = None,
     ) -> None:
         self.config = config
         self.compiled = compiled
         self.max_lanes = max_lanes or DEFAULT_MAX_LANES
         self._lines = np.array(compiled.unique_lines, dtype=np.uint64)
         self._kinds = list(compiled.kinds)
-        self._line_ids = list(compiled.line_ids)
         self._il1_accesses = sum(1 for kind in self._kinds if kind == FETCH_KIND)
         self._dl1_accesses = len(self._kinds) - self._il1_accesses
         # Rows of the per-lane placement maps each L1 can actually index:
@@ -629,8 +499,8 @@ class _VectorSimulator:
             None,
         )
         # Seed-invariant per-cache tables: placement policy objects (reseeded
-        # per lane for randomized policies), tag arrays, and the shared map
-        # of deterministic policies (mirrors the fast engine's static maps).
+        # per lane for randomized policies) and the shared map of
+        # deterministic policies.
         self._slots = []
         for slot, cache_config in (("il1", config.il1), ("dl1", config.dl1), ("l2", config.l2)):
             if cache_config is None:
@@ -638,12 +508,8 @@ class _VectorSimulator:
                 continue
             policy = make_placement(cache_config.placement, cache_config.geometry, seed=0)
             randomized = placement_is_randomized(cache_config.placement)
-            tags = policy.tag_array(self._lines)
             static_sets = None if randomized else policy.set_index_array(self._lines)
-            self._slots.append((cache_config, policy, randomized, tags, static_sets))
-        self._plan: Optional[TracePlan] = None
-        self._plan_error: Optional[str] = None
-        self._fallback_logged = False
+            self._slots.append((cache_config, policy, randomized, static_sets))
         #: Batch-to-batch memo of derived plan tables (expanded row-subset
         #: maps and (occ_cell, way_cell) pairs), keyed by the identity of the
         #: memoized placement maps they derive from.
@@ -651,25 +517,12 @@ class _VectorSimulator:
         #: Recycled per-(slot, lane-count) plan-state buffers; see
         #: :meth:`_PlanCache._pooled`.
         self._buffer_pool: dict = {}
-        if use_plan is None or use_plan:
-            try:
-                self._plan = compile_plan(config, compiled)
-            except PlanUnsupported as error:
-                if use_plan:
-                    raise
-                self._plan_error = str(error)
-        elif use_plan is False:
-            self._plan_error = "plan disabled (use_plan=False)"
+        self._plan: TracePlan = compile_plan(config, compiled)
 
     @property
-    def plan(self) -> Optional[TracePlan]:
-        """The compiled :class:`TracePlan`, or None on the fallback path."""
+    def plan(self) -> TracePlan:
+        """The compiled :class:`TracePlan` this simulator executes."""
         return self._plan
-
-    @property
-    def plan_error(self) -> Optional[str]:
-        """Why no plan compiled (``None`` when the plan path is active)."""
-        return self._plan_error
 
     # ----------------------------------------------------------------- public
 
@@ -678,34 +531,21 @@ class _VectorSimulator:
 
     def run_batch(self, seeds: Sequence[int]) -> List[FastRunResult]:
         seeds = list(seeds)
-        if self._plan is not None:
-            if self._plan.seed_invariant and len(seeds) > 1:
-                # One equivalence class: simulate one lane, replicate.
-                return self._run_lanes_plan(seeds[:1]) * len(seeds)
-            runner = self._run_lanes_plan
-        else:
-            if not self._fallback_logged:
-                # Surface the reason once per simulator instead of silently
-                # dropping the ~100x compiled path.
-                self._fallback_logged = True
-                logger.info(
-                    "no trace plan for this configuration (%s); using the "
-                    "per-access interpreter path",
-                    self._plan_error or "unknown reason",
-                )
-            runner = self._run_lanes_interp
+        if self._plan.seed_invariant and len(seeds) > 1:
+            # One equivalence class: simulate one lane, replicate.
+            return self._run_lanes_plan(seeds[:1]) * len(seeds)
         results: List[FastRunResult] = []
         for start in range(0, len(seeds), self.max_lanes):
-            results.extend(runner(seeds[start : start + self.max_lanes]))
+            results.extend(self._run_lanes_plan(seeds[start : start + self.max_lanes]))
         return results
 
     # ------------------------------------------------------------------ setup
 
     def _build_cache(
         self, slot_state, n_lanes, placement_seeds, replacement_seeds,
-        cls=_LaneCache, rows=None, slot=0,
+        rows=None, slot=0,
     ):
-        cache_config, policy, randomized, tags, static_sets = slot_state
+        cache_config, policy, randomized, static_sets = slot_state
         if randomized:
             seed_list = [int(seed) for seed in placement_seeds]
             if rows is not None and rows.size < len(self._lines):
@@ -734,28 +574,26 @@ class _VectorSimulator:
                 line_sets = cached_set_index_matrix(policy, self._lines, seed_list)
         else:
             line_sets = static_sets
-        if cls is _PlanCache:
-            if len(self._buffer_pool) >= 12:
-                self._buffer_pool.clear()
-            return cls(
-                cache_config, n_lanes, line_sets, tags, replacement_seeds,
-                cell_memo=self._cell_memo,
-                buffers=self._buffer_pool.setdefault((slot, n_lanes), {}),
-            )
-        return cls(cache_config, n_lanes, line_sets, tags, replacement_seeds)
+        if len(self._buffer_pool) >= 12:
+            self._buffer_pool.clear()
+        return _PlanCache(
+            cache_config, n_lanes, line_sets, len(self._lines), replacement_seeds,
+            cell_memo=self._cell_memo,
+            buffers=self._buffer_pool.setdefault((slot, n_lanes), {}),
+        )
 
-    def _build_hierarchy(self, seeds: Sequence[int], cls):
+    def _build_hierarchy(self, seeds: Sequence[int]):
         n = len(seeds)
         per_cache = derive_seed_arrays(seeds)
         rows = self._slot_rows
         il1 = self._build_cache(
-            self._slots[0], n, *per_cache[0], cls=cls, rows=rows[0], slot=0
+            self._slots[0], n, *per_cache[0], rows=rows[0], slot=0
         )
         dl1 = self._build_cache(
-            self._slots[1], n, *per_cache[1], cls=cls, rows=rows[1], slot=1
+            self._slots[1], n, *per_cache[1], rows=rows[1], slot=1
         )
         l2 = (
-            self._build_cache(self._slots[2], n, *per_cache[2], cls=cls, slot=2)
+            self._build_cache(self._slots[2], n, *per_cache[2], slot=2)
             if self._slots[2] is not None
             else None
         )
@@ -794,7 +632,7 @@ class _VectorSimulator:
             return []
         plan = self._plan
         n = len(seeds)
-        il1, dl1, l2 = self._build_hierarchy(seeds, _PlanCache)
+        il1, dl1, l2 = self._build_hierarchy(seeds)
 
         timings = self.config.timings
         l2_hit_latency = timings.l2_hit
@@ -934,10 +772,9 @@ class _VectorSimulator:
     ) -> None:
         """Latency-free write (store-through or writeback) into the L2.
 
-        Write-back L2 mirrors ``FastHierarchySimulator._l2_write``: hits are
-        marked dirty, misses allocate (dirty) without charging latency or
-        memory traffic — dirty victims of a write allocation are dropped,
-        exactly like the fast engine.  A write-through L2 never holds dirty
+        Write-back L2: hits are marked dirty, misses allocate (dirty)
+        without charging latency or memory traffic — dirty victims of a
+        write allocation are dropped.  A write-through L2 never holds dirty
         lines and never write-allocates: hits only touch the replacement
         metadata, misses forward the write to memory (one memory access,
         still latency-free — the cost model charges the writeback at the
@@ -1073,217 +910,20 @@ class _VectorSimulator:
         else:
             acc.mem.append(miss_idx)
 
-    # -------------------------------------------- interpreter (fallback) path
-
-    def _run_lanes_interp(self, seeds: Sequence[int]) -> List[FastRunResult]:
-        if not seeds:
-            return []
-        n = len(seeds)
-        il1, dl1, l2 = self._build_hierarchy(seeds, _LaneCache)
-
-        timings = self.config.timings
-        l2_hit_latency = timings.l2_hit
-        memory_latency = timings.memory
-        writeback_latency = timings.writeback
-
-        extra_cycles = np.zeros(n, dtype=np.int64)
-        memory_accesses = np.zeros(n, dtype=np.int64)
-        lanes = np.arange(n)
-
-        fetch_kind = FETCH_KIND
-        store_kind = STORE_KIND
-        for kind, uid in zip(self._kinds, self._line_ids):
-            is_store = kind == store_kind
-            l1 = il1 if kind == fetch_kind else dl1
-
-            sets = l1.sets_for(uid)
-            tag = l1.tag_list[uid]
-            match = l1.tags[lanes, sets] == tag
-            hit = match.any(axis=1)
-            all_hit = hit.all()
-
-            # ----- L1 hits: replacement touch, store dirty/WT traffic.
-            if l1.touches or is_store:
-                hit_idx = lanes if all_hit else np.nonzero(hit)[0]
-                if hit_idx.size:
-                    hit_sets = sets[hit_idx]
-                    hit_ways = match[hit_idx].argmax(axis=1)
-                    l1.touch(hit_idx, hit_sets, hit_ways)
-                    if is_store:
-                        if l1.write_back:
-                            l1.dirty[hit_idx, hit_sets, hit_ways] = True
-                        elif l2 is not None:
-                            self._l2_write(
-                                l2, hit_idx, np.full(hit_idx.size, uid),
-                                memory_accesses,
-                            )
-                        else:
-                            memory_accesses[hit_idx] += 1
-            if all_hit:
-                continue
-
-            # ----- L1 misses.
-            miss_idx = np.nonzero(~hit)[0]
-            l1.misses[miss_idx] += 1
-            miss_sets = sets[miss_idx]
-            writeback_uids = None
-            writeback_lanes = None
-            allocate = not (is_store and not l1.write_back)
-            if allocate:
-                victim_way = l1.choose_victim(miss_idx, miss_sets)
-                if l1.write_back:
-                    victim_tags = l1.tags[miss_idx, miss_sets, victim_way]
-                    needs_writeback = (victim_tags >= 0) & l1.dirty[
-                        miss_idx, miss_sets, victim_way
-                    ]
-                    if needs_writeback.any():
-                        writeback_lanes = miss_idx[needs_writeback]
-                        writeback_uids = l1.victims[miss_idx, miss_sets, victim_way][
-                            needs_writeback
-                        ]
-                l1.tags[miss_idx, miss_sets, victim_way] = tag
-                l1.victims[miss_idx, miss_sets, victim_way] = uid
-                l1.dirty[miss_idx, miss_sets, victim_way] = is_store and l1.write_back
-                l1.touch(miss_idx, miss_sets, victim_way)
-
-            # Dirty L1 victims go to the next level first.
-            if writeback_lanes is not None:
-                if l2 is not None:
-                    extra_cycles[writeback_lanes] += writeback_latency
-                    self._l2_write(
-                        l2, writeback_lanes, writeback_uids, memory_accesses
-                    )
-                else:
-                    extra_cycles[writeback_lanes] += memory_latency
-                    memory_accesses[writeback_lanes] += 1
-
-            # The demand request goes to the next level.
-            if l2 is None:
-                extra_cycles[miss_idx] += memory_latency
-                memory_accesses[miss_idx] += 1
-                continue
-            next_is_write = is_store and not l1.write_back
-            extra_cycles[miss_idx] += l2_hit_latency
-            self._l2_demand(
-                l2, miss_idx, uid, next_is_write, extra_cycles, memory_accesses,
-                writeback_latency, memory_latency,
-            )
-
-        return self._package_results(n, il1, dl1, l2, extra_cycles, memory_accesses)
-
-    def _l2_demand(
-        self, l2, idx, uid, is_write, extra_cycles, memory_accesses,
-        writeback_latency, memory_latency,
-    ) -> None:
-        """Demand fill of ``uid`` in the L2 for the given lanes (with latency)."""
-        l2.accesses[idx] += 1
-        sets = l2.sets_for(uid)[idx]
-        tag = l2.tag_list[uid]
-        match = l2.tags[idx, sets] == tag
-        hit = match.any(axis=1)
-        hit_idx = idx[hit]
-        if hit_idx.size:
-            hit_ways = match[hit].argmax(axis=1)
-            l2.touch(hit_idx, sets[hit], hit_ways)
-            if is_write and l2.write_back:
-                l2.dirty[hit_idx, sets[hit], hit_ways] = True
-        miss = ~hit
-        miss_idx = idx[miss]
-        if not miss_idx.size:
-            return
-        miss_sets = sets[miss]
-        l2.misses[miss_idx] += 1
-        if is_write and not l2.write_back:
-            # Write-through L2 store miss: no-write-allocate, straight to
-            # memory (no victim draw, no fill).
-            extra_cycles[miss_idx] += memory_latency
-            memory_accesses[miss_idx] += 1
-            return
-        victim_way = l2.choose_victim(miss_idx, miss_sets)
-        victim_tags = l2.tags[miss_idx, miss_sets, victim_way]
-        dirty_victim = (victim_tags >= 0) & l2.dirty[miss_idx, miss_sets, victim_way]
-        if dirty_victim.any():
-            dirty_lanes = miss_idx[dirty_victim]
-            extra_cycles[dirty_lanes] += writeback_latency
-            memory_accesses[dirty_lanes] += 1
-        l2.tags[miss_idx, miss_sets, victim_way] = tag
-        l2.victims[miss_idx, miss_sets, victim_way] = uid
-        l2.dirty[miss_idx, miss_sets, victim_way] = is_write and l2.write_back
-        l2.touch(miss_idx, miss_sets, victim_way)
-        extra_cycles[miss_idx] += memory_latency
-        memory_accesses[miss_idx] += 1
-
-    @staticmethod
-    def _l2_write(l2, idx, uids, memory_accesses) -> None:
-        """Latency-free write (store-through or writeback) into the L2.
-
-        Write-back L2 mirrors ``FastHierarchySimulator._l2_write``: hits are
-        marked dirty, misses allocate (dirty) without charging latency or
-        memory traffic.  A write-through L2 never dirties and never
-        write-allocates: hits only touch, misses go to memory.  ``uids`` is
-        a per-lane array (writeback targets differ across seeds).
-        """
-        l2.accesses[idx] += 1
-        sets = l2.sets_at(idx, uids)
-        tags = l2.line_tags[uids]
-        match = l2.tags[idx, sets] == tags[:, None]
-        hit = match.any(axis=1)
-        hit_idx = idx[hit]
-        if hit_idx.size:
-            hit_ways = match[hit].argmax(axis=1)
-            l2.touch(hit_idx, sets[hit], hit_ways)
-            if l2.write_back:
-                l2.dirty[hit_idx, sets[hit], hit_ways] = True
-        miss = ~hit
-        miss_idx = idx[miss]
-        if not miss_idx.size:
-            return
-        miss_sets = sets[miss]
-        l2.misses[miss_idx] += 1
-        if not l2.write_back:
-            memory_accesses[miss_idx] += 1
-            return
-        victim_way = l2.choose_victim(miss_idx, miss_sets)
-        l2.tags[miss_idx, miss_sets, victim_way] = tags[miss]
-        l2.victims[miss_idx, miss_sets, victim_way] = uids[miss]
-        l2.dirty[miss_idx, miss_sets, victim_way] = True
-        l2.touch(miss_idx, miss_sets, victim_way)
-
 
 class NumpyEngine(Engine):
-    """Vectorized batch engine: one array program per campaign chunk.
-
-    ``use_plan`` selects the execution path: ``None`` (default) compiles a
-    :class:`~repro.engine.plan.TracePlan` and falls back to the per-access
-    interpreter for unsupported configurations, ``True`` requires the plan
-    (raising :class:`~repro.engine.plan.PlanUnsupported` otherwise) and
-    ``False`` forces the interpreter (used by the equivalence tests to
-    cross-check the two paths).
-    """
+    """Vectorized batch engine: one compiled-plan array program per
+    campaign chunk of at most ``max_lanes`` seeds."""
 
     name = "numpy"
     supports_batch = True
     bit_exact = True
     requires_pickle = True
 
-    def __init__(
-        self, max_lanes: Optional[int] = None, use_plan: Optional[bool] = None
-    ) -> None:
+    def __init__(self, max_lanes: Optional[int] = None) -> None:
         self.max_lanes = max_lanes
-        self.use_plan = use_plan
-
-    def plan_fallback(self) -> str:
-        from .plan import REPLACEMENT_NAMES
-
-        return (
-            "configs outside the plan model (replacement not in "
-            f"{'/'.join(REPLACEMENT_NAMES)}) fall back to the per-access "
-            "interpreter; the simulator's plan_error names the reason"
-        )
 
     def simulator(
         self, config: HierarchyConfig, compiled: CompiledTrace
     ) -> _VectorSimulator:
-        return _VectorSimulator(
-            config, compiled, max_lanes=self.max_lanes, use_plan=self.use_plan
-        )
+        return _VectorSimulator(config, compiled, max_lanes=self.max_lanes)

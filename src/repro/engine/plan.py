@@ -67,7 +67,7 @@ source paper — modulo and xor placement with LRU — hit this path).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -76,22 +76,16 @@ from ..cache.cache import WRITE_BACK, CacheConfig
 from ..cache.fastsim import FETCH_KIND, STORE_KIND, CompiledTrace
 from ..cache.hierarchy import HierarchyConfig
 from ..cache.replacement import (
-    REPLACEMENT_NAMES,
     replacement_is_randomized,
     replacement_touches_on_hit,
 )
 from ..core.placement import make_placement, placement_is_randomized
 
 __all__ = [
-    "PlanUnsupported",
     "SlotSignature",
     "TracePlan",
     "compile_plan",
 ]
-
-
-class PlanUnsupported(ValueError):
-    """The configuration falls outside what the plan compiler models."""
 
 
 @dataclass(frozen=True)
@@ -148,12 +142,6 @@ class TracePlan:
     signatures: Tuple[SlotSignature, ...]
     #: All seeds provably produce identical results (see module docstring).
     seed_invariant: bool
-    #: Step columns as numpy arrays, the form compiled kernels consume.
-    step_slot: np.ndarray = field(repr=False, default=None)
-    step_uid: np.ndarray = field(repr=False, default=None)
-    step_store: np.ndarray = field(repr=False, default=None)
-    step_sure_hit: np.ndarray = field(repr=False, default=None)
-    step_dirty_after: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_steps(self) -> int:
@@ -218,18 +206,9 @@ def _slot_signature(
 def compile_plan(config: HierarchyConfig, compiled: CompiledTrace) -> TracePlan:
     """Compile ``compiled`` for ``config`` into a :class:`TracePlan`.
 
-    Raises :class:`PlanUnsupported` for configurations outside the model
-    (callers fall back to the per-access interpreter).
+    Every configuration :class:`~repro.cache.cache.CacheConfig` accepts is
+    in the model: it admits only the replacement policies planned here.
     """
-    for cache_config in (config.il1, config.dl1, config.l2):
-        if cache_config is None:
-            continue
-        if cache_config.replacement not in REPLACEMENT_NAMES:
-            raise PlanUnsupported(
-                f"plan compiler supports {REPLACEMENT_NAMES} replacement, "
-                f"got {cache_config.replacement!r} for {cache_config.name}"
-            )
-
     lines = np.array(compiled.unique_lines, dtype=np.uint64)
     has_l2 = config.l2 is not None
     slot_configs = (config.il1, config.dl1)
@@ -300,17 +279,11 @@ def compile_plan(config: HierarchyConfig, compiled: CompiledTrace) -> TracePlan:
             _slot_signature(name, cache_config, lines, sorted(uids))
         )
 
-    step_tuples: List[Step] = [tuple(step) for step in steps]
     return TracePlan(
-        steps=step_tuples,
+        steps=[tuple(step) for step in steps],
         n_accesses=len(compiled.kinds),
         elided={"il1": elided[0], "dl1": elided[1]},
         elided_store_memory_accesses=elided_store_mem,
         signatures=tuple(signatures),
         seed_invariant=all(sig.inert for sig in signatures),
-        step_slot=np.array([s[0] for s in step_tuples], dtype=np.int8),
-        step_uid=np.array([s[1] for s in step_tuples], dtype=np.int64),
-        step_store=np.array([s[2] for s in step_tuples], dtype=np.uint8),
-        step_sure_hit=np.array([s[3] for s in step_tuples], dtype=np.uint8),
-        step_dirty_after=np.array([s[4] for s in step_tuples], dtype=np.uint8),
     )

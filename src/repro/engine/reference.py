@@ -2,7 +2,7 @@
 
 Replays the compiled trace on the inspectable
 :class:`~repro.cache.hierarchy.CacheHierarchy` model.  It is the slowest
-backend by far — its value is that the fast and numpy engines are
+backend by far — its value is that the production numpy engine is
 cross-validated against it — so its capability flags advertise that batching
 buys nothing (every run rebuilds the hierarchy anyway).
 """
@@ -25,7 +25,7 @@ class _ReferenceSimulator:
     size; replaying those instead of the original byte addresses is exact
     only while every cache level uses that same line size (then every cache
     decision — set, tag, victim — depends on the line address alone).  With
-    mixed line sizes the per-access engines approximate at the compiled
+    mixed line sizes the numpy engine approximates at the compiled
     granularity, but the reference engine is the ground-truth oracle, so it
     refuses such configurations instead of silently agreeing with the
     approximation.

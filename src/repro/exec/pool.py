@@ -46,7 +46,7 @@ from ..cpu.core import (
     wrap_fast_result,
 )
 from ..cpu.trace import Trace
-from ..engine import Engine, EngineSimulator, get_engine
+from ..engine import DEFAULT_ENGINE, Engine, EngineSimulator, get_engine
 from ..workloads.base import MemoryLayout
 from .plan import plan_shards, resolve_jobs, resolve_shard_size
 
@@ -141,7 +141,7 @@ def run_campaign_parallel(
     runs: int,
     master_seed: int = 0,
     setup: str = "",
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
     timing: ExecutionTimingModel = ExecutionTimingModel(),
     keep_run_results: bool = False,
     jobs: Optional[int] = None,
@@ -199,7 +199,7 @@ def run_layout_campaign_parallel(
     layouts: Sequence[MemoryLayout],
     master_seed: int = 0,
     setup: str = "deterministic",
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
     timing: ExecutionTimingModel = ExecutionTimingModel(),
     jobs: Optional[int] = None,
     chunk_size: Optional[int] = None,

@@ -44,8 +44,8 @@ def exec_status_snapshot(store: ResultStore, now: float | None = None) -> Dict[s
 
     One ``specs`` entry per spec hash with pending/leased/published counts,
     one ``workers`` entry per recorded heartbeat (including the engine the
-    worker last claimed for and that engine's availability on the worker's
-    interpreter).  Totals are included so dashboards do not re-aggregate.
+    worker last claimed for).  Totals are included so dashboards do not
+    re-aggregate.
     """
     now = time.time() if now is None else now
     queue = FileQueue(store.queue_root)
@@ -75,7 +75,6 @@ def exec_status_snapshot(store: ResultStore, now: float | None = None) -> Dict[s
                 "pid": beat.pid,
                 "state": _worker_state(beat),
                 "engine": beat.engine,
-                "engine_availability": beat.engine_availability,
                 "shards_claimed": beat.shards_claimed,
                 "shards_done": beat.shards_done,
                 "runs_done": beat.runs_done,
@@ -123,15 +122,12 @@ def format_exec_status(store: ResultStore, now: float | None = None) -> str:
     if workers:
         rows = []
         for worker in workers:
-            engine = str(worker["engine"] or "-")
-            if worker["engine_availability"] is not None:
-                engine += " (unavailable)"
             rows.append(
                 (
                     worker["owner"],
                     worker["pid"],
                     worker["state"],
-                    engine,
+                    worker["engine"] or "-",
                     worker["shards_claimed"],
                     worker["shards_done"],
                     worker["runs_done"],

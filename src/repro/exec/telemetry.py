@@ -36,7 +36,6 @@ __all__ = [
     "WORKER_INDEX_NAME",
     "WorkerHeartbeat",
     "WorkerTelemetry",
-    "engine_availability",
     "read_heartbeats",
 ]
 
@@ -46,21 +45,6 @@ HEARTBEAT_INTERVAL = 1.0
 
 #: Append-only owner index beside the heartbeat files.
 WORKER_INDEX_NAME = "index.log"
-
-
-def engine_availability(name: str) -> Optional[str]:
-    """Why the named engine cannot run on this interpreter, or ``None``.
-
-    Unknown names (a task produced by a build with extra registered
-    engines) report the registry error instead of raising — telemetry must
-    never take a worker down.
-    """
-    from ..engine import get_engine
-
-    try:
-        return get_engine(name).availability()
-    except ValueError as error:
-        return str(error)
 
 
 @dataclass
@@ -76,13 +60,8 @@ class WorkerHeartbeat:
     shards_done: int = 0
     runs_done: int = 0
     finished: bool = False
-    #: Engine named by the worker's most recently claimed task, plus that
-    #: engine's availability on the worker's interpreter (``None`` =
-    #: available) — so ``exec status`` and ``/v1/status`` can tell a worker
-    #: that is about to fail on a missing optional dependency from one that
-    #: is merely slow.
+    #: Engine named by the worker's most recently claimed task.
     engine: str = ""
-    engine_availability: Optional[str] = None
 
     @property
     def runs_per_second(self) -> float:
@@ -119,7 +98,6 @@ class WorkerHeartbeat:
             "runs_done": self.runs_done,
             "finished": self.finished,
             "engine": self.engine,
-            "engine_availability": self.engine_availability,
         }
 
 
@@ -150,9 +128,8 @@ class WorkerTelemetry:
 
     def claimed(self, engine: str = "") -> None:
         self.heartbeat.shards_claimed += 1
-        if engine and engine != self.heartbeat.engine:
+        if engine:
             self.heartbeat.engine = engine
-            self.heartbeat.engine_availability = engine_availability(engine)
         self._write(force=True)
 
     def published(self, runs: int) -> None:
@@ -223,11 +200,6 @@ def read_heartbeats(queue: FileQueue) -> List[WorkerHeartbeat]:
                     runs_done=int(payload.get("runs_done", 0)),
                     finished=bool(payload.get("finished", False)),
                     engine=str(payload.get("engine", "")),
-                    engine_availability=(
-                        None
-                        if payload.get("engine_availability") is None
-                        else str(payload["engine_availability"])
-                    ),
                 )
             )
         except (OSError, ValueError, KeyError, TypeError):

@@ -21,9 +21,6 @@ subsystem symmetric with :mod:`repro.engine` and :mod:`repro.study`:
 * :mod:`repro.pwcet.compare` — :func:`compare_estimators` cross-views;
 * :mod:`repro.pwcet.persistence` — the persisted analysis payloads keyed
   by ``(spec_hash, analysis_config_hash)`` in the result store.
-
-:mod:`repro.mbpta` remains a compatibility alias re-exporting everything
-here.
 """
 
 from __future__ import annotations

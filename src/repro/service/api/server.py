@@ -11,7 +11,7 @@ Routes::
 
     GET  /                    service banner + route list
     GET  /v1/status           service + queue/worker state
-    GET  /v1/engines          engine capability matrix (availability model)
+    GET  /v1/engines          engine capability matrix
     GET  /v1/estimators       EVT estimator registry
     POST /v1/jobs             submit a scenario spec or sweep -> 202 + job id
     GET  /v1/jobs             all jobs (summaries)

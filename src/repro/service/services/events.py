@@ -189,7 +189,6 @@ class StoreWatcher:
                     "owner": beat.owner,
                     "pid": beat.pid,
                     "engine": beat.engine,
-                    "engine_availability": beat.engine_availability,
                     "shards_claimed": beat.shards_claimed,
                     "shards_done": beat.shards_done,
                     "runs_done": beat.runs_done,

@@ -85,11 +85,9 @@ def _parse_options(payload: Mapping[str, object]) -> JobOptions:
     engine = str(payload.get("engine", "") or "")
     if engine:
         try:
-            availability = get_engine(engine).availability()
+            get_engine(engine)
         except ValueError as error:
             raise BadRequest(str(error)) from None
-        if availability is not None:
-            raise BadRequest(availability)
     cutoffs: Optional[Tuple[float, ...]] = None
     if payload.get("cutoffs") is not None:
         raw = payload["cutoffs"]

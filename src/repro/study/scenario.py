@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from ..cache.hierarchy import HierarchyConfig
 from ..cpu.trace import Trace
+from ..engine import DEFAULT_ENGINE
 from ..pwcet.protocol import MbptaConfig
 from ..platform.leon3 import Leon3Parameters, leon3_hierarchy, platform_setup
 from ..workloads.base import MemoryLayout
@@ -262,7 +263,7 @@ class Scenario:
     master_seed: int = 20160605
     seed_offset: int = 0
     campaign: str = "seeds"
-    engine: str = "fast"
+    engine: str = DEFAULT_ENGINE
     jobs: int = 1
     mbpta: MbptaConfig = field(default_factory=MbptaConfig)
     label: str = ""

@@ -130,11 +130,6 @@ class ResultStore:
 
     def __init__(self, root: Union[str, Path] = DEFAULT_STORE_DIR) -> None:
         self.root = Path(root)
-        # (kind, name) pairs this instance knows are listed in the manifest:
-        # re-saving a key it already appended skips the redundant "+" line
-        # (and its file open) on the hot save path.  The manifest is only an
-        # index, so a concurrent remover at worst costs one listing miss.
-        self._appended: Set[Tuple[str, str]] = set()
         # Campaigns executed against this store cache their placement maps
         # beside the results, so resumed shards and overlapping sweeps reuse
         # maps another process already built (REPRO_MAP_CACHE_DIR wins).
@@ -198,9 +193,6 @@ class ResultStore:
         temporary = self.root / f"{MANIFEST_NAME}.tmp"
         temporary.write_text("\n".join(lines) + ("\n" if lines else ""))
         os.replace(temporary, self.manifest_path)
-        self._appended = {
-            (kind, name) for kind in _MANIFEST_KINDS for name in entries[kind]
-        }
 
     def _ensure_manifest(self) -> bool:
         """Materialize the manifest from a directory scan when absent.
@@ -246,13 +238,11 @@ class ResultStore:
         files, never the source of truth, so a lost append degrades a
         listing, not the data — and ``clear`` rebuilds from a scan.
 
-        Adds this instance already recorded are skipped (the manifest is
-        last-op-wins, so a repeated ``+`` is pure dead weight); a remove
-        drops the pair from that cache so a later re-add is appended again.
+        Every save appends its ``+``, even for a key saved before: another
+        store instance may have removed the entry since, and the manifest
+        is last-op-wins, so a skipped ``+`` would leave the re-saved file
+        unlisted.  Only cold saves reach here; warm paths save nothing.
         """
-        key = (kind, name)
-        if operation == "+" and key in self._appended:
-            return
         if not self._ensure_manifest():
             return
         try:
@@ -260,10 +250,6 @@ class ResultStore:
                 handle.write(f"{operation} {kind} {name}\n")
         except OSError:
             return
-        if operation == "+":
-            self._appended.add(key)
-        else:
-            self._appended.discard(key)
 
     # ------------------------------------------------------------ campaigns
 
@@ -798,5 +784,4 @@ class ResultStore:
                 path.unlink()
             except OSError:
                 continue
-        self._appended.clear()  # the manifest is gone with everything else
         return removed

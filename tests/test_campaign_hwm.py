@@ -29,13 +29,13 @@ class TestRunCampaign:
         assert a.execution_times != b.execution_times
 
     def test_engines_agree(self, small_kernel_trace, tiny_hierarchy_config):
-        fast = run_campaign(
-            small_kernel_trace, tiny_hierarchy_config, runs=5, master_seed=9, engine="fast"
+        default = run_campaign(
+            small_kernel_trace, tiny_hierarchy_config, runs=5, master_seed=9
         )
         reference = run_campaign(
             small_kernel_trace, tiny_hierarchy_config, runs=5, master_seed=9, engine="reference"
         )
-        assert fast.execution_times == reference.execution_times
+        assert default.execution_times == reference.execution_times
 
     def test_keep_run_results_enables_miss_summary(self, small_kernel_trace, tiny_hierarchy_config):
         campaign = run_campaign(

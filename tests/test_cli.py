@@ -9,7 +9,6 @@ import pytest
 from repro.__main__ import EXPERIMENTS, build_parser, main
 from repro.analysis.report import CSV_HEADER
 from repro.engine import available_engines
-from repro.engine.jit import numba_missing_reason
 
 
 class TestParser:
@@ -50,13 +49,7 @@ class TestEngineSelection:
         parser = build_parser()
         args = parser.parse_args(["run", "fig5", "--engine", "numpy"])
         assert args.engine == "numpy"
-        assert set(available_engines()) >= {"fast", "numpy", "reference"}
-
-    def test_jit_is_a_parser_choice_even_without_numba(self):
-        # Registered engines are CLI choices regardless of availability;
-        # the actionable error comes later, from settings validation.
-        args = build_parser().parse_args(["run", "fig5", "--engine", "jit"])
-        assert args.engine == "jit"
+        assert available_engines() == ("numpy", "reference")
 
     def test_unregistered_engine_rejected(self):
         with pytest.raises(SystemExit):
@@ -68,45 +61,32 @@ class TestEngineSelection:
         ) == 0
         assert "pWCET" in capsys.readouterr().out
 
-    @pytest.mark.skipif(
-        numba_missing_reason() is None, reason="numba installed"
-    )
-    def test_unavailable_jit_fails_up_front_with_install_hint(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "fig5", "--runs", "20", "--engine", "jit"])
-        assert excinfo.value.code == 2  # argparse usage error, pre-campaign
-        err = capsys.readouterr().err
-        assert "numba" in err and "jit" in err
-
-    @pytest.mark.skipif(
-        numba_missing_reason() is not None,
-        reason="numba not installed (optional 'jit' extra)",
-    )
-    def test_run_with_jit_engine(self, capsys):
-        assert main(
-            ["run", "fig5", "--runs", "20", "--scale", "0.25", "--engine", "jit"]
-        ) == 0
-        assert "pWCET" in capsys.readouterr().out
+    def test_retired_engines_fail_up_front_naming_registered_ones(
+        self, capsys, monkeypatch
+    ):
+        # Flag and environment variable alike: a usage error (exit 2)
+        # before any campaign, naming the engines that do exist.
+        for name in ("fast", "jit"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["run", "fig5", "--runs", "20", "--engine", name])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "numpy" in err and "reference" in err
+            monkeypatch.setenv("REPRO_ENGINE", name)
+            with pytest.raises(SystemExit) as excinfo:
+                main(["run", "fig5", "--runs", "20"])
+            assert excinfo.value.code == 2
+            assert "registered engines: numpy, reference" in capsys.readouterr().err
+            monkeypatch.delenv("REPRO_ENGINE")
 
 
 class TestEnginesCommand:
     def test_engines_matrix_lists_every_registered_engine(self, capsys):
-        from repro.engine import registered_engines
-
         assert main(["engines"]) == 0
         output = capsys.readouterr().out
-        for name in registered_engines():
+        for name in available_engines():
             assert name in output
-        assert "available" in output
-
-    def test_engines_matrix_reports_numba_importability(self, capsys):
-        assert main(["engines"]) == 0
-        output = capsys.readouterr().out
-        assert "numba" in output
-        expected = (
-            "importable" if numba_missing_reason() is None else "not importable"
-        )
-        assert expected in output
+        assert "bit-exact" in output
 
 
 class TestEstimatorSelection:
@@ -364,12 +344,12 @@ class TestExecStatusFormats:
         assert payload["queue_root"] == local["queue_root"]
         assert payload["totals"] == local["totals"]
         assert payload["specs"] == local["specs"]
-        # Worker telemetry carries the engine name + availability (the
-        # heartbeat ages differ between the two calls, so compare fields).
+        # Worker telemetry carries the engine name (the heartbeat ages
+        # differ between the two calls, so compare fields).  The scenario
+        # names no engine, so this pins the default end to end.
         [worker] = payload["workers"]
         assert worker["owner"] == "cli-json"
-        assert worker["engine"] == "fast"
-        assert worker["engine_availability"] is None
+        assert worker["engine"] == "numpy"
 
     def test_text_format_shows_the_engine_column(self, tmp_path, capsys):
         scenario, store = self._seed_queue(tmp_path)
@@ -380,7 +360,7 @@ class TestExecStatusFormats:
         assert main(["exec", "status", "--store", str(store.root)]) == 0
         out = capsys.readouterr().out
         assert "engine" in out
-        assert "fast" in out
+        assert "numpy" in out
 
 
 class TestCleanDryRun:

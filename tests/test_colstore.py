@@ -287,7 +287,7 @@ SHARD_PAYLOAD = {
     "start": 0,
     "count": 3,
     "workload": "synthetic_4KB",
-    "engine": "fast",
+    "engine": "numpy",
     "cycles": [1000, 70_000, 1002],
     "il1_misses": [3, 0, 1],
 }
@@ -353,17 +353,29 @@ class TestManifest:
         # A fresh instance (no warm append cache) must rematerialize it.
         assert ResultStore(store.root).keys() == hashes
 
-    def test_repeated_saves_do_not_grow_the_manifest(self, tmp_path):
-        store, hashes = self._saved(tmp_path, count=1)
-        scenario = tiny_scenario(master_seed=100)
-        before = store.manifest_path.read_text()
-        for _ in range(5):
-            store.save(scenario, campaign_for(scenario), MISS_SUMMARY)
-        assert store.manifest_path.read_text() == before
+    def test_resave_after_another_instance_removed_it_is_listed(self, tmp_path):
+        # Instance A saves, instance B removes, A saves the same key again:
+        # the file exists, so A, B and a fresh instance must all list it.
+        # A per-instance "already appended" cache once skipped A's second
+        # "+", leaving the re-saved entry unlisted everywhere.
+        root = tmp_path / "store"
+        writer, remover = ResultStore(root), ResultStore(root)
+
+        writer.save_shard("abc", "0-2", SHARD_PAYLOAD)
+        assert remover.clear_shards() == 1
+        writer.save_shard("abc", "0-2", SHARD_PAYLOAD)
+        assert writer.shard_path_for("abc", "0-2").is_file()
+        for store in (writer, remover, ResultStore(root)):
+            assert store.shard_keys() == [("abc", "0-2")]
+
+        writer.save_analysis("abc", "deadbeef", {"version": 1})
+        assert remover.sweep(older_than=0.0, analyses_only=True) == 1
+        writer.save_analysis("abc", "deadbeef", {"version": 1})
+        for store in (writer, remover, ResultStore(root)):
+            assert store.analysis_keys() == [("abc", "deadbeef")]
 
     def test_republish_after_removal_relists_the_key(self, tmp_path):
-        # The instance-level append cache must not swallow the re-add of a
-        # key whose removal it recorded in between.
+        # A key removed and re-added through one instance is listed again.
         store = ResultStore(tmp_path / "store")
         store.save_shard("abc", "0-2", SHARD_PAYLOAD)
         assert store.shard_keys() == [("abc", "0-2")]

@@ -1,11 +1,10 @@
 """Cross-engine equivalence: every registered engine must agree bit-exactly.
 
-The fast engine is validated against the reference model in
-``test_fastsim.py``; these tests close the loop over the *registry*: random
-traces and configurations are replayed through **all registered engines**
-(so a future backend is automatically covered the moment it registers) and
-every counter must match, run by run — including through the campaign and
-process-pool layers.
+The production ``numpy`` engine is checked against the ``reference``
+oracle: random traces and configurations are replayed through **all
+registered engines** (so a future backend is automatically covered the
+moment it registers) and every counter must match, run by run — including
+through the campaign and process-pool layers.
 """
 
 import pytest
@@ -18,7 +17,7 @@ from repro.cache.fastsim import CompiledTrace
 from repro.cache.hierarchy import HierarchyConfig, MemoryTimings
 from repro.cpu.core import TraceDrivenCore
 from repro.cpu.trace import Trace
-from repro.engine import JitEngine, NumpyEngine, available_engines, get_engine
+from repro.engine import available_engines, get_engine
 
 
 def build_config(
@@ -52,47 +51,22 @@ def build_config(
     return HierarchyConfig(il1=il1, dl1=dl1, l2=l2, timings=MemoryTimings())
 
 
-#: Execution paths beyond the registry defaults: both numpy paths pinned
-#: explicitly (the registered engine picks one automatically) and the jit
-#: kernel run interpreted — the tier's certification path on machines
-#: without numba (the registry covers the compiled form when numba exists).
-EXTRA_PATHS = {
-    "numpy-plan": lambda: NumpyEngine(use_plan=True),
-    "numpy-interp": lambda: NumpyEngine(use_plan=False),
-    "jit-python": lambda: JitEngine(force_python=True),
-}
-
-
 def run_all_engines(config, trace, seeds):
     """Map engine name -> list of per-seed result dicts, via the registry.
 
-    Registry engines model different configuration subsets (the fast engine
-    is random/lru replacement and a write-back L2 only), so an engine
-    rejecting the config with its own ValueError is skipped; the reference
-    model covers everything, so at least two paths always remain and
-    ``assert_all_equal`` still has a cross-check.
+    Every registered engine models every configuration ``CacheConfig``
+    accepts, so none may opt out: ``numpy`` and the ``reference`` oracle
+    always give ``assert_all_equal`` a cross-check.
     """
     compiled = CompiledTrace(trace, line_size=config.il1.line_size)
-    results = {}
-    for name in available_engines():
-        try:
-            simulator = get_engine(name).simulator(config, compiled)
-            results[name] = [
-                result.as_dict() for result in simulator.run_batch(seeds)
-            ]
-        except ValueError:
-            continue
-    assert "reference" in results  # the ground truth never opts out
-    return results
-
-
-def run_all_paths(config, trace, seeds):
-    """Registry engines plus the plan / interpreter / jit-kernel paths."""
-    results = run_all_engines(config, trace, seeds)
-    compiled = CompiledTrace(trace, line_size=config.il1.line_size)
-    for name, make_engine in EXTRA_PATHS.items():
-        simulator = make_engine().simulator(config, compiled)
-        results[name] = [result.as_dict() for result in simulator.run_batch(seeds)]
+    results = {
+        name: [
+            result.as_dict()
+            for result in get_engine(name).simulator(config, compiled).run_batch(seeds)
+        ]
+        for name in available_engines()
+    }
+    assert {"numpy", "reference"} <= set(results)
     return results
 
 
@@ -139,7 +113,7 @@ class TestAllRegisteredEnginesAgree:
             l2_write=l2_write,
             with_l2=with_l2,
         )
-        assert_all_equal(run_all_paths(config, trace, [seed, seed ^ 0xDEAD]))
+        assert_all_equal(run_all_engines(config, trace, [seed, seed ^ 0xDEAD]))
 
     def test_l2_lru_and_deterministic_l2_placement(self, small_kernel_trace):
         """Directed coverage of the L2 LRU-stamp and static-map paths."""
@@ -173,7 +147,7 @@ class TestAllRegisteredEnginesAgree:
                 ways=ways,
             )
             assert_all_equal(
-                run_all_paths(config, small_kernel_trace, list(range(6)))
+                run_all_engines(config, small_kernel_trace, list(range(6)))
             )
 
     @pytest.mark.parametrize("replacement", ["fifo", "plru"])
@@ -182,21 +156,16 @@ class TestAllRegisteredEnginesAgree:
     def test_fifo_and_plru_compiled_plans(
         self, small_kernel_trace, replacement, l1_write, with_l2
     ):
-        """Directed FIFO/PLRU coverage: the plan path (numpy and the jit
-        kernel) must agree with the reference model across both write
-        policies, with and without an L2 — the configurations the plan
-        compiler gained in this tentpole."""
+        """Directed FIFO/PLRU coverage: the numpy plan executor must agree
+        with the reference model across both write policies, with and
+        without an L2."""
         config = build_config(
             l1_replacement=replacement,
             l1_write=l1_write,
             l2_replacement=replacement,
             with_l2=with_l2,
         )
-        results = run_all_paths(config, small_kernel_trace, list(range(6)))
-        # The pinned plan path really compiled a plan (no silent interpreter
-        # fallback hiding a coverage regression).
-        assert "numpy-plan" in results
-        assert_all_equal(results)
+        assert_all_equal(run_all_engines(config, small_kernel_trace, list(range(6))))
 
     @pytest.mark.parametrize("l2_replacement", ["random", "lru", "fifo", "plru"])
     def test_write_through_l2_compiled_plans(
@@ -209,7 +178,7 @@ class TestAllRegisteredEnginesAgree:
             l2_replacement=l2_replacement,
             l2_write="write-through",
         )
-        assert_all_equal(run_all_paths(config, small_kernel_trace, list(range(6))))
+        assert_all_equal(run_all_engines(config, small_kernel_trace, list(range(6))))
 
     def test_trace_core_routes_all_engines(self, small_kernel_trace, tiny_hierarchy_config):
         core = TraceDrivenCore(tiny_hierarchy_config, small_kernel_trace)
@@ -223,7 +192,7 @@ class TestAllRegisteredEnginesAgree:
 
 class TestPlanPathEdgeCases:
     """Degenerate shapes where the plan compiler's derived structure could
-    go wrong: every path (fast, plan, interpreter, jit kernel) must agree."""
+    go wrong: the numpy plan executor must still agree with the oracle."""
 
     def _single_set_config(self, ways, placement, replacement, write):
         l1_size = ways * 32  # exactly one set
@@ -245,17 +214,17 @@ class TestPlanPathEdgeCases:
     def test_single_set_caches(self, small_kernel_trace, placement, replacement):
         """num_sets == 1: every line conflicts with every other line."""
         config = self._single_set_config(4, placement, replacement, "write-through")
-        assert_all_equal(run_all_paths(config, small_kernel_trace, [0, 1, 7]))
+        assert_all_equal(run_all_engines(config, small_kernel_trace, [0, 1, 7]))
 
     @pytest.mark.parametrize("write", ["write-through", "write-back"])
     def test_direct_mapped_caches(self, small_kernel_trace, write):
         """ways == 1: the victim is forced, but draws must still be consumed
-        in the fast engine's order for randomized replacement."""
+        in the reference model's order for randomized replacement."""
         for placement in ("modulo", "hrp"):
             config = build_config(
                 l1_placement=placement, l1_write=write, ways=1, with_l2=True
             )
-            assert_all_equal(run_all_paths(config, small_kernel_trace, [3, 11]))
+            assert_all_equal(run_all_engines(config, small_kernel_trace, [3, 11]))
 
     def test_traces_shorter_than_one_run(self):
         """0/1/2-access traces: no same-line run ever forms."""
@@ -265,11 +234,11 @@ class TestPlanPathEdgeCases:
                 trace.append(kind, 0x40000000 + line * 32)
             for write in ("write-through", "write-back"):
                 config = build_config(l1_write=write)
-                assert_all_equal(run_all_paths(config, trace, [0, 5]))
+                assert_all_equal(run_all_engines(config, trace, [0, 5]))
 
     def test_empty_seed_batch(self, small_kernel_trace):
         config = build_config()
-        for results in run_all_paths(config, small_kernel_trace, []).values():
+        for results in run_all_engines(config, small_kernel_trace, []).values():
             assert results == []
 
 
@@ -294,8 +263,9 @@ class TestCampaignLevelEquivalence:
         self, jobs, small_kernel_trace, tiny_hierarchy_config
     ):
         """engine='numpy' composes with jobs>1: vectorized chunks per worker."""
-        serial_fast = run_campaign(
-            small_kernel_trace, tiny_hierarchy_config, runs=13, master_seed=3
+        serial_reference = run_campaign(
+            small_kernel_trace, tiny_hierarchy_config, runs=13, master_seed=3,
+            engine="reference",
         )
         parallel_numpy = run_campaign(
             small_kernel_trace,
@@ -305,7 +275,7 @@ class TestCampaignLevelEquivalence:
             engine="numpy",
             jobs=jobs,
         )
-        assert parallel_numpy.execution_times == serial_fast.execution_times
+        assert parallel_numpy.execution_times == serial_reference.execution_times
 
     def test_numpy_batch_chunking_is_invisible(self, small_kernel_trace, tiny_hierarchy_config):
         """Internal lane chunking must not change results."""

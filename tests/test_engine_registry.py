@@ -2,56 +2,40 @@
 
 import pytest
 
-from repro.cache.fastsim import CompiledTrace, FastHierarchySimulator
+from repro.cache.fastsim import CompiledTrace
 from repro.engine import (
+    DEFAULT_ENGINE,
     Engine,
-    FastEngine,
-    JitEngine,
-    JitUnavailable,
+    NumpyEngine,
     ReferenceEngine,
     available_engines,
     engine_capabilities,
     get_engine,
     register_engine,
-    registered_engines,
     unregister_engine,
 )
-from repro.engine.jit import numba_missing_reason
 
 
 class TestRegistryLookup:
     def test_builtin_engines_registered(self):
-        names = available_engines()
-        assert "fast" in names
-        assert "reference" in names
-        assert "numpy" in names  # numpy is a declared dependency
+        # One production engine plus one oracle; numpy is a declared
+        # dependency, so the default is always usable.
+        assert available_engines() == ("numpy", "reference")
+        assert DEFAULT_ENGINE == "numpy"
 
     def test_available_engines_sorted(self):
         assert list(available_engines()) == sorted(available_engines())
 
     def test_get_engine_returns_named_engine(self):
-        assert get_engine("fast").name == "fast"
+        assert get_engine("numpy").name == "numpy"
         assert isinstance(get_engine("reference"), ReferenceEngine)
 
     def test_unknown_engine_error_lists_registered_names(self):
         with pytest.raises(ValueError, match="unknown engine 'warp'") as excinfo:
             get_engine("warp")
         message = str(excinfo.value)
-        for name in registered_engines():
+        for name in available_engines():
             assert name in message
-
-    def test_registered_engines_includes_optional_tiers(self):
-        """Optional-dependency engines are always *registered*..."""
-        assert "jit" in registered_engines()
-        assert list(registered_engines()) == sorted(registered_engines())
-
-    def test_available_engines_filters_unusable_tiers(self):
-        """...but only *available* when their dependency imports."""
-        if numba_missing_reason() is None:
-            assert "jit" in available_engines()
-        else:
-            assert "jit" not in available_engines()
-        assert set(available_engines()) <= set(registered_engines())
 
 
 class TestRegistration:
@@ -101,8 +85,6 @@ class TestRegistration:
 
 class TestCapabilities:
     def test_capability_flags(self):
-        fast = get_engine("fast")
-        assert fast.supports_batch and fast.bit_exact and fast.requires_pickle
         reference = get_engine("reference")
         assert not reference.supports_batch
         assert reference.bit_exact and reference.requires_pickle
@@ -112,58 +94,25 @@ class TestCapabilities:
 
     def test_capability_matrix_describes_every_engine(self):
         matrix = engine_capabilities()
-        assert set(matrix) == set(registered_engines())
+        assert set(matrix) == set(available_engines())
         for name, capabilities in matrix.items():
+            assert set(capabilities) == {
+                "name", "supports_batch", "bit_exact", "requires_pickle"
+            }
             assert capabilities["name"] == name
-            for flag in ("supports_batch", "bit_exact", "requires_pickle",
-                         "available"):
+            for flag in ("supports_batch", "bit_exact", "requires_pickle"):
                 assert isinstance(capabilities[flag], bool)
-            availability = capabilities["availability"]
-            assert availability is None or isinstance(availability, str)
-            assert capabilities["available"] == (availability is None)
-
-    def test_always_available_engines_report_no_reason(self):
-        for name in ("fast", "reference", "numpy"):
-            engine = get_engine(name)
-            assert engine.availability() is None
-            assert engine.available
 
 
-class TestJitAvailability:
-    def test_jit_engine_is_resolvable_even_without_numba(self):
-        engine = get_engine("jit")
-        assert isinstance(engine, JitEngine)
-        assert engine.supports_batch and engine.bit_exact
-
-    @pytest.mark.skipif(
-        numba_missing_reason() is None, reason="numba installed"
-    )
-    def test_jit_simulator_fails_with_install_hint(
+class TestSimulatorConstruction:
+    def test_numpy_engine_builds_plan_simulator(
         self, small_kernel_trace, tiny_hierarchy_config
     ):
         compiled = CompiledTrace(
             small_kernel_trace, line_size=tiny_hierarchy_config.il1.line_size
         )
-        engine = get_engine("jit")
-        assert not engine.available
-        reason = engine.availability()
-        assert "numba" in reason and "jit" in reason
-        with pytest.raises(JitUnavailable, match="numba"):
-            engine.simulator(tiny_hierarchy_config, compiled)
-
-    def test_force_python_tier_is_always_available(self):
-        engine = JitEngine(force_python=True)
-        assert engine.available
-        assert engine.availability() is None
-
-
-class TestSimulatorConstruction:
-    def test_fast_engine_builds_fast_simulator(self, small_kernel_trace, tiny_hierarchy_config):
-        compiled = CompiledTrace(
-            small_kernel_trace, line_size=tiny_hierarchy_config.il1.line_size
-        )
-        simulator = FastEngine().simulator(tiny_hierarchy_config, compiled)
-        assert isinstance(simulator, FastHierarchySimulator)
+        simulator = NumpyEngine().simulator(tiny_hierarchy_config, compiled)
+        assert simulator.plan.n_accesses == len(small_kernel_trace)
         assert simulator.run(3).cycles > 0
 
     def test_reference_engine_rejects_mixed_line_sizes(self, small_kernel_trace):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from repro.mbpta.evt import (
+from repro.pwcet.evt import (
     GumbelFit,
     PWcetCurve,
     block_maxima,

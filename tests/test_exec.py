@@ -20,7 +20,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 import repro
 from repro.analysis.campaign import run_campaign
-from repro.engine import available_engines
+from repro.engine import DEFAULT_ENGINE, available_engines
 from repro.exec import (
     DEFAULT_SHARD_SIZE,
     FileQueue,
@@ -47,7 +47,7 @@ from repro.study.scenario import (
 from repro.study.store import ResultStore
 
 
-def _scenario(runs: int = 12, master_seed: int = 77, engine: str = "fast") -> Scenario:
+def _scenario(runs: int = 12, master_seed: int = 77, engine: str = DEFAULT_ENGINE) -> Scenario:
     """A small, fast synthetic-kernel scenario for pipeline tests."""
     return Scenario(
         workload=WorkloadSpec.synthetic(4 * 1024, 2),

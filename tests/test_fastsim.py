@@ -1,14 +1,16 @@
-"""Cross-validation of the fast campaign engine against the reference model."""
+"""Compiled traces and run results, and the default campaign engine
+cross-validated against the reference model."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.cache import CacheConfig
-from repro.cache.fastsim import CompiledTrace, FastHierarchySimulator, simulate_trace
+from repro.cache.fastsim import CompiledTrace
 from repro.cache.hierarchy import HierarchyConfig, MemoryTimings
 from repro.cpu.core import TraceDrivenCore
 from repro.cpu.trace import AccessKind, Trace
+from repro.engine import DEFAULT_ENGINE, get_engine
 from repro.platform.leon3 import platform_setup
 from repro.workloads.eembc import eembc_trace
 
@@ -31,6 +33,10 @@ def tiny_config(l1_placement="rm", l1_replacement="random", l1_write="write-thro
         else None
     )
     return HierarchyConfig(il1=il1, dl1=dl1, l2=l2, timings=MemoryTimings())
+
+
+def default_simulator(config, trace):
+    return get_engine(DEFAULT_ENGINE).simulator(config, CompiledTrace(trace))
 
 
 def random_trace(draw_addresses, kinds):
@@ -61,7 +67,7 @@ class TestCompiledTrace:
 
 
 class TestAgainstReference:
-    """The fast engine must match the reference model bit-exactly."""
+    """The default engine must match the reference model bit-exactly."""
 
     @pytest.mark.parametrize("placement", ["modulo", "xor", "hrp", "rm"])
     @pytest.mark.parametrize("replacement", ["random", "lru"])
@@ -69,23 +75,23 @@ class TestAgainstReference:
         config = tiny_config(l1_placement=placement, l1_replacement=replacement)
         core = TraceDrivenCore(config, small_kernel_trace)
         for seed in (0, 1, 12345):
-            assert core.run_fast(seed).as_dict() == core.run_reference(seed).as_dict()
+            assert core.run(seed).as_dict() == core.run_reference(seed).as_dict()
 
     def test_write_back_l1_matches(self, small_kernel_trace):
         config = tiny_config(l1_write="write-back")
         core = TraceDrivenCore(config, small_kernel_trace)
         for seed in (3, 17):
-            assert core.run_fast(seed).as_dict() == core.run_reference(seed).as_dict()
+            assert core.run(seed).as_dict() == core.run_reference(seed).as_dict()
 
     def test_no_l2_matches(self, small_kernel_trace):
         config = tiny_config(with_l2=False)
         core = TraceDrivenCore(config, small_kernel_trace)
-        assert core.run_fast(7).as_dict() == core.run_reference(7).as_dict()
+        assert core.run(7).as_dict() == core.run_reference(7).as_dict()
 
     def test_leon3_config_matches_on_eembc(self):
         trace = eembc_trace("rspeed")
         core = TraceDrivenCore(platform_setup("rm"), trace)
-        assert core.run_fast(11).as_dict() == core.run_reference(11).as_dict()
+        assert core.run(11).as_dict() == core.run_reference(11).as_dict()
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -105,18 +111,18 @@ class TestAgainstReference:
             trace.append(kind, 0x40000000 + line * 32)
         config = tiny_config()
         core = TraceDrivenCore(config, trace)
-        assert core.run_fast(seed).as_dict() == core.run_reference(seed).as_dict()
+        assert core.run(seed).as_dict() == core.run_reference(seed).as_dict()
 
 
 class TestFastEngineBehaviour:
+    """Run-level behaviour of the default engine's simulator."""
+
     def test_same_seed_is_deterministic(self, small_kernel_trace):
-        config = tiny_config()
-        simulator = FastHierarchySimulator(config, CompiledTrace(small_kernel_trace))
+        simulator = default_simulator(tiny_config(), small_kernel_trace)
         assert simulator.run(42) == simulator.run(42)
 
     def test_different_seeds_change_results_for_random_placement(self, small_kernel_trace):
-        config = tiny_config()
-        simulator = FastHierarchySimulator(config, CompiledTrace(small_kernel_trace))
+        simulator = default_simulator(tiny_config(), small_kernel_trace)
         cycles = {simulator.run(seed).cycles for seed in range(25)}
         assert len(cycles) > 1
 
@@ -132,21 +138,23 @@ class TestFastEngineBehaviour:
             ),
             timings=config.timings,
         )
-        simulator = FastHierarchySimulator(config, CompiledTrace(small_kernel_trace))
+        simulator = default_simulator(config, small_kernel_trace)
         assert len({simulator.run(seed).cycles for seed in range(10)}) == 1
 
     def test_unsupported_replacement_rejected(self, small_kernel_trace):
-        config = tiny_config(l1_replacement="plru")
-        with pytest.raises(ValueError):
-            FastHierarchySimulator(config, CompiledTrace(small_kernel_trace)).run(0)
-
-    def test_simulate_trace_wrapper(self, small_kernel_trace):
-        result = simulate_trace(small_kernel_trace, tiny_config(), seed=5)
-        assert result.cycles > 0
-        assert result.il1_accesses + result.dl1_accesses == len(small_kernel_trace)
+        # Tree PLRU needs a power-of-two associativity.
+        l1 = CacheConfig(
+            name="IL1", size_bytes=3 * 32 * 4, ways=3, line_size=32,
+            replacement="plru",
+        )
+        config = HierarchyConfig(il1=l1, dl1=l1, l2=None, timings=MemoryTimings())
+        with pytest.raises(ValueError, match="power-of-two"):
+            default_simulator(config, small_kernel_trace).run(0)
 
     def test_miss_rates_are_rates(self, small_kernel_trace):
-        result = simulate_trace(small_kernel_trace, tiny_config(), seed=5)
+        result = default_simulator(tiny_config(), small_kernel_trace).run(5)
+        assert result.cycles > 0
+        assert result.il1_accesses + result.dl1_accesses == len(small_kernel_trace)
         assert 0.0 <= result.il1_miss_rate <= 1.0
         assert 0.0 <= result.dl1_miss_rate <= 1.0
         assert 0.0 <= result.l2_miss_rate <= 1.0
@@ -158,11 +166,10 @@ class TestBatchApi:
     @pytest.mark.parametrize("placement", ["modulo", "xor", "hrp", "rm"])
     def test_batch_matches_individual_runs(self, placement, small_kernel_trace):
         config = tiny_config(l1_placement=placement)
-        compiled = CompiledTrace(small_kernel_trace)
         seeds = [0, 1, 7, 12345]
-        batch = FastHierarchySimulator(config, compiled).run_batch(seeds)
+        batch = default_simulator(config, small_kernel_trace).run_batch(seeds)
         individual = [
-            FastHierarchySimulator(config, compiled).run(seed) for seed in seeds
+            default_simulator(config, small_kernel_trace).run(seed) for seed in seeds
         ]
         assert batch == individual
 
@@ -178,12 +185,3 @@ class TestBatchApi:
         core = TraceDrivenCore(tiny_config(), small_kernel_trace)
         with pytest.raises(ValueError, match="unknown engine"):
             core.run_batch([1], engine="warp")
-
-    def test_simulate_trace_batch_wrapper(self, small_kernel_trace):
-        from repro.cache.fastsim import simulate_trace_batch
-
-        results = simulate_trace_batch(small_kernel_trace, tiny_config(), seeds=[4, 9])
-        assert results == [
-            simulate_trace(small_kernel_trace, tiny_config(), seed=4),
-            simulate_trace(small_kernel_trace, tiny_config(), seed=9),
-        ]

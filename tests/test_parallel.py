@@ -11,16 +11,16 @@ from repro.analysis.parallel import (
     run_campaign_parallel,
 )
 from repro.cache.fastsim import CompiledTrace
-from repro.engine import FastEngine, available_engines, register_engine, unregister_engine
+from repro.engine import NumpyEngine, available_engines, register_engine, unregister_engine
 from repro.platform.leon3 import platform_setup
 from repro.workloads.base import random_layouts
 from repro.workloads.eembc import EembcLayoutTraceBuilder
 
 
-class RenamedFastEngine(FastEngine):
+class RenamedNumpyEngine(NumpyEngine):
     """Module-level (hence picklable) custom engine for registry tests."""
 
-    name = "test-custom-fast"
+    name = "test-custom-numpy"
 
 
 class TestResolveJobs:
@@ -154,18 +154,18 @@ class TestParallelSeedCampaign:
         serial = run_campaign(
             small_kernel_trace, tiny_hierarchy_config, runs=6, master_seed=21
         )
-        register_engine(RenamedFastEngine())
+        register_engine(RenamedNumpyEngine())
         try:
             parallel_custom = run_campaign_parallel(
                 small_kernel_trace,
                 tiny_hierarchy_config,
                 runs=6,
                 master_seed=21,
-                engine="test-custom-fast",
+                engine="test-custom-numpy",
                 jobs=2,
             )
         finally:
-            unregister_engine("test-custom-fast")
+            unregister_engine("test-custom-numpy")
         assert parallel_custom.execution_times == serial.execution_times
 
     def test_worker_initializer_needs_no_registry(
@@ -182,7 +182,7 @@ class TestParallelSeedCampaign:
             small_kernel_trace, line_size=tiny_hierarchy_config.il1.line_size
         )
         parallel._init_seed_worker(
-            tiny_hierarchy_config, compiled, RenamedFastEngine()
+            tiny_hierarchy_config, compiled, RenamedNumpyEngine()
         )
         try:
             start, results = parallel._run_seed_chunk((0, [3, 4]))
@@ -190,7 +190,7 @@ class TestParallelSeedCampaign:
             parallel._worker_simulator = None
         assert start == 0
         assert [r.cycles for r in results] == [
-            FastEngine().simulator(tiny_hierarchy_config, compiled).run(seed).cycles
+            NumpyEngine().simulator(tiny_hierarchy_config, compiled).run(seed).cycles
             for seed in (3, 4)
         ]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.mbpta.protocol import MbptaConfig, apply_mbpta
+from repro.pwcet.protocol import MbptaConfig, apply_mbpta
 
 
 def gumbel_sample(n, seed=0, loc=20000.0, scale=300.0):

@@ -188,6 +188,8 @@ class TestJobRequestParsing:
             {"jobs": "abc"},
             {"jobs": [2]},
             {"engine": "no-such-engine"},
+            {"engine": "fast"},
+            {"engine": "jit"},
         ],
     )
     def test_bad_options_are_rejected(self, options):
@@ -308,8 +310,12 @@ class TestJobLifecycle:
     ):
         _, client = start_server(ResultStore(tmp_path / "store"))
         engines = client.engines()
-        assert "fast" in engines and "numpy" in engines
-        assert "available" in engines["fast"]
+        assert sorted(engines) == ["numpy", "reference"]
+        assert engines["numpy"]["bit_exact"] is True
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"spec": _spec(_scenario(runs=8)), "engine": "fast"})
+        assert excinfo.value.status == 400
+        assert "numpy, reference" in str(excinfo.value)
         estimators = client.estimators()
         assert "gumbel-pwm" in estimators
 
@@ -555,10 +561,9 @@ class TestStatusAndGc:
         assert set(status["exec"]) == set(local)
         assert status["exec"]["queue_root"] == local["queue_root"]
         # The in-process queue drain left heartbeat telemetry with the
-        # engine recorded (satellite: engine name + availability).
+        # engine recorded; the scenario names none, so it is the default.
         workers = status["exec"]["workers"]
-        assert workers and all(w["engine"] == "fast" for w in workers)
-        assert all(w["engine_availability"] is None for w in workers)
+        assert workers and all(w["engine"] == "numpy" for w in workers)
 
     def test_worker_heartbeats_surface_engine_over_http(
         self, tmp_path, start_server
@@ -568,7 +573,7 @@ class TestStatusAndGc:
         submitted = client.submit({"spec": _spec(_scenario(runs=8))})
         client.wait(submitted["job_id"], timeout=60)
         beats = read_heartbeats(FileQueue(store.queue_root))
-        assert beats and beats[0].engine == "fast"
+        assert beats and beats[0].engine == "numpy"
 
     def test_gc_endpoint_plans_then_sweeps(self, tmp_path, start_server):
         store = ResultStore(tmp_path / "store")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.mbpta.tests import (
+from repro.pwcet.admission import (
     STEPHENS_EXPONENTIAL_W2_POINTS,
     exponential_tail_test,
     identical_distribution_test,

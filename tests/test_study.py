@@ -20,7 +20,7 @@ import pytest
 from repro.__main__ import main
 from repro.analysis.campaign import run_campaign
 from repro.analysis.experiments import ExperimentSettings
-from repro.mbpta.protocol import MbptaConfig
+from repro.pwcet.protocol import MbptaConfig
 from repro.study import (
     HierarchySpec,
     ResultStore,
