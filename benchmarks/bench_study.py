@@ -1,16 +1,7 @@
-"""Benchmarks of the study subsystem: batching, caching, planning overhead.
+"""Benchmarks of the study subsystem: caching and the store tier.
 
-The study runner groups scenarios that share a workload (trace built and
-compiled once) and concatenates the seed lists of scenarios sharing a
-(trace, hierarchy, engine) triple into a single engine batch, so a batch
-engine such as ``numpy`` simulates a whole sub-sweep as one array program.
-``test_batched_vs_sequential_speedup`` measures that cross-scenario gain
-head-to-head against one ``run_campaign`` call per scenario (the shape the
-legacy drivers had) and prints the table; bit-exactness between the two
-paths is asserted, timing is reported only (shared CI boxes are noisy).
-
-``test_cache_hit_speedup`` measures the other axis: resolving a study from
-the on-disk result store instead of simulating.
+``test_cache_hit_speedup`` measures resolving a study from the on-disk
+result store instead of simulating it.
 
 ``test_store_roundtrip_breakdown`` measures the persistence tier itself:
 cold writes, warm reads and shard reassembly through the binary columnar
@@ -28,7 +19,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.analysis.campaign import CampaignResult, run_campaign
+from repro.analysis.campaign import CampaignResult
 from repro.study import (
     HierarchySpec,
     ResultStore,
@@ -60,7 +51,7 @@ def _timed(callable_, repeats: int = 3) -> float:
     return best
 
 #: Seed-replication sweep: one scenario per seed base, all sharing the same
-#: (workload, hierarchy), so the runner fuses them into one engine batch.
+#: (workload, hierarchy), so the runner builds the trace once.
 SWEEP_WIDTH = 8
 RUNS_PER_SCENARIO = 32
 
@@ -78,54 +69,6 @@ def _sweep():
         )
         for index in range(SWEEP_WIDTH)
     ]
-
-
-def _sequential(scenarios):
-    """The legacy shape: one run_campaign call per scenario, trace rebuilt."""
-    campaigns = {}
-    for scenario in scenarios:
-        trace = scenario.workload.build_trace()
-        campaigns[scenario.label] = run_campaign(
-            trace,
-            scenario.hierarchy.config(),
-            runs=scenario.runs,
-            master_seed=scenario.effective_seed,
-            engine=scenario.engine,
-        )
-    return campaigns
-
-
-def test_batched_study_execution(benchmark):
-    """Wall-clock of the batched runner over the whole sweep."""
-    scenarios = _sweep()
-    results = benchmark.pedantic(
-        execute_scenarios, args=(scenarios,), rounds=1, iterations=1
-    )
-    assert results.report.batches == 1  # the whole sweep fused into one call
-
-
-def test_batched_vs_sequential_speedup(capsys):
-    """Cross-scenario batching gain (prints the measured table)."""
-    scenarios = _sweep()
-    start = time.perf_counter()
-    sequential = _sequential(scenarios)
-    sequential_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    batched = execute_scenarios(scenarios)
-    batched_seconds = time.perf_counter() - start
-    with capsys.disabled():
-        print("\nstudy batching: sequential run_campaign vs fused engine batch")
-        print(f"({SWEEP_WIDTH} scenarios x {RUNS_PER_SCENARIO} runs, a2time, rm)")
-        print("sequential (s) | batched (s) | speedup")
-        print(
-            f"{sequential_seconds:14.2f} | {batched_seconds:11.2f} | "
-            f"{sequential_seconds / batched_seconds:.2f}x"
-        )
-    for scenario in scenarios:
-        assert (
-            batched.campaign(scenario.label).execution_times
-            == sequential[scenario.label].execution_times
-        )
 
 
 def test_cache_hit_speedup(tmp_path, capsys):
@@ -196,7 +139,7 @@ def _synthetic_entries():
 
 
 def _json_entry_payload(scenario, campaign, summary):
-    """The JSON-era store entry, byte-compatible with the legacy tier."""
+    """The JSON-era store entry, as the pre-columnar store wrote it."""
     return {
         "version": 1,
         "spec": scenario.spec_dict(),

@@ -9,11 +9,7 @@ This walks through the complete MBPTA flow of the paper in a few lines:
 4. check the i.i.d. admission tests and project the pWCET curve.
 
 Run with:  python examples/quickstart.py
-           python examples/quickstart.py --jobs 4   # parallel campaign,
-                                                    # bit-exact with serial
 """
-
-import argparse
 
 from repro import apply_mbpta, eembc_trace, platform_setup, run_campaign
 from repro.analysis import format_table
@@ -23,15 +19,6 @@ MASTER_SEED = 2016
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the campaign (1 = serial, 0 = all CPUs); "
-        "the measured execution times are identical for any value",
-    )
-    args = parser.parse_args()
     # 1. The platform: 16 KB 4-way L1s with Random Modulo placement and
     #    random replacement, 128 KB L2 with hash-based random placement.
     platform = platform_setup("rm")
@@ -41,13 +28,9 @@ def main() -> None:
     print(f"workload: {trace.name}, {len(trace)} memory accesses, "
           f"{trace.footprint_bytes() // 1024} KB footprint")
 
-    # 3. The measurement campaign: each run gets a fresh placement seed.
-    #    With --jobs N the runs are spread over N worker processes; the
-    #    per-run seeds are derived deterministically from the master seed,
-    #    so the result is bit-exact with the serial campaign.
-    campaign = run_campaign(
-        trace, platform, runs=RUNS, master_seed=MASTER_SEED, jobs=args.jobs
-    )
+    # 3. The measurement campaign: each run gets a fresh placement seed,
+    #    derived deterministically from the master seed.
+    campaign = run_campaign(trace, platform, runs=RUNS, master_seed=MASTER_SEED)
     print(f"collected {campaign.runs} execution times "
           f"(min {campaign.minimum:,}, mean {campaign.mean:,.0f}, "
           f"hwm {campaign.high_water_mark:,})")

@@ -1,10 +1,10 @@
 """Generate the reference results quoted in EXPERIMENTS.md.
 
-Campaign execution can be parallelised with ``--jobs N`` (or ``REPRO_JOBS``):
-results are bit-exact for any jobs value, only the wall-clock time changes.
+Campaigns run inline, since there is no result store here; to spread the
+studies' campaigns over worker processes, run them through the store with
+``python -m repro study run all --jobs N`` (bit-exact for any N).
 
-    python results/run_all.py                  # serial, numpy engine
-    python results/run_all.py --jobs 0         # one worker per CPU
+    python results/run_all.py                  # numpy engine
     python results/run_all.py --engine reference   # the slow oracle
 """
 import argparse, json, time
@@ -18,18 +18,15 @@ from repro.workloads.synthetic import SYNTHETIC_FOOTPRINTS
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--runs", type=int, default=None,
                     help="measurement runs per campaign (default 300; overrides REPRO_RUNS/REPRO_FULL)")
-parser.add_argument("--jobs", type=int, default=None,
-                    help="worker processes per campaign (1 = serial, 0 = all CPUs)")
 parser.add_argument("--engine", choices=available_engines(), default=None,
                     help="simulation engine (all built-in engines are bit-exact)")
 args = parser.parse_args()
 
 # Env vars refine the 300-run default; explicit command-line flags win.
-s = ExperimentSettings.from_env(runs=300)
+# Without a store campaigns drain inline, so REPRO_JOBS does not apply.
+s = replace(ExperimentSettings.from_env(runs=300), jobs=1)
 if args.runs is not None:
     s = replace(s, runs=args.runs)
-if args.jobs is not None:
-    s = replace(s, jobs=args.jobs)
 if args.engine is not None:
     s = replace(s, engine=args.engine)
 half = replace(s, runs=max(s.runs // 2, 50))

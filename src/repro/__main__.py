@@ -6,8 +6,6 @@ Usage::
     python -m repro run table1
     python -m repro run fig4a --runs 200
     python -m repro run all --runs 100 --scale 0.5
-    python -m repro run all --jobs 4            # parallel campaigns, bit-exact
-    python -m repro run table2 --jobs 0         # one worker per CPU
     python -m repro run fig5 --engine numpy     # vectorized batch engine
     python -m repro run fig4a --format json     # machine-readable output
     python -m repro run all --format csv > results.csv
@@ -15,6 +13,7 @@ Usage::
     python -m repro study list                  # registered studies
     python -m repro study run fig5 --runs 200   # cached: repeats hit the store
     python -m repro study run all --engine numpy
+    python -m repro study run all --jobs 4      # 4 worker processes, bit-exact
     python -m repro study compare fig5 fig5     # diff two executed studies
     python -m repro study clean                 # drop the result store
 
@@ -63,14 +62,16 @@ cache miss rates) or ``csv`` (``experiment,key,value`` rows) — with
 non-text formats the progress chatter moves to stderr so stdout stays
 machine-readable.
 
-``study run --shard-size N`` routes every seed campaign through the
-sharded work-queue pipeline (:mod:`repro.exec`): campaigns are split into
-seed-range shards, persisted shard by shard, and reassembled bit-exactly —
-a killed run loses at most its in-flight shards and ``--resume`` executes
-only the missing ones.  ``python -m repro worker`` attaches an external
-worker process to the same queue, and ``python -m repro exec status``
-shows queue occupancy plus per-worker heartbeat telemetry (``--format
-json`` emits the same snapshot machine-readably).
+``study run`` executes each campaign — a range of lanes, seeds or memory
+layouts — inline; ``--shard-size N`` or ``--jobs N`` (N != 1) routes every
+campaign through the sharded work-queue pipeline (:mod:`repro.exec`)
+instead: campaigns are split into lane-range shards, persisted shard by
+shard, and reassembled bit-exactly — a killed run loses at most its
+in-flight shards and ``--resume`` executes only the missing ones.  ``run``
+has no store, so it only accepts ``--jobs 1``.  ``python -m repro worker``
+attaches an external worker process to the same queue, and ``python -m
+repro exec status`` shows queue occupancy plus per-worker heartbeat
+telemetry (``--format json`` emits the same snapshot machine-readably).
 
 ``serve`` runs the analysis server (:mod:`repro.service`): clients submit
 scenario specs over HTTP, jobs execute through the same store + work-queue
@@ -132,8 +133,9 @@ def _add_campaign_arguments(
         "-j",
         type=int,
         default=None,
-        help="worker processes per campaign (1 = serial, 0 = all CPUs); "
-        "results are bit-exact for any value",
+        help="worker processes per campaign (1 = inline, 0 = all CPUs; other "
+        "values drain campaigns through the store's work queue, so 'run' "
+        "only accepts 1); results are bit-exact for any value",
     )
     parser.add_argument(
         "--engine",
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         dest="shard_size",
-        help="execute seed campaigns through the sharded work-queue pipeline, "
+        help="execute campaigns through the sharded work-queue pipeline, "
         "N runs per shard (bit-exact with serial execution; enables --resume)",
     )
     study_run.add_argument(
@@ -761,13 +763,12 @@ def _print_engine_matrix() -> None:
     matrix = engine_capabilities()
     flag = lambda value: "yes" if value else "no"  # noqa: E731
     width = max(len(name) for name in matrix)
-    print(f"{'engine'.ljust(width)}  batch  bit-exact  parallel")
+    print(f"{'engine'.ljust(width)}  batch  bit-exact")
     for name, caps in matrix.items():
         print(
             f"{name.ljust(width)}  "
             f"{flag(caps['supports_batch']).ljust(5)}  "
-            f"{flag(caps['bit_exact']).ljust(9)}  "
-            f"{flag(caps['requires_pickle'])}"
+            f"{flag(caps['bit_exact'])}"
         )
 
 
@@ -970,13 +971,18 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "run":
+        if args.jobs not in (None, 1):
+            parser.error(
+                "run has no result store, so it executes campaigns inline; "
+                "use 'study run --jobs N' for worker processes"
+            )
         targets = _resolve_targets(args.experiment)
         settings = _validated_settings(parser, args, targets)
         if settings is None:
             return 2
-        # Sharded execution needs the result store; plain `run` has none, so
-        # a REPRO_SHARD_SIZE from the environment must not apply here.
-        settings = replace(settings, shard_size=None, resume=False)
+        # Queued execution needs the result store; plain `run` has none, so
+        # REPRO_JOBS and REPRO_SHARD_SIZE from the environment do not apply.
+        settings = replace(settings, jobs=1, shard_size=None, resume=False)
         if args.output_format == "csv":
             print(CSV_HEADER)
         for identifier in targets:

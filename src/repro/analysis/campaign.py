@@ -90,8 +90,6 @@ def run_campaign(
     engine: str = DEFAULT_ENGINE,
     timing: ExecutionTimingModel = ExecutionTimingModel(),
     keep_run_results: bool = False,
-    jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> CampaignResult:
     """Measure ``trace`` on ``config`` for ``runs`` runs with fresh seeds.
 
@@ -101,33 +99,13 @@ def run_campaign(
 
     ``engine`` names a registered simulation backend (see
     :func:`repro.engine.available_engines`); every bit-exact engine returns
-    identical campaigns, so the knob only trades wall-clock time.  ``jobs``
-    selects the execution mode: ``1`` (the default) runs every seed serially
-    in-process, while ``jobs > 1`` (or ``0`` for one worker per CPU)
-    distributes seed chunks over a process pool — see
-    :mod:`repro.analysis.parallel`.  Both paths are bit-exact: the parallel
-    executor reassembles results in seed order, so the returned campaign is
-    identical for any ``jobs`` value, with any engine.
+    identical campaigns, so the knob only trades wall-clock time.  This is
+    the serial primitive; :func:`repro.study.execute_scenarios` runs the
+    same campaign as a lane range, inline or across worker processes, with
+    bit-identical results.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    get_engine(engine)  # reject unknown engines before any simulation work
-    from .parallel import resolve_jobs, run_campaign_parallel
-
-    effective_jobs = min(resolve_jobs(jobs), runs)
-    if effective_jobs > 1:
-        return run_campaign_parallel(
-            trace,
-            config,
-            runs,
-            master_seed=master_seed,
-            setup=setup,
-            engine=engine,
-            timing=timing,
-            keep_run_results=keep_run_results,
-            jobs=effective_jobs,
-            chunk_size=chunk_size,
-        )
     core = TraceDrivenCore(config, trace, timing=timing)
     seeds = derive_run_seeds(master_seed, runs)
     results = core.run_batch(seeds, engine=engine)
@@ -149,8 +127,6 @@ def run_layout_campaign(
     layouts: Optional[Sequence[MemoryLayout]] = None,
     engine: str = DEFAULT_ENGINE,
     timing: ExecutionTimingModel = ExecutionTimingModel(),
-    jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> CampaignResult:
     """Measure a workload on a deterministic platform under varying layouts.
 
@@ -160,34 +136,14 @@ def run_layout_campaign(
     (deterministic placement ignores it, and LRU replacement has no
     randomness), so all execution-time variability comes from the memory
     layout — exactly the situation the industrial high-water-mark practice
-    faces.
-
-    With ``jobs > 1`` (or ``0`` for one worker per CPU) the layouts are
-    distributed over a process pool; ``trace_builder`` must then be
-    picklable under spawn-based start methods (see
-    :mod:`repro.analysis.parallel`).  Results are reassembled in layout
-    order, so serial and parallel campaigns are bit-exact.
+    faces.  This is the serial primitive the exec layer's
+    :class:`~repro.exec.worker.ShardRunner` runs on each layout range.
     """
     if layouts is None:
         if runs < 1:
             raise ValueError(f"runs must be >= 1, got {runs}")
         layouts = random_layouts(runs, master_seed=master_seed)
     get_engine(engine)  # reject unknown engines before any simulation work
-    from .parallel import resolve_jobs, run_layout_campaign_parallel
-
-    effective_jobs = min(resolve_jobs(jobs), len(layouts))
-    if effective_jobs > 1:
-        return run_layout_campaign_parallel(
-            trace_builder,
-            config,
-            layouts,
-            master_seed=master_seed,
-            setup=setup,
-            engine=engine,
-            timing=timing,
-            jobs=effective_jobs,
-            chunk_size=chunk_size,
-        )
     execution_times: List[int] = []
     name = ""
     for layout in layouts:

@@ -81,20 +81,22 @@ class ExperimentSettings:
     ``engine`` names a registered simulation backend (see
     :func:`repro.engine.available_engines`; ``REPRO_ENGINE`` overrides it
     from the environment).  ``jobs`` selects how many worker processes each
-    campaign may use: ``1`` (default) is fully serial, ``0`` means one
-    worker per CPU, and any other positive value is taken literally.
+    campaign may use: ``1`` (default) runs it inline, ``0`` means one
+    worker per CPU, and any other positive value is taken literally.  Any
+    value other than ``1`` drains campaigns through the result store's work
+    queue (:mod:`repro.exec`), so it needs a store (``study run --jobs N``).
     Campaigns are bit-exact for every ``jobs`` value and every bit-exact
-    engine (see :mod:`repro.analysis.parallel`), so both knobs only affect
-    wall-clock time.  ``jobs`` can also be set with ``REPRO_JOBS``.
+    engine, so both knobs only affect wall-clock time.  ``jobs`` can also
+    be set with ``REPRO_JOBS``.
 
     ``estimator`` names a registered pWCET estimator (see
     :func:`repro.pwcet.available_estimators`; ``REPRO_ESTIMATOR`` overrides
     it from the environment).  Left empty, the MBPTA config default
     (``gumbel-pwm``) applies — the historical behaviour.
 
-    ``shard_size`` (``REPRO_SHARD_SIZE``) routes seed campaigns through the
+    ``shard_size`` (``REPRO_SHARD_SIZE``) routes campaigns through the
     sharded work-queue pipeline (:mod:`repro.exec`): each campaign is split
-    into seed-range shards persisted individually, so a killed ``study run``
+    into lane-range shards persisted individually, so a killed ``study run``
     can be resumed with ``resume=True`` (CLI ``--resume``) executing only
     the missing shards.  Sharded campaigns are bit-exact with serial
     execution and require a result store.

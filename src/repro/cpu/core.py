@@ -18,23 +18,18 @@ for identical seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence
 
 from ..cache.fastsim import CompiledTrace, FastRunResult
 from ..cache.hierarchy import HierarchyConfig
-from ..engine import DEFAULT_ENGINE, Engine, EngineSimulator, get_engine
+from ..engine import DEFAULT_ENGINE, EngineSimulator, get_engine
 from .trace import Trace
-
-#: Engine selector: a registry name, or an already-resolved Engine (used by
-#: the parallel executor, which resolves names in the parent process).
-EngineLike = Union[str, Engine]
 
 __all__ = [
     "ExecutionTimingModel",
     "TraceRunResult",
     "TraceDrivenCore",
     "timing_overhead_cycles",
-    "wrap_fast_result",
 ]
 
 
@@ -76,27 +71,13 @@ class TraceRunResult:
 def timing_overhead_cycles(trace: Trace, timing: ExecutionTimingModel) -> int:
     """Execute-stage cycles added on top of the memory latencies of ``trace``.
 
-    Shared by :class:`TraceDrivenCore` and the parallel campaign executor so
+    Shared by :class:`TraceDrivenCore` and the exec layer's lane executor so
     the two always add the same overhead to the raw engine cycles.
     """
     counts = trace.counts()
     return (
         counts["fetches"] * timing.fetch_overhead
         + (counts["loads"] + counts["stores"]) * timing.data_overhead
-    )
-
-
-def wrap_fast_result(
-    result: FastRunResult, overhead_cycles: int, accesses: int
-) -> TraceRunResult:
-    """Convert a raw engine result into a :class:`TraceRunResult`."""
-    return TraceRunResult(
-        cycles=result.cycles + overhead_cycles,
-        memory_accesses=result.memory_accesses,
-        il1_misses=result.il1_misses,
-        dl1_misses=result.dl1_misses,
-        l2_misses=result.l2_misses,
-        accesses=accesses,
     )
 
 
@@ -108,31 +89,19 @@ class TraceDrivenCore:
         config: HierarchyConfig,
         trace: Trace,
         timing: ExecutionTimingModel = ExecutionTimingModel(),
-        compiled: CompiledTrace | None = None,
     ) -> None:
-        """``compiled`` optionally injects an already-compiled trace.
-
-        Trace compilation only depends on the L1 line size, so callers
-        replaying one workload on several hierarchies (the study runner)
-        compile once and share; a line-size mismatch is rejected.
-        """
-        if compiled is not None and compiled.line_size != config.il1.line_size:
-            raise ValueError(
-                f"compiled trace has line size {compiled.line_size}, "
-                f"hierarchy expects {config.il1.line_size}"
-            )
         self.config = config
         self.trace = trace
         self.timing = timing
-        self._compiled: CompiledTrace | None = compiled
+        self._compiled: CompiledTrace | None = None
         self._simulators: Dict[str, EngineSimulator] = {}
         self._overhead_cycles = timing_overhead_cycles(trace, timing)
 
     # --------------------------------------------------------------- engines
 
-    def _simulator(self, engine: EngineLike) -> EngineSimulator:
+    def _simulator(self, engine: str) -> EngineSimulator:
         """The (cached) simulator of the selected engine for this core's trace."""
-        backend = get_engine(engine) if isinstance(engine, str) else engine
+        backend = get_engine(engine)
         simulator = self._simulators.get(backend.name)
         if simulator is None:
             if self._compiled is None:
@@ -144,14 +113,22 @@ class TraceDrivenCore:
         return simulator
 
     def _wrap(self, result: FastRunResult) -> TraceRunResult:
-        return wrap_fast_result(result, self._overhead_cycles, len(self.trace))
+        """Convert a raw engine result into a :class:`TraceRunResult`."""
+        return TraceRunResult(
+            cycles=result.cycles + self._overhead_cycles,
+            memory_accesses=result.memory_accesses,
+            il1_misses=result.il1_misses,
+            dl1_misses=result.dl1_misses,
+            l2_misses=result.l2_misses,
+            accesses=len(self.trace),
+        )
 
-    def run(self, seed: int, engine: EngineLike = DEFAULT_ENGINE) -> TraceRunResult:
+    def run(self, seed: int, engine: str = DEFAULT_ENGINE) -> TraceRunResult:
         """Replay the trace with the selected engine under hierarchy seed ``seed``."""
         return self._wrap(self._simulator(engine).run(seed))
 
     def run_batch(
-        self, seeds: Sequence[int], engine: EngineLike = DEFAULT_ENGINE
+        self, seeds: Sequence[int], engine: str = DEFAULT_ENGINE
     ) -> List[TraceRunResult]:
         """Replay the trace once per seed, setting the engine up only once."""
         simulator = self._simulator(engine)

@@ -6,10 +6,10 @@ A *simulation engine* is a strategy for replaying one
 Engines are first-class objects selected **by name through the registry**;
 no caller outside this package compares engine names against string
 literals.  Every layer — :class:`~repro.cpu.core.TraceDrivenCore`, the
-campaign executors (serial and process-parallel), the experiment drivers,
-the CLI — resolves the requested name with :func:`get_engine` and drives the
-resulting :class:`EngineSimulator`.  When no engine is named, every layer
-uses :data:`DEFAULT_ENGINE`.
+campaign functions, the exec layer's lane executor and its worker
+processes, the experiment drivers, the CLI — resolves the requested name
+with :func:`get_engine` and drives the resulting :class:`EngineSimulator`.
+When no engine is named, every layer uses :data:`DEFAULT_ENGINE`.
 
 Capability flags describe what callers may rely on:
 
@@ -21,12 +21,6 @@ Capability flags describe what callers may rely on:
     Results are bit-exact with the reference hierarchy model for every seed
     (all built-in engines; a future sampling/approximate backend would clear
     this flag and campaign code can refuse it where exactness matters).
-``requires_pickle``
-    Running under a process pool ships the picklable ``(HierarchyConfig,
-    CompiledTrace)`` pair to each worker, which rebuilds the simulator by
-    engine name; engines setting this flag cannot have live simulator state
-    shipped between processes.  All built-in engines rebuild cheaply, so the
-    parallel executor supports them all.
 
 To add a backend: subclass :class:`Engine`, implement :meth:`Engine.simulator`
 returning an object with ``run(seed)`` / ``run_batch(seeds)`` producing
@@ -80,9 +74,6 @@ class Engine(ABC):
     supports_batch: bool = True
     #: Bit-exact with the reference hierarchy model.
     bit_exact: bool = True
-    #: Parallel execution rebuilds the simulator per worker from picklable
-    #: (config, compiled) inputs instead of shipping live simulator state.
-    requires_pickle: bool = True
 
     @abstractmethod
     def simulator(
@@ -96,7 +87,6 @@ class Engine(ABC):
             "name": self.name,
             "supports_batch": self.supports_batch,
             "bit_exact": self.bit_exact,
-            "requires_pickle": self.requires_pickle,
         }
 
 

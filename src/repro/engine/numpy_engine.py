@@ -918,7 +918,6 @@ class NumpyEngine(Engine):
     name = "numpy"
     supports_batch = True
     bit_exact = True
-    requires_pickle = True
 
     def __init__(self, max_lanes: Optional[int] = None) -> None:
         self.max_lanes = max_lanes

@@ -77,7 +77,6 @@ class ReferenceEngine(Engine):
     name = "reference"
     supports_batch = False
     bit_exact = True
-    requires_pickle = True
 
     def simulator(
         self, config: HierarchyConfig, compiled: CompiledTrace

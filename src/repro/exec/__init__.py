@@ -1,26 +1,29 @@
-"""Sharded, resumable campaign execution.
+"""Campaign execution: lane ranges drained inline or through a resumable queue.
 
-``repro.exec`` is the execution subsystem behind every parallel campaign in
-the repository, layered as **planner → queue → workers → reassembler**:
+``repro.exec`` runs every measurement campaign in the repository.  A
+campaign is a range of lanes — per-run seeds on the time-randomised
+platforms, memory layouts on the deterministic baseline — layered as
+**planner → queue → workers → reassembler**:
 
 * :mod:`repro.exec.plan` — split a campaign into deterministic
-  ``(spec_hash, seed-range)`` **shards**;
+  ``(spec_hash, lane-range)`` **shards**;
 * :mod:`repro.exec.queue` — a file-backed **work queue** with atomic shard
   leases (owner id + expiry; stale and dead-owner leases are reclaimed);
-* :mod:`repro.exec.worker` — **workers** that claim shards, execute them
-  through the engine registry and publish content-hash-keyed shard entries
-  into the :class:`~repro.study.store.ResultStore`, with heartbeat
-  telemetry (:mod:`repro.exec.telemetry`);
-* :mod:`repro.exec.executor` — the orchestrated pipeline plus the
-  **reassembler** that merges shards in seed order, bit-exact with serial
-  execution for any shard size and worker count;
-* :mod:`repro.exec.pool` — the non-persistent in-process pool tier behind
-  ``run_campaign(..., jobs=N)`` (no queue directory, no store).
+* :mod:`repro.exec.worker` — the lane executor
+  (:class:`~repro.exec.worker.ShardRunner`) and the **workers** that claim
+  shards, execute them through the engine registry and publish
+  content-hash-keyed shard entries into the
+  :class:`~repro.study.store.ResultStore`, with heartbeat telemetry
+  (:mod:`repro.exec.telemetry`);
+* :mod:`repro.exec.executor` — the two drains (inline: one shard spanning
+  the campaign, in the calling process; queue: shards through the store's
+  queue) plus the **reassembler** that merges shards in lane order,
+  bit-exact with serial execution for any shard size and worker count.
 
-Two execution modes share the worker loop: the executor's in-process pool,
-and separately launched ``python -m repro worker`` processes attached to
-the same queue directory.  ``python -m repro exec status`` renders queue
-occupancy and worker telemetry (:mod:`repro.exec.status`).
+The queue is drained by the executor's worker processes and by separately
+launched ``python -m repro worker`` processes attached to the same
+directory.  ``python -m repro exec status`` renders queue occupancy and
+worker telemetry (:mod:`repro.exec.status`).
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ from .plan import (
 from .queue import DEFAULT_LEASE_TTL, FileQueue, Lease, default_owner_id
 from .telemetry import HEARTBEAT_INTERVAL, WorkerHeartbeat, WorkerTelemetry, read_heartbeats
 from .worker import ShardRunner, WorkerStats, run_worker, shard_task
-from .executor import ShardReport, execute_scenario_sharded, reassemble_campaign
-from .pool import (
-    partition_chunks,
-    run_campaign_parallel,
-    run_layout_campaign_parallel,
+from .executor import (
+    ShardReport,
+    execute_campaigns,
+    execute_scenario_sharded,
+    reassemble_campaign,
 )
 from .status import exec_status_snapshot, format_exec_status, render_exec_status
 
@@ -58,17 +61,15 @@ __all__ = [
     "WorkerTelemetry",
     "default_owner_id",
     "exec_status_snapshot",
+    "execute_campaigns",
     "execute_scenario_sharded",
     "format_exec_status",
     "render_exec_status",
-    "partition_chunks",
     "plan_shards",
     "read_heartbeats",
     "reassemble_campaign",
     "resolve_jobs",
     "resolve_shard_size",
-    "run_campaign_parallel",
-    "run_layout_campaign_parallel",
     "run_worker",
     "shard_key",
     "shard_task",

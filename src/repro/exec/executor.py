@@ -1,18 +1,26 @@
-"""Store-backed sharded campaign execution: plan → lease → execute →
-publish → reassemble.
+"""Campaign execution: plan → execute → reassemble, inline or through the queue.
 
-This is the persistent, crash-resumable tier of :mod:`repro.exec`.  One
-scenario's campaign is split by the planner into ``(spec_hash,
-seed-range)`` shards, the missing ones are enqueued as self-contained
-tasks in the store's :class:`~repro.exec.queue.FileQueue`, workers (an
-in-process pool here; external ``python -m repro worker`` processes may
-join against the same directory) lease and execute them through the engine
-registry, and every finished shard is published as a content-hash-keyed
-entry under the store's ``shards/`` directory.  The reassembler then
-merges the entries in seed order into a :class:`CampaignResult` that is
-**bit-exact** with serial execution for any shard size and worker count —
-including its miss summary, which is rebuilt from the per-run counters
-with the same floating-point arithmetic the in-memory path uses.
+Every campaign is a range of lanes — per-run seeds of a seed campaign, or
+memory layouts of a layout campaign — and one lane executor,
+:class:`~repro.exec.worker.ShardRunner`, runs every range.  A campaign is
+drained one of two ways:
+
+* **inline** — with ``jobs == 1`` and no shard size, the campaign is one
+  shard spanning all its lanes, executed in the calling process; nothing
+  is written to the queue or the shard store;
+* **queue** — otherwise the planner splits it into ``(spec_hash,
+  lane-range)`` shards, the missing ones are enqueued as self-contained
+  tasks in the store's :class:`~repro.exec.queue.FileQueue`, workers (this
+  process's worker processes, plus any external ``python -m repro worker``
+  attached to the same directory) lease and execute them, and every
+  finished shard is published as a content-hash-keyed entry under the
+  store's ``shards/`` directory.
+
+Both drains feed one reassembler, which merges shard payloads in lane
+order into a :class:`CampaignResult` that is **bit-exact** with serial
+execution for any shard size and worker count — including its miss
+summary, which is rebuilt from the per-run counters with the same
+floating-point arithmetic :meth:`CampaignResult.miss_summary` uses.
 
 Crash-resume falls out of the content addressing: a killed campaign leaves
 its published shards in the store and its unfinished tasks (plus at most
@@ -27,26 +35,31 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.campaign import CampaignResult
 from ..engine import get_engine
-from ..study.scenario import Scenario
+from ..study.scenario import Scenario, WorkloadSpec
 from ..study.store import ResultStore
 from .plan import Shard, plan_shards, resolve_jobs, resolve_shard_size
 from .queue import DEFAULT_LEASE_TTL, FileQueue
-from .worker import run_worker, shard_task
+from .worker import ShardRunner, run_worker, shard_task
 
 __all__ = [
     "ShardReport",
+    "execute_campaigns",
     "execute_scenario_sharded",
     "reassemble_campaign",
 ]
 
+#: The per-run counters a seed shard publishes, in the key order of
+#: :meth:`CampaignResult.miss_summary`.
+_COUNTERS = ("il1_misses", "dl1_misses", "l2_misses", "memory_accesses")
+
 
 @dataclass
 class ShardReport:
-    """How one scenario's shards were resolved."""
+    """How one scenario's queued shards were resolved."""
 
     planned: int = 0
     reused: int = 0
@@ -59,27 +72,25 @@ class ShardReport:
 
 
 def reassemble_campaign(
-    scenario: Scenario, shards: Sequence[Shard], store: ResultStore
+    scenario: Scenario,
+    shards: Sequence[Shard],
+    load: Callable[[Shard], Optional[Dict[str, object]]],
 ) -> Tuple[CampaignResult, Dict[str, float]]:
-    """Merge published shard entries in seed order into one campaign.
+    """Merge the shard payloads ``load`` returns, in lane order, into one campaign.
 
-    Raises :class:`RuntimeError` naming the missing shards when the store
-    does not hold the complete plan (e.g. a worker died and nobody resumed
-    the campaign).
+    ``load`` maps a planned shard to its published payload, or ``None``
+    when it is missing; the queue drain reads the store, the inline drain
+    hands over the payload it just computed.  Raises
+    :class:`RuntimeError` naming the missing shards when the plan is
+    incomplete (e.g. a worker died and nobody resumed the campaign).
     """
-    spec_hash = scenario.spec_hash()
     ordered = sorted(shards, key=lambda shard: shard.start)
     cycles: List[int] = []
-    counters: Dict[str, List[int]] = {
-        "memory_accesses": [],
-        "il1_misses": [],
-        "dl1_misses": [],
-        "l2_misses": [],
-    }
+    counters: Dict[str, List[int]] = {name: [] for name in _COUNTERS}
     workload = ""
     missing: List[str] = []
     for shard in ordered:
-        payload = store.load_shard(spec_hash, shard.key)
+        payload = load(shard)
         if payload is None or len(payload.get("cycles", ())) != shard.count:
             missing.append(shard.key)
             continue
@@ -89,7 +100,7 @@ def reassemble_campaign(
         workload = str(payload.get("workload", workload))
     if missing:
         raise RuntimeError(
-            f"campaign {spec_hash[:12]} is missing {len(missing)} of "
+            f"campaign {scenario.spec_hash()[:12]} is missing {len(missing)} of "
             f"{len(ordered)} shard(s) ({', '.join(missing[:4])}"
             f"{', ...' if len(missing) > 4 else ''}); rerun with resume to "
             "execute them, or 'python -m repro exec status' to inspect leases"
@@ -108,7 +119,8 @@ def _miss_summary(counters: Dict[str, List[int]], runs: int) -> Dict[str, float]
 
     Counter sums are integer-exact and divided once, so the result is
     bit-identical to averaging the in-memory per-run results — any shard
-    partition reassembles to the same floats.
+    partition reassembles to the same floats.  Layout shards carry no
+    counters, so layout campaigns get an empty summary.
     """
     if not all(len(values) == runs for values in counters.values()):
         return {}
@@ -121,6 +133,54 @@ def _miss_summary(counters: Dict[str, List[int]], runs: int) -> Dict[str, float]
     return summary
 
 
+def execute_campaigns(
+    scenarios: Sequence[Scenario],
+    store: Optional[ResultStore],
+    record: Callable[[Scenario, CampaignResult, Dict[str, float]], None],
+    shard_size: Optional[int] = None,
+    resume: bool = False,
+) -> ShardReport:
+    """Execute campaigns, calling ``record`` as each one is reassembled.
+
+    A campaign with ``jobs == 1`` and no ``shard_size`` drains inline;
+    every other one drains through ``store``'s queue (``shard_size`` of
+    ``None`` or ``0`` picks the planner's heuristic size), and its shards
+    are cleared once ``record(scenario, campaign, miss_summary)`` has
+    stored the campaign entry.  Queued campaigns without a store raise
+    :class:`ValueError` before anything runs.  Campaigns run grouped by
+    workload, so each workload's trace is built and compiled once.
+    Returns the queued shards' accounting.
+    """
+    if store is None and (
+        shard_size is not None or any(scenario.jobs != 1 for scenario in scenarios)
+    ):
+        raise ValueError(
+            "queued execution (shard_size, or jobs != 1) requires a result store; "
+            "use 'python -m repro study run --jobs N' for worker processes"
+        )
+    report = ShardReport()
+    by_workload: Dict[WorkloadSpec, List[Scenario]] = {}
+    for scenario in scenarios:
+        by_workload.setdefault(scenario.workload, []).append(scenario)
+    runner = ShardRunner()
+    for group in by_workload.values():
+        for scenario in group:
+            if shard_size is None and scenario.jobs == 1:
+                (shard,) = plan_shards(scenario.spec_hash(), scenario.runs, scenario.runs)
+                payload = runner.execute(shard_task(scenario, shard, scenario.engine))
+                record(scenario, *reassemble_campaign(scenario, [shard], lambda _: payload))
+                continue
+            campaign, miss_summary, shards = execute_scenario_sharded(
+                scenario, store, shard_size=shard_size or None, resume=resume
+            )
+            report.merge(shards)
+            record(scenario, campaign, miss_summary)
+            # The recorded campaign entry supersedes its shards; drop them so
+            # the store does not keep one shard file per lane range forever.
+            store.clear_shards(scenario.spec_hash())
+    return report
+
+
 def execute_scenario_sharded(
     scenario: Scenario,
     store: ResultStore,
@@ -129,7 +189,7 @@ def execute_scenario_sharded(
     resume: bool = False,
     lease_ttl: float = DEFAULT_LEASE_TTL,
 ) -> Tuple[CampaignResult, Dict[str, float], ShardReport]:
-    """Execute one seed campaign through the sharded work-queue pipeline.
+    """Execute one campaign (seeds or layouts) through the store's queue.
 
     ``jobs`` defaults to the scenario's own ``jobs`` field (``0`` = one
     worker per CPU); ``shard_size`` defaults to the planner's heuristic.
@@ -138,11 +198,6 @@ def execute_scenario_sharded(
     are dropped first.  Returns the reassembled campaign (bit-exact with
     serial execution), its miss summary, and the shard accounting.
     """
-    if scenario.campaign != "seeds":
-        raise ValueError(
-            "sharded execution covers seed campaigns; layout campaigns run "
-            "through the in-process pool (repro.exec.pool)"
-        )
     get_engine(scenario.engine)  # unknown engines fail before any work
     spec_hash = scenario.spec_hash()
     workers = min(resolve_jobs(scenario.jobs if jobs is None else jobs), scenario.runs)
@@ -177,7 +232,9 @@ def execute_scenario_sharded(
                 for future in futures:
                     future.result()
         _await_foreign_shards(scenario, shards, store, queue, lease_ttl)
-    campaign, miss_summary = reassemble_campaign(scenario, shards, store)
+    campaign, miss_summary = reassemble_campaign(
+        scenario, shards, lambda shard: store.load_shard(spec_hash, shard.key)
+    )
     return campaign, miss_summary, report
 
 
@@ -193,7 +250,7 @@ def _await_foreign_shards(
 
     The worker loop only executes what it can claim; a shard leased by a
     live foreign owner — an attached ``python -m repro worker``, or an
-    orphaned pool worker of a killed coordinator — is left alone.  Those
+    orphaned worker process of a killed coordinator — is left alone.  Those
     shards are waited out here: each either gets published by its owner or
     its lease dies (pid gone, or TTL expiry), at which point an inline
     worker pass reclaims and executes it.  A retired task whose shard entry

@@ -1,13 +1,15 @@
-"""Shard planning: split a campaign into independent seed-range shards.
+"""Shard planning: split a campaign into independent lane-range shards.
 
-A *shard* is the unit of distributable work in :mod:`repro.exec`: a
-contiguous ``(start, count)`` slice of one campaign's per-run seed list,
-identified by the campaign's **spec hash** plus the slice coordinates.
-Because per-run seeds derive deterministically from the campaign master
-seed (:func:`repro.core.prng.derive_run_seeds`) and runs never share cache
-state, any partition of the seed list can be executed in any order, by any
+A *shard* is the unit of work in :mod:`repro.exec`: a contiguous
+``(start, count)`` slice of one campaign's lanes — its per-run seeds, or
+the memory layouts of a layout campaign — identified by the campaign's
+**spec hash** plus the slice coordinates.  Because seeds and layouts
+derive deterministically from the campaign master seed
+(:func:`repro.core.prng.derive_run_seeds`,
+:func:`repro.workloads.base.random_layouts`) and runs never share cache
+state, any partition of the lanes can be executed in any order, by any
 number of workers, on any host — and reassembling the per-shard results in
-seed order reproduces the serial campaign bit-exactly.
+lane order reproduces the serial campaign bit-exactly.
 
 The plan itself is pure data and deterministic: ``plan_shards(spec_hash,
 runs, shard_size)`` always yields the same shards, so a crashed campaign
@@ -72,7 +74,7 @@ def shard_key(start: int, count: int) -> str:
 
 @dataclass(frozen=True)
 class Shard:
-    """One ``(spec_hash, seed-range)`` slice of a campaign."""
+    """One ``(spec_hash, lane-range)`` slice of a campaign."""
 
     spec_hash: str
     index: int
@@ -91,7 +93,7 @@ class Shard:
 
 
 def plan_shards(spec_hash: str, runs: int, shard_size: int) -> List[Shard]:
-    """Split a ``runs``-run campaign into contiguous seed-range shards.
+    """Split a ``runs``-run campaign into contiguous lane-range shards.
 
     The plan is deterministic in ``(runs, shard_size)``: resuming a
     campaign with the same shard size re-plans the exact same shards, so

@@ -1,12 +1,12 @@
 """File-backed work queue with shard leases.
 
 The queue is a directory (``<store>/queue`` by default) shared by every
-worker of a campaign — in-process pool workers and separately launched
-``python -m repro worker`` processes alike:
+worker of a campaign — the executor's worker processes and separately
+launched ``python -m repro worker`` processes alike:
 
 * ``tasks/<spec_hash>.<key>.json`` — one picklable-free JSON task per
   pending shard: the scenario's canonical spec, the engine name and the
-  ``(start, count)`` seed slice.  Everything a worker on any host needs to
+  ``(start, count)`` lane slice.  Everything a worker on any host needs to
   rebuild the simulation.
 * ``leases/<spec_hash>.<key>.lease`` — an atomically created claim marker
   holding the owner id, host, pid and an expiry deadline.  A shard is

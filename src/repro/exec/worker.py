@@ -2,18 +2,16 @@
 
 A worker is a claim loop over a :class:`~repro.exec.queue.FileQueue`: lease
 one shard, rebuild its simulation from the self-contained task payload
-(canonical scenario spec + engine name + seed slice), run it through the
-engine registry, publish the per-run results as a content-hash-keyed shard
-entry in the :class:`~repro.study.store.ResultStore`, retire the task, and
-repeat until nothing is claimable.  The same loop backs both execution
-modes:
-
-* **in-process pool** — the sharded executor submits ``run_worker`` to a
-  process pool, one call per worker (:mod:`repro.exec.executor`);
-* **external processes** — ``python -m repro worker --store DIR`` runs the
-  identical loop against the same queue directory, so extra workers (or,
-  with a shared filesystem, extra hosts) can be attached to a campaign
-  that another process planned.
+(canonical scenario spec + engine name + lane range), run it through the
+engine registry, publish the per-lane results as a content-hash-keyed
+shard entry in the :class:`~repro.study.store.ResultStore`, retire the
+task, and repeat until nothing is claimable.  A lane is a per-run seed of
+a seed campaign or a memory layout of a layout campaign; one
+:class:`ShardRunner` executes both.  The same loop drains the queue for
+the executor's worker processes (:mod:`repro.exec.executor`) and for
+separately launched ``python -m repro worker --store DIR`` processes, so
+extra workers (or, with a shared filesystem, extra hosts) can be attached
+to a campaign that another process planned.
 
 Workers resolve engines **by registry name**; external workers therefore
 see the built-in engines (plus whatever their interpreter registered at
@@ -32,15 +30,18 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
+from ..analysis.campaign import run_layout_campaign
 from ..cache.fastsim import CompiledTrace, FastRunResult
 from ..core.prng import derive_run_seeds
 from ..cpu.core import ExecutionTimingModel, timing_overhead_cycles
-from ..engine import get_engine
-from ..study.scenario import SPEC_VERSION, Scenario, scenario_from_spec
+from ..cpu.trace import Trace
+from ..engine import EngineSimulator, get_engine
+from ..study.scenario import SPEC_VERSION, Scenario, WorkloadSpec, scenario_from_spec
 from ..study.store import ResultStore
-from .plan import Shard, shard_key
+from ..workloads.base import random_layouts
+from .plan import Shard
 from .queue import DEFAULT_LEASE_TTL, FileQueue, default_owner_id
 from .telemetry import WorkerTelemetry
 
@@ -49,7 +50,6 @@ __all__ = [
     "WorkerStats",
     "run_worker",
     "shard_task",
-    "shard_payload_from_results",
 ]
 
 #: Environment knob: seconds to sleep between claiming and executing each
@@ -71,20 +71,21 @@ def shard_task(scenario: Scenario, shard: Shard, engine: str) -> Dict[str, objec
     }
 
 
-def shard_payload_from_results(
+def _shard_payload(
     task: Dict[str, object],
     workload: str,
-    results: List[FastRunResult],
-    overhead_cycles: int,
+    cycles: List[int],
+    results: Sequence[FastRunResult] = (),
 ) -> Dict[str, object]:
-    """Flatten one shard's run results into the published store entry.
+    """One shard's per-lane results as the published store entry.
 
     Cycles include the execute-stage overhead, exactly as the serial
-    campaign path records them; the per-run miss counters carry everything
-    the reassembler needs to rebuild the campaign's miss summary with
-    identical floating-point arithmetic.
+    campaign path records them.  Seed shards also carry the per-run miss
+    counters the reassembler rebuilds the campaign's miss summary from;
+    layout shards publish cycles only, so layout campaigns keep an empty
+    miss summary.
     """
-    return {
+    payload: Dict[str, object] = {
         "version": SPEC_VERSION,
         "spec_hash": task["spec_hash"],
         "key": task["key"],
@@ -92,55 +93,89 @@ def shard_payload_from_results(
         "count": task["count"],
         "workload": workload,
         "engine": task["engine"],
-        "cycles": [result.cycles + overhead_cycles for result in results],
-        "memory_accesses": [result.memory_accesses for result in results],
-        "il1_misses": [result.il1_misses for result in results],
-        "dl1_misses": [result.dl1_misses for result in results],
-        "l2_misses": [result.l2_misses for result in results],
+        "cycles": cycles,
     }
+    if results:
+        payload.update(
+            memory_accesses=[result.memory_accesses for result in results],
+            il1_misses=[result.il1_misses for result in results],
+            dl1_misses=[result.dl1_misses for result in results],
+            l2_misses=[result.l2_misses for result in results],
+        )
+    return payload
 
 
 class ShardRunner:
-    """Executes shard tasks, caching the built simulation per spec hash.
+    """Executes shard tasks: lane ranges of seed or layout campaigns.
 
-    A worker draining a queue typically sees many shards of few campaigns;
-    building (trace, compiled trace, simulator, seed list) once per spec
-    hash keeps the per-shard cost at the simulation itself.
+    A drain sees one campaign's shards back to back (workers claim tasks in
+    sorted order, and the inline drain groups campaigns by workload), so the
+    runner keeps only what the next shard can reuse: the current workload's
+    trace and compiled traces, plus the current seed campaign's simulator
+    and seed list.  The previous campaign's simulator is dropped before the
+    next one is built, so a long-lived worker holds one simulator however
+    many campaigns it drains.
     """
 
     def __init__(self) -> None:
-        self._built: Dict[str, Tuple[str, object, int, List[int]]] = {}
+        self._workload: Optional[WorkloadSpec] = None
+        self._trace: Optional[Trace] = None
+        self._overhead = 0
+        self._compiled: Dict[int, CompiledTrace] = {}  # line size -> compiled
+        self._campaign = ""  # "<spec hash>.<engine>" of the task last run
+        self._simulator: Optional[EngineSimulator] = None
+        self._seeds: List[int] = []
 
     def execute(self, task: Dict[str, object]) -> Dict[str, object]:
-        """Run one task's seed slice; returns the publishable shard entry."""
+        """Run one task's lane range; returns the publishable shard entry."""
         spec_hash = str(task["spec_hash"])
-        engine_name = str(task["engine"])
-        cache_key = f"{spec_hash}.{engine_name}"
-        built = self._built.get(cache_key)
-        if built is None:
-            scenario = scenario_from_spec(task["spec"])  # type: ignore[arg-type]
-            if scenario.spec_hash() != spec_hash:
-                raise ValueError(
-                    f"task spec hash {spec_hash[:12]} does not match its spec "
-                    "payload; refusing to execute a corrupt task"
-                )
-            config = scenario.hierarchy.config()
-            trace = scenario.workload.build_trace()
-            compiled = CompiledTrace(trace, line_size=config.il1.line_size)
-            simulator = get_engine(engine_name).simulator(config, compiled)
-            overhead = timing_overhead_cycles(trace, ExecutionTimingModel())
-            seeds = derive_run_seeds(scenario.effective_seed, scenario.runs)
-            built = (trace.name, simulator, overhead, seeds)
-            self._built[cache_key] = built
-        workload, simulator, overhead, seeds = built
+        scenario = scenario_from_spec(task["spec"])  # type: ignore[arg-type]
+        if scenario.spec_hash() != spec_hash:
+            raise ValueError(
+                f"task spec hash {spec_hash[:12]} does not match its spec "
+                "payload; refusing to execute a corrupt task"
+            )
         start, count = int(task["start"]), int(task["count"])
-        if start < 0 or count < 1 or start + count > len(seeds):
+        if start < 0 or count < 1 or start + count > scenario.runs:
             raise ValueError(
                 f"shard slice [{start}, {start + count}) is outside the "
-                f"campaign's {len(seeds)} runs"
+                f"campaign's {scenario.runs} runs"
             )
-        results = simulator.run_batch(seeds[start : start + count])
-        return shard_payload_from_results(task, workload, results, overhead)
+        engine = str(task["engine"])
+        campaign = f"{spec_hash}.{engine}"
+        if campaign != self._campaign:
+            # Free the previous campaign's simulator before building anything.
+            self._simulator, self._campaign = None, campaign
+        if scenario.campaign == "layouts":
+            layouts = random_layouts(scenario.runs, master_seed=scenario.effective_seed)
+            measured = run_layout_campaign(
+                scenario.workload.layout_builder(),
+                scenario.hierarchy.config(),
+                runs=count,
+                layouts=layouts[start : start + count],
+                engine=engine,
+            )
+            return _shard_payload(task, measured.workload, measured.execution_times)
+        if self._simulator is None:
+            self._simulator = self._build_simulator(scenario, engine)
+            self._seeds = derive_run_seeds(scenario.effective_seed, scenario.runs)
+        results = self._simulator.run_batch(self._seeds[start : start + count])
+        cycles = [result.cycles + self._overhead for result in results]
+        return _shard_payload(task, self._trace.name, cycles, results)  # type: ignore[union-attr]
+
+    def _build_simulator(self, scenario: Scenario, engine: str) -> EngineSimulator:
+        """A simulator for ``scenario``, reusing the workload's trace."""
+        if scenario.workload != self._workload:
+            # Free the previous workload's traces before building the next.
+            self._workload, self._trace, self._compiled = None, None, {}
+            self._trace = scenario.workload.build_trace()
+            self._overhead = timing_overhead_cycles(self._trace, ExecutionTimingModel())
+            self._workload = scenario.workload
+        config = scenario.hierarchy.config()
+        line_size = config.il1.line_size
+        if line_size not in self._compiled:
+            self._compiled[line_size] = CompiledTrace(self._trace, line_size=line_size)
+        return get_engine(engine).simulator(config, self._compiled[line_size])
 
 
 @dataclass

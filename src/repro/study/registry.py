@@ -71,7 +71,7 @@ class StudyOutcome:
 
     @property
     def report(self):
-        """The execution report (cache hits, batches, stores)."""
+        """The execution report (cache hits, simulations, stores, shards)."""
         return self.results.report
 
 

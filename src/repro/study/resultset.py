@@ -59,9 +59,8 @@ class ExecutionReport:
     cache_hits: int = 0
     simulated: int = 0
     stored: int = 0
-    batches: int = 0
-    #: Sharded-execution accounting (``repro.exec``); all zero unless the
-    #: plan ran with a shard size.  ``shards_reused`` counts entries a
+    #: Queued-execution accounting (``repro.exec``); all zero when every
+    #: campaign drained inline.  ``shards_reused`` counts entries a
     #: previous (killed) run already published and a ``--resume`` rerun
     #: did not have to execute again.
     shards_planned: int = 0
@@ -84,8 +83,8 @@ class ExecutionReport:
             )
         line = (
             f"simulated {self.simulated} of {self.planned} scenarios "
-            f"({self.cache_hits} from the result store, {self.batches} engine "
-            f"batches, {self.stored} new results stored)"
+            f"({self.cache_hits} from the result store, {self.stored} new "
+            "results stored)"
         )
         if self.shards_planned:
             line += (

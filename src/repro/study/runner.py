@@ -1,41 +1,33 @@
-"""Plan execution: deduplicate, resolve from the store, batch, simulate.
+"""Plan execution: deduplicate, resolve from the store, execute, record.
 
 The runner turns a list of :class:`~repro.study.scenario.Scenario` objects
-into a :class:`~repro.study.resultset.ResultSet` in four steps:
+into a :class:`~repro.study.resultset.ResultSet` in three steps:
 
 1. **Deduplicate** — scenarios with the same spec hash are simulated once
    and share their campaign.
 2. **Resolve** — with a :class:`~repro.study.store.ResultStore`, any
    scenario whose spec hash is already stored is loaded instead of
    simulated.
-3. **Batch** — remaining scenarios are grouped by workload (the trace is
-   built and compiled once per group — compilation only depends on the L1
-   line size) and, within a workload, by hierarchy and engine.  Scenarios
-   sharing a (trace, hierarchy, engine) triple have their per-run seed
-   lists concatenated into a **single** ``run_batch`` call, so a batch
-   engine such as ``numpy`` simulates the whole sub-sweep as one array
-   program instead of once per scenario.
-4. **Execute and persist** — campaigns run through the existing
-   campaign/parallel/engine layers; fresh results (execution times plus the
-   per-level miss summary) are written back to the store.
+3. **Execute and record** — the remaining campaigns go to
+   :func:`repro.exec.executor.execute_campaigns`, which treats each one as a
+   lane range (seeds or memory layouts) and drains it inline or through the
+   store's work queue; each reassembled campaign (execution times plus the
+   per-level miss summary) is written back to the store.
 
 Every path is bit-exact with calling
-:func:`repro.analysis.campaign.run_campaign` once per scenario: batching
-only concatenates independent seed lists, and the engines guarantee
-identical results for identical seeds.
+:func:`repro.analysis.campaign.run_campaign` (or ``run_layout_campaign``)
+once per scenario: lanes are independent, and the reassembler merges them
+in lane order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..analysis.campaign import CampaignResult, run_campaign, run_layout_campaign
-from ..core.prng import derive_run_seeds
-from ..cpu.core import TraceDrivenCore
-from ..cache.fastsim import CompiledTrace
+from ..analysis.campaign import CampaignResult
 from ..engine import get_engine
 from .resultset import ExecutionReport, ResultSet, ScenarioOutcome
-from .scenario import HierarchySpec, Scenario, WorkloadSpec
+from .scenario import Scenario
 from .store import ResultStore
 
 __all__ = ["execute_scenarios"]
@@ -57,20 +49,6 @@ class _Executed:
         self.from_cache = from_cache
 
 
-def _campaign_from_batch(scenario: Scenario, results) -> Tuple[CampaignResult, Dict[str, float]]:
-    """Assemble a campaign from wrapped batch results, extracting miss data."""
-    campaign = CampaignResult(
-        workload="",  # filled by caller
-        setup=scenario.display_label,
-        execution_times=[result.cycles for result in results],
-        run_results=list(results),
-        master_seed=scenario.effective_seed,
-    )
-    miss_summary = campaign.miss_summary()
-    campaign.run_results = []  # drop per-run detail; the summary is kept
-    return campaign, miss_summary
-
-
 def execute_scenarios(
     scenarios: Sequence[Scenario],
     store: Optional[ResultStore] = None,
@@ -84,19 +62,19 @@ def execute_scenarios(
     fresh results are persisted.  ``use_cache=False`` keeps writing results
     but ignores existing entries (a forced refresh).
 
-    ``shard_size`` switches seed campaigns onto the sharded work-queue
-    pipeline (:mod:`repro.exec`): each campaign is split into seed-range
-    shards executed through the store's file queue and published as
-    individual shard entries, so a killed run loses at most its in-flight
-    shards.  ``0`` selects the queue pipeline with the planner's per-campaign
-    heuristic size (used by the analysis server, whose jobs always go
-    through the queue so external workers can join).  Requires a ``store``.
-    With ``resume=True`` the shard entries a previous (killed) run already
-    published are reused and only the missing shards execute; the
-    reassembled campaign is bit-exact with serial execution either way.
+    Campaigns with ``jobs == 1`` run inline in this process.  ``shard_size``
+    — or a scenario with ``jobs != 1`` — sends campaigns through the store's
+    sharded work queue (:mod:`repro.exec`) instead: each campaign is split
+    into lane-range shards published individually, so a killed run loses at
+    most its in-flight shards and worker processes (this run's, or attached
+    ``python -m repro worker`` processes) drain them.  ``0`` selects the
+    planner's per-campaign heuristic size (used by the analysis server,
+    whose jobs always go through the queue).  Queued execution requires a
+    ``store``; without one it raises :class:`ValueError` before any
+    simulation.  With ``resume=True`` the shard entries a previous (killed)
+    run already published are reused and only the missing shards execute;
+    the reassembled campaign is bit-exact with serial execution either way.
     """
-    if shard_size is not None and store is None:
-        raise ValueError("sharded execution (shard_size) requires a result store")
     # ``planned`` counts unique specs: scenarios sharing a spec hash are one
     # unit of work (simulated or cache-resolved once), however many labels
     # they fan out to in the result set.
@@ -121,7 +99,26 @@ def execute_scenarios(
         pending.append(scenario)
         pending_hashes.add(spec_hash)
 
-    _simulate(pending, resolved, store, report, shard_size=shard_size, resume=resume)
+    def record(
+        scenario: Scenario, campaign: CampaignResult, miss_summary: Dict[str, float]
+    ) -> None:
+        resolved[scenario.spec_hash()] = _Executed(campaign, miss_summary, from_cache=False)
+        report.simulated += 1
+        if store is not None:
+            store.save(scenario, campaign, miss_summary)
+            report.stored += 1
+
+    if pending:
+        # Imported lazily: repro.exec imports study modules at top level, so
+        # the study package must not import it during its own initialisation.
+        from ..exec.executor import execute_campaigns
+
+        shards = execute_campaigns(
+            pending, store, record, shard_size=shard_size, resume=resume
+        )
+        report.shards_planned = shards.planned
+        report.shards_reused = shards.reused
+        report.shards_executed = shards.executed
 
     outcomes = []
     for scenario in scenarios:
@@ -139,146 +136,3 @@ def execute_scenarios(
             )
         )
     return ResultSet(outcomes, report=report)
-
-
-def _simulate(
-    pending: Sequence[Scenario],
-    resolved: Dict[str, _Executed],
-    store: Optional[ResultStore],
-    report: ExecutionReport,
-    shard_size: Optional[int] = None,
-    resume: bool = False,
-) -> None:
-    """Simulate unique scenarios, grouped for trace and batch sharing."""
-    by_workload: Dict[WorkloadSpec, List[Scenario]] = {}
-    for scenario in pending:
-        by_workload.setdefault(scenario.workload, []).append(scenario)
-
-    for workload, group in by_workload.items():
-        trace = None
-        compiled: Dict[int, CompiledTrace] = {}  # line size -> compiled trace
-        batchable: Dict[Tuple[HierarchySpec, str], List[Scenario]] = {}
-        for scenario in group:
-            if scenario.campaign == "layouts":
-                _run_layouts(workload, scenario, resolved, store, report)
-            elif shard_size is not None:
-                _run_sharded(scenario, shard_size, resume, resolved, store, report)
-            elif scenario.jobs != 1:
-                # Parallel campaigns go through the process-pool executor
-                # one scenario at a time (workers already batch per chunk).
-                if trace is None:
-                    trace = workload.build_trace()
-                campaign = run_campaign(
-                    trace,
-                    scenario.hierarchy.config(),
-                    runs=scenario.runs,
-                    master_seed=scenario.effective_seed,
-                    setup=scenario.display_label,
-                    engine=scenario.engine,
-                    jobs=scenario.jobs,
-                    keep_run_results=True,
-                )
-                miss_summary = campaign.miss_summary()
-                campaign.run_results = []
-                _record(scenario, campaign, miss_summary, resolved, store, report)
-                report.batches += 1
-            else:
-                batchable.setdefault(
-                    (scenario.hierarchy, scenario.engine), []
-                ).append(scenario)
-
-        for (hierarchy, engine), subgroup in batchable.items():
-            if trace is None:
-                trace = workload.build_trace()
-            config = hierarchy.config()
-            line_size = config.il1.line_size
-            if line_size not in compiled:
-                compiled[line_size] = CompiledTrace(trace, line_size=line_size)
-            core = TraceDrivenCore(config, trace, compiled=compiled[line_size])
-            # One engine call for the whole sub-sweep: concatenate every
-            # scenario's seed list, simulate, then split back per scenario.
-            seed_lists = [
-                derive_run_seeds(scenario.effective_seed, scenario.runs)
-                for scenario in subgroup
-            ]
-            all_seeds = [seed for seeds in seed_lists for seed in seeds]
-            results = core.run_batch(all_seeds, engine=engine)
-            report.batches += 1
-            cursor = 0
-            for scenario, seeds in zip(subgroup, seed_lists):
-                chunk = results[cursor : cursor + len(seeds)]
-                cursor += len(seeds)
-                campaign, miss_summary = _campaign_from_batch(scenario, chunk)
-                campaign.workload = trace.name
-                _record(scenario, campaign, miss_summary, resolved, store, report)
-
-
-def _run_sharded(
-    scenario: Scenario,
-    shard_size: int,
-    resume: bool,
-    resolved: Dict[str, _Executed],
-    store: Optional[ResultStore],
-    report: ExecutionReport,
-) -> None:
-    """Execute one seed campaign through the sharded work-queue pipeline."""
-    # Imported lazily, like the parallel executor in run_campaign: repro.exec
-    # imports study modules at top level, so the study package must not
-    # import it during its own initialisation.
-    from ..exec.executor import execute_scenario_sharded
-
-    assert store is not None  # guarded in execute_scenarios
-    campaign, miss_summary, shard_report = execute_scenario_sharded(
-        scenario,
-        store,
-        jobs=scenario.jobs,
-        # 0 = "queue pipeline, heuristic size": the sharded executor resolves
-        # None through the planner's per-campaign heuristic.
-        shard_size=shard_size or None,
-        resume=resume,
-    )
-    report.shards_planned += shard_report.planned
-    report.shards_reused += shard_report.reused
-    report.shards_executed += shard_report.executed
-    _record(scenario, campaign, miss_summary, resolved, store, report)
-    # The recorded campaign entry supersedes its shards; drop them so the
-    # store does not accumulate one shard file per seed range forever.
-    store.clear_shards(scenario.spec_hash())
-    report.batches += 1
-
-
-def _run_layouts(
-    workload: WorkloadSpec,
-    scenario: Scenario,
-    resolved: Dict[str, _Executed],
-    store: Optional[ResultStore],
-    report: ExecutionReport,
-) -> None:
-    """Execute one deterministic layout campaign (no cross-scenario batching)."""
-    campaign = run_layout_campaign(
-        workload.layout_builder(),
-        scenario.hierarchy.config(),
-        runs=scenario.runs,
-        master_seed=scenario.effective_seed,
-        setup=scenario.display_label,
-        engine=scenario.engine,
-        jobs=scenario.jobs,
-    )
-    # Layout campaigns do not keep per-run cache statistics.
-    _record(scenario, campaign, {}, resolved, store, report)
-    report.batches += 1
-
-
-def _record(
-    scenario: Scenario,
-    campaign: CampaignResult,
-    miss_summary: Dict[str, float],
-    resolved: Dict[str, _Executed],
-    store: Optional[ResultStore],
-    report: ExecutionReport,
-) -> None:
-    resolved[scenario.spec_hash()] = _Executed(campaign, miss_summary, from_cache=False)
-    report.simulated += 1
-    if store is not None:
-        store.save(scenario, campaign, miss_summary)
-        report.stored += 1

@@ -13,9 +13,9 @@ hash keys the on-disk result store (:mod:`repro.study.store`).  Fields that
 cannot change the simulated execution times are deliberately **excluded**
 from the hash:
 
-* ``engine`` and ``jobs`` — every built-in engine is bit-exact and parallel
-  campaigns are reassembled in seed order, so these only trade wall-clock
-  time (see :mod:`repro.engine` and :mod:`repro.analysis.parallel`);
+* ``engine`` and ``jobs`` — every built-in engine is bit-exact and queued
+  campaigns are reassembled in lane order, so these only trade wall-clock
+  time (see :mod:`repro.engine` and :mod:`repro.exec`);
 * ``mbpta`` — the MBPTA protocol is post-processing applied to the stored
   execution times, not part of the measurement;
 * ``label`` — presentation only.
@@ -130,7 +130,7 @@ class WorkloadSpec:
         return synthetic_vector_trace(self.footprint_bytes, iterations=self.iterations)
 
     def layout_builder(self) -> Callable[[MemoryLayout], Trace]:
-        """A picklable layout -> trace builder (for layout campaigns)."""
+        """The layout -> trace builder of this workload's layout campaigns."""
         if self.kind == "eembc":
             return EembcLayoutTraceBuilder(self.name, scale=self.scale)
         raise ValueError(

@@ -13,10 +13,9 @@ Entries use the **binary columnar format** of :mod:`repro.study.columnar`:
 the per-run arrays are typed little-endian blocks (narrowest sufficient
 dtype, checksummed header) instead of JSON text, which removes the
 ``json.dumps``/``json.loads`` serialization tax from every save and every
-warm read.  JSON-era entries (``<hash>.json``) remain readable as a
-**legacy tier** — they load bit-exactly and are rewritten in the columnar
-format on first touch, so old stores need no migration step.  Shard
-entries published by :mod:`repro.exec` workers use the same format.
+warm read.  Shard entries published by :mod:`repro.exec` workers use
+the same format.  A JSON-era entry (``<hash>.json``) is not read: the store
+is a cache, so it is a miss and the campaign re-simulates bit-exactly.
 
 pWCET analyses are persisted alongside, under
 ``analysis/<spec_hash>.<analysis_config_hash>.json``: the second key is
@@ -34,8 +33,8 @@ globs, so the polling consumers — ``exec status``, the analysis server's
 :class:`~repro.service.services.events.StoreWatcher` — read one small
 file per poll instead of enumerating the store.  The manifest is an
 index, never the source of truth: :meth:`load` probes entry files
-directly, a missing manifest is rebuilt by scanning the directories (how
-legacy stores migrate in), and ``clear`` simply deletes it.
+directly, a missing manifest is rebuilt by scanning the directories, and
+``clear`` simply deletes it.
 
 The store is deliberately forgiving: unreadable, truncated or
 version-mismatched files are treated as cache misses (and overwritten by
@@ -50,6 +49,7 @@ import contextlib
 import json
 import os
 import time
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
@@ -125,6 +125,18 @@ def _as_int_column(value: object) -> Optional[np.ndarray]:
     return None
 
 
+def _replace_atomically(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a writer-unique temporary file.
+
+    Two workers that executed the same shard (a lease-reclaim race) publish
+    identical bytes; unique temporary names keep either one's replace from
+    tripping over the other's.
+    """
+    temporary = path.with_name(f"{path.name}.{uuid.uuid4().hex[:8]}.tmp")
+    temporary.write_bytes(data)
+    os.replace(temporary, path)
+
+
 class ResultStore:
     """A directory of ``<spec_hash>.rcol`` scenario results."""
 
@@ -139,10 +151,6 @@ class ResultStore:
 
     def path_for(self, spec_hash: str) -> Path:
         return self.root / f"{spec_hash}{columnar.COLUMNAR_SUFFIX}"
-
-    def legacy_path_for(self, spec_hash: str) -> Path:
-        """Where a JSON-era campaign entry would live (the legacy tier)."""
-        return self.root / f"{spec_hash}.json"
 
     @property
     def manifest_path(self) -> Path:
@@ -170,18 +178,16 @@ class ResultStore:
         """Rebuild the manifest content from the directories themselves."""
         entries: Dict[str, Set[str]] = {kind: set() for kind in _MANIFEST_KINDS}
         if self.root.is_dir():
-            for pattern in (f"*{columnar.COLUMNAR_SUFFIX}", "*.json"):
-                for path in self.root.glob(pattern):
-                    entries["results"].add(path.stem)
+            for path in self.root.glob(f"*{columnar.COLUMNAR_SUFFIX}"):
+                entries["results"].add(path.stem)
         if self.analysis_root.is_dir():
             for path in self.analysis_root.glob("*.json"):
                 if "." in path.stem:
                     entries["analysis"].add(path.stem)
         if self.shard_root.is_dir():
-            for pattern in (f"*{columnar.COLUMNAR_SUFFIX}", "*.json"):
-                for path in self.shard_root.glob(pattern):
-                    if "." in path.stem:
-                        entries["shards"].add(path.stem)
+            for path in self.shard_root.glob(f"*{columnar.COLUMNAR_SUFFIX}"):
+                if "." in path.stem:
+                    entries["shards"].add(path.stem)
         return entries
 
     def _write_manifest(self, entries: Dict[str, Set[str]]) -> None:
@@ -197,10 +203,9 @@ class ResultStore:
     def _ensure_manifest(self) -> bool:
         """Materialize the manifest from a directory scan when absent.
 
-        This is how JSON-era stores (which predate the manifest) migrate
-        in: the first listing scans once, writes the index, and every
-        later listing is a single-file read.  Returns whether a manifest
-        exists afterwards.
+        The first listing scans once, writes the index, and every later
+        listing is a single-file read.  Returns whether a manifest exists
+        afterwards.
         """
         if self.manifest_path.exists():
             return True
@@ -258,19 +263,12 @@ class ResultStore:
         return sorted(self._manifest_read()["results"])
 
     def load(self, spec_hash: str) -> Optional[StoredResult]:
-        """The stored result for ``spec_hash``, or ``None`` (never raises).
-
-        Columnar entries are preferred; a JSON-era entry is read through
-        the legacy tier and upgraded in place on this first touch.
-        """
+        """The stored result for ``spec_hash``, or ``None`` (never raises)."""
         try:
             meta, columns = columnar.unpack_entry(self.path_for(spec_hash).read_bytes())
         except (OSError, ValueError):
-            return self._load_legacy(spec_hash)
-        result = self._result_from_entry(spec_hash, meta, columns)
-        if result is None:
-            return self._load_legacy(spec_hash)
-        return result
+            return None
+        return self._result_from_entry(spec_hash, meta, columns)
 
     def load_columns(
         self, spec_hash: str
@@ -281,32 +279,19 @@ class ResultStore:
         memory-mapped and its blocks come back as zero-copy views — no
         per-element parsing and no Python-int materialization, which is
         what bulk readers (the run-table engine, reassembly, MBPTA fits)
-        want since they hand the data straight to numpy anyway.  Legacy
-        JSON entries go through the usual upgrade-on-touch tier and are
-        converted once.  Returns ``None`` on any miss, like :meth:`load`.
+        want since they hand the data straight to numpy anyway.  Returns
+        ``None`` on any miss, like :meth:`load`.
         """
         try:
             meta, columns = columnar.read_columns(self.path_for(spec_hash))
         except (OSError, ValueError):
-            meta, columns = {}, {}
-        if meta.get("version") == SPEC_VERSION:
-            times = columns.get("execution_times")
-            if times is not None and times.size:
-                return meta, columns
-        result = self._load_legacy(spec_hash)
-        if result is None:
             return None
-        return (
-            {
-                "version": SPEC_VERSION,
-                "spec": result.spec,
-                "workload": result.workload,
-                "setup": result.setup,
-                "master_seed": result.master_seed,
-                "miss_summary": dict(result.miss_summary),
-            },
-            {"execution_times": np.asarray(result.execution_times, dtype=np.int64)},
-        )
+        if meta.get("version") != SPEC_VERSION:
+            return None
+        times = columns.get("execution_times")
+        if times is None or not times.size:
+            return None
+        return meta, columns
 
     def _result_from_entry(
         self,
@@ -337,51 +322,6 @@ class ResultStore:
             return None
         return result
 
-    def _load_legacy(self, spec_hash: str) -> Optional[StoredResult]:
-        """Read a JSON-era entry; valid ones are upgraded to columnar."""
-        try:
-            payload = json.loads(self.legacy_path_for(spec_hash).read_text())
-            if payload["version"] != SPEC_VERSION:
-                return None
-            result = StoredResult(
-                spec_hash=spec_hash,
-                spec=payload["spec"],
-                workload=str(payload["workload"]),
-                setup=str(payload["setup"]),
-                master_seed=int(payload["master_seed"]),
-                execution_times=[int(value) for value in payload["execution_times"]],
-                miss_summary={
-                    str(key): float(value)
-                    for key, value in payload.get("miss_summary", {}).items()
-                },
-            )
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-        if not result.execution_times:
-            return None
-        self._upgrade_entry(result)
-        return result
-
-    def _upgrade_entry(self, result: StoredResult) -> None:
-        """Rewrite one legacy entry in the columnar format (best effort:
-        a read-only store stays readable, just unmigrated)."""
-        try:
-            self._write_entry(
-                result.spec_hash,
-                {
-                    "version": SPEC_VERSION,
-                    "spec": result.spec,
-                    "workload": result.workload,
-                    "setup": result.setup,
-                    "master_seed": result.master_seed,
-                    "miss_summary": dict(result.miss_summary),
-                },
-                {"execution_times": list(result.execution_times)},
-            )
-            self.legacy_path_for(result.spec_hash).unlink(missing_ok=True)
-        except OSError:
-            pass
-
     def _write_entry(
         self,
         spec_hash: str,
@@ -390,9 +330,7 @@ class ResultStore:
     ) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(spec_hash)
-        temporary = path.with_suffix(f"{columnar.COLUMNAR_SUFFIX}.tmp")
-        temporary.write_bytes(columnar.pack_entry(meta, columns))
-        os.replace(temporary, path)
+        _replace_atomically(path, columnar.pack_entry(meta, columns))
         self._manifest_append("+", "results", spec_hash)
         return path
 
@@ -416,10 +354,6 @@ class ResultStore:
             },
             {"execution_times": campaign.execution_times},
         )
-        with contextlib.suppress(OSError):
-            # A save supersedes the legacy entry; dropping it completes the
-            # migration of this key.
-            self.legacy_path_for(spec_hash).unlink(missing_ok=True)
         return path
 
     # ------------------------------------------------------- pWCET analyses
@@ -495,10 +429,6 @@ class ResultStore:
     def shard_path_for(self, spec_hash: str, key: str) -> Path:
         return self.shard_root / f"{spec_hash}.{key}{columnar.COLUMNAR_SUFFIX}"
 
-    def legacy_shard_path_for(self, spec_hash: str, key: str) -> Path:
-        """Where a JSON-era shard entry would live (the legacy tier)."""
-        return self.shard_root / f"{spec_hash}.{key}.json"
-
     def save_shard(self, spec_hash: str, key: str, payload: Dict[str, object]) -> Path:
         """Publish one executed shard atomically; returns the entry path.
 
@@ -518,11 +448,7 @@ class ResultStore:
                 meta[name] = value
         self.shard_root.mkdir(parents=True, exist_ok=True)
         path = self.shard_path_for(spec_hash, key)
-        temporary = path.with_suffix(f"{columnar.COLUMNAR_SUFFIX}.tmp")
-        temporary.write_bytes(columnar.pack_entry(meta, columns))
-        os.replace(temporary, path)
-        with contextlib.suppress(OSError):
-            self.legacy_shard_path_for(spec_hash, key).unlink(missing_ok=True)
+        _replace_atomically(path, columnar.pack_entry(meta, columns))
         self._manifest_append("+", "shards", f"{spec_hash}.{key}")
         return path
 
@@ -530,32 +456,17 @@ class ResultStore:
         """The published shard payload for the key pair, or ``None``.
 
         Unreadable, truncated or version-mismatched entries are misses,
-        never errors — the shard simply gets re-executed.  JSON-era shard
-        entries load through the legacy tier and are upgraded on touch.
+        never errors — the shard simply gets re-executed.
         """
         try:
             meta, columns = columnar.unpack_entry(
                 self.shard_path_for(spec_hash, key).read_bytes()
             )
-            payload: Optional[Dict[str, object]] = {**meta, **columns}
-        except (OSError, ValueError):
-            payload = self._load_legacy_shard(spec_hash, key)
-        if not isinstance(payload, dict) or payload.get("version") != SPEC_VERSION:
-            return None
-        return payload
-
-    def _load_legacy_shard(self, spec_hash: str, key: str) -> Optional[Dict[str, object]]:
-        try:
-            payload = json.loads(self.legacy_shard_path_for(spec_hash, key).read_text())
         except (OSError, ValueError):
             return None
-        if not isinstance(payload, dict):
+        if meta.get("version") != SPEC_VERSION:
             return None
-        if payload.get("version") == SPEC_VERSION:
-            # Upgrade on first touch (save_shard drops the JSON file).
-            with contextlib.suppress(OSError, ValueError, TypeError):
-                self.save_shard(spec_hash, key, payload)
-        return payload
+        return {**meta, **columns}
 
     def shard_keys(self, spec_hash: Optional[str] = None) -> List[Tuple[str, str]]:
         """(spec_hash, shard_key) pairs currently published (sorted;
@@ -574,11 +485,10 @@ class ResultStore:
         if not self.shard_root.is_dir():
             return removed
         prefix = f"{spec_hash}.*" if spec_hash else "*"
-        for pattern in (f"{prefix}{columnar.COLUMNAR_SUFFIX}", f"{prefix}.json"):
-            for path in self.shard_root.glob(pattern):
-                path.unlink()
-                removed += 1
-                self._manifest_append("-", "shards", path.stem)
+        for path in self.shard_root.glob(f"{prefix}{columnar.COLUMNAR_SUFFIX}"):
+            path.unlink()
+            removed += 1
+            self._manifest_append("-", "shards", path.stem)
         for path in self.shard_root.glob("*.tmp"):
             with contextlib.suppress(OSError):
                 path.unlink()
@@ -630,16 +540,13 @@ class ResultStore:
 
     # ------------------------------------------------------------------ GC
 
-    def _entry_paths(self, kind: str, name: str) -> Tuple[Path, ...]:
-        """Where a manifest entry's file(s) may live (columnar + legacy)."""
+    def _entry_path(self, kind: str, name: str) -> Path:
+        """Where a manifest entry's file lives."""
         if kind == "analysis":
-            return (self.analysis_root / f"{name}.json",)
+            return self.analysis_root / f"{name}.json"
         if kind == "shards":
-            return (
-                self.shard_root / f"{name}{columnar.COLUMNAR_SUFFIX}",
-                self.shard_root / f"{name}.json",
-            )
-        return (self.path_for(name), self.legacy_path_for(name))
+            return self.shard_root / f"{name}{columnar.COLUMNAR_SUFFIX}"
+        return self.path_for(name)
 
     def sweep_candidates(
         self,
@@ -672,12 +579,11 @@ class ResultStore:
         kinds = ("analysis",) if analyses_only else ("analysis", "shards")
         for kind in kinds:
             for name in manifest[kind]:
-                for path in self._entry_paths(kind, name):
-                    consider(path)
+                consider(self._entry_path(kind, name))
         straggler_roots = [self.analysis_root]
         if not analyses_only:
             straggler_roots.append(self.shard_root)
-            # Interrupted campaign-entry writers leave ``<hash>.rcol.tmp``
+            # Interrupted campaign-entry writers leave ``<hash>.rcol.*.tmp``
             # beside the results; the glob is tmp-only, entries are safe.
             straggler_roots.append(self.root)
         for root in straggler_roots:
@@ -717,18 +623,16 @@ class ResultStore:
 
     def _discard_swept(self, path: Path) -> None:
         """Mirror a swept entry file into the manifest as a removal."""
-        if path.suffix not in (columnar.COLUMNAR_SUFFIX, ".json"):
-            return
-        if path.parent == self.analysis_root:
+        if path.parent == self.analysis_root and path.suffix == ".json":
             self._manifest_append("-", "analysis", path.stem)
-        elif path.parent == self.shard_root:
+        elif path.parent == self.shard_root and path.suffix == columnar.COLUMNAR_SUFFIX:
             self._manifest_append("-", "shards", path.stem)
 
     def clear_candidates(self) -> Tuple[List[Path], List[Path]]:
         """What :meth:`clear` would delete: ``(entries, bookkeeping)``.
 
-        ``entries`` are the counted store entries (campaign results —
-        columnar and legacy — analyses, shard entries); ``bookkeeping`` are
+        ``entries`` are the counted store entries (campaign results,
+        analyses, shard entries); ``bookkeeping`` are
         temp files, the manifest and study logs, run-table artifacts,
         cached placement maps and queue files, removed but not counted.
         Both sorted; nothing is deleted.  Directory scans (not the
@@ -739,15 +643,14 @@ class ResultStore:
         bookkeeping: List[Path] = []
         if not self.root.is_dir():
             return entries, bookkeeping
-        for directory, patterns in (
-            (self.root, (f"*{columnar.COLUMNAR_SUFFIX}", "*.json")),
-            (self.analysis_root, ("*.json",)),
-            (self.shard_root, (f"*{columnar.COLUMNAR_SUFFIX}", "*.json")),
+        for directory, pattern in (
+            (self.root, f"*{columnar.COLUMNAR_SUFFIX}"),
+            (self.analysis_root, "*.json"),
+            (self.shard_root, f"*{columnar.COLUMNAR_SUFFIX}"),
         ):
             if not directory.is_dir():
                 continue
-            for pattern in patterns:
-                entries.extend(directory.glob(pattern))
+            entries.extend(directory.glob(pattern))
             bookkeeping.extend(directory.glob("*.tmp"))
         for extra in (self.manifest_path, self.study_log_path):
             if extra.exists():

@@ -267,13 +267,12 @@ def eembc_trace(
 
 @dataclass(frozen=True)
 class EembcLayoutTraceBuilder:
-    """Picklable ``layout -> trace`` builder for deterministic layout campaigns.
+    """``layout -> trace`` builder for deterministic layout campaigns.
 
     :func:`repro.analysis.campaign.run_layout_campaign` rebuilds the workload
-    trace once per memory layout; with ``jobs > 1`` that builder is shipped
-    to worker processes, which rules out lambdas and closures under
-    spawn-based multiprocessing.  This small frozen dataclass captures the
-    benchmark name and scale instead.
+    trace once per memory layout.  This small frozen dataclass captures the
+    benchmark name and scale, so a layout shard rebuilds its traces from the
+    scenario spec alone (:meth:`repro.study.WorkloadSpec.layout_builder`).
     """
 
     benchmark: str

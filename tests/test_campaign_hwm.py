@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.analysis.campaign import run_campaign, run_layout_campaign
+from repro.analysis.campaign import CampaignResult, run_campaign, run_layout_campaign
 from repro.analysis.hwm import HwmBound, high_water_mark, industrial_bound
 from repro.cpu.core import ExecutionTimingModel
 from repro.platform.leon3 import platform_setup
 from repro.workloads.base import MemoryLayout, random_layouts
-from repro.workloads.eembc import eembc_trace
+from repro.workloads.eembc import EembcLayoutTraceBuilder, eembc_trace
 
 
 class TestRunCampaign:
@@ -102,6 +102,25 @@ class TestLayoutCampaign:
         a = run_layout_campaign(build, config, runs=6, master_seed=7)
         b = run_layout_campaign(build, config, runs=6, master_seed=7)
         assert a.execution_times == b.execution_times
+
+
+class TestEmptyCampaignValidation:
+    """CampaignResult rejects empty campaigns instead of failing later."""
+
+    def test_empty_execution_times_rejected(self):
+        with pytest.raises(ValueError, match="no execution times"):
+            CampaignResult(workload="w", setup="s", execution_times=[])
+
+    def test_properties_work_on_single_run(self):
+        campaign = CampaignResult(workload="w", setup="s", execution_times=[42])
+        assert campaign.high_water_mark == 42
+        assert campaign.minimum == 42
+        assert campaign.mean == 42.0
+
+    def test_layout_campaign_rejects_zero_runs(self):
+        builder = EembcLayoutTraceBuilder("rspeed", scale=0.1)
+        with pytest.raises(ValueError, match="runs"):
+            run_layout_campaign(builder, platform_setup("modulo"), runs=0)
 
 
 class TestHwm:

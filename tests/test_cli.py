@@ -43,6 +43,18 @@ class TestRun:
         assert main(["run", "ablation_repl", "--runs", "25", "--scale", "0.25"]) == 0
         assert "placement x replacement" in capsys.readouterr().out
 
+    def test_run_rejects_worker_processes(self, capsys):
+        # `run` has no result store, so campaigns cannot go through the queue.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig5", "--runs", "24", "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "study run --jobs N" in capsys.readouterr().err
+
+    def test_run_ignores_repro_jobs(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        assert main(["run", "fig1", "--runs", "20", "--scale", "0.25"]) == 0
+        assert "pWCET" in capsys.readouterr().out
+
 
 class TestEngineSelection:
     def test_engine_choices_come_from_registry(self):

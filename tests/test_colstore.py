@@ -2,14 +2,15 @@
 
 The codec itself is a pure function pinned by round-trip tests; what these
 tests certify is the *storage contract*: columnar entries round-trip
-bit-exact with the JSON era, JSON-era entries stay readable (no migration
-flags) and upgrade in place on first touch, corrupt or truncated payloads
-read as misses and self-heal on the next save (mirroring the mapcache
-corruption suite), the manifest stays a disposable index over the entry
-files, and ``clear`` leaves no orphaned files behind.
+bit-exact with the JSON era, JSON-era files are neither read nor listed
+(the store is a cache; those campaigns re-simulate), corrupt or truncated
+payloads read as misses and self-heal on the next save (mirroring the
+mapcache corruption suite), the manifest stays a disposable index over the
+entry files, and ``clear`` leaves no orphaned files behind.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def campaign_for(scenario, times=None):
 MISS_SUMMARY = {"il1_miss_rate": 0.25, "dl1_miss_rate": 0.5, "l2_miss_rate": 0.125}
 
 
-def legacy_entry_payload(scenario, campaign, summary=MISS_SUMMARY):
+def json_era_payload(scenario, campaign, summary=MISS_SUMMARY):
     """A JSON-era store entry, as the pre-columnar code wrote it."""
     return {
         "version": 1,
@@ -150,7 +151,7 @@ class TestCodec:
 
 
 # ---------------------------------------------------------------------------
-# Store: columnar entries + the legacy JSON tier
+# Store: columnar entries
 # ---------------------------------------------------------------------------
 
 
@@ -167,44 +168,6 @@ class TestStoreEntries:
         assert stored.miss_summary == MISS_SUMMARY
         assert stored.spec == scenario.spec_dict()
 
-    def test_legacy_json_entry_loads_without_migration_flags(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        scenario = tiny_scenario()
-        campaign = campaign_for(scenario)
-        store.root.mkdir(parents=True)
-        legacy = store.legacy_path_for(scenario.spec_hash())
-        legacy.write_text(json.dumps(legacy_entry_payload(scenario, campaign)))
-
-        stored = store.load(scenario.spec_hash())
-        assert stored is not None
-        assert stored.execution_times == campaign.execution_times
-        assert stored.miss_summary == MISS_SUMMARY
-
-    def test_legacy_entry_upgrades_in_place_on_first_touch(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        scenario = tiny_scenario()
-        campaign = campaign_for(scenario)
-        store.root.mkdir(parents=True)
-        spec_hash = scenario.spec_hash()
-        store.legacy_path_for(spec_hash).write_text(
-            json.dumps(legacy_entry_payload(scenario, campaign))
-        )
-
-        first = store.load(spec_hash)
-        assert store.path_for(spec_hash).is_file()  # rewritten columnar
-        assert not store.legacy_path_for(spec_hash).exists()  # JSON dropped
-        second = store.load(spec_hash)  # served from the columnar tier now
-        assert second.execution_times == first.execution_times == campaign.execution_times
-
-    def test_legacy_version_mismatch_is_a_miss(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        scenario = tiny_scenario()
-        store.root.mkdir(parents=True)
-        payload = legacy_entry_payload(scenario, campaign_for(scenario))
-        payload["version"] = 999
-        store.legacy_path_for(scenario.spec_hash()).write_text(json.dumps(payload))
-        assert store.load(scenario.spec_hash()) is None
-
     def test_corrupt_columnar_entry_is_a_miss_and_self_heals(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         scenario = tiny_scenario()
@@ -218,32 +181,22 @@ class TestStoreEntries:
         store.save(scenario, campaign, MISS_SUMMARY)  # the next save heals it
         assert store.load(spec_hash).execution_times == campaign.execution_times
 
-    def test_truncated_columnar_entry_falls_back_to_legacy_tier(self, tmp_path):
+    def test_json_era_entry_is_a_miss_and_unlisted(self, tmp_path):
+        # Stores are caches: a valid pre-columnar entry is neither read,
+        # listed nor migrated, so its campaign re-simulates bit-exactly.
         store = ResultStore(tmp_path / "store")
         scenario = tiny_scenario()
-        campaign = campaign_for(scenario)
         spec_hash = scenario.spec_hash()
-        store.save(scenario, campaign, MISS_SUMMARY)
-        # Truncate the columnar file mid-payload; keep a valid legacy entry.
-        frame = store.path_for(spec_hash).read_bytes()
-        store.path_for(spec_hash).write_bytes(frame[: len(frame) // 2])
-        store.legacy_path_for(spec_hash).write_text(
-            json.dumps(legacy_entry_payload(scenario, campaign))
+        store.shard_root.mkdir(parents=True)
+        (store.root / f"{spec_hash}.json").write_text(
+            json.dumps(json_era_payload(scenario, campaign_for(scenario)))
         )
-        stored = store.load(spec_hash)
-        assert stored.execution_times == campaign.execution_times
-
-    def test_save_drops_the_superseded_legacy_file(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        scenario = tiny_scenario()
-        campaign = campaign_for(scenario)
-        store.root.mkdir(parents=True)
-        spec_hash = scenario.spec_hash()
-        store.legacy_path_for(spec_hash).write_text(
-            json.dumps(legacy_entry_payload(scenario, campaign))
-        )
-        store.save(scenario, campaign, MISS_SUMMARY)
-        assert not store.legacy_path_for(spec_hash).exists()
+        (store.shard_root / f"{spec_hash}.0-2.json").write_text(json.dumps(SHARD_PAYLOAD))
+        assert store.load(spec_hash) is None
+        assert store.load_columns(spec_hash) is None
+        assert store.load_shard(spec_hash, "0-2") is None
+        assert store.keys() == [] and store.shard_keys() == []
+        assert not store.path_for(spec_hash).exists()
 
 
 class TestLoadColumns:
@@ -259,25 +212,12 @@ class TestLoadColumns:
         assert isinstance(times, np.ndarray)
         assert times.tolist() == campaign.execution_times
 
-    def test_legacy_entry_is_converted_and_upgraded(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        scenario = tiny_scenario()
-        campaign = campaign_for(scenario)
-        store.root.mkdir(parents=True)
-        spec_hash = scenario.spec_hash()
-        store.legacy_path_for(spec_hash).write_text(
-            json.dumps(legacy_entry_payload(scenario, campaign))
-        )
-        meta, columns = store.load_columns(spec_hash)
-        assert columns["execution_times"].tolist() == campaign.execution_times
-        assert store.path_for(spec_hash).is_file()  # upgraded on touch
-
     def test_missing_key_is_none(self, tmp_path):
         assert ResultStore(tmp_path / "store").load_columns("0" * 64) is None
 
 
 # ---------------------------------------------------------------------------
-# Shards: columnar + legacy tier
+# Shards
 # ---------------------------------------------------------------------------
 
 
@@ -303,17 +243,6 @@ class TestShards:
         assert loaded["workload"] == "synthetic_4KB"
         assert store.shard_path_for("abc", "0-2").suffix == COLUMNAR_SUFFIX
 
-    def test_legacy_json_shard_loads_and_upgrades(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.shard_root.mkdir(parents=True)
-        store.legacy_shard_path_for("abc", "0-2").write_text(
-            json.dumps(SHARD_PAYLOAD)
-        )
-        loaded = store.load_shard("abc", "0-2")
-        assert loaded["cycles"] == SHARD_PAYLOAD["cycles"]
-        assert store.shard_path_for("abc", "0-2").is_file()
-        assert not store.legacy_shard_path_for("abc", "0-2").exists()
-
     def test_corrupt_shard_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.save_shard("abc", "0-2", SHARD_PAYLOAD)
@@ -325,6 +254,28 @@ class TestShards:
         payload = dict(SHARD_PAYLOAD, version=999)
         store.save_shard("abc", "0-2", payload)
         assert store.load_shard("abc", "0-2") is None
+
+    def test_racing_identical_publishes_all_succeed(self, tmp_path):
+        # Two workers that both executed a shard (a lease-reclaim race)
+        # publish identical bytes at once; neither publish may fail.
+        store = ResultStore(tmp_path / "store")
+        errors = []
+
+        def publish():
+            try:
+                for _ in range(200):
+                    store.save_shard("abc", "0-2", SHARD_PAYLOAD)
+            except OSError as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=publish) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.load_shard("abc", "0-2")["cycles"] == SHARD_PAYLOAD["cycles"]
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +342,6 @@ class TestManifest:
             handle.write("? bogus operation\n")
             handle.write("+ unknown-kind name\n")
         assert store.keys() == hashes
-
-    def test_legacy_store_without_manifest_lists_json_entries(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        scenario = tiny_scenario()
-        store.root.mkdir(parents=True)
-        store.legacy_path_for(scenario.spec_hash()).write_text(
-            json.dumps(legacy_entry_payload(scenario, campaign_for(scenario)))
-        )
-        assert store.keys() == [scenario.spec_hash()]
-
 
 # ---------------------------------------------------------------------------
 # GC: sweep and clear leave no orphans

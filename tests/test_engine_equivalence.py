@@ -4,7 +4,7 @@ The production ``numpy`` engine is checked against the ``reference``
 oracle: random traces and configurations are replayed through **all
 registered engines** (so a future backend is automatically covered the
 moment it registers) and every counter must match, run by run — including
-through the campaign and process-pool layers.
+through the campaign layer and the exec queue's worker processes.
 """
 
 import pytest
@@ -18,6 +18,7 @@ from repro.cache.hierarchy import HierarchyConfig, MemoryTimings
 from repro.cpu.core import TraceDrivenCore
 from repro.cpu.trace import Trace
 from repro.engine import available_engines, get_engine
+from repro.study import HierarchySpec, ResultStore, Scenario, WorkloadSpec, execute_scenarios
 
 
 def build_config(
@@ -259,22 +260,26 @@ class TestCampaignLevelEquivalence:
         assert_all_equal(campaigns)
 
     @pytest.mark.parametrize("jobs", [2, 3])
-    def test_numpy_engine_bit_exact_under_process_pool(
-        self, jobs, small_kernel_trace, tiny_hierarchy_config
-    ):
-        """engine='numpy' composes with jobs>1: vectorized chunks per worker."""
-        serial_reference = run_campaign(
-            small_kernel_trace, tiny_hierarchy_config, runs=13, master_seed=3,
-            engine="reference",
-        )
-        parallel_numpy = run_campaign(
-            small_kernel_trace,
-            tiny_hierarchy_config,
+    def test_numpy_engine_bit_exact_under_process_pool(self, jobs, tmp_path):
+        """engine='numpy' composes with jobs>1: queue shards per worker process."""
+        scenario = Scenario(
+            workload=WorkloadSpec.eembc("rspeed", scale=0.1),
+            hierarchy=HierarchySpec.named("hrp"),
             runs=13,
             master_seed=3,
             engine="numpy",
             jobs=jobs,
         )
+        serial_reference = run_campaign(
+            scenario.workload.build_trace(),
+            scenario.hierarchy.config(),
+            runs=13,
+            master_seed=3,
+            engine="reference",
+        )
+        results = execute_scenarios([scenario], store=ResultStore(tmp_path / "store"))
+        assert results.report.shards_executed > 1
+        parallel_numpy = next(iter(results)).campaign
         assert parallel_numpy.execution_times == serial_reference.execution_times
 
     def test_numpy_batch_chunking_is_invisible(self, small_kernel_trace, tiny_hierarchy_config):

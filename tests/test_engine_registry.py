@@ -44,7 +44,6 @@ class TestRegistration:
             name = stub_name
             supports_batch = False
             bit_exact = False
-            requires_pickle = False
 
             def simulator(self, config, compiled):
                 raise NotImplementedError
@@ -87,20 +86,17 @@ class TestCapabilities:
     def test_capability_flags(self):
         reference = get_engine("reference")
         assert not reference.supports_batch
-        assert reference.bit_exact and reference.requires_pickle
+        assert reference.bit_exact
         vectorized = get_engine("numpy")
         assert vectorized.supports_batch and vectorized.bit_exact
-        assert vectorized.requires_pickle
 
     def test_capability_matrix_describes_every_engine(self):
         matrix = engine_capabilities()
         assert set(matrix) == set(available_engines())
         for name, capabilities in matrix.items():
-            assert set(capabilities) == {
-                "name", "supports_batch", "bit_exact", "requires_pickle"
-            }
+            assert set(capabilities) == {"name", "supports_batch", "bit_exact"}
             assert capabilities["name"] == name
-            for flag in ("supports_batch", "bit_exact", "requires_pickle"):
+            for flag in ("supports_batch", "bit_exact"):
                 assert isinstance(capabilities[flag], bool)
 
 

@@ -1,30 +1,35 @@
 """The repro.exec subsystem: planner, queue/leases, workers, reassembly.
 
-The invariant under test everywhere: any shard size, worker count and
-interruption pattern reassembles to a campaign **bit-exact** with serial
-execution — including after SIGKILLing a worker mid-shard and resuming.
+The invariant under test everywhere: any campaign kind (seeds or layouts),
+shard size, worker count and interruption pattern reassembles to a
+campaign **bit-exact** with serial execution — including after SIGKILLing
+a worker mid-shard and resuming.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 import repro
-from repro.analysis.campaign import run_campaign
-from repro.engine import DEFAULT_ENGINE, available_engines
+from repro.analysis.campaign import run_campaign, run_layout_campaign
+from repro.engine import DEFAULT_ENGINE, NumpyEngine, available_engines
 from repro.exec import (
     DEFAULT_SHARD_SIZE,
     FileQueue,
     Shard,
+    ShardRunner,
     execute_scenario_sharded,
     plan_shards,
     read_heartbeats,
@@ -37,6 +42,7 @@ from repro.exec import (
 )
 from repro.exec.status import format_exec_status
 from repro.exec.telemetry import WorkerTelemetry
+from repro.platform.leon3 import Leon3Parameters
 from repro.study.runner import execute_scenarios
 from repro.study.scenario import (
     HierarchySpec,
@@ -58,8 +64,34 @@ def _scenario(runs: int = 12, master_seed: int = 77, engine: str = DEFAULT_ENGIN
     )
 
 
+#: A direct-mapped 512 B L1: small enough that shifted layouts conflict.
+TINY_CACHES = Leon3Parameters(l1_size_bytes=512, l1_ways=1, l2_size_bytes=4096)
+
+
+def _layout_scenario(
+    runs: int = 6, master_seed: int = 77, engine: str = DEFAULT_ENGINE
+) -> Scenario:
+    """A small deterministic layout campaign (the Fig. 4b baseline shape)."""
+    return Scenario(
+        workload=WorkloadSpec.eembc("matrix", scale=0.1),
+        hierarchy=HierarchySpec.named("modulo", TINY_CACHES),
+        runs=runs,
+        master_seed=master_seed,
+        campaign="layouts",
+        engine=engine,
+    )
+
+
 def _serial_times(scenario: Scenario) -> list:
     """The reference serial execution times for ``scenario``."""
+    if scenario.campaign == "layouts":
+        return run_layout_campaign(
+            scenario.workload.layout_builder(),
+            scenario.hierarchy.config(),
+            runs=scenario.runs,
+            master_seed=scenario.effective_seed,
+            engine=scenario.engine,
+        ).execution_times
     campaign = run_campaign(
         scenario.workload.build_trace(),
         scenario.hierarchy.config(),
@@ -69,6 +101,20 @@ def _serial_times(scenario: Scenario) -> list:
         engine=scenario.engine,
     )
     return campaign.execution_times
+
+
+def _enqueue_all(scenario, store, shard_size):
+    """Plan ``scenario`` and enqueue every shard, as a coordinator would."""
+    shards = plan_shards(scenario.spec_hash(), scenario.runs, shard_size)
+    queue = FileQueue(store.queue_root)
+    for shard in shards:
+        queue.enqueue(shard_task(scenario, shard, scenario.engine))
+    return shards, queue
+
+
+def _published(scenario, store):
+    """The reassembler's shard loader for ``scenario``'s entries in ``store``."""
+    return lambda shard: store.load_shard(scenario.spec_hash(), shard.key)
 
 
 # ---------------------------------------------------------------------------
@@ -374,22 +420,36 @@ class TestShardedExecution:
         _, _, report = execute_scenario_sharded(scenario, store, jobs=1, shard_size=4)
         assert report.executed == report.planned
 
-    def test_layout_campaigns_are_rejected(self, tmp_path):
-        scenario = Scenario(
-            workload=WorkloadSpec.eembc("a2time", scale=0.1),
-            hierarchy=HierarchySpec(setup="modulo", with_l2=False),
-            runs=5,
-            campaign="layouts",
+    def test_layout_campaign_through_queue_matches_inline(self, tmp_path):
+        scenario = _layout_scenario()
+        inline = next(iter(execute_scenarios([scenario]))).campaign
+        assert len(set(inline.execution_times)) > 1  # layouts do vary
+        for shard_size in (1, 3, scenario.runs):
+            for jobs in (1, 2):
+                store = ResultStore(tmp_path / f"store-{shard_size}-{jobs}")
+                campaign, miss, report = execute_scenario_sharded(
+                    scenario, store, jobs=jobs, shard_size=shard_size
+                )
+                assert campaign.execution_times == inline.execution_times
+                assert campaign.workload == inline.workload
+                assert miss == {}  # layout campaigns keep no miss counters
+                assert report.executed == report.planned == -(-scenario.runs // shard_size)
+        # A partial run resumes: only the missing layout ranges execute.
+        store = ResultStore(tmp_path / "resumed")
+        shards, queue = _enqueue_all(scenario, store, shard_size=2)
+        assert run_worker(queue.root, store.root, max_shards=1).shards_done == 1
+        campaign, _, report = execute_scenario_sharded(
+            scenario, store, jobs=1, shard_size=2, resume=True
         )
-        with pytest.raises(ValueError, match="layout"):
-            execute_scenario_sharded(scenario, ResultStore(tmp_path / "s"))
+        assert (report.planned, report.reused, report.executed) == (len(shards), 1, 2)
+        assert campaign.execution_times == inline.execution_times
 
     def test_reassemble_names_missing_shards(self, tmp_path):
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
         shards = plan_shards(scenario.spec_hash(), scenario.runs, 4)
         with pytest.raises(RuntimeError, match=shards[0].key):
-            reassemble_campaign(scenario, shards, store)
+            reassemble_campaign(scenario, shards, _published(scenario, store))
 
     def test_worker_heartbeats_recorded(self, tmp_path):
         scenario = _scenario()
@@ -432,16 +492,20 @@ class TestShardedExecution:
 
 
 class TestShardedExecutionProperty:
-    """Hypothesis: any (engine, shard size, worker count) is bit-exact."""
+    """Hypothesis: any (campaign kind, engine, shard size, worker count) is bit-exact."""
 
     @given(
+        kind=st.sampled_from(["seeds", "layouts"]),
         engine=st.sampled_from(sorted(available_engines())),
         shard_size=st.integers(min_value=1, max_value=10),
         jobs=st.sampled_from([1, 2]),
     )
     @hyp_settings(max_examples=8, deadline=None)
-    def test_bit_exact_for_any_partition(self, tmp_path_factory, engine, shard_size, jobs):
-        scenario = _scenario(runs=10, master_seed=31, engine=engine)
+    def test_bit_exact_for_any_partition(
+        self, tmp_path_factory, kind, engine, shard_size, jobs
+    ):
+        make = _layout_scenario if kind == "layouts" else _scenario
+        scenario = make(runs=10, master_seed=31, engine=engine)
         store = ResultStore(tmp_path_factory.mktemp("store"))
         campaign, _, _ = execute_scenario_sharded(
             scenario, store, jobs=jobs, shard_size=shard_size
@@ -450,21 +514,55 @@ class TestShardedExecutionProperty:
 
 
 # ---------------------------------------------------------------------------
+# The lane executor
+# ---------------------------------------------------------------------------
+
+class TestShardRunner:
+    def test_runner_holds_only_the_latest_campaign(self, monkeypatch):
+        # A long-lived worker drains many campaigns: after tasks from two
+        # specs it must have freed the first spec's simulator.
+        built = []
+        original = NumpyEngine.simulator
+
+        def recording(engine, config, compiled):
+            simulator = original(engine, config, compiled)
+            built.append(weakref.ref(simulator))
+            return simulator
+
+        monkeypatch.setattr(NumpyEngine, "simulator", recording)
+        runner = ShardRunner()
+        first, second = _scenario(master_seed=1), _scenario(master_seed=2)
+        for scenario in (first, second):
+            for shard in plan_shards(scenario.spec_hash(), scenario.runs, 6):
+                runner.execute(shard_task(scenario, shard, scenario.engine))
+        gc.collect()
+        assert len(built) == 2  # one simulator per campaign, reused across shards
+        assert built[0]() is None
+        assert built[1]() is not None
+
+    def test_layout_task_runs_its_layout_range(self):
+        scenario = _layout_scenario()
+        shard = plan_shards(scenario.spec_hash(), scenario.runs, 4)[1]
+        payload = ShardRunner().execute(shard_task(scenario, shard, scenario.engine))
+        assert payload["cycles"] == _serial_times(scenario)[shard.start : shard.stop]
+        assert "il1_misses" not in payload
+
+    def test_slice_outside_the_campaign_is_rejected(self):
+        for scenario in (_scenario(), _layout_scenario()):
+            shard = Shard(scenario.spec_hash(), 0, 1, scenario.runs - 1, 2)
+            with pytest.raises(ValueError, match="outside"):
+                ShardRunner().execute(shard_task(scenario, shard, scenario.engine))
+
+
+# ---------------------------------------------------------------------------
 # Crash-resume: SIGKILL an external worker mid-shard
 # ---------------------------------------------------------------------------
 
 class TestCrashResume:
-    def _enqueue_all(self, scenario, store, shard_size):
-        shards = plan_shards(scenario.spec_hash(), scenario.runs, shard_size)
-        queue = FileQueue(store.queue_root)
-        for shard in shards:
-            queue.enqueue(shard_task(scenario, shard, scenario.engine))
-        return shards, queue
-
     def test_sigkilled_worker_leaves_resumable_state(self, tmp_path):
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        shards, queue = self._enqueue_all(scenario, store, shard_size=4)
+        shards, queue = _enqueue_all(scenario, store, shard_size=4)
 
         # External worker, throttled so the kill lands between claiming the
         # first shard and executing it (deterministic kill-mid-shard).
@@ -503,7 +601,7 @@ class TestCrashResume:
         # TTL wait) and the reassembled campaign is bit-exact with serial.
         stats = run_worker(queue.root, store.root, lease_ttl=3600.0)
         assert stats.shards_done == len(shards)
-        campaign, _ = reassemble_campaign(scenario, shards, store)
+        campaign, _ = reassemble_campaign(scenario, shards, _published(scenario, store))
         assert campaign.execution_times == _serial_times(scenario)
 
     def test_executor_waits_out_live_foreign_lease(self, tmp_path):
@@ -527,7 +625,7 @@ class TestCrashResume:
     def test_study_resume_executes_only_missing_shards(self, tmp_path):
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        shards, queue = self._enqueue_all(scenario, store, shard_size=3)
+        shards, queue = _enqueue_all(scenario, store, shard_size=3)
 
         # "Killed" first attempt: the worker exits after two of four shards.
         stats = run_worker(queue.root, store.root, max_shards=2)
@@ -564,6 +662,39 @@ class TestRunnerIntegration:
     def test_shard_size_requires_store(self):
         with pytest.raises(ValueError, match="store"):
             execute_scenarios([_scenario()], store=None, shard_size=4)
+
+    def test_storeless_jobs_raise_before_any_simulation(self, monkeypatch):
+        built = []
+        original = WorkloadSpec.build_trace
+        monkeypatch.setattr(
+            WorkloadSpec, "build_trace", lambda spec: built.append(spec) or original(spec)
+        )
+        with pytest.raises(ValueError, match="study run --jobs N"):
+            execute_scenarios([_scenario(), replace(_scenario(master_seed=5), jobs=2)])
+        assert built == []
+
+    def test_inline_drain_writes_no_queue_or_shard_files(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        scenarios = [_scenario(), _layout_scenario()]
+        results = execute_scenarios(scenarios, store=store)
+        report = results.report
+        assert report.simulated == 2
+        assert (report.shards_planned, report.shards_reused, report.shards_executed) == (0, 0, 0)
+        assert not store.queue_root.exists() and not store.shard_root.exists()
+        for scenario in scenarios:
+            assert results.campaign(scenario.display_label).execution_times == (
+                _serial_times(scenario)
+            )
+
+    def test_layout_campaign_with_shard_size_goes_through_the_queue(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        scenario = _layout_scenario()
+        results = execute_scenarios([scenario], store=store, shard_size=4)
+        assert results.report.shards_planned == results.report.shards_executed == 2
+        assert next(iter(results)).campaign.execution_times == _serial_times(scenario)
+        assert store.shard_keys(scenario.spec_hash()) == []  # superseded by the entry
+        again = execute_scenarios([scenario], store=store, shard_size=4, resume=True)
+        assert again.report.full_cache_hit
 
     def test_report_summary_mentions_shards_only_when_sharded(self, tmp_path):
         store = ResultStore(tmp_path / "store")

@@ -1,26 +1,58 @@
-"""Parallel campaigns must be bit-exact with the serial execution path."""
+"""Campaigns drained by worker processes must be bit-exact with serial ones.
+
+``jobs != 1`` sends a campaign through the store's work queue, where the
+executor's worker processes drain its lane-range shards; the reassembled
+campaign must equal the serial primitives' for seed and layout campaigns.
+"""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.analysis import parallel
-from repro.analysis.campaign import CampaignResult, run_campaign, run_layout_campaign
-from repro.analysis.parallel import (
-    DEFAULT_CHUNK_SIZE,
-    partition_chunks,
-    resolve_jobs,
-    run_campaign_parallel,
-)
-from repro.cache.fastsim import CompiledTrace
-from repro.engine import NumpyEngine, available_engines, register_engine, unregister_engine
-from repro.platform.leon3 import platform_setup
+from repro.analysis.campaign import run_campaign, run_layout_campaign
+from repro.engine import available_engines
+from repro.exec import resolve_jobs
+from repro.platform.leon3 import Leon3Parameters
+from repro.study import HierarchySpec, ResultStore, Scenario, WorkloadSpec, execute_scenarios
 from repro.workloads.base import random_layouts
-from repro.workloads.eembc import EembcLayoutTraceBuilder
 
 
-class RenamedNumpyEngine(NumpyEngine):
-    """Module-level (hence picklable) custom engine for registry tests."""
+def _seed_scenario(runs: int, master_seed: int, **overrides) -> Scenario:
+    return Scenario(
+        workload=WorkloadSpec.eembc("rspeed", scale=0.1),
+        hierarchy=HierarchySpec.named("hrp"),
+        runs=runs,
+        master_seed=master_seed,
+        **overrides,
+    )
 
-    name = "test-custom-numpy"
+
+def _layout_scenario(runs: int, master_seed: int, **overrides) -> Scenario:
+    # A direct-mapped 512 B L1, so that shifted layouts change the timing.
+    caches = Leon3Parameters(l1_size_bytes=512, l1_ways=1, l2_size_bytes=4096)
+    return replace(
+        _seed_scenario(runs, master_seed, **overrides),
+        workload=WorkloadSpec.eembc("matrix", scale=0.1),
+        hierarchy=HierarchySpec.named("modulo", caches),
+        campaign="layouts",
+    )
+
+
+def _executed(scenario: Scenario, tmp_path):
+    """``scenario``'s campaign and report, executed on a fresh store."""
+    results = execute_scenarios([scenario], store=ResultStore(tmp_path / "store"))
+    return next(iter(results)).campaign, results.report
+
+
+def _serial(scenario: Scenario):
+    return run_campaign(
+        scenario.workload.build_trace(),
+        scenario.hierarchy.config(),
+        runs=scenario.runs,
+        master_seed=scenario.effective_seed,
+        engine=scenario.engine,
+        keep_run_results=True,
+    )
 
 
 class TestResolveJobs:
@@ -36,204 +68,71 @@ class TestResolveJobs:
             resolve_jobs(-1)
 
 
-class TestPartitionChunks:
-    def test_chunks_cover_items_in_order(self):
-        items = list(range(100))
-        chunks = partition_chunks(items, jobs=4)
-        flattened = []
-        for start, chunk in chunks:
-            assert start == len(flattened)
-            flattened.extend(chunk)
-        assert flattened == items
-
-    def test_explicit_chunk_size(self):
-        chunks = partition_chunks(list(range(10)), jobs=2, chunk_size=3)
-        assert [len(chunk) for _, chunk in chunks] == [3, 3, 3, 1]
-
-    def test_chunk_size_capped(self):
-        chunks = partition_chunks(list(range(10_000)), jobs=2)
-        assert max(len(chunk) for _, chunk in chunks) <= DEFAULT_CHUNK_SIZE
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            partition_chunks([1, 2, 3], jobs=2, chunk_size=0)
-
-
 class TestParallelSeedCampaign:
     @pytest.mark.parametrize("jobs", [2, 4])
-    def test_bit_exact_with_serial(self, jobs, small_kernel_trace, tiny_hierarchy_config):
-        serial = run_campaign(
-            small_kernel_trace, tiny_hierarchy_config, runs=16, master_seed=11
-        )
-        parallel = run_campaign(
-            small_kernel_trace, tiny_hierarchy_config, runs=16, master_seed=11, jobs=jobs
-        )
+    def test_bit_exact_with_serial(self, jobs, tmp_path):
+        scenario = _seed_scenario(runs=16, master_seed=11, jobs=jobs)
+        parallel, report = _executed(scenario, tmp_path)
+        serial = _serial(scenario)
+        assert report.shards_executed == report.shards_planned > 1
         assert parallel.execution_times == serial.execution_times
         assert parallel.workload == serial.workload
-        assert parallel.setup == serial.setup
         assert parallel.master_seed == serial.master_seed
 
-    def test_bit_exact_across_chunk_sizes(self, small_kernel_trace, tiny_hierarchy_config):
-        serial = run_campaign(
-            small_kernel_trace, tiny_hierarchy_config, runs=10, master_seed=2
-        )
-        for chunk_size in (1, 3, 10):
-            parallel = run_campaign(
-                small_kernel_trace,
-                tiny_hierarchy_config,
-                runs=10,
-                master_seed=2,
-                jobs=2,
-                chunk_size=chunk_size,
-            )
-            assert parallel.execution_times == serial.execution_times
+    def test_keep_run_results_matches_serial(self, tmp_path):
+        # The queue's per-run miss counters reassemble to the serial
+        # campaign's miss summary, float for float.
+        scenario = _seed_scenario(runs=6, master_seed=4, jobs=2)
+        results = execute_scenarios([scenario], store=ResultStore(tmp_path / "store"))
+        assert next(iter(results)).miss_summary == _serial(scenario).miss_summary()
 
-    def test_keep_run_results_matches_serial(self, small_kernel_trace, tiny_hierarchy_config):
-        serial = run_campaign(
-            small_kernel_trace,
-            tiny_hierarchy_config,
-            runs=6,
-            master_seed=4,
-            keep_run_results=True,
-        )
-        parallel = run_campaign(
-            small_kernel_trace,
-            tiny_hierarchy_config,
-            runs=6,
-            master_seed=4,
-            keep_run_results=True,
-            jobs=2,
-        )
-        assert [r.as_dict() for r in parallel.run_results] == [
-            r.as_dict() for r in serial.run_results
-        ]
+    def test_more_jobs_than_runs(self, tmp_path):
+        scenario = _seed_scenario(runs=3, master_seed=8, jobs=4)
+        parallel, _ = _executed(scenario, tmp_path)
+        assert parallel.execution_times == _serial(scenario).execution_times
 
-    def test_more_jobs_than_runs(self, small_kernel_trace, tiny_hierarchy_config):
-        serial = run_campaign(
-            small_kernel_trace, tiny_hierarchy_config, runs=3, master_seed=8
-        )
-        parallel = run_campaign(
-            small_kernel_trace, tiny_hierarchy_config, runs=3, master_seed=8, jobs=4
-        )
-        assert parallel.execution_times == serial.execution_times
-
-    def test_workers_select_engine_by_registry_name(
-        self, small_kernel_trace, tiny_hierarchy_config
-    ):
-        """Any registered engine composes with the process pool, bit-exactly."""
-        serial = run_campaign(
-            small_kernel_trace, tiny_hierarchy_config, runs=6, master_seed=5
-        )
+    def test_workers_select_engine_by_registry_name(self, tmp_path):
+        """Workers rebuild any registered engine from its name, bit-exactly."""
+        serial = _serial(_seed_scenario(runs=6, master_seed=5))
         for engine in available_engines():
-            parallel = run_campaign_parallel(
-                small_kernel_trace,
-                tiny_hierarchy_config,
-                runs=6,
-                master_seed=5,
-                engine=engine,
-                jobs=2,
-            )
+            scenario = _seed_scenario(runs=6, master_seed=5, jobs=2, engine=engine)
+            parallel, _ = _executed(scenario, tmp_path / engine)
             assert parallel.execution_times == serial.execution_times, engine
 
-    def test_unknown_engine_rejected_in_parent(
-        self, small_kernel_trace, tiny_hierarchy_config
-    ):
+    def test_unknown_engine_rejected_in_parent(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        scenario = _seed_scenario(runs=4, master_seed=0, jobs=2, engine="warp")
         with pytest.raises(ValueError, match="unknown engine"):
-            run_campaign_parallel(
-                small_kernel_trace,
-                tiny_hierarchy_config,
-                runs=4,
-                engine="warp",
-                jobs=2,
-            )
-
-    def test_user_registered_engine_composes_with_pool(
-        self, small_kernel_trace, tiny_hierarchy_config
-    ):
-        """Engines registered at runtime work through jobs>1 too."""
-        serial = run_campaign(
-            small_kernel_trace, tiny_hierarchy_config, runs=6, master_seed=21
-        )
-        register_engine(RenamedNumpyEngine())
-        try:
-            parallel_custom = run_campaign_parallel(
-                small_kernel_trace,
-                tiny_hierarchy_config,
-                runs=6,
-                master_seed=21,
-                engine="test-custom-numpy",
-                jobs=2,
-            )
-        finally:
-            unregister_engine("test-custom-numpy")
-        assert parallel_custom.execution_times == serial.execution_times
-
-    def test_worker_initializer_needs_no_registry(
-        self, small_kernel_trace, tiny_hierarchy_config
-    ):
-        """Workers receive the resolved engine object, not a name to re-look-up.
-
-        Spawn-based start methods re-import repro.engine in the child, which
-        only re-registers the built-ins; shipping the resolved object keeps
-        user-registered engines working there.  Simulate that child state by
-        initialising the worker with an engine that is *not* registered.
-        """
-        compiled = CompiledTrace(
-            small_kernel_trace, line_size=tiny_hierarchy_config.il1.line_size
-        )
-        parallel._init_seed_worker(
-            tiny_hierarchy_config, compiled, RenamedNumpyEngine()
-        )
-        try:
-            start, results = parallel._run_seed_chunk((0, [3, 4]))
-        finally:
-            parallel._worker_simulator = None
-        assert start == 0
-        assert [r.cycles for r in results] == [
-            NumpyEngine().simulator(tiny_hierarchy_config, compiled).run(seed).cycles
-            for seed in (3, 4)
-        ]
+            execute_scenarios([scenario], store=store)
+        assert store.keys() == [] and store.shard_keys() == []
 
 
 class TestParallelLayoutCampaign:
     """The deterministic-layout path must also be bit-exact in parallel."""
 
     @pytest.mark.parametrize("jobs", [2, 4])
-    def test_bit_exact_with_serial(self, jobs):
-        builder = EembcLayoutTraceBuilder("rspeed", scale=0.1)
-        config = platform_setup("modulo")
-        serial = run_layout_campaign(builder, config, runs=8, master_seed=6)
-        parallel = run_layout_campaign(
-            builder, config, runs=8, master_seed=6, jobs=jobs
+    def test_bit_exact_with_serial(self, jobs, tmp_path):
+        scenario = _layout_scenario(runs=8, master_seed=6, jobs=jobs)
+        parallel, report = _executed(scenario, tmp_path)
+        serial = run_layout_campaign(
+            scenario.workload.layout_builder(),
+            scenario.hierarchy.config(),
+            runs=8,
+            master_seed=6,
         )
+        assert report.shards_executed == report.shards_planned > 1
+        assert len(set(serial.execution_times)) > 1
         assert parallel.execution_times == serial.execution_times
         assert parallel.workload == serial.workload
 
-    def test_explicit_layouts(self):
-        builder = EembcLayoutTraceBuilder("rspeed", scale=0.1)
-        config = platform_setup("modulo")
-        layouts = random_layouts(5, master_seed=9)
-        serial = run_layout_campaign(builder, config, runs=0, layouts=layouts)
-        parallel = run_layout_campaign(
-            builder, config, runs=0, layouts=layouts, jobs=2
+    def test_explicit_layouts(self, tmp_path):
+        # A layout campaign's lanes are random_layouts(runs, seed) in order.
+        scenario = _layout_scenario(runs=5, master_seed=9, jobs=2)
+        parallel, _ = _executed(scenario, tmp_path)
+        serial = run_layout_campaign(
+            scenario.workload.layout_builder(),
+            scenario.hierarchy.config(),
+            runs=0,
+            layouts=random_layouts(5, master_seed=9),
         )
         assert parallel.execution_times == serial.execution_times
-
-
-class TestEmptyCampaignValidation:
-    """CampaignResult rejects empty campaigns instead of failing later."""
-
-    def test_empty_execution_times_rejected(self):
-        with pytest.raises(ValueError, match="no execution times"):
-            CampaignResult(workload="w", setup="s", execution_times=[])
-
-    def test_properties_work_on_single_run(self):
-        campaign = CampaignResult(workload="w", setup="s", execution_times=[42])
-        assert campaign.high_water_mark == 42
-        assert campaign.minimum == 42
-        assert campaign.mean == 42.0
-
-    def test_layout_campaign_rejects_zero_runs(self):
-        builder = EembcLayoutTraceBuilder("rspeed", scale=0.1)
-        with pytest.raises(ValueError, match="runs"):
-            run_layout_campaign(builder, platform_setup("modulo"), runs=0)

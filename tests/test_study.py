@@ -260,15 +260,15 @@ class TestExecution:
 
     def test_batched_execution_matches_run_campaign(self):
         # Three scenarios share (workload, hierarchy, engine): the runner
-        # concatenates their seed lists into one engine batch.  The result
-        # must be bit-exact with one run_campaign call per scenario.
+        # builds the trace once and runs each campaign as one lane range.
+        # Each must be bit-exact with its own run_campaign call.
         scenarios = [
             tiny_scenario(master_seed=7, label="a"),
             tiny_scenario(master_seed=1234, runs=30, label="b"),
             tiny_scenario(master_seed=7, seed_offset=500, label="c"),
         ]
         results = execute_scenarios(scenarios)
-        assert results.report.batches == 1
+        assert results.report.simulated == 3
         trace = scenarios[0].workload.build_trace()
         for scenario in scenarios:
             expected = run_campaign(
