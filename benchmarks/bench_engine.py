@@ -2,9 +2,9 @@
 
 These are conventional pytest-benchmark micro-benchmarks (many rounds) that
 track the throughput of the pieces every experiment depends on: the numpy
-campaign engine, the placement hashes and the EVT fit.  They are not paper
-artefacts, but regressions here multiply directly into the campaign times of
-every other bench.
+campaign engine, layout campaigns, the placement hashes and the EVT fit.
+They are not paper artefacts, but regressions here multiply directly into
+the campaign times of every other bench.
 """
 
 import gc
@@ -14,14 +14,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.campaign import run_layout_campaign
 from repro.cache.fastsim import CompiledTrace
 from repro.core.placement import PlacementGeometry, make_placement
+from repro.cpu.core import TraceDrivenCore
 from repro.engine import NumpyEngine, get_engine
 from repro.engine.mapcache import reset_map_cache
 from repro.engine.numpy_engine import derive_seed_arrays
 from repro.platform.leon3 import platform_setup
 from repro.pwcet.evt import fit_gumbel
 from repro.pwcet.protocol import apply_mbpta
+from repro.workloads.base import random_layouts
 from repro.workloads.eembc import eembc_trace
 
 #: Batch sizes of the engine throughput rows.  The numpy engine simulates
@@ -33,13 +36,18 @@ ENGINE_BATCH_RUNS = (16, 64, 256)
 #: catch a divergence, few enough that the slow model stays cheap.
 REFERENCE_SEEDS = 4
 
+#: Layout counts of the layout-campaign rows (``a2time`` on ``modulo``).
+LAYOUT_RUNS = (40, 200)
+
 #: Machine-readable benchmark trajectory, tracked across PRs (repo root).
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
 
 def _emit_bench_json(path: Path, payload: dict) -> None:
-    payload = dict(payload, written_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"))
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Merge ``payload`` into the trajectory file; each test owns its keys."""
+    merged = json.loads(path.read_text()) if path.exists() else {}
+    merged.update(payload, written_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"))
+    path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +153,7 @@ def test_plan_cold_warm_batches(compiled_a2time, capsys):
             seeds = list(range(runs))
             reset_map_cache()
             cold_sim = NumpyEngine().simulator(config, compiled_a2time)
+            cold_sim.plan  # compiled on first use; keep it out of the timed batch
             cold_results, cold_seconds = _timed_batch(cold_sim, seeds)
             map_build_seconds = _map_build_seconds(cold_sim, seeds)
             # Untimed warmups plus best-of-8: the timed target is the
@@ -177,6 +186,50 @@ def test_plan_cold_warm_batches(compiled_a2time, capsys):
             "rows": rows,
         },
     )
+
+
+def test_layout_campaign_lanes(capsys):
+    """Layout lanes against per-layout rebuilds, with identical cycles.
+
+    Each row times ``run_layout_campaign`` (the trace relocated per lane,
+    one engine batch) and the per-layout path it replaced (rebuild each
+    layout's trace, compile it and run it alone) on ``a2time`` under
+    ``modulo``, asserts identical cycles, and merges the rows into
+    BENCH_engine.json as ``layout_rows``.  CI holds the speedup bar.
+    """
+    config = platform_setup("modulo")
+    trace = eembc_trace("a2time")
+    rows = []
+    with capsys.disabled():
+        print("\nlayout campaign, lanes vs per-layout rebuilds (a2time, modulo)")
+        print("layouts | lanes s | rebuilt s | speedup")
+        for runs in LAYOUT_RUNS:
+            layouts = random_layouts(runs, master_seed=11)
+            lanes_seconds = None
+            for _ in range(3):
+                start = time.perf_counter()
+                lanes = run_layout_campaign(trace, config, runs=runs, layouts=layouts)
+                elapsed = time.perf_counter() - start
+                lanes_seconds = elapsed if lanes_seconds is None else min(lanes_seconds, elapsed)
+            start = time.perf_counter()
+            rebuilt = [
+                TraceDrivenCore(config, eembc_trace("a2time", layout=layout)).run(0).cycles
+                for layout in layouts
+            ]
+            rebuild_seconds = time.perf_counter() - start
+            assert lanes.execution_times == rebuilt  # bit-exact, always
+            row = {
+                "layouts": runs,
+                "lanes_seconds": lanes_seconds,
+                "rebuild_seconds": rebuild_seconds,
+                "speedup": rebuild_seconds / lanes_seconds,
+            }
+            print(
+                f"{runs:7d} | {lanes_seconds:7.3f} | {rebuild_seconds:9.3f} | "
+                f"{row['speedup']:6.0f}x"
+            )
+            rows.append(row)
+    _emit_bench_json(BENCH_JSON, {"layout_rows": rows})
 
 
 @pytest.mark.parametrize("policy", ["modulo", "xor", "hrp", "rm"])

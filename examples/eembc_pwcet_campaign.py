@@ -39,8 +39,10 @@ def main() -> None:
             )
             pwcet[setup] = apply_mbpta(campaign.execution_times).pwcet_at(CUTOFF)
 
+        # Each memory layout relocates the same trace: all of them run as
+        # the lanes of one engine batch.
         deterministic = run_layout_campaign(
-            lambda layout, name=benchmark: eembc_trace(name, layout=layout),
+            trace,
             platform_setup("modulo"),
             runs=min(runs, 100),
             master_seed=11,

@@ -11,14 +11,22 @@ industrial high-water-mark practice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..cache.fastsim import FETCH_KIND, CompiledTrace
 from ..cache.hierarchy import HierarchyConfig
 from ..core.prng import derive_run_seeds
-from ..cpu.core import ExecutionTimingModel, TraceDrivenCore, TraceRunResult
+from ..cpu.core import (
+    ExecutionTimingModel,
+    TraceDrivenCore,
+    TraceRunResult,
+    timing_overhead_cycles,
+)
 from ..cpu.trace import Trace
 from ..engine import DEFAULT_ENGINE, get_engine
-from ..workloads.base import MemoryLayout, random_layouts
+from ..workloads.base import MemoryLayout, random_layouts, relocate_trace
 
 __all__ = ["CampaignResult", "run_campaign", "run_layout_campaign"]
 
@@ -119,7 +127,7 @@ def run_campaign(
 
 
 def run_layout_campaign(
-    trace_builder: Callable[[MemoryLayout], Trace],
+    trace: Trace,
     config: HierarchyConfig,
     runs: int,
     master_seed: int = 0,
@@ -130,31 +138,93 @@ def run_layout_campaign(
 ) -> CampaignResult:
     """Measure a workload on a deterministic platform under varying layouts.
 
-    ``trace_builder`` maps a :class:`MemoryLayout` to the workload's trace.
-    If ``layouts`` is not given, ``runs`` layouts with randomly shifted
-    segments are generated from ``master_seed``.  The cache seed is fixed
-    (deterministic placement ignores it, and LRU replacement has no
-    randomness), so all execution-time variability comes from the memory
-    layout — exactly the situation the industrial high-water-mark practice
-    faces.  This is the serial primitive the exec layer's
+    ``trace`` is the workload's trace at ``MemoryLayout()``.  If ``layouts``
+    is not given, ``runs`` layouts with randomly shifted segments are
+    generated from ``master_seed``.  The cache seed is fixed (deterministic
+    placement ignores it, and LRU replacement has no randomness), so all
+    execution-time variability comes from the memory layout — exactly the
+    situation the industrial high-water-mark practice faces.
+
+    A layout moves the code segment by its code shift and the data segment
+    by its data shift (:func:`~repro.workloads.base.relocate_trace`), so
+    every layout is the one trace with a relocated table of line
+    addresses.  Layouts whose shifts agree modulo the line size share line
+    identity; each such alignment class compiles the trace once and runs
+    all its layouts as the lanes of one engine batch.  A layout under which
+    a code line and a data line coincide raises :class:`ValueError`: a
+    rebuilt trace would merge the two lines, and a relocated table cannot.
+    This is the serial primitive the exec layer's
     :class:`~repro.exec.worker.ShardRunner` runs on each layout range.
     """
     if layouts is None:
         if runs < 1:
             raise ValueError(f"runs must be >= 1, got {runs}")
         layouts = random_layouts(runs, master_seed=master_seed)
-    get_engine(engine)  # reject unknown engines before any simulation work
-    execution_times: List[int] = []
-    name = ""
-    for layout in layouts:
-        trace = trace_builder(layout)
-        name = trace.name
-        core = TraceDrivenCore(config, trace, timing=timing)
-        result = core.run(0, engine=engine)
-        execution_times.append(result.cycles)
+    backend = get_engine(engine)  # reject unknown engines before any work
+    line_size = config.il1.line_size
+    base = MemoryLayout()
+    shifts = [
+        (layout.code_base - base.code_base, layout.data_base - base.data_base)
+        for layout in layouts
+    ]
+    classes: Dict[Tuple[int, int], List[int]] = {}
+    for index, (code, data) in enumerate(shifts):
+        classes.setdefault((code % line_size, data % line_size), []).append(index)
+    overhead = timing_overhead_cycles(trace, timing)
+    execution_times = [0] * len(layouts)
+    for residue, members in classes.items():
+        compiled = CompiledTrace(relocate_trace(trace, *residue), line_size=line_size)
+        lines = _relocated_lines(
+            compiled,
+            [(shifts[i][0] - residue[0], shifts[i][1] - residue[1]) for i in members],
+            members,
+        )
+        simulator = backend.simulator(config, compiled)
+        for index, result in zip(members, simulator.run_batch([0] * len(members), lines=lines)):
+            execution_times[index] = result.cycles + overhead
     return CampaignResult(
-        workload=name,
+        workload=trace.name,
         setup=setup,
         execution_times=execution_times,
         master_seed=master_seed,
     )
+
+
+def _relocated_lines(
+    compiled: CompiledTrace, shifts: Sequence[Tuple[int, int]], indices: Sequence[int]
+) -> np.ndarray:
+    """Per-lane line tables: ``compiled``'s unique lines moved by each shift.
+
+    A line touched by a fetch is a code line and moves by the code shift;
+    every other line is a data line and moves by the data shift.  The
+    shifts are multiples of the line size, so the tables stay line-aligned.
+    Raises :class:`ValueError` (naming the layout's entry of ``indices``)
+    where the relocated table cannot stand for the rebuilt trace: a code
+    line and a data line coincide, or a line touched by both fetches and
+    data accesses would be split by unequal shifts.
+    """
+    unique = np.array(compiled.unique_lines, dtype=np.int64)
+    kinds = np.array(compiled.kinds)
+    ids = np.array(compiled.line_ids, dtype=np.int64)
+    code = np.zeros(unique.size, dtype=bool)
+    code[ids[kinds == FETCH_KIND]] = True
+    data = np.zeros(unique.size, dtype=bool)
+    data[ids[kinds != FETCH_KIND]] = True
+    moves = np.array(shifts, dtype=np.int64).reshape(-1, 2)
+    tables = (unique[None, :] + np.where(code, moves[:, :1], moves[:, 1:])) & 0xFFFFFFFF
+    ordered = np.sort(tables, axis=1)
+    merged = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    split = (moves[:, 0] != moves[:, 1]) & bool((code & data).any())
+    bad = np.nonzero(merged | split)[0]
+    if bad.size:
+        lane = bad[0]
+        what = (
+            "splits a line that code and data share"
+            if split[lane]
+            else "makes a code line and a data line coincide"
+        )
+        raise ValueError(
+            f"layout #{indices[lane]} {what}; a relocated line table cannot "
+            "represent it"
+        )
+    return tables.astype(np.uint64)

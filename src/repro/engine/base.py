@@ -23,15 +23,18 @@ Capability flags describe what callers may rely on:
     this flag and campaign code can refuse it where exactness matters).
 
 To add a backend: subclass :class:`Engine`, implement :meth:`Engine.simulator`
-returning an object with ``run(seed)`` / ``run_batch(seeds)`` producing
-:class:`~repro.cache.fastsim.FastRunResult`, and call
+returning an object with ``run(seed)`` / ``run_batch(seeds, lines=None)``
+producing :class:`~repro.cache.fastsim.FastRunResult`, and call
 :func:`register_engine` at import time (see ``repro/engine/__init__.py``).
+``lines`` gives each lane its own table of line addresses in place of the
+compiled trace's ``unique_lines`` (same length, same order): the layout lanes
+of a deterministic campaign are one trace relocated per lane.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, List, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache.fastsim import CompiledTrace, FastRunResult
@@ -60,8 +63,15 @@ class EngineSimulator(Protocol):
         """Simulate one run under hierarchy seed ``seed``."""
         ...  # pragma: no cover - protocol
 
-    def run_batch(self, seeds: Sequence[int]) -> List["FastRunResult"]:
-        """Simulate one run per seed, in seed order."""
+    def run_batch(
+        self, seeds: Sequence[int], lines: Optional[Sequence[Sequence[int]]] = None
+    ) -> List["FastRunResult"]:
+        """Simulate one run per seed, in seed order.
+
+        ``lines``, when given, is a ``(len(seeds), len(compiled.unique_lines))``
+        table of line addresses: lane ``i`` replays the compiled trace with
+        ``lines[i]`` in place of ``compiled.unique_lines``.
+        """
         ...  # pragma: no cover - protocol
 
 

@@ -17,9 +17,13 @@ hooks (:meth:`repro.core.placement.PlacementPolicy.set_index_array`), only
 over the rows each slot can actually index, and memoized by content hash
 (:mod:`repro.engine.mapcache`) so repeated batches, resumed shards, and
 overlapping sweeps never rebuild a map twice; deterministic policies share
-one seed-invariant map.  Seed derivation (hierarchy -> cache -> policy
-seeds) runs the same SplitMix64 chain as
-:func:`repro.cache.hierarchy.derive_cache_seeds` /
+one seed-invariant map.  ``run_batch(seeds, lines=...)`` instead gives each
+lane its own table of line addresses (the layout lanes of a deterministic
+campaign): every slot then maps each lane's table under that lane's
+placement seed, unmemoized, and executes the plan compiled with
+``lane_maps=True`` (singleton elision, no one-lane collapse).  Seed
+derivation (hierarchy -> cache -> policy seeds) runs the same SplitMix64
+chain as :func:`repro.cache.hierarchy.derive_cache_seeds` /
 :func:`repro.cache.cache.derive_policy_seeds`, vectorized, so the engine is
 **bit-exact** with the reference engine for every seed: same cycles, same
 miss counters, same victim streams.  Elision never removes a victim draw
@@ -517,11 +521,17 @@ class _VectorSimulator:
         #: Recycled per-(slot, lane-count) plan-state buffers; see
         #: :meth:`_PlanCache._pooled`.
         self._buffer_pool: dict = {}
-        self._plan: TracePlan = compile_plan(config, compiled)
+        # Each plan is compiled on first use, so a simulator that only runs
+        # per-lane line tables (``run_batch(..., lines=...)``) never compiles
+        # the shared-map plan.
+        self._plan: Optional[TracePlan] = None
+        self._lane_plan: Optional[TracePlan] = None
 
     @property
     def plan(self) -> TracePlan:
-        """The compiled :class:`TracePlan` this simulator executes."""
+        """The :class:`TracePlan` of lanes sharing the compiled line table."""
+        if self._plan is None:
+            self._plan = compile_plan(self.config, self.compiled)
         return self._plan
 
     # ----------------------------------------------------------------- public
@@ -529,24 +539,69 @@ class _VectorSimulator:
     def run(self, seed: int) -> FastRunResult:
         return self.run_batch([seed])[0]
 
-    def run_batch(self, seeds: Sequence[int]) -> List[FastRunResult]:
+    def run_batch(
+        self, seeds: Sequence[int], lines: Optional[np.ndarray] = None
+    ) -> List[FastRunResult]:
         seeds = list(seeds)
-        if self._plan.seed_invariant and len(seeds) > 1:
-            # One equivalence class: simulate one lane, replicate.
-            return self._run_lanes_plan(seeds[:1]) * len(seeds)
+        if lines is None:
+            plan = self.plan
+            if plan.seed_invariant and len(seeds) > 1:
+                # One equivalence class: simulate one lane, replicate.
+                return self._run_lanes_plan(plan, seeds[:1]) * len(seeds)
+        else:
+            lines = np.asarray(lines, dtype=np.uint64)
+            if lines.shape != (len(seeds), len(self._lines)):
+                raise ValueError(
+                    f"lines must hold one table of {len(self._lines)} line "
+                    f"addresses per seed ({len(seeds)}); got shape {lines.shape}"
+                )
+            if self._lane_plan is None:
+                self._lane_plan = compile_plan(self.config, self.compiled, lane_maps=True)
+            plan = self._lane_plan
         results: List[FastRunResult] = []
         for start in range(0, len(seeds), self.max_lanes):
-            results.extend(self._run_lanes_plan(seeds[start : start + self.max_lanes]))
+            stop = start + self.max_lanes
+            results.extend(
+                self._run_lanes_plan(
+                    plan, seeds[start:stop], None if lines is None else lines[start:stop]
+                )
+            )
         return results
 
     # ------------------------------------------------------------------ setup
 
+    @staticmethod
+    def _lane_sets(policy, randomized, tables, placement_seeds) -> np.ndarray:
+        """``(lines, lanes)`` set map of each lane's own line table.
+
+        Not memoized: no caller runs the same relocated tables twice.
+        """
+        n_lanes, n_lines = tables.shape
+        line_sets = np.empty((n_lines, n_lanes), dtype=np.int64)
+        if randomized:
+            # One map evaluation per distinct placement seed, over the tables
+            # of every lane drawing it.
+            seeds = np.unique(placement_seeds)
+            groups = [(int(seed), np.nonzero(placement_seeds == seed)[0]) for seed in seeds]
+        else:
+            groups = [(None, np.arange(n_lanes))]
+        for seed, lanes in groups:
+            if seed is not None:
+                policy.reseed(seed)
+            sets = policy.set_index_array(tables[lanes].ravel())
+            line_sets[:, lanes] = sets.reshape(lanes.size, n_lines).T
+        return line_sets
+
     def _build_cache(
         self, slot_state, n_lanes, placement_seeds, replacement_seeds,
-        rows=None, slot=0,
+        rows=None, slot=0, tables=None,
     ):
         cache_config, policy, randomized, static_sets = slot_state
-        if randomized:
+        cell_memo = self._cell_memo
+        if tables is not None:
+            line_sets = self._lane_sets(policy, randomized, tables, placement_seeds)
+            cell_memo = None
+        elif randomized:
             seed_list = [int(seed) for seed in placement_seeds]
             if rows is not None and rows.size < len(self._lines):
                 # Evaluate the map only over the rows this slot can index;
@@ -578,22 +633,22 @@ class _VectorSimulator:
             self._buffer_pool.clear()
         return _PlanCache(
             cache_config, n_lanes, line_sets, len(self._lines), replacement_seeds,
-            cell_memo=self._cell_memo,
+            cell_memo=cell_memo,
             buffers=self._buffer_pool.setdefault((slot, n_lanes), {}),
         )
 
-    def _build_hierarchy(self, seeds: Sequence[int]):
+    def _build_hierarchy(self, seeds: Sequence[int], tables=None):
         n = len(seeds)
         per_cache = derive_seed_arrays(seeds)
         rows = self._slot_rows
         il1 = self._build_cache(
-            self._slots[0], n, *per_cache[0], rows=rows[0], slot=0
+            self._slots[0], n, *per_cache[0], rows=rows[0], slot=0, tables=tables
         )
         dl1 = self._build_cache(
-            self._slots[1], n, *per_cache[1], rows=rows[1], slot=1
+            self._slots[1], n, *per_cache[1], rows=rows[1], slot=1, tables=tables
         )
         l2 = (
-            self._build_cache(self._slots[2], n, *per_cache[2], slot=2)
+            self._build_cache(self._slots[2], n, *per_cache[2], slot=2, tables=tables)
             if self._slots[2] is not None
             else None
         )
@@ -627,12 +682,13 @@ class _VectorSimulator:
 
     # ------------------------------------------------------- plan execution
 
-    def _run_lanes_plan(self, seeds: Sequence[int]) -> List[FastRunResult]:
+    def _run_lanes_plan(
+        self, plan: TracePlan, seeds: Sequence[int], tables=None
+    ) -> List[FastRunResult]:
         if not seeds:
             return []
-        plan = self._plan
         n = len(seeds)
-        il1, dl1, l2 = self._build_hierarchy(seeds)
+        il1, dl1, l2 = self._build_hierarchy(seeds, tables)
 
         timings = self.config.timings
         l2_hit_latency = timings.l2_hit

@@ -22,7 +22,11 @@ access can be dropped from the simulated program entirely:
 * *Deterministic placement* (per-set rule): set indices are seed-invariant,
   and an access can only evict lines of its own set, so the guarantee is
   tracked per set: an access is a guaranteed hit iff the previous access of
-  its slot *mapping to the same set* touched the same line.
+  its slot *mapping to the same set* touched the same line.  The rule needs
+  one set map shared by every lane; a plan compiled with ``lane_maps=True``
+  (each lane brings its own table of line addresses, hence its own map —
+  the layout lanes of a deterministic campaign) applies the singleton rule
+  in every slot instead.
 
 Write-through stores never allocate and never evict, so they never
 *establish* a residence guarantee; in a write-back cache every access
@@ -62,7 +66,9 @@ drawn).  When every slot is inert
 the whole hierarchy is **seed-invariant**: all seeds are provably in one
 equivalence class, and a campaign of any size collapses to one simulated
 lane whose result is replicated (the deterministic-layout platforms of the
-source paper — modulo and xor placement with LRU — hit this path).
+source paper — modulo and xor placement with LRU — hit this path).  The
+signatures describe the compiled trace's own line table, so a
+``lane_maps`` plan is never seed-invariant.
 """
 
 from __future__ import annotations
@@ -203,22 +209,27 @@ def _slot_signature(
     )
 
 
-def compile_plan(config: HierarchyConfig, compiled: CompiledTrace) -> TracePlan:
+def compile_plan(
+    config: HierarchyConfig, compiled: CompiledTrace, lane_maps: bool = False
+) -> TracePlan:
     """Compile ``compiled`` for ``config`` into a :class:`TracePlan`.
 
     Every configuration :class:`~repro.cache.cache.CacheConfig` accepts is
     in the model: it admits only the replacement policies planned here.
+    ``lane_maps`` compiles for lanes that each replace the unique line table
+    with their own (so no two lanes share a set map): every slot elides by
+    the singleton rule and the plan is never seed-invariant.
     """
     lines = np.array(compiled.unique_lines, dtype=np.uint64)
     has_l2 = config.l2 is not None
     slot_configs = (config.il1, config.dl1)
     write_back = [c.write_policy == WRITE_BACK for c in slot_configs]
     touches = [replacement_touches_on_hit(c.replacement) for c in slot_configs]
-    # Deterministic slots elide per set; randomized slots use one whole-slot
-    # guarantee (key -1).
+    # Deterministic slots with a shared map elide per set; the others use
+    # one whole-slot guarantee (key -1).
     set_keys: List[Optional[List[int]]] = [
         None
-        if placement_is_randomized(c.placement)
+        if lane_maps or placement_is_randomized(c.placement)
         else _static_sets(c, lines).tolist()
         for c in slot_configs
     ]
@@ -285,5 +296,5 @@ def compile_plan(config: HierarchyConfig, compiled: CompiledTrace) -> TracePlan:
         elided={"il1": elided[0], "dl1": elided[1]},
         elided_store_memory_accesses=elided_store_mem,
         signatures=tuple(signatures),
-        seed_invariant=all(sig.inert for sig in signatures),
+        seed_invariant=not lane_maps and all(sig.inert for sig in signatures),
     )

@@ -28,7 +28,8 @@ class _ReferenceSimulator:
     mixed line sizes the numpy engine approximates at the compiled
     granularity, but the reference engine is the ground-truth oracle, so it
     refuses such configurations instead of silently agreeing with the
-    approximation.
+    approximation.  A batch with per-lane ``lines`` replays lane ``i`` with
+    ``lines[i]`` in place of the compiled unique line table.
     """
 
     def __init__(self, config: HierarchyConfig, compiled: CompiledTrace) -> None:
@@ -44,8 +45,25 @@ class _ReferenceSimulator:
         self.compiled = compiled
 
     def run(self, seed: int) -> FastRunResult:
+        return self._replay(seed, self.compiled.unique_lines)
+
+    def run_batch(self, seeds: Sequence[int], lines=None) -> List[FastRunResult]:
+        if lines is None:
+            return [self.run(seed) for seed in seeds]
+        n_lines = len(self.compiled.unique_lines)
+        if len(lines) != len(seeds) or any(len(table) != n_lines for table in lines):
+            raise ValueError(
+                f"lines must hold one table of {n_lines} line addresses per "
+                f"seed ({len(seeds)})"
+            )
+        return [
+            self._replay(seed, [int(line) for line in table])
+            for seed, table in zip(seeds, lines)
+        ]
+
+    def _replay(self, seed: int, lines: Sequence[int]) -> FastRunResult:
+        """One run under ``seed``, with ``lines`` as the unique line table."""
         hierarchy = CacheHierarchy(self.config, seed=seed)
-        lines = self.compiled.unique_lines
         for kind, uid in zip(self.compiled.kinds, self.compiled.line_ids):
             address = lines[uid]
             if kind == FETCH_KIND:
@@ -66,9 +84,6 @@ class _ReferenceSimulator:
             l2_accesses=int(stats["l2"]["accesses"]) if has_l2 else 0,
             l2_misses=int(stats["l2"]["misses"]) if has_l2 else 0,
         )
-
-    def run_batch(self, seeds: Sequence[int]) -> List[FastRunResult]:
-        return [self.run(seed) for seed in seeds]
 
 
 class ReferenceEngine(Engine):

@@ -112,9 +112,11 @@ class ShardRunner:
     sorted order, and the inline drain groups campaigns by workload), so the
     runner keeps only what the next shard can reuse: the current workload's
     trace and compiled traces, plus the current seed campaign's simulator
-    and seed list.  The previous campaign's simulator is dropped before the
-    next one is built, so a long-lived worker holds one simulator however
-    many campaigns it drains.
+    and seed list.  A layout shard relocates the same cached trace per lane
+    (:func:`~repro.analysis.campaign.run_layout_campaign` on its slice).
+    The previous campaign's simulator is dropped before the next one is
+    built, so a long-lived worker holds one simulator however many
+    campaigns it drains.
     """
 
     def __init__(self) -> None:
@@ -146,10 +148,11 @@ class ShardRunner:
         if campaign != self._campaign:
             # Free the previous campaign's simulator before building anything.
             self._simulator, self._campaign = None, campaign
+        trace = self._workload_trace(scenario.workload)
         if scenario.campaign == "layouts":
             layouts = random_layouts(scenario.runs, master_seed=scenario.effective_seed)
             measured = run_layout_campaign(
-                scenario.workload.layout_builder(),
+                trace,
                 scenario.hierarchy.config(),
                 runs=count,
                 layouts=layouts[start : start + count],
@@ -161,16 +164,20 @@ class ShardRunner:
             self._seeds = derive_run_seeds(scenario.effective_seed, scenario.runs)
         results = self._simulator.run_batch(self._seeds[start : start + count])
         cycles = [result.cycles + self._overhead for result in results]
-        return _shard_payload(task, self._trace.name, cycles, results)  # type: ignore[union-attr]
+        return _shard_payload(task, trace.name, cycles, results)
+
+    def _workload_trace(self, workload: WorkloadSpec) -> Trace:
+        """The trace of ``workload``, built once for all its campaigns."""
+        if workload != self._workload:
+            # Free the previous workload's traces before building the next.
+            self._workload, self._trace, self._compiled = None, None, {}
+            self._trace = workload.build_trace()
+            self._overhead = timing_overhead_cycles(self._trace, ExecutionTimingModel())
+            self._workload = workload
+        return self._trace  # type: ignore[return-value]
 
     def _build_simulator(self, scenario: Scenario, engine: str) -> EngineSimulator:
         """A simulator for ``scenario``, reusing the workload's trace."""
-        if scenario.workload != self._workload:
-            # Free the previous workload's traces before building the next.
-            self._workload, self._trace, self._compiled = None, None, {}
-            self._trace = scenario.workload.build_trace()
-            self._overhead = timing_overhead_cycles(self._trace, ExecutionTimingModel())
-            self._workload = scenario.workload
         config = scenario.hierarchy.config()
         line_size = config.il1.line_size
         if line_size not in self._compiled:

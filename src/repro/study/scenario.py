@@ -32,15 +32,14 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from ..cache.hierarchy import HierarchyConfig
 from ..cpu.trace import Trace
 from ..engine import DEFAULT_ENGINE
 from ..pwcet.protocol import MbptaConfig
 from ..platform.leon3 import Leon3Parameters, leon3_hierarchy, platform_setup
-from ..workloads.base import MemoryLayout
-from ..workloads.eembc import EembcLayoutTraceBuilder, eembc_trace
+from ..workloads.eembc import eembc_spec, eembc_trace
 from ..workloads.synthetic import synthetic_vector_trace
 
 __all__ = [
@@ -93,6 +92,7 @@ class WorkloadSpec:
         if self.kind == "eembc":
             if not self.name:
                 raise ValueError("eembc workload needs a benchmark name")
+            eembc_spec(self.name)  # unknown kernels fail here, not in a worker
         elif self.kind == "synthetic":
             if self.footprint_bytes <= 0 or self.iterations <= 0:
                 raise ValueError(
@@ -128,14 +128,6 @@ class WorkloadSpec:
         if self.kind == "eembc":
             return eembc_trace(self.name, scale=self.scale)
         return synthetic_vector_trace(self.footprint_bytes, iterations=self.iterations)
-
-    def layout_builder(self) -> Callable[[MemoryLayout], Trace]:
-        """The layout -> trace builder of this workload's layout campaigns."""
-        if self.kind == "eembc":
-            return EembcLayoutTraceBuilder(self.name, scale=self.scale)
-        raise ValueError(
-            f"layout campaigns are only defined for eembc workloads, not {self.kind!r}"
-        )
 
     def spec_dict(self) -> Dict[str, object]:
         if self.kind == "eembc":
@@ -275,8 +267,11 @@ class Scenario:
             raise ValueError(
                 f"unknown campaign kind {self.campaign!r}; expected one of {CAMPAIGN_KINDS}"
             )
-        if self.campaign == "layouts":
-            self.workload.layout_builder()  # fail fast on unsupported workloads
+        if self.campaign == "layouts" and self.workload.kind != "eembc":
+            raise ValueError(
+                "layout campaigns are only defined for eembc workloads, "
+                f"not {self.workload.kind!r}"
+            )
 
     @property
     def effective_seed(self) -> int:

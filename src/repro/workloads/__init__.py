@@ -6,6 +6,7 @@ from .base import (
     MemoryLayout,
     build_kernel_trace,
     random_layouts,
+    relocate_trace,
 )
 from .eembc import (
     EEMBC_INITIALS,
@@ -38,6 +39,7 @@ __all__ = [
     "MemoryLayout",
     "build_kernel_trace",
     "random_layouts",
+    "relocate_trace",
     "EEMBC_INITIALS",
     "EEMBC_KERNELS",
     "eembc_kernel_names",

@@ -21,13 +21,14 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.prng import SplitMix64
-from ..cpu.trace import Trace
+from ..cpu.trace import AccessKind, Trace
 
 __all__ = [
     "MemoryLayout",
     "KernelSpec",
     "build_kernel_trace",
     "random_layouts",
+    "relocate_trace",
     "ACCESS_PATTERNS",
 ]
 
@@ -88,6 +89,25 @@ def random_layouts(
             )
         )
     return layouts
+
+
+def relocate_trace(trace: Trace, code_shift: int = 0, data_shift: int = 0) -> Trace:
+    """The trace ``trace`` becomes when its segments move by the given shifts.
+
+    Fetch addresses move by ``code_shift`` and load/store addresses by
+    ``data_shift``, wrapping at 32 bits as :meth:`Trace.append` does.  For a
+    trace built at ``MemoryLayout()`` this is exactly the trace
+    :func:`build_kernel_trace` builds at ``MemoryLayout().shifted(code_shift,
+    data_shift, stack_shift)``: the generators place code at ``code_base``
+    and every table and state record at ``data_base``, and none touches the
+    stack segment, so the stack shift moves nothing.
+    """
+    fetch = int(AccessKind.FETCH)
+    addresses = [
+        (address + (code_shift if kind == fetch else data_shift)) & 0xFFFFFFFF
+        for kind, address in zip(trace.kinds, trace.addresses)
+    ]
+    return Trace(trace.kinds, addresses, name=trace.name)
 
 
 #: Recognised data-access patterns for :class:`KernelSpec`.

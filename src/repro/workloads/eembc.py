@@ -18,7 +18,6 @@ execution-time tails that inflate its pWCET estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..cpu.trace import Trace
@@ -27,7 +26,6 @@ from .base import KernelSpec, MemoryLayout, build_kernel_trace
 __all__ = [
     "EEMBC_KERNELS",
     "EEMBC_INITIALS",
-    "EembcLayoutTraceBuilder",
     "eembc_kernel_names",
     "eembc_spec",
     "eembc_trace",
@@ -263,20 +261,3 @@ def eembc_trace(
     reuse pattern.
     """
     return build_kernel_trace(eembc_spec(name), layout=layout, scale=scale)
-
-
-@dataclass(frozen=True)
-class EembcLayoutTraceBuilder:
-    """``layout -> trace`` builder for deterministic layout campaigns.
-
-    :func:`repro.analysis.campaign.run_layout_campaign` rebuilds the workload
-    trace once per memory layout.  This small frozen dataclass captures the
-    benchmark name and scale, so a layout shard rebuilds its traces from the
-    scenario spec alone (:meth:`repro.study.WorkloadSpec.layout_builder`).
-    """
-
-    benchmark: str
-    scale: float = 1.0
-
-    def __call__(self, layout: MemoryLayout) -> Trace:
-        return eembc_trace(self.benchmark, layout=layout, scale=self.scale)

@@ -4,10 +4,31 @@ import pytest
 
 from repro.analysis.campaign import CampaignResult, run_campaign, run_layout_campaign
 from repro.analysis.hwm import HwmBound, high_water_mark, industrial_bound
-from repro.cpu.core import ExecutionTimingModel
-from repro.platform.leon3 import platform_setup
-from repro.workloads.base import MemoryLayout, random_layouts
-from repro.workloads.eembc import EembcLayoutTraceBuilder, eembc_trace
+from repro.cpu.core import ExecutionTimingModel, TraceDrivenCore
+from repro.cpu.trace import Trace
+from repro.engine import numpy_engine
+from repro.platform.leon3 import Leon3Parameters, platform_setup
+from repro.workloads.base import MemoryLayout, random_layouts, relocate_trace
+from repro.workloads.eembc import eembc_trace
+
+
+def _count_engine_work(monkeypatch):
+    """Count ``compile_plan`` and simulator ``run_batch`` calls of numpy."""
+    counts = {"compile_plan": 0, "run_batch": 0}
+    compile_plan = numpy_engine.compile_plan
+    run_batch = numpy_engine._VectorSimulator.run_batch
+
+    def counted_compile(*args, **kwargs):
+        counts["compile_plan"] += 1
+        return compile_plan(*args, **kwargs)
+
+    def counted_run(self, *args, **kwargs):
+        counts["run_batch"] += 1
+        return run_batch(self, *args, **kwargs)
+
+    monkeypatch.setattr(numpy_engine, "compile_plan", counted_compile)
+    monkeypatch.setattr(numpy_engine._VectorSimulator, "run_batch", counted_run)
+    return counts
 
 
 class TestRunCampaign:
@@ -77,7 +98,7 @@ class TestLayoutCampaign:
     def test_layout_variation_on_deterministic_platform(self):
         config = platform_setup("modulo")
         campaign = run_layout_campaign(
-            lambda layout: eembc_trace("rspeed", layout=layout, scale=0.25),
+            eembc_trace("rspeed", scale=0.25),
             config,
             runs=8,
             master_seed=5,
@@ -89,7 +110,7 @@ class TestLayoutCampaign:
         config = platform_setup("modulo")
         layouts = [MemoryLayout(), MemoryLayout().shifted(data_shift=0x40)]
         campaign = run_layout_campaign(
-            lambda layout: eembc_trace("rspeed", layout=layout, scale=0.25),
+            eembc_trace("rspeed", scale=0.25),
             config,
             runs=2,
             layouts=layouts,
@@ -98,10 +119,48 @@ class TestLayoutCampaign:
 
     def test_reproducible(self):
         config = platform_setup("modulo")
-        build = lambda layout: eembc_trace("rspeed", layout=layout, scale=0.25)
-        a = run_layout_campaign(build, config, runs=6, master_seed=7)
-        b = run_layout_campaign(build, config, runs=6, master_seed=7)
+        trace = eembc_trace("rspeed", scale=0.25)
+        a = run_layout_campaign(trace, config, runs=6, master_seed=7)
+        b = run_layout_campaign(trace, config, runs=6, master_seed=7)
         assert a.execution_times == b.execution_times
+
+    def test_one_plan_and_one_batch_per_alignment_class(self, monkeypatch):
+        counts = _count_engine_work(monkeypatch)
+        trace = eembc_trace("rspeed", scale=0.1)
+        run_layout_campaign(trace, platform_setup("modulo"), runs=40, master_seed=3)
+        assert counts == {"compile_plan": 1, "run_batch": 1}
+        # 128 B lines split random_layouts' 64 B shifts into at most four
+        # (code, data) alignment classes.
+        counts.update(compile_plan=0, run_batch=0)
+        config = platform_setup("modulo", parameters=Leon3Parameters(line_size=128))
+        run_layout_campaign(trace, config, runs=40, master_seed=3)
+        assert 1 < counts["compile_plan"] == counts["run_batch"] <= 4
+
+    def test_coinciding_code_and_data_lines_rejected(self):
+        # A rebuilt trace would merge the two lines; a relocated table cannot.
+        base = MemoryLayout()
+        clash = base.shifted(data_shift=base.code_base - base.data_base)
+        with pytest.raises(ValueError, match="coincide"):
+            run_layout_campaign(
+                eembc_trace("rspeed", scale=0.1),
+                platform_setup("modulo"),
+                runs=2,
+                layouts=[base, clash],
+            )
+
+    def test_line_shared_by_code_and_data_moves_as_one(self):
+        # One line holds both a fetch and a load: equal shifts keep it one
+        # line (and match the relocated trace), unequal ones would split it.
+        trace = Trace([0, 1, 0, 2], [0x4000_0000, 0x4000_0010, 0x4000_0040, 0x4000_0014])
+        config = platform_setup("modulo")
+        together = MemoryLayout().shifted(0x40, 0x40)
+        campaign = run_layout_campaign(trace, config, runs=1, layouts=[together])
+        rebuilt = TraceDrivenCore(config, relocate_trace(trace, 0x40, 0x40)).run(0)
+        assert campaign.execution_times == [rebuilt.cycles]
+        with pytest.raises(ValueError, match="splits"):
+            run_layout_campaign(
+                trace, config, runs=1, layouts=[MemoryLayout().shifted(0x40, 0)]
+            )
 
 
 class TestEmptyCampaignValidation:
@@ -118,9 +177,9 @@ class TestEmptyCampaignValidation:
         assert campaign.mean == 42.0
 
     def test_layout_campaign_rejects_zero_runs(self):
-        builder = EembcLayoutTraceBuilder("rspeed", scale=0.1)
+        trace = eembc_trace("rspeed", scale=0.1)
         with pytest.raises(ValueError, match="runs"):
-            run_layout_campaign(builder, platform_setup("modulo"), runs=0)
+            run_layout_campaign(trace, platform_setup("modulo"), runs=0)
 
 
 class TestHwm:

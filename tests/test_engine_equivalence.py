@@ -8,17 +8,19 @@ through the campaign layer and the exec queue's worker processes.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.campaign import run_campaign
+from repro.analysis.campaign import run_campaign, run_layout_campaign
 from repro.cache.cache import CacheConfig
 from repro.cache.fastsim import CompiledTrace
 from repro.cache.hierarchy import HierarchyConfig, MemoryTimings
 from repro.cpu.core import TraceDrivenCore
 from repro.cpu.trace import Trace
 from repro.engine import available_engines, get_engine
+from repro.platform.leon3 import Leon3Parameters, leon3_hierarchy
 from repro.study import HierarchySpec, ResultStore, Scenario, WorkloadSpec, execute_scenarios
+from repro.workloads import eembc_kernel_names, eembc_trace, random_layouts
 
 
 def build_config(
@@ -241,6 +243,83 @@ class TestPlanPathEdgeCases:
         config = build_config()
         for results in run_all_engines(config, small_kernel_trace, []).values():
             assert results == []
+
+
+#: The layout-lane property's pinned example: 40 layouts of ``matrix`` on a
+#: 512 B direct-mapped L1 give 10 distinct cycle counts, so the property
+#: cannot pass vacuously (on the default geometry every layout gives one).
+PINNED_LAYOUT_CASE = dict(
+    kernel="matrix", scale=0.1, placement="modulo", replacement="lru",
+    line_size=32, l1_size=512, l1_ways=1, with_l2=True, count=40,
+    layout_seed=6, granularity=64,
+)
+
+
+def layout_case(
+    kernel, scale, placement, replacement, line_size, l1_size, l1_ways,
+    with_l2, count, layout_seed, granularity,
+):
+    """The hierarchy and layouts of one layout-lane case."""
+    parameters = Leon3Parameters(
+        l1_size_bytes=l1_size, l1_ways=l1_ways, l2_size_bytes=4096,
+        line_size=line_size,
+    )
+    config = leon3_hierarchy(
+        l1_placement=placement, l2_placement=placement,
+        l1_replacement=replacement, l2_replacement=replacement,
+        parameters=parameters, with_l2=with_l2,
+    )
+    return config, random_layouts(count, master_seed=layout_seed, granularity=granularity)
+
+
+class TestLayoutLanes:
+    """A layout campaign runs its layouts as the lanes of one engine batch;
+    each lane must equal rebuilding that layout's trace and running it with
+    hierarchy seed 0, on every engine, on small geometries where layouts
+    change the conflict pattern."""
+
+    @given(
+        kernel=st.sampled_from(eembc_kernel_names()),
+        scale=st.sampled_from([0.05, 0.1, 0.25]),
+        placement=st.sampled_from(["modulo", "xor", "rm", "hrp"]),
+        replacement=st.sampled_from(["lru", "fifo", "plru", "random"]),
+        line_size=st.sampled_from([16, 32, 64, 128]),
+        l1_size=st.sampled_from([512, 1024, 2048]),
+        l1_ways=st.sampled_from([1, 2]),
+        with_l2=st.booleans(),
+        count=st.integers(1, 6),
+        layout_seed=st.integers(0, 2**32 - 1),
+        granularity=st.sampled_from([4, 32, 64]),
+    )
+    @example(**PINNED_LAYOUT_CASE)
+    @settings(max_examples=25, deadline=None)
+    def test_lanes_equal_per_layout_rebuilds_property(
+        self, kernel, scale, placement, replacement, line_size, l1_size,
+        l1_ways, with_l2, count, layout_seed, granularity,
+    ):
+        # RM routes the set index through a permutation network, which needs
+        # at least two index bits (four sets).
+        assume(placement != "rm" or l1_size // (l1_ways * line_size) >= 4)
+        config, layouts = layout_case(
+            kernel, scale, placement, replacement, line_size, l1_size,
+            l1_ways, with_l2, count, layout_seed, granularity,
+        )
+        rebuilt = [
+            TraceDrivenCore(config, eembc_trace(kernel, layout=layout, scale=scale))
+            .run(0)
+            .cycles
+            for layout in layouts
+        ]
+        trace = eembc_trace(kernel, scale=scale)
+        for name in available_engines():
+            lanes = run_layout_campaign(trace, config, runs=0, layouts=layouts, engine=name)
+            assert lanes.execution_times == rebuilt, name
+
+    def test_pinned_case_varies_across_layouts(self):
+        config, layouts = layout_case(**PINNED_LAYOUT_CASE)
+        trace = eembc_trace("matrix", scale=0.1)
+        cycles = run_layout_campaign(trace, config, runs=0, layouts=layouts)
+        assert len(set(cycles.execution_times)) >= 2
 
 
 class TestCampaignLevelEquivalence:

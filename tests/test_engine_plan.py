@@ -240,6 +240,39 @@ class TestSeedInvariance:
         assert not plan.seed_invariant
 
 
+class TestLaneMaps:
+    """Plans for lanes that bring their own line tables (layout lanes)."""
+
+    def test_lane_maps_plan_is_never_seed_invariant(self):
+        config = make_config(l1_placement="modulo", l1_replacement="lru")
+        compiled = CompiledTrace(make_trace([("fetch", i % 4) for i in range(20)]))
+        assert compile_plan(config, compiled).seed_invariant
+        assert not compile_plan(config, compiled, lane_maps=True).seed_invariant
+
+    @pytest.mark.parametrize("replacement", ["lru", "random"])
+    @pytest.mark.parametrize("write", ["write-through", "write-back"])
+    def test_lane_maps_plan_elides_by_the_singleton_rule(self, replacement, write):
+        # Lane maps differ per lane, so no set-level guarantee holds: the
+        # modulo plan elides exactly what the randomized (rm) plan does.
+        accesses = [
+            (kind, line)
+            for i in range(12)
+            for kind, line in (("fetch", i % 3), ("fetch", 8), ("load", i % 2),
+                               ("store", i % 2), ("load", 16))
+        ]
+        compiled = CompiledTrace(make_trace(accesses))
+        modulo = make_config(l1_placement="modulo", l1_replacement=replacement,
+                             l1_write=write, with_l2=True)
+        rm = make_config(l1_placement="rm", l1_replacement=replacement,
+                         l1_write=write, with_l2=True)
+        lanes = compile_plan(modulo, compiled, lane_maps=True)
+        randomized = compile_plan(rm, compiled)
+        assert lanes.steps == randomized.steps
+        assert lanes.elided == randomized.elided
+        assert lanes.elided_store_memory_accesses == randomized.elided_store_memory_accesses
+        assert compile_plan(modulo, compiled).n_steps < lanes.n_steps
+
+
 class TestPlanShape:
     def test_describe_summarises_the_plan(self):
         plan = plan_for(make_config(), [("fetch", 0)] * 4 + [("load", 1)])

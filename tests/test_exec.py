@@ -51,6 +51,7 @@ from repro.study.scenario import (
     scenario_from_spec,
 )
 from repro.study.store import ResultStore
+from repro.workloads import eembc as eembc_module
 
 
 def _scenario(runs: int = 12, master_seed: int = 77, engine: str = DEFAULT_ENGINE) -> Scenario:
@@ -86,7 +87,7 @@ def _serial_times(scenario: Scenario) -> list:
     """The reference serial execution times for ``scenario``."""
     if scenario.campaign == "layouts":
         return run_layout_campaign(
-            scenario.workload.layout_builder(),
+            scenario.workload.build_trace(),
             scenario.hierarchy.config(),
             runs=scenario.runs,
             master_seed=scenario.effective_seed,
@@ -546,6 +547,28 @@ class TestShardRunner:
         payload = ShardRunner().execute(shard_task(scenario, shard, scenario.engine))
         assert payload["cycles"] == _serial_times(scenario)[shard.start : shard.stop]
         assert "il1_misses" not in payload
+
+    def test_seed_and_layout_tasks_of_a_workload_build_its_trace_once(
+        self, monkeypatch
+    ):
+        # The layout shard relocates the trace the seed shard built.
+        builds = []
+        original = eembc_module.build_kernel_trace
+
+        def counting(*args, **kwargs):
+            builds.append(args[0].name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(eembc_module, "build_kernel_trace", counting)
+        layouts = _layout_scenario()
+        seeds = replace(
+            layouts, hierarchy=HierarchySpec.named("rm", TINY_CACHES), campaign="seeds"
+        )
+        runner = ShardRunner()
+        for scenario in (seeds, layouts):
+            shard = plan_shards(scenario.spec_hash(), scenario.runs, scenario.runs)[0]
+            runner.execute(shard_task(scenario, shard, scenario.engine))
+        assert builds == ["matrix"]
 
     def test_slice_outside_the_campaign_is_rejected(self):
         for scenario in (_scenario(), _layout_scenario()):

@@ -115,7 +115,7 @@ class TestParallelLayoutCampaign:
         scenario = _layout_scenario(runs=8, master_seed=6, jobs=jobs)
         parallel, report = _executed(scenario, tmp_path)
         serial = run_layout_campaign(
-            scenario.workload.layout_builder(),
+            scenario.workload.build_trace(),
             scenario.hierarchy.config(),
             runs=8,
             master_seed=6,
@@ -130,7 +130,7 @@ class TestParallelLayoutCampaign:
         scenario = _layout_scenario(runs=5, master_seed=9, jobs=2)
         parallel, _ = _executed(scenario, tmp_path)
         serial = run_layout_campaign(
-            scenario.workload.layout_builder(),
+            scenario.workload.build_trace(),
             scenario.hierarchy.config(),
             runs=0,
             layouts=random_layouts(5, master_seed=9),

@@ -289,6 +289,13 @@ class TestJobLifecycle:
             client.submit({"spec": {"version": 99}})
         assert excinfo.value.status == 400
         assert "version" in excinfo.value.message
+        # An unknown EEMBC kernel fails validation, not a worker's trace build.
+        spec = _spec(_scenario(runs=8))
+        spec["workload"] = {"kind": "eembc", "name": "nope", "scale": 1.0}
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"spec": spec})
+        assert excinfo.value.status == 400
+        assert "unknown EEMBC kernel 'nope'" in excinfo.value.message
 
     def test_unknown_job_and_route_are_404(self, tmp_path, start_server):
         _, client = start_server(ResultStore(tmp_path / "store"))

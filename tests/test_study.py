@@ -126,8 +126,16 @@ class TestScenarioSpec:
             tiny_scenario(runs=0)
         with pytest.raises(ValueError):
             tiny_scenario(campaign="moonphase")
-        with pytest.raises(ValueError):  # synthetic workloads have no layouts
-            tiny_scenario(campaign="layouts")
+        with pytest.raises(ValueError, match="only defined for eembc"):
+            tiny_scenario(campaign="layouts")  # synthetic workloads have no layouts
+
+    def test_unknown_eembc_kernel_rejected(self):
+        with pytest.raises(ValueError, match="unknown EEMBC kernel 'nope'"):
+            WorkloadSpec.eembc("nope")
+        with pytest.raises(ValueError, match="unknown EEMBC kernel"):
+            tiny_scenario(workload=WorkloadSpec(kind="eembc", name="dhrystone"))
+        # Initials are valid and kept as given, so spec hashes do not move.
+        assert WorkloadSpec.eembc("A2").spec_dict()["name"] == "A2"
 
     def test_hash_is_stable(self):
         # Pinned literal: changing the canonical spec layout breaks every

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.prng import SplitMix64
 from repro.workloads.base import (
     ACCESS_PATTERNS,
     KernelSpec,
     MemoryLayout,
     build_kernel_trace,
     random_layouts,
+    relocate_trace,
 )
 from repro.workloads.eembc import (
     EEMBC_INITIALS,
@@ -127,6 +129,29 @@ class TestKernelTraceGeneration:
         ]
         assert min(data_addresses) >= layout.data_base
         assert max(data_addresses) < layout.data_base + spec.data_bytes
+
+
+class TestRelocation:
+    """Relocating the trace built at ``MemoryLayout()`` equals rebuilding it."""
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0])
+    @pytest.mark.parametrize("name", eembc_kernel_names())
+    def test_relocation_equals_rebuild(self, name, scale):
+        base = eembc_trace(name, scale=scale)
+        rng = SplitMix64(sum(map(ord, name)) * 10 + int(scale * 10))
+        # 4 B-multiple shifts drawn across the 32-bit space; most carry a
+        # segment past 2**32, and the last one wraps both segments.
+        shifts = [
+            tuple(rng.next_below(1 << 30) * 4 for _ in range(3)) for _ in range(4)
+        ]
+        shifts.append((0xFFFF_FFFC, 0xC000_0000, 4))
+        for code, data, stack in shifts:
+            layout = MemoryLayout().shifted(code, data, stack)
+            rebuilt = eembc_trace(name, layout=layout, scale=scale)
+            moved = relocate_trace(base, code, data)
+            assert moved.kinds == rebuilt.kinds
+            assert moved.addresses == rebuilt.addresses
+            assert moved.name == rebuilt.name
 
 
 class TestEembcSuite:
