@@ -19,7 +19,6 @@ from repro.cache.fastsim import CompiledTrace
 from repro.core.placement import PlacementGeometry, make_placement
 from repro.cpu.core import TraceDrivenCore
 from repro.engine import NumpyEngine, get_engine
-from repro.engine.mapcache import reset_map_cache
 from repro.engine.numpy_engine import derive_seed_arrays
 from repro.platform.leon3 import platform_setup
 from repro.pwcet.evt import fit_gumbel
@@ -103,13 +102,11 @@ def _timed_batch(simulator, seeds, repeats=1, warmup=0):
 
 
 def _map_build_seconds(simulator, seeds):
-    """Wall-clock of building every randomized placement map, uncached.
+    """Wall-clock of building every randomized placement map.
 
-    Replays exactly what a cold batch pays before the plan can execute: one
+    Replays exactly what every batch pays before the plan can execute: one
     ``set_index_matrix`` per randomized cache slot over the rows that slot
-    can actually index, for the batch's derived seed block.  Measured
-    directly (bypassing the map cache) so the share stays meaningful once
-    the cache absorbs the cost in the timed runs.
+    can actually index, for the batch's derived seed block.
     """
     per_cache = derive_seed_arrays(seeds)
     total = 0.0
@@ -132,9 +129,10 @@ def _map_build_seconds(simulator, seeds):
 def test_plan_cold_warm_batches(compiled_a2time, capsys):
     """Cold and warm plan batches, the map-build share, and bit-exactness.
 
-    Cold is a fresh simulator on an empty map cache (it pays the placement
-    maps); warm reuses the maps and derived tables memoized by the cold
-    run.  Prints the table (the EXPERIMENTS.md numbers come from here) and
+    Cold is a fresh simulator (it allocates its plan-state buffers); warm
+    is one reused simulator whose buffers are pooled from its previous
+    batch.  Neither memoizes placement maps: both build every map of every
+    batch.  Prints the table (the EXPERIMENTS.md numbers come from here) and
     persists it to BENCH_engine.json so perf is tracked across PRs.  No
     timing assertion is made because shared CI boxes are noisy; the first
     seeds of every batch are asserted bit-exact against the reference
@@ -151,7 +149,6 @@ def test_plan_cold_warm_batches(compiled_a2time, capsys):
         print("runs |  cold |  warm | map share | runs/s warm")
         for runs in ENGINE_BATCH_RUNS:
             seeds = list(range(runs))
-            reset_map_cache()
             cold_sim = NumpyEngine().simulator(config, compiled_a2time)
             cold_sim.plan  # compiled on first use; keep it out of the timed batch
             cold_results, cold_seconds = _timed_batch(cold_sim, seeds)

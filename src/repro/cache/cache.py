@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.bits import is_power_of_two
-from ..core.placement import PlacementGeometry, PlacementPolicy, make_placement
+from ..core.placement import (
+    PLACEMENT_CLASSES,
+    PLACEMENT_NAMES,
+    PlacementGeometry,
+    PlacementPolicy,
+    make_placement,
+)
 from ..core.prng import SplitMix64
 from .replacement import REPLACEMENT_NAMES, ReplacementPolicy, make_replacement
 
@@ -107,6 +113,17 @@ class CacheConfig:
             raise ValueError(
                 f"{self.name}: replacement must be one of {REPLACEMENT_NAMES}, "
                 f"got {self.replacement!r}"
+            )
+        placement = PLACEMENT_CLASSES.get(self.placement.lower())
+        if placement is None:
+            raise ValueError(
+                f"{self.name}: placement must be one of {PLACEMENT_NAMES}, "
+                f"got {self.placement!r}"
+            )
+        if self.num_sets < placement.min_sets:
+            raise ValueError(
+                f"{self.name}: {placement.name} placement needs at least "
+                f"{placement.min_sets} sets, got {self.num_sets}"
             )
 
     @property

@@ -113,6 +113,8 @@ class PlacementPolicy(ABC):
     name: str = "abstract"
     #: True if the policy's set index changes across seeds.
     randomized: bool = False
+    #: Fewest sets the policy can map.
+    min_sets: int = 1
 
     def __init__(self, geometry: PlacementGeometry) -> None:
         self.geometry = geometry
@@ -260,6 +262,7 @@ class DeterministicXorPlacement(PlacementPolicy):
 
     name = "xor"
     randomized = False
+    min_sets = 2  # the upper bits fold into at least one index bit
 
     def set_index(self, address: int) -> int:
         geometry = self.geometry
@@ -424,6 +427,7 @@ class RandomModuloPlacement(PlacementPolicy):
 
     name = "rm"
     randomized = True
+    min_sets = 4  # two index bits: the narrowest network with a switch
 
     def __init__(
         self,

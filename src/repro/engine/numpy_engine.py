@@ -12,15 +12,13 @@ invalid-way selection is a per-set occupancy counter (ways fill in order and
 are never invalidated), and hierarchies whose conflict signature proves seed
 invariance simulate one lane and replicate the result across the batch.
 
-Placement maps are evaluated per (seed, cache) with the vectorized policy
-hooks (:meth:`repro.core.placement.PlacementPolicy.set_index_array`), only
-over the rows each slot can actually index, and memoized by content hash
-(:mod:`repro.engine.mapcache`) so repeated batches, resumed shards, and
-overlapping sweeps never rebuild a map twice; deterministic policies share
-one seed-invariant map.  ``run_batch(seeds, lines=...)`` instead gives each
-lane its own table of line addresses (the layout lanes of a deterministic
-campaign): every slot then maps each lane's table under that lane's
-placement seed, unmemoized, and executes the plan compiled with
+Every batch builds the placement map of each randomized cache with one
+vectorized call (:meth:`repro.core.placement.PlacementPolicy.set_index_matrix`),
+only over the rows that cache can actually index; deterministic policies
+share one seed-invariant map.  ``run_batch(seeds, lines=...)`` instead gives
+each lane its own table of line addresses (the layout lanes of a
+deterministic campaign): every slot then maps each lane's table under that
+lane's placement seed and executes the plan compiled with
 ``lane_maps=True`` (singleton elision, no one-lane collapse).  Seed
 derivation (hierarchy -> cache -> policy seeds) runs the same SplitMix64
 chain as :func:`repro.cache.hierarchy.derive_cache_seeds` /
@@ -49,7 +47,6 @@ from ..core.prng import (
     SPLITMIX64_MIX2,
 )
 from .base import Engine
-from .mapcache import cached_set_index_matrix
 from .plan import TracePlan, compile_plan
 
 _SM64_GAMMA = np.uint64(SPLITMIX64_GAMMA)
@@ -156,7 +153,6 @@ class _PlanCache:
         line_sets: np.ndarray,
         n_lines: int,
         replacement_states: np.ndarray,
-        cell_memo: Optional[dict] = None,
         buffers: Optional[dict] = None,
     ) -> None:
         self.n_lanes = n_lanes
@@ -167,30 +163,14 @@ class _PlanCache:
         self.plru = config.replacement == "plru"
         self.touches = self.lru or self.plru
         self.line_sets = line_sets
-        # The cell tables are pure functions of (line_sets, n_lanes,
-        # geometry); with the placement maps memoized and shared between
-        # batches (see mapcache), the derived tables are memoized too — the
-        # identity check guards against a recycled id() after the source map
-        # is evicted from the LRU.
-        memo_key = (id(line_sets), n_lanes, config.num_sets, config.ways)
-        memo_hit = cell_memo.get(memo_key) if cell_memo is not None else None
-        if memo_hit is not None and memo_hit[0] is line_sets:
-            self.occ_cell, self.way_cell = memo_hit[1], memo_hit[2]
+        lane_offsets = np.arange(n_lanes, dtype=np.int64) * config.num_sets
+        if line_sets.ndim == 2:
+            self.occ_cell = line_sets + lane_offsets[None, :]
         else:
-            lane_offsets = np.arange(n_lanes, dtype=np.int64) * config.num_sets
-            if line_sets.ndim == 2:
-                self.occ_cell = line_sets + lane_offsets[None, :]
-            else:
-                self.occ_cell = (
-                    line_sets.astype(np.int64)[:, None] + lane_offsets[None, :]
-                )
-            #: Way-cell base of each (uid, lane): ``occ_cell * ways`` hoisted
-            #: out of the per-step loop (one vector multiply per batch).
-            self.way_cell = self.occ_cell * config.ways
-            if cell_memo is not None:
-                if len(cell_memo) >= 16:
-                    cell_memo.clear()
-                cell_memo[memo_key] = (line_sets, self.occ_cell, self.way_cell)
+            self.occ_cell = line_sets.astype(np.int64)[:, None] + lane_offsets[None, :]
+        #: Way-cell base of each (uid, lane): ``occ_cell * ways`` hoisted out
+        #: of the per-step loop (one vector multiply per batch).
+        self.way_cell = self.occ_cell * config.ways
         cells = n_lanes * config.num_sets * config.ways
         pooled = self._pooled
         self.way_of = pooled(buffers, "way_of", (n_lines, n_lanes), np.int16, -1)
@@ -514,10 +494,6 @@ class _VectorSimulator:
             randomized = placement_is_randomized(cache_config.placement)
             static_sets = None if randomized else policy.set_index_array(self._lines)
             self._slots.append((cache_config, policy, randomized, static_sets))
-        #: Batch-to-batch memo of derived plan tables (expanded row-subset
-        #: maps and (occ_cell, way_cell) pairs), keyed by the identity of the
-        #: memoized placement maps they derive from.
-        self._cell_memo: dict = {}
         #: Recycled per-(slot, lane-count) plan-state buffers; see
         #: :meth:`_PlanCache._pooled`.
         self._buffer_pool: dict = {}
@@ -572,10 +548,7 @@ class _VectorSimulator:
 
     @staticmethod
     def _lane_sets(policy, randomized, tables, placement_seeds) -> np.ndarray:
-        """``(lines, lanes)`` set map of each lane's own line table.
-
-        Not memoized: no caller runs the same relocated tables twice.
-        """
+        """``(lines, lanes)`` set map of each lane's own line table."""
         n_lanes, n_lines = tables.shape
         line_sets = np.empty((n_lines, n_lanes), dtype=np.int64)
         if randomized:
@@ -597,43 +570,23 @@ class _VectorSimulator:
         rows=None, slot=0, tables=None,
     ):
         cache_config, policy, randomized, static_sets = slot_state
-        cell_memo = self._cell_memo
         if tables is not None:
             line_sets = self._lane_sets(policy, randomized, tables, placement_seeds)
-            cell_memo = None
         elif randomized:
             seed_list = [int(seed) for seed in placement_seeds]
             if rows is not None and rows.size < len(self._lines):
                 # Evaluate the map only over the rows this slot can index;
-                # the remaining rows are never read.  The expanded full-table
-                # view is memoized beside the cell tables so repeated batches
-                # over the same seed block skip the scatter too (the identity
-                # check guards against id() reuse after an LRU eviction).
-                subset = cached_set_index_matrix(
-                    policy, self._lines[rows], seed_list
-                )
-                memo_key = ("rows", id(subset), n_lanes)
-                memo_hit = self._cell_memo.get(memo_key)
-                if memo_hit is not None and memo_hit[0] is subset:
-                    line_sets = memo_hit[1]
-                else:
-                    line_sets = np.zeros(
-                        (len(self._lines), n_lanes), dtype=np.int64
-                    )
-                    line_sets[rows] = subset
-                    line_sets.flags.writeable = False
-                    if len(self._cell_memo) >= 16:
-                        self._cell_memo.clear()
-                    self._cell_memo[memo_key] = (subset, line_sets)
+                # the remaining rows are never read.
+                line_sets = np.zeros((len(self._lines), n_lanes), dtype=np.int64)
+                line_sets[rows] = policy.set_index_matrix(self._lines[rows], seed_list)
             else:
-                line_sets = cached_set_index_matrix(policy, self._lines, seed_list)
+                line_sets = policy.set_index_matrix(self._lines, seed_list)
         else:
             line_sets = static_sets
         if len(self._buffer_pool) >= 12:
             self._buffer_pool.clear()
         return _PlanCache(
             cache_config, n_lanes, line_sets, len(self._lines), replacement_seeds,
-            cell_memo=cell_memo,
             buffers=self._buffer_pool.setdefault((slot, n_lanes), {}),
         )
 

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
-
-import networkx as nx
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .technology import TechnologyLibrary
 
@@ -49,7 +47,12 @@ class Netlist:
     def __init__(self, name: str, library: TechnologyLibrary) -> None:
         self.name = name
         self.library = library
-        self.graph = nx.DiGraph()
+        #: Node -> (cell, delay ns, area um2), cell ``None`` for a primary
+        #: input.  A gate only reads nodes that already exist, so insertion
+        #: order is a topological order.
+        self._nodes: Dict[str, Tuple[Optional[str], float, float]] = {}
+        #: Node -> the nodes driving it.
+        self._inputs: Dict[str, Tuple[str, ...]] = {}
         self._gate_counter = 0
         self.outputs: List[str] = []
 
@@ -57,9 +60,10 @@ class Netlist:
 
     def add_input(self, name: str) -> str:
         """Declare a primary input."""
-        if self.graph.has_node(name):
+        if name in self._nodes:
             raise ValueError(f"node {name!r} already exists")
-        self.graph.add_node(name, kind="input", delay=0.0, area=0.0)
+        self._nodes[name] = (None, 0.0, 0.0)
+        self._inputs[name] = ()
         return name
 
     def add_inputs(self, prefix: str, count: int) -> List[str]:
@@ -72,20 +76,14 @@ class Netlist:
         if name is None:
             name = f"{cell.lower()}_{self._gate_counter}"
             self._gate_counter += 1
-        if self.graph.has_node(name):
+        if name in self._nodes:
             raise ValueError(f"node {name!r} already exists")
         for source in inputs:
-            if not self.graph.has_node(source):
+            if source not in self._nodes:
                 raise ValueError(f"gate {name!r} references unknown node {source!r}")
-        self.graph.add_node(
-            name,
-            kind="gate",
-            cell=cell,
-            delay=cell_info.delay_ns * self.library.wire_delay_factor,
-            area=cell_info.area_um2,
-        )
-        for source in inputs:
-            self.graph.add_edge(source, name)
+        delay = cell_info.delay_ns * self.library.wire_delay_factor
+        self._nodes[name] = (cell, delay, cell_info.area_um2)
+        self._inputs[name] = tuple(inputs)
         return name
 
     def xor_tree(self, inputs: Sequence[str], name_prefix: str = "xt") -> str:
@@ -112,7 +110,7 @@ class Netlist:
 
     def mark_output(self, node: str) -> None:
         """Record ``node`` as a primary output (informational)."""
-        if not self.graph.has_node(node):
+        if node not in self._nodes:
             raise ValueError(f"unknown node {node!r}")
         self.outputs.append(node)
 
@@ -124,28 +122,25 @@ class Netlist:
 
     def area_um2(self) -> float:
         """Total cell area."""
-        return float(sum(data["area"] for _, data in self.graph.nodes(data=True)))
+        return float(sum(area for _, _, area in self._nodes.values()))
 
     def gate_count(self) -> int:
         """Number of cell instances."""
-        return sum(1 for _, data in self.graph.nodes(data=True) if data["kind"] == "gate")
+        return sum(1 for cell, _, _ in self._nodes.values() if cell is not None)
 
     def cell_histogram(self) -> Dict[str, int]:
         """Instance count per cell type."""
         counter: Counter = Counter(
-            data["cell"] for _, data in self.graph.nodes(data=True) if data["kind"] == "gate"
+            cell for cell, _, _ in self._nodes.values() if cell is not None
         )
         return dict(counter)
 
     def arrival_times(self) -> Dict[str, float]:
         """Arrival time (ns) at the output of every node."""
-        if not nx.is_directed_acyclic_graph(self.graph):
-            raise ValueError(f"netlist {self.name!r} contains a combinational loop")
         arrivals: Dict[str, float] = {}
-        for node in nx.topological_sort(self.graph):
-            data = self.graph.nodes[node]
-            incoming = [arrivals[p] for p in self.graph.predecessors(node)]
-            arrivals[node] = (max(incoming) if incoming else 0.0) + data["delay"]
+        for node, (_, delay, _) in self._nodes.items():
+            incoming = [arrivals[p] for p in self._inputs[node]]
+            arrivals[node] = (max(incoming) if incoming else 0.0) + delay
         return arrivals
 
     def critical_path_ns(self) -> float:
@@ -155,13 +150,10 @@ class Netlist:
 
     def logic_depth(self) -> int:
         """Maximum number of gates on any input-to-output path."""
-        if not nx.is_directed_acyclic_graph(self.graph):
-            raise ValueError(f"netlist {self.name!r} contains a combinational loop")
         depths: Dict[str, int] = {}
-        for node in nx.topological_sort(self.graph):
-            data = self.graph.nodes[node]
-            incoming = [depths[p] for p in self.graph.predecessors(node)]
-            own = 1 if data["kind"] == "gate" else 0
+        for node, (cell, _, _) in self._nodes.items():
+            incoming = [depths[p] for p in self._inputs[node]]
+            own = 0 if cell is None else 1
             depths[node] = (max(incoming) if incoming else 0) + own
         return max(depths.values()) if depths else 0
 

@@ -28,8 +28,8 @@ typically 4--8x smaller than its JSON form and decodes via
 starts at a fixed, header-derived offset, so readers can ``mmap`` the file
 and view columns zero-copy (:func:`read_columns`).
 
-The codec mirrors the forgiving contract of :mod:`repro.engine.mapcache`:
-:func:`unpack_entry` raises :class:`ValueError` on *any* structural problem
+The codec is forgiving: :func:`unpack_entry` raises :class:`ValueError` on
+*any* structural problem
 (bad magic, truncated frame, checksum mismatch, unknown dtype), and callers
 treat that as a cache miss — corrupt entries are overwritten by the next
 save, never propagated.

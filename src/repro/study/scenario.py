@@ -163,6 +163,9 @@ class HierarchySpec:
     parameters: Leon3Parameters = field(default_factory=Leon3Parameters)
     with_l2: bool = True
 
+    def __post_init__(self) -> None:
+        self.config()  # an invalid hierarchy fails here, not in a worker
+
     @classmethod
     def named(
         cls, setup: str, parameters: Leon3Parameters | None = None

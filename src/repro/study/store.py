@@ -57,7 +57,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 import numpy as np
 
 from ..analysis.campaign import CampaignResult
-from ..engine.mapcache import adopt_map_directory
 from . import columnar
 from .scenario import SPEC_VERSION, Scenario
 
@@ -142,10 +141,6 @@ class ResultStore:
 
     def __init__(self, root: Union[str, Path] = DEFAULT_STORE_DIR) -> None:
         self.root = Path(root)
-        # Campaigns executed against this store cache their placement maps
-        # beside the results, so resumed shards and overlapping sweeps reuse
-        # maps another process already built (REPRO_MAP_CACHE_DIR wins).
-        adopt_map_directory(self.map_root)
 
     # ----------------------------------------------------------- locations
 
@@ -419,13 +414,6 @@ class ResultStore:
         """Directory of the store's shard work queue (:class:`repro.exec.FileQueue`)."""
         return self.root / "queue"
 
-    @property
-    def map_root(self) -> Path:
-        """Directory of memoized placement maps (:mod:`repro.engine.mapcache`),
-        content-addressed and bit-packed.  A subdirectory, so campaign entries
-        and :meth:`keys` are unaffected."""
-        return self.root / "maps"
-
     def shard_path_for(self, spec_hash: str, key: str) -> Path:
         return self.shard_root / f"{spec_hash}.{key}{columnar.COLUMNAR_SUFFIX}"
 
@@ -633,8 +621,8 @@ class ResultStore:
 
         ``entries`` are the counted store entries (campaign results,
         analyses, shard entries); ``bookkeeping`` are
-        temp files, the manifest and study logs, run-table artifacts,
-        cached placement maps and queue files, removed but not counted.
+        temp files, the manifest and study logs, run-table artifacts and
+        queue files, removed but not counted.
         Both sorted; nothing is deleted.  Directory scans (not the
         manifest) decide here, so a clean collects orphans the index lost
         track of.
@@ -655,11 +643,10 @@ class ResultStore:
         for extra in (self.manifest_path, self.study_log_path):
             if extra.exists():
                 bookkeeping.append(extra)
-        for directory in (self.runtable_root, self.map_root):
-            if directory.is_dir():
-                bookkeeping.extend(
-                    path for path in directory.iterdir() if path.is_file()
-                )
+        if self.runtable_root.is_dir():
+            bookkeeping.extend(
+                path for path in self.runtable_root.iterdir() if path.is_file()
+            )
         if self.queue_root.is_dir():
             for name in ("tasks", "leases", "workers"):
                 subdir = self.queue_root / name
@@ -671,7 +658,7 @@ class ResultStore:
 
     def clear(self) -> int:
         """Delete every stored result, analysis, shard entry, manifest,
-        run-table artifact, cached map and queue file; returns how many
+        run-table artifact and queue file; returns how many
         entries were removed (each store entry counts as one; bookkeeping
         files are removed but not counted)."""
         entries, bookkeeping = self.clear_candidates()

@@ -39,6 +39,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             CacheConfig(ways=0)
 
+    def test_rejects_unknown_placement(self):
+        with pytest.raises(ValueError, match="placement must be one of"):
+            CacheConfig(name="il1", placement="nope")
+
+    @pytest.mark.parametrize(
+        "placement, size_bytes, min_sets",
+        # RM at one and two sets: a permutation network over fewer than two
+        # index bits has no switch.  XOR at one set has no bit to fold into.
+        [("rm", 64, 4), ("rm", 128, 4), ("xor", 64, 2)],
+    )
+    def test_rejects_too_few_sets_for_the_placement(self, placement, size_bytes, min_sets):
+        with pytest.raises(ValueError, match=f"{placement} placement needs at least {min_sets} sets"):
+            CacheConfig(
+                name="il1", size_bytes=size_bytes, ways=2, line_size=32, placement=placement
+            )
+
 
 class TestBasicBehaviour:
     def test_first_access_misses_then_hits(self):

@@ -4,9 +4,9 @@ The codec itself is a pure function pinned by round-trip tests; what these
 tests certify is the *storage contract*: columnar entries round-trip
 bit-exact with the JSON era, JSON-era files are neither read nor listed
 (the store is a cache; those campaigns re-simulate), corrupt or truncated
-payloads read as misses and self-heal on the next save (mirroring the
-mapcache corruption suite), the manifest stays a disposable index over the
-entry files, and ``clear`` leaves no orphaned files behind.
+payloads read as misses and self-heal on the next save, the manifest stays
+a disposable index over the entry files, and ``clear`` leaves no orphaned
+files behind.
 """
 
 import json
@@ -359,7 +359,7 @@ def _populated_store(tmp_path):
     store.save_shard(scenario.spec_hash(), "0-2", SHARD_PAYLOAD)
     store.record_study("smoke", [scenario.spec_hash()])
     build_run_table(store)  # materializes runtable/rows.json
-    # Stray tmp files from interrupted writers, queue + map artifacts.
+    # Stray tmp files from interrupted writers, queue artifacts.
     (store.root / "orphan.rcol.tmp").write_bytes(b"")
     (store.analysis_root / "orphan.json.tmp").write_text("")
     (store.shard_root / "orphan.rcol.tmp").write_bytes(b"")
@@ -367,8 +367,6 @@ def _populated_store(tmp_path):
         directory = store.queue_root / sub
         directory.mkdir(parents=True, exist_ok=True)
         (directory / "w1.json").write_text("{}")
-    store.map_root.mkdir(parents=True, exist_ok=True)
-    (store.map_root / "cafebabe.map").write_bytes(b"\x00")
     return store
 
 
@@ -384,7 +382,7 @@ class TestGarbageCollection:
         store = _populated_store(tmp_path)
         assert store.sweep(older_than=0.0) > 0
         # Campaign entries are the results — a sweep never touches them —
-        # and the manifest/provenance/map bookkeeping stays.  Everything
+        # and the manifest/provenance bookkeeping stays.  Everything
         # derived (analyses, shards, run-table rows, queue files, stray
         # ``*.tmp``) must be gone.
         survivors = sorted(
@@ -396,7 +394,6 @@ class TestGarbageCollection:
                 f"{scenario.spec_hash()}.rcol",
                 "manifest.log",
                 "studies.log",
-                "cafebabe.map",
             ]
         )
 

@@ -8,7 +8,7 @@ through the campaign layer and the exec queue's worker processes.
 """
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.campaign import run_campaign, run_layout_campaign
@@ -292,18 +292,23 @@ class TestLayoutLanes:
         granularity=st.sampled_from([4, 32, 64]),
     )
     @example(**PINNED_LAYOUT_CASE)
+    @example(**dict(PINNED_LAYOUT_CASE, placement="rm", line_size=128, l1_ways=2))
     @settings(max_examples=25, deadline=None)
     def test_lanes_equal_per_layout_rebuilds_property(
         self, kernel, scale, placement, replacement, line_size, l1_size,
         l1_ways, with_l2, count, layout_seed, granularity,
     ):
-        # RM routes the set index through a permutation network, which needs
-        # at least two index bits (four sets).
-        assume(placement != "rm" or l1_size // (l1_ways * line_size) >= 4)
-        config, layouts = layout_case(
+        case = (
             kernel, scale, placement, replacement, line_size, l1_size,
             l1_ways, with_l2, count, layout_seed, granularity,
         )
+        if placement == "rm" and l1_size // (l1_ways * line_size) < 4:
+            # RM routes the set index through a permutation network, which
+            # needs at least two index bits (four sets): rejected up front.
+            with pytest.raises(ValueError, match="rm placement needs at least 4 sets"):
+                layout_case(*case)
+            return
+        config, layouts = layout_case(*case)
         rebuilt = [
             TraceDrivenCore(config, eembc_trace(kernel, layout=layout, scale=scale))
             .run(0)

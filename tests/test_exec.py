@@ -268,7 +268,7 @@ class TestSpecRoundTrip:
             hierarchy=HierarchySpec(
                 setup="",
                 l1_placement="modulo",
-                l2_placement="random_modulo",
+                l2_placement="rm",
                 l1_replacement="lru",
                 l2_replacement="random",
             ),

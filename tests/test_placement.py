@@ -1,5 +1,8 @@
 """Tests for the placement policies (the paper's core contribution)."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,3 +225,40 @@ class TestRandomModulo:
         description = RandomModuloPlacement(LEON3_L1, seed=1).describe()
         assert description["policy"] == "rm"
         assert description["num_sets"] == 128
+
+
+class TestVectorizedMaps:
+    """The vectorized hooks the numpy engine builds its per-seed maps with
+    must equal the scalar mapping, address by address and seed by seed."""
+
+    SEEDS = [0, 1, 0xDEADBEEF, 2**63, 2**64 - 1]
+
+    @staticmethod
+    def _addresses(geometry):
+        # Lines spread over several segments (RM redraws its permutation per
+        # segment), including the first and last line of the address space.
+        rng = random.Random(geometry.num_sets * geometry.line_size)
+        segments = 1 << (geometry.address_bits - geometry.offset_bits - geometry.index_bits)
+        addresses = [0, (1 << geometry.address_bits) - geometry.line_size]
+        for segment in (0, 1, 3, rng.randrange(segments), segments - 1):
+            base = segment * geometry.segment_size
+            addresses += [
+                base + rng.randrange(geometry.num_sets) * geometry.line_size
+                for _ in range(8)
+            ]
+        return np.array(addresses, dtype=np.uint64)
+
+    @pytest.mark.parametrize("line_size", [16, 32])
+    @pytest.mark.parametrize("num_sets", [4, 16, 128, 1024])
+    @pytest.mark.parametrize("name", ["modulo", "xor", "hrp", "rm"])
+    def test_matrix_columns_equal_the_scalar_mapping(self, name, num_sets, line_size):
+        geometry = PlacementGeometry(num_sets=num_sets, line_size=line_size)
+        policy = make_placement(name, geometry, seed=7)
+        addresses = self._addresses(geometry)
+        matrix = policy.set_index_matrix(addresses, self.SEEDS)
+        assert matrix.shape == (len(addresses), len(self.SEEDS))
+        for column, seed in enumerate(self.SEEDS):
+            policy.reseed(seed)
+            expected = [policy.set_index(int(address)) for address in addresses]
+            assert matrix[:, column].tolist() == expected, seed
+            assert policy.set_index_array(addresses).tolist() == expected, seed

@@ -1,6 +1,8 @@
 """Smoke tests for the top-level public API and the example scripts."""
 
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,6 +33,28 @@ class TestPublicApi:
         geometry = repro.PlacementGeometry(num_sets=64, line_size=32)
         policy = repro.make_placement("rm", geometry, seed=1)
         assert policy.set_index(0) == 0  # all-zero index is a fixed point
+
+
+class TestDeclaredDependencies:
+    def test_table1_study_runs_without_networkx(self, tmp_path):
+        """``import repro`` and ``study run table1`` need nothing that
+        pyproject.toml does not declare; networkx is blocked in a child."""
+        script = (
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "import repro\n"
+            "from repro.__main__ import main\n"
+            "sys.exit(main(['study', 'run', 'table1', '--store', sys.argv[1]]))\n"
+        )
+        env = dict(os.environ)
+        src_root = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "store")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        assert "Table 1" in child.stdout
 
 
 class TestDesignDocumentation:

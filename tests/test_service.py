@@ -296,6 +296,23 @@ class TestJobLifecycle:
             client.submit({"spec": spec})
         assert excinfo.value.status == 400
         assert "unknown EEMBC kernel 'nope'" in excinfo.value.message
+        # So does a custom hierarchy no cache can be built from.
+        hierarchy = HierarchySpec.custom(with_l2=False).spec_dict()
+        for placement, l1_size_bytes, message in (
+            ("rm", 100, "is not a multiple of ways * line_size"),
+            ("rm", 2 * 4 * 32, "rm placement needs at least 4 sets"),
+            ("nope", 16 * 1024, "placement must be one of"),
+        ):
+            spec = _spec(_scenario(runs=8))
+            spec["hierarchy"] = dict(
+                hierarchy,
+                l1_placement=placement,
+                parameters=dict(hierarchy["parameters"], l1_size_bytes=l1_size_bytes),
+            )
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit({"spec": spec})
+            assert excinfo.value.status == 400
+            assert message in excinfo.value.message
 
     def test_unknown_job_and_route_are_404(self, tmp_path, start_server):
         _, client = start_server(ResultStore(tmp_path / "store"))
