@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--refresh",
             action="store_true",
-            help="rebuild every row from the store (ignore the incremental cache)",
+            help="accepted for compatibility and ignored: every query reads the store",
         )
 
     query_runs = query_commands.add_parser(
@@ -650,7 +650,7 @@ def _query_table(parser: argparse.ArgumentParser, args: argparse.Namespace):
     """Build + filter the run table per the shared query flags."""
     from .study.runtable import build_run_table
 
-    table = build_run_table(ResultStore(args.store), refresh=args.refresh)
+    table = build_run_table(ResultStore(args.store))
     try:
         return table.filter(
             study=args.study,
@@ -981,8 +981,8 @@ def main(argv: list[str] | None = None) -> int:
         if settings is None:
             return 2
         # Queued execution needs the result store; plain `run` has none, so
-        # REPRO_JOBS and REPRO_SHARD_SIZE from the environment do not apply.
-        settings = replace(settings, jobs=1, shard_size=None, resume=False)
+        # REPRO_JOBS from the environment does not apply.
+        settings = replace(settings, jobs=1)
         if args.output_format == "csv":
             print(CSV_HEADER)
         for identifier in targets:

@@ -94,7 +94,7 @@ class ExperimentSettings:
     it from the environment).  Left empty, the MBPTA config default
     (``gumbel-pwm``) applies — the historical behaviour.
 
-    ``shard_size`` (``REPRO_SHARD_SIZE``) routes campaigns through the
+    ``shard_size`` (CLI ``--shard-size``) routes campaigns through the
     sharded work-queue pipeline (:mod:`repro.exec`): each campaign is split
     into lane-range shards persisted individually, so a killed ``study run``
     can be resumed with ``resume=True`` (CLI ``--resume``) executing only
@@ -117,8 +117,8 @@ class ExperimentSettings:
 
     @classmethod
     def from_env(cls, **overrides) -> "ExperimentSettings":
-        """Build settings from ``REPRO_RUNS`` / ``REPRO_FULL`` / ``REPRO_SCALE`` /
-        ``REPRO_JOBS`` / ``REPRO_ENGINE``."""
+        """Build settings from ``REPRO_FULL`` / ``REPRO_RUNS`` / ``REPRO_SCALE`` /
+        ``REPRO_JOBS`` / ``REPRO_ENGINE`` / ``REPRO_ESTIMATOR``."""
         settings = cls(**overrides)
         if os.environ.get("REPRO_FULL", "").strip() in ("1", "true", "yes"):
             settings = replace(settings, runs=1000)
@@ -137,9 +137,6 @@ class ExperimentSettings:
         estimator = os.environ.get("REPRO_ESTIMATOR", "").strip()
         if estimator:
             settings = replace(settings, estimator=estimator)
-        shard_size = os.environ.get("REPRO_SHARD_SIZE", "").strip()
-        if shard_size:
-            settings = replace(settings, shard_size=int(shard_size))
         return settings
 
     def setup(self, name: str) -> HierarchyConfig:

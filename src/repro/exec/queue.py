@@ -216,44 +216,3 @@ class FileQueue:
         except OSError:
             pass
         self.release(task_path, owner)
-
-    # ------------------------------------------------------------- status
-
-    def counts(self, now: Optional[float] = None) -> Dict[str, int]:
-        """Queue occupancy: pending tasks and how many hold active leases."""
-        now = time.time() if now is None else now
-        tasks = self.tasks()
-        leased = sum(
-            1
-            for path in tasks
-            if (lease := self.lease_for(path)) is not None and lease.active(now)
-        )
-        return {"pending": len(tasks), "leased": leased}
-
-    def clear(self) -> int:
-        """Remove every task, lease and heartbeat file; returns the count."""
-        removed = 0
-        for directory, pattern in (
-            (self.task_root, "*.json"),
-            (self.lease_root, "*.lease"),
-            (self.worker_root, "*.json"),
-        ):
-            if not directory.is_dir():
-                continue
-            for path in directory.glob(pattern):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-            for path in directory.glob("*.tmp"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-        # The worker index is bookkeeping, not a heartbeat: removed, uncounted.
-        try:
-            (self.worker_root / "index.log").unlink()
-        except OSError:
-            pass
-        return removed

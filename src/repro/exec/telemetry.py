@@ -11,12 +11,9 @@ to one write per :data:`HEARTBEAT_INTERVAL` except on state transitions
 (claim, publish, exit), so telemetry never becomes the bottleneck of a
 short-shard campaign.
 
-Each worker registers its owner once in ``workers/index.log`` (append-only,
-like the store manifest), so :func:`read_heartbeats` — polled by ``exec
-status`` and the analysis server's status endpoint — reads the index plus
-one file per worker instead of globbing the directory every poll.  A
-missing index falls back to the glob, so queues written by older builds
-stay readable.
+:func:`read_heartbeats` — polled by ``exec status``, the analysis
+server's status endpoint and its event watcher — lists the ``workers/``
+directory, so every heartbeat file on disk is reported.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from .queue import FileQueue
 
 __all__ = [
     "HEARTBEAT_INTERVAL",
-    "WORKER_INDEX_NAME",
     "WorkerHeartbeat",
     "WorkerTelemetry",
     "read_heartbeats",
@@ -42,9 +38,6 @@ __all__ = [
 #: Minimum seconds between two heartbeat writes of one worker (state
 #: transitions always write).
 HEARTBEAT_INTERVAL = 1.0
-
-#: Append-only owner index beside the heartbeat files.
-WORKER_INDEX_NAME = "index.log"
 
 
 @dataclass
@@ -119,7 +112,6 @@ class WorkerTelemetry:
             last_heartbeat=now,
         )
         self._last_write = 0.0
-        self._indexed = False
         self._write(force=True)
 
     @property
@@ -156,28 +148,9 @@ class WorkerTelemetry:
             temporary = self.path.with_suffix(f".{uuid.uuid4().hex[:8]}.tmp")
             temporary.write_text(json.dumps(self.heartbeat.as_dict(), sort_keys=True))
             os.replace(temporary, self.path)
-            if not self._indexed:
-                # One short O_APPEND line per worker lifetime; readers
-                # deduplicate, so a crash-retry double entry is harmless.
-                with open(self.queue.worker_root / WORKER_INDEX_NAME, "a") as handle:
-                    handle.write(f"{self.owner}\n")
-                self._indexed = True
         except OSError:
             # Telemetry must never take a worker down.
             pass
-
-
-def _heartbeat_paths(queue: FileQueue) -> List:
-    """The heartbeat files to read: index-listed owners, or a glob fallback
-    for queues written before the index existed."""
-    index = queue.worker_root / WORKER_INDEX_NAME
-    try:
-        owners = sorted(
-            {line.strip() for line in index.read_text().splitlines() if line.strip()}
-        )
-    except OSError:
-        return sorted(queue.worker_root.glob("*.json"))
-    return [queue.worker_root / f"{owner}.json" for owner in owners]
 
 
 def read_heartbeats(queue: FileQueue) -> List[WorkerHeartbeat]:
@@ -185,7 +158,7 @@ def read_heartbeats(queue: FileQueue) -> List[WorkerHeartbeat]:
     if not queue.worker_root.is_dir():
         return []
     beats: List[WorkerHeartbeat] = []
-    for path in _heartbeat_paths(queue):
+    for path in sorted(queue.worker_root.glob("*.json"), key=lambda path: path.stem):
         try:
             payload = json.loads(path.read_text())
             beats.append(

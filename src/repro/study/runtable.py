@@ -10,12 +10,9 @@ miss rates, the pWCET quantiles, the admission verdict and the provenance
 hashes.  Campaign entries without a persisted analysis still get one row
 (with an empty ``estimator``), so the table always covers the whole store.
 
-Assembly is **incremental**: rows are cached per spec hash in
-``runtable/rows.json`` beside the store entries, keyed by the mtimes of
-the campaign entry and its analyses.  A rebuild therefore only touches the
-entries that changed since the last build — on a warm store it is one
-cache read.  The cache is derived data: ``study clean`` and the GC sweep
-remove it, and it rebuilds from the store on the next query.
+Every build reads the store itself — the campaign entries as
+memory-mapped columns plus their analysis files — so the table always
+matches the entries on disk.
 
 Rows are plain dicts (JSON-able), exportable to CSV always and to Parquet
 when pandas + pyarrow happen to be installed (they are **not**
@@ -27,11 +24,9 @@ dependencies).  Filtering supports exact-match fields and a restricted
 from __future__ import annotations
 
 import csv
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from .scenario import hierarchy_from_spec, workload_from_spec
 from .store import ResultStore
@@ -63,11 +58,6 @@ ROW_FIELDS = (
     "spec_hash",
     "analysis_hash",
 )
-
-#: Version of the on-disk row cache layout.
-_CACHE_VERSION = 1
-
-_CACHE_NAME = "rows.json"
 
 
 def _campaign_row(
@@ -154,7 +144,7 @@ def _analysis_fields(payload: Mapping[str, object]) -> Dict[str, object]:
 def _rows_for_spec(
     store: ResultStore,
     spec_hash: str,
-    analyses: Sequence[Tuple[str, float]],
+    analyses: Sequence[str],
     studies: Sequence[str],
 ) -> List[Dict[str, object]]:
     """Every row for one spec hash (one per analysis; one bare row if none)."""
@@ -173,7 +163,7 @@ def _rows_for_spec(
         return []
     base["study"] = ",".join(studies)
     rows: List[Dict[str, object]] = []
-    for analysis_hash, _ in sorted(analyses):
+    for analysis_hash in analyses:
         payload = store.load_analysis(spec_hash, analysis_hash)
         if payload is None:
             continue
@@ -319,89 +309,22 @@ class RunTable:
         return destination
 
 
-def _cache_path(store: ResultStore) -> Path:
-    return store.runtable_root / _CACHE_NAME
-
-
-def _load_cache(store: ResultStore) -> Dict[str, Dict[str, object]]:
-    """The per-spec row cache, or empty on any problem (it is derived data)."""
-    try:
-        payload = json.loads(_cache_path(store).read_text())
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(payload, dict) or payload.get("version") != _CACHE_VERSION:
-        return {}
-    specs = payload.get("specs")
-    return specs if isinstance(specs, dict) else {}
-
-
-def _save_cache(store: ResultStore, specs: Dict[str, Dict[str, object]]) -> None:
-    try:
-        store.runtable_root.mkdir(parents=True, exist_ok=True)
-        path = _cache_path(store)
-        temporary = path.with_suffix(".json.tmp")
-        temporary.write_text(
-            json.dumps({"version": _CACHE_VERSION, "specs": specs}, sort_keys=True)
-        )
-        os.replace(temporary, path)
-    except OSError:
-        pass  # the cache is an accelerator, never required
-
-
-def _entry_mtime(store: ResultStore, spec_hash: str) -> Optional[float]:
-    try:
-        return store.path_for(spec_hash).stat().st_mtime
-    except OSError:
-        return None
-
-
-def build_run_table(store: ResultStore, refresh: bool = False) -> RunTable:
-    """Assemble the run table for ``store``, incrementally.
-
-    Per spec hash, cached rows are reused when neither the campaign entry
-    nor its analysis set changed (mtime-keyed); everything else is rebuilt
-    from the store.  ``refresh=True`` ignores the cache entirely.  The
-    updated cache is persisted best-effort.
-    """
-    analyses_by_spec: Dict[str, List[Tuple[str, float]]] = {}
+def build_run_table(store: ResultStore) -> RunTable:
+    """Assemble the run table for ``store`` from its current entries."""
+    analyses_by_spec: Dict[str, List[str]] = {}
     for spec_hash, analysis_hash in store.analysis_keys():
-        try:
-            mtime = store.analysis_path_for(spec_hash, analysis_hash).stat().st_mtime
-        except OSError:
-            continue  # listed but vanished — stale manifest tail
-        analyses_by_spec.setdefault(spec_hash, []).append((analysis_hash, mtime))
-
-    cache = {} if refresh else _load_cache(store)
+        analyses_by_spec.setdefault(spec_hash, []).append(analysis_hash)
     study_index = store.study_index()
-    fresh_cache: Dict[str, Dict[str, object]] = {}
     rows: List[Dict[str, object]] = []
     for spec_hash in store.keys():
-        entry_mtime = _entry_mtime(store, spec_hash)
-        if entry_mtime is None:
-            continue  # listed but vanished — stale manifest tail
-        analyses = sorted(analyses_by_spec.get(spec_hash, []))
-        studies = study_index.get(spec_hash, [])
-        cached = cache.get(spec_hash)
-        if (
-            isinstance(cached, dict)
-            and cached.get("entry_mtime") == entry_mtime
-            and cached.get("analyses") == [list(pair) for pair in analyses]
-            and cached.get("studies") == list(studies)
-            and isinstance(cached.get("rows"), list)
-        ):
-            spec_rows = [dict(row) for row in cached["rows"]]  # type: ignore[union-attr]
-        else:
-            spec_rows = _rows_for_spec(store, spec_hash, analyses, studies)
-        if not spec_rows:
-            continue
-        fresh_cache[spec_hash] = {
-            "entry_mtime": entry_mtime,
-            "analyses": [list(pair) for pair in analyses],
-            "studies": list(studies),
-            "rows": spec_rows,
-        }
-        rows.extend(spec_rows)
-    _save_cache(store, fresh_cache)
+        rows.extend(
+            _rows_for_spec(
+                store,
+                spec_hash,
+                analyses_by_spec.get(spec_hash, []),
+                study_index.get(spec_hash, []),
+            )
+        )
     rows.sort(
         key=lambda row: (
             str(row.get("study", "")),

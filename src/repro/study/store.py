@@ -26,15 +26,11 @@ and keeping them textual keeps warm analysis payloads byte-identical to
 the JSON era.  A warm ``study run`` therefore resolves both the campaign
 *and* its EVT analysis from disk and performs zero fits.
 
-Key listings (:meth:`ResultStore.keys`, :meth:`shard_keys`,
-:meth:`analysis_keys`) are served from an append-only **manifest**
-(``manifest.log``: ``+/- <kind> <name>`` lines) instead of directory
-globs, so the polling consumers — ``exec status``, the analysis server's
-:class:`~repro.service.services.events.StoreWatcher` — read one small
-file per poll instead of enumerating the store.  The manifest is an
-index, never the source of truth: :meth:`load` probes entry files
-directly, a missing manifest is rebuilt by scanning the directories, and
-``clear`` simply deletes it.
+Key listings (:meth:`ResultStore.keys`, :meth:`analysis_keys`,
+:meth:`shard_keys`) and the GC candidate lists scan the entry
+directories, so they always agree with the files: a killed save leaves
+either a listed entry or an unlisted ``*.tmp`` straggler.  The only
+bookkeeping file is ``studies.log``, the study provenance record.
 
 The store is deliberately forgiving: unreadable, truncated or
 version-mismatched files are treated as cache misses (and overwritten by
@@ -62,7 +58,6 @@ from .scenario import SPEC_VERSION, Scenario
 
 __all__ = [
     "DEFAULT_STORE_DIR",
-    "MANIFEST_NAME",
     "STUDY_LOG_NAME",
     "StoredResult",
     "ResultStore",
@@ -71,14 +66,8 @@ __all__ = [
 #: Default store location, relative to the working directory.
 DEFAULT_STORE_DIR = os.path.join("results", "store")
 
-#: The append-only key index at the store root.
-MANIFEST_NAME = "manifest.log"
-
 #: The append-only (study name, spec hash) provenance log at the store root.
 STUDY_LOG_NAME = "studies.log"
-
-#: Entry kinds tracked by the manifest.
-_MANIFEST_KINDS = ("results", "analysis", "shards")
 
 
 @dataclass
@@ -127,13 +116,19 @@ def _as_int_column(value: object) -> Optional[np.ndarray]:
 def _replace_atomically(path: Path, data: bytes) -> None:
     """Write ``data`` to ``path`` through a writer-unique temporary file.
 
-    Two workers that executed the same shard (a lease-reclaim race) publish
+    Two writers of one entry — workers that executed the same shard (a
+    lease-reclaim race), or two jobs persisting the same analysis — write
     identical bytes; unique temporary names keep either one's replace from
     tripping over the other's.
     """
     temporary = path.with_name(f"{path.name}.{uuid.uuid4().hex[:8]}.tmp")
     temporary.write_bytes(data)
     os.replace(temporary, path)
+
+
+def _files(directory: Path, pattern: str) -> List[Path]:
+    """The files in ``directory`` matching ``pattern``; none if it is absent."""
+    return list(directory.glob(pattern)) if directory.is_dir() else []
 
 
 class ResultStore:
@@ -148,18 +143,8 @@ class ResultStore:
         return self.root / f"{spec_hash}{columnar.COLUMNAR_SUFFIX}"
 
     @property
-    def manifest_path(self) -> Path:
-        return self.root / MANIFEST_NAME
-
-    @property
     def study_log_path(self) -> Path:
         return self.root / STUDY_LOG_NAME
-
-    @property
-    def runtable_root(self) -> Path:
-        """Directory of run-table artifacts (:mod:`repro.study.runtable`):
-        the incremental row cache and any exported tables."""
-        return self.root / "runtable"
 
     def __contains__(self, spec_hash: str) -> bool:
         return self.load(spec_hash) is not None
@@ -167,95 +152,11 @@ class ResultStore:
     def __len__(self) -> int:
         return len(self.keys())
 
-    # ------------------------------------------------------------ manifest
-
-    def _scan_manifest(self) -> Dict[str, Set[str]]:
-        """Rebuild the manifest content from the directories themselves."""
-        entries: Dict[str, Set[str]] = {kind: set() for kind in _MANIFEST_KINDS}
-        if self.root.is_dir():
-            for path in self.root.glob(f"*{columnar.COLUMNAR_SUFFIX}"):
-                entries["results"].add(path.stem)
-        if self.analysis_root.is_dir():
-            for path in self.analysis_root.glob("*.json"):
-                if "." in path.stem:
-                    entries["analysis"].add(path.stem)
-        if self.shard_root.is_dir():
-            for path in self.shard_root.glob(f"*{columnar.COLUMNAR_SUFFIX}"):
-                if "." in path.stem:
-                    entries["shards"].add(path.stem)
-        return entries
-
-    def _write_manifest(self, entries: Dict[str, Set[str]]) -> None:
-        lines = [
-            f"+ {kind} {name}"
-            for kind in _MANIFEST_KINDS
-            for name in sorted(entries[kind])
-        ]
-        temporary = self.root / f"{MANIFEST_NAME}.tmp"
-        temporary.write_text("\n".join(lines) + ("\n" if lines else ""))
-        os.replace(temporary, self.manifest_path)
-
-    def _ensure_manifest(self) -> bool:
-        """Materialize the manifest from a directory scan when absent.
-
-        The first listing scans once, writes the index, and every later
-        listing is a single-file read.  Returns whether a manifest exists
-        afterwards.
-        """
-        if self.manifest_path.exists():
-            return True
-        if not self.root.is_dir():
-            return False
-        try:
-            self._write_manifest(self._scan_manifest())
-        except OSError:
-            return False
-        return True
-
-    def _manifest_read(self) -> Dict[str, Set[str]]:
-        entries: Dict[str, Set[str]] = {kind: set() for kind in _MANIFEST_KINDS}
-        if not self._ensure_manifest():
-            return entries
-        try:
-            text = self.manifest_path.read_text()
-        except OSError:
-            return entries
-        for line in text.splitlines():
-            parts = line.split()
-            if len(parts) != 3 or parts[0] not in ("+", "-") or parts[1] not in entries:
-                continue  # torn or foreign line: the manifest is only an index
-            operation, kind, name = parts
-            if operation == "+":
-                entries[kind].add(name)
-            else:
-                entries[kind].discard(name)
-        return entries
-
-    def _manifest_append(self, operation: str, kind: str, name: str) -> None:
-        """Record one add/remove (append-only; single short O_APPEND write).
-
-        Failures are swallowed: the manifest is an index over the entry
-        files, never the source of truth, so a lost append degrades a
-        listing, not the data — and ``clear`` rebuilds from a scan.
-
-        Every save appends its ``+``, even for a key saved before: another
-        store instance may have removed the entry since, and the manifest
-        is last-op-wins, so a skipped ``+`` would leave the re-saved file
-        unlisted.  Only cold saves reach here; warm paths save nothing.
-        """
-        if not self._ensure_manifest():
-            return
-        try:
-            with open(self.manifest_path, "a") as handle:
-                handle.write(f"{operation} {kind} {name}\n")
-        except OSError:
-            return
-
     # ------------------------------------------------------------ campaigns
 
     def keys(self) -> List[str]:
-        """Spec hashes currently stored (sorted; manifest-backed)."""
-        return sorted(self._manifest_read()["results"])
+        """Spec hashes currently stored (sorted)."""
+        return sorted(path.stem for path in _files(self.root, f"*{columnar.COLUMNAR_SUFFIX}"))
 
     def load(self, spec_hash: str) -> Optional[StoredResult]:
         """The stored result for ``spec_hash``, or ``None`` (never raises)."""
@@ -326,7 +227,6 @@ class ResultStore:
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(spec_hash)
         _replace_atomically(path, columnar.pack_entry(meta, columns))
-        self._manifest_append("+", "results", spec_hash)
         return path
 
     def save(
@@ -385,17 +285,14 @@ class ResultStore:
         """Persist one analysis payload atomically; returns the entry path."""
         self.analysis_root.mkdir(parents=True, exist_ok=True)
         path = self.analysis_path_for(spec_hash, analysis_hash)
-        temporary = path.with_suffix(".json.tmp")
-        temporary.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(temporary, path)
-        self._manifest_append("+", "analysis", f"{spec_hash}.{analysis_hash}")
+        _replace_atomically(path, json.dumps(payload, sort_keys=True).encode())
         return path
 
     def analysis_keys(self) -> List[Tuple[str, str]]:
         """(spec_hash, analysis_hash) pairs currently stored (sorted)."""
         pairs = []
-        for name in self._manifest_read()["analysis"]:
-            spec_hash, _, analysis_hash = name.partition(".")
+        for path in _files(self.analysis_root, "*.json"):
+            spec_hash, _, analysis_hash = path.stem.partition(".")
             if analysis_hash:
                 pairs.append((spec_hash, analysis_hash))
         return sorted(pairs)
@@ -437,7 +334,6 @@ class ResultStore:
         self.shard_root.mkdir(parents=True, exist_ok=True)
         path = self.shard_path_for(spec_hash, key)
         _replace_atomically(path, columnar.pack_entry(meta, columns))
-        self._manifest_append("+", "shards", f"{spec_hash}.{key}")
         return path
 
     def load_shard(self, spec_hash: str, key: str) -> Optional[Dict[str, object]]:
@@ -457,11 +353,10 @@ class ResultStore:
         return {**meta, **columns}
 
     def shard_keys(self, spec_hash: Optional[str] = None) -> List[Tuple[str, str]]:
-        """(spec_hash, shard_key) pairs currently published (sorted;
-        manifest-backed, so pollers read one file instead of globbing)."""
+        """(spec_hash, shard_key) pairs currently published (sorted)."""
         pairs = []
-        for name in self._manifest_read()["shards"]:
-            entry_hash, _, key = name.partition(".")
+        for path in _files(self.shard_root, f"*{columnar.COLUMNAR_SUFFIX}"):
+            entry_hash, _, key = path.stem.partition(".")
             if key and (spec_hash is None or entry_hash == spec_hash):
                 pairs.append((entry_hash, key))
         return sorted(pairs)
@@ -476,7 +371,6 @@ class ResultStore:
         for path in self.shard_root.glob(f"{prefix}{columnar.COLUMNAR_SUFFIX}"):
             path.unlink()
             removed += 1
-            self._manifest_append("-", "shards", path.stem)
         for path in self.shard_root.glob("*.tmp"):
             with contextlib.suppress(OSError):
                 path.unlink()
@@ -528,13 +422,14 @@ class ResultStore:
 
     # ------------------------------------------------------------------ GC
 
-    def _entry_path(self, kind: str, name: str) -> Path:
-        """Where a manifest entry's file lives."""
-        if kind == "analysis":
-            return self.analysis_root / f"{name}.json"
-        if kind == "shards":
-            return self.shard_root / f"{name}{columnar.COLUMNAR_SUFFIX}"
-        return self.path_for(name)
+    def _queue_files(self) -> List[Path]:
+        """Every task, lease and heartbeat file under the store's queue."""
+        return [
+            path
+            for name in ("tasks", "leases", "workers")
+            for path in _files(self.queue_root / name, "*")
+            if path.is_file()
+        ]
 
     def sweep_candidates(
         self,
@@ -548,45 +443,26 @@ class ResultStore:
         This is the single place sweep decisions are made: :meth:`sweep`
         deletes exactly this list, ``study clean --dry-run`` prints it, and
         the analysis server's background GC service logs it — so what the
-        GC *would* do is testable without side effects.  Derived entries
-        are enumerated through the manifest; queue leftovers, run-table
-        artifacts and ``*.tmp`` stragglers are picked up from their
-        (small) directories.
+        GC *would* do is testable without side effects.  Candidates come
+        from directory scans: analyses, shard entries, queue files and
+        ``*.tmp`` stragglers.
         """
         cutoff = (time.time() if now is None else now) - max(0.0, older_than)
+        paths = _files(self.analysis_root, "*.json") + _files(self.analysis_root, "*.tmp")
+        if not analyses_only:
+            paths += _files(self.shard_root, f"*{columnar.COLUMNAR_SUFFIX}")
+            paths += _files(self.shard_root, "*.tmp")
+            # Interrupted campaign-entry writers leave ``<hash>.rcol.*.tmp``
+            # beside the results; the glob is tmp-only, entries are safe.
+            paths += _files(self.root, "*.tmp")
+            paths += self._queue_files()
         candidates: List[Path] = []
-
-        def consider(path: Path) -> None:
+        for path in paths:
             try:
                 if path.stat().st_mtime <= cutoff:
                     candidates.append(path)
             except OSError:
                 pass  # concurrently removed — fine
-
-        manifest = self._manifest_read()
-        kinds = ("analysis",) if analyses_only else ("analysis", "shards")
-        for kind in kinds:
-            for name in manifest[kind]:
-                consider(self._entry_path(kind, name))
-        straggler_roots = [self.analysis_root]
-        if not analyses_only:
-            straggler_roots.append(self.shard_root)
-            # Interrupted campaign-entry writers leave ``<hash>.rcol.*.tmp``
-            # beside the results; the glob is tmp-only, entries are safe.
-            straggler_roots.append(self.root)
-        for root in straggler_roots:
-            if root.is_dir():
-                for path in root.glob("*.tmp"):
-                    consider(path)
-        if not analyses_only:
-            walk_roots = [self.queue_root / name for name in ("tasks", "leases", "workers")]
-            walk_roots.append(self.runtable_root)
-            for root in walk_roots:
-                if not root.is_dir():
-                    continue
-                for path in root.iterdir():
-                    if path.is_file():
-                        consider(path)
         return sorted(set(candidates))
 
     def sweep(self, older_than: float, analyses_only: bool = False) -> int:
@@ -594,10 +470,10 @@ class ResultStore:
 
         Analyses are always eligible (they are pure caches, rebuilt from the
         campaign entry on the next run).  Unless ``analyses_only``, published
-        shard entries, run-table artifacts and leftover queue files (tasks,
-        leases, worker heartbeats abandoned by a killed campaign) are swept
-        too.  Campaign entries themselves are never touched — they are the
-        results.  Returns how many files were removed.
+        shard entries and leftover queue files (tasks, leases, worker
+        heartbeats abandoned by a killed campaign) are swept too.  Campaign
+        entries themselves are never touched — they are the results.
+        Returns how many files were removed.
         """
         removed = 0
         for path in self.sweep_candidates(older_than, analyses_only=analyses_only):
@@ -606,26 +482,15 @@ class ResultStore:
                 removed += 1
             except OSError:
                 continue  # concurrently removed — fine
-            self._discard_swept(path)
         return removed
-
-    def _discard_swept(self, path: Path) -> None:
-        """Mirror a swept entry file into the manifest as a removal."""
-        if path.parent == self.analysis_root and path.suffix == ".json":
-            self._manifest_append("-", "analysis", path.stem)
-        elif path.parent == self.shard_root and path.suffix == columnar.COLUMNAR_SUFFIX:
-            self._manifest_append("-", "shards", path.stem)
 
     def clear_candidates(self) -> Tuple[List[Path], List[Path]]:
         """What :meth:`clear` would delete: ``(entries, bookkeeping)``.
 
         ``entries`` are the counted store entries (campaign results,
-        analyses, shard entries); ``bookkeeping`` are
-        temp files, the manifest and study logs, run-table artifacts and
-        queue files, removed but not counted.
-        Both sorted; nothing is deleted.  Directory scans (not the
-        manifest) decide here, so a clean collects orphans the index lost
-        track of.
+        analyses, shard entries); ``bookkeeping`` are temp files, the study
+        log and queue files, removed but not counted.  Both sorted; nothing
+        is deleted.
         """
         entries: List[Path] = []
         bookkeeping: List[Path] = []
@@ -636,31 +501,17 @@ class ResultStore:
             (self.analysis_root, "*.json"),
             (self.shard_root, f"*{columnar.COLUMNAR_SUFFIX}"),
         ):
-            if not directory.is_dir():
-                continue
-            entries.extend(directory.glob(pattern))
-            bookkeeping.extend(directory.glob("*.tmp"))
-        for extra in (self.manifest_path, self.study_log_path):
-            if extra.exists():
-                bookkeeping.append(extra)
-        if self.runtable_root.is_dir():
-            bookkeeping.extend(
-                path for path in self.runtable_root.iterdir() if path.is_file()
-            )
-        if self.queue_root.is_dir():
-            for name in ("tasks", "leases", "workers"):
-                subdir = self.queue_root / name
-                if subdir.is_dir():
-                    bookkeeping.extend(
-                        path for path in subdir.iterdir() if path.is_file()
-                    )
+            entries.extend(_files(directory, pattern))
+            bookkeeping.extend(_files(directory, "*.tmp"))
+        if self.study_log_path.exists():
+            bookkeeping.append(self.study_log_path)
+        bookkeeping.extend(self._queue_files())
         return sorted(set(entries)), sorted(set(bookkeeping))
 
     def clear(self) -> int:
-        """Delete every stored result, analysis, shard entry, manifest,
-        run-table artifact and queue file; returns how many
-        entries were removed (each store entry counts as one; bookkeeping
-        files are removed but not counted)."""
+        """Delete every stored result, analysis, shard entry, study log and
+        queue file; returns how many entries were removed (each store entry
+        counts as one; bookkeeping files are removed but not counted)."""
         entries, bookkeeping = self.clear_candidates()
         removed = 0
         for path in entries:

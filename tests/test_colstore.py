@@ -4,12 +4,13 @@ The codec itself is a pure function pinned by round-trip tests; what these
 tests certify is the *storage contract*: columnar entries round-trip
 bit-exact with the JSON era, JSON-era files are neither read nor listed
 (the store is a cache; those campaigns re-simulate), corrupt or truncated
-payloads read as misses and self-heal on the next save, the manifest stays
-a disposable index over the entry files, and ``clear`` leaves no orphaned
-files behind.
+payloads read as misses and self-heal on the next save, key listings and
+sweep candidates come from the entry files themselves (no index file is
+written), and ``clear`` leaves no orphaned files behind.
 """
 
 import json
+import os
 import threading
 
 import numpy as np
@@ -198,6 +199,29 @@ class TestStoreEntries:
         assert store.keys() == [] and store.shard_keys() == []
         assert not store.path_for(spec_hash).exists()
 
+    def test_nested_save_of_one_analysis_does_not_break_the_outer_save(
+        self, tmp_path, monkeypatch
+    ):
+        # Two jobs with overlapping specs may persist one analysis at once.
+        # The inner save runs between the outer write and its replace; a
+        # shared temporary name made the outer replace raise.
+        from repro.study import store as store_module
+
+        store = ResultStore(tmp_path / "store")
+        real_replace = os.replace
+        raced = []
+
+        def racing_replace(source, target):
+            if not raced:
+                raced.append(source)
+                store.save_analysis("abc", "deadbeef", {"writer": "inner"})
+            real_replace(source, target)
+
+        monkeypatch.setattr(store_module.os, "replace", racing_replace)
+        store.save_analysis("abc", "deadbeef", {"writer": "outer"})
+        assert store.load_analysis("abc", "deadbeef") == {"writer": "outer"}
+        assert list(store.analysis_root.glob("*.tmp")) == []
+
 
 class TestLoadColumns:
     def test_columnar_entry_returns_array_views(self, tmp_path):
@@ -279,7 +303,7 @@ class TestShards:
 
 
 # ---------------------------------------------------------------------------
-# Manifest: a disposable index, never the source of truth
+# Listings: directory scans that always agree with the entry files
 # ---------------------------------------------------------------------------
 
 
@@ -293,16 +317,61 @@ class TestManifest:
             hashes.append(scenario.spec_hash())
         return store, sorted(hashes)
 
-    def test_keys_are_manifest_backed_and_sorted(self, tmp_path):
+    def test_keys_are_sorted_without_an_index_file(self, tmp_path):
         store, hashes = self._saved(tmp_path)
         assert store.keys() == hashes
-        assert store.manifest_path.is_file()
+        assert sorted(path.name for path in store.root.iterdir()) == [
+            f"{spec_hash}{COLUMNAR_SUFFIX}" for spec_hash in hashes
+        ]
 
-    def test_deleted_manifest_rebuilds_from_a_directory_scan(self, tmp_path):
-        store, hashes = self._saved(tmp_path)
-        store.manifest_path.unlink()
-        # A fresh instance (no warm append cache) must rematerialize it.
-        assert ResultStore(store.root).keys() == hashes
+    def test_files_of_a_killed_save_are_listed_and_swept(self, tmp_path):
+        # A save killed right after its atomic replace leaves the entry
+        # file and nothing else; every listing must still report it.
+        from repro.study import build_run_table
+        from repro.study.store import _replace_atomically
+
+        store, hashes = self._saved(tmp_path, count=1)
+        donor = ResultStore(tmp_path / "donor")
+        scenario = tiny_scenario(master_seed=200)
+        spec_hash = scenario.spec_hash()
+        donor.save(scenario, campaign_for(scenario), MISS_SUMMARY)
+        donor.save_analysis(spec_hash, "deadbeef", {"version": 1})
+        donor.save_shard(spec_hash, "0-2", SHARD_PAYLOAD)
+        store.analysis_root.mkdir()
+        store.shard_root.mkdir()
+        for target, source in (
+            (store.path_for(spec_hash), donor.path_for(spec_hash)),
+            (
+                store.analysis_path_for(spec_hash, "deadbeef"),
+                donor.analysis_path_for(spec_hash, "deadbeef"),
+            ),
+            (store.shard_path_for(spec_hash, "0-2"), donor.shard_path_for(spec_hash, "0-2")),
+        ):
+            _replace_atomically(target, source.read_bytes())
+
+        assert store.keys() == sorted(hashes + [spec_hash])
+        assert store.analysis_keys() == [(spec_hash, "deadbeef")]
+        assert store.shard_keys() == [(spec_hash, "0-2")]
+        assert spec_hash in {row["spec_hash"] for row in build_run_table(store).rows}
+        assert {
+            store.analysis_path_for(spec_hash, "deadbeef"),
+            store.shard_path_for(spec_hash, "0-2"),
+        } <= set(store.sweep_candidates(0.0))
+
+    def test_no_index_file_is_written(self, tmp_path):
+        from repro.exec import FileQueue, WorkerTelemetry
+        from repro.study import build_run_table
+
+        store, (spec_hash,) = self._saved(tmp_path, count=1)
+        store.save_analysis(spec_hash, "deadbeef", {"version": 1})
+        store.save_shard(spec_hash, "0-2", SHARD_PAYLOAD)
+        WorkerTelemetry(FileQueue(store.queue_root), "worker-a")
+        store.keys()
+        store.analysis_keys()
+        store.shard_keys()
+        build_run_table(store)
+        names = {path.name for path in store.root.rglob("*")}
+        assert not names & {"manifest.log", "rows.json", "index.log"}
 
     def test_resave_after_another_instance_removed_it_is_listed(self, tmp_path):
         # Instance A saves, instance B removes, A saves the same key again:
@@ -335,14 +404,6 @@ class TestManifest:
         store.save_shard("abc", "0-2", SHARD_PAYLOAD)
         assert store.shard_keys() == [("abc", "0-2")]
 
-    def test_torn_and_foreign_lines_are_ignored(self, tmp_path):
-        store, hashes = self._saved(tmp_path)
-        with open(store.manifest_path, "a") as handle:
-            handle.write("+ results\n")  # torn line
-            handle.write("? bogus operation\n")
-            handle.write("+ unknown-kind name\n")
-        assert store.keys() == hashes
-
 # ---------------------------------------------------------------------------
 # GC: sweep and clear leave no orphans
 # ---------------------------------------------------------------------------
@@ -350,15 +411,12 @@ class TestManifest:
 
 def _populated_store(tmp_path):
     """A store exercising every artifact kind the format knows about."""
-    from repro.study import build_run_table
-
     store = ResultStore(tmp_path / "store")
     scenario = tiny_scenario()
     store.save(scenario, campaign_for(scenario), MISS_SUMMARY)
     store.save_analysis(scenario.spec_hash(), "deadbeef", {"version": 1})
     store.save_shard(scenario.spec_hash(), "0-2", SHARD_PAYLOAD)
     store.record_study("smoke", [scenario.spec_hash()])
-    build_run_table(store)  # materializes runtable/rows.json
     # Stray tmp files from interrupted writers, queue artifacts.
     (store.root / "orphan.rcol.tmp").write_bytes(b"")
     (store.analysis_root / "orphan.json.tmp").write_text("")
@@ -382,9 +440,8 @@ class TestGarbageCollection:
         store = _populated_store(tmp_path)
         assert store.sweep(older_than=0.0) > 0
         # Campaign entries are the results — a sweep never touches them —
-        # and the manifest/provenance bookkeeping stays.  Everything
-        # derived (analyses, shards, run-table rows, queue files, stray
-        # ``*.tmp``) must be gone.
+        # and the provenance log stays.  Everything derived (analyses,
+        # shards, queue files, stray ``*.tmp``) must be gone.
         survivors = sorted(
             p.name for p in store.root.rglob("*") if p.is_file()
         )
@@ -392,7 +449,6 @@ class TestGarbageCollection:
         assert survivors == sorted(
             [
                 f"{scenario.spec_hash()}.rcol",
-                "manifest.log",
                 "studies.log",
             ]
         )

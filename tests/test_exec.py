@@ -235,15 +235,6 @@ class TestFileQueue:
         assert queue.pending() == 0
         assert queue.lease_for(path) is None
 
-    def test_counts_and_clear(self, tmp_path):
-        queue = FileQueue(tmp_path / "q")
-        first = queue.enqueue(_task(start=0))
-        queue.enqueue(_task(start=4))
-        queue.try_claim(first, "alice")
-        assert queue.counts() == {"pending": 2, "leased": 1}
-        assert queue.clear() == 3  # two tasks + one lease
-        assert queue.counts() == {"pending": 0, "leased": 0}
-
 
 # ---------------------------------------------------------------------------
 # Spec round-trip (what makes shard tasks self-contained)
@@ -738,3 +729,17 @@ class TestRunnerIntegration:
         assert beat.shards_done == 1
         assert beat.runs_done == 5
         assert beat.finished
+
+    def test_age_sweep_keeps_a_live_workers_heartbeat_listed(self, tmp_path):
+        # A sweep must not hide a live worker whose heartbeat is fresh, even
+        # when every other file of its queue directory is old.
+        store = ResultStore(tmp_path / "store")
+        queue = FileQueue(store.queue_root)
+        worker_a = WorkerTelemetry(queue, "worker-a")
+        two_hours_ago = time.time() - 7200
+        for path in queue.worker_root.iterdir():
+            os.utime(path, (two_hours_ago, two_hours_ago))
+        worker_a.claimed()  # always writes, unlike the rate-limited beat()
+        store.sweep(older_than=3600)
+        WorkerTelemetry(queue, "worker-b")
+        assert [beat.owner for beat in read_heartbeats(queue)] == ["worker-a", "worker-b"]

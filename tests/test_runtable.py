@@ -2,11 +2,10 @@
 
 The store is the source of truth; what these tests certify is the *join*:
 every campaign entry becomes a row (one per analysis, a bare row without),
-study provenance labels rows, assembly is incremental through the
-``runtable/rows.json`` cache (and invalidates on new analyses), filters and
-restricted ``where`` predicates behave, exports stay consistent with the
-shared formatter, and the ``repro query`` CLI is a thin shell over all of
-it.
+study provenance labels rows, every build reads the store afresh (a new
+analysis shows up in the next build), filters and restricted ``where``
+predicates behave, exports stay consistent with the shared formatter, and
+the ``repro query`` CLI is a thin shell over all of it.
 """
 
 import json
@@ -125,51 +124,14 @@ class TestBuild:
         populate(store)
         assert build_run_table(store).probabilities() == ["1e-12", "1e-15"]
 
-
-class TestIncrementalCache:
-    def test_second_build_is_served_from_the_row_cache(self, tmp_path, monkeypatch):
-        store = ResultStore(tmp_path / "store")
-        populate(store)
-        first = build_run_table(store)
-        assert (store.runtable_root / "rows.json").is_file()
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not be reached
-            raise AssertionError("cache miss: _rows_for_spec re-invoked")
-
-        monkeypatch.setattr(runtable_module, "_rows_for_spec", boom)
-        second = build_run_table(store)
-        assert second.rows == first.rows
-
-    def test_new_analysis_invalidates_just_that_spec(self, tmp_path):
+    def test_new_analysis_appears_in_the_next_build(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         hashes = populate(store)
         build_run_table(store)
         store.save_analysis(hashes["rm"], "zz", analysis_payload(estimator="weibull"))
         table = build_run_table(store)
         estimators = {row["analysis_hash"]: row["estimator"] for row in table.rows}
-        assert estimators[("zz")] == "weibull"
-
-    def test_refresh_forces_a_rebuild(self, tmp_path, monkeypatch):
-        store = ResultStore(tmp_path / "store")
-        populate(store, setups=("rm",))
-        build_run_table(store)
-        calls = []
-        original = runtable_module._rows_for_spec
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(runtable_module, "_rows_for_spec", counting)
-        build_run_table(store, refresh=True)
-        assert calls
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        populate(store, setups=("rm",))
-        first = build_run_table(store)
-        (store.runtable_root / "rows.json").write_text("{ not json")
-        assert build_run_table(store).rows == first.rows
+        assert estimators["zz"] == "weibull"
 
 
 class TestFilter:
@@ -258,6 +220,14 @@ class TestQueryCli:
         out = capsys.readouterr().out
         assert "run table: 2 row(s)" in out
         assert "rm" in out and "hrp" in out
+
+    def test_refresh_is_accepted_and_changes_nothing(self, tmp_path, capsys):
+        store = ResultStore(tmp_path / "store")
+        populate(store)
+        assert main(["query", "runs", "--store", str(store.root)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["query", "runs", "--refresh", "--store", str(store.root)]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_runs_with_filters_and_json_format(self, tmp_path, capsys):
         store = ResultStore(tmp_path / "store")
