@@ -11,18 +11,19 @@ and the full cache, where hRP can conflict but RM cannot) and then vanishes
 import pytest
 
 from conftest import run_once
-from repro.analysis.experiments import experiment_footprint_ablation
+from repro.study import run_study
 
 
 @pytest.mark.experiment("ablation_seg")
 def test_footprint_sweep(benchmark, reduced_settings):
     result = run_once(
         benchmark,
-        lambda: experiment_footprint_ablation(
+        lambda: run_study(
+            "ablation_seg",
             reduced_settings,
             footprints=(4 * 1024, 8 * 1024, 20 * 1024, 40 * 1024),
             iterations=6,
-        ),
+        ).result,
     )
     print()
     print(result.format())

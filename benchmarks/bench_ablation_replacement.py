@@ -10,13 +10,14 @@ to replace away) while hRP remains far worse under either policy.
 import pytest
 
 from conftest import run_once
-from repro.analysis.experiments import experiment_replacement_ablation
+from repro.study import run_study
 
 
 @pytest.mark.experiment("ablation_repl")
 def test_replacement_interaction(benchmark, reduced_settings):
     result = run_once(
-        benchmark, lambda: experiment_replacement_ablation(reduced_settings, benchmark="tblook")
+        benchmark,
+        lambda: run_study("ablation_repl", reduced_settings, benchmark="tblook").result,
     )
     print()
     print(result.format())

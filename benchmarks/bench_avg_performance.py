@@ -9,12 +9,12 @@ average-performance cost.
 import pytest
 
 from conftest import run_once
-from repro.analysis.experiments import experiment_avg_performance
+from repro.study import run_study
 
 
 @pytest.mark.experiment("avg_perf")
 def test_average_performance_rm_vs_modulo(benchmark, settings):
-    result = run_once(benchmark, lambda: experiment_avg_performance(settings))
+    result = run_once(benchmark, lambda: run_study("avg_perf", settings).result)
     print()
     print(result.format())
 

@@ -10,12 +10,14 @@ defining properties.
 import pytest
 
 from conftest import run_once
-from repro.analysis.experiments import experiment_fig1
+from repro.study import run_study
 
 
 @pytest.mark.experiment("fig1")
 def test_fig1_pwcet_projection(benchmark, settings):
-    result = run_once(benchmark, lambda: experiment_fig1(settings, benchmark="a2time"))
+    result = run_once(
+        benchmark, lambda: run_study("fig1", settings, benchmark="a2time").result
+    )
     print()
     print(result.format())
 

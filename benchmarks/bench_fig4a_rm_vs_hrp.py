@@ -9,12 +9,12 @@ hRP for every EEMBC benchmark, from 25 % tighter (pntrch) to 62 % tighter
 import pytest
 
 from conftest import run_once
-from repro.analysis.experiments import experiment_fig4a
+from repro.study import run_study
 
 
 @pytest.mark.experiment("fig4a")
 def test_fig4a_rm_vs_hrp(benchmark, settings):
-    result = run_once(benchmark, lambda: experiment_fig4a(settings))
+    result = run_once(benchmark, lambda: run_study("fig4a", settings).result)
     print()
     print(result.format())
 

@@ -9,12 +9,12 @@ margin while offering a quantified exceedance probability.
 import pytest
 
 from conftest import run_once
-from repro.analysis.experiments import experiment_fig4b
+from repro.study import run_study
 
 
 @pytest.mark.experiment("fig4b")
 def test_fig4b_rm_vs_deterministic_hwm(benchmark, settings):
-    result = run_once(benchmark, lambda: experiment_fig4b(settings))
+    result = run_once(benchmark, lambda: run_study("fig4b", settings).result)
     print()
     print(result.format())
 

@@ -10,7 +10,7 @@ The 8 KB and 160 KB variants discussed in the text are regenerated as well.
 import pytest
 
 from conftest import run_once
-from repro.analysis.experiments import experiment_fig5
+from repro.study import run_study
 from repro.workloads.synthetic import SYNTHETIC_FOOTPRINTS
 
 
@@ -18,7 +18,9 @@ from repro.workloads.synthetic import SYNTHETIC_FOOTPRINTS
 def test_fig5_20kb_footprint(benchmark, settings):
     result = run_once(
         benchmark,
-        lambda: experiment_fig5(settings, footprint_bytes=SYNTHETIC_FOOTPRINTS["fits_l2"]),
+        lambda: run_study(
+            "fig5", settings, footprint_bytes=SYNTHETIC_FOOTPRINTS["fits_l2"]
+        ).result,
     )
     print()
     print(result.format())
@@ -36,7 +38,9 @@ def test_fig5_20kb_footprint(benchmark, settings):
 def test_fig5_8kb_footprint(benchmark, settings):
     result = run_once(
         benchmark,
-        lambda: experiment_fig5(settings, footprint_bytes=SYNTHETIC_FOOTPRINTS["fits_l1"]),
+        lambda: run_study(
+            "fig5", settings, footprint_bytes=SYNTHETIC_FOOTPRINTS["fits_l1"]
+        ).result,
     )
     print()
     print(result.format())
@@ -49,11 +53,12 @@ def test_fig5_8kb_footprint(benchmark, settings):
 def test_fig5_160kb_footprint(benchmark, reduced_settings):
     result = run_once(
         benchmark,
-        lambda: experiment_fig5(
+        lambda: run_study(
+            "fig5",
             reduced_settings,
             footprint_bytes=SYNTHETIC_FOOTPRINTS["exceeds_l2"],
             iterations=4,
-        ),
+        ).result,
     )
     print()
     print(result.format())

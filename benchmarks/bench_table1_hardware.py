@@ -9,12 +9,12 @@ drops the clock to 80 MHz at 80 % occupancy.
 import pytest
 
 from conftest import run_once
-from repro.analysis.experiments import experiment_table1
+from repro.study import run_study
 
 
 @pytest.mark.experiment("table1")
 def test_table1_hardware_costs(benchmark):
-    result = run_once(benchmark, experiment_table1)
+    result = run_once(benchmark, lambda: run_study("table1").result)
     print()
     print(result.format())
 
@@ -30,5 +30,5 @@ def test_table1_hardware_costs(benchmark):
 @pytest.mark.experiment("table1")
 @pytest.mark.parametrize("num_sets", [64, 256, 1024])
 def test_table1_scales_with_cache_size(benchmark, num_sets):
-    result = run_once(benchmark, lambda: experiment_table1(num_sets=num_sets))
+    result = run_once(benchmark, lambda: run_study("table1", num_sets=num_sets).result)
     assert result.area_ratio > 3.0

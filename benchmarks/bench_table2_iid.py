@@ -9,12 +9,12 @@ Kolmogorov-Smirnov identical-distribution test (p-value above 0.05) when run
 import pytest
 
 from conftest import run_once
-from repro.analysis.experiments import experiment_table2
+from repro.study import run_study
 
 
 @pytest.mark.experiment("table2")
 def test_table2_iid_admission(benchmark, settings):
-    result = run_once(benchmark, lambda: experiment_table2(settings))
+    result = run_once(benchmark, lambda: run_study("table2", settings).result)
     print()
     print(result.format())
 

@@ -20,10 +20,11 @@ The package is organised in layers (see DESIGN.md):
   pipeline.
 * :mod:`repro.hardware` — ASIC and FPGA cost models for the placement
   modules (Table 1).
-* :mod:`repro.analysis` — measurement campaigns and one driver per paper
-  table/figure.
+* :mod:`repro.analysis` — measurement campaigns, experiment settings and
+  the result object of each paper table/figure.
 * :mod:`repro.study` — declarative scenarios, sweeps and registered
-  studies, executed through a content-hash-keyed on-disk result store.
+  studies (one per paper table/figure, run with :func:`run_study`),
+  executed through a content-hash-keyed on-disk result store.
 * :mod:`repro.platform` — LEON3-like platform configuration factories.
 
 Quickstart
@@ -38,13 +39,6 @@ Quickstart
 from .analysis import (
     CampaignResult,
     ExperimentSettings,
-    experiment_avg_performance,
-    experiment_fig1,
-    experiment_fig4a,
-    experiment_fig4b,
-    experiment_fig5,
-    experiment_table1,
-    experiment_table2,
     high_water_mark,
     industrial_bound,
     run_campaign,
@@ -113,13 +107,6 @@ __all__ = [
     # analysis
     "CampaignResult",
     "ExperimentSettings",
-    "experiment_avg_performance",
-    "experiment_fig1",
-    "experiment_fig4a",
-    "experiment_fig4b",
-    "experiment_fig5",
-    "experiment_table1",
-    "experiment_table2",
     "high_water_mark",
     "industrial_bound",
     "run_campaign",

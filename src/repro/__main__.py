@@ -2,17 +2,12 @@
 
 Usage::
 
-    python -m repro list
-    python -m repro run table1
-    python -m repro run fig4a --runs 200
-    python -m repro run all --runs 100 --scale 0.5
-    python -m repro run fig5 --engine numpy     # vectorized batch engine
-    python -m repro run fig4a --format json     # machine-readable output
-    python -m repro run all --format csv > results.csv
-
     python -m repro study list                  # registered studies
     python -m repro study run fig5 --runs 200   # cached: repeats hit the store
-    python -m repro study run all --engine numpy
+    python -m repro study run all --runs 100 --scale 0.5
+    python -m repro study run fig5 --engine reference  # the slow oracle
+    python -m repro study run fig4a --format json      # machine-readable output
+    python -m repro study run all --format csv > results.csv
     python -m repro study run all --jobs 4      # 4 worker processes, bit-exact
     python -m repro study compare fig5 fig5     # diff two executed studies
     python -m repro study clean                 # drop the result store
@@ -22,12 +17,11 @@ Usage::
     python -m repro query export table.csv --estimator gumbel-pwm
     python -m repro query compare rm hrp --cutoff 1e-15
 
-    python -m repro run fig4a --estimator gumbel-mle
+    python -m repro study run fig4a --estimator gumbel-mle
     python -m repro pwcet list                  # registered pWCET estimators
     python -m repro pwcet compare fig5 --runs 24  # all estimators side by side
 
     python -m repro study run fig5 --shard-size 8 --jobs 2   # sharded pipeline
-    python -m repro study run fig5 --shard-size 8 --resume   # finish a killed run
     python -m repro worker                      # attach an external worker
     python -m repro exec status                 # queue + worker telemetry
     python -m repro exec status --format json   # machine-readable snapshot
@@ -39,10 +33,9 @@ Usage::
     python -m repro submit fig5 --format json --url http://127.0.0.1:8765
 
 Each experiment id corresponds to one table/figure of the paper (see
-DESIGN.md's per-experiment index); both surfaces resolve ids through the
-study registry (:mod:`repro.study`).  ``run`` always simulates — the
-historical behaviour — while ``study run`` executes through the on-disk
-result store (``results/store/`` by default, override with ``--store``):
+DESIGN.md's per-experiment index) and names a study in the registry
+(:mod:`repro.study`).  ``study run`` executes through the on-disk result
+store (``results/store/`` by default, override with ``--store``):
 scenarios whose spec hash is already stored are loaded instead of
 re-simulated, so a repeated ``study run`` is a full cache hit.
 
@@ -67,11 +60,11 @@ layouts — inline; ``--shard-size N`` or ``--jobs N`` (N != 1) routes every
 campaign through the sharded work-queue pipeline (:mod:`repro.exec`)
 instead: campaigns are split into lane-range shards, persisted shard by
 shard, and reassembled bit-exactly — a killed run loses at most its
-in-flight shards and ``--resume`` executes only the missing ones.  ``run``
-has no store, so it only accepts ``--jobs 1``.  ``python -m repro worker``
-attaches an external worker process to the same queue, and ``python -m
-repro exec status`` shows queue occupancy plus per-worker heartbeat
-telemetry (``--format json`` emits the same snapshot machine-readably).
+in-flight shards, and rerunning it executes only the missing ones.
+``python -m repro worker`` attaches an external worker process to the same
+queue, and ``python -m repro exec status`` shows queue occupancy plus
+per-worker heartbeat telemetry (``--format json`` emits the same snapshot
+machine-readably).
 
 ``serve`` runs the analysis server (:mod:`repro.service`): clients submit
 scenario specs over HTTP, jobs execute through the same store + work-queue
@@ -99,32 +92,21 @@ from .analysis.report import (
     render_result,
     render_rows,
 )
-from .engine import available_engines, engine_capabilities, get_engine
+from .engine import available_engines, engine_capabilities
 from .pwcet import (
     MBPTA_MIN_RUNS,
     MbptaConfig,
     available_estimators,
     estimator_capabilities,
-    get_estimator,
 )
 from .study import DEFAULT_STORE_DIR, ResultStore, available_studies, get_study
-
-#: Experiment id -> (description, driver taking ExperimentSettings).
-#: Derived from the study registry; kept for backwards compatibility with
-#: callers that imported this mapping.
-EXPERIMENTS: Dict[str, tuple] = {
-    name: (
-        get_study(name).description,
-        lambda settings, _name=name: get_study(_name).run(settings).result,
-    )
-    for name in available_studies()
-}
 
 
 def _add_campaign_arguments(
     parser: argparse.ArgumentParser, include_format: bool = True
 ) -> None:
-    """The knobs shared by ``run`` and ``study run``/``study compare``."""
+    """The knobs shared by ``study run``/``study compare``, ``submit`` and
+    ``pwcet compare``."""
     parser.add_argument("--runs", type=int, default=None, help="measurement runs per campaign")
     parser.add_argument("--scale", type=float, default=None, help="workload iteration scale factor")
     parser.add_argument("--seed", type=int, default=None, help="campaign master seed")
@@ -134,8 +116,8 @@ def _add_campaign_arguments(
         type=int,
         default=None,
         help="worker processes per campaign (1 = inline, 0 = all CPUs; other "
-        "values drain campaigns through the store's work queue, so 'run' "
-        "only accepts 1); results are bit-exact for any value",
+        "values drain campaigns through the store's work queue); results "
+        "are bit-exact for any value",
     )
     parser.add_argument(
         "--engine",
@@ -178,16 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list available experiments")
-
     subparsers.add_parser(
         "engines",
         help="print the simulation-engine capability matrix",
     )
-
-    run = subparsers.add_parser("run", help="run one experiment (or 'all')")
-    run.add_argument("experiment", choices=sorted(EXPERIMENTS) + ["all"])
-    _add_campaign_arguments(run)
 
     study = subparsers.add_parser(
         "study", help="declarative studies with an on-disk result store"
@@ -199,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     study_run = study_commands.add_parser(
         "run", help="run one study (or 'all') through the result store"
     )
-    study_run.add_argument("study", choices=sorted(EXPERIMENTS) + ["all"])
+    study_run.add_argument("study", choices=available_studies() + ("all",))
     _add_campaign_arguments(study_run)
     _add_store_argument(study_run)
     study_run.add_argument(
@@ -213,20 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="shard_size",
         help="execute campaigns through the sharded work-queue pipeline, "
-        "N runs per shard (bit-exact with serial execution; enables --resume)",
-    )
-    study_run.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse shard entries a previous (killed) sharded run already "
-        "published and execute only the missing shards",
+        "N runs per shard (bit-exact with serial execution; a rerun reuses "
+        "the shards a killed run already published)",
     )
 
     study_compare = study_commands.add_parser(
         "compare", help="run two studies and compare scenarios sharing a label"
     )
-    study_compare.add_argument("study_a", choices=sorted(EXPERIMENTS))
-    study_compare.add_argument("study_b", choices=sorted(EXPERIMENTS))
+    study_compare.add_argument("study_a", choices=available_studies())
+    study_compare.add_argument("study_b", choices=available_studies())
     # The comparison is a human-facing diff table; no --format here.
     _add_campaign_arguments(study_compare, include_format=False)
     _add_store_argument(study_compare)
@@ -354,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = subparsers.add_parser(
         "submit", help="submit an experiment to a running analysis server"
     )
-    submit.add_argument("experiment", choices=sorted(EXPERIMENTS) + ["all"])
+    submit.add_argument("experiment", choices=available_studies() + ("all",))
     _add_campaign_arguments(submit, include_format=False)
     submit.add_argument(
         "--format",
@@ -484,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare",
         help="project one experiment's campaigns through several estimators",
     )
-    pwcet_compare.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    pwcet_compare.add_argument("experiment", choices=available_studies())
     _add_campaign_arguments(pwcet_compare)
     _add_store_argument(pwcet_compare)
     pwcet_compare.add_argument(
@@ -521,8 +492,6 @@ def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
         settings = replace(settings, estimator=args.estimator)
     if getattr(args, "shard_size", None) is not None:
         settings = replace(settings, shard_size=args.shard_size)
-    if getattr(args, "resume", False):
-        settings = replace(settings, resume=True)
     return settings
 
 
@@ -570,7 +539,7 @@ def _run_one(
     identifier: str,
     settings: ExperimentSettings,
     output_format: str,
-    store: Optional[ResultStore] = None,
+    store: ResultStore,
     use_cache: bool = True,
 ) -> None:
     study = get_study(identifier)
@@ -587,13 +556,12 @@ def _run_one(
             analysis=outcome.results.analysis_summaries(settings.estimator),
         )
     )
-    if store is not None:
-        print(f"-- {identifier}: {outcome.report.summary()}", file=chatter)
+    print(f"-- {identifier}: {outcome.report.summary()}", file=chatter)
     print(f"-- {identifier} finished in {time.time() - start:.1f}s\n", file=chatter)
 
 
 def _resolve_targets(requested: str) -> list:
-    return sorted(EXPERIMENTS) if requested == "all" else [requested]
+    return list(available_studies()) if requested == "all" else [requested]
 
 
 def _pwcet_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -777,22 +745,10 @@ def _validated_settings(
 ) -> Optional[ExperimentSettings]:
     """Merge env/flags and validate; prints the error and returns None if bad."""
     settings = _settings_from_args(args)
-    # Validate after merging env vars (REPRO_JOBS) and command-line flags, so
-    # a bad value is rejected with a clean message wherever it came from.
     if settings.jobs < 0:
         parser.error(f"jobs must be >= 0 (0 = one worker per CPU), got {settings.jobs}")
     if settings.shard_size is not None and settings.shard_size < 1:
         parser.error(f"shard-size must be >= 1, got {settings.shard_size}")
-    if settings.resume and settings.shard_size is None:
-        parser.error("--resume only applies to sharded runs; pass --shard-size too")
-    try:
-        get_engine(settings.engine)  # catches bad REPRO_ENGINE values too
-        if settings.estimator:
-            # Resolve through the config so the legacy "pwm"/"mle" aliases
-            # stay usable from REPRO_ESTIMATOR; catches bad values too.
-            get_estimator(MbptaConfig(fit_method=settings.estimator).estimator_name)
-    except ValueError as error:
-        parser.error(str(error))
     problem = _validate_run_request(targets, settings)
     if problem is not None:
         print(problem, file=sys.stderr)
@@ -960,33 +916,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "list":
-        width = max(len(name) for name in EXPERIMENTS)
-        for name, (description, _) in EXPERIMENTS.items():
-            print(f"{name.ljust(width)}  {description}")
-        return 0
-
     if args.command == "engines":
         _print_engine_matrix()
-        return 0
-
-    if args.command == "run":
-        if args.jobs not in (None, 1):
-            parser.error(
-                "run has no result store, so it executes campaigns inline; "
-                "use 'study run --jobs N' for worker processes"
-            )
-        targets = _resolve_targets(args.experiment)
-        settings = _validated_settings(parser, args, targets)
-        if settings is None:
-            return 2
-        # Queued execution needs the result store; plain `run` has none, so
-        # REPRO_JOBS from the environment does not apply.
-        settings = replace(settings, jobs=1)
-        if args.output_format == "csv":
-            print(CSV_HEADER)
-        for identifier in targets:
-            _run_one(identifier, settings, args.output_format)
         return 0
 
     if args.command == "pwcet":

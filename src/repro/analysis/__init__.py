@@ -1,4 +1,4 @@
-"""Analysis layer: measurement campaigns, HWM baseline, experiment drivers."""
+"""Analysis layer: measurement campaigns, HWM baseline, experiment settings and results."""
 
 from .campaign import CampaignResult, run_campaign, run_layout_campaign
 from .experiments import (
@@ -12,15 +12,6 @@ from .experiments import (
     ReplacementAblationResult,
     Table1Result,
     Table2Result,
-    experiment_avg_performance,
-    experiment_fig1,
-    experiment_fig4a,
-    experiment_fig4b,
-    experiment_fig5,
-    experiment_footprint_ablation,
-    experiment_replacement_ablation,
-    experiment_table1,
-    experiment_table2,
 )
 from .hwm import HwmBound, high_water_mark, industrial_bound
 from .report import format_ccdf, format_histogram, format_ratio, format_table
@@ -39,15 +30,6 @@ __all__ = [
     "ReplacementAblationResult",
     "Table1Result",
     "Table2Result",
-    "experiment_avg_performance",
-    "experiment_fig1",
-    "experiment_fig4a",
-    "experiment_fig4b",
-    "experiment_fig5",
-    "experiment_footprint_ablation",
-    "experiment_replacement_ablation",
-    "experiment_table1",
-    "experiment_table2",
     "HwmBound",
     "high_water_mark",
     "industrial_bound",

@@ -1,19 +1,15 @@
-"""Experiment drivers: one function per table/figure of the paper.
+"""Experiment settings and the result objects of the paper's tables/figures.
 
-Every driver returns a small result object with the raw numbers plus a
-``format()`` method that renders the same rows/series the paper reports.
-The benchmark harnesses in ``benchmarks/`` call these drivers (timing them
-with pytest-benchmark) and print the formatted output, and
-``EXPERIMENTS.md`` records paper-vs-measured values produced this way.
-
-Since the study subsystem landed, each driver is a thin wrapper over its
-registered study (:mod:`repro.study.library`): the scenario grid is
-declared there, planned/batched/executed by :mod:`repro.study.runner`, and
-folded back into the result dataclasses below.  The drivers keep their
-public signatures, and their ``format()`` output is byte-identical to the
-historical hand-coded loops (pinned by the golden tests in
-``tests/test_study.py``).  Call :func:`repro.study.run_study` directly to
-additionally reuse the on-disk result store.
+Each registered study (:mod:`repro.study.library`) folds its executed
+scenarios into one of the result dataclasses below; every result carries
+the raw numbers plus a ``format()`` method that renders the same
+rows/series the paper reports.  Run an experiment with
+``python -m repro study run <id>`` or, from Python,
+``repro.study.run_study(<id>, settings, **params).result``; the benchmark
+harnesses in ``benchmarks/`` do the latter (timing it with
+pytest-benchmark), and ``EXPERIMENTS.md`` records paper-vs-measured values
+produced this way.  The golden tests in ``tests/test_study.py`` pin every
+``format()`` output byte for byte.
 
 Experiment ids (see DESIGN.md):
 
@@ -25,21 +21,20 @@ Experiment ids (see DESIGN.md):
 * ``fig5``   — execution-time distributions and pWCET curves of the
   synthetic kernel.
 * ``avg_perf`` — average performance of RM versus modulo.
-* plus two ablations called out in DESIGN.md.
+* ``ablation_seg`` / ``ablation_repl`` — the two ablations called out in
+  DESIGN.md.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cache.hierarchy import HierarchyConfig
 from ..engine import DEFAULT_ENGINE
-from ..hardware import FpgaDevice
 from ..pwcet.protocol import MbptaConfig
 from ..platform.leon3 import Leon3Parameters, platform_setup
-from ..workloads.synthetic import SYNTHETIC_FOOTPRINTS
 from .report import format_ccdf, format_histogram, format_table
 
 __all__ = [
@@ -53,15 +48,6 @@ __all__ = [
     "AveragePerformanceResult",
     "FootprintAblationResult",
     "ReplacementAblationResult",
-    "experiment_table1",
-    "experiment_table2",
-    "experiment_fig1",
-    "experiment_fig4a",
-    "experiment_fig4b",
-    "experiment_fig5",
-    "experiment_avg_performance",
-    "experiment_footprint_ablation",
-    "experiment_replacement_ablation",
 ]
 
 
@@ -79,27 +65,24 @@ class ExperimentSettings:
     ``REPRO_FULL=1`` (or ``REPRO_RUNS=<n>``) to run at paper scale.
 
     ``engine`` names a registered simulation backend (see
-    :func:`repro.engine.available_engines`; ``REPRO_ENGINE`` overrides it
-    from the environment).  ``jobs`` selects how many worker processes each
-    campaign may use: ``1`` (default) runs it inline, ``0`` means one
-    worker per CPU, and any other positive value is taken literally.  Any
-    value other than ``1`` drains campaigns through the result store's work
-    queue (:mod:`repro.exec`), so it needs a store (``study run --jobs N``).
-    Campaigns are bit-exact for every ``jobs`` value and every bit-exact
-    engine, so both knobs only affect wall-clock time.  ``jobs`` can also
-    be set with ``REPRO_JOBS``.
+    :func:`repro.engine.available_engines`).  ``jobs`` selects how many
+    worker processes each campaign may use: ``1`` (default) runs it inline,
+    ``0`` means one worker per CPU, and any other positive value is taken
+    literally.  Any value other than ``1`` drains campaigns through the
+    result store's work queue (:mod:`repro.exec`), so it needs a store
+    (``study run --jobs N``).  Campaigns are bit-exact for every ``jobs``
+    value and every bit-exact engine, so both knobs only affect wall-clock
+    time.
 
     ``estimator`` names a registered pWCET estimator (see
-    :func:`repro.pwcet.available_estimators`; ``REPRO_ESTIMATOR`` overrides
-    it from the environment).  Left empty, the MBPTA config default
-    (``gumbel-pwm``) applies — the historical behaviour.
+    :func:`repro.pwcet.available_estimators`).  Left empty, the MBPTA
+    config default (``gumbel-pwm``) applies — the historical behaviour.
 
     ``shard_size`` (CLI ``--shard-size``) routes campaigns through the
     sharded work-queue pipeline (:mod:`repro.exec`): each campaign is split
-    into lane-range shards persisted individually, so a killed ``study run``
-    can be resumed with ``resume=True`` (CLI ``--resume``) executing only
-    the missing shards.  Sharded campaigns are bit-exact with serial
-    execution and require a result store.
+    into lane-range shards persisted individually, so rerunning a killed
+    ``study run`` executes only the missing shards.  Sharded campaigns are
+    bit-exact with serial execution and require a result store.
     """
 
     runs: int = 300
@@ -109,7 +92,6 @@ class ExperimentSettings:
     jobs: int = 1
     estimator: str = ""
     shard_size: Optional[int] = None
-    resume: bool = False
     cutoff: float = 1e-15
     secondary_cutoff: float = 1e-12
     mbpta: MbptaConfig = field(default_factory=MbptaConfig)
@@ -117,8 +99,8 @@ class ExperimentSettings:
 
     @classmethod
     def from_env(cls, **overrides) -> "ExperimentSettings":
-        """Build settings from ``REPRO_FULL`` / ``REPRO_RUNS`` / ``REPRO_SCALE`` /
-        ``REPRO_JOBS`` / ``REPRO_ENGINE`` / ``REPRO_ESTIMATOR``."""
+        """Build settings from ``REPRO_FULL`` / ``REPRO_RUNS`` / ``REPRO_SCALE``,
+        the campaign-size knobs of the flagless benchmark harnesses."""
         settings = cls(**overrides)
         if os.environ.get("REPRO_FULL", "").strip() in ("1", "true", "yes"):
             settings = replace(settings, runs=1000)
@@ -128,34 +110,11 @@ class ExperimentSettings:
         scale = os.environ.get("REPRO_SCALE", "").strip()
         if scale:
             settings = replace(settings, scale=float(scale))
-        jobs = os.environ.get("REPRO_JOBS", "").strip()
-        if jobs:
-            settings = replace(settings, jobs=int(jobs))
-        engine = os.environ.get("REPRO_ENGINE", "").strip()
-        if engine:
-            settings = replace(settings, engine=engine)
-        estimator = os.environ.get("REPRO_ESTIMATOR", "").strip()
-        if estimator:
-            settings = replace(settings, estimator=estimator)
         return settings
 
     def setup(self, name: str) -> HierarchyConfig:
         """The named LEON3 cache setup with this experiment's parameters."""
         return platform_setup(name, parameters=self.parameters)
-
-
-def settings_margin(settings: ExperimentSettings) -> float:
-    """Engineering margin used for the industrial bound (20 % in the paper)."""
-    return 0.20
-
-
-def _run_registered_study(name: str, settings: Optional[ExperimentSettings], **params):
-    """Run a registered study without the result store (legacy behaviour)."""
-    # Imported lazily: repro.study's built-in library imports the result
-    # dataclasses from this module.
-    from ..study import run_study
-
-    return run_study(name, settings or ExperimentSettings(), **params).result
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +163,6 @@ class Table1Result:
         return "\n".join(parts)
 
 
-def experiment_table1(
-    num_sets: int = 128,
-    line_size: int = 32,
-    device: Optional[FpgaDevice] = None,
-) -> Table1Result:
-    """Reproduce Table 1 for a cache with ``num_sets`` sets."""
-    return _run_registered_study(
-        "table1", None, num_sets=num_sets, line_size=line_size, device=device
-    )
-
-
 # ---------------------------------------------------------------------------
 # Table 2 — MBPTA compliance (WW and KS) for EEMBC under RM
 # ---------------------------------------------------------------------------
@@ -252,11 +200,6 @@ class Table2Result:
         )
 
 
-def experiment_table2(settings: Optional[ExperimentSettings] = None) -> Table2Result:
-    """Run every EEMBC stand-in under the RM setup and apply the i.i.d. tests."""
-    return _run_registered_study("table2", settings)
-
-
 # ---------------------------------------------------------------------------
 # Figure 1 — illustrative pWCET projection
 # ---------------------------------------------------------------------------
@@ -282,14 +225,6 @@ class Fig1Result:
             ),
         ]
         return "\n".join(parts)
-
-
-def experiment_fig1(
-    settings: Optional[ExperimentSettings] = None,
-    benchmark: str = "a2time",
-) -> Fig1Result:
-    """Produce the empirical CCDF and its EVT projection for one benchmark."""
-    return _run_registered_study("fig1", settings, benchmark=benchmark)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +282,6 @@ class Fig4aResult:
         )
 
 
-def experiment_fig4a(settings: Optional[ExperimentSettings] = None) -> Fig4aResult:
-    """pWCET of RM vs hRP for every EEMBC stand-in."""
-    return _run_registered_study("fig4a", settings)
-
-
 # ---------------------------------------------------------------------------
 # Figure 4(b) — RM pWCET versus the deterministic high-water mark
 # ---------------------------------------------------------------------------
@@ -399,11 +329,6 @@ class Fig4bResult:
         )
 
 
-def experiment_fig4b(settings: Optional[ExperimentSettings] = None) -> Fig4bResult:
-    """RM pWCET compared with the HWM of the deterministic (modulo) setup."""
-    return _run_registered_study("fig4b", settings)
-
-
 # ---------------------------------------------------------------------------
 # Figure 5 — synthetic kernel distributions and pWCET curves
 # ---------------------------------------------------------------------------
@@ -443,27 +368,6 @@ class Fig5Result:
             )
         )
         return "\n".join(parts)
-
-
-def experiment_fig5(
-    settings: Optional[ExperimentSettings] = None,
-    footprint_bytes: int = SYNTHETIC_FOOTPRINTS["fits_l2"],
-    iterations: int = 12,
-    setups: Sequence[str] = ("rm", "hrp"),
-) -> Fig5Result:
-    """Execution-time distributions of the synthetic kernel under RM and hRP.
-
-    ``iterations`` defaults to 12 traversals (the paper uses 50) to bound
-    the trace length of the pure-Python simulation; the relative behaviour
-    of the placement policies does not depend on it.
-    """
-    return _run_registered_study(
-        "fig5",
-        settings,
-        footprint_bytes=footprint_bytes,
-        iterations=iterations,
-        setups=setups,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +413,6 @@ class AveragePerformanceResult:
         )
 
 
-def experiment_avg_performance(
-    settings: Optional[ExperimentSettings] = None,
-) -> AveragePerformanceResult:
-    """Mean execution time of RM versus modulo placement per benchmark."""
-    return _run_registered_study("avg_perf", settings)
-
-
 # ---------------------------------------------------------------------------
 # Ablations (DESIGN.md)
 # ---------------------------------------------------------------------------
@@ -546,17 +443,6 @@ class FootprintAblationResult:
         )
 
 
-def experiment_footprint_ablation(
-    settings: Optional[ExperimentSettings] = None,
-    footprints: Sequence[int] = (4 * 1024, 8 * 1024, 20 * 1024, 40 * 1024),
-    iterations: int = 8,
-) -> FootprintAblationResult:
-    """Sweep the synthetic kernel footprint and compare RM with hRP."""
-    return _run_registered_study(
-        "ablation_seg", settings, footprints=footprints, iterations=iterations
-    )
-
-
 @dataclass
 class ReplacementAblationResult:
     """Interaction between placement and replacement policies."""
@@ -579,11 +465,3 @@ class ReplacementAblationResult:
             table_rows,
             title="Ablation: placement x replacement interaction",
         )
-
-
-def experiment_replacement_ablation(
-    settings: Optional[ExperimentSettings] = None,
-    benchmark: str = "tblook",
-) -> ReplacementAblationResult:
-    """Compare random and LRU replacement under RM and hRP placement."""
-    return _run_registered_study("ablation_repl", settings, benchmark=benchmark)

@@ -6,11 +6,12 @@ pytest-benchmark timings.  These helpers render aligned ASCII tables and
 simple textual histograms without any plotting dependency.
 
 :func:`render_result` is the single formatter every consumer of experiment
-results routes through (``python -m repro run --format {text,json,csv}``,
-``results/run_all.py``): ``text`` delegates to the result object's
-``format()`` method, ``json`` emits one JSON object per experiment, and
-``csv`` flattens the result into ``experiment,key,value`` rows (dotted key
-paths), so downstream tooling never scrapes the ASCII tables.
+results routes through (``python -m repro study run --format
+{text,json,csv}``, ``pwcet compare``): ``text`` delegates to the result
+object's ``format()`` method, ``json`` emits one JSON object per
+experiment, and ``csv`` flattens the result into ``experiment,key,value``
+rows (dotted key paths), so downstream tooling never scrapes the ASCII
+tables.
 """
 
 from __future__ import annotations

@@ -25,9 +25,11 @@ floating-point arithmetic :meth:`CampaignResult.miss_summary` uses.
 Crash-resume falls out of the content addressing: a killed campaign leaves
 its published shards in the store and its unfinished tasks (plus at most
 one stale lease per dead worker) in the queue.  Re-planning is
-deterministic, so a rerun with ``resume=True`` reuses every published
-shard and only executes the missing ones; without ``resume`` the partial
-entries are dropped first and the campaign starts clean.
+deterministic and a published shard is exact, so a rerun reuses every
+published shard and only executes the missing ones.  Two drains of one
+spec — overlapping server jobs, or ``study run`` beside the server — share
+its shards the same way, and a drain that finds the campaign already
+recorded by the other returns that entry instead of simulating it again.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ def reassemble_campaign(
         raise RuntimeError(
             f"campaign {scenario.spec_hash()[:12]} is missing {len(missing)} of "
             f"{len(ordered)} shard(s) ({', '.join(missing[:4])}"
-            f"{', ...' if len(missing) > 4 else ''}); rerun with resume to "
-            "execute them, or 'python -m repro exec status' to inspect leases"
+            f"{', ...' if len(missing) > 4 else ''}); rerun to execute "
+            "them, or 'python -m repro exec status' to inspect leases"
         )
     campaign = CampaignResult(
         workload=workload,
@@ -138,7 +140,7 @@ def execute_campaigns(
     store: Optional[ResultStore],
     record: Callable[[Scenario, CampaignResult, Dict[str, float]], None],
     shard_size: Optional[int] = None,
-    resume: bool = False,
+    use_cache: bool = True,
 ) -> ShardReport:
     """Execute campaigns, calling ``record`` as each one is reassembled.
 
@@ -147,9 +149,11 @@ def execute_campaigns(
     ``None`` or ``0`` picks the planner's heuristic size), and its shards
     are cleared once ``record(scenario, campaign, miss_summary)`` has
     stored the campaign entry.  Queued campaigns without a store raise
-    :class:`ValueError` before anything runs.  Campaigns run grouped by
-    workload, so each workload's trace is built and compiled once.
-    Returns the queued shards' accounting.
+    :class:`ValueError` before anything runs.  ``use_cache=False`` stops a
+    queued drain from returning an entry another drain recorded (see
+    :func:`execute_scenario_sharded`).  Campaigns run grouped by workload,
+    so each workload's trace is built and compiled once.  Returns the
+    queued shards' accounting.
     """
     if store is None and (
         shard_size is not None or any(scenario.jobs != 1 for scenario in scenarios)
@@ -171,7 +175,7 @@ def execute_campaigns(
                 record(scenario, *reassemble_campaign(scenario, [shard], lambda _: payload))
                 continue
             campaign, miss_summary, shards = execute_scenario_sharded(
-                scenario, store, shard_size=shard_size or None, resume=resume
+                scenario, store, shard_size=shard_size or None, use_cache=use_cache
             )
             report.merge(shards)
             record(scenario, campaign, miss_summary)
@@ -186,25 +190,37 @@ def execute_scenario_sharded(
     store: ResultStore,
     jobs: Optional[int] = None,
     shard_size: Optional[int] = None,
-    resume: bool = False,
+    use_cache: bool = True,
     lease_ttl: float = DEFAULT_LEASE_TTL,
 ) -> Tuple[CampaignResult, Dict[str, float], ShardReport]:
     """Execute one campaign (seeds or layouts) through the store's queue.
 
     ``jobs`` defaults to the scenario's own ``jobs`` field (``0`` = one
     worker per CPU); ``shard_size`` defaults to the planner's heuristic.
-    With ``resume=True`` shard entries already published for this spec hash
-    are reused and only the missing shards execute; otherwise stale partials
-    are dropped first.  Returns the reassembled campaign (bit-exact with
-    serial execution), its miss summary, and the shard accounting.
+    Shard entries already published for this spec hash are reused and only
+    the missing shards execute.  Another drain of the same spec may finish
+    the campaign first, record it and clear its shards; so whenever the
+    campaign's entry is in the store — before anything is enqueued, on
+    every wait for foreign shards, and when reassembly finds shards
+    missing — that entry is returned instead (not with ``use_cache=False``,
+    a forced refresh).  Returns the campaign (bit-exact with serial
+    execution), its miss summary, and the shard accounting.
     """
     get_engine(scenario.engine)  # unknown engines fail before any work
     spec_hash = scenario.spec_hash()
+
+    def recorded() -> Optional[Tuple[CampaignResult, Dict[str, float]]]:
+        stored = store.load(spec_hash) if use_cache else None
+        if stored is None:
+            return None
+        return stored.campaign(), dict(stored.miss_summary)
+
+    entry = recorded()
+    if entry is not None:
+        return (*entry, ShardReport())
     workers = min(resolve_jobs(scenario.jobs if jobs is None else jobs), scenario.runs)
     size = resolve_shard_size(scenario.runs, workers, shard_size)
     shards = plan_shards(spec_hash, scenario.runs, size)
-    if not resume:
-        store.clear_shards(spec_hash)
     missing = [
         shard for shard in shards if store.load_shard(spec_hash, shard.key) is None
     ]
@@ -231,10 +247,18 @@ def execute_scenario_sharded(
                 ]
                 for future in futures:
                     future.result()
-        _await_foreign_shards(scenario, shards, store, queue, lease_ttl)
-    campaign, miss_summary = reassemble_campaign(
-        scenario, shards, lambda shard: store.load_shard(spec_hash, shard.key)
-    )
+        entry = _await_foreign_shards(scenario, shards, store, queue, lease_ttl, recorded)
+        if entry is not None:
+            return (*entry, report)
+    try:
+        campaign, miss_summary = reassemble_campaign(
+            scenario, shards, lambda shard: store.load_shard(spec_hash, shard.key)
+        )
+    except RuntimeError:
+        entry = recorded()
+        if entry is None:
+            raise
+        return (*entry, report)
     return campaign, miss_summary, report
 
 
@@ -244,9 +268,11 @@ def _await_foreign_shards(
     store: ResultStore,
     queue: FileQueue,
     lease_ttl: float,
+    recorded: Callable[[], Optional[Tuple[CampaignResult, Dict[str, float]]]],
     poll: float = 0.2,
-) -> None:
-    """Block until every planned shard is published.
+) -> Optional[Tuple[CampaignResult, Dict[str, float]]]:
+    """Block until every planned shard is published (returns ``None``) or
+    another drain has recorded the campaign (returns ``recorded()``).
 
     The worker loop only executes what it can claim; a shard leased by a
     live foreign owner — an attached ``python -m repro worker``, or an
@@ -255,7 +281,9 @@ def _await_foreign_shards(
     its lease dies (pid gone, or TTL expiry), at which point an inline
     worker pass reclaims and executes it.  A retired task whose shard entry
     has since vanished (e.g. an aggressive ``study clean`` sweep) is
-    re-enqueued, so the loop always makes progress toward a full plan.
+    re-enqueued, so the loop always makes progress toward a full plan —
+    unless another drain recorded the campaign and cleared its shards,
+    which ``recorded()`` is asked about first whenever a shard is missing.
     """
     spec_hash = scenario.spec_hash()
     while True:
@@ -265,7 +293,10 @@ def _await_foreign_shards(
             if store.load_shard(spec_hash, shard.key) is None
         ]
         if not missing:
-            return
+            return None
+        entry = recorded()
+        if entry is not None:
+            return entry
         claimable = waiting = False
         for shard in missing:
             task_path = queue.task_path(spec_hash, shard.key)

@@ -168,10 +168,12 @@ class FileQueue:
     ) -> bool:
         """Attempt to lease one shard for ``owner``; True on success.
 
-        Fresh claims create the lease file atomically (``O_EXCL``); stale
-        leases (expired, or same-host dead owner) are reclaimed by atomic
-        replacement followed by a read-back to confirm this owner won any
-        concurrent reclaim race.
+        Fresh claims hard-link a fully written lease file into place, which
+        fails if a lease exists and never shows a concurrent claimant an
+        empty lease it would take for a stale one.  Stale leases (expired,
+        or same-host dead owner) are reclaimed by atomic replacement
+        followed by a read-back to confirm this owner won any concurrent
+        reclaim race.
         """
         now = time.time() if now is None else now
         self.lease_root.mkdir(parents=True, exist_ok=True)
@@ -185,17 +187,18 @@ class FileQueue:
             },
             sort_keys=True,
         )
+        temporary = lease_path.with_suffix(f".{uuid.uuid4().hex[:8]}.tmp")
+        temporary.write_text(payload)
         try:
-            with open(lease_path, "x") as handle:
-                handle.write(payload)
+            os.link(temporary, lease_path)
+            temporary.unlink()
             return True
         except FileExistsError:
             pass
         lease = self.lease_for(task_path)
         if lease is not None and lease.active(now):
+            temporary.unlink()
             return False
-        temporary = lease_path.with_suffix(f".{uuid.uuid4().hex[:8]}.tmp")
-        temporary.write_text(payload)
         os.replace(temporary, lease_path)
         current = self.lease_for(task_path)
         return current is not None and current.owner == owner

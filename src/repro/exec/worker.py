@@ -242,6 +242,12 @@ def run_worker(
                     continue
                 if not queue.try_claim(task_path, owner, ttl=lease_ttl):
                     continue
+                if store.load_shard(spec_hash, key) is not None:
+                    # Published and released between the check above and
+                    # this claim (two drains over one queue).
+                    queue.complete(task_path, owner)
+                    stats.shards_skipped += 1
+                    continue
                 claimed = True
                 stats.shards_claimed += 1
                 telemetry.claimed(engine=str(task["engine"]))

@@ -54,10 +54,6 @@ __all__ = [
 #: States a job moves through (terminal: ``done`` / ``failed``).
 JOB_STATES = ("queued", "running", "done", "failed")
 
-#: How often the shard-clear race between two jobs recording the same spec
-#: is retried before giving up; each retry resolves the spec from the store.
-EXECUTE_RETRIES = 3
-
 
 class BadRequest(ValueError):
     """A job request the server must reject with HTTP 400."""
@@ -415,27 +411,16 @@ class JobManager:
     def _execute_scenarios(self, job: Job) -> ResultSet:
         """Run the job's scenarios through the store + exec queue.
 
-        ``resume=True`` always: concurrent jobs sharing a spec hash converge
-        on the same shard entries instead of clearing each other's work.
-        The one remaining race — a racing job records the assembled campaign
-        and retires its shards between this job's plan and reassembly — is
-        retried; the retry resolves the spec from the store as a cache hit.
+        Concurrent jobs sharing a spec hash converge on the same shard
+        entries, and a job that reaches a spec another job has recorded
+        returns that entry instead of simulating it again (see
+        :func:`repro.exec.executor.execute_scenario_sharded`).
         """
         shard_size = (
             job.options.shard_size
             if job.options.shard_size is not None
             else self.shard_size
         )
-        for attempt in range(EXECUTE_RETRIES):
-            try:
-                return execute_scenarios(
-                    job.scenarios,
-                    store=self.store,
-                    use_cache=True,
-                    shard_size=shard_size,
-                    resume=True,
-                )
-            except RuntimeError:
-                if attempt == EXECUTE_RETRIES - 1:
-                    raise
-        raise AssertionError("unreachable")  # pragma: no cover
+        return execute_scenarios(
+            job.scenarios, store=self.store, use_cache=True, shard_size=shard_size
+        )

@@ -16,9 +16,8 @@ hierarchy x MBPTA protocol} — is expressed here as data instead of code:
   ``table()``/``ccdf()``/``compare()`` views.
 
 The nine paper experiments are registered as built-in studies
-(:mod:`repro.study.library`); the legacy ``experiment_*`` drivers delegate
-here and keep byte-identical ``--format text`` output.  The CLI surface is
-``python -m repro study {list,run,compare,clean}``.
+(:mod:`repro.study.library`) and run with :func:`run_study` or the CLI
+surface ``python -m repro study {list,run,compare,clean}``.
 """
 
 from __future__ import annotations

@@ -1,17 +1,12 @@
-"""The nine paper experiments, re-expressed as registered studies.
+"""The nine paper experiments, expressed as registered studies.
 
 Each study is a (planner, builder) pair: the planner declares the scenario
-grid — the same workloads, hierarchies, run counts and seed offsets the
-historical ``experiment_*`` drivers hard-coded — and the builder folds the
-executed :class:`~repro.study.resultset.ResultSet` into the legacy result
-dataclass.  Because the planners reproduce the drivers' seed derivations
-exactly and every engine is bit-exact, the ``--format text`` rendering of a
-study is **byte-identical** to its historical driver (pinned by the golden
-tests in ``tests/test_study.py``).
-
-The legacy ``experiment_*`` functions in
-:mod:`repro.analysis.experiments` are now thin wrappers over
-:func:`repro.study.run_study` and keep their public signatures.
+grid — the workloads, hierarchies, run counts and per-campaign seed
+offsets of the paper's evaluation — and the builder folds the executed
+:class:`~repro.study.resultset.ResultSet` into the experiment's result
+dataclass from :mod:`repro.analysis.experiments`.  The ``--format text``
+rendering of every study is pinned byte for byte by the golden tests in
+``tests/test_study.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ from ..analysis.experiments import (
     ReplacementAblationResult,
     Table1Result,
     Table2Result,
-    settings_margin,
 )
 from ..analysis.hwm import industrial_bound
 from ..hardware import FpgaDevice, hrp_module_cost, integrate_on_fpga, rm_module_cost
@@ -45,11 +39,11 @@ __all__ = ["register_builtin_studies"]
 
 
 def _mbpta_config(settings: ExperimentSettings) -> MbptaConfig:
-    """The per-scenario MBPTA configuration the legacy drivers used.
+    """The per-scenario MBPTA configuration of every study.
 
-    ``settings.estimator`` (the CLI's ``--estimator`` / ``REPRO_ESTIMATOR``)
-    overrides the config's estimator; left empty, the config default
-    (``gumbel-pwm``) keeps the historical byte-identical outputs.
+    ``settings.estimator`` (the CLI's ``--estimator``) overrides the
+    config's estimator; left empty, the config default (``gumbel-pwm``)
+    keeps the historical byte-identical outputs.
     """
     config = replace(
         settings.mbpta,
@@ -79,8 +73,8 @@ def _base_scenario(
 
 
 def _benchmark_axis(settings: ExperimentSettings) -> List[Dict[str, object]]:
-    """One axis entry per EEMBC stand-in, with the legacy per-benchmark seed
-    offset (``master_seed + enumerate offset``)."""
+    """One axis entry per EEMBC stand-in, with its per-benchmark seed offset
+    (``master_seed + enumerate offset``)."""
     return [
         {
             "workload": WorkloadSpec.eembc(benchmark, scale=settings.scale),
@@ -197,7 +191,8 @@ def _plan_fig4a(settings: ExperimentSettings) -> Sweep:
             "benchmark": _benchmark_axis(settings),
             "setup": [
                 {"hierarchy": HierarchySpec.named("rm", settings.parameters)},
-                # The legacy driver shifts the hRP campaigns' seeds by 1000.
+                # hRP campaigns draw seeds apart from the rm ones; the
+                # goldens pin the 1000 offset.
                 {
                     "hierarchy": HierarchySpec.named("hrp", settings.parameters),
                     "seed_offset": 1000,
@@ -267,9 +262,7 @@ def _build_fig4b(context: StudyContext) -> Fig4bResult:
     for benchmark in eembc_kernel_names():
         pwcet_rm = context.results.mbpta(f"{benchmark}/rm").pwcet_at(settings.cutoff)
         deterministic = context.results.campaign(f"{benchmark}/modulo-hwm")
-        bound = industrial_bound(
-            deterministic.execution_times, settings_margin(settings)
-        )
+        bound = industrial_bound(deterministic.execution_times)
         rows[benchmark] = {
             "pwcet_rm": pwcet_rm,
             "det_hwm": bound.hwm,
@@ -289,6 +282,8 @@ def _plan_fig5(
     iterations: int = 12,
     setups: Sequence[str] = ("rm", "hrp"),
 ) -> Sweep:
+    # 12 traversals (the paper uses 50) bound the trace length; the relative
+    # behaviour of the placement policies does not depend on it.
     base = _base_scenario(
         settings,
         WorkloadSpec.synthetic(footprint_bytes, iterations),
@@ -427,7 +422,7 @@ def _build_ablation_seg(context: StudyContext) -> FootprintAblationResult:
 # ---------------------------------------------------------------------------
 
 #: Configuration label -> (L1 placement, L1 replacement); the L2 keeps hRP
-#: with its default random replacement, as in the legacy driver.
+#: with its default random replacement.
 _REPLACEMENT_CONFIGURATIONS: Dict[str, Tuple[str, str]] = {
     "rm + random": ("rm", "random"),
     "rm + lru": ("rm", "lru"),

@@ -4,12 +4,13 @@ A *study* is a named, declarative experiment: a **planner** maps
 :class:`~repro.analysis.experiments.ExperimentSettings` (plus optional
 keyword parameters) to scenarios, and a **builder** maps the executed
 :class:`~repro.study.resultset.ResultSet` back to the study's result object
-(for the nine paper studies, the exact legacy result dataclasses, so the
-``--format text`` rendering is byte-identical to the historical drivers).
+(for the nine paper studies, the result dataclasses of
+:mod:`repro.analysis.experiments`, whose ``--format text`` rendering the
+goldens pin).
 
 Studies are selected by name through the registry; the CLI's
-``python -m repro study`` surface and the legacy ``experiment_*`` wrappers
-both resolve names with :func:`get_study`.
+``python -m repro study`` surface and :func:`run_study` both resolve names
+with :func:`get_study`.
 
 To add a study::
 
@@ -105,7 +106,6 @@ class Study:
             store=store,
             use_cache=use_cache,
             shard_size=getattr(settings, "shard_size", None),
-            resume=getattr(settings, "resume", False),
         )
         if store is not None:
             # Provenance for the run table: which study produced which entry.
@@ -169,9 +169,10 @@ def run_study(
 ) -> StudyOutcome:
     """Run a registered study by name (the main programmatic entry point).
 
-    Without ``store`` the study always simulates (the legacy driver
-    behaviour); pass a :class:`ResultStore` to resolve previously executed
-    scenarios from disk and persist fresh ones.
+    Without ``store`` the study always simulates and persists nothing; pass
+    a :class:`ResultStore` to resolve previously executed scenarios from
+    disk and persist fresh ones.  ``run_study(name, settings,
+    **params).result`` is the experiment's result object.
     """
     from ..analysis.experiments import ExperimentSettings
 

@@ -61,8 +61,8 @@ class ExecutionReport:
     stored: int = 0
     #: Queued-execution accounting (``repro.exec``); all zero when every
     #: campaign drained inline.  ``shards_reused`` counts entries a
-    #: previous (killed) run already published and a ``--resume`` rerun
-    #: did not have to execute again.
+    #: previous (killed) run already published, which the rerun did not
+    #: have to execute again.
     shards_planned: int = 0
     shards_reused: int = 0
     shards_executed: int = 0

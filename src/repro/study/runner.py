@@ -54,7 +54,6 @@ def execute_scenarios(
     store: Optional[ResultStore] = None,
     use_cache: bool = True,
     shard_size: Optional[int] = None,
-    resume: bool = False,
 ) -> ResultSet:
     """Execute a plan and return its :class:`ResultSet`.
 
@@ -71,9 +70,9 @@ def execute_scenarios(
     planner's per-campaign heuristic size (used by the analysis server,
     whose jobs always go through the queue).  Queued execution requires a
     ``store``; without one it raises :class:`ValueError` before any
-    simulation.  With ``resume=True`` the shard entries a previous (killed)
-    run already published are reused and only the missing shards execute;
-    the reassembled campaign is bit-exact with serial execution either way.
+    simulation.  The shard entries a previous (killed) run already
+    published are reused and only the missing shards execute; the
+    reassembled campaign is bit-exact with serial execution either way.
     """
     # ``planned`` counts unique specs: scenarios sharing a spec hash are one
     # unit of work (simulated or cache-resolved once), however many labels
@@ -114,7 +113,7 @@ def execute_scenarios(
         from ..exec.executor import execute_campaigns
 
         shards = execute_campaigns(
-            pending, store, record, shard_size=shard_size, resume=resume
+            pending, store, record, shard_size=shard_size, use_cache=use_cache
         )
         report.shards_planned = shards.planned
         report.shards_reused = shards.reused

@@ -362,16 +362,22 @@ class ResultStore:
         return sorted(pairs)
 
     def clear_shards(self, spec_hash: Optional[str] = None) -> int:
-        """Delete published shard entries (all, or one spec hash's); returns
-        how many were removed."""
+        """Delete published shard entries and leftover temporary files (all,
+        or one spec hash's); returns how many entries were removed.
+
+        Two drains that recorded one campaign both clear its shards, so an
+        entry the other drain removed first is skipped; another spec's
+        in-flight temporary files are left to their writers.
+        """
         removed = 0
         if not self.shard_root.is_dir():
             return removed
         prefix = f"{spec_hash}.*" if spec_hash else "*"
         for path in self.shard_root.glob(f"{prefix}{columnar.COLUMNAR_SUFFIX}"):
-            path.unlink()
-            removed += 1
-        for path in self.shard_root.glob("*.tmp"):
+            with contextlib.suppress(FileNotFoundError):
+                path.unlink()
+                removed += 1
+        for path in self.shard_root.glob(f"{prefix}.tmp"):
             with contextlib.suppress(OSError):
                 path.unlink()
         return removed

@@ -6,90 +6,86 @@ import json
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, build_parser, main
+from repro.__main__ import build_parser, main
 from repro.analysis.report import CSV_HEADER
 from repro.engine import available_engines
 
 
-class TestParser:
-    def test_list_command(self, capsys):
-        assert main(["list"]) == 0
-        output = capsys.readouterr().out
-        for identifier in EXPERIMENTS:
-            assert identifier in output
+def study_run(tmp_path, *argv):
+    """``study run`` argv against a per-test store (never results/store)."""
+    return ["study", "run", *argv, "--store", str(tmp_path / "store")]
 
+
+class TestParser:
     def test_run_requires_known_experiment(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "table9"])
+            build_parser().parse_args(["study", "run", "table9"])
 
     def test_missing_command_is_an_error(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("argv", [["run", "fig1"], ["list"]])
+    def test_removed_top_level_commands_are_invalid_choices(self, argv, capsys):
+        # `study run` and `study list` are the only way to run or list
+        # the experiments.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+
 
 class TestRun:
-    def test_run_table1(self, capsys):
-        assert main(["run", "table1"]) == 0
+    def test_run_table1(self, tmp_path, capsys):
+        assert main(study_run(tmp_path, "table1")) == 0
         output = capsys.readouterr().out
         assert "Table 1" in output
         assert "finished" in output
 
-    def test_run_fig1_with_small_campaign(self, capsys):
-        assert main(["run", "fig1", "--runs", "40", "--scale", "0.25", "--seed", "7"]) == 0
+    def test_run_fig1_with_small_campaign(self, tmp_path, capsys):
+        assert main(
+            study_run(tmp_path, "fig1", "--runs", "40", "--scale", "0.25", "--seed", "7")
+        ) == 0
         output = capsys.readouterr().out
         assert "pWCET" in output
 
-    def test_run_ablation_replacement_small(self, capsys):
-        assert main(["run", "ablation_repl", "--runs", "25", "--scale", "0.25"]) == 0
+    def test_run_ablation_replacement_small(self, tmp_path, capsys):
+        assert main(
+            study_run(tmp_path, "ablation_repl", "--runs", "25", "--scale", "0.25")
+        ) == 0
         assert "placement x replacement" in capsys.readouterr().out
-
-    def test_run_rejects_worker_processes(self, capsys):
-        # `run` has no result store, so campaigns cannot go through the queue.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "fig5", "--runs", "24", "--jobs", "2"])
-        assert excinfo.value.code == 2
-        assert "study run --jobs N" in capsys.readouterr().err
-
-    def test_run_ignores_repro_jobs(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        assert main(["run", "fig1", "--runs", "20", "--scale", "0.25"]) == 0
-        assert "pWCET" in capsys.readouterr().out
 
 
 class TestEngineSelection:
     def test_engine_choices_come_from_registry(self):
         parser = build_parser()
-        args = parser.parse_args(["run", "fig5", "--engine", "numpy"])
+        args = parser.parse_args(["study", "run", "fig5", "--engine", "numpy"])
         assert args.engine == "numpy"
         assert available_engines() == ("numpy", "reference")
 
     def test_unregistered_engine_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig5", "--engine", "warp"])
+            build_parser().parse_args(["study", "run", "fig5", "--engine", "warp"])
 
-    def test_run_with_numpy_engine(self, capsys):
+    def test_run_with_numpy_engine(self, tmp_path, capsys):
         assert main(
-            ["run", "fig5", "--runs", "20", "--scale", "0.25", "--engine", "numpy"]
+            study_run(tmp_path, "fig5", "--runs", "20", "--scale", "0.25",
+                      "--engine", "numpy")
         ) == 0
         assert "pWCET" in capsys.readouterr().out
 
     def test_retired_engines_fail_up_front_naming_registered_ones(
-        self, capsys, monkeypatch
+        self, tmp_path, capsys
     ):
-        # Flag and environment variable alike: a usage error (exit 2)
-        # before any campaign, naming the engines that do exist.
+        # A usage error (exit 2) before any campaign, naming the engines
+        # that do exist.
         for name in ("fast", "jit"):
             with pytest.raises(SystemExit) as excinfo:
-                main(["run", "fig5", "--runs", "20", "--engine", name])
+                main(study_run(tmp_path, "fig5", "--runs", "20", "--engine", name))
             assert excinfo.value.code == 2
             err = capsys.readouterr().err
             assert "numpy" in err and "reference" in err
-            monkeypatch.setenv("REPRO_ENGINE", name)
-            with pytest.raises(SystemExit) as excinfo:
-                main(["run", "fig5", "--runs", "20"])
-            assert excinfo.value.code == 2
-            assert "registered engines: numpy, reference" in capsys.readouterr().err
-            monkeypatch.delenv("REPRO_ENGINE")
+        assert not (tmp_path / "store").exists()
 
 
 class TestEnginesCommand:
@@ -106,7 +102,7 @@ class TestEstimatorSelection:
         from repro.pwcet import available_estimators
 
         parser = build_parser()
-        args = parser.parse_args(["run", "fig5", "--estimator", "gumbel-mle"])
+        args = parser.parse_args(["study", "run", "fig5", "--estimator", "gumbel-mle"])
         assert args.estimator == "gumbel-mle"
         assert set(available_estimators()) >= {
             "gumbel-pwm",
@@ -116,25 +112,14 @@ class TestEstimatorSelection:
 
     def test_unregistered_estimator_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig5", "--estimator", "weibull"])
+            build_parser().parse_args(["study", "run", "fig5", "--estimator", "weibull"])
 
-    def test_run_with_exponential_excess(self, capsys):
+    def test_run_with_exponential_excess(self, tmp_path, capsys):
         assert main(
-            ["run", "fig5", "--runs", "20", "--scale", "0.25",
-             "--estimator", "exponential-excess"]
+            study_run(tmp_path, "fig5", "--runs", "20", "--scale", "0.25",
+                      "--estimator", "exponential-excess")
         ) == 0
         assert "pWCET" in capsys.readouterr().out
-
-    def test_legacy_alias_accepted_from_environment(self, capsys, monkeypatch):
-        # REPRO_ESTIMATOR accepts the historical fit_method spellings.
-        monkeypatch.setenv("REPRO_ESTIMATOR", "pwm")
-        assert main(["run", "fig5", "--runs", "20", "--scale", "0.25"]) == 0
-        assert "pWCET" in capsys.readouterr().out
-
-    def test_bad_environment_estimator_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ESTIMATOR", "weibull")
-        with pytest.raises(SystemExit):
-            main(["run", "fig5", "--runs", "20", "--scale", "0.25"])
 
 
 class TestPwcetCommand:
@@ -192,16 +177,9 @@ class TestShardedExecution:
         assert "shards executed" in first
         assert main(
             ["study", "run", "fig5", "--runs", "24", "--scale", "0.25",
-             "--store", store, "--shard-size", "6", "--resume"]
+             "--store", store, "--shard-size", "6"]
         ) == 0
         assert "full cache hit" in capsys.readouterr().out
-
-    def test_resume_without_shard_size_is_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                ["study", "run", "fig5", "--runs", "24",
-                 "--store", str(tmp_path / "s"), "--resume"]
-            )
 
     def test_invalid_shard_size_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -271,8 +249,8 @@ class TestShardedExecution:
 
 
 class TestOutputFormats:
-    def test_json_format_is_parseable_and_self_identifying(self, capsys):
-        assert main(["run", "table1", "--format", "json"]) == 0
+    def test_json_format_is_parseable_and_self_identifying(self, tmp_path, capsys):
+        assert main(study_run(tmp_path, "table1", "--format", "json")) == 0
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
         assert payload["experiment"] == "table1"
@@ -281,8 +259,8 @@ class TestOutputFormats:
         assert "finished" in captured.err
         assert "finished" not in captured.out
 
-    def test_csv_format_emits_header_and_rows(self, capsys):
-        assert main(["run", "table1", "--format", "csv"]) == 0
+    def test_csv_format_emits_header_and_rows(self, tmp_path, capsys):
+        assert main(study_run(tmp_path, "table1", "--format", "csv")) == 0
         captured = capsys.readouterr()
         lines = captured.out.strip().splitlines()
         assert lines[0] == CSV_HEADER
@@ -290,26 +268,27 @@ class TestOutputFormats:
         assert rows, "expected at least one data row"
         assert all(row[0] == "table1" and len(row) == 3 for row in rows)
 
-    def test_text_format_is_default(self, capsys):
-        assert main(["run", "table1"]) == 0
+    def test_text_format_is_default(self, tmp_path, capsys):
+        assert main(study_run(tmp_path, "table1")) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out and "finished" in out
 
-    def test_json_format_surfaces_discarded_runs(self, capsys):
+    def test_json_format_surfaces_discarded_runs(self, tmp_path, capsys):
         # 25 runs -> effective block size 2 -> one trailing run is discarded
         # by block-maxima grouping, and --format json must say so.
         assert main(
-            ["run", "fig1", "--runs", "25", "--scale", "0.25", "--format", "json"]
+            study_run(tmp_path, "fig1", "--runs", "25", "--scale", "0.25",
+                      "--format", "json")
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         analysis = payload["analysis"]
         assert analysis["a2time/rm"]["discarded_runs"] == 1.0
         assert analysis["a2time/rm"]["estimator"] == "gumbel-pwm"
 
-    def test_json_format_analysis_follows_estimator(self, capsys):
+    def test_json_format_analysis_follows_estimator(self, tmp_path, capsys):
         assert main(
-            ["run", "fig5", "--runs", "24", "--scale", "0.25",
-             "--estimator", "exponential-excess", "--format", "json"]
+            study_run(tmp_path, "fig5", "--runs", "24", "--scale", "0.25",
+                      "--estimator", "exponential-excess", "--format", "json")
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         estimators = {

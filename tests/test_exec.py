@@ -18,6 +18,7 @@ import time
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
@@ -25,6 +26,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 import repro
 from repro.analysis.campaign import run_campaign, run_layout_campaign
 from repro.engine import DEFAULT_ENGINE, NumpyEngine, available_engines
+from repro.exec import executor as executor_module
 from repro.exec import (
     DEFAULT_SHARD_SIZE,
     FileQueue,
@@ -398,19 +400,10 @@ class TestShardedExecution:
     def test_resume_reuses_published_shards(self, tmp_path):
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        execute_scenario_sharded(scenario, store, jobs=1, shard_size=4, resume=True)
-        _, _, report = execute_scenario_sharded(
-            scenario, store, jobs=1, shard_size=4, resume=True
-        )
+        execute_scenario_sharded(scenario, store, jobs=1, shard_size=4)
+        _, _, report = execute_scenario_sharded(scenario, store, jobs=1, shard_size=4)
         assert report.executed == 0
         assert report.reused == report.planned
-
-    def test_without_resume_partials_are_dropped(self, tmp_path):
-        scenario = _scenario()
-        store = ResultStore(tmp_path / "store")
-        execute_scenario_sharded(scenario, store, jobs=1, shard_size=4, resume=True)
-        _, _, report = execute_scenario_sharded(scenario, store, jobs=1, shard_size=4)
-        assert report.executed == report.planned
 
     def test_layout_campaign_through_queue_matches_inline(self, tmp_path):
         scenario = _layout_scenario()
@@ -431,7 +424,7 @@ class TestShardedExecution:
         shards, queue = _enqueue_all(scenario, store, shard_size=2)
         assert run_worker(queue.root, store.root, max_shards=1).shards_done == 1
         campaign, _, report = execute_scenario_sharded(
-            scenario, store, jobs=1, shard_size=2, resume=True
+            scenario, store, jobs=1, shard_size=2
         )
         assert (report.planned, report.reused, report.executed) == (len(shards), 1, 2)
         assert campaign.execution_times == inline.execution_times
@@ -456,7 +449,7 @@ class TestShardedExecution:
     def test_exec_status_renders_queue_and_workers(self, tmp_path):
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        execute_scenario_sharded(scenario, store, jobs=1, shard_size=4, resume=True)
+        execute_scenario_sharded(scenario, store, jobs=1, shard_size=4)
         text = format_exec_status(store)
         assert "finished" in text
         assert "runs/s" in text
@@ -631,7 +624,7 @@ class TestCrashResume:
         # Live pid (this process), short deadline: active for ~1 second.
         assert queue.try_claim(path, "foreign-worker", ttl=1.0)
         campaign, _, report = execute_scenario_sharded(
-            scenario, store, jobs=1, shard_size=4, resume=True
+            scenario, store, jobs=1, shard_size=4
         )
         assert report.executed == report.planned == len(shards)
         assert campaign.execution_times == _serial_times(scenario)
@@ -646,10 +639,8 @@ class TestCrashResume:
         assert stats.shards_done == 2
         assert len(store.shard_keys(scenario.spec_hash())) == 2
 
-        # Rerun through the study runner with --resume semantics.
-        results = execute_scenarios(
-            [scenario], store=store, shard_size=3, resume=True
-        )
+        # Rerun through the study runner: published shards are reused.
+        results = execute_scenarios([scenario], store=store, shard_size=3)
         assert results.report.shards_planned == 4
         assert results.report.shards_reused == 2
         assert results.report.shards_executed == 2
@@ -658,14 +649,78 @@ class TestCrashResume:
         # The final campaign entry supersedes its shards.
         assert store.shard_keys(scenario.spec_hash()) == []
         assert store.load(scenario.spec_hash()) is not None
-        # A second resume is a pure store hit: nothing planned or executed.
-        again = execute_scenarios([scenario], store=store, shard_size=3, resume=True)
+        # A second rerun is a pure store hit: nothing planned or executed.
+        again = execute_scenarios([scenario], store=store, shard_size=3)
         assert again.report.full_cache_hit
         assert again.report.shards_planned == 0
         assert (
             next(iter(again)).campaign.execution_times
             == outcome.campaign.execution_times
         )
+
+
+# ---------------------------------------------------------------------------
+# Overlapping drains of one spec (two server jobs, or study run beside one)
+# ---------------------------------------------------------------------------
+
+class TestOverlappingDrains:
+    """A drain that meets a campaign another drain recorded returns that
+    entry; it never re-enqueues the shards the other drain cleared."""
+
+    @staticmethod
+    def _count_executed(monkeypatch):
+        """Record the key of every shard ShardRunner executes from now on."""
+        executed = []
+        original = ShardRunner.execute
+
+        def counting(runner, task):
+            executed.append(task["key"])
+            return original(runner, task)
+
+        monkeypatch.setattr(ShardRunner, "execute", counting)
+        return executed
+
+    def test_wait_returns_the_campaign_another_drain_recorded(
+        self, tmp_path, monkeypatch
+    ):
+        scenario = _scenario()
+        spec_hash = scenario.spec_hash()
+        store = ResultStore(tmp_path / "store")
+        shards, queue = _enqueue_all(scenario, store, shard_size=4)
+        foreign = queue.task_path(spec_hash, shards[0].key)
+        assert queue.try_claim(foreign, "other-job", ttl=600)
+        other_job_execute = ShardRunner.execute  # not counted below
+        executed = self._count_executed(monkeypatch)
+
+        def other_job_finishes(seconds):
+            # The drain waits on the leased shard; meanwhile the other job
+            # publishes it, records the campaign and clears its shards.
+            task = shard_task(scenario, shards[0], scenario.engine)
+            store.save_shard(spec_hash, shards[0].key, other_job_execute(ShardRunner(), task))
+            campaign, miss = reassemble_campaign(scenario, shards, _published(scenario, store))
+            store.save(scenario, campaign, miss)
+            store.clear_shards(spec_hash)
+            queue.complete(foreign, "other-job")
+            fake_time.sleep = time.sleep
+
+        fake_time = SimpleNamespace(sleep=other_job_finishes)
+        monkeypatch.setattr(executor_module, "time", fake_time)
+        campaign, _, _ = execute_scenario_sharded(scenario, store, jobs=1, shard_size=4)
+        assert sorted(executed) == sorted(shard.key for shard in shards[1:])
+        assert campaign.execution_times == _serial_times(scenario)
+        assert queue.pending() == 0
+
+    def test_recorded_campaign_is_returned_before_anything_is_enqueued(
+        self, tmp_path, monkeypatch
+    ):
+        scenario = _scenario()
+        store = ResultStore(tmp_path / "store")
+        execute_scenarios([scenario], store, shard_size=4)
+        executed = self._count_executed(monkeypatch)
+        campaign, _, _ = execute_scenario_sharded(scenario, store, jobs=1, shard_size=4)
+        assert executed == []
+        assert campaign.execution_times == _serial_times(scenario)
+        assert FileQueue(store.queue_root).pending() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +762,7 @@ class TestRunnerIntegration:
         assert results.report.shards_planned == results.report.shards_executed == 2
         assert next(iter(results)).campaign.execution_times == _serial_times(scenario)
         assert store.shard_keys(scenario.spec_hash()) == []  # superseded by the entry
-        again = execute_scenarios([scenario], store=store, shard_size=4, resume=True)
+        again = execute_scenarios([scenario], store=store, shard_size=4)
         assert again.report.full_cache_hit
 
     def test_report_summary_mentions_shards_only_when_sharded(self, tmp_path):

@@ -32,7 +32,7 @@ import repro
 import repro.pwcet.registry as pwcet_registry
 from repro.__main__ import main
 from repro.analysis.experiments import ExperimentSettings
-from repro.exec import FileQueue, plan_shards, read_heartbeats, shard_task
+from repro.exec import FileQueue, ShardRunner, plan_shards, read_heartbeats, shard_task
 from repro.exec.status import exec_status_snapshot
 from repro.pwcet import MbptaConfig
 from repro.service.api.server import ReproServer
@@ -490,6 +490,52 @@ class TestWarmOverlap:
             assert json.dumps(entry["analysis"], sort_keys=True) == json.dumps(
                 persisted, sort_keys=True
             )
+
+
+class TestColdOverlap:
+    def test_concurrent_cold_jobs_execute_each_shard_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Jobs sharing one cold spec, run at once (more job threads than
+        cores, frequent thread switches): each planned shard executes
+        exactly once, and every job returns the same campaign."""
+        executed = []
+        original = ShardRunner.execute
+
+        def counting(runner, task):
+            executed.append(task["key"])
+            return original(runner, task)
+
+        monkeypatch.setattr(ShardRunner, "execute", counting)
+        scenario = _scenario(runs=64)
+        concurrency = (os.cpu_count() or 1) + 1
+        manager = JobManager(
+            ResultStore(tmp_path / "store"),
+            EventBus(),
+            shard_size=8,
+            concurrency=concurrency,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            jobs = [
+                manager.submit({"spec": _spec(scenario)}) for _ in range(concurrency)
+            ]
+            deadline = time.time() + 120
+            while not all(job.finished for job in jobs) and time.time() < deadline:
+                time.sleep(0.05)
+        finally:
+            sys.setswitchinterval(interval)
+            manager.shutdown()
+        assert [job.state for job in jobs] == ["done"] * concurrency
+        planned = plan_shards(scenario.spec_hash(), scenario.runs, 8)
+        assert sorted(executed) == sorted(shard.key for shard in planned)
+        unsourced = [
+            [{k: v for k, v in entry.items() if k != "source"} for entry in job.results]
+            for job in jobs
+        ]
+        assert all(payload == unsourced[0] for payload in unsourced)
+
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Covers Sweep expansion, spec-hash stability, the on-disk result store's
 hit/miss behaviour, batched execution equivalence, the ResultSet views, the
 ``python -m repro study`` CLI surface, and — via the golden files in
-``tests/golden/`` — byte-identical equivalence of every legacy
-``experiment_*`` driver with its study reimplementation.
+``tests/golden/`` — the byte-identical ``--format text`` output of every
+paper study run through :func:`repro.study.run_study`.
 
 Regenerate the goldens (only when an output change is intended) with::
 
@@ -385,7 +385,7 @@ class TestStudyRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Legacy driver equivalence (byte-identical --format text output)
+# Golden equivalence (byte-identical --format text output)
 # ---------------------------------------------------------------------------
 
 def _golden(identifier: str) -> str:
@@ -393,39 +393,34 @@ def _golden(identifier: str) -> str:
 
 
 class TestDriverEquivalence:
-    """Each legacy driver, now a study, renders byte-identical text."""
+    """Each paper study, run through run_study, renders byte-identical text."""
 
     def test_table1(self):
-        from repro.analysis.experiments import experiment_table1
-
-        assert experiment_table1().format() + "\n" == _golden("table1")
+        assert run_study("table1").result.format() + "\n" == _golden("table1")
 
     def test_fig1(self):
-        from repro.analysis.experiments import experiment_fig1
-
-        result = experiment_fig1(GOLDEN_SETTINGS, benchmark="a2time")
+        result = run_study("fig1", GOLDEN_SETTINGS, benchmark="a2time").result
         assert result.format() + "\n" == _golden("fig1")
 
     def test_fig5(self):
-        from repro.analysis.experiments import experiment_fig5
-
-        result = experiment_fig5(
-            GOLDEN_SETTINGS, footprint_bytes=20 * 1024, iterations=3
-        )
+        result = run_study(
+            "fig5", GOLDEN_SETTINGS, footprint_bytes=20 * 1024, iterations=3
+        ).result
         assert result.format() + "\n" == _golden("fig5")
 
     def test_ablation_seg(self):
-        from repro.analysis.experiments import experiment_footprint_ablation
-
-        result = experiment_footprint_ablation(
-            ExperimentSettings(runs=30), footprints=(4 * 1024, 20 * 1024), iterations=2
-        )
+        result = run_study(
+            "ablation_seg",
+            ExperimentSettings(runs=30),
+            footprints=(4 * 1024, 20 * 1024),
+            iterations=2,
+        ).result
         assert result.format() + "\n" == _golden("ablation_seg")
 
     def test_ablation_repl(self):
-        from repro.analysis.experiments import experiment_replacement_ablation
-
-        result = experiment_replacement_ablation(ExperimentSettings(runs=25, scale=0.25))
+        result = run_study(
+            "ablation_repl", ExperimentSettings(runs=25, scale=0.25)
+        ).result
         assert result.format() + "\n" == _golden("ablation_repl")
 
     @pytest.mark.parametrize(
@@ -439,25 +434,23 @@ class TestDriverEquivalence:
         # The non-default estimators are pinned as tightly as gumbel-pwm:
         # the same fig5 campaigns projected through each one must render
         # byte-identically to its golden.
-        from dataclasses import replace
-
-        from repro.analysis.experiments import experiment_fig5
-
-        result = experiment_fig5(
+        result = run_study(
+            "fig5",
             replace(GOLDEN_SETTINGS, estimator=estimator),
             footprint_bytes=20 * 1024,
             iterations=3,
-        )
+        ).result
         assert result.format() + "\n" == _golden(golden_id)
 
     def test_ablation_seg_accepts_same_kb_bucket_footprints(self):
         # Regression: 1024 and 1536 bytes both floor to "1KB"; the labels
         # must still be distinct for the study to execute.
-        from repro.analysis.experiments import experiment_footprint_ablation
-
-        result = experiment_footprint_ablation(
-            ExperimentSettings(runs=20), footprints=(1024, 1536), iterations=2
-        )
+        result = run_study(
+            "ablation_seg",
+            ExperimentSettings(runs=20),
+            footprints=(1024, 1536),
+            iterations=2,
+        ).result
         assert len(result.rows) == 2
 
     def test_study_path_with_store_is_also_byte_identical(self, tmp_path):
@@ -480,24 +473,19 @@ class TestDriverEquivalenceFullSuite:
     """The 11-benchmark sweeps, at the goldens' reduced scale."""
 
     def test_table2(self):
-        from repro.analysis.experiments import experiment_table2
-
-        assert experiment_table2(GOLDEN_SETTINGS).format() + "\n" == _golden("table2")
+        result = run_study("table2", GOLDEN_SETTINGS).result
+        assert result.format() + "\n" == _golden("table2")
 
     def test_fig4a(self):
-        from repro.analysis.experiments import experiment_fig4a
-
-        assert experiment_fig4a(GOLDEN_SETTINGS).format() + "\n" == _golden("fig4a")
+        result = run_study("fig4a", GOLDEN_SETTINGS).result
+        assert result.format() + "\n" == _golden("fig4a")
 
     def test_fig4b(self):
-        from repro.analysis.experiments import experiment_fig4b
-
-        assert experiment_fig4b(GOLDEN_SETTINGS).format() + "\n" == _golden("fig4b")
+        result = run_study("fig4b", GOLDEN_SETTINGS).result
+        assert result.format() + "\n" == _golden("fig4b")
 
     def test_avg_perf(self):
-        from repro.analysis.experiments import experiment_avg_performance
-
-        result = experiment_avg_performance(GOLDEN_SETTINGS)
+        result = run_study("avg_perf", GOLDEN_SETTINGS).result
         assert result.format() + "\n" == _golden("avg_perf")
 
 
@@ -558,18 +546,17 @@ class TestStudyCli:
         assert "1.000" in output
 
     def test_runs_below_mbpta_minimum_is_one_line_error(self, capsys):
-        for argv in (
-            ["run", "fig5", "--runs", "8"],
-            ["study", "run", "fig5", "--runs", "8"],
-        ):
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            [line] = captured.err.splitlines()
-            assert "at least 20 measurement runs" in line and "fig5" in line
+        assert main(["study", "run", "fig5", "--runs", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert "at least 20 measurement runs" in line and "fig5" in line
 
-    def test_runs_floor_ignores_non_mbpta_experiments(self, capsys):
-        assert main(["run", "table1", "--runs", "8"]) == 0
+    def test_runs_floor_ignores_non_mbpta_experiments(self, tmp_path, capsys):
+        assert main([
+            "study", "run", "table1", "--runs", "8",
+            "--store", str(tmp_path / "store"),
+        ]) == 0
         assert "Table 1" in capsys.readouterr().out
 
 
@@ -600,9 +587,3 @@ class TestMissRateEnrichment:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "experiment,key,value"
         assert any(line.startswith("fig5,miss_rates.rm.il1_miss_rate,") for line in lines)
-
-    def test_legacy_run_json_also_enriched(self, capsys):
-        assert main(["run", "fig1", "--runs", "24", "--scale", "0.25",
-                     "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "a2time/rm" in payload["miss_rates"]
