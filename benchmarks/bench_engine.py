@@ -17,8 +17,7 @@ import pytest
 from repro.analysis.campaign import run_layout_campaign
 from repro.cache.fastsim import CompiledTrace
 from repro.core.placement import PlacementGeometry, make_placement
-from repro.cpu.core import TraceDrivenCore
-from repro.engine import NumpyEngine, get_engine
+from repro.engine import DEFAULT_ENGINE, NumpyEngine, get_engine
 from repro.engine.numpy_engine import derive_seed_arrays
 from repro.platform.leon3 import platform_setup
 from repro.pwcet.evt import fit_gumbel
@@ -209,8 +208,14 @@ def test_layout_campaign_lanes(capsys):
                 elapsed = time.perf_counter() - start
                 lanes_seconds = elapsed if lanes_seconds is None else min(lanes_seconds, elapsed)
             start = time.perf_counter()
+            engine = get_engine(DEFAULT_ENGINE)
             rebuilt = [
-                TraceDrivenCore(config, eembc_trace("a2time", layout=layout)).run(0).cycles
+                engine.simulator(
+                    config,
+                    CompiledTrace(eembc_trace("a2time", layout=layout), config.il1.line_size),
+                )
+                .run(0)
+                .cycles
                 for layout in layouts
             ]
             rebuild_seconds = time.perf_counter() - start

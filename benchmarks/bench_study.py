@@ -107,8 +107,8 @@ SHARDS_PER_ENTRY = 4
 
 
 def _synthetic_entries():
-    """Deterministic (scenario, campaign, miss summary) triples — large
-    enough that serialization, not hashing, dominates."""
+    """Deterministic (scenario, campaign) pairs — large enough that
+    serialization, not hashing, dominates."""
     entries = []
     for index in range(STORE_ENTRIES):
         scenario = Scenario(
@@ -124,21 +124,21 @@ def _synthetic_entries():
             setup="rm",
             execution_times=times,
             master_seed=scenario.effective_seed,
+            miss_summary={
+                "memory_accesses": 65_536.0,
+                "il1_misses": 306.0,
+                "dl1_misses": 2_048.0,
+                "l2_misses": 512.0,
+                "il1_miss_rate": 306.0 / 65_536.0,
+                "dl1_miss_rate": 2_048.0 / 65_536.0,
+                "l2_miss_rate": 512.0 / 65_536.0,
+            },
         )
-        summary = {
-            "memory_accesses": 65_536.0,
-            "il1_misses": 306.0,
-            "dl1_misses": 2_048.0,
-            "l2_misses": 512.0,
-            "il1_miss_rate": 306.0 / 65_536.0,
-            "dl1_miss_rate": 2_048.0 / 65_536.0,
-            "l2_miss_rate": 512.0 / 65_536.0,
-        }
-        entries.append((scenario, campaign, summary))
+        entries.append((scenario, campaign))
     return entries
 
 
-def _json_entry_payload(scenario, campaign, summary):
+def _json_entry_payload(scenario, campaign):
     """The JSON-era store entry, as the pre-columnar store wrote it."""
     return {
         "version": 1,
@@ -147,17 +147,17 @@ def _json_entry_payload(scenario, campaign, summary):
         "setup": campaign.setup,
         "master_seed": campaign.master_seed,
         "execution_times": list(campaign.execution_times),
-        "miss_summary": dict(summary),
+        "miss_summary": dict(campaign.miss_summary),
     }
 
 
-def _json_save(root, scenario, campaign, summary):
+def _json_save(root, scenario, campaign):
     """The JSON-era ``ResultStore.save``: build the payload, dump sorted-key
     text, write via tmp + os.replace (same work the legacy store did)."""
     path = root / f"{scenario.spec_hash()}.json"
     temporary = path.with_suffix(".json.tmp")
     temporary.write_text(
-        json.dumps(_json_entry_payload(scenario, campaign, summary), sort_keys=True)
+        json.dumps(_json_entry_payload(scenario, campaign), sort_keys=True)
     )
     os.replace(temporary, path)
 
@@ -210,29 +210,29 @@ def test_store_roundtrip_breakdown(tmp_path, capsys):
 
     # --- campaign entries: cold write + warm read, both codecs -------------
     def columnar_write():
-        for scenario, campaign, summary in entries:
-            store.save(scenario, campaign, summary)
+        for scenario, campaign in entries:
+            store.save(scenario, campaign)
 
     def columnar_read():
         # The store's native warm read: mmap'd zero-copy column views, the
         # form every bulk consumer (run table, MBPTA fits, reassembly)
         # actually wants.  The JSON baseline cannot serve arrays without
         # per-element parsing — that asymmetry is the tax being measured.
-        for scenario, _, _ in entries:
+        for scenario, _ in entries:
             meta, columns = store.load_columns(scenario.spec_hash())
             assert columns["execution_times"].size == STORE_RUNS
 
     def columnar_read_lists():
         # The compatibility read (`load`): materializes Python ints, for
         # consumers that still want the JSON-era list contract.
-        for scenario, _, _ in entries:
+        for scenario, _ in entries:
             assert store.load(scenario.spec_hash()) is not None
 
-    names = [scenario.spec_hash() for scenario, _, _ in entries]
+    names = [scenario.spec_hash() for scenario, _ in entries]
 
     def json_write():
-        for scenario, campaign, summary in entries:
-            _json_save(json_root, scenario, campaign, summary)
+        for scenario, campaign in entries:
+            _json_save(json_root, scenario, campaign)
 
     def json_read():
         for name in names:
@@ -250,7 +250,7 @@ def test_store_roundtrip_breakdown(tmp_path, capsys):
 
     # Bit-exactness across the codecs: both the compatibility read and the
     # column view decode to the same Python ints the JSON era returned.
-    for scenario, campaign, _ in entries:
+    for scenario, campaign in entries:
         stored = store.load(scenario.spec_hash())
         assert stored.execution_times == list(campaign.execution_times)
         _, columns = store.load_columns(scenario.spec_hash())
@@ -260,7 +260,7 @@ def test_store_roundtrip_breakdown(tmp_path, capsys):
     shard_count = STORE_RUNS // SHARDS_PER_ENTRY
     shards = [
         (scenario, key, _shard_payload(scenario, campaign, start, shard_count))
-        for scenario, campaign, _ in entries[:4]
+        for scenario, campaign in entries[:4]
         for key, start in (
             (f"{i * shard_count}-{(i + 1) * shard_count - 1}", i * shard_count)
             for i in range(SHARDS_PER_ENTRY)

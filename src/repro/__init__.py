@@ -7,8 +7,8 @@ The package is organised in layers (see DESIGN.md):
   XOR, hRP, Random Modulo), permutation networks and hardware-style PRNGs.
 * :mod:`repro.cache` — set-associative cache and hierarchy models plus the
   compiled-trace representation the campaign engines replay.
-* :mod:`repro.cpu` — memory-access traces, a small ISA with assembler and
-  interpreter, and the trace-driven timing core.
+* :mod:`repro.cpu` — memory-access traces and a small ISA with assembler
+  and interpreter.
 * :mod:`repro.engine` — simulation engine registry and backends (the
   vectorized ``numpy`` batch engine, the default, and the ``reference``
   oracle).
@@ -59,7 +59,7 @@ from .core import (
     RandomModuloPlacement,
     make_placement,
 )
-from .cpu import Trace, TraceDrivenCore, assemble, run_program
+from .cpu import Trace, assemble, run_program
 from .engine import (
     available_engines,
     engine_capabilities,
@@ -126,7 +126,6 @@ __all__ = [
     "make_placement",
     # cpu
     "Trace",
-    "TraceDrivenCore",
     "assemble",
     "run_program",
     # engine

@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--where",
             default=None,
             help="per-row Python predicate over the row fields, e.g. "
-            "\"l2_miss_rate < 0.01 and admitted\" or "
+            "\"il1_miss_rate > 0.5 and admitted\" or "
             "\"pwcet['1e-15'] < 60000\"",
         )
         command.add_argument(

@@ -18,28 +18,35 @@ import numpy as np
 from ..cache.fastsim import FETCH_KIND, CompiledTrace
 from ..cache.hierarchy import HierarchyConfig
 from ..core.prng import derive_run_seeds
-from ..cpu.core import (
-    ExecutionTimingModel,
-    TraceDrivenCore,
-    TraceRunResult,
-    timing_overhead_cycles,
-)
 from ..cpu.trace import Trace
 from ..engine import DEFAULT_ENGINE, get_engine
 from ..workloads.base import MemoryLayout, random_layouts, relocate_trace
 
-__all__ = ["CampaignResult", "run_campaign", "run_layout_campaign"]
+__all__ = [
+    "MISS_COUNTERS",
+    "CampaignResult",
+    "run_campaign",
+    "run_layout_campaign",
+    "summarize_misses",
+]
+
+#: The per-run counters a miss summary averages, in its key order.
+MISS_COUNTERS = ("il1_misses", "dl1_misses", "l2_misses", "memory_accesses")
 
 
 @dataclass
 class CampaignResult:
-    """Execution times (and cache statistics) of one measurement campaign."""
+    """Execution times and the per-level miss summary of one campaign.
+
+    ``miss_summary`` is :func:`summarize_misses` of the campaign's per-run
+    counters; it is empty for layout campaigns, which keep cycles only.
+    """
 
     workload: str
     setup: str
     execution_times: List[int]
-    run_results: List[TraceRunResult] = field(default_factory=list)
     master_seed: int = 0
+    miss_summary: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.execution_times:
@@ -65,28 +72,30 @@ class CampaignResult:
     def mean(self) -> float:
         return sum(self.execution_times) / len(self.execution_times)
 
-    def miss_summary(self) -> Dict[str, float]:
-        """Average per-run miss counts and per-level miss rates.
 
-        Rates are normalised by the per-run memory accesses (``*_miss_rate``
-        keys), so they are comparable across workloads of different trace
-        lengths.  Empty if detailed run results were not kept.
-        """
-        if not self.run_results:
-            return {}
-        n = len(self.run_results)
-        summary = {
-            "il1_misses": sum(r.il1_misses for r in self.run_results) / n,
-            "dl1_misses": sum(r.dl1_misses for r in self.run_results) / n,
-            "l2_misses": sum(r.l2_misses for r in self.run_results) / n,
-            "memory_accesses": sum(r.memory_accesses for r in self.run_results) / n,
-        }
-        accesses = summary["memory_accesses"]
-        for level in ("il1", "dl1", "l2"):
-            summary[f"{level}_miss_rate"] = (
-                summary[f"{level}_misses"] / accesses if accesses else 0.0
-            )
-        return summary
+def summarize_misses(counters: Dict[str, Sequence[int]], runs: int) -> Dict[str, float]:
+    """Average per-run miss counts and per-level miss rates of ``runs`` runs.
+
+    ``counters`` maps each name of :data:`MISS_COUNTERS` to its per-run
+    values.  The integer sums are divided once, so any partition of the
+    runs into shards summarizes to the same floats.  Each
+    ``<level>_miss_rate`` is that level's misses per *main-memory access*
+    (``memory_accesses``: L2 misses and writebacks, or next-level accesses
+    without an L2), not per access to the level, so an L1 rate can exceed
+    1 when the L2 absorbs most L1 misses.  (The engine's
+    :class:`~repro.cache.fastsim.FastRunResult` ``*_miss_rate`` properties
+    divide by the level's own accesses instead.)  Returns ``{}`` unless
+    every counter has one value per run: layout campaigns keep no counters.
+    """
+    if not all(len(counters.get(name, ())) == runs for name in MISS_COUNTERS):
+        return {}
+    summary = {name: sum(counters[name]) / runs for name in MISS_COUNTERS}
+    accesses = summary["memory_accesses"]
+    for level in ("il1", "dl1", "l2"):
+        summary[f"{level}_miss_rate"] = (
+            summary[f"{level}_misses"] / accesses if accesses else 0.0
+        )
+    return summary
 
 
 def run_campaign(
@@ -96,8 +105,6 @@ def run_campaign(
     master_seed: int = 0,
     setup: str = "",
     engine: str = DEFAULT_ENGINE,
-    timing: ExecutionTimingModel = ExecutionTimingModel(),
-    keep_run_results: bool = False,
 ) -> CampaignResult:
     """Measure ``trace`` on ``config`` for ``runs`` runs with fresh seeds.
 
@@ -114,15 +121,20 @@ def run_campaign(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    core = TraceDrivenCore(config, trace, timing=timing)
-    seeds = derive_run_seeds(master_seed, runs)
-    results = core.run_batch(seeds, engine=engine)
+    backend = get_engine(engine)  # reject unknown engines before any work
+    compiled = CompiledTrace(trace, line_size=config.il1.line_size)
+    results = backend.simulator(config, compiled).run_batch(
+        derive_run_seeds(master_seed, runs)
+    )
+    counters = {
+        name: [getattr(result, name) for result in results] for name in MISS_COUNTERS
+    }
     return CampaignResult(
         workload=trace.name,
         setup=setup or f"{config.il1.placement}/{config.il1.replacement}",
         execution_times=[result.cycles for result in results],
-        run_results=list(results) if keep_run_results else [],
         master_seed=master_seed,
+        miss_summary=summarize_misses(counters, runs),
     )
 
 
@@ -134,7 +146,6 @@ def run_layout_campaign(
     setup: str = "deterministic",
     layouts: Optional[Sequence[MemoryLayout]] = None,
     engine: str = DEFAULT_ENGINE,
-    timing: ExecutionTimingModel = ExecutionTimingModel(),
 ) -> CampaignResult:
     """Measure a workload on a deterministic platform under varying layouts.
 
@@ -170,7 +181,6 @@ def run_layout_campaign(
     classes: Dict[Tuple[int, int], List[int]] = {}
     for index, (code, data) in enumerate(shifts):
         classes.setdefault((code % line_size, data % line_size), []).append(index)
-    overhead = timing_overhead_cycles(trace, timing)
     execution_times = [0] * len(layouts)
     for residue, members in classes.items():
         compiled = CompiledTrace(relocate_trace(trace, *residue), line_size=line_size)
@@ -181,7 +191,7 @@ def run_layout_campaign(
         )
         simulator = backend.simulator(config, compiled)
         for index, result in zip(members, simulator.run_batch([0] * len(members), lines=lines)):
-            execution_times[index] = result.cycles + overhead
+            execution_times[index] = result.cycles
     return CampaignResult(
         workload=trace.name,
         setup=setup,

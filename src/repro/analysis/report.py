@@ -246,7 +246,7 @@ def render_result(
     multi-experiment runs can share a single header).
 
     ``miss_rates`` optionally carries per-scenario cache miss summaries
-    (scenario label -> :meth:`repro.analysis.campaign.CampaignResult.miss_summary`
+    (scenario label -> :attr:`repro.analysis.campaign.CampaignResult.miss_summary`
     data); ``analysis`` optionally carries per-scenario pWCET analysis
     summaries (scenario label ->
     :meth:`repro.study.ResultSet.analysis_summaries` data, including the

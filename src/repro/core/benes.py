@@ -25,7 +25,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import List, Sequence, Tuple
 
-from .bits import from_bits, is_power_of_two, mask, to_bits
+from .bits import from_bits, is_power_of_two, to_bits
 
 __all__ = [
     "PermutationNetwork",
@@ -161,8 +161,3 @@ def make_permutation_network(width: int) -> PermutationNetwork:
     if is_power_of_two(width) and width >= 2:
         return BenesNetwork(width)
     return OddEvenNetwork(width)
-
-
-def control_word_space(network: PermutationNetwork) -> int:
-    """Number of distinct control words of ``network`` (2**num_switches)."""
-    return 1 << network.num_switches

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from .benes import PermutationNetwork, make_permutation_network
-from .bits import bit_slice, ceil_log2, fold_xor, is_power_of_two, mask, rotate_left
+from .bits import ceil_log2, fold_xor, is_power_of_two, mask
 from .prng import SplitMix64, splitmix64_next_array
 
 __all__ = [
@@ -148,11 +148,6 @@ class PlacementPolicy(ABC):
         if self.needs_index_in_tag:
             return self.geometry.line_address(address)
         return self.geometry.line_address(address) >> self.geometry.index_bits
-
-    def set_indices(self, addresses: Sequence[int]) -> List[int]:
-        """Vectorised helper: map many addresses under the current seed."""
-        index = self.set_index
-        return [index(address) for address in addresses]
 
     # ------------------------------------------------------------ numpy hooks
     #

@@ -1,7 +1,6 @@
-"""CPU substrate: traces, the TISA mini ISA, assembler, interpreter, timing core."""
+"""CPU substrate: memory-access traces and the TISA mini ISA, assembler, interpreter."""
 
 from .assembler import AssemblyError, Program, ProgramBuilder, assemble
-from .core import ExecutionTimingModel, TraceDrivenCore, TraceRunResult
 from .interpreter import CoreTimings, ExecutionResult, Interpreter, run_program
 from .isa import INSTRUCTION_SIZE, NUM_REGISTERS, Instruction, Opcode
 from .trace import AccessKind, MemoryAccess, Trace
@@ -11,9 +10,6 @@ __all__ = [
     "Program",
     "ProgramBuilder",
     "assemble",
-    "ExecutionTimingModel",
-    "TraceDrivenCore",
-    "TraceRunResult",
     "CoreTimings",
     "ExecutionResult",
     "Interpreter",

@@ -5,10 +5,10 @@ A *simulation engine* is a strategy for replaying one
 :class:`~repro.cache.hierarchy.HierarchyConfig` under many per-run seeds.
 Engines are first-class objects selected **by name through the registry**;
 no caller outside this package compares engine names against string
-literals.  Every layer — :class:`~repro.cpu.core.TraceDrivenCore`, the
-campaign functions, the exec layer's lane executor and its worker
-processes, the experiment drivers, the CLI — resolves the requested name
-with :func:`get_engine` and drives the resulting :class:`EngineSimulator`.
+literals.  Every layer — the campaign functions of
+:mod:`repro.analysis.campaign`, the exec layer's lane executor and its
+worker processes, the experiment drivers, the CLI — resolves the requested
+name with :func:`get_engine` and drives the resulting :class:`EngineSimulator`.
 When no engine is named, every layer uses :data:`DEFAULT_ENGINE`.
 
 Capability flags describe what callers may rely on:

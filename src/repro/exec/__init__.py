@@ -37,7 +37,7 @@ from .plan import (
     shard_key,
 )
 from .queue import DEFAULT_LEASE_TTL, FileQueue, Lease, default_owner_id
-from .telemetry import HEARTBEAT_INTERVAL, WorkerHeartbeat, WorkerTelemetry, read_heartbeats
+from .telemetry import WorkerHeartbeat, WorkerTelemetry, read_heartbeats
 from .worker import ShardRunner, WorkerStats, run_worker, shard_task
 from .executor import (
     ShardReport,
@@ -50,7 +50,6 @@ from .status import exec_status_snapshot, format_exec_status, render_exec_status
 __all__ = [
     "DEFAULT_LEASE_TTL",
     "DEFAULT_SHARD_SIZE",
-    "HEARTBEAT_INTERVAL",
     "FileQueue",
     "Lease",
     "Shard",

@@ -19,8 +19,8 @@ drained one of two ways:
 Both drains feed one reassembler, which merges shard payloads in lane
 order into a :class:`CampaignResult` that is **bit-exact** with serial
 execution for any shard size and worker count — including its miss
-summary, which is rebuilt from the per-run counters with the same
-floating-point arithmetic :meth:`CampaignResult.miss_summary` uses.
+summary, which :func:`~repro.analysis.campaign.summarize_misses` builds
+from the per-run counters exactly as :func:`run_campaign` does.
 
 Crash-resume falls out of the content addressing: a killed campaign leaves
 its published shards in the store and its unfinished tasks (plus at most
@@ -39,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.campaign import CampaignResult
+from ..analysis.campaign import MISS_COUNTERS, CampaignResult, summarize_misses
 from ..engine import get_engine
 from ..study.scenario import Scenario, WorkloadSpec
 from ..study.store import ResultStore
@@ -54,14 +54,15 @@ __all__ = [
     "reassemble_campaign",
 ]
 
-#: The per-run counters a seed shard publishes, in the key order of
-#: :meth:`CampaignResult.miss_summary`.
-_COUNTERS = ("il1_misses", "dl1_misses", "l2_misses", "memory_accesses")
-
-
 @dataclass
 class ShardReport:
-    """How one scenario's queued shards were resolved."""
+    """How one scenario's queued shards were resolved.
+
+    ``reused`` counts the shards already published when the campaign was
+    planned; ``executed`` counts the shards this drain's worker passes
+    executed (each :func:`run_worker` call's ``shards_done``), so shards
+    another drain executes are not counted twice.
+    """
 
     planned: int = 0
     reused: int = 0
@@ -77,7 +78,7 @@ def reassemble_campaign(
     scenario: Scenario,
     shards: Sequence[Shard],
     load: Callable[[Shard], Optional[Dict[str, object]]],
-) -> Tuple[CampaignResult, Dict[str, float]]:
+) -> CampaignResult:
     """Merge the shard payloads ``load`` returns, in lane order, into one campaign.
 
     ``load`` maps a planned shard to its published payload, or ``None``
@@ -88,7 +89,7 @@ def reassemble_campaign(
     """
     ordered = sorted(shards, key=lambda shard: shard.start)
     cycles: List[int] = []
-    counters: Dict[str, List[int]] = {name: [] for name in _COUNTERS}
+    counters: Dict[str, List[int]] = {name: [] for name in MISS_COUNTERS}
     workload = ""
     missing: List[str] = []
     for shard in ordered:
@@ -107,38 +108,19 @@ def reassemble_campaign(
             f"{', ...' if len(missing) > 4 else ''}); rerun to execute "
             "them, or 'python -m repro exec status' to inspect leases"
         )
-    campaign = CampaignResult(
+    return CampaignResult(
         workload=workload,
         setup=scenario.display_label,
         execution_times=cycles,
         master_seed=scenario.effective_seed,
+        miss_summary=summarize_misses(counters, len(cycles)),
     )
-    return campaign, _miss_summary(counters, len(cycles))
-
-
-def _miss_summary(counters: Dict[str, List[int]], runs: int) -> Dict[str, float]:
-    """Rebuild :meth:`CampaignResult.miss_summary` from shard counters.
-
-    Counter sums are integer-exact and divided once, so the result is
-    bit-identical to averaging the in-memory per-run results — any shard
-    partition reassembles to the same floats.  Layout shards carry no
-    counters, so layout campaigns get an empty summary.
-    """
-    if not all(len(values) == runs for values in counters.values()):
-        return {}
-    summary = {name: sum(values) / runs for name, values in counters.items()}
-    accesses = summary["memory_accesses"]
-    for level in ("il1", "dl1", "l2"):
-        summary[f"{level}_miss_rate"] = (
-            summary[f"{level}_misses"] / accesses if accesses else 0.0
-        )
-    return summary
 
 
 def execute_campaigns(
     scenarios: Sequence[Scenario],
     store: Optional[ResultStore],
-    record: Callable[[Scenario, CampaignResult, Dict[str, float]], None],
+    record: Callable[[Scenario, CampaignResult, bool], None],
     shard_size: Optional[int] = None,
     use_cache: bool = True,
 ) -> ShardReport:
@@ -147,8 +129,10 @@ def execute_campaigns(
     A campaign with ``jobs == 1`` and no ``shard_size`` drains inline;
     every other one drains through ``store``'s queue (``shard_size`` of
     ``None`` or ``0`` picks the planner's heuristic size), and its shards
-    are cleared once ``record(scenario, campaign, miss_summary)`` has
-    stored the campaign entry.  Queued campaigns without a store raise
+    are cleared once ``record(scenario, campaign, from_store)`` has
+    stored the campaign entry.  ``from_store`` is true for a campaign the
+    queued drain returned from the store because another drain recorded
+    it first.  Queued campaigns without a store raise
     :class:`ValueError` before anything runs.  ``use_cache=False`` stops a
     queued drain from returning an entry another drain recorded (see
     :func:`execute_scenario_sharded`).  Campaigns run grouped by workload,
@@ -172,13 +156,14 @@ def execute_campaigns(
             if shard_size is None and scenario.jobs == 1:
                 (shard,) = plan_shards(scenario.spec_hash(), scenario.runs, scenario.runs)
                 payload = runner.execute(shard_task(scenario, shard, scenario.engine))
-                record(scenario, *reassemble_campaign(scenario, [shard], lambda _: payload))
+                campaign = reassemble_campaign(scenario, [shard], lambda _: payload)
+                record(scenario, campaign, False)
                 continue
-            campaign, miss_summary, shards = execute_scenario_sharded(
+            campaign, from_store, shards = execute_scenario_sharded(
                 scenario, store, shard_size=shard_size or None, use_cache=use_cache
             )
             report.merge(shards)
-            record(scenario, campaign, miss_summary)
+            record(scenario, campaign, from_store)
             # The recorded campaign entry supersedes its shards; drop them so
             # the store does not keep one shard file per lane range forever.
             store.clear_shards(scenario.spec_hash())
@@ -192,7 +177,7 @@ def execute_scenario_sharded(
     shard_size: Optional[int] = None,
     use_cache: bool = True,
     lease_ttl: float = DEFAULT_LEASE_TTL,
-) -> Tuple[CampaignResult, Dict[str, float], ShardReport]:
+) -> Tuple[CampaignResult, bool, ShardReport]:
     """Execute one campaign (seeds or layouts) through the store's queue.
 
     ``jobs`` defaults to the scenario's own ``jobs`` field (``0`` = one
@@ -204,36 +189,31 @@ def execute_scenario_sharded(
     every wait for foreign shards, and when reassembly finds shards
     missing — that entry is returned instead (not with ``use_cache=False``,
     a forced refresh).  Returns the campaign (bit-exact with serial
-    execution), its miss summary, and the shard accounting.
+    execution), whether it came from the store, and the shard accounting.
     """
     get_engine(scenario.engine)  # unknown engines fail before any work
     spec_hash = scenario.spec_hash()
 
-    def recorded() -> Optional[Tuple[CampaignResult, Dict[str, float]]]:
-        stored = store.load(spec_hash) if use_cache else None
-        if stored is None:
-            return None
-        return stored.campaign(), dict(stored.miss_summary)
+    def recorded() -> Optional[CampaignResult]:
+        return store.load(spec_hash) if use_cache else None
 
-    entry = recorded()
-    if entry is not None:
-        return (*entry, ShardReport())
+    campaign = recorded()
+    if campaign is not None:
+        return campaign, True, ShardReport()
     workers = min(resolve_jobs(scenario.jobs if jobs is None else jobs), scenario.runs)
     size = resolve_shard_size(scenario.runs, workers, shard_size)
     shards = plan_shards(spec_hash, scenario.runs, size)
     missing = [
         shard for shard in shards if store.load_shard(spec_hash, shard.key) is None
     ]
-    report = ShardReport(
-        planned=len(shards), reused=len(shards) - len(missing), executed=len(missing)
-    )
+    report = ShardReport(planned=len(shards), reused=len(shards) - len(missing))
     if missing:
         queue = FileQueue(store.queue_root)
         for shard in missing:
             queue.enqueue(shard_task(scenario, shard, scenario.engine))
         workers = min(workers, len(missing))
         if workers <= 1:
-            run_worker(queue.root, store.root, lease_ttl=lease_ttl)
+            stats = [run_worker(queue.root, store.root, lease_ttl=lease_ttl)]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
@@ -245,21 +225,23 @@ def execute_scenario_sharded(
                     )
                     for _ in range(workers)
                 ]
-                for future in futures:
-                    future.result()
-        entry = _await_foreign_shards(scenario, shards, store, queue, lease_ttl, recorded)
-        if entry is not None:
-            return (*entry, report)
+                stats = [future.result() for future in futures]
+        report.executed = sum(worker.shards_done for worker in stats)
+        campaign = _await_foreign_shards(
+            scenario, shards, store, queue, lease_ttl, recorded, report
+        )
+        if campaign is not None:
+            return campaign, True, report
     try:
-        campaign, miss_summary = reassemble_campaign(
+        campaign = reassemble_campaign(
             scenario, shards, lambda shard: store.load_shard(spec_hash, shard.key)
         )
     except RuntimeError:
-        entry = recorded()
-        if entry is None:
+        campaign = recorded()
+        if campaign is None:
             raise
-        return (*entry, report)
-    return campaign, miss_summary, report
+        return campaign, True, report
+    return campaign, False, report
 
 
 def _await_foreign_shards(
@@ -268,11 +250,13 @@ def _await_foreign_shards(
     store: ResultStore,
     queue: FileQueue,
     lease_ttl: float,
-    recorded: Callable[[], Optional[Tuple[CampaignResult, Dict[str, float]]]],
+    recorded: Callable[[], Optional[CampaignResult]],
+    report: ShardReport,
     poll: float = 0.2,
-) -> Optional[Tuple[CampaignResult, Dict[str, float]]]:
+) -> Optional[CampaignResult]:
     """Block until every planned shard is published (returns ``None``) or
-    another drain has recorded the campaign (returns ``recorded()``).
+    another drain has recorded the campaign (returns ``recorded()``),
+    adding the shards its worker passes execute to ``report.executed``.
 
     The worker loop only executes what it can claim; a shard leased by a
     live foreign owner — an attached ``python -m repro worker``, or an
@@ -294,9 +278,9 @@ def _await_foreign_shards(
         ]
         if not missing:
             return None
-        entry = recorded()
-        if entry is not None:
-            return entry
+        campaign = recorded()
+        if campaign is not None:
+            return campaign
         claimable = waiting = False
         for shard in missing:
             task_path = queue.task_path(spec_hash, shard.key)
@@ -310,6 +294,8 @@ def _await_foreign_shards(
             else:
                 waiting = True
         if claimable:
-            run_worker(queue.root, store.root, lease_ttl=lease_ttl)
+            report.executed += run_worker(
+                queue.root, store.root, lease_ttl=lease_ttl
+            ).shards_done
         elif waiting:
             time.sleep(poll)

@@ -6,10 +6,9 @@ throughput and the time of the last beat.  ``python -m repro exec status``
 renders these together with the queue and store occupancy — the system's
 first observability surface, and the hook multi-host schedulers will read.
 
-Heartbeat writes are atomic (temp file + ``os.replace``) and rate-limited
-to one write per :data:`HEARTBEAT_INTERVAL` except on state transitions
-(claim, publish, exit), so telemetry never becomes the bottleneck of a
-short-shard campaign.
+A worker writes its heartbeat on each state transition — start, claim,
+publish and exit — atomically (temp file + ``os.replace``), so a reader
+never sees a torn file.
 
 :func:`read_heartbeats` — polled by ``exec status``, the analysis
 server's status endpoint and its event watcher — lists the ``workers/``
@@ -23,21 +22,16 @@ import os
 import socket
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .queue import FileQueue
 
 __all__ = [
-    "HEARTBEAT_INTERVAL",
     "WorkerHeartbeat",
     "WorkerTelemetry",
     "read_heartbeats",
 ]
-
-#: Minimum seconds between two heartbeat writes of one worker (state
-#: transitions always write).
-HEARTBEAT_INTERVAL = 1.0
 
 
 @dataclass
@@ -97,12 +91,9 @@ class WorkerHeartbeat:
 class WorkerTelemetry:
     """Maintains one worker's heartbeat file through its claim loop."""
 
-    def __init__(
-        self, queue: FileQueue, owner: str, interval: float = HEARTBEAT_INTERVAL
-    ) -> None:
+    def __init__(self, queue: FileQueue, owner: str) -> None:
         self.queue = queue
         self.owner = owner
-        self.interval = interval
         now = time.time()
         self.heartbeat = WorkerHeartbeat(
             owner=owner,
@@ -111,8 +102,7 @@ class WorkerTelemetry:
             started_at=now,
             last_heartbeat=now,
         )
-        self._last_write = 0.0
-        self._write(force=True)
+        self._write()
 
     @property
     def path(self):
@@ -122,27 +112,19 @@ class WorkerTelemetry:
         self.heartbeat.shards_claimed += 1
         if engine:
             self.heartbeat.engine = engine
-        self._write(force=True)
+        self._write()
 
     def published(self, runs: int) -> None:
         self.heartbeat.shards_done += 1
         self.heartbeat.runs_done += runs
-        self._write(force=True)
-
-    def beat(self) -> None:
-        """An idle/progress tick (rate-limited)."""
-        self._write(force=False)
+        self._write()
 
     def finish(self) -> None:
         self.heartbeat.finished = True
-        self._write(force=True)
+        self._write()
 
-    def _write(self, force: bool) -> None:
-        now = time.time()
-        if not force and now - self._last_write < self.interval:
-            return
-        self.heartbeat.last_heartbeat = now
-        self._last_write = now
+    def _write(self) -> None:
+        self.heartbeat.last_heartbeat = time.time()
         try:
             self.queue.worker_root.mkdir(parents=True, exist_ok=True)
             temporary = self.path.with_suffix(f".{uuid.uuid4().hex[:8]}.tmp")

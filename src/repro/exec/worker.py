@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..analysis.campaign import run_layout_campaign
 from ..cache.fastsim import CompiledTrace, FastRunResult
 from ..core.prng import derive_run_seeds
-from ..cpu.core import ExecutionTimingModel, timing_overhead_cycles
 from ..cpu.trace import Trace
 from ..engine import EngineSimulator, get_engine
 from ..study.scenario import SPEC_VERSION, Scenario, WorkloadSpec, scenario_from_spec
@@ -79,11 +78,9 @@ def _shard_payload(
 ) -> Dict[str, object]:
     """One shard's per-lane results as the published store entry.
 
-    Cycles include the execute-stage overhead, exactly as the serial
-    campaign path records them.  Seed shards also carry the per-run miss
-    counters the reassembler rebuilds the campaign's miss summary from;
-    layout shards publish cycles only, so layout campaigns keep an empty
-    miss summary.
+    Seed shards also carry the per-run miss counters the reassembler
+    summarizes into the campaign's miss summary; layout shards publish
+    cycles only, so layout campaigns keep an empty miss summary.
     """
     payload: Dict[str, object] = {
         "version": SPEC_VERSION,
@@ -122,7 +119,6 @@ class ShardRunner:
     def __init__(self) -> None:
         self._workload: Optional[WorkloadSpec] = None
         self._trace: Optional[Trace] = None
-        self._overhead = 0
         self._compiled: Dict[int, CompiledTrace] = {}  # line size -> compiled
         self._campaign = ""  # "<spec hash>.<engine>" of the task last run
         self._simulator: Optional[EngineSimulator] = None
@@ -163,7 +159,7 @@ class ShardRunner:
             self._simulator = self._build_simulator(scenario, engine)
             self._seeds = derive_run_seeds(scenario.effective_seed, scenario.runs)
         results = self._simulator.run_batch(self._seeds[start : start + count])
-        cycles = [result.cycles + self._overhead for result in results]
+        cycles = [result.cycles for result in results]
         return _shard_payload(task, trace.name, cycles, results)
 
     def _workload_trace(self, workload: WorkloadSpec) -> Trace:
@@ -172,7 +168,6 @@ class ShardRunner:
             # Free the previous workload's traces before building the next.
             self._workload, self._trace, self._compiled = None, None, {}
             self._trace = workload.build_trace()
-            self._overhead = timing_overhead_cycles(self._trace, ExecutionTimingModel())
             self._workload = workload
         return self._trace  # type: ignore[return-value]
 

@@ -200,7 +200,7 @@ def scenario_payload(
         "mean": campaign.mean,
         "high_water_mark": campaign.high_water_mark,
         "source": "store" if outcome.from_cache else "simulated",
-        "miss_summary": dict(outcome.miss_summary),
+        "miss_summary": dict(campaign.miss_summary),
         "analysis": analysis,
     }
 

@@ -36,7 +36,7 @@ from .resultset import ExecutionReport, ResultSet, ScenarioOutcome
 from .runner import execute_scenarios
 from .runtable import RunTable, build_run_table
 from .scenario import HierarchySpec, Scenario, Sweep, WorkloadSpec, expand
-from .store import DEFAULT_STORE_DIR, ResultStore, StoredResult
+from .store import DEFAULT_STORE_DIR, ResultStore
 from .library import register_builtin_studies
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "RunTable",
     "Scenario",
     "ScenarioOutcome",
-    "StoredResult",
     "Study",
     "StudyContext",
     "StudyOutcome",

@@ -1,8 +1,8 @@
 """Executed scenarios, queryable.
 
 A :class:`ResultSet` maps scenario labels to :class:`ScenarioOutcome`
-objects — the campaign, where it came from (simulation or the result
-store), the per-level miss summary, and lazily computed pWCET analyses.
+objects — the campaign (with its per-level miss summary), where it came
+from (simulation or the result store), and lazily computed pWCET analyses.
 The generic views :meth:`ResultSet.table`, :meth:`ResultSet.ccdf` and
 :meth:`ResultSet.compare` replace the per-driver formatting loops: any
 study (including user-registered ones) gets summary tables, CCDF series
@@ -101,7 +101,6 @@ class ScenarioOutcome:
     scenario: Scenario
     campaign: CampaignResult
     from_cache: bool = False
-    miss_summary: Dict[str, float] = field(default_factory=dict)
     #: Spec hash and store of the execution, enabling analysis persistence
     #: (both unset when the plan ran without a store).
     spec_hash: str = ""
@@ -416,9 +415,9 @@ class ResultSet:
         )
 
     def miss_rates(self) -> Dict[str, Dict[str, float]]:
-        """Per-scenario miss summaries (scenarios without detail are omitted)."""
+        """Per-scenario miss summaries (layout campaigns have none and are omitted)."""
         return {
-            outcome.label: dict(outcome.miss_summary)
+            outcome.label: dict(outcome.campaign.miss_summary)
             for outcome in self
-            if outcome.miss_summary
+            if outcome.campaign.miss_summary
         }

@@ -12,7 +12,8 @@ into a :class:`~repro.study.resultset.ResultSet` in three steps:
    :func:`repro.exec.executor.execute_campaigns`, which treats each one as a
    lane range (seeds or memory layouts) and drains it inline or through the
    store's work queue; each reassembled campaign (execution times plus the
-   per-level miss summary) is written back to the store.
+   per-level miss summary) is written back to the store, unless a queued
+   drain found it already recorded by another drain (a cache hit).
 
 Every path is bit-exact with calling
 :func:`repro.analysis.campaign.run_campaign` (or ``run_layout_campaign``)
@@ -22,7 +23,7 @@ in lane order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.campaign import CampaignResult
 from ..engine import get_engine
@@ -31,22 +32,6 @@ from .scenario import Scenario
 from .store import ResultStore
 
 __all__ = ["execute_scenarios"]
-
-
-class _Executed:
-    """Campaign + provenance for one unique spec hash."""
-
-    __slots__ = ("campaign", "miss_summary", "from_cache")
-
-    def __init__(
-        self,
-        campaign: CampaignResult,
-        miss_summary: Dict[str, float],
-        from_cache: bool,
-    ) -> None:
-        self.campaign = campaign
-        self.miss_summary = miss_summary
-        self.from_cache = from_cache
 
 
 def execute_scenarios(
@@ -78,34 +63,32 @@ def execute_scenarios(
     # unit of work (simulated or cache-resolved once), however many labels
     # they fan out to in the result set.
     report = ExecutionReport()
-    resolved: Dict[str, _Executed] = {}
+    resolved: Dict[str, Tuple[CampaignResult, bool]] = {}  # (campaign, from store)
     pending: List[Scenario] = []
     pending_hashes = set()
+
+    def record(scenario: Scenario, campaign: CampaignResult, from_store: bool) -> None:
+        resolved[scenario.spec_hash()] = (campaign, from_store)
+        if from_store:
+            report.cache_hits += 1
+            return
+        report.simulated += 1
+        if store is not None:
+            store.save(scenario, campaign)
+            report.stored += 1
+
     for scenario in scenarios:
         get_engine(scenario.engine)  # unknown engines fail before any work
         spec_hash = scenario.spec_hash()
         if spec_hash in resolved or spec_hash in pending_hashes:
             continue
         report.planned += 1
-        if store is not None and use_cache:
-            stored = store.load(spec_hash)
-            if stored is not None:
-                resolved[spec_hash] = _Executed(
-                    stored.campaign(), dict(stored.miss_summary), from_cache=True
-                )
-                report.cache_hits += 1
-                continue
+        stored = store.load(spec_hash) if store is not None and use_cache else None
+        if stored is not None:
+            record(scenario, stored, True)
+            continue
         pending.append(scenario)
         pending_hashes.add(spec_hash)
-
-    def record(
-        scenario: Scenario, campaign: CampaignResult, miss_summary: Dict[str, float]
-    ) -> None:
-        resolved[scenario.spec_hash()] = _Executed(campaign, miss_summary, from_cache=False)
-        report.simulated += 1
-        if store is not None:
-            store.save(scenario, campaign, miss_summary)
-            report.stored += 1
 
     if pending:
         # Imported lazily: repro.exec imports study modules at top level, so
@@ -122,13 +105,12 @@ def execute_scenarios(
     outcomes = []
     for scenario in scenarios:
         spec_hash = scenario.spec_hash()
-        executed = resolved[spec_hash]
+        campaign, from_cache = resolved[spec_hash]
         outcomes.append(
             ScenarioOutcome(
                 scenario=scenario,
-                campaign=executed.campaign,
-                from_cache=executed.from_cache,
-                miss_summary=dict(executed.miss_summary),
+                campaign=campaign,
+                from_cache=from_cache,
                 spec_hash=spec_hash,
                 store=store,
                 use_analysis_cache=use_cache,

@@ -220,7 +220,7 @@ class RunTable:
         matches any of the row's comma-joined study names).  ``where`` is a
         Python expression evaluated per row with the row's fields as names
         (``pwcet`` addressable by string or float probability) and no
-        builtins — e.g. ``"l2_miss_rate < 0.01 and admitted"``.  Rows where
+        builtins — e.g. ``"il1_miss_rate > 0.5 and admitted"``.  Rows where
         the expression errors are dropped; a malformed expression raises
         :class:`ValueError` up front.
         """

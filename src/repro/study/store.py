@@ -46,7 +46,6 @@ import json
 import os
 import time
 import uuid
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
@@ -59,7 +58,6 @@ from .scenario import SPEC_VERSION, Scenario
 __all__ = [
     "DEFAULT_STORE_DIR",
     "STUDY_LOG_NAME",
-    "StoredResult",
     "ResultStore",
 ]
 
@@ -68,28 +66,6 @@ DEFAULT_STORE_DIR = os.path.join("results", "store")
 
 #: The append-only (study name, spec hash) provenance log at the store root.
 STUDY_LOG_NAME = "studies.log"
-
-
-@dataclass
-class StoredResult:
-    """One persisted scenario execution."""
-
-    spec_hash: str
-    spec: Dict[str, object]
-    workload: str
-    setup: str
-    master_seed: int
-    execution_times: List[int]
-    miss_summary: Dict[str, float] = field(default_factory=dict)
-
-    def campaign(self) -> CampaignResult:
-        """Rebuild the campaign result (without per-run detail)."""
-        return CampaignResult(
-            workload=self.workload,
-            setup=self.setup,
-            execution_times=list(self.execution_times),
-            master_seed=self.master_seed,
-        )
 
 
 def _as_int_column(value: object) -> Optional[np.ndarray]:
@@ -158,13 +134,28 @@ class ResultStore:
         """Spec hashes currently stored (sorted)."""
         return sorted(path.stem for path in _files(self.root, f"*{columnar.COLUMNAR_SUFFIX}"))
 
-    def load(self, spec_hash: str) -> Optional[StoredResult]:
-        """The stored result for ``spec_hash``, or ``None`` (never raises)."""
+    def load(self, spec_hash: str) -> Optional[CampaignResult]:
+        """The stored campaign for ``spec_hash``, or ``None`` (never raises).
+
+        A corrupt, truncated, version-mismatched or empty entry is a miss.
+        """
         try:
             meta, columns = columnar.unpack_entry(self.path_for(spec_hash).read_bytes())
-        except (OSError, ValueError):
+            if meta["version"] != SPEC_VERSION:
+                return None
+            return CampaignResult(
+                workload=str(meta["workload"]),
+                setup=str(meta["setup"]),
+                # unpack_entry yields plain Python ints: no per-element coercion.
+                execution_times=columns.get("execution_times", []),
+                master_seed=int(meta["master_seed"]),  # type: ignore[arg-type]
+                miss_summary={
+                    str(key): float(value)  # type: ignore[arg-type]
+                    for key, value in meta.get("miss_summary", {}).items()  # type: ignore[union-attr]
+                },
+            )
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None
-        return self._result_from_entry(spec_hash, meta, columns)
 
     def load_columns(
         self, spec_hash: str
@@ -189,66 +180,20 @@ class ResultStore:
             return None
         return meta, columns
 
-    def _result_from_entry(
-        self,
-        spec_hash: str,
-        meta: Dict[str, object],
-        columns: Dict[str, List[int]],
-    ) -> Optional[StoredResult]:
-        try:
-            if meta["version"] != SPEC_VERSION:
-                return None
-            result = StoredResult(
-                spec_hash=spec_hash,
-                spec=meta["spec"],  # type: ignore[arg-type]
-                workload=str(meta["workload"]),
-                setup=str(meta["setup"]),
-                master_seed=int(meta["master_seed"]),  # type: ignore[arg-type]
-                # unpack_entry already yields plain Python ints (bit-exact
-                # with the JSON era); no per-element coercion needed here.
-                execution_times=columns.get("execution_times", []),
-                miss_summary={
-                    str(key): float(value)  # type: ignore[arg-type]
-                    for key, value in meta.get("miss_summary", {}).items()  # type: ignore[union-attr]
-                },
-            )
-        except (ValueError, KeyError, TypeError):
-            return None
-        if not result.execution_times:
-            return None
-        return result
-
-    def _write_entry(
-        self,
-        spec_hash: str,
-        meta: Dict[str, object],
-        columns: Dict[str, List[int]],
-    ) -> Path:
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(spec_hash)
-        _replace_atomically(path, columnar.pack_entry(meta, columns))
-        return path
-
-    def save(
-        self,
-        scenario: Scenario,
-        campaign: CampaignResult,
-        miss_summary: Optional[Dict[str, float]] = None,
-    ) -> Path:
+    def save(self, scenario: Scenario, campaign: CampaignResult) -> Path:
         """Persist one executed scenario atomically; returns the entry path."""
-        spec_hash = scenario.spec_hash()
-        path = self._write_entry(
-            spec_hash,
-            {
-                "version": SPEC_VERSION,
-                "spec": scenario.spec_dict(),
-                "workload": campaign.workload,
-                "setup": campaign.setup,
-                "master_seed": campaign.master_seed,
-                "miss_summary": dict(miss_summary or {}),
-            },
-            {"execution_times": campaign.execution_times},
-        )
+        meta = {
+            "version": SPEC_VERSION,
+            "spec": scenario.spec_dict(),
+            "workload": campaign.workload,
+            "setup": campaign.setup,
+            "master_seed": campaign.master_seed,
+            "miss_summary": dict(campaign.miss_summary),
+        }
+        self.root.mkdir(parents=True, exist_ok=True)
+        path = self.path_for(scenario.spec_hash())
+        columns = {"execution_times": campaign.execution_times}
+        _replace_atomically(path, columnar.pack_entry(meta, columns))
         return path
 
     # ------------------------------------------------------- pWCET analyses

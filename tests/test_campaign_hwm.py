@@ -4,9 +4,9 @@ import pytest
 
 from repro.analysis.campaign import CampaignResult, run_campaign, run_layout_campaign
 from repro.analysis.hwm import HwmBound, high_water_mark, industrial_bound
-from repro.cpu.core import ExecutionTimingModel, TraceDrivenCore
+from repro.cache.fastsim import CompiledTrace
 from repro.cpu.trace import Trace
-from repro.engine import numpy_engine
+from repro.engine import DEFAULT_ENGINE, get_engine, numpy_engine
 from repro.platform.leon3 import Leon3Parameters, platform_setup
 from repro.workloads.base import MemoryLayout, random_layouts, relocate_trace
 from repro.workloads.eembc import eembc_trace
@@ -58,32 +58,15 @@ class TestRunCampaign:
         )
         assert default.execution_times == reference.execution_times
 
-    def test_keep_run_results_enables_miss_summary(self, small_kernel_trace, tiny_hierarchy_config):
-        campaign = run_campaign(
-            small_kernel_trace,
-            tiny_hierarchy_config,
-            runs=5,
-            master_seed=1,
-            keep_run_results=True,
-        )
-        summary = campaign.miss_summary()
+    def test_result_carries_its_miss_summary(self, small_kernel_trace, tiny_hierarchy_config):
+        campaign = run_campaign(small_kernel_trace, tiny_hierarchy_config, runs=5, master_seed=1)
+        summary = campaign.miss_summary
+        assert list(summary) == [
+            "il1_misses", "dl1_misses", "l2_misses", "memory_accesses",
+            "il1_miss_rate", "dl1_miss_rate", "l2_miss_rate",
+        ]
         assert summary["il1_misses"] > 0
-        assert campaign.miss_summary() != {}
-
-    def test_without_run_results_miss_summary_is_empty(self, small_kernel_trace, tiny_hierarchy_config):
-        campaign = run_campaign(small_kernel_trace, tiny_hierarchy_config, runs=3, master_seed=1)
-        assert campaign.miss_summary() == {}
-
-    def test_timing_overhead_raises_cycle_counts(self, small_kernel_trace, tiny_hierarchy_config):
-        plain = run_campaign(small_kernel_trace, tiny_hierarchy_config, runs=3, master_seed=1)
-        overhead = run_campaign(
-            small_kernel_trace,
-            tiny_hierarchy_config,
-            runs=3,
-            master_seed=1,
-            timing=ExecutionTimingModel(fetch_overhead=1, data_overhead=1),
-        )
-        assert all(o > p for o, p in zip(overhead.execution_times, plain.execution_times))
+        assert summary["l2_miss_rate"] == summary["l2_misses"] / summary["memory_accesses"]
 
     def test_rejects_zero_runs(self, small_kernel_trace, tiny_hierarchy_config):
         with pytest.raises(ValueError):
@@ -155,7 +138,8 @@ class TestLayoutCampaign:
         config = platform_setup("modulo")
         together = MemoryLayout().shifted(0x40, 0x40)
         campaign = run_layout_campaign(trace, config, runs=1, layouts=[together])
-        rebuilt = TraceDrivenCore(config, relocate_trace(trace, 0x40, 0x40)).run(0)
+        compiled = CompiledTrace(relocate_trace(trace, 0x40, 0x40), config.il1.line_size)
+        rebuilt = get_engine(DEFAULT_ENGINE).simulator(config, compiled).run(0)
         assert campaign.execution_times == [rebuilt.cycles]
         with pytest.raises(ValueError, match="splits"):
             run_layout_campaign(

@@ -40,6 +40,9 @@ def tiny_scenario(**overrides) -> Scenario:
     return Scenario(**defaults)
 
 
+MISS_SUMMARY = {"il1_miss_rate": 0.25, "dl1_miss_rate": 0.5, "l2_miss_rate": 0.125}
+
+
 def campaign_for(scenario, times=None):
     times = times if times is not None else [1000 + 7 * i for i in range(scenario.runs)]
     return CampaignResult(
@@ -47,13 +50,11 @@ def campaign_for(scenario, times=None):
         setup="rm",
         execution_times=times,
         master_seed=scenario.effective_seed,
+        miss_summary=MISS_SUMMARY,
     )
 
 
-MISS_SUMMARY = {"il1_miss_rate": 0.25, "dl1_miss_rate": 0.5, "l2_miss_rate": 0.125}
-
-
-def json_era_payload(scenario, campaign, summary=MISS_SUMMARY):
+def json_era_payload(scenario, campaign):
     """A JSON-era store entry, as the pre-columnar code wrote it."""
     return {
         "version": 1,
@@ -62,7 +63,7 @@ def json_era_payload(scenario, campaign, summary=MISS_SUMMARY):
         "setup": campaign.setup,
         "master_seed": campaign.master_seed,
         "execution_times": list(campaign.execution_times),
-        "miss_summary": dict(summary),
+        "miss_summary": dict(campaign.miss_summary),
     }
 
 
@@ -161,25 +162,24 @@ class TestStoreEntries:
         store = ResultStore(tmp_path / "store")
         scenario = tiny_scenario()
         campaign = campaign_for(scenario)
-        path = store.save(scenario, campaign, MISS_SUMMARY)
+        path = store.save(scenario, campaign)
         assert path.suffix == COLUMNAR_SUFFIX
         stored = store.load(scenario.spec_hash())
-        assert stored.execution_times == campaign.execution_times
+        assert stored == campaign
         assert all(type(v) is int for v in stored.execution_times)
         assert stored.miss_summary == MISS_SUMMARY
-        assert stored.spec == scenario.spec_dict()
 
     def test_corrupt_columnar_entry_is_a_miss_and_self_heals(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         scenario = tiny_scenario()
         campaign = campaign_for(scenario)
-        store.save(scenario, campaign, MISS_SUMMARY)
+        store.save(scenario, campaign)
         spec_hash = scenario.spec_hash()
 
         store.path_for(spec_hash).write_text("not a columnar frame")
         assert store.load(spec_hash) is None  # miss, never an error
 
-        store.save(scenario, campaign, MISS_SUMMARY)  # the next save heals it
+        store.save(scenario, campaign)  # the next save heals it
         assert store.load(spec_hash).execution_times == campaign.execution_times
 
     def test_json_era_entry_is_a_miss_and_unlisted(self, tmp_path):
@@ -228,7 +228,7 @@ class TestLoadColumns:
         store = ResultStore(tmp_path / "store")
         scenario = tiny_scenario()
         campaign = campaign_for(scenario)
-        store.save(scenario, campaign, MISS_SUMMARY)
+        store.save(scenario, campaign)
         meta, columns = store.load_columns(scenario.spec_hash())
         assert meta["spec"] == scenario.spec_dict()
         assert meta["miss_summary"] == MISS_SUMMARY
@@ -313,7 +313,7 @@ class TestManifest:
         hashes = []
         for i in range(count):
             scenario = tiny_scenario(master_seed=100 + i)
-            store.save(scenario, campaign_for(scenario), MISS_SUMMARY)
+            store.save(scenario, campaign_for(scenario))
             hashes.append(scenario.spec_hash())
         return store, sorted(hashes)
 
@@ -334,7 +334,7 @@ class TestManifest:
         donor = ResultStore(tmp_path / "donor")
         scenario = tiny_scenario(master_seed=200)
         spec_hash = scenario.spec_hash()
-        donor.save(scenario, campaign_for(scenario), MISS_SUMMARY)
+        donor.save(scenario, campaign_for(scenario))
         donor.save_analysis(spec_hash, "deadbeef", {"version": 1})
         donor.save_shard(spec_hash, "0-2", SHARD_PAYLOAD)
         store.analysis_root.mkdir()
@@ -413,7 +413,7 @@ def _populated_store(tmp_path):
     """A store exercising every artifact kind the format knows about."""
     store = ResultStore(tmp_path / "store")
     scenario = tiny_scenario()
-    store.save(scenario, campaign_for(scenario), MISS_SUMMARY)
+    store.save(scenario, campaign_for(scenario))
     store.save_analysis(scenario.spec_hash(), "deadbeef", {"version": 1})
     store.save_shard(scenario.spec_hash(), "0-2", SHARD_PAYLOAD)
     store.record_study("smoke", [scenario.spec_hash()])

@@ -15,9 +15,8 @@ from repro.analysis.campaign import run_campaign, run_layout_campaign
 from repro.cache.cache import CacheConfig
 from repro.cache.fastsim import CompiledTrace
 from repro.cache.hierarchy import HierarchyConfig, MemoryTimings
-from repro.cpu.core import TraceDrivenCore
 from repro.cpu.trace import Trace
-from repro.engine import available_engines, get_engine
+from repro.engine import DEFAULT_ENGINE, available_engines, get_engine
 from repro.platform.leon3 import Leon3Parameters, leon3_hierarchy
 from repro.study import HierarchySpec, ResultStore, Scenario, WorkloadSpec, execute_scenarios
 from repro.workloads import eembc_kernel_names, eembc_trace, random_layouts
@@ -184,13 +183,14 @@ class TestAllRegisteredEnginesAgree:
         assert_all_equal(run_all_engines(config, small_kernel_trace, list(range(6))))
 
     def test_trace_core_routes_all_engines(self, small_kernel_trace, tiny_hierarchy_config):
-        core = TraceDrivenCore(tiny_hierarchy_config, small_kernel_trace)
-        for seed in (0, 9, 2**63 + 5):
-            runs = {
-                name: [core.run(seed, engine=name).as_dict()]
-                for name in available_engines()
-            }
-            assert_all_equal(runs)
+        seeds = [0, 9, 2**63 + 5]
+        assert_all_equal(run_all_engines(tiny_hierarchy_config, small_kernel_trace, seeds))
+
+    def test_empty_trace_runs(self, tiny_hierarchy_config):
+        results = run_all_engines(tiny_hierarchy_config, Trace(name="empty"), [0])
+        assert_all_equal(results)
+        (result,) = results["reference"]
+        assert set(result.values()) == {0}  # 0 cycles, no accesses, no misses
 
 
 class TestPlanPathEdgeCases:
@@ -309,8 +309,12 @@ class TestLayoutLanes:
                 layout_case(*case)
             return
         config, layouts = layout_case(*case)
+        default = get_engine(DEFAULT_ENGINE)
         rebuilt = [
-            TraceDrivenCore(config, eembc_trace(kernel, layout=layout, scale=scale))
+            default.simulator(
+                config,
+                CompiledTrace(eembc_trace(kernel, layout=layout, scale=scale), line_size),
+            )
             .run(0)
             .cycles
             for layout in layouts

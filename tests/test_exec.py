@@ -85,25 +85,21 @@ def _layout_scenario(
     )
 
 
-def _serial_times(scenario: Scenario) -> list:
-    """The reference serial execution times for ``scenario``."""
-    if scenario.campaign == "layouts":
-        return run_layout_campaign(
-            scenario.workload.build_trace(),
-            scenario.hierarchy.config(),
-            runs=scenario.runs,
-            master_seed=scenario.effective_seed,
-            engine=scenario.engine,
-        ).execution_times
-    campaign = run_campaign(
+def _serial(scenario: Scenario):
+    """The reference serial campaign for ``scenario``."""
+    run = run_layout_campaign if scenario.campaign == "layouts" else run_campaign
+    return run(
         scenario.workload.build_trace(),
         scenario.hierarchy.config(),
         runs=scenario.runs,
         master_seed=scenario.effective_seed,
-        setup=scenario.display_label,
         engine=scenario.engine,
     )
-    return campaign.execution_times
+
+
+def _serial_times(scenario: Scenario) -> list:
+    """The reference serial execution times for ``scenario``."""
+    return _serial(scenario).execution_times
 
 
 def _enqueue_all(scenario, store, shard_size):
@@ -361,14 +357,15 @@ class TestShardedExecution:
     def test_single_worker_matches_serial(self, tmp_path):
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        campaign, miss, report = execute_scenario_sharded(
+        campaign, from_store, report = execute_scenario_sharded(
             scenario, store, jobs=1, shard_size=5
         )
         assert campaign.execution_times == _serial_times(scenario)
         assert campaign.master_seed == scenario.effective_seed
         assert campaign.setup == scenario.display_label
+        assert not from_store
         assert (report.planned, report.reused, report.executed) == (3, 0, 3)
-        assert miss["memory_accesses"] > 0
+        assert campaign.miss_summary["memory_accesses"] > 0
 
     def test_multiprocess_workers_match_serial(self, tmp_path):
         scenario = _scenario(runs=14)
@@ -381,21 +378,11 @@ class TestShardedExecution:
 
     def test_miss_summary_matches_in_memory_path(self, tmp_path):
         # The reassembled miss summary must be float-for-float identical to
-        # CampaignResult.miss_summary() on the in-memory run results.
+        # the one run_campaign summarizes from the in-memory run results.
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        _, sharded_miss, _ = execute_scenario_sharded(
-            scenario, store, jobs=1, shard_size=4
-        )
-        campaign = run_campaign(
-            scenario.workload.build_trace(),
-            scenario.hierarchy.config(),
-            runs=scenario.runs,
-            master_seed=scenario.effective_seed,
-            engine=scenario.engine,
-            keep_run_results=True,
-        )
-        assert sharded_miss == campaign.miss_summary()
+        sharded, _, _ = execute_scenario_sharded(scenario, store, jobs=1, shard_size=4)
+        assert sharded.miss_summary == _serial(scenario).miss_summary
 
     def test_resume_reuses_published_shards(self, tmp_path):
         scenario = _scenario()
@@ -412,12 +399,12 @@ class TestShardedExecution:
         for shard_size in (1, 3, scenario.runs):
             for jobs in (1, 2):
                 store = ResultStore(tmp_path / f"store-{shard_size}-{jobs}")
-                campaign, miss, report = execute_scenario_sharded(
+                campaign, _, report = execute_scenario_sharded(
                     scenario, store, jobs=jobs, shard_size=shard_size
                 )
                 assert campaign.execution_times == inline.execution_times
                 assert campaign.workload == inline.workload
-                assert miss == {}  # layout campaigns keep no miss counters
+                assert campaign.miss_summary == {}  # layouts keep no miss counters
                 assert report.executed == report.planned == -(-scenario.runs // shard_size)
         # A partial run resumes: only the missing layout ranges execute.
         store = ResultStore(tmp_path / "resumed")
@@ -495,7 +482,12 @@ class TestShardedExecutionProperty:
         campaign, _, _ = execute_scenario_sharded(
             scenario, store, jobs=jobs, shard_size=shard_size
         )
-        assert campaign.execution_times == _serial_times(scenario)
+        serial = _serial(scenario)
+        assert campaign.execution_times == serial.execution_times
+        # One miss summary for every partition: the serial one for seeds,
+        # none for layouts.
+        assert campaign.miss_summary == serial.miss_summary
+        assert (campaign.miss_summary == {}) == (kind == "layouts")
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +600,7 @@ class TestCrashResume:
         # TTL wait) and the reassembled campaign is bit-exact with serial.
         stats = run_worker(queue.root, store.root, lease_ttl=3600.0)
         assert stats.shards_done == len(shards)
-        campaign, _ = reassemble_campaign(scenario, shards, _published(scenario, store))
+        campaign = reassemble_campaign(scenario, shards, _published(scenario, store))
         assert campaign.execution_times == _serial_times(scenario)
 
     def test_executor_waits_out_live_foreign_lease(self, tmp_path):
@@ -680,35 +672,66 @@ class TestOverlappingDrains:
         monkeypatch.setattr(ShardRunner, "execute", counting)
         return executed
 
-    def test_wait_returns_the_campaign_another_drain_recorded(
-        self, tmp_path, monkeypatch
-    ):
-        scenario = _scenario()
+    @classmethod
+    def _another_drain_records_while_waiting(cls, scenario, store, monkeypatch):
+        """Lease the first of the campaign's three shards to a live foreign
+        owner that, while the drain waits on it, publishes the shard,
+        records the campaign and clears its shards.  Returns the keys of
+        the shards the drain itself executes."""
         spec_hash = scenario.spec_hash()
-        store = ResultStore(tmp_path / "store")
         shards, queue = _enqueue_all(scenario, store, shard_size=4)
         foreign = queue.task_path(spec_hash, shards[0].key)
         assert queue.try_claim(foreign, "other-job", ttl=600)
-        other_job_execute = ShardRunner.execute  # not counted below
-        executed = self._count_executed(monkeypatch)
+        # The other job's execute and save are not counted below.
+        other_job_execute, other_job_save = ShardRunner.execute, ResultStore.save
+        executed = cls._count_executed(monkeypatch)
 
         def other_job_finishes(seconds):
-            # The drain waits on the leased shard; meanwhile the other job
-            # publishes it, records the campaign and clears its shards.
             task = shard_task(scenario, shards[0], scenario.engine)
             store.save_shard(spec_hash, shards[0].key, other_job_execute(ShardRunner(), task))
-            campaign, miss = reassemble_campaign(scenario, shards, _published(scenario, store))
-            store.save(scenario, campaign, miss)
+            campaign = reassemble_campaign(scenario, shards, _published(scenario, store))
+            other_job_save(store, scenario, campaign)
             store.clear_shards(spec_hash)
             queue.complete(foreign, "other-job")
             fake_time.sleep = time.sleep
 
         fake_time = SimpleNamespace(sleep=other_job_finishes)
         monkeypatch.setattr(executor_module, "time", fake_time)
-        campaign, _, _ = execute_scenario_sharded(scenario, store, jobs=1, shard_size=4)
+        return shards, queue, executed
+
+    def test_wait_returns_the_campaign_another_drain_recorded(
+        self, tmp_path, monkeypatch
+    ):
+        scenario = _scenario()
+        store = ResultStore(tmp_path / "store")
+        shards, queue, executed = self._another_drain_records_while_waiting(
+            scenario, store, monkeypatch
+        )
+        campaign, from_store, report = execute_scenario_sharded(
+            scenario, store, jobs=1, shard_size=4
+        )
         assert sorted(executed) == sorted(shard.key for shard in shards[1:])
         assert campaign.execution_times == _serial_times(scenario)
+        assert from_store
+        assert (report.planned, report.reused, report.executed) == (3, 0, 2)
         assert queue.pending() == 0
+
+    def test_campaign_another_drain_recorded_is_a_cache_hit(self, tmp_path, monkeypatch):
+        # The study runner counts the returned campaign as a store hit and
+        # does not save the entry the other drain recorded a second time.
+        scenario = _scenario()
+        store = ResultStore(tmp_path / "store")
+        self._another_drain_records_while_waiting(scenario, store, monkeypatch)
+        saves = []
+        monkeypatch.setattr(ResultStore, "save", lambda *args: saves.append(args))
+        results = execute_scenarios([scenario], store, shard_size=4)
+        report = results.report
+        assert (report.simulated, report.cache_hits, report.stored) == (0, 1, 0)
+        assert report.shards_executed == 2
+        assert saves == []
+        outcome = next(iter(results))
+        assert outcome.from_cache
+        assert outcome.campaign.execution_times == _serial_times(scenario)
 
     def test_recorded_campaign_is_returned_before_anything_is_enqueued(
         self, tmp_path, monkeypatch
@@ -717,8 +740,10 @@ class TestOverlappingDrains:
         store = ResultStore(tmp_path / "store")
         execute_scenarios([scenario], store, shard_size=4)
         executed = self._count_executed(monkeypatch)
-        campaign, _, _ = execute_scenario_sharded(scenario, store, jobs=1, shard_size=4)
-        assert executed == []
+        campaign, from_store, _ = execute_scenario_sharded(
+            scenario, store, jobs=1, shard_size=4
+        )
+        assert executed == [] and from_store
         assert campaign.execution_times == _serial_times(scenario)
         assert FileQueue(store.queue_root).pending() == 0
 
@@ -774,8 +799,7 @@ class TestRunnerIntegration:
 
     def test_telemetry_rate_limit_always_writes_transitions(self, tmp_path):
         queue = FileQueue(tmp_path / "q")
-        telemetry = WorkerTelemetry(queue, "owner-1", interval=3600.0)
-        telemetry.beat()  # rate-limited: no state change recorded
+        telemetry = WorkerTelemetry(queue, "owner-1")
         telemetry.claimed()
         telemetry.published(runs=5)
         telemetry.finish()
@@ -794,7 +818,7 @@ class TestRunnerIntegration:
         two_hours_ago = time.time() - 7200
         for path in queue.worker_root.iterdir():
             os.utime(path, (two_hours_ago, two_hours_ago))
-        worker_a.claimed()  # always writes, unlike the rate-limited beat()
+        worker_a.claimed()  # every state transition rewrites the heartbeat
         store.sweep(older_than=3600)
         WorkerTelemetry(queue, "worker-b")
         assert [beat.owner for beat in read_heartbeats(queue)] == ["worker-a", "worker-b"]

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.campaign import run_campaign
 from repro.cache.cache import CacheConfig
 from repro.cache.fastsim import CompiledTrace
 from repro.cache.hierarchy import HierarchyConfig, MemoryTimings
-from repro.cpu.core import TraceDrivenCore
 from repro.cpu.trace import AccessKind, Trace
 from repro.engine import DEFAULT_ENGINE, get_engine
 from repro.platform.leon3 import platform_setup
@@ -35,8 +35,13 @@ def tiny_config(l1_placement="rm", l1_replacement="random", l1_write="write-thro
     return HierarchyConfig(il1=il1, dl1=dl1, l2=l2, timings=MemoryTimings())
 
 
-def default_simulator(config, trace):
-    return get_engine(DEFAULT_ENGINE).simulator(config, CompiledTrace(trace))
+def default_simulator(config, trace, engine=DEFAULT_ENGINE):
+    compiled = CompiledTrace(trace, line_size=config.il1.line_size)
+    return get_engine(engine).simulator(config, compiled)
+
+
+def reference_simulator(config, trace):
+    return default_simulator(config, trace, engine="reference")
 
 
 def random_trace(draw_addresses, kinds):
@@ -73,25 +78,29 @@ class TestAgainstReference:
     @pytest.mark.parametrize("replacement", ["random", "lru"])
     def test_policies_match_on_kernel_trace(self, placement, replacement, small_kernel_trace):
         config = tiny_config(l1_placement=placement, l1_replacement=replacement)
-        core = TraceDrivenCore(config, small_kernel_trace)
+        default = default_simulator(config, small_kernel_trace)
+        reference = reference_simulator(config, small_kernel_trace)
         for seed in (0, 1, 12345):
-            assert core.run(seed).as_dict() == core.run_reference(seed).as_dict()
+            assert default.run(seed) == reference.run(seed)
 
     def test_write_back_l1_matches(self, small_kernel_trace):
         config = tiny_config(l1_write="write-back")
-        core = TraceDrivenCore(config, small_kernel_trace)
+        default = default_simulator(config, small_kernel_trace)
+        reference = reference_simulator(config, small_kernel_trace)
         for seed in (3, 17):
-            assert core.run(seed).as_dict() == core.run_reference(seed).as_dict()
+            assert default.run(seed) == reference.run(seed)
 
     def test_no_l2_matches(self, small_kernel_trace):
         config = tiny_config(with_l2=False)
-        core = TraceDrivenCore(config, small_kernel_trace)
-        assert core.run(7).as_dict() == core.run_reference(7).as_dict()
+        default = default_simulator(config, small_kernel_trace)
+        assert default.run(7) == reference_simulator(config, small_kernel_trace).run(7)
 
     def test_leon3_config_matches_on_eembc(self):
         trace = eembc_trace("rspeed")
-        core = TraceDrivenCore(platform_setup("rm"), trace)
-        assert core.run(11).as_dict() == core.run_reference(11).as_dict()
+        config = platform_setup("rm")
+        assert default_simulator(config, trace).run(11) == reference_simulator(
+            config, trace
+        ).run(11)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -110,8 +119,9 @@ class TestAgainstReference:
         for kind, line in accesses:
             trace.append(kind, 0x40000000 + line * 32)
         config = tiny_config()
-        core = TraceDrivenCore(config, trace)
-        assert core.run(seed).as_dict() == core.run_reference(seed).as_dict()
+        assert default_simulator(config, trace).run(seed) == reference_simulator(
+            config, trace
+        ).run(seed)
 
 
 class TestFastEngineBehaviour:
@@ -175,13 +185,11 @@ class TestBatchApi:
 
     def test_batch_matches_reference_engine(self, small_kernel_trace):
         config = tiny_config(l1_placement="modulo", l1_replacement="lru")
-        core = TraceDrivenCore(config, small_kernel_trace)
         seeds = [3, 5, 8]
-        batch = core.run_batch(seeds)
-        reference = [core.run_reference(seed) for seed in seeds]
-        assert [r.as_dict() for r in batch] == [r.as_dict() for r in reference]
+        batch = default_simulator(config, small_kernel_trace).run_batch(seeds)
+        reference = reference_simulator(config, small_kernel_trace)
+        assert batch == [reference.run(seed) for seed in seeds]
 
     def test_core_run_batch_rejects_unknown_engine(self, small_kernel_trace):
-        core = TraceDrivenCore(tiny_config(), small_kernel_trace)
         with pytest.raises(ValueError, match="unknown engine"):
-            core.run_batch([1], engine="warp")
+            run_campaign(small_kernel_trace, tiny_config(), runs=1, engine="warp")

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.cache.fastsim import CompiledTrace
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cpu.assembler import assemble
 from repro.cpu.interpreter import CoreTimings, run_program
 from repro.cpu.trace import AccessKind
+from repro.engine import get_engine
 from repro.platform.leon3 import platform_setup
 
 
@@ -139,8 +141,6 @@ class TestTraceRecording:
         assert loads[0].address == 0x40100000
 
     def test_recorded_trace_replays_to_same_cycles(self):
-        from repro.cpu.core import TraceDrivenCore
-
         program = assemble(
             """
                 li   r1, 0x40100000
@@ -158,5 +158,6 @@ class TestTraceRecording:
         execution = run_program(program, hierarchy=hierarchy, record_trace=True)
         # Replaying the recorded memory accesses must reproduce the memory
         # cycles exactly (the execute-stage cycles are added on top).
-        replay = TraceDrivenCore(config, execution.trace).run_reference(77)
+        compiled = CompiledTrace(execution.trace, line_size=config.il1.line_size)
+        replay = get_engine("reference").simulator(config, compiled).run(77)
         assert replay.cycles == hierarchy.cycles

@@ -51,7 +51,6 @@ def _serial(scenario: Scenario):
         runs=scenario.runs,
         master_seed=scenario.effective_seed,
         engine=scenario.engine,
-        keep_run_results=True,
     )
 
 
@@ -83,8 +82,8 @@ class TestParallelSeedCampaign:
         # The queue's per-run miss counters reassemble to the serial
         # campaign's miss summary, float for float.
         scenario = _seed_scenario(runs=6, master_seed=4, jobs=2)
-        results = execute_scenarios([scenario], store=ResultStore(tmp_path / "store"))
-        assert next(iter(results)).miss_summary == _serial(scenario).miss_summary()
+        parallel, _ = _executed(scenario, tmp_path)
+        assert parallel.miss_summary == _serial(scenario).miss_summary
 
     def test_more_jobs_than_runs(self, tmp_path):
         scenario = _seed_scenario(runs=3, master_seed=8, jobs=4)

@@ -64,8 +64,9 @@ def populate(store, setups=("rm", "hrp"), with_analyses=True):
             setup=setup,
             execution_times=times,
             master_seed=scenario.effective_seed,
+            miss_summary={"il1_miss_rate": 0.1 * (index + 1)},
         )
-        store.save(scenario, campaign, {"il1_miss_rate": 0.1 * (index + 1)})
+        store.save(scenario, campaign)
         spec_hash = scenario.spec_hash()
         if with_analyses:
             store.save_analysis(

@@ -478,8 +478,7 @@ class TestWarmOverlap:
         for scenario, entry in zip(scenarios, finished["results"]):
             spec_hash = scenario.spec_hash()
             assert entry["spec_hash"] == spec_hash
-            stored = store.load(spec_hash)
-            campaign = stored.campaign()
+            campaign = store.load(spec_hash)
             assert entry["mean"] == campaign.mean
             assert entry["high_water_mark"] == campaign.high_water_mark
             # The analysis payload is byte-for-byte what the CLI persisted.
