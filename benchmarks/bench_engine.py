@@ -60,7 +60,7 @@ def test_engine_single_run(benchmark, compiled_a2time):
 
 
 def test_engine_batch_deterministic_placement(benchmark, compiled_a2time):
-    """Deterministic (modulo) placement collapses a batch to one lane."""
+    """Deterministic (modulo) placement: every lane simulated, one cycle count."""
     simulator = NumpyEngine().simulator(platform_setup("modulo"), compiled_a2time)
     results = benchmark(simulator.run_batch, list(range(8)))
     assert len({result.cycles for result in results}) == 1  # seed-insensitive

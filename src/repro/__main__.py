@@ -100,6 +100,7 @@ from .pwcet import (
     estimator_capabilities,
 )
 from .study import DEFAULT_STORE_DIR, ResultStore, available_studies, get_study
+from .study.store import check_gc_age
 
 
 def _add_campaign_arguments(
@@ -510,9 +511,7 @@ def _parse_age(text: str) -> float:
             f"invalid age {text!r}; expected seconds or a number with an "
             "s/m/h/d suffix (e.g. 90, 45m, 7d)"
         ) from None
-    if seconds < 0:
-        raise ValueError(f"age must be >= 0, got {seconds}")
-    return seconds
+    return check_gc_age(seconds)
 
 
 def _validate_run_request(targets, settings: ExperimentSettings) -> Optional[str]:

@@ -30,7 +30,6 @@ __all__ = [
     "FifoReplacement",
     "TreePlruReplacement",
     "make_replacement",
-    "replacement_is_randomized",
     "replacement_touches_on_hit",
     "REPLACEMENT_CLASSES",
     "REPLACEMENT_NAMES",
@@ -41,7 +40,6 @@ class ReplacementPolicy(ABC):
     """Per-set replacement metadata and victim selection."""
 
     name: str = "abstract"
-    randomized: bool = False
     #: True when a hit mutates per-set metadata (LRU stamps, PLRU tree bits).
     #: Policies where :meth:`touch` is a no-op (random, FIFO) leave hits
     #: stateless, which the plan compiler exploits: eliding a guaranteed hit
@@ -95,7 +93,6 @@ class RandomReplacement(ReplacementPolicy):
     """Evict a uniformly random way, as in LEON3/LEON4 random replacement."""
 
     name = "random"
-    randomized = True
 
     def __init__(self, num_sets: int, num_ways: int, seed: int = 0) -> None:
         self._rng = SplitMix64(seed)
@@ -170,8 +167,8 @@ class TreePlruReplacement(ReplacementPolicy):
 
 
 #: Policy classes by name — lets callers inspect class-level traits such as
-#: ``randomized`` / ``touches_on_hit`` without instantiating a policy
-#: (mirrors ``repro.core.placement.PLACEMENT_CLASSES``).
+#: ``touches_on_hit`` without instantiating a policy (mirrors
+#: ``repro.core.placement.PLACEMENT_CLASSES``).
 REPLACEMENT_CLASSES = {
     "lru": LruReplacement,
     "random": RandomReplacement,
@@ -190,11 +187,6 @@ def _replacement_class(name: str) -> type:
         raise ValueError(
             f"unknown replacement policy {name!r}; expected one of {REPLACEMENT_NAMES}"
         ) from error
-
-
-def replacement_is_randomized(name: str) -> bool:
-    """Whether the named policy draws victims from the per-run seed."""
-    return bool(_replacement_class(name).randomized)
 
 
 def replacement_touches_on_hit(name: str) -> bool:

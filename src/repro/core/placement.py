@@ -26,6 +26,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
+
 from .benes import PermutationNetwork, make_permutation_network
 from .bits import ceil_log2, fold_xor, is_power_of_two, mask
 from .prng import SplitMix64, splitmix64_next_array
@@ -155,8 +157,7 @@ class PlacementPolicy(ABC):
     # placement map per (seed, cache) pair; these hooks let each policy do
     # that as array arithmetic instead of a Python loop per line.  They are
     # bit-exact with set_index() — the engine equivalence tests replay both
-    # paths.  numpy is imported lazily so repro.core stays importable
-    # without it.
+    # paths.
 
     def _line_addresses_array(self, addresses):
         """Vector counterpart of ``geometry.line_address`` (uint64 in/out)."""
@@ -170,8 +171,6 @@ class PlacementPolicy(ABC):
         closed-form mapping override it with genuine array arithmetic.
         Returns an int64 array of the same length.
         """
-        import numpy as np
-
         index = self.set_index
         return np.array([index(int(address)) for address in addresses], dtype=np.int64)
 
@@ -185,8 +184,6 @@ class PlacementPolicy(ABC):
         the batch engines get their per-lane maps without a Python loop over
         seeds.
         """
-        import numpy as np
-
         matrix = np.empty((len(addresses), len(seeds)), dtype=np.int64)
         for column, seed in enumerate(seeds):
             self.reseed(int(seed))
@@ -221,8 +218,6 @@ def _fold_xor_array(values, in_width: int, out_width: int):
 
 def _popcount64_array(values):
     """Per-element popcount of a uint64 array (SWAR fallback for numpy < 2)."""
-    import numpy as np
-
     bitwise_count = getattr(np, "bitwise_count", None)
     if bitwise_count is not None:
         return bitwise_count(values).astype(np.uint64)
@@ -344,8 +339,6 @@ class HashRandomPlacement(PlacementPolicy):
         return index
 
     def set_index_array(self, addresses):
-        import numpy as np
-
         if self._hash_width > 64:
             return super().set_index_array(addresses)
         lines = self._line_addresses_array(addresses)
@@ -355,8 +348,6 @@ class HashRandomPlacement(PlacementPolicy):
         return index.astype(np.int64)
 
     def set_index_matrix(self, addresses, seeds):
-        import numpy as np
-
         if self._hash_width > 64:
             return super().set_index_matrix(addresses, seeds)
         geometry = self.geometry
@@ -474,8 +465,6 @@ class RandomModuloPlacement(PlacementPolicy):
         return self.network.apply(modulo_index, self._controls_for(upper))
 
     def set_index_array(self, addresses):
-        import numpy as np
-
         geometry = self.geometry
         n_controls = self.network.num_switches
         if not 0 < n_controls < 64 or geometry.upper_bits > 64:
@@ -497,8 +486,6 @@ class RandomModuloPlacement(PlacementPolicy):
         return value.astype(np.int64)
 
     def set_index_matrix(self, addresses, seeds):
-        import numpy as np
-
         geometry = self.geometry
         n_controls = self.network.num_switches
         if not 0 < n_controls < 64 or geometry.upper_bits > 64:

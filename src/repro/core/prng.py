@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+import numpy as np
+
 from .bits import mask
 
 __all__ = [
@@ -32,11 +34,17 @@ __all__ = [
 ]
 
 #: SplitMix64 constants (Steele et al.), shared between the scalar
-#: :class:`SplitMix64` and the vectorized stepper used by the numpy engine
-#: so that both produce bit-identical streams.
+#: :class:`SplitMix64` and the vectorized :func:`splitmix64_next_array` so
+#: that both produce bit-identical streams.
 SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
 SPLITMIX64_MIX1 = 0xBF58476D1CE4E5B9
 SPLITMIX64_MIX2 = 0x94D049BB133111EB
+_GAMMA = np.uint64(SPLITMIX64_GAMMA)
+_MIX1 = np.uint64(SPLITMIX64_MIX1)
+_MIX2 = np.uint64(SPLITMIX64_MIX2)
+_SHIFT_30 = np.uint64(30)
+_SHIFT_27 = np.uint64(27)
+_SHIFT_31 = np.uint64(31)
 
 
 #: Feedback polynomials (taps given as a bit mask, LSB = x^1 term) for
@@ -193,21 +201,27 @@ class SplitMix64:
                 return value % bound
 
 
-def splitmix64_next_array(states):
-    """Advance an array of SplitMix64 states in place; return the outputs.
+def splitmix64_next_array(states: np.ndarray) -> np.ndarray:
+    """Advance a ``uint64`` array of SplitMix64 states in place; return the
+    outputs.
 
-    ``states`` must be a mutable ``uint64`` array with modular (wrapping)
-    arithmetic — in practice a ``numpy`` array.  Element ``i`` of the result
-    is exactly what ``SplitMix64(previous_state_i).next_uint64()`` would have
-    produced, so vectorized consumers (the numpy campaign engine) stay
-    bit-exact with the scalar generator.  The helper is written against the
-    array protocol only (wrapping ``+``, ``*``, ``^``, ``>>``), keeping
-    :mod:`repro.core` importable without numpy.
+    Element ``i`` of the result is exactly what
+    ``SplitMix64(previous_state_i).next_uint64()`` would have produced, so
+    vectorized consumers (the placement maps and the numpy engine's victim
+    streams) stay bit-exact with the scalar generator.  The mixing runs in
+    place on ``np.uint64`` constants: the victim-draw hot path calls this
+    hundreds of times per batch.
     """
-    states += SPLITMIX64_GAMMA
-    z = (states ^ (states >> 30)) * SPLITMIX64_MIX1
-    z = (z ^ (z >> 27)) * SPLITMIX64_MIX2
-    return z ^ (z >> 31)
+    states += _GAMMA
+    z = states >> _SHIFT_30
+    z ^= states
+    z *= _MIX1
+    out = z >> _SHIFT_27
+    out ^= z
+    out *= _MIX2
+    z = out >> _SHIFT_31
+    z ^= out
+    return z
 
 
 def derive_run_seeds(master_seed: int, count: int) -> List[int]:

@@ -1,16 +1,15 @@
-"""NumPy batch engine: simulate every seed of a campaign simultaneously.
+"""NumPy batch engine: simulate every lane of a campaign simultaneously.
 
 This is the production engine.  A campaign becomes **one** array program
-instead of one Python loop over the trace per seed: at every step all seeds
+instead of one Python loop over the trace per lane: at every step all lanes
 advance together, with cache state carried as per-lane arrays.
 
-The engine executes a :class:`~repro.engine.plan.TracePlan` compiled by
-:func:`~repro.engine.plan.compile_plan`: guaranteed hits are elided from the
-program entirely, hit detection is one read of a ``(lines, lanes)`` presence
-map (line -> way, ``-1`` = absent) instead of a tag gather-and-compare,
-invalid-way selection is a per-set occupancy counter (ways fill in order and
-are never invalidated), and hierarchies whose conflict signature proves seed
-invariance simulate one lane and replicate the result across the batch.
+Each simulator executes one :class:`~repro.engine.plan.TracePlan`, compiled
+by :func:`~repro.engine.plan.compile_plan` on its first batch: guaranteed
+hits are elided from the program entirely, hit detection is one read of a
+``(lines, lanes)`` presence map (line -> way, ``-1`` = absent) instead of a
+tag gather-and-compare, and invalid-way selection is a per-set occupancy
+counter (ways fill in order and are never invalidated).
 
 Every batch builds the placement map of each randomized cache with one
 vectorized call (:meth:`repro.core.placement.PlacementPolicy.set_index_matrix`),
@@ -18,8 +17,7 @@ only over the rows that cache can actually index; deterministic policies
 share one seed-invariant map.  ``run_batch(seeds, lines=...)`` instead gives
 each lane its own table of line addresses (the layout lanes of a
 deterministic campaign): every slot then maps each lane's table under that
-lane's placement seed and executes the plan compiled with
-``lane_maps=True`` (singleton elision, no one-lane collapse).  Seed
+lane's placement seed.  Seed lanes and layout lanes run the same plan.  Seed
 derivation (hierarchy -> cache -> policy seeds) runs the same SplitMix64
 chain as :func:`repro.cache.hierarchy.derive_cache_seeds` /
 :func:`repro.cache.cache.derive_policy_seeds`, vectorized, so the engine is
@@ -41,49 +39,19 @@ from ..cache.fastsim import FETCH_KIND, CompiledTrace, FastRunResult
 from ..cache.hierarchy import HierarchyConfig
 from ..core.bits import mask
 from ..core.placement import make_placement, placement_is_randomized
-from ..core.prng import (
-    SPLITMIX64_GAMMA,
-    SPLITMIX64_MIX1,
-    SPLITMIX64_MIX2,
-)
+from ..core.prng import splitmix64_next_array
 from .base import Engine
 from .plan import TracePlan, compile_plan
 
-_SM64_GAMMA = np.uint64(SPLITMIX64_GAMMA)
-_SM64_MIX1 = np.uint64(SPLITMIX64_MIX1)
-_SM64_MIX2 = np.uint64(SPLITMIX64_MIX2)
 try:  # pragma: no cover - exercised implicitly on every plan batch
     from numpy._core.multiarray import count_nonzero as _count_nonzero
 except ImportError:  # pragma: no cover - older numpy
     _count_nonzero = np.count_nonzero
 
-_SM64_S30 = np.uint64(30)
-_SM64_S27 = np.uint64(27)
-_SM64_S31 = np.uint64(31)
-
-
-def splitmix64_next_array(states):
-    """:func:`repro.core.prng.splitmix64_next_array` with the constants
-    pre-converted to ``np.uint64`` and the mixing done in place — the
-    generic version keeps Python-int constants (so :mod:`repro.core` stays
-    importable without numpy) and allocates a temporary per operation; the
-    victim-draw hot path here calls this hundreds of times per batch."""
-    states += _SM64_GAMMA
-    z = states >> _SM64_S30
-    z ^= states
-    z *= _SM64_MIX1
-    out = z >> _SM64_S27
-    out ^= z
-    out *= _SM64_MIX2
-    z = out >> _SM64_S31
-    z ^= out
-    return z
-
-
 __all__ = ["NumpyEngine", "DEFAULT_MAX_LANES", "derive_seed_arrays"]
 
-#: Seeds simulated per internal chunk.  Bounds the working set (state arrays
-#: and per-seed placement maps grow linearly with the lane count) without
+#: Lanes simulated per internal chunk.  Bounds the working set (state arrays
+#: and per-lane placement maps grow linearly with the lane count) without
 #: changing results: lanes are independent, so chunking is invisible.
 DEFAULT_MAX_LANES = 1024
 
@@ -456,17 +424,11 @@ def _deferred_counts(parts, whole, n) -> Optional[np.ndarray]:
 
 
 class _VectorSimulator:
-    """Simulates all seeds of a batch through one compiled trace together."""
+    """Simulates all lanes of a batch through one compiled trace plan together."""
 
-    def __init__(
-        self,
-        config: HierarchyConfig,
-        compiled: CompiledTrace,
-        max_lanes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, config: HierarchyConfig, compiled: CompiledTrace) -> None:
         self.config = config
         self.compiled = compiled
-        self.max_lanes = max_lanes or DEFAULT_MAX_LANES
         self._lines = np.array(compiled.unique_lines, dtype=np.uint64)
         self._kinds = list(compiled.kinds)
         self._il1_accesses = sum(1 for kind in self._kinds if kind == FETCH_KIND)
@@ -497,15 +459,11 @@ class _VectorSimulator:
         #: Recycled per-(slot, lane-count) plan-state buffers; see
         #: :meth:`_PlanCache._pooled`.
         self._buffer_pool: dict = {}
-        # Each plan is compiled on first use, so a simulator that only runs
-        # per-lane line tables (``run_batch(..., lines=...)``) never compiles
-        # the shared-map plan.
         self._plan: Optional[TracePlan] = None
-        self._lane_plan: Optional[TracePlan] = None
 
     @property
     def plan(self) -> TracePlan:
-        """The :class:`TracePlan` of lanes sharing the compiled line table."""
+        """The :class:`TracePlan` every lane runs, compiled on first use."""
         if self._plan is None:
             self._plan = compile_plan(self.config, self.compiled)
         return self._plan
@@ -519,27 +477,19 @@ class _VectorSimulator:
         self, seeds: Sequence[int], lines: Optional[np.ndarray] = None
     ) -> List[FastRunResult]:
         seeds = list(seeds)
-        if lines is None:
-            plan = self.plan
-            if plan.seed_invariant and len(seeds) > 1:
-                # One equivalence class: simulate one lane, replicate.
-                return self._run_lanes_plan(plan, seeds[:1]) * len(seeds)
-        else:
+        if lines is not None:
             lines = np.asarray(lines, dtype=np.uint64)
             if lines.shape != (len(seeds), len(self._lines)):
                 raise ValueError(
                     f"lines must hold one table of {len(self._lines)} line "
                     f"addresses per seed ({len(seeds)}); got shape {lines.shape}"
                 )
-            if self._lane_plan is None:
-                self._lane_plan = compile_plan(self.config, self.compiled, lane_maps=True)
-            plan = self._lane_plan
         results: List[FastRunResult] = []
-        for start in range(0, len(seeds), self.max_lanes):
-            stop = start + self.max_lanes
+        for start in range(0, len(seeds), DEFAULT_MAX_LANES):
+            stop = start + DEFAULT_MAX_LANES
             results.extend(
                 self._run_lanes_plan(
-                    plan, seeds[start:stop], None if lines is None else lines[start:stop]
+                    seeds[start:stop], None if lines is None else lines[start:stop]
                 )
             )
         return results
@@ -635,11 +585,10 @@ class _VectorSimulator:
 
     # ------------------------------------------------------- plan execution
 
-    def _run_lanes_plan(
-        self, plan: TracePlan, seeds: Sequence[int], tables=None
-    ) -> List[FastRunResult]:
+    def _run_lanes_plan(self, seeds: Sequence[int], tables=None) -> List[FastRunResult]:
         if not seeds:
             return []
+        plan = self.plan
         n = len(seeds)
         il1, dl1, l2 = self._build_hierarchy(seeds, tables)
 
@@ -922,16 +871,13 @@ class _VectorSimulator:
 
 class NumpyEngine(Engine):
     """Vectorized batch engine: one compiled-plan array program per
-    campaign chunk of at most ``max_lanes`` seeds."""
+    campaign chunk of at most ``DEFAULT_MAX_LANES`` lanes."""
 
     name = "numpy"
     supports_batch = True
     bit_exact = True
 
-    def __init__(self, max_lanes: Optional[int] = None) -> None:
-        self.max_lanes = max_lanes
-
     def simulator(
         self, config: HierarchyConfig, compiled: CompiledTrace
     ) -> _VectorSimulator:
-        return _VectorSimulator(config, compiled, max_lanes=self.max_lanes)
+        return _VectorSimulator(config, compiled)

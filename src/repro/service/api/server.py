@@ -34,7 +34,7 @@ from typing import Awaitable, Callable, Dict, Optional, Tuple
 from ...engine import engine_capabilities
 from ...exec.status import exec_status_snapshot
 from ...pwcet import estimator_capabilities
-from ...study.store import ResultStore
+from ...study.store import ResultStore, check_gc_age
 from ..services.events import EventBus, StoreWatcher
 from ..services.gc import DEFAULT_GC_AGE, DEFAULT_GC_INTERVAL, GcService
 from ..services.jobs import BadRequest, JobManager
@@ -216,7 +216,13 @@ class ReproServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _HttpError(400, f"invalid Content-Length: {raw_length!r}")
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
@@ -453,10 +459,12 @@ class ReproServer:
         older_than = payload.get("older_than")
         if older_than is not None:
             try:
-                older_than = float(older_than)  # type: ignore[arg-type]
+                older_than = check_gc_age(float(older_than))  # type: ignore[arg-type]
             except (TypeError, ValueError):
                 raise _HttpError(
-                    400, f"older_than must be a number, got {older_than!r}"
+                    400,
+                    f"older_than must be a finite number of seconds >= 0, "
+                    f"got {older_than!r}",
                 ) from None
         analyses_only = payload.get("analyses_only")
         if analyses_only is not None:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import time
 import uuid
@@ -59,6 +60,7 @@ __all__ = [
     "DEFAULT_STORE_DIR",
     "STUDY_LOG_NAME",
     "ResultStore",
+    "check_gc_age",
 ]
 
 #: Default store location, relative to the working directory.
@@ -66,6 +68,18 @@ DEFAULT_STORE_DIR = os.path.join("results", "store")
 
 #: The append-only (study name, spec hash) provenance log at the store root.
 STUDY_LOG_NAME = "studies.log"
+
+
+def check_gc_age(seconds: float) -> float:
+    """``seconds`` if it is a usable GC age, else ``ValueError``.
+
+    An age must be finite and >= 0: a negative or NaN age would make every
+    file old enough to sweep, a running campaign's shards, tasks and leases
+    included.
+    """
+    if not 0 <= seconds < math.inf:
+        raise ValueError(f"GC age must be a finite number of seconds >= 0, got {seconds}")
+    return seconds
 
 
 def _as_int_column(value: object) -> Optional[np.ndarray]:
@@ -396,9 +410,9 @@ class ResultStore:
         the analysis server's background GC service logs it — so what the
         GC *would* do is testable without side effects.  Candidates come
         from directory scans: analyses, shard entries, queue files and
-        ``*.tmp`` stragglers.
+        ``*.tmp`` stragglers.  ``older_than`` must pass :func:`check_gc_age`.
         """
-        cutoff = (time.time() if now is None else now) - max(0.0, older_than)
+        cutoff = (time.time() if now is None else now) - check_gc_age(older_than)
         paths = _files(self.analysis_root, "*.json") + _files(self.analysis_root, "*.tmp")
         if not analyses_only:
             paths += _files(self.shard_root, f"*{columnar.COLUMNAR_SUFFIX}")

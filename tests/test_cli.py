@@ -247,6 +247,23 @@ class TestShardedExecution:
             main(["study", "clean", "--older-than", "soon",
                   "--store", str(tmp_path / "s")])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["study", "clean", "--older-than", "nan", "--dry-run"],
+         ["serve", "--gc-age", "nan"]],
+        ids=["clean", "serve"],
+    )
+    def test_nan_age_exits_2(self, tmp_path, argv, monkeypatch):
+        from repro.service.api.server import ReproServer
+
+        def run(server, quiet=False):
+            raise AssertionError("serve started with a NaN --gc-age")
+
+        monkeypatch.setattr(ReproServer, "run", run)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--store", str(tmp_path / "s")])
+        assert excinfo.value.code == 2
+
 
 class TestOutputFormats:
     def test_json_format_is_parseable_and_self_identifying(self, tmp_path, capsys):

@@ -53,6 +53,34 @@ def build_config(
     return HierarchyConfig(il1=il1, dl1=dl1, l2=l2, timings=MemoryTimings())
 
 
+#: Random traces: 10-200 (kind, line) accesses over 64 lines.
+ACCESSES = st.lists(
+    st.tuples(st.sampled_from([0, 1, 2]), st.integers(0, 63)),
+    min_size=10,
+    max_size=200,
+)
+
+#: Hierarchies over every placement, replacement and write policy, with and
+#: without an L2.
+CONFIGS = st.builds(
+    build_config,
+    l1_placement=st.sampled_from(["modulo", "xor", "hrp", "rm"]),
+    l1_replacement=st.sampled_from(["random", "lru", "fifo", "plru"]),
+    l1_write=st.sampled_from(["write-through", "write-back"]),
+    l2_placement=st.sampled_from(["modulo", "xor", "hrp", "rm"]),
+    l2_replacement=st.sampled_from(["random", "lru", "fifo", "plru"]),
+    l2_write=st.sampled_from(["write-through", "write-back"]),
+    with_l2=st.booleans(),
+)
+
+
+def trace_of(accesses):
+    trace = Trace(name="hypothesis")
+    for kind, line in accesses:
+        trace.append(kind, 0x40000000 + line * 32)
+    return trace
+
+
 def run_all_engines(config, trace, seeds):
     """Map engine name -> list of per-seed result dicts, via the registry.
 
@@ -82,40 +110,11 @@ def assert_all_equal(results):
 
 
 class TestAllRegisteredEnginesAgree:
-    @given(
-        seed=st.integers(0, 2**64 - 1),
-        accesses=st.lists(
-            st.tuples(st.sampled_from([0, 1, 2]), st.integers(0, 63)),
-            min_size=10,
-            max_size=200,
-        ),
-        l1_placement=st.sampled_from(["modulo", "xor", "hrp", "rm"]),
-        l1_replacement=st.sampled_from(["random", "lru", "fifo", "plru"]),
-        l1_write=st.sampled_from(["write-through", "write-back"]),
-        l2_placement=st.sampled_from(["modulo", "xor", "hrp", "rm"]),
-        l2_replacement=st.sampled_from(["random", "lru", "fifo", "plru"]),
-        l2_write=st.sampled_from(["write-through", "write-back"]),
-        with_l2=st.booleans(),
-    )
+    @given(seed=st.integers(0, 2**64 - 1), accesses=ACCESSES, config=CONFIGS)
     @settings(max_examples=30, deadline=None)
-    def test_random_traces_and_configs_property(
-        self, seed, accesses, l1_placement, l1_replacement, l1_write,
-        l2_placement, l2_replacement, l2_write, with_l2
-    ):
+    def test_random_traces_and_configs_property(self, seed, accesses, config):
         """Identical cycles and miss counters across every registered engine."""
-        trace = Trace(name="hypothesis")
-        for kind, line in accesses:
-            trace.append(kind, 0x40000000 + line * 32)
-        config = build_config(
-            l1_placement=l1_placement,
-            l1_replacement=l1_replacement,
-            l1_write=l1_write,
-            l2_placement=l2_placement,
-            l2_replacement=l2_replacement,
-            l2_write=l2_write,
-            with_l2=with_l2,
-        )
-        assert_all_equal(run_all_engines(config, trace, [seed, seed ^ 0xDEAD]))
+        assert_all_equal(run_all_engines(config, trace_of(accesses), [seed, seed ^ 0xDEAD]))
 
     def test_l2_lru_and_deterministic_l2_placement(self, small_kernel_trace):
         """Directed coverage of the L2 LRU-stamp and static-map paths."""
@@ -331,6 +330,26 @@ class TestLayoutLanes:
         assert len(set(cycles.execution_times)) >= 2
 
 
+class TestLaneTables:
+    """Seed lanes and table lanes run one plan: handing every lane the
+    compiled line table must change nothing, under distinct seeds."""
+
+    @given(
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=5, unique=True),
+        accesses=ACCESSES,
+        config=CONFIGS,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_table_lanes_equal_seed_lanes_property(self, seeds, accesses, config):
+        compiled = CompiledTrace(trace_of(accesses), line_size=config.il1.line_size)
+        # The repeated first seed puts two lanes under one placement seed.
+        seeds = seeds + seeds[:1]
+        tables = [list(compiled.unique_lines)] * len(seeds)
+        for name in available_engines():
+            simulator = get_engine(name).simulator(config, compiled)
+            assert simulator.run_batch(seeds, lines=tables) == simulator.run_batch(seeds), name
+
+
 class TestCampaignLevelEquivalence:
     def test_serial_campaigns_identical_across_engines(
         self, small_kernel_trace, tiny_hierarchy_config
@@ -370,16 +389,18 @@ class TestCampaignLevelEquivalence:
         parallel_numpy = next(iter(results)).campaign
         assert parallel_numpy.execution_times == serial_reference.execution_times
 
-    def test_numpy_batch_chunking_is_invisible(self, small_kernel_trace, tiny_hierarchy_config):
+    def test_numpy_batch_chunking_is_invisible(
+        self, small_kernel_trace, tiny_hierarchy_config, monkeypatch
+    ):
         """Internal lane chunking must not change results."""
-        from repro.engine.numpy_engine import NumpyEngine
+        from repro.engine import numpy_engine
 
         compiled = CompiledTrace(
             small_kernel_trace, line_size=tiny_hierarchy_config.il1.line_size
         )
         seeds = list(range(17))
-        whole = NumpyEngine().simulator(tiny_hierarchy_config, compiled).run_batch(seeds)
-        chunked = (
-            NumpyEngine(max_lanes=4).simulator(tiny_hierarchy_config, compiled).run_batch(seeds)
-        )
+        engine = numpy_engine.NumpyEngine()
+        whole = engine.simulator(tiny_hierarchy_config, compiled).run_batch(seeds)
+        monkeypatch.setattr(numpy_engine, "DEFAULT_MAX_LANES", 4)
+        chunked = engine.simulator(tiny_hierarchy_config, compiled).run_batch(seeds)
         assert whole == chunked

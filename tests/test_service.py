@@ -19,6 +19,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -328,6 +329,24 @@ class TestJobLifecycle:
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/v1/engines", {})
         assert excinfo.value.status == 405
+
+    def test_malformed_content_length_is_400(self, tmp_path, start_server):
+        server, client = start_server(ResultStore(tmp_path / "store"))
+        for length in ("abc", "-5"):
+            with socket.create_connection(
+                ("127.0.0.1", server.bound_port), timeout=10
+            ) as connection:
+                connection.sendall(
+                    f"POST /v1/gc HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+                    .encode("ascii")
+                )
+                reply = b""
+                while chunk := connection.recv(4096):
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), (length, reply)
+            assert "Content-Length" in json.loads(body)["error"]
+        assert client.status()["service"]  # the server still answers 200
 
     def test_registry_endpoints_mirror_the_registries(
         self, tmp_path, start_server
@@ -702,6 +721,30 @@ class TestStatusAndGc:
             client.gc(older_than="soon")  # type: ignore[arg-type]
         assert excinfo.value.status == 400
         assert "older_than" in excinfo.value.message
+
+    @pytest.mark.parametrize(
+        "older_than", [-1, "nan", float("nan")], ids=["negative", "nan-text", "nan-json"]
+    )
+    def test_gc_rejects_negative_or_nan_age_and_removes_nothing(
+        self, tmp_path, start_server, older_than
+    ):
+        """A negative or NaN age would make every file old enough to sweep,
+        a running campaign's shards, tasks and leases included."""
+        store = ResultStore(tmp_path / "store")
+        scenario = _scenario(runs=8)
+        store.save_analysis("aaa", "cfg", {"v": 1})
+        store.save_shard("bbb", "00000000x000004", {"version": 1})
+        queue = FileQueue(store.queue_root)
+        [shard] = plan_shards(scenario.spec_hash(), scenario.runs, 8)
+        assert queue.try_claim(queue.enqueue(shard_task(scenario, shard, scenario.engine)), "gc-test")
+        planted = [path for path in store.root.rglob("*") if path.is_file()]
+        _, client = start_server(store)
+        for dry_run in (True, False):
+            with pytest.raises(ServiceError) as excinfo:
+                client.gc(older_than=older_than, analyses_only=False, dry_run=dry_run)
+            assert excinfo.value.status == 400
+            assert "older_than" in excinfo.value.message
+        assert all(path.exists() for path in planted)
 
     def test_background_gc_loop_sweeps_periodically(
         self, tmp_path, start_server
