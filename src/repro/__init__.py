@@ -5,10 +5,9 @@ The package is organised in layers (see DESIGN.md):
 
 * :mod:`repro.core` — the paper's contribution: placement policies (modulo,
   XOR, hRP, Random Modulo), permutation networks and hardware-style PRNGs.
-* :mod:`repro.cache` — set-associative cache and hierarchy models plus the
-  compiled-trace representation the campaign engines replay.
-* :mod:`repro.cpu` — memory-access traces and a small ISA with assembler
-  and interpreter.
+* :mod:`repro.cache` — memory-access traces, set-associative cache and
+  hierarchy models, and the compiled-trace representation the campaign
+  engines replay.
 * :mod:`repro.engine` — simulation engine registry and backends (the
   vectorized ``numpy`` batch engine, the default, and the ``reference``
   oracle).
@@ -50,6 +49,7 @@ from .cache import (
     HierarchyConfig,
     MemoryTimings,
     SetAssociativeCache,
+    Trace,
 )
 from .core import (
     HashRandomPlacement,
@@ -59,7 +59,6 @@ from .core import (
     RandomModuloPlacement,
     make_placement,
 )
-from .cpu import Trace, assemble, run_program
 from .engine import (
     available_engines,
     engine_capabilities,
@@ -117,6 +116,7 @@ __all__ = [
     "HierarchyConfig",
     "MemoryTimings",
     "SetAssociativeCache",
+    "Trace",
     # core
     "HashRandomPlacement",
     "ModuloPlacement",
@@ -124,10 +124,6 @@ __all__ = [
     "PlacementGeometry",
     "RandomModuloPlacement",
     "make_placement",
-    # cpu
-    "Trace",
-    "assemble",
-    "run_program",
     # engine
     "available_engines",
     "engine_capabilities",

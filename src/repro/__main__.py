@@ -101,6 +101,7 @@ from .pwcet import (
 )
 from .study import DEFAULT_STORE_DIR, ResultStore, available_studies, get_study
 from .study.store import check_gc_age
+from .workloads.base import check_scale
 
 
 def _add_campaign_arguments(
@@ -518,6 +519,10 @@ def _validate_run_request(targets, settings: ExperimentSettings) -> Optional[str
     """One-line error when the requested campaign size is unusable, else None."""
     if settings.runs < 1:
         return f"error: --runs must be >= 1, got {settings.runs}"
+    try:
+        check_scale(settings.scale)
+    except ValueError as error:
+        return f"error: --{error}"
     for identifier in targets:
         minimum = get_study(identifier).min_runs
         if settings.runs < minimum:

@@ -17,8 +17,8 @@ import numpy as np
 
 from ..cache.fastsim import FETCH_KIND, CompiledTrace
 from ..cache.hierarchy import HierarchyConfig
+from ..cache.trace import Trace
 from ..core.prng import derive_run_seeds
-from ..cpu.trace import Trace
 from ..engine import DEFAULT_ENGINE, get_engine
 from ..workloads.base import MemoryLayout, random_layouts, relocate_trace
 

@@ -1,4 +1,5 @@
-"""Cache substrate: set-associative caches, hierarchies and compiled traces."""
+"""Cache substrate: memory-access traces, set-associative caches, hierarchies
+and compiled traces."""
 
 from .cache import (
     WRITE_BACK,
@@ -20,6 +21,7 @@ from .replacement import (
     TreePlruReplacement,
     make_replacement,
 )
+from .trace import AccessKind, Trace
 
 __all__ = [
     "WRITE_BACK",
@@ -42,4 +44,6 @@ __all__ = [
     "ReplacementPolicy",
     "TreePlruReplacement",
     "make_replacement",
+    "AccessKind",
+    "Trace",
 ]

@@ -1,7 +1,7 @@
 """Reference model of a set-associative cache.
 
 This is the object-oriented, easy-to-inspect cache model used by the unit
-tests, the mini-ISA interpreter and the ``reference`` engine.  The
+tests and the ``reference`` engine.  The
 measurement campaigns use the vectorized ``numpy`` engine
 (:mod:`repro.engine.numpy_engine`), which is cross-validated against this
 model in the test suite.

@@ -13,17 +13,14 @@ results compare field by field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List
+from typing import Dict, List
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cpu.trace import Trace
+from .trace import AccessKind, Trace
 
-# Access-kind encodings, kept numerically identical to
-# :class:`repro.cpu.trace.AccessKind` (the cpu package imports this one, so
-# the constants live here to avoid a circular package import).
-FETCH_KIND = 0
-LOAD_KIND = 1
-STORE_KIND = 2
+# Access-kind encodings as plain ints, the form the engines compare against.
+FETCH_KIND = int(AccessKind.FETCH)
+LOAD_KIND = int(AccessKind.LOAD)
+STORE_KIND = int(AccessKind.STORE)
 
 __all__ = [
     "CompiledTrace",
@@ -77,7 +74,7 @@ class CompiledTrace:
     placement hash once per unique line rather than once per access.
     """
 
-    def __init__(self, trace: "Trace", line_size: int = 32) -> None:
+    def __init__(self, trace: Trace, line_size: int = 32) -> None:
         self.name = trace.name
         self.line_size = line_size
         line_mask = ~(line_size - 1) & 0xFFFFFFFF

@@ -3,22 +3,20 @@
 A trace is the interface between the workload layer and the simulation
 engines: a sequence of instruction fetches, loads and stores with 32-bit
 byte addresses.  The EEMBC-like kernels and the synthetic vector benchmark
-generate traces directly; the mini-ISA interpreter produces them as a side
-effect of executing a program.
+generate traces directly, and :class:`~repro.cache.fastsim.CompiledTrace`
+compiles one for the engines.
 
 Traces are deliberately simple (two parallel lists) so that trace
 compilation can iterate them with minimal overhead, while still offering
-convenience helpers (footprints, slicing, concatenation, repetition) for the
-workload generators and the tests.
+footprint helpers for the workload generators and the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-__all__ = ["AccessKind", "MemoryAccess", "Trace"]
+__all__ = ["AccessKind", "Trace"]
 
 
 class AccessKind(IntEnum):
@@ -27,22 +25,6 @@ class AccessKind(IntEnum):
     FETCH = 0
     LOAD = 1
     STORE = 2
-
-
-@dataclass(frozen=True)
-class MemoryAccess:
-    """One memory access: an :class:`AccessKind` plus a byte address."""
-
-    kind: AccessKind
-    address: int
-
-    @property
-    def is_instruction(self) -> bool:
-        return self.kind == AccessKind.FETCH
-
-    @property
-    def is_store(self) -> bool:
-        return self.kind == AccessKind.STORE
 
 
 class Trace:
@@ -65,14 +47,6 @@ class Trace:
 
     # ----------------------------------------------------------- construction
 
-    @classmethod
-    def from_accesses(cls, accesses: Iterable[MemoryAccess], name: str = "trace") -> "Trace":
-        """Build a trace from an iterable of :class:`MemoryAccess`."""
-        trace = cls(name=name)
-        for access in accesses:
-            trace.append(access.kind, access.address)
-        return trace
-
     def append(self, kind: AccessKind | int, address: int) -> None:
         """Append one access."""
         self.kinds.append(int(kind))
@@ -90,32 +64,10 @@ class Trace:
         """Append a data store."""
         self.append(AccessKind.STORE, address)
 
-    def extend(self, other: "Trace") -> None:
-        """Append all accesses of ``other`` to this trace."""
-        self.kinds.extend(other.kinds)
-        self.addresses.extend(other.addresses)
-
-    def repeated(self, times: int, name: str | None = None) -> "Trace":
-        """Return a new trace that repeats this one ``times`` times."""
-        if times < 0:
-            raise ValueError(f"times must be non-negative, got {times}")
-        return Trace(
-            self.kinds * times,
-            self.addresses * times,
-            name=name or f"{self.name}x{times}",
-        )
-
     # ---------------------------------------------------------------- queries
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __iter__(self) -> Iterator[MemoryAccess]:
-        for kind, address in zip(self.kinds, self.addresses):
-            yield MemoryAccess(AccessKind(kind), address)
-
-    def __getitem__(self, index: int) -> MemoryAccess:
-        return MemoryAccess(AccessKind(self.kinds[index]), self.addresses[index])
 
     def counts(self) -> Dict[str, int]:
         """Number of fetches, loads and stores in the trace."""
@@ -146,17 +98,6 @@ class Trace:
             else:
                 data_lines.add(line)
         return sorted(instruction_lines), sorted(data_lines)
-
-    def summary(self) -> Dict[str, object]:
-        """Human-readable summary used by reports and examples."""
-        counts = self.counts()
-        return {
-            "name": self.name,
-            "accesses": len(self),
-            **counts,
-            "code_footprint_bytes": len(self.split_by_kind()[0]) * 32,
-            "data_footprint_bytes": len(self.split_by_kind()[1]) * 32,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Trace(name={self.name!r}, accesses={len(self)})"

@@ -213,7 +213,9 @@ def execute_scenario_sharded(
             queue.enqueue(shard_task(scenario, shard, scenario.engine))
         workers = min(workers, len(missing))
         if workers <= 1:
-            stats = [run_worker(queue.root, store.root, lease_ttl=lease_ttl)]
+            stats = [
+                run_worker(queue.root, store.root, lease_ttl=lease_ttl, spec_hash=spec_hash)
+            ]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
@@ -222,6 +224,7 @@ def execute_scenario_sharded(
                         str(queue.root),
                         str(store.root),
                         lease_ttl=lease_ttl,
+                        spec_hash=spec_hash,
                     )
                     for _ in range(workers)
                 ]
@@ -295,7 +298,7 @@ def _await_foreign_shards(
                 waiting = True
         if claimable:
             report.executed += run_worker(
-                queue.root, store.root, lease_ttl=lease_ttl
+                queue.root, store.root, lease_ttl=lease_ttl, spec_hash=spec_hash
             ).shards_done
         elif waiting:
             time.sleep(poll)

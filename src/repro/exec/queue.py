@@ -127,11 +127,13 @@ class FileQueue:
         os.replace(temporary, path)
         return path
 
-    def tasks(self) -> List[Path]:
-        """Pending task files, sorted (deterministic claim order)."""
+    def tasks(self, spec_hash: Optional[str] = None) -> List[Path]:
+        """Pending task files, sorted (deterministic claim order); only
+        ``spec_hash``'s campaign when given."""
         if not self.task_root.is_dir():
             return []
-        return sorted(self.task_root.glob("*.json"))
+        pattern = f"{spec_hash}.*.json" if spec_hash else "*.json"
+        return sorted(self.task_root.glob(pattern))
 
     def read_task(self, path: Path) -> Optional[Dict[str, object]]:
         """The task payload, or ``None`` for vanished/corrupt files."""

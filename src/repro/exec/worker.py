@@ -34,8 +34,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..analysis.campaign import run_layout_campaign
 from ..cache.fastsim import CompiledTrace, FastRunResult
+from ..cache.trace import Trace
 from ..core.prng import derive_run_seeds
-from ..cpu.trace import Trace
 from ..engine import EngineSimulator, get_engine
 from ..study.scenario import SPEC_VERSION, Scenario, WorkloadSpec, scenario_from_spec
 from ..study.store import ResultStore
@@ -204,6 +204,7 @@ def run_worker(
     lease_ttl: float = DEFAULT_LEASE_TTL,
     max_shards: Optional[int] = None,
     throttle: Optional[float] = None,
+    spec_hash: Optional[str] = None,
 ) -> WorkerStats:
     """Drain claimable shards from a queue; returns this worker's stats.
 
@@ -211,7 +212,13 @@ def run_worker(
     remaining shard is leased by a live owner) or after ``max_shards``
     executed shards.  Tasks whose shard entry already exists in the store
     are retired without re-execution, so a resumed queue converges even
-    when several workers race over it.
+    when several workers race over it.  ``spec_hash`` limits the drain to
+    that campaign's tasks (a coordinator drains only its own).
+
+    A shard that raises retires every queued task of its campaign before
+    the error propagates, so a failing campaign cannot fail later drains;
+    a rerun re-plans it and enqueues whatever is missing.  Interrupts
+    (``KeyboardInterrupt``, a kill) leave the tasks for a resume.
     """
     queue = FileQueue(queue_dir)
     store = ResultStore(store_dir)
@@ -224,12 +231,12 @@ def run_worker(
     try:
         while max_shards is None or stats.shards_done < max_shards:
             claimed = False
-            for task_path in queue.tasks():
+            for task_path in queue.tasks(spec_hash):
                 task = queue.read_task(task_path)
                 if task is None:
                     continue
-                spec_hash, key = str(task["spec_hash"]), str(task["key"])
-                if store.load_shard(spec_hash, key) is not None:
+                task_hash, key = str(task["spec_hash"]), str(task["key"])
+                if store.load_shard(task_hash, key) is not None:
                     # Published by another worker (or a previous life of
                     # this queue); just retire the task.
                     queue.complete(task_path, owner)
@@ -237,7 +244,7 @@ def run_worker(
                     continue
                 if not queue.try_claim(task_path, owner, ttl=lease_ttl):
                     continue
-                if store.load_shard(spec_hash, key) is not None:
+                if store.load_shard(task_hash, key) is not None:
                     # Published and released between the check above and
                     # this claim (two drains over one queue).
                     queue.complete(task_path, owner)
@@ -248,8 +255,13 @@ def run_worker(
                 telemetry.claimed(engine=str(task["engine"]))
                 if throttle > 0:
                     time.sleep(throttle)
-                payload = runner.execute(task)
-                store.save_shard(spec_hash, key, payload)
+                try:
+                    payload = runner.execute(task)
+                except Exception:
+                    for sibling in queue.tasks(task_hash):
+                        queue.complete(sibling, owner)
+                    raise
+                store.save_shard(task_hash, key, payload)
                 queue.complete(task_path, owner)
                 stats.shards_done += 1
                 stats.runs_done += int(task["count"])

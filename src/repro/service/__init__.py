@@ -34,11 +34,4 @@ from __future__ import annotations
 
 from .client import DEFAULT_URL, ServiceClient, ServiceError
 
-__all__ = ["DEFAULT_URL", "ServiceClient", "ServiceError", "get_server_class"]
-
-
-def get_server_class():
-    """Late import of :class:`ReproServer` (keeps client-only imports light)."""
-    from .api.server import ReproServer
-
-    return ReproServer
+__all__ = ["DEFAULT_URL", "ServiceClient", "ServiceError"]

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from ..cache.hierarchy import HierarchyConfig
-from ..cpu.trace import Trace
+from ..cache.trace import Trace
 from ..engine import DEFAULT_ENGINE
 from ..pwcet.protocol import MbptaConfig
 from ..platform.leon3 import Leon3Parameters, leon3_hierarchy, platform_setup
@@ -92,7 +92,8 @@ class WorkloadSpec:
         if self.kind == "eembc":
             if not self.name:
                 raise ValueError("eembc workload needs a benchmark name")
-            eembc_spec(self.name)  # unknown kernels fail here, not in a worker
+            # Unknown kernels and unusable scales fail here, not in a worker.
+            eembc_spec(self.name).scaled(self.scale)
         elif self.kind == "synthetic":
             if self.footprint_bytes <= 0 or self.iterations <= 0:
                 raise ValueError(

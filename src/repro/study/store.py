@@ -349,26 +349,37 @@ class ResultStore:
         ``studies.log`` is the append-only record the run table uses to
         label rows with the study they belong to; pairs already present
         are not rewritten, so repeated warm runs leave the log untouched.
+        The batch is one ``os.write`` of whole lines, preceded by a newline
+        when the log ends in a torn line (a kill or ENOSPC mid-append), so
+        a torn line never fuses with the pairs appended after it.
         """
         wanted = {(study, spec_hash) for spec_hash in spec_hashes}
         if not wanted:
             return
-        existing: Set[Tuple[str, str]] = set()
         try:
-            for line in self.study_log_path.read_text().splitlines():
-                name, _, spec_hash = line.rpartition(" ")
-                if name and spec_hash:
-                    existing.add((name, spec_hash))
+            text = self.study_log_path.read_text()
         except OSError:
-            pass
+            text = ""
+        existing: Set[Tuple[str, str]] = set()
+        for line in text.splitlines():
+            name, _, spec_hash = line.rpartition(" ")
+            if name and spec_hash:
+                existing.add((name, spec_hash))
         fresh = sorted(wanted - existing)
         if not fresh:
             return
+        batch = "".join(f"{name} {spec_hash}\n" for name, spec_hash in fresh)
+        if text and not text.endswith("\n"):
+            batch = "\n" + batch
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            with open(self.study_log_path, "a") as handle:
-                for name, spec_hash in fresh:
-                    handle.write(f"{name} {spec_hash}\n")
+            descriptor = os.open(
+                self.study_log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666
+            )
+            try:
+                os.write(descriptor, batch.encode())
+            finally:
+                os.close(descriptor)
         except OSError:
             pass  # provenance is advisory; never fail a run over it
 

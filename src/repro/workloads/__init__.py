@@ -15,13 +15,6 @@ from .eembc import (
     eembc_spec,
     eembc_trace,
 )
-from .programs import (
-    matrix_multiply_program,
-    pointer_chase_memory,
-    pointer_chase_program,
-    table_lookup_program,
-    vector_traversal_program,
-)
 from .synthetic import (
     SYNTHETIC_FOOTPRINTS,
     synthetic_footprint_trace,
@@ -29,11 +22,6 @@ from .synthetic import (
 )
 
 __all__ = [
-    "matrix_multiply_program",
-    "pointer_chase_memory",
-    "pointer_chase_program",
-    "table_lookup_program",
-    "vector_traversal_program",
     "ACCESS_PATTERNS",
     "KernelSpec",
     "MemoryLayout",

@@ -6,7 +6,7 @@ proprietary, so this package provides *synthetic stand-ins* that reproduce
 the characteristics that matter for cache-placement experiments: the code
 footprint, the data structures (look-up tables, state records, buffers), the
 access pattern over them and the loop structure.  Each stand-in produces a
-memory-access :class:`~repro.cpu.trace.Trace`.
+memory-access :class:`~repro.cache.trace.Trace`.
 
 A :class:`MemoryLayout` pins the base addresses of the code and data
 segments.  Randomised cache designs are insensitive to it by construction
@@ -17,16 +17,18 @@ industrial high-water-mark practice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..cache.trace import AccessKind, Trace
 from ..core.prng import SplitMix64
-from ..cpu.trace import AccessKind, Trace
 
 __all__ = [
     "MemoryLayout",
     "KernelSpec",
     "build_kernel_trace",
+    "check_scale",
     "random_layouts",
     "relocate_trace",
     "ACCESS_PATTERNS",
@@ -188,9 +190,15 @@ class KernelSpec:
 
     def scaled(self, scale: float) -> "KernelSpec":
         """Return a copy with the iteration count scaled by ``scale``."""
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        check_scale(scale)
         return replace(self, iterations=max(1, round(self.iterations * scale)))
+
+
+def check_scale(scale: float) -> None:
+    """Raise ``ValueError`` unless ``scale`` is a usable iteration scale:
+    finite and > 0 (NaN, infinity and non-positive values are not)."""
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be a finite number > 0, got {scale}")
 
 
 def _table_index_sequence(

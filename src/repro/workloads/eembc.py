@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..cpu.trace import Trace
+from ..cache.trace import Trace
 from .base import KernelSpec, MemoryLayout, build_kernel_trace
 
 __all__ = [

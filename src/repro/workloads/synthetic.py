@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..cpu.trace import Trace
+from ..cache.trace import Trace
 from .base import MemoryLayout
 
 __all__ = [

@@ -6,8 +6,8 @@ import pytest
 
 from repro.cache.cache import CacheConfig
 from repro.cache.hierarchy import HierarchyConfig, MemoryTimings
+from repro.cache.trace import Trace
 from repro.core.placement import PlacementGeometry
-from repro.cpu.trace import Trace
 from repro.workloads.base import KernelSpec, build_kernel_trace
 
 

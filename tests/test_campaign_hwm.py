@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.campaign import CampaignResult, run_campaign, run_layout_campaign
 from repro.analysis.hwm import HwmBound, high_water_mark, industrial_bound
 from repro.cache.fastsim import CompiledTrace
-from repro.cpu.trace import Trace
+from repro.cache.trace import Trace
 from repro.engine import DEFAULT_ENGINE, get_engine, numpy_engine
 from repro.platform.leon3 import Leon3Parameters, platform_setup
 from repro.workloads.base import MemoryLayout, random_layouts, relocate_trace

@@ -55,6 +55,15 @@ class TestRun:
         ) == 0
         assert "placement x replacement" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("scale", ["0", "nan"])
+    def test_study_run_rejects_unusable_scale(self, tmp_path, capsys, scale):
+        argv = study_run(tmp_path, "fig4a", "--runs", "24", "--scale", scale)
+        assert main(argv) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: --scale must be a finite number > 0")
+        assert error.count("\n") == 1
+        assert not (tmp_path / "store").exists()
+
 
 class TestEngineSelection:
     def test_engine_choices_come_from_registry(self):

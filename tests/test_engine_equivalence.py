@@ -15,7 +15,7 @@ from repro.analysis.campaign import run_campaign, run_layout_campaign
 from repro.cache.cache import CacheConfig
 from repro.cache.fastsim import CompiledTrace
 from repro.cache.hierarchy import HierarchyConfig, MemoryTimings
-from repro.cpu.trace import Trace
+from repro.cache.trace import Trace
 from repro.engine import DEFAULT_ENGINE, available_engines, get_engine
 from repro.platform.leon3 import Leon3Parameters, leon3_hierarchy
 from repro.study import HierarchySpec, ResultStore, Scenario, WorkloadSpec, execute_scenarios

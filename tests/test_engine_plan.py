@@ -13,7 +13,7 @@ import pytest
 from repro.cache.cache import CacheConfig
 from repro.cache.fastsim import CompiledTrace
 from repro.cache.hierarchy import HierarchyConfig, MemoryTimings
-from repro.cpu.trace import Trace
+from repro.cache.trace import Trace
 from repro.engine.plan import compile_plan
 
 

@@ -749,6 +749,59 @@ class TestOverlappingDrains:
 
 
 # ---------------------------------------------------------------------------
+# A failing campaign does not fail the drains after it
+# ---------------------------------------------------------------------------
+
+class TestFailingCampaign:
+    """A shard that raises retires its campaign's queued tasks, and a
+    coordinator drains only its own campaign's tasks."""
+
+    @staticmethod
+    def _fail_campaign(scenario, monkeypatch):
+        """Make every shard of ``scenario`` raise in ShardRunner.execute."""
+        original = ShardRunner.execute
+
+        def failing(runner, task):
+            if task["spec_hash"] == scenario.spec_hash():
+                raise ValueError("shard failed")
+            return original(runner, task)
+
+        monkeypatch.setattr(ShardRunner, "execute", failing)
+
+    @staticmethod
+    def _assert_matches_serial(campaign, scenario):
+        serial = _serial(scenario)
+        assert campaign.execution_times == serial.execution_times
+        assert campaign.miss_summary == serial.miss_summary
+
+    def test_failed_campaign_leaves_nothing_for_the_next_drain(
+        self, tmp_path, monkeypatch
+    ):
+        failed, good = _scenario(master_seed=1), _scenario(master_seed=2)
+        store = ResultStore(tmp_path / "store")
+        queue = FileQueue(store.queue_root)
+        self._fail_campaign(failed, monkeypatch)
+        with pytest.raises(ValueError, match="shard failed"):
+            execute_scenario_sharded(failed, store, shard_size=3)
+        campaign, from_store, _ = execute_scenario_sharded(good, store, shard_size=3)
+        assert not from_store
+        self._assert_matches_serial(campaign, good)
+        assert queue.pending() == 0
+        assert list(queue.lease_root.glob("*.lease")) == []
+
+    def test_drain_leaves_another_campaigns_tasks_queued(self, tmp_path, monkeypatch):
+        pending, good = _scenario(master_seed=1), _scenario(master_seed=2)
+        store = ResultStore(tmp_path / "store")
+        shards, queue = _enqueue_all(pending, store, shard_size=3)
+        self._fail_campaign(pending, monkeypatch)
+        campaign, _, _ = execute_scenario_sharded(good, store, shard_size=3)
+        self._assert_matches_serial(campaign, good)
+        assert queue.tasks() == [
+            queue.task_path(pending.spec_hash(), shard.key) for shard in shards
+        ]
+
+
+# ---------------------------------------------------------------------------
 # Runner/CLI integration details
 # ---------------------------------------------------------------------------
 

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from repro.analysis.campaign import run_campaign
 from repro.cache.cache import CacheConfig
-from repro.cache.fastsim import CompiledTrace
-from repro.cache.hierarchy import HierarchyConfig, MemoryTimings
-from repro.cpu.trace import AccessKind, Trace
+from repro.cache.fastsim import CompiledTrace, FastRunResult
+from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig, MemoryTimings
+from repro.cache.trace import AccessKind, Trace
 from repro.engine import DEFAULT_ENGINE, get_engine
 from repro.platform.leon3 import platform_setup
 from repro.workloads.eembc import eembc_trace
@@ -42,6 +42,29 @@ def default_simulator(config, trace, engine=DEFAULT_ENGINE):
 
 def reference_simulator(config, trace):
     return default_simulator(config, trace, engine="reference")
+
+
+def hierarchy_replay(config, trace, seed):
+    """Drive the reference hierarchy with the trace's raw byte addresses."""
+    hierarchy = CacheHierarchy(config, seed=seed)
+    replay = {
+        AccessKind.FETCH: hierarchy.fetch,
+        AccessKind.LOAD: hierarchy.load,
+        AccessKind.STORE: hierarchy.store,
+    }
+    for kind, address in zip(trace.kinds, trace.addresses):
+        replay[kind](address)
+    il1, dl1, l2 = (hierarchy.stats()[level] for level in ("il1", "dl1", "l2"))
+    return FastRunResult(
+        cycles=hierarchy.cycles,
+        memory_accesses=hierarchy.memory_accesses,
+        il1_accesses=il1["accesses"],
+        il1_misses=il1["misses"],
+        dl1_accesses=dl1["accesses"],
+        dl1_misses=dl1["misses"],
+        l2_accesses=l2["accesses"],
+        l2_misses=l2["misses"],
+    )
 
 
 def random_trace(draw_addresses, kinds):
@@ -104,24 +127,46 @@ class TestAgainstReference:
 
     @given(
         seed=st.integers(0, 2**32 - 1),
+        placement=st.sampled_from(["modulo", "xor", "hrp", "rm"]),
         accesses=st.lists(
             st.tuples(
                 st.sampled_from([0, 1, 2]),
                 st.integers(0, 63),
+                st.integers(0, 31),
             ),
             min_size=10,
             max_size=200,
         ),
     )
-    @settings(max_examples=25, deadline=None)
-    def test_random_traces_match_property(self, seed, accesses):
+    @settings(max_examples=40, deadline=None)
+    def test_random_traces_match_property(self, seed, placement, accesses):
+        # Both engines replay line-aligned addresses; the hierarchy driven
+        # with the raw byte addresses is the ground truth they reproduce.
         trace = Trace(name="hypothesis")
-        for kind, line in accesses:
-            trace.append(kind, 0x40000000 + line * 32)
-        config = tiny_config()
-        assert default_simulator(config, trace).run(seed) == reference_simulator(
-            config, trace
-        ).run(seed)
+        for kind, line, offset in accesses:
+            trace.append(kind, 0x40000000 + line * 32 + offset)
+        config = tiny_config(l1_placement=placement)
+        expected = hierarchy_replay(config, trace, seed)
+        assert default_simulator(config, trace).run(seed) == expected
+        assert reference_simulator(config, trace).run(seed) == expected
+
+    def test_raw_address_loop_replays_to_hierarchy_cycles(self):
+        # A strided load loop: setup code, 64 iterations of a four-instruction
+        # body whose first instruction loads the next 32-byte line, then halt.
+        code, data = 0x40000000, 0x40100000
+        trace = Trace(name="strided-loop")
+        trace.fetch(code)
+        trace.fetch(code + 4)
+        for iteration in range(64):
+            trace.fetch(code + 8)
+            trace.load(data + iteration * 32)
+            for offset in (12, 16, 20):
+                trace.fetch(code + offset)
+        trace.fetch(code + 24)
+        config = platform_setup("rm")
+        expected = hierarchy_replay(config, trace, 77)
+        assert default_simulator(config, trace).run(77) == expected
+        assert reference_simulator(config, trace).run(77) == expected
 
 
 class TestFastEngineBehaviour:

@@ -83,7 +83,6 @@ class TestExamples:
             ("eembc_pwcet_campaign.py", ["40"]),
             ("synthetic_footprints.py", ["30"]),
             ("hardware_costs.py", []),
-            ("isa_program_demo.py", ["40"]),
         ],
     )
     def test_example_runs(self, script, argv, capsys, monkeypatch):

@@ -125,6 +125,19 @@ class TestBuild:
         populate(store)
         assert build_run_table(store).probabilities() == ["1e-12", "1e-15"]
 
+    def test_torn_study_log_line_does_not_fuse_with_the_next_append(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        first, second = "a" * 64, "b" * 64
+        store.record_study("fig5", [first])
+        with open(store.study_log_path, "a") as handle:
+            handle.write("fig5 " + "c" * 20)  # a kill mid-append: no newline
+        store.record_study("fig4a", [second])
+        assert store.study_index()[second] == ["fig4a"]
+        assert store.study_index()[first] == ["fig5"]
+        logged = store.study_log_path.read_bytes()
+        store.record_study("fig4a", [second])
+        assert store.study_log_path.read_bytes() == logged
+
     def test_new_analysis_appears_in_the_next_build(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         hashes = populate(store)

@@ -315,6 +315,17 @@ class TestJobLifecycle:
             assert excinfo.value.status == 400
             assert message in excinfo.value.message
 
+    def test_unusable_scale_is_a_400(self, tmp_path, start_server):
+        # Rejected at submission, not by a worker's trace build.
+        _, client = start_server(ResultStore(tmp_path / "store"))
+        for scale in (0, -1, "nan", "inf"):
+            spec = _spec(_scenario(runs=8))
+            spec["workload"] = {"kind": "eembc", "name": "a2time", "scale": scale}
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit({"spec": spec})
+            assert excinfo.value.status == 400, scale
+            assert "scale must be a finite number > 0" in excinfo.value.message
+
     def test_unknown_job_and_route_are_404(self, tmp_path, start_server):
         _, client = start_server(ResultStore(tmp_path / "store"))
         with pytest.raises(ServiceError) as excinfo:

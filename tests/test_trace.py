@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cpu.trace import AccessKind, MemoryAccess, Trace
+from repro.cache.trace import Trace
 
 
 class TestConstruction:
@@ -18,48 +18,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Trace(kinds=[0, 1], addresses=[0])
 
-    def test_from_accesses(self):
-        accesses = [
-            MemoryAccess(AccessKind.FETCH, 0x0),
-            MemoryAccess(AccessKind.STORE, 0x40),
-        ]
-        trace = Trace.from_accesses(accesses, name="built")
-        assert trace.name == "built"
-        assert trace[1].is_store
-
     def test_addresses_are_masked_to_32_bits(self):
         trace = Trace()
         trace.load(0x1_0000_0040)
         assert trace.addresses[0] == 0x40
-
-    def test_iteration_yields_memory_accesses(self):
-        trace = Trace()
-        trace.fetch(0x10)
-        access = next(iter(trace))
-        assert access.is_instruction
-        assert access.address == 0x10
-
-
-class TestCombinators:
-    def test_extend(self):
-        a = Trace()
-        a.fetch(0x0)
-        b = Trace()
-        b.load(0x20)
-        a.extend(b)
-        assert len(a) == 2
-
-    def test_repeated(self):
-        trace = Trace()
-        trace.fetch(0x0)
-        trace.load(0x40)
-        repeated = trace.repeated(3)
-        assert len(repeated) == 6
-        assert repeated.addresses == [0x0, 0x40] * 3
-
-    def test_repeated_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Trace().repeated(-1)
 
 
 class TestFootprints:
@@ -83,13 +45,3 @@ class TestFootprints:
         code, data = trace.split_by_kind(32)
         assert code == [0x0]
         assert data == [0x1000, 0x1020]
-
-    def test_summary_fields(self):
-        trace = Trace(name="demo")
-        trace.fetch(0x0)
-        trace.load(0x1000)
-        summary = trace.summary()
-        assert summary["name"] == "demo"
-        assert summary["accesses"] == 2
-        assert summary["code_footprint_bytes"] == 32
-        assert summary["data_footprint_bytes"] == 32
