@@ -4,17 +4,19 @@ Runs the same ``run_all``-class workload — a 300-run MBPTA campaign of one
 EEMBC stand-in on the Random Modulo platform — through
 ``execute_scenarios`` at several ``jobs`` settings, each on a fresh result
 store.  ``jobs=1`` drains the campaign inline as one engine batch; any
-other value sends it through the store's work queue as shards of at most
-32 runs, drained by that many worker processes.  Every campaign is checked
-bit-exact against the ``jobs=1`` one, and the script exits non-zero on a
-divergence.
+other value sends it through the store's work queue as equal shards of at
+most 256 runs, none wider than an even split over the workers, drained by
+that many worker processes.  Every campaign is checked bit-exact against
+the ``jobs=1`` one, and the script exits non-zero on a divergence.
 
-On a 2-CPU container ``jobs=2`` is *slower* than ``jobs=1``: the numpy
-engine amortises its per-batch setup over all lanes of a batch, and
-shards of at most 32 runs give most of that back (``study run fig5
---runs 1000`` on a fresh store took 3.0 s with ``--jobs 1`` and 13.1 s
-with ``--jobs 2``, 64 shards).  Worker processes pay off for engines
-without batch amortisation, or for external workers on other hosts.
+Each shard is one engine batch, and a numpy batch pays a fixed cost per
+plan step whatever its width, so whether workers pay off depends on the
+campaign.  On a 2-CPU container (Python 3.11, numpy 2.4.6) this script's
+``a2time`` campaign took 0.20 s inline and 0.13 s at ``jobs=2`` (300
+runs; 0.33 s and 0.21 s at 1,000 runs), but ``study run fig5 --runs
+1000`` on a fresh store, whose batches cost more per plan step, took
+2.4 s with ``--jobs 1`` and 2.9 s with ``--jobs 2`` (8 shards of 250
+runs; 14.6 s when shards were capped at 32 runs).
 
 Usage::
 

@@ -26,10 +26,12 @@ Crash-resume falls out of the content addressing: a killed campaign leaves
 its published shards in the store and its unfinished tasks (plus at most
 one stale lease per dead worker) in the queue.  Re-planning is
 deterministic and a published shard is exact, so a rerun reuses every
-published shard and only executes the missing ones.  Two drains of one
-spec — overlapping server jobs, or ``study run`` beside the server — share
-its shards the same way, and a drain that finds the campaign already
-recorded by the other returns that entry instead of simulating it again.
+published shard and only executes the missing ones; a rerun under another
+shard size retires the old plan's tasks instead of executing them.  Two
+drains of one spec — overlapping server jobs, or ``study run`` beside the
+server — share its shards the same way, and a drain that finds the
+campaign already recorded by the other returns that entry instead of
+simulating it again.
 """
 
 from __future__ import annotations
@@ -207,8 +209,9 @@ def execute_scenario_sharded(
         shard for shard in shards if store.load_shard(spec_hash, shard.key) is None
     ]
     report = ShardReport(planned=len(shards), reused=len(shards) - len(missing))
+    queue = FileQueue(store.queue_root)
+    _retire_off_plan_tasks(queue, shards)
     if missing:
-        queue = FileQueue(store.queue_root)
         for shard in missing:
             queue.enqueue(shard_task(scenario, shard, scenario.engine))
         workers = min(workers, len(missing))
@@ -245,6 +248,25 @@ def execute_scenario_sharded(
             raise
         return campaign, True, report
     return campaign, False, report
+
+
+def _retire_off_plan_tasks(queue: FileQueue, shards: Sequence[Shard]) -> None:
+    """Retire the campaign's queued tasks that ``shards`` does not plan.
+
+    A killed run under another shard size leaves tasks this plan cannot
+    use, and the worker loop drains every task of the spec hash; without
+    this, a resume would simulate those lanes twice.  A task leased by a
+    live owner is left to it.
+    """
+    spec_hash = shards[0].spec_hash
+    planned = {queue.task_path(spec_hash, shard.key) for shard in shards}
+    for task_path in queue.tasks(spec_hash):
+        if task_path in planned:
+            continue
+        lease = queue.lease_for(task_path)
+        if lease is None or not lease.active():
+            # Retire as the dead owner, so its stale lease goes too.
+            queue.complete(task_path, lease.owner if lease else "")
 
 
 def _await_foreign_shards(

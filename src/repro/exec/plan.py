@@ -32,10 +32,13 @@ __all__ = [
     "shard_key",
 ]
 
-#: Upper bound on the number of runs per shard.  Shards larger than this
-#: stop helping (per-run simulation dominates) while hurting load balance
-#: and crash-resume granularity at the end of a campaign.
-DEFAULT_SHARD_SIZE = 32
+#: Widest default shard, in lanes.  A numpy batch pays a fixed cost per
+#: plan step whatever its width: a fig5 batch took 0.31 s at 32 lanes and
+#: 0.38 s at 256, so 32-lane shards made a 1,000-run campaign 6.6x dearer.
+#: Wider batches gain little more time but memory grows with the width:
+#: 1,000-lane shards doubled the server's peak RSS (172 MB against 86 MB;
+#: EXPERIMENTS.md).  Re-measure that RSS before raising the cap.
+DEFAULT_SHARD_SIZE = 256
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -56,12 +59,15 @@ def resolve_shard_size(
 ) -> int:
     """Normalise a shard-size request for ``total`` work units.
 
-    When ``shard_size`` is not given, work is split into about four shards
-    per worker (capped at :data:`DEFAULT_SHARD_SIZE`) so that stragglers
-    can be balanced without drowning the pool in tiny tasks.
+    An explicit ``shard_size`` is taken literally.  Otherwise the lanes are
+    split into equal-width shards of ``ceil(total / count)`` lanes, with
+    ``count = max(jobs, ceil(total / DEFAULT_SHARD_SIZE))``: no shard is
+    wider than :data:`DEFAULT_SHARD_SIZE`, nor than an even split of the
+    lanes over the workers.
     """
     if shard_size is None:
-        shard_size = max(1, min(DEFAULT_SHARD_SIZE, -(-total // (jobs * 4))))
+        count = max(jobs, -(-total // DEFAULT_SHARD_SIZE))
+        shard_size = max(1, -(-total // count))
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
     return shard_size

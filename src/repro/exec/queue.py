@@ -11,7 +11,7 @@ launched ``python -m repro worker`` processes alike:
 * ``leases/<spec_hash>.<key>.lease`` — an atomically created claim marker
   holding the owner id, host, pid and an expiry deadline.  A shard is
   claimable when it has no lease, the lease has expired, or the owning
-  process is provably dead (same host, pid gone).
+  process is provably dead (same host, pid gone or a zombie).
 * ``workers/<owner>.json`` — per-worker heartbeat telemetry
   (:mod:`repro.exec.telemetry`).
 
@@ -40,6 +40,7 @@ __all__ = [
     "Lease",
     "FileQueue",
     "default_owner_id",
+    "process_alive",
 ]
 
 #: How long a claimed-but-unfinished shard stays off-limits to other
@@ -51,6 +52,31 @@ DEFAULT_LEASE_TTL = 300.0
 def default_owner_id() -> str:
     """A unique worker identity: ``<host>-<pid>-<nonce>``."""
     return f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+
+
+def process_alive(host: str, pid: int) -> bool:
+    """Best-effort liveness of a worker process; only same-host ones can be
+    probed, so a remote one is assumed alive.
+
+    A same-host pid is dead once it is gone, or while it is a zombie: a
+    killed worker whose parent died too stays one until init reaps it,
+    seconds later or, under an init that never reaps, for good.  Zombies
+    are read from Linux's ``/proc``; elsewhere only a gone pid is dead.
+    """
+    if host != socket.gethostname():
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            # The state field follows the parenthesised command name.
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except (OSError, IndexError):
+        return True
 
 
 @dataclass
@@ -69,18 +95,11 @@ class Lease:
         """Best-effort liveness: only probeable for same-host owners.
 
         Remote owners are assumed alive until their lease expires (there is
-        no cross-host signal); a same-host owner whose pid is gone is dead,
-        so its lease is reclaimable without waiting out the TTL.
+        no cross-host signal); a same-host owner that is dead
+        (:func:`process_alive`) leaves a lease that is reclaimable without
+        waiting out the TTL.
         """
-        if self.host != socket.gethostname():
-            return True
-        try:
-            os.kill(self.pid, 0)
-        except ProcessLookupError:
-            return False
-        except PermissionError:
-            return True
-        return True
+        return process_alive(self.host, self.pid)
 
     def active(self, now: Optional[float] = None) -> bool:
         """True while the lease must be respected by other workers."""

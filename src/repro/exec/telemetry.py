@@ -25,7 +25,7 @@ import uuid
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .queue import FileQueue
+from .queue import FileQueue, process_alive
 
 __all__ = [
     "WorkerHeartbeat",
@@ -61,17 +61,7 @@ class WorkerHeartbeat:
 
     def alive(self) -> bool:
         """Best-effort liveness (same-host pid probe; remote = unknown)."""
-        if self.finished:
-            return False
-        if self.host != socket.gethostname():
-            return True
-        try:
-            os.kill(self.pid, 0)
-        except ProcessLookupError:
-            return False
-        except PermissionError:
-            return True
-        return True
+        return not self.finished and process_alive(self.host, self.pid)
 
     def as_dict(self) -> Dict[str, object]:
         return {

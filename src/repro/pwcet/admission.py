@@ -175,9 +175,11 @@ def wald_wolfowitz_batch(
 
 def _normal_two_sided_critical(significance: float) -> float:
     """Two-sided standard-normal critical value (1.96 for 5 %)."""
-    from scipy import stats
+    # Imported on first use: statistics loads decimal and fractions, which
+    # commands that run no admission test need not pay for.
+    from statistics import NormalDist
 
-    return float(stats.norm.ppf(1.0 - significance / 2.0))
+    return NormalDist().inv_cdf(1.0 - significance / 2.0)
 
 
 def _as_sample_matrix(matrix: np.ndarray) -> np.ndarray:

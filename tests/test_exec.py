@@ -12,6 +12,7 @@ import gc
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -27,9 +28,11 @@ import repro
 from repro.analysis.campaign import run_campaign, run_layout_campaign
 from repro.engine import DEFAULT_ENGINE, NumpyEngine, available_engines
 from repro.exec import executor as executor_module
+from repro.exec import plan as plan_module
 from repro.exec import (
     DEFAULT_SHARD_SIZE,
     FileQueue,
+    Lease,
     Shard,
     ShardRunner,
     execute_scenario_sharded,
@@ -43,7 +46,7 @@ from repro.exec import (
     shard_task,
 )
 from repro.exec.status import format_exec_status
-from repro.exec.telemetry import WorkerTelemetry
+from repro.exec.telemetry import WorkerHeartbeat, WorkerTelemetry
 from repro.platform.leon3 import Leon3Parameters
 from repro.study.runner import execute_scenarios
 from repro.study.scenario import (
@@ -128,12 +131,37 @@ class TestPlan:
         with pytest.raises(ValueError, match="jobs"):
             resolve_jobs(-1)
 
-    def test_resolve_shard_size_heuristic_caps(self):
-        assert resolve_shard_size(10_000, 2) == DEFAULT_SHARD_SIZE
-        assert resolve_shard_size(4, 8) == 1
+    @pytest.mark.parametrize(
+        "runs, jobs, size",
+        [
+            (1000, 1, 250),  # a cold fig5 campaign: 4 equal shards
+            (10_000, 2, 250),
+            (300, 1, 150),
+            (24, 1, 24),  # one shard: the campaign's one engine batch
+            (1000, 8, 125),  # one shard per worker
+            (4, 8, 1),
+        ],
+    )
+    def test_resolve_shard_size_default_rule(self, runs, jobs, size):
+        assert resolve_shard_size(runs, jobs) == size
+
+    def test_resolve_shard_size_explicit_is_literal(self):
         assert resolve_shard_size(100, 2, 7) == 7
+        assert resolve_shard_size(10_000, 1, 1000) == 1000
+        assert resolve_shard_size(12, 4, 12) == 12
         with pytest.raises(ValueError, match="shard_size"):
             resolve_shard_size(10, 2, 0)
+
+    @given(runs=st.integers(1, 5000), jobs=st.integers(1, 16))
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_default_plan_property(self, runs, jobs):
+        shards = plan_shards("h", runs, resolve_shard_size(runs, jobs))
+        lanes = [lane for shard in shards for lane in range(shard.start, shard.stop)]
+        assert lanes == list(range(runs))
+        widest = max(shard.count for shard in shards)
+        assert widest <= DEFAULT_SHARD_SIZE
+        # No worker is handed more lanes than an even split would give it.
+        assert widest <= -(-runs // min(jobs, runs))
 
     def test_plan_covers_runs_exactly_once_in_order(self):
         shards = plan_shards("abc", 23, 7)
@@ -215,6 +243,27 @@ class TestFileQueue:
         lease_path.write_text(json.dumps(payload))
         assert not queue.lease_for(path).active()
         assert queue.try_claim(path, "bob")
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(), reason="zombies are read from /proc"
+    )
+    def test_unreaped_dead_pid_is_not_alive(self):
+        # A killed worker whose parent died too stays a zombie until init
+        # reaps it; meanwhile its lease and heartbeat must read as dead, or
+        # a resume leaves the lease's task queued and later executes it.
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        stat = Path(f"/proc/{child.pid}/stat")
+        try:
+            deadline = time.time() + 30
+            while stat.read_text().rpartition(")")[2].split()[0] != "Z":
+                assert time.time() < deadline, "the child never exited"
+                time.sleep(0.01)
+            host = socket.gethostname()
+            assert not Lease("killed", host, child.pid, time.time() + 3600).active()
+            assert not WorkerHeartbeat("killed", host, child.pid, 0.0, 0.0).alive()
+            assert Lease("live", host, os.getpid(), time.time() + 3600).active()
+        finally:
+            child.wait()
 
     def test_release_only_drops_own_lease(self, tmp_path):
         queue = FileQueue(tmp_path / "q")
@@ -442,15 +491,17 @@ class TestShardedExecution:
         assert "runs/s" in text
 
     @pytest.mark.parametrize("shard_size", [1, 7, None])
-    def test_shard_size_invariance(self, tmp_path, shard_size):
-        # shard_size=None exercises the planner heuristic; ISSUE requires
-        # 1, 7 and runs-sized shards to reassemble identically (runs=12
-        # with size 7 yields an uneven [7, 5] split).
+    def test_shard_size_invariance(self, tmp_path, monkeypatch, shard_size):
+        # shard_size=None exercises the planner's default rule, narrowed to
+        # 5-lane shards so that 12 runs still split ([4, 4, 4]); size 7
+        # yields an uneven [7, 5] split.
+        monkeypatch.setattr(plan_module, "DEFAULT_SHARD_SIZE", 5)
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        campaign, _, _ = execute_scenario_sharded(
+        campaign, _, report = execute_scenario_sharded(
             scenario, store, jobs=1, shard_size=shard_size
         )
+        assert report.planned > 1
         assert campaign.execution_times == _serial_times(scenario)
 
     def test_whole_campaign_shard_matches_serial(self, tmp_path):
@@ -620,6 +671,39 @@ class TestCrashResume:
         )
         assert report.executed == report.planned == len(shards)
         assert campaign.execution_times == _serial_times(scenario)
+
+    def test_resume_under_another_plan_executes_only_its_own(
+        self, tmp_path, monkeypatch
+    ):
+        # A killed 3-lane run left one published shard, a task under a dead
+        # (expired) lease, an unleased task and one a live drain holds.  A
+        # rerun at 4 lanes executes its own plan only: it retires the dead
+        # and unleased old tasks and leaves the live one to its owner.
+        scenario = _scenario()
+        spec_hash = scenario.spec_hash()
+        store = ResultStore(tmp_path / "store")
+        old, queue = _enqueue_all(scenario, store, shard_size=3)
+        assert run_worker(queue.root, store.root, max_shards=1).shards_done == 1
+        assert queue.try_claim(queue.task_path(spec_hash, old[1].key), "dead", ttl=-1.0)
+        live = queue.task_path(spec_hash, old[3].key)
+        assert queue.try_claim(live, "other-drain", ttl=600.0)
+        published = []
+        save_shard = ResultStore.save_shard
+
+        def recording(store, spec_hash, key, payload):
+            published.append(key)
+            return save_shard(store, spec_hash, key, payload)
+
+        monkeypatch.setattr(ResultStore, "save_shard", recording)
+        campaign, _, report = execute_scenario_sharded(
+            scenario, store, jobs=1, shard_size=4
+        )
+        planned = [shard.key for shard in plan_shards(spec_hash, scenario.runs, 4)]
+        assert report.executed == report.planned - report.reused == len(planned)
+        assert sorted(published) == planned
+        assert campaign.execution_times == _serial_times(scenario)
+        assert queue.tasks() == [live]
+        assert list(queue.lease_root.glob("*.lease")) == [queue.lease_path(live)]
 
     def test_study_resume_executes_only_missing_shards(self, tmp_path):
         scenario = _scenario()

@@ -56,6 +56,27 @@ class TestDeclaredDependencies:
         assert child.returncode == 0, child.stderr
         assert "Table 1" in child.stdout
 
+    def test_fig5_study_runs_without_scipy(self, tmp_path):
+        """A cold seed-campaign study imports no scipy: the admission tests'
+        critical value comes from the stdlib; only ``gumbel-mle`` needs it."""
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from repro.__main__ import main\n"
+            "sys.exit(main(['study', 'run', 'fig5', '--runs', '24', "
+            "'--store', sys.argv[1]]))\n"
+        )
+        env = dict(os.environ)
+        src_root = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "store")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        assert "pWCET estimates" in child.stdout
+        assert "simulated 2 of 2 scenarios" in child.stdout
+
 
 class TestDesignDocumentation:
     """DESIGN.md / EXPERIMENTS.md must exist and reference the experiments."""

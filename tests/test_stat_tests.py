@@ -1,11 +1,14 @@
 """Tests for the MBPTA statistical admission tests."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from repro.pwcet.admission import (
     STEPHENS_EXPONENTIAL_W2_POINTS,
+    _normal_two_sided_critical,
     exponential_tail_test,
     identical_distribution_test,
     iid_assessment,
@@ -45,6 +48,15 @@ class TestWaldWolfowitz:
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
             wald_wolfowitz_test([1.0] * 5)
+
+    @pytest.mark.parametrize("significance", [0.01, 0.05, 0.1])
+    def test_critical_value_matches_scipy(self, significance):
+        # The stdlib's inverse normal CDF stands in for scipy.stats.norm.ppf.
+        # Neither is correctly rounded: at these levels they differ by 1, 2
+        # and 3 ulp (Python 3.11, scipy 1.17).
+        ours = _normal_two_sided_critical(significance)
+        theirs = float(scipy_stats.norm.ppf(1.0 - significance / 2.0))
+        assert abs(ours - theirs) <= 4 * math.ulp(theirs)
 
     def test_p_value_consistent_with_statistic(self):
         result = wald_wolfowitz_test(gumbel_sample(300, seed=3))
