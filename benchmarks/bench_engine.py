@@ -10,6 +10,7 @@ the campaign times of every other bench.
 import gc
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from repro.engine.numpy_engine import derive_seed_arrays
 from repro.platform.leon3 import platform_setup
 from repro.pwcet.evt import fit_gumbel
 from repro.pwcet.protocol import apply_mbpta
+from repro.study.scenario import WorkloadSpec
 from repro.workloads.base import random_layouts
 from repro.workloads.eembc import eembc_trace
 
@@ -36,6 +38,17 @@ REFERENCE_SEEDS = 4
 
 #: Layout counts of the layout-campaign rows (``a2time`` on ``modulo``).
 LAYOUT_RUNS = (40, 200)
+
+#: Lane counts of the batch-memory rows: the old default shard width and
+#: the engine's widest batch.
+MEMORY_LANES = (256, 1024)
+
+#: The batch-memory workloads (study, workload): fig5's 20 KB kernel and
+#: ablation_seg's 40 KB one, the widest seed campaigns of the paper's set.
+MEMORY_WORKLOADS = (
+    ("fig5", WorkloadSpec.synthetic(20 * 1024, 12)),
+    ("ablation_seg", WorkloadSpec.synthetic(40 * 1024, 8)),
+)
 
 #: Machine-readable benchmark trajectory, tracked across PRs (repo root).
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
@@ -232,6 +245,48 @@ def test_layout_campaign_lanes(capsys):
             )
             rows.append(row)
     _emit_bench_json(BENCH_JSON, {"layout_rows": rows})
+
+
+def test_batch_memory(capsys):
+    """Peak traced allocation per lane of one engine batch.
+
+    Each row builds an RM simulator, compiles its plan, then traces one
+    ``run_batch`` with :mod:`tracemalloc` (numpy reports its buffers to
+    it), so the peak is the batch state alone: placement maps, cache
+    tables, counters and results.  The rows go to BENCH_engine.json as
+    ``batch_memory``; CI holds the per-lane bar.
+    """
+    config = platform_setup("rm")
+    rows = []
+    with capsys.disabled():
+        print("\nnumpy engine, traced peak per batch (rm setup)")
+        print("study        | workload       | lanes | peak MB | KB per lane")
+        for study, workload in MEMORY_WORKLOADS:
+            compiled = CompiledTrace(workload.build_trace(), config.il1.line_size)
+            for lanes in MEMORY_LANES:
+                simulator = NumpyEngine().simulator(config, compiled)
+                simulator.plan  # compiled outside the traced batch
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    results = simulator.run_batch(range(lanes))
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert len(results) == lanes
+                row = {
+                    "study": study,
+                    "workload": workload.label,
+                    "lanes": lanes,
+                    "peak_bytes": peak,
+                    "bytes_per_lane": peak / lanes,
+                }
+                print(
+                    f"{study:12s} | {workload.label:14s} | {lanes:5d} | "
+                    f"{peak / 1e6:7.1f} | {peak / lanes / 1e3:11.1f}"
+                )
+                rows.append(row)
+    _emit_bench_json(BENCH_JSON, {"batch_memory": rows})
 
 
 @pytest.mark.parametrize("policy", ["modulo", "xor", "hrp", "rm"])

@@ -5,18 +5,20 @@ EEMBC stand-in on the Random Modulo platform — through
 ``execute_scenarios`` at several ``jobs`` settings, each on a fresh result
 store.  ``jobs=1`` drains the campaign inline as one engine batch; any
 other value sends it through the store's work queue as equal shards of at
-most 256 runs, none wider than an even split over the workers, drained by
-that many worker processes.  Every campaign is checked bit-exact against
-the ``jobs=1`` one, and the script exits non-zero on a divergence.
+most ``DEFAULT_SHARD_SIZE`` (1,024) runs, none wider than an even split
+over the workers, drained by that many worker processes.  Every campaign
+is checked bit-exact against the ``jobs=1`` one, and the script exits
+non-zero on a divergence.
 
 Each shard is one engine batch, and a numpy batch pays a fixed cost per
 plan step whatever its width, so whether workers pay off depends on the
-campaign.  On a 2-CPU container (Python 3.11, numpy 2.4.6) this script's
-``a2time`` campaign took 0.20 s inline and 0.13 s at ``jobs=2`` (300
-runs; 0.33 s and 0.21 s at 1,000 runs), but ``study run fig5 --runs
-1000`` on a fresh store, whose batches cost more per plan step, took
-2.4 s with ``--jobs 1`` and 2.9 s with ``--jobs 2`` (8 shards of 250
-runs; 14.6 s when shards were capped at 32 runs).
+campaign.  On a 2-CPU container (Python 3.11, numpy 2.4.6; medians of
+three) this script's ``a2time`` campaign took 0.16 s inline and 0.13 s at
+``jobs=2`` (300 runs; 0.22 s and 0.18 s at 1,000 runs), and ``study run
+fig5 --runs 1000`` on a fresh store, whose batches cost more per plan
+step, took 2.2 s with ``--jobs 1`` and 2.1 s with ``--jobs 2`` (two
+shards of 500 runs per campaign; 2.5 s in eight shards of 250 runs when
+shards were capped at 256 runs, 14.6 s when they were capped at 32).
 
 Usage::
 

@@ -93,6 +93,11 @@ from .analysis.report import (
     render_rows,
 )
 from .engine import available_engines, engine_capabilities
+
+# The planner's default shard width (repro.exec.plan.DEFAULT_SHARD_SIZE) is
+# one engine batch.  Read from the engine, which is loaded anyway, so that
+# parsing the command line does not import repro.exec.
+from .engine.numpy_engine import DEFAULT_MAX_LANES as DEFAULT_SHARD_SIZE
 from .pwcet import (
     MBPTA_MIN_RUNS,
     MbptaConfig,
@@ -119,10 +124,11 @@ def _add_campaign_arguments(
         default=None,
         help="worker processes per campaign (1 = inline, 0 = all CPUs; other "
         "values drain campaigns through the store's work queue, in shards "
-        "of at most 256 runs); results are bit-exact for any value. Each "
-        "shard repeats the engine's fixed per-batch cost, so more workers "
-        "can be slower: on 2 CPUs a cold 'study run fig5 --runs 1000' took "
-        "2.9 s with --jobs 2 and 2.4 s with --jobs 1",
+        f"of at most {DEFAULT_SHARD_SIZE} runs); results are bit-exact for "
+        "any value. Each shard repeats the engine's fixed per-batch cost, so "
+        "more workers gain less than their number: on 2 CPUs a cold 'study "
+        "run fig5 --runs 1000' took 2.1 s with --jobs 2 and 2.2 s with "
+        "--jobs 1",
     )
     parser.add_argument(
         "--engine",
@@ -194,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="shard_size",
         help="execute campaigns through the sharded work-queue pipeline, "
-        "N runs per shard (bit-exact with serial execution; a rerun at the "
-        "same N reuses the shards a killed run already published)",
+        "N runs per shard (bit-exact with serial execution; a rerun at any "
+        "N reuses the shards a killed run already published)",
     )
 
     study_compare = study_commands.add_parser(
@@ -296,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes per campaign for cold jobs (1 = the job "
         "thread drains the queue inline; external workers can always join). "
-        "Campaigns drain in shards of at most 256 runs, each repeating the "
-        "engine's fixed per-batch cost, so more workers can be slower (see "
-        "'study run --help')",
+        f"Campaigns drain in shards of at most {DEFAULT_SHARD_SIZE} runs, "
+        "each repeating the engine's fixed per-batch cost, so more workers "
+        "gain less than their number (see 'study run --help')",
     )
     serve.add_argument(
         "--shard-size",
@@ -306,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="shard_size",
         help="shard size for queued campaigns (default: equal shards of at "
-        "most 256 runs, none wider than an even split over the workers)",
+        f"most {DEFAULT_SHARD_SIZE} runs, none wider than an even split over "
+        "the workers)",
     )
     serve.add_argument(
         "--concurrency",

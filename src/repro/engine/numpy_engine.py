@@ -13,7 +13,7 @@ counter (ways fill in order and are never invalidated).
 
 Every batch builds the placement map of each randomized cache with one
 vectorized call (:meth:`repro.core.placement.PlacementPolicy.set_index_matrix`),
-only over the rows that cache can actually index; deterministic policies
+only over the lines that cache can actually index; deterministic policies
 share one seed-invariant map.  ``run_batch(seeds, lines=...)`` instead gives
 each lane its own table of line addresses (the layout lanes of a
 deterministic campaign): every slot then maps each lane's table under that
@@ -26,6 +26,14 @@ miss counters, same victim streams.  Elision never removes a victim draw
 (only guaranteed hits are dropped, and hits never draw), so the per-lane
 SplitMix64 victim streams are consumed in exactly the reference model's
 order.  The cross-engine equivalence tests assert all of this.
+
+The batch state is kept lean, since it grows with the lane count: each L1
+holds rows only for its own lines (fetches or data) and the L2 for every
+line, one cell table serves both way and set addressing, and the deferred
+miss counters fold into per-lane totals every :data:`FOLD_STEPS` steps.  A
+1,024-lane batch of a 40 KB trace peaks at under a third of the memory it
+took with a table per set map, set cell and way cell on every level and
+counters kept to the last step (see :class:`_PlanCache`).
 """
 
 from __future__ import annotations
@@ -50,10 +58,16 @@ except ImportError:  # pragma: no cover - older numpy
 
 __all__ = ["NumpyEngine", "DEFAULT_MAX_LANES", "derive_seed_arrays"]
 
-#: Lanes simulated per internal chunk.  Bounds the working set (state arrays
+#: Widest internal chunk, in lanes.  Bounds the working set (state arrays
 #: and per-lane placement maps grow linearly with the lane count) without
-#: changing results: lanes are independent, so chunking is invisible.
+#: changing results: lanes are independent, so chunking is invisible.  The
+#: shard planner's default width (:data:`repro.exec.plan.DEFAULT_SHARD_SIZE`)
+#: is this value, so a default shard is one engine batch.
 DEFAULT_MAX_LANES = 1024
+
+#: Plan steps between two folds of the deferred per-lane counters
+#: (:class:`_PlanCounters`).
+FOLD_STEPS = 256
 
 _U64_SPACE = 1 << 64
 
@@ -82,17 +96,36 @@ def derive_seed_arrays(seeds: Sequence[int]):
 class _PlanCache:
     """One cache level in plan-execution form: presence map + flat cells.
 
-    ``way_of[uid, lane]`` is the way holding unique line ``uid`` in ``lane``
-    (``-1`` = absent), replacing a tag gather-and-compare with one row
-    read.  All per-(lane, set, way) state lives in flat arrays
-    addressed by precomputed cell indices: ``occ_cell[uid, lane]`` is the
-    (lane, set) cell of ``uid`` and ``occ_cell * ways + way`` its way cell,
-    so the hot path gathers with one integer add instead of a 3-D
-    multi-index.  Ways fill in order and are never invalidated, so a per-set
-    occupancy counter identifies the first invalid way without scanning, and
-    ``resident[uid]`` counts the lanes currently holding ``uid`` — the
-    executor's all-lanes-hit / all-lanes-miss test is one Python integer
-    comparison, no array op at all.
+    The tables have one row per line the level can index (an L1 sees only
+    its own fetches or data lines, the L2 every line) and one column per
+    lane.  ``way_of[row, lane]`` is the way holding line ``row`` in
+    ``lane`` (``-1`` = absent), replacing a tag gather-and-compare with one
+    row read.  All per-(lane, set, way) state lives in flat arrays
+    addressed by precomputed cell indices: ``way_cell[row, lane]`` is the
+    first way cell of the line's (lane, set), so the hot path gathers a way
+    cell with one integer add instead of a 3-D multi-index, and the (lane,
+    set) cell is ``way_cell // ways`` (a shift at power-of-two ways).  Ways
+    fill in order and are never invalidated, so a per-set occupancy counter
+    identifies the first invalid way without scanning, and ``resident[row]``
+    counts the lanes currently holding the line — the executor's
+    all-lanes-hit / all-lanes-miss test is one Python integer comparison, no
+    array op at all.
+
+    State layout, by shape:
+
+    * per (row, lane): ``way_cell`` (``int64``), ``way_of`` (``int16``)
+      and, write-back only, ``dirty_line`` (``bool``);
+    * per (lane, set, way) cell: ``victims``, the row installed in each
+      way (``int16`` below 2**15 rows, else ``int32``), and LRU ``stamp``
+      (``int64``);
+    * per (lane, set): ``occupancy`` and FIFO ``fifo_next`` (``int16``),
+      PLRU ``plru_bits`` (``uint8``);
+    * per row: ``resident`` (``int64``).
+
+    The set map itself is not kept: it becomes ``way_cell`` in place.  The
+    cell table stays ``int64`` because numpy casts any other index dtype
+    on every gather and scatter: ``int32`` tables made LRU batches of
+    ``a2time`` 1.6x slower.
     """
 
     @staticmethod
@@ -119,10 +152,12 @@ class _PlanCache:
         config: CacheConfig,
         n_lanes: int,
         line_sets: np.ndarray,
-        n_lines: int,
         replacement_states: np.ndarray,
         buffers: Optional[dict] = None,
     ) -> None:
+        """``line_sets`` is the ``int64`` set map: ``(rows,)`` when every
+        lane shares it, or ``(rows, lanes)`` built for this batch alone and
+        turned into ``way_cell`` in place."""
         self.n_lanes = n_lanes
         self.ways = config.ways
         self.write_back = config.write_policy == WRITE_BACK
@@ -130,43 +165,46 @@ class _PlanCache:
         self.fifo = config.replacement == "fifo"
         self.plru = config.replacement == "plru"
         self.touches = self.lru or self.plru
-        self.line_sets = line_sets
+        n_rows = line_sets.shape[0]
         lane_offsets = np.arange(n_lanes, dtype=np.int64) * config.num_sets
         if line_sets.ndim == 2:
-            self.occ_cell = line_sets + lane_offsets[None, :]
+            line_sets += lane_offsets
+            way_cell = line_sets
         else:
-            self.occ_cell = line_sets.astype(np.int64)[:, None] + lane_offsets[None, :]
-        #: Way-cell base of each (uid, lane): ``occ_cell * ways`` hoisted out
-        #: of the per-step loop (one vector multiply per batch).
-        self.way_cell = self.occ_cell * config.ways
+            way_cell = line_sets[:, None] + lane_offsets
+        way_cell *= config.ways
+        self.way_cell = way_cell
+        power_of_two = not config.ways & (config.ways - 1)
+        self._set_shift = config.ways.bit_length() - 1 if power_of_two else None
         cells = n_lanes * config.num_sets * config.ways
         pooled = self._pooled
-        self.way_of = pooled(buffers, "way_of", (n_lines, n_lanes), np.int16, -1)
+        self.way_of = pooled(buffers, "way_of", (n_rows, n_lanes), np.int16, -1)
         self.occupancy = pooled(
             buffers, "occupancy", (n_lanes * config.num_sets,), np.int16, 0
         )
         # Dirtiness is a property of the cached *line*, not its way slot:
-        # tracked per (uid, lane), it is read only while a line is resident
+        # tracked per (row, lane), it is read only while a line is resident
         # (victim collection), so stale entries of evicted lines are always
         # overwritten by the next install before any read.  Store hits of
         # non-touching policies then dirty a whole row without gathering way
         # cells at all.  Write-through caches never read it.
         self.dirty_line = (
-            pooled(buffers, "dirty_line", (n_lines, n_lanes), bool, False)
+            pooled(buffers, "dirty_line", (n_rows, n_lanes), bool, False)
             if self.write_back
             else None
         )
         # Never read before the cell is installed (reads happen only for
         # victim ways of full sets), so no fill is needed.
-        self.victims = pooled(buffers, "victims", (cells,), np.int32)
-        self.resident = pooled(buffers, "resident", (n_lines,), np.int64, 0)
+        victim_dtype = np.int16 if n_rows < 1 << 15 else np.int32
+        self.victims = pooled(buffers, "victims", (cells,), victim_dtype)
+        self.resident = pooled(buffers, "resident", (n_rows,), np.int64, 0)
         self._all_idx = np.arange(n_lanes)
         if self.lru:
             self.stamp = pooled(buffers, "stamp", (cells,), np.int64, 0)
             self.stamp_sets = self.stamp.reshape(-1, config.ways)
             self._clock = 0
         elif self.plru:
-            if config.ways & (config.ways - 1):
+            if not power_of_two:
                 raise ValueError(
                     f"plru replacement requires a power-of-two associativity, "
                     f"got {config.ways} for {config.name}"
@@ -185,15 +223,18 @@ class _PlanCache:
             )
         else:
             self.rng_state = replacement_states
-        self.misses = np.zeros(n_lanes, dtype=np.int64)
-        self.accesses = np.zeros(n_lanes, dtype=np.int64)
 
-    def touch_cells(self, cells, occ_cells, ways) -> None:
-        """Record a hit/fill of way ``ways`` in the (lane, set) cells.
+    def set_cells(self, cells):
+        """The (lane, set) cells of way cells ``cells``."""
+        if self._set_shift is None:
+            return cells // self.ways
+        return cells >> self._set_shift
 
-        LRU stamps the flat way cells; PLRU flips the tree bits of the
-        ``occ_cells`` rows away from the used way.  Stateless policies
-        ignore the call.
+    def touch_cells(self, cells, ways) -> None:
+        """Record a hit/fill of way ``ways`` in the way cells ``cells``.
+
+        LRU stamps the cells; PLRU flips the tree bits of their sets away
+        from the used way.  Stateless policies ignore the call.
         """
         if self.lru:
             self._clock += 1
@@ -204,6 +245,7 @@ class _PlanCache:
             # power of two).  A node is its parent's left child iff its
             # heap index is odd.
             bits = self.plru_bits
+            occ_cells = self.set_cells(cells)
             node = ways.astype(np.int64) + (self.ways - 1)
             for _ in range(self._plru_depth):
                 parent = (node - 1) >> 1
@@ -280,27 +322,25 @@ class _PlanCache:
             for uid in evicted.tolist():
                 resident[uid] -= 1
 
-    def allocate(self, idx, occ_cells, uids, make_dirty, collect=False,
-                 all_lanes=False, base_cells=None):
+    def allocate(self, idx, base_cells, uids, make_dirty, collect=False,
+                 all_lanes=False):
         """Victim choice + eviction + install for the missing lanes ``idx``.
 
-        ``occ_cells`` are the (lane, set) cells of the target line in those
-        lanes (``base_cells``, when given, their precomputed way-cell bases
-        ``occ_cells * ways``); ``uids`` is the installed line (scalar, or
-        per-lane array for writeback targets).  With ``collect`` the dirty
-        evicted victims are returned as ``(lanes, uids)`` (else
-        ``(None, None)``) — demand fills charge them, plain L2 write
-        allocations drop them.  ``all_lanes``
-        asserts ``idx`` covers every lane in order (the dominant cold-miss
-        case), turning scatters into whole-row writes.
+        ``base_cells`` are the first way cells of the target line's set in
+        those lanes (its ``way_cell`` entries); ``uids`` is the installed
+        line's row (scalar, or per-lane array for writeback targets).  With
+        ``collect`` the dirty evicted victims are returned as ``(lanes,
+        rows)`` (else ``(None, None)``) — demand fills charge them, plain L2
+        write allocations drop them.  ``all_lanes`` asserts ``idx`` covers
+        every lane in order (the dominant cold-miss case), turning scatters
+        into whole-row writes.
         """
         ways = self.ways
         occupancy = self.occupancy
         victims = self.victims
         way_of = self.way_of
         write_back = self.write_back
-        if base_cells is None:
-            base_cells = occ_cells * ways
+        occ_cells = self.set_cells(base_cells)
         occ = occupancy[occ_cells]
         full = occ >= ways
         n_full = _count_nonzero(full)
@@ -332,7 +372,7 @@ class _PlanCache:
                 for uid in uids.tolist():
                     self.resident[uid] += 1
             if self.touches:
-                self.touch_cells(cells, occ_cells, victim)
+                self.touch_cells(cells, victim)
             return None, None
         if n_full == full.size:
             # Steady state: every target set is full, occupancy is pinned at
@@ -380,7 +420,7 @@ class _PlanCache:
             for uid in uids.tolist():
                 self.resident[uid] += 1
         if self.touches:
-            self.touch_cells(cells, occ_cells, victim)
+            self.touch_cells(cells, victim)
         return wb_lanes, wb_uids
 
 
@@ -388,18 +428,27 @@ class _PlanCounters:
     """Deferred per-lane event counters for one plan execution.
 
     The plan loop fires thousands of tiny ``array[idx] += 1`` updates whose
-    results are only read once, after the last step.  Instead of paying a
-    fancy-index round-trip per event, events are appended (lane-index arrays
-    for partial-lane events, a plain int for whole-batch events) and summed
-    into per-lane counts with one ``bincount`` per counter at the end.
+    results are only read after the last step.  Instead of paying a
+    fancy-index round-trip per event, an event is appended to its counter
+    (a lane-index array for a partial-lane event, a plain int for a
+    whole-batch event), and :meth:`fold` sums each counter's arrays into
+    its per-lane totals with one ``bincount``.  The executor folds every
+    :data:`FOLD_STEPS` steps, so the held arrays are one block's events:
+    kept to the last step, a 1,000-lane 40 KB batch held 17,920 of them
+    (66 MB), and as much again for their concatenation.
     """
 
+    #: The counters: the rows of ``totals`` and the lists of :meth:`pending`.
+    NAMES = ("il1_miss", "dl1_miss", "demand", "write", "l2_miss", "mem", "memonly")
+
     __slots__ = (
-        "demand", "demand_all", "write", "write_all",
-        "l2_miss", "l2_miss_all", "mem", "mem_all", "memonly",
+        "l1_miss", "l1_miss_all", "demand", "demand_all", "write", "write_all",
+        "l2_miss", "l2_miss_all", "mem", "mem_all", "memonly", "totals",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, n: int) -> None:
+        self.l1_miss = ([], [])  # per L1 slot (0 = IL1, 1 = DL1)
+        self.l1_miss_all = [0, 0]
         self.demand = []        # L2 demand lookups (charge l2_hit latency)
         self.demand_all = 0
         self.write = []         # latency-free L2 write lookups
@@ -409,18 +458,33 @@ class _PlanCounters:
         self.mem = []           # memory accesses that charge memory latency
         self.mem_all = 0
         self.memonly = []       # memory accesses with no latency (WT stores)
+        self.totals = np.zeros((len(self.NAMES), n), dtype=np.int64)
 
+    def pending(self) -> tuple:
+        """Each counter's lane-index arrays not folded yet, in :attr:`NAMES` order."""
+        return (
+            *self.l1_miss, self.demand, self.write, self.l2_miss, self.mem, self.memonly,
+        )
 
-def _deferred_counts(parts, whole, n) -> Optional[np.ndarray]:
-    """Per-lane totals of a :class:`_PlanCounters` event stream (or None)."""
-    if parts:
-        counts = np.bincount(np.concatenate(parts), minlength=n)
-        if whole:
-            counts += whole
-        return counts
-    if whole:
-        return np.full(n, whole, dtype=np.int64)
-    return None
+    def fold(self) -> None:
+        """Add the pending lane-index arrays to the per-lane totals."""
+        n = self.totals.shape[1]
+        for total, parts in zip(self.totals, self.pending()):
+            if parts:
+                total += np.bincount(np.concatenate(parts), minlength=n)
+                parts.clear()
+
+    def finish(self) -> np.ndarray:
+        """The per-lane totals, one row per :attr:`NAMES` entry, with every
+        event folded in."""
+        self.fold()
+        wholes = (
+            *self.l1_miss_all, self.demand_all, self.write_all,
+            self.l2_miss_all, self.mem_all, 0,
+        )
+        for total, whole in zip(self.totals, wholes):
+            total += whole
+        return self.totals
 
 
 class _VectorSimulator:
@@ -433,10 +497,11 @@ class _VectorSimulator:
         self._kinds = list(compiled.kinds)
         self._il1_accesses = sum(1 for kind in self._kinds if kind == FETCH_KIND)
         self._dl1_accesses = len(self._kinds) - self._il1_accesses
-        # Rows of the per-lane placement maps each L1 can actually index:
-        # fetches only ever reach the IL1 and data accesses the DL1, so each
-        # randomized L1 map is evaluated over its own lines only.  The L2
-        # sees any line (demands and writebacks) and keeps the full table.
+        # Lines (unique-line ids) each cache's tables hold a row for: fetches
+        # only ever reach the IL1 and data accesses the DL1, so each L1's
+        # placement map and state cover its own lines only (fig5's IL1
+        # indexes 3 of 643 lines).  The L2 sees any line (demands and
+        # writebacks) and keeps the full table (``None``).
         kinds_arr = np.array(compiled.kinds)
         ids_arr = np.array(compiled.line_ids, dtype=np.int64)
         self._slot_rows = (
@@ -444,19 +509,28 @@ class _VectorSimulator:
             np.unique(ids_arr[kinds_arr != FETCH_KIND]),
             None,
         )
+        #: Per L1: unique-line id -> row of that L1's tables, as a list the
+        #: plan loop indexes with Python ints.
+        self._row_of = []
+        for rows in self._slot_rows[:2]:
+            row_of = np.full(len(self._lines), -1, dtype=np.int64)
+            row_of[rows] = np.arange(rows.size)
+            self._row_of.append(row_of.tolist())
         # Seed-invariant per-cache tables: placement policy objects (reseeded
         # per lane for randomized policies) and the shared map of
         # deterministic policies.
         self._slots = []
-        for slot, cache_config in (("il1", config.il1), ("dl1", config.dl1), ("l2", config.l2)):
+        for slot, cache_config in enumerate((config.il1, config.dl1, config.l2)):
             if cache_config is None:
                 self._slots.append(None)
                 continue
             policy = make_placement(cache_config.placement, cache_config.geometry, seed=0)
             randomized = placement_is_randomized(cache_config.placement)
-            static_sets = None if randomized else policy.set_index_array(self._lines)
+            static_sets = (
+                None if randomized else policy.set_index_array(self._slot_lines(slot))
+            )
             self._slots.append((cache_config, policy, randomized, static_sets))
-        #: Recycled per-(slot, lane-count) plan-state buffers; see
+        #: One recycled plan-state buffer set per cache slot; see
         #: :meth:`_PlanCache._pooled`.
         self._buffer_pool: dict = {}
         self._plan: Optional[TracePlan] = None
@@ -484,9 +558,13 @@ class _VectorSimulator:
                     f"lines must hold one table of {len(self._lines)} line "
                     f"addresses per seed ({len(seeds)}); got shape {lines.shape}"
                 )
+        # Equal-width chunks of at most DEFAULT_MAX_LANES lanes (the shard
+        # planner's rule for one worker), so every chunk reuses one buffer set.
+        chunks = max(1, -(-len(seeds) // DEFAULT_MAX_LANES))
+        width = max(1, -(-len(seeds) // chunks))
         results: List[FastRunResult] = []
-        for start in range(0, len(seeds), DEFAULT_MAX_LANES):
-            stop = start + DEFAULT_MAX_LANES
+        for start in range(0, len(seeds), width):
+            stop = start + width
             results.extend(
                 self._run_lanes_plan(
                     seeds[start:stop], None if lines is None else lines[start:stop]
@@ -495,6 +573,11 @@ class _VectorSimulator:
         return results
 
     # ------------------------------------------------------------------ setup
+
+    def _slot_lines(self, slot: int) -> np.ndarray:
+        """Addresses of the lines cache ``slot`` holds rows for."""
+        rows = self._slot_rows[slot]
+        return self._lines if rows is None else self._lines[rows]
 
     @staticmethod
     def _lane_sets(policy, randomized, tables, placement_seeds) -> np.ndarray:
@@ -516,59 +599,47 @@ class _VectorSimulator:
         return line_sets
 
     def _build_cache(
-        self, slot_state, n_lanes, placement_seeds, replacement_seeds,
-        rows=None, slot=0, tables=None,
-    ):
-        cache_config, policy, randomized, static_sets = slot_state
+        self, slot, n_lanes, placement_seeds, replacement_seeds, tables=None
+    ) -> _PlanCache:
+        cache_config, policy, randomized, static_sets = self._slots[slot]
         if tables is not None:
-            line_sets = self._lane_sets(policy, randomized, tables, placement_seeds)
+            rows = self._slot_rows[slot]
+            line_sets = self._lane_sets(
+                policy, randomized, tables if rows is None else tables[:, rows],
+                placement_seeds,
+            )
         elif randomized:
-            seed_list = [int(seed) for seed in placement_seeds]
-            if rows is not None and rows.size < len(self._lines):
-                # Evaluate the map only over the rows this slot can index;
-                # the remaining rows are never read.
-                line_sets = np.zeros((len(self._lines), n_lanes), dtype=np.int64)
-                line_sets[rows] = policy.set_index_matrix(self._lines[rows], seed_list)
-            else:
-                line_sets = policy.set_index_matrix(self._lines, seed_list)
+            line_sets = policy.set_index_matrix(
+                self._slot_lines(slot), [int(seed) for seed in placement_seeds]
+            )
         else:
             line_sets = static_sets
-        if len(self._buffer_pool) >= 12:
-            self._buffer_pool.clear()
         return _PlanCache(
-            cache_config, n_lanes, line_sets, len(self._lines), replacement_seeds,
-            buffers=self._buffer_pool.setdefault((slot, n_lanes), {}),
+            cache_config, n_lanes, line_sets, replacement_seeds,
+            buffers=self._buffer_pool.setdefault(slot, {}),
         )
 
     def _build_hierarchy(self, seeds: Sequence[int], tables=None):
         n = len(seeds)
-        per_cache = derive_seed_arrays(seeds)
-        rows = self._slot_rows
-        il1 = self._build_cache(
-            self._slots[0], n, *per_cache[0], rows=rows[0], slot=0, tables=tables
+        return tuple(
+            None if self._slots[slot] is None
+            else self._build_cache(slot, n, *seed_arrays, tables=tables)
+            for slot, seed_arrays in enumerate(derive_seed_arrays(seeds))
         )
-        dl1 = self._build_cache(
-            self._slots[1], n, *per_cache[1], rows=rows[1], slot=1, tables=tables
-        )
-        l2 = (
-            self._build_cache(self._slots[2], n, *per_cache[2], slot=2, tables=tables)
-            if self._slots[2] is not None
-            else None
-        )
-        return il1, dl1, l2
 
     def _package_results(
-        self, n, il1, dl1, l2, extra_cycles, memory_accesses
+        self, n, extra_cycles, memory_accesses, il1_misses, dl1_misses,
+        l2_accesses, l2_misses,
     ) -> List[FastRunResult]:
         base_cycles = len(self._kinds) * self.config.timings.l1_hit
         # ``tolist`` converts whole arrays to Python ints in one C call,
         # instead of one ``int()`` round-trip per field per lane.
         cycles = (base_cycles + extra_cycles).tolist()
         memory = memory_accesses.tolist()
-        il1_misses = il1.misses.tolist()
-        dl1_misses = dl1.misses.tolist()
-        l2_accesses = l2.accesses.tolist() if l2 is not None else [0] * n
-        l2_misses = l2.misses.tolist() if l2 is not None else [0] * n
+        il1_misses = il1_misses.tolist()
+        dl1_misses = dl1_misses.tolist()
+        l2_accesses = l2_accesses.tolist()
+        l2_misses = l2_misses.tolist()
         return [
             FastRunResult(
                 cycles=cycles[i],
@@ -603,22 +674,25 @@ class _VectorSimulator:
         )
         lanes = np.arange(n)
         l1s = (il1, dl1)
-        acc = _PlanCounters()
-        l1_miss_parts = ([], [])
-        l1_miss_all = [0, 0]
+        rows_of = self._row_of
+        slot_rows = self._slot_rows
+        acc = _PlanCounters(n)
 
-        for slot, uid, is_store, sure_hit, dirty_after in plan.steps:
+        for index, (slot, uid, is_store, sure_hit, dirty_after) in enumerate(plan.steps):
+            if not index % FOLD_STEPS:
+                acc.fold()
             l1 = l1s[slot]
-            if sure_hit or l1.resident[uid] == n:
+            # The L1 addresses its tables by row; the L2 by unique-line id.
+            row = rows_of[slot][uid]
+            if sure_hit or l1.resident[row] == n:
                 # Every lane hits: touch / store traffic only.
                 if not (l1.touches or is_store or dirty_after):
                     continue
                 if l1.touches:
-                    ways_u = l1.way_of[uid]
-                    cells = l1.way_cell[uid] + ways_u
-                    l1.touch_cells(cells, l1.occ_cell[uid], ways_u)
+                    ways_u = l1.way_of[row]
+                    l1.touch_cells(l1.way_cell[row] + ways_u, ways_u)
                 if (is_store and l1.write_back) or dirty_after:
-                    l1.dirty_line[uid] = True
+                    l1.dirty_line[row] = True
                 if is_store and not l1.write_back:
                     if l2 is not None:
                         self._plan_l2_write(l2, lanes, uid, acc, all_lanes=True)
@@ -626,10 +700,9 @@ class _VectorSimulator:
                         memory_accesses += 1
                 continue
 
-            ways_u = l1.way_of[uid]
-            occ_row = l1.occ_cell[uid]
-            base_row = l1.way_cell[uid]
-            all_miss = not l1.resident[uid]
+            ways_u = l1.way_of[row]
+            base_row = l1.way_cell[row]
+            all_miss = not l1.resident[row]
             if all_miss:
                 hit_idx = None
                 miss_idx = lanes
@@ -643,10 +716,10 @@ class _VectorSimulator:
 
             if hit_idx is not None and hit_idx.size:
                 if l1.touches:
-                    hit_cells = base_row[hit_idx] + ways_u[hit_idx]
-                    l1.touch_cells(hit_cells, occ_row[hit_idx], ways_u[hit_idx])
+                    hit_ways = ways_u[hit_idx]
+                    l1.touch_cells(base_row[hit_idx] + hit_ways, hit_ways)
                 if is_store and l1.write_back:
-                    l1.dirty_line[uid, hit_idx] = True
+                    l1.dirty_line[row, hit_idx] = True
                 if is_store and not l1.write_back:
                     if l2 is not None:
                         self._plan_l2_write(l2, hit_idx, uid, acc)
@@ -654,28 +727,28 @@ class _VectorSimulator:
                         memory_accesses[hit_idx] += 1
 
             if all_miss:
-                l1_miss_all[slot] += 1
+                acc.l1_miss_all[slot] += 1
             else:
-                l1_miss_parts[slot].append(miss_idx)
-            writeback_lanes = writeback_uids = None
+                acc.l1_miss[slot].append(miss_idx)
+            writeback_lanes = writeback_rows = None
             if not (is_store and not l1.write_back):
-                writeback_lanes, writeback_uids = l1.allocate(
-                    miss_idx, occ_row if all_miss else occ_row[miss_idx], uid,
+                writeback_lanes, writeback_rows = l1.allocate(
+                    miss_idx, base_row if all_miss else base_row[miss_idx], row,
                     is_store and l1.write_back, collect=l1.write_back,
                     all_lanes=all_miss,
-                    base_cells=base_row if all_miss else base_row[miss_idx],
                 )
             if dirty_after:
                 # Elided write-back store hits of this step's run: the line
                 # is now resident in every lane (hit or just filled).
-                l1.dirty_line[uid] = True
+                l1.dirty_line[row] = True
 
             # Dirty L1 victims go to the next level first.
             if writeback_lanes is not None:
                 if l2 is not None:
                     extra_cycles[writeback_lanes] += writeback_latency
                     self._plan_l2_write(
-                        l2, writeback_lanes, None, acc, uids=writeback_uids
+                        l2, writeback_lanes, None, acc,
+                        uids=slot_rows[slot][writeback_rows],
                     )
                 else:
                     extra_cycles[writeback_lanes] += memory_latency
@@ -700,30 +773,12 @@ class _VectorSimulator:
                 all_lanes=all_miss,
             )
 
-        for slot, l1 in enumerate(l1s):
-            counts = _deferred_counts(l1_miss_parts[slot], l1_miss_all[slot], n)
-            if counts is not None:
-                l1.misses += counts
-        if l2 is not None:
-            counts = _deferred_counts(acc.demand, acc.demand_all, n)
-            if counts is not None:
-                l2.accesses += counts
-                extra_cycles += counts * l2_hit_latency
-            counts = _deferred_counts(acc.write, acc.write_all, n)
-            if counts is not None:
-                l2.accesses += counts
-            counts = _deferred_counts(acc.l2_miss, acc.l2_miss_all, n)
-            if counts is not None:
-                l2.misses += counts
-            counts = _deferred_counts(acc.mem, acc.mem_all, n)
-            if counts is not None:
-                memory_accesses += counts
-                extra_cycles += counts * memory_latency
-            counts = _deferred_counts(acc.memonly, 0, n)
-            if counts is not None:
-                memory_accesses += counts
-
-        return self._package_results(n, il1, dl1, l2, extra_cycles, memory_accesses)
+        il1_miss, dl1_miss, demand, write, l2_miss, mem, memonly = acc.finish()
+        extra_cycles += demand * l2_hit_latency + mem * memory_latency
+        memory_accesses += mem + memonly
+        return self._package_results(
+            n, extra_cycles, memory_accesses, il1_miss, dl1_miss, demand + write, l2_miss
+        )
 
     def _plan_l2_write(
         self, l2, idx, uid, acc, uids=None, all_lanes=False
@@ -750,31 +805,27 @@ class _VectorSimulator:
                     if all_lanes:
                         ways = l2.way_of[uid]
                         cells = l2.way_cell[uid] + ways
-                        occ = l2.occ_cell[uid]
                     else:
                         ways = l2.way_of[uid][idx]
                         cells = l2.way_cell[uid][idx] + ways
-                        occ = l2.occ_cell[uid][idx]
-                    l2.touch_cells(cells, occ, ways)
+                    l2.touch_cells(cells, ways)
                 if wb:
                     if all_lanes:
                         l2.dirty_line[uid] = True
                     else:
                         l2.dirty_line[uid, idx] = True
                 return
-            occ = l2.occ_cell[uid][idx]
+            base = l2.way_cell[uid][idx]
             ways = l2.way_of[uid][idx]
         else:
-            occ = l2.occ_cell[uids, idx]
+            base = l2.way_cell[uids, idx]
             ways = l2.way_of[uids, idx]
         hit = ways >= 0
         hit_pos = np.nonzero(hit)[0]
         if hit_pos.size:
             if l2.touches:
-                occ_hit = occ[hit_pos]
                 ways_hit = ways[hit_pos]
-                cells = occ_hit * l2.ways + ways_hit
-                l2.touch_cells(cells, occ_hit, ways_hit)
+                l2.touch_cells(base[hit_pos] + ways_hit, ways_hit)
             if wb:
                 if uids is None:
                     l2.dirty_line[uid, idx[hit_pos]] = True
@@ -790,7 +841,7 @@ class _VectorSimulator:
             acc.memonly.append(miss_idx)
             return
         fill_uids = uid if uids is None else uids[miss]
-        l2.allocate(miss_idx, occ[miss], fill_uids, True)
+        l2.allocate(miss_idx, base[miss], fill_uids, True)
 
     def _plan_l2_demand(
         self, l2, idx, uid, is_write, extra_cycles, memory_accesses,
@@ -808,12 +859,10 @@ class _VectorSimulator:
                 if all_lanes:
                     ways = l2.way_of[uid]
                     cells = l2.way_cell[uid] + ways
-                    occ = l2.occ_cell[uid]
                 else:
                     ways = l2.way_of[uid][idx]
                     cells = l2.way_cell[uid][idx] + ways
-                    occ = l2.occ_cell[uid][idx]
-                l2.touch_cells(cells, occ, ways)
+                l2.touch_cells(cells, ways)
             if dirty_write:
                 if all_lanes:
                     l2.dirty_line[uid] = True
@@ -821,7 +870,7 @@ class _VectorSimulator:
                     l2.dirty_line[uid, idx] = True
             return
         if resident:
-            occ = l2.occ_cell[uid][idx] if not all_lanes else l2.occ_cell[uid]
+            base = l2.way_cell[uid][idx] if not all_lanes else l2.way_cell[uid]
             ways = l2.way_of[uid][idx] if not all_lanes else l2.way_of[uid]
             hit = ways >= 0
             miss = np.nonzero(~hit)[0]
@@ -829,21 +878,19 @@ class _VectorSimulator:
                 hit_pos = np.nonzero(hit)[0]
                 if hit_pos.size:
                     if l2.touches:
-                        occ_hit = occ[hit_pos]
                         ways_hit = ways[hit_pos]
-                        cells = occ_hit * l2.ways + ways_hit
-                        l2.touch_cells(cells, occ_hit, ways_hit)
+                        l2.touch_cells(base[hit_pos] + ways_hit, ways_hit)
                     if dirty_write:
                         hit_lanes = idx[hit_pos] if not all_lanes else hit_pos
                         l2.dirty_line[uid, hit_lanes] = True
             if not miss.size:
                 return
             miss_idx = idx[miss]
-            occ_miss = occ[miss]
+            base_miss = base[miss]
             miss_all = False
         else:
             miss_idx = idx
-            occ_miss = l2.occ_cell[uid][idx] if not all_lanes else l2.occ_cell[uid]
+            base_miss = l2.way_cell[uid][idx] if not all_lanes else l2.way_cell[uid]
             miss_all = all_lanes
         if miss_all:
             acc.l2_miss_all += 1
@@ -858,7 +905,7 @@ class _VectorSimulator:
                 acc.mem.append(miss_idx)
             return
         wb_lanes, _wb_uids = l2.allocate(
-            miss_idx, occ_miss, uid, is_write, collect=True, all_lanes=miss_all
+            miss_idx, base_miss, uid, is_write, collect=True, all_lanes=miss_all
         )
         if wb_lanes is not None:
             extra_cycles[wb_lanes] += writeback_latency

@@ -24,14 +24,14 @@ from the per-run counters exactly as :func:`run_campaign` does.
 
 Crash-resume falls out of the content addressing: a killed campaign leaves
 its published shards in the store and its unfinished tasks (plus at most
-one stale lease per dead worker) in the queue.  Re-planning is
-deterministic and a published shard is exact, so a rerun reuses every
-published shard and only executes the missing ones; a rerun under another
-shard size retires the old plan's tasks instead of executing them.  Two
-drains of one spec — overlapping server jobs, or ``study run`` beside the
-server — share its shards the same way, and a drain that finds the
-campaign already recorded by the other returns that entry instead of
-simulating it again.
+one stale lease per dead worker) in the queue.  A published shard is exact
+whatever plan made it, so a rerun plans around the published shards, at
+any shard size, and executes only the lanes they do not cover; a rerun
+under another shard size retires the old plan's queued tasks instead of
+executing them.  Two drains of one spec — overlapping server jobs, or
+``study run`` beside the server — share its shards the same way, and a
+drain that finds the campaign already recorded by the other returns that
+entry instead of simulating it again.
 """
 
 from __future__ import annotations
@@ -184,9 +184,10 @@ def execute_scenario_sharded(
 
     ``jobs`` defaults to the scenario's own ``jobs`` field (``0`` = one
     worker per CPU); ``shard_size`` defaults to the planner's heuristic.
-    Shard entries already published for this spec hash are reused and only
-    the missing shards execute.  Another drain of the same spec may finish
-    the campaign first, record it and clear its shards; so whenever the
+    Shard entries already published for this spec hash are reused, whatever
+    shard size published them, and only the lanes they leave uncovered
+    execute.  Another drain of the same spec may finish the campaign
+    first, record it and clear its shards; so whenever the
     campaign's entry is in the store — before anything is enqueued, on
     every wait for foreign shards, and when reassembly finds shards
     missing — that entry is returned instead (not with ``use_cache=False``,
@@ -204,10 +205,13 @@ def execute_scenario_sharded(
         return campaign, True, ShardReport()
     workers = min(resolve_jobs(scenario.jobs if jobs is None else jobs), scenario.runs)
     size = resolve_shard_size(scenario.runs, workers, shard_size)
-    shards = plan_shards(spec_hash, scenario.runs, size)
-    missing = [
-        shard for shard in shards if store.load_shard(spec_hash, shard.key) is None
-    ]
+    published = {
+        key
+        for _, key in store.shard_keys(spec_hash)
+        if store.load_shard(spec_hash, key) is not None
+    }
+    shards = plan_shards(spec_hash, scenario.runs, size, published)
+    missing = [shard for shard in shards if shard.key not in published]
     report = ShardReport(planned=len(shards), reused=len(shards) - len(missing))
     queue = FileQueue(store.queue_root)
     _retire_off_plan_tasks(queue, shards)
@@ -253,10 +257,11 @@ def execute_scenario_sharded(
 def _retire_off_plan_tasks(queue: FileQueue, shards: Sequence[Shard]) -> None:
     """Retire the campaign's queued tasks that ``shards`` does not plan.
 
-    A killed run under another shard size leaves tasks this plan cannot
-    use, and the worker loop drains every task of the spec hash; without
-    this, a resume would simulate those lanes twice.  A task leased by a
-    live owner is left to it.
+    A killed run under another shard size leaves tasks this plan does not
+    hold (its lanes are published or planned anew), and the worker loop
+    drains every task of the spec hash; without this, a resume would
+    simulate those lanes twice.  A task leased by a live owner is left to
+    it.
     """
     spec_hash = shards[0].spec_hash
     planned = {queue.task_path(spec_hash, shard.key) for shard in shards}

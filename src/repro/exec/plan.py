@@ -12,16 +12,20 @@ number of workers, on any host — and reassembling the per-shard results in
 lane order reproduces the serial campaign bit-exactly.
 
 The plan itself is pure data and deterministic: ``plan_shards(spec_hash,
-runs, shard_size)`` always yields the same shards, so a crashed campaign
-re-plans identically on resume and published shard entries (keyed by
-``(spec_hash, shard.key)``) line up with the new plan.
+runs, shard_size, published)`` always yields the same shards for the same
+inputs.  A resume plans around the shard entries already published (keyed
+by ``(spec_hash, shard.key)``), whatever shard size published them: it
+keeps them and splits only the lanes they leave uncovered, so no published
+lane is simulated again.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
+
+from ..engine.numpy_engine import DEFAULT_MAX_LANES
 
 __all__ = [
     "DEFAULT_SHARD_SIZE",
@@ -32,13 +36,13 @@ __all__ = [
     "shard_key",
 ]
 
-#: Widest default shard, in lanes.  A numpy batch pays a fixed cost per
-#: plan step whatever its width: a fig5 batch took 0.31 s at 32 lanes and
-#: 0.38 s at 256, so 32-lane shards made a 1,000-run campaign 6.6x dearer.
-#: Wider batches gain little more time but memory grows with the width:
-#: 1,000-lane shards doubled the server's peak RSS (172 MB against 86 MB;
-#: EXPERIMENTS.md).  Re-measure that RSS before raising the cap.
-DEFAULT_SHARD_SIZE = 256
+#: Widest default shard, in lanes: one full engine batch.  A numpy batch
+#: pays a fixed cost per plan step whatever its width (a fig5 batch took
+#: 0.36 s at 32 lanes and 1.04 s at 1,024), so a 1,000-run campaign is
+#: cheapest as one shard.  The engine's lean batch state keeps a worker
+#: running 1,024-lane fig5 batches under 80 MB of peak RSS (EXPERIMENTS.md,
+#: "Shard width").
+DEFAULT_SHARD_SIZE = DEFAULT_MAX_LANES
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -78,6 +82,14 @@ def shard_key(start: int, count: int) -> str:
     return f"{start:08d}x{count:06d}"
 
 
+def _parse_shard_key(key: str) -> Optional[Tuple[int, int]]:
+    """The ``(start, count)`` a :func:`shard_key` names, or ``None``."""
+    start, sep, count = key.partition("x")
+    if not (sep and start.isdigit() and count.isdigit()):
+        return None
+    return int(start), int(count)
+
+
 @dataclass(frozen=True)
 class Shard:
     """One ``(spec_hash, lane-range)`` slice of a campaign."""
@@ -98,25 +110,41 @@ class Shard:
         return shard_key(self.start, self.count)
 
 
-def plan_shards(spec_hash: str, runs: int, shard_size: int) -> List[Shard]:
+def plan_shards(
+    spec_hash: str, runs: int, shard_size: int, published: Iterable[str] = ()
+) -> List[Shard]:
     """Split a ``runs``-run campaign into contiguous lane-range shards.
 
-    The plan is deterministic in ``(runs, shard_size)``: resuming a
-    campaign with the same shard size re-plans the exact same shards, so
-    already-published shard entries are found again.
+    ``published`` are the keys of shard entries already in the store,
+    from this plan or any other.  Taken in lane order, each one that does
+    not overlap one kept before it is kept as a shard; the lanes they leave
+    uncovered are split into ``shard_size``-lane shards, each uncovered
+    range from its own start.  With nothing published this is the plain
+    contiguous split, and a resume at the same shard size re-plans exactly
+    the shards its killed run had not published.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-    starts = list(range(0, runs, shard_size))
+    ranges = []
+    covered = 0  # every lane below this is planned
+    slices = filter(None, map(_parse_shard_key, published))
+    for start, count in sorted(slices, key=lambda pair: (pair[0], -pair[1])):
+        if start < covered or count < 1 or start + count > runs:
+            continue
+        ranges += [
+            (lane, min(shard_size, start - lane))
+            for lane in range(covered, start, shard_size)
+        ]
+        ranges.append((start, count))
+        covered = start + count
+    ranges += [
+        (lane, min(shard_size, runs - lane)) for lane in range(covered, runs, shard_size)
+    ]
     return [
         Shard(
-            spec_hash=spec_hash,
-            index=index,
-            total=len(starts),
-            start=start,
-            count=min(shard_size, runs - start),
+            spec_hash=spec_hash, index=index, total=len(ranges), start=start, count=count
         )
-        for index, start in enumerate(starts)
+        for index, (start, count) in enumerate(ranges)
     ]

@@ -9,6 +9,7 @@ import pytest
 from repro.__main__ import build_parser, main
 from repro.analysis.report import CSV_HEADER
 from repro.engine import available_engines
+from repro.exec import DEFAULT_SHARD_SIZE
 
 
 def study_run(tmp_path, *argv):
@@ -33,6 +34,17 @@ class TestParser:
             main(argv)
         assert excinfo.value.code == 2
         assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["study", "run"], ["serve"]])
+    def test_help_shows_the_default_shard_width(self, command, capsys, monkeypatch):
+        # The width is generated from the planner's constant, so it cannot
+        # go stale when the constant changes.
+        for width in (DEFAULT_SHARD_SIZE, 777):
+            monkeypatch.setattr("repro.__main__.DEFAULT_SHARD_SIZE", width)
+            with pytest.raises(SystemExit):
+                main([*command, "--help"])
+            help_text = " ".join(capsys.readouterr().out.split())
+            assert f"of at most {width} runs" in help_text
 
 
 class TestRun:

@@ -7,6 +7,10 @@ moment it registers) and every counter must match, run by run — including
 through the campaign layer and the exec queue's worker processes.
 """
 
+import random
+import tracemalloc
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,8 +20,9 @@ from repro.cache.cache import CacheConfig
 from repro.cache.fastsim import CompiledTrace
 from repro.cache.hierarchy import HierarchyConfig, MemoryTimings
 from repro.cache.trace import Trace
-from repro.engine import DEFAULT_ENGINE, available_engines, get_engine
-from repro.platform.leon3 import Leon3Parameters, leon3_hierarchy
+from repro.engine import DEFAULT_ENGINE, available_engines, get_engine, numpy_engine
+from repro.engine.plan import compile_plan
+from repro.platform.leon3 import Leon3Parameters, leon3_hierarchy, platform_setup
 from repro.study import HierarchySpec, ResultStore, Scenario, WorkloadSpec, execute_scenarios
 from repro.workloads import eembc_kernel_names, eembc_trace, random_layouts
 
@@ -190,6 +195,79 @@ class TestAllRegisteredEnginesAgree:
         assert_all_equal(results)
         (result,) = results["reference"]
         assert set(result.values()) == {0}  # 0 cycles, no accesses, no misses
+
+
+class TestLeanBatchState:
+    """The numpy engine's batch state: counters folded in blocks, one
+    buffer set per cache slot, and a per-lane memory bound."""
+
+    @pytest.mark.parametrize(
+        "l1_write, l2_write, with_l2, counters",
+        [
+            # Write-through L1 store hits reach a write-through L2, whose
+            # misses go to memory without latency ("memonly").
+            (
+                "write-through", "write-through", True,
+                set(numpy_engine._PlanCounters.NAMES),
+            ),
+            (
+                "write-back", "write-back", True,
+                {"il1_miss", "dl1_miss", "demand", "write", "l2_miss", "mem"},
+            ),
+            # Without an L2 only the L1 misses are deferred.
+            ("write-through", "write-through", False, {"il1_miss", "dl1_miss"}),
+        ],
+    )
+    def test_long_trace_folds_every_counter(
+        self, monkeypatch, l1_write, l2_write, with_l2, counters
+    ):
+        """A trace of several fold blocks matches the oracle, and every
+        deferred counter folds partial-lane events in more than one block."""
+        rng = random.Random(5)
+        trace = trace_of([(rng.randrange(3), rng.randrange(160)) for _ in range(3000)])
+        config = build_config(l1_write=l1_write, l2_write=l2_write, with_l2=with_l2)
+        plan = compile_plan(config, CompiledTrace(trace, line_size=32))
+        assert plan.n_steps > 4 * numpy_engine.FOLD_STEPS
+        blocks = Counter()
+        fold = numpy_engine._PlanCounters.fold
+
+        def recording(acc):
+            names = numpy_engine._PlanCounters.NAMES
+            blocks.update(name for name, parts in zip(names, acc.pending()) if parts)
+            fold(acc)
+
+        monkeypatch.setattr(numpy_engine._PlanCounters, "fold", recording)
+        assert_all_equal(run_all_engines(config, trace, list(range(8))))
+        assert {name for name, count in blocks.items() if count > 1} == counters
+
+    def test_one_buffer_set_per_slot(self, small_kernel_trace, tiny_hierarchy_config):
+        """2,000 lanes run as two equal 1,000-lane chunks sharing one
+        buffer set per cache slot."""
+        compiled = CompiledTrace(small_kernel_trace, line_size=32)
+        simulator = numpy_engine.NumpyEngine().simulator(tiny_hierarchy_config, compiled)
+        simulator.run_batch(range(2000))
+        pool = simulator._buffer_pool
+        assert sorted(pool) == [0, 1, 2]
+        assert {buffers["way_of"].shape[1] for buffers in pool.values()} == {1000}
+
+    def test_batch_memory_per_lane_bound(self):
+        """One 256-lane batch of a 40 KB trace allocates at most 64 KB per
+        lane at its peak (43 KB measured with numpy 2.4; full-width int64
+        tables and counters kept to the last step took 145 KB)."""
+        config = platform_setup("rm")
+        trace = WorkloadSpec.synthetic(40 * 1024, 2).build_trace()
+        simulator = numpy_engine.NumpyEngine().simulator(
+            config, CompiledTrace(trace, line_size=config.il1.line_size)
+        )
+        simulator.plan  # compiled outside the measured batch
+        lanes = 256
+        tracemalloc.start()
+        try:
+            simulator.run_batch(range(lanes))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / lanes < 64 * 1024
 
 
 class TestPlanPathEdgeCases:

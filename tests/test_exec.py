@@ -134,9 +134,9 @@ class TestPlan:
     @pytest.mark.parametrize(
         "runs, jobs, size",
         [
-            (1000, 1, 250),  # a cold fig5 campaign: 4 equal shards
-            (10_000, 2, 250),
-            (300, 1, 150),
+            (1000, 1, 1000),  # a cold fig5 campaign: one engine batch
+            (10_000, 2, 1000),  # 10 equal shards, none wider than a batch
+            (300, 1, 300),
             (24, 1, 24),  # one shard: the campaign's one engine batch
             (1000, 8, 125),  # one shard per worker
             (4, 8, 1),
@@ -162,6 +162,30 @@ class TestPlan:
         assert widest <= DEFAULT_SHARD_SIZE
         # No worker is handed more lanes than an even split would give it.
         assert widest <= -(-runs // min(jobs, runs))
+
+    def test_plan_around_published_shards(self):
+        # Kept in lane order unless they overlap a kept one; the uncovered
+        # lanes split from each range's own start; junk and out-of-range
+        # keys are ignored.
+        published = [
+            shard_key(0, 6), shard_key(4, 4), shard_key(12, 6), shard_key(20, 9), "junk",
+        ]
+        shards = plan_shards("h", 24, 8, published)
+        assert [(s.start, s.count) for s in shards] == [(0, 6), (6, 6), (12, 6), (18, 6)]
+        assert [(s.index, s.total) for s in shards] == [(i, 4) for i in range(4)]
+
+    @given(
+        runs=st.integers(1, 200),
+        size=st.integers(1, 64),
+        published=st.lists(st.tuples(st.integers(0, 220), st.integers(0, 80)), max_size=8),
+    )
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_plan_around_published_property(self, runs, size, published):
+        keys = {shard_key(start, count) for start, count in published}
+        shards = plan_shards("h", runs, size, keys)
+        lanes = [lane for shard in shards for lane in range(shard.start, shard.stop)]
+        assert lanes == list(range(runs))
+        assert all(shard.count <= size or shard.key in keys for shard in shards)
 
     def test_plan_covers_runs_exactly_once_in_order(self):
         shards = plan_shards("abc", 23, 7)
@@ -675,10 +699,11 @@ class TestCrashResume:
     def test_resume_under_another_plan_executes_only_its_own(
         self, tmp_path, monkeypatch
     ):
-        # A killed 3-lane run left one published shard, a task under a dead
-        # (expired) lease, an unleased task and one a live drain holds.  A
-        # rerun at 4 lanes executes its own plan only: it retires the dead
-        # and unleased old tasks and leaves the live one to its owner.
+        # A killed 3-lane run left one published shard (lanes 0-2), a task
+        # under a dead (expired) lease, an unleased task and one a live
+        # drain holds.  A rerun at 4 lanes reuses the published shard, plans
+        # lanes 3-11 around it and executes that plan only: it retires the
+        # dead and unleased old tasks and leaves the live one to its owner.
         scenario = _scenario()
         spec_hash = scenario.spec_hash()
         store = ResultStore(tmp_path / "store")
@@ -698,12 +723,33 @@ class TestCrashResume:
         campaign, _, report = execute_scenario_sharded(
             scenario, store, jobs=1, shard_size=4
         )
-        planned = [shard.key for shard in plan_shards(spec_hash, scenario.runs, 4)]
-        assert report.executed == report.planned - report.reused == len(planned)
-        assert sorted(published) == planned
+        assert sorted(published) == [shard_key(3, 4), shard_key(7, 4), shard_key(11, 1)]
+        assert (report.planned, report.reused, report.executed) == (4, 1, 3)
         assert campaign.execution_times == _serial_times(scenario)
         assert queue.tasks() == [live]
         assert list(queue.lease_root.glob("*.lease")) == [queue.lease_path(live)]
+
+    def test_resume_at_another_size_reuses_published_lanes(self, tmp_path, monkeypatch):
+        # A killed 6-lane run published 2 of its 4 shards (lanes 0-11).  The
+        # resume at 8 lanes keeps them and executes lanes 12-23 only.
+        scenario = _scenario(runs=24)
+        store = ResultStore(tmp_path / "store")
+        _, queue = _enqueue_all(scenario, store, shard_size=6)
+        assert run_worker(queue.root, store.root, max_shards=2).shards_done == 2
+        executed = []
+        execute = ShardRunner.execute
+
+        def recording(runner, task):
+            executed.extend(range(task["start"], task["start"] + task["count"]))
+            return execute(runner, task)
+
+        monkeypatch.setattr(ShardRunner, "execute", recording)
+        campaign, _, report = execute_scenario_sharded(
+            scenario, store, jobs=1, shard_size=8
+        )
+        assert sorted(executed) == list(range(12, 24))
+        assert (report.planned, report.reused, report.executed) == (4, 2, 2)
+        assert campaign.execution_times == _serial_times(scenario)
 
     def test_study_resume_executes_only_missing_shards(self, tmp_path):
         scenario = _scenario()
