@@ -26,6 +26,9 @@ The package is organised in layers (see DESIGN.md):
   executed through a content-hash-keyed on-disk result store.
 * :mod:`repro.platform` — LEON3-like platform configuration factories.
 
+The names below load on first use (:mod:`repro._lazy`): ``import repro``
+imports no subpackage.
+
 Quickstart
 ----------
 >>> from repro import platform_setup, eembc_trace, run_campaign, apply_mbpta
@@ -35,131 +38,73 @@ Quickstart
 >>> round(result.pwcet_at(1e-15))  # doctest: +SKIP
 """
 
-from .analysis import (
-    CampaignResult,
-    ExperimentSettings,
-    high_water_mark,
-    industrial_bound,
-    run_campaign,
-    run_layout_campaign,
-)
-from .cache import (
-    CacheConfig,
-    CacheHierarchy,
-    HierarchyConfig,
-    MemoryTimings,
-    SetAssociativeCache,
-    Trace,
-)
-from .core import (
-    HashRandomPlacement,
-    ModuloPlacement,
-    MultiLfsrPrng,
-    PlacementGeometry,
-    RandomModuloPlacement,
-    make_placement,
-)
-from .engine import (
-    available_engines,
-    engine_capabilities,
-    get_engine,
-    register_engine,
-)
-from .pwcet import (
-    Estimator,
-    MbptaConfig,
-    MbptaResult,
-    apply_mbpta,
-    apply_mbpta_batch,
-    available_estimators,
-    compare_estimators,
-    estimator_capabilities,
-    fit_gumbel,
-    get_estimator,
-    register_estimator,
-)
-from .platform import Leon3Parameters, leon3_hierarchy, platform_setup
-from .study import (
-    HierarchySpec,
-    ResultSet,
-    ResultStore,
-    Scenario,
-    Study,
-    Sweep,
-    WorkloadSpec,
-    available_studies,
-    get_study,
-    register_study,
-    run_study,
-)
-from .workloads import (
-    MemoryLayout,
-    eembc_kernel_names,
-    eembc_trace,
-    synthetic_vector_trace,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+#: Public name -> the subpackage that exports it.
+_EXPORTS = {
     # analysis
-    "CampaignResult",
-    "ExperimentSettings",
-    "high_water_mark",
-    "industrial_bound",
-    "run_campaign",
-    "run_layout_campaign",
+    "CampaignResult": "analysis",
+    "ExperimentSettings": "analysis",
+    "high_water_mark": "analysis",
+    "industrial_bound": "analysis",
+    "run_campaign": "analysis",
+    "run_layout_campaign": "analysis",
     # cache
-    "CacheConfig",
-    "CacheHierarchy",
-    "HierarchyConfig",
-    "MemoryTimings",
-    "SetAssociativeCache",
-    "Trace",
+    "CacheConfig": "cache",
+    "CacheHierarchy": "cache",
+    "HierarchyConfig": "cache",
+    "MemoryTimings": "cache",
+    "SetAssociativeCache": "cache",
+    "Trace": "cache",
     # core
-    "HashRandomPlacement",
-    "ModuloPlacement",
-    "MultiLfsrPrng",
-    "PlacementGeometry",
-    "RandomModuloPlacement",
-    "make_placement",
+    "HashRandomPlacement": "core",
+    "ModuloPlacement": "core",
+    "MultiLfsrPrng": "core",
+    "PlacementGeometry": "core",
+    "RandomModuloPlacement": "core",
+    "make_placement": "core",
     # engine
-    "available_engines",
-    "engine_capabilities",
-    "get_engine",
-    "register_engine",
+    "available_engines": "engine",
+    "engine_capabilities": "engine",
+    "get_engine": "engine",
+    "register_engine": "engine",
     # pwcet
-    "Estimator",
-    "MbptaConfig",
-    "MbptaResult",
-    "apply_mbpta",
-    "apply_mbpta_batch",
-    "available_estimators",
-    "compare_estimators",
-    "estimator_capabilities",
-    "fit_gumbel",
-    "get_estimator",
-    "register_estimator",
+    "Estimator": "pwcet",
+    "MbptaConfig": "pwcet",
+    "MbptaResult": "pwcet",
+    "apply_mbpta": "pwcet",
+    "apply_mbpta_batch": "pwcet",
+    "available_estimators": "pwcet",
+    "compare_estimators": "pwcet",
+    "estimator_capabilities": "pwcet",
+    "fit_gumbel": "pwcet",
+    "get_estimator": "pwcet",
+    "register_estimator": "pwcet",
     # platform
-    "Leon3Parameters",
-    "leon3_hierarchy",
-    "platform_setup",
+    "Leon3Parameters": "platform",
+    "leon3_hierarchy": "platform",
+    "platform_setup": "platform",
     # study
-    "HierarchySpec",
-    "ResultSet",
-    "ResultStore",
-    "Scenario",
-    "Study",
-    "Sweep",
-    "WorkloadSpec",
-    "available_studies",
-    "get_study",
-    "register_study",
-    "run_study",
+    "HierarchySpec": "study",
+    "ResultSet": "study",
+    "ResultStore": "study",
+    "Scenario": "study",
+    "Study": "study",
+    "Sweep": "study",
+    "WorkloadSpec": "study",
+    "available_studies": "study",
+    "get_study": "study",
+    "register_study": "study",
+    "run_study": "study",
     # workloads
-    "MemoryLayout",
-    "eembc_kernel_names",
-    "eembc_trace",
-    "synthetic_vector_trace",
-]
+    "MemoryLayout": "workloads",
+    "eembc_kernel_names": "workloads",
+    "eembc_trace": "workloads",
+    "synthetic_vector_trace": "workloads",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -79,34 +79,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import replace
-from typing import Dict, Optional
-
-from .analysis.experiments import ExperimentSettings
-from .analysis.report import (
-    CSV_HEADER,
-    QUERY_FORMATS,
-    RESULT_FORMATS,
-    render_result,
-    render_rows,
-)
-from .engine import available_engines, engine_capabilities
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 # The planner's default shard width (repro.exec.plan.DEFAULT_SHARD_SIZE) is
-# one engine batch.  Read from the engine, which is loaded anyway, so that
-# parsing the command line does not import repro.exec.
-from .engine.numpy_engine import DEFAULT_MAX_LANES as DEFAULT_SHARD_SIZE
-from .pwcet import (
-    MBPTA_MIN_RUNS,
-    MbptaConfig,
-    available_estimators,
-    estimator_capabilities,
-)
-from .study import DEFAULT_STORE_DIR, ResultStore, available_studies, get_study
-from .study.store import check_gc_age
-from .workloads.base import check_scale
+# one engine batch.  repro.engine.base defines it without loading an engine,
+# so this import costs nothing; every other import of the package is made
+# by the command, or the function adding a command's arguments, that needs it.
+from .engine.base import DEFAULT_MAX_LANES as DEFAULT_SHARD_SIZE
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .analysis.experiments import ExperimentSettings
+    from .study.store import ResultStore
 
 
 def _add_campaign_arguments(
@@ -114,6 +100,10 @@ def _add_campaign_arguments(
 ) -> None:
     """The knobs shared by ``study run``/``study compare``, ``submit`` and
     ``pwcet compare``."""
+    from .analysis.report import RESULT_FORMATS
+    from .engine import available_engines
+    from .pwcet import available_estimators
+
     parser.add_argument("--runs", type=int, default=None, help="measurement runs per campaign")
     parser.add_argument("--scale", type=float, default=None, help="workload iteration scale factor")
     parser.add_argument("--seed", type=int, default=None, help="campaign master seed")
@@ -157,6 +147,8 @@ def _add_campaign_arguments(
 
 
 def _add_store_argument(parser: argparse.ArgumentParser) -> None:
+    from .study.store import DEFAULT_STORE_DIR
+
     parser.add_argument(
         "--store",
         default=DEFAULT_STORE_DIR,
@@ -164,29 +156,14 @@ def _add_store_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduce the tables and figures of the Random Modulo paper (DAC 2016).",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+def _study_choices() -> Tuple[str, ...]:
+    from .study.registry import available_studies
 
-    subparsers.add_parser(
-        "engines",
-        help="print the simulation-engine capability matrix",
-    )
+    return available_studies()
 
-    study = subparsers.add_parser(
-        "study", help="declarative studies with an on-disk result store"
-    )
-    study_commands = study.add_subparsers(dest="study_command", required=True)
 
-    study_commands.add_parser("list", help="list registered studies")
-
-    study_run = study_commands.add_parser(
-        "run", help="run one study (or 'all') through the result store"
-    )
-    study_run.add_argument("study", choices=available_studies() + ("all",))
+def _add_study_run_arguments(study_run: argparse.ArgumentParser) -> None:
+    study_run.add_argument("study", choices=_study_choices() + ("all",))
     _add_campaign_arguments(study_run)
     _add_store_argument(study_run)
     study_run.add_argument(
@@ -204,18 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
         "N reuses the shards a killed run already published)",
     )
 
-    study_compare = study_commands.add_parser(
-        "compare", help="run two studies and compare scenarios sharing a label"
-    )
-    study_compare.add_argument("study_a", choices=available_studies())
-    study_compare.add_argument("study_b", choices=available_studies())
+
+def _add_study_compare_arguments(study_compare: argparse.ArgumentParser) -> None:
+    study_compare.add_argument("study_a", choices=_study_choices())
+    study_compare.add_argument("study_b", choices=_study_choices())
     # The comparison is a human-facing diff table; no --format here.
     _add_campaign_arguments(study_compare, include_format=False)
     _add_store_argument(study_compare)
 
-    study_clean = study_commands.add_parser(
-        "clean", help="delete the result store (or garbage-collect parts of it)"
-    )
+
+def _add_study_clean_arguments(study_clean: argparse.ArgumentParser) -> None:
     _add_store_argument(study_clean)
     study_clean.add_argument(
         "--analyses-only",
@@ -237,10 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(the same decision logic the server's GC service runs)",
     )
 
-    worker = subparsers.add_parser(
-        "worker",
-        help="attach one shard worker to a store's work queue (repro.exec)",
-    )
+
+def _add_worker_arguments(worker: argparse.ArgumentParser) -> None:
     _add_store_argument(worker)
     worker.add_argument(
         "--worker-id",
@@ -267,13 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(load shaping; also honours REPRO_EXEC_THROTTLE)",
     )
 
-    exec_parser = subparsers.add_parser(
-        "exec", help="sharded-execution introspection (repro.exec)"
-    )
-    exec_commands = exec_parser.add_subparsers(dest="exec_command", required=True)
-    exec_status = exec_commands.add_parser(
-        "status", help="show queue occupancy and worker heartbeat telemetry"
-    )
+
+def _add_exec_status_arguments(exec_status: argparse.ArgumentParser) -> None:
     _add_store_argument(exec_status)
     exec_status.add_argument(
         "--format",
@@ -284,9 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         "server's /v1/status endpoint embeds",
     )
 
-    serve = subparsers.add_parser(
-        "serve", help="run the pWCET analysis server (repro.service)"
-    )
+
+def _add_serve_arguments(serve: argparse.ArgumentParser) -> None:
     _add_store_argument(serve)
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
@@ -337,10 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
         "s/m/h/d suffix; default 1h)",
     )
 
-    submit = subparsers.add_parser(
-        "submit", help="submit an experiment to a running analysis server"
-    )
-    submit.add_argument("experiment", choices=available_studies() + ("all",))
+
+def _add_submit_arguments(submit: argparse.ArgumentParser) -> None:
+    submit.add_argument("experiment", choices=_study_choices() + ("all",))
     _add_campaign_arguments(submit, include_format=False)
     submit.add_argument(
         "--format",
@@ -385,41 +351,33 @@ def build_parser() -> argparse.ArgumentParser:
         "shard publishes, worker heartbeats) while waiting for the job",
     )
 
-    query = subparsers.add_parser(
-        "query",
-        help="query the run table assembled from a result store (zero reruns)",
-    )
-    query_commands = query.add_subparsers(dest="query_command", required=True)
 
-    def _add_query_filters(command: argparse.ArgumentParser) -> None:
-        _add_store_argument(command)
-        command.add_argument("--study", default=None, help="only rows recorded by this study")
-        command.add_argument("--workload", default=None, help="only rows for this workload label")
-        command.add_argument("--setup", default=None, help="only rows for this hierarchy setup")
-        command.add_argument(
-            "--estimator", default=None, help="only rows analysed with this estimator"
-        )
-        command.add_argument(
-            "--where",
-            default=None,
-            help="per-row Python predicate over the row fields, e.g. "
-            "\"il1_miss_rate > 0.5 and admitted\" or "
-            "\"pwcet['1e-15'] < 60000\"",
-        )
-        command.add_argument(
-            "--refresh",
-            action="store_true",
-            help="accepted for compatibility and ignored: every query reads the store",
-        )
+def _add_query_filters(command: argparse.ArgumentParser) -> None:
+    _add_store_argument(command)
+    command.add_argument("--study", default=None, help="only rows recorded by this study")
+    command.add_argument("--workload", default=None, help="only rows for this workload label")
+    command.add_argument("--setup", default=None, help="only rows for this hierarchy setup")
+    command.add_argument(
+        "--estimator", default=None, help="only rows analysed with this estimator"
+    )
+    command.add_argument(
+        "--where",
+        default=None,
+        help="per-row Python predicate over the row fields, e.g. "
+        "\"il1_miss_rate > 0.5 and admitted\" or "
+        "\"pwcet['1e-15'] < 60000\"",
+    )
+    command.add_argument(
+        "--refresh",
+        action="store_true",
+        help="accepted for compatibility and ignored: every query reads the store",
+    )
 
-    query_runs = query_commands.add_parser(
-        "runs", help="list run-table rows matching the filters"
-    )
-    _add_query_filters(query_runs)
-    query_runs.add_argument(
-        "--limit", type=int, default=None, help="print at most this many rows"
-    )
-    query_runs.add_argument(
+
+def _add_query_format(command: argparse.ArgumentParser) -> None:
+    from .analysis.report import QUERY_FORMATS
+
+    command.add_argument(
         "--format",
         choices=QUERY_FORMATS,
         default="table",
@@ -427,9 +385,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="aligned table (default), CSV, or a JSON row list",
     )
 
-    query_export = query_commands.add_parser(
-        "export", help="export the (filtered) run table to CSV or Parquet"
+
+def _add_query_runs_arguments(query_runs: argparse.ArgumentParser) -> None:
+    _add_query_filters(query_runs)
+    query_runs.add_argument(
+        "--limit", type=int, default=None, help="print at most this many rows"
     )
+    _add_query_format(query_runs)
+
+
+def _add_query_export_arguments(query_export: argparse.ArgumentParser) -> None:
     _add_query_filters(query_export)
     query_export.add_argument(
         "output",
@@ -437,11 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(needs pandas + pyarrow), anything else CSV",
     )
 
-    query_compare = query_commands.add_parser(
-        "compare",
-        help="compare two hierarchy setups at a pWCET cutoff "
-        "(e.g. where hrp beats rm at 1e-15), from stored analyses only",
-    )
+
+def _add_query_compare_arguments(query_compare: argparse.ArgumentParser) -> None:
     _add_query_filters(query_compare)
     query_compare.add_argument("setup_a", help="baseline setup label (e.g. rm)")
     query_compare.add_argument("setup_b", help="challenger setup label (e.g. hrp)")
@@ -451,26 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=1e-15,
         help="exceedance probability to compare at (default: %(default)g)",
     )
-    query_compare.add_argument(
-        "--format",
-        choices=QUERY_FORMATS,
-        default="table",
-        dest="output_format",
-        help="aligned table (default), CSV, or a JSON row list",
-    )
+    _add_query_format(query_compare)
 
-    pwcet = subparsers.add_parser(
-        "pwcet", help="pWCET estimator registry and cross-estimator views"
-    )
-    pwcet_commands = pwcet.add_subparsers(dest="pwcet_command", required=True)
 
-    pwcet_commands.add_parser("list", help="list registered pWCET estimators")
+def _add_pwcet_compare_arguments(pwcet_compare: argparse.ArgumentParser) -> None:
+    from .pwcet import available_estimators
 
-    pwcet_compare = pwcet_commands.add_parser(
-        "compare",
-        help="project one experiment's campaigns through several estimators",
-    )
-    pwcet_compare.add_argument("experiment", choices=available_studies())
+    pwcet_compare.add_argument("experiment", choices=_study_choices())
     _add_campaign_arguments(pwcet_compare)
     _add_store_argument(pwcet_compare)
     pwcet_compare.add_argument(
@@ -488,10 +437,130 @@ def build_parser() -> argparse.ArgumentParser:
         "intervals (0 disables)",
     )
 
+
+#: What a command takes: a function adding a leaf's arguments, the table of
+#: a command's subcommands, or None for a leaf without arguments.
+_Takes = Union[None, Callable[[argparse.ArgumentParser], None], Dict[str, Tuple[str, object]]]
+
+#: The command tree, name -> (help line, what it takes), in help order.
+_COMMANDS: Dict[str, Tuple[str, _Takes]] = {
+    "engines": ("print the simulation-engine capability matrix", None),
+    "study": (
+        "declarative studies with an on-disk result store",
+        {
+            "list": ("list registered studies", None),
+            "run": (
+                "run one study (or 'all') through the result store",
+                _add_study_run_arguments,
+            ),
+            "compare": (
+                "run two studies and compare scenarios sharing a label",
+                _add_study_compare_arguments,
+            ),
+            "clean": (
+                "delete the result store (or garbage-collect parts of it)",
+                _add_study_clean_arguments,
+            ),
+        },
+    ),
+    "worker": (
+        "attach one shard worker to a store's work queue (repro.exec)",
+        _add_worker_arguments,
+    ),
+    "exec": (
+        "sharded-execution introspection (repro.exec)",
+        {
+            "status": (
+                "show queue occupancy and worker heartbeat telemetry",
+                _add_exec_status_arguments,
+            ),
+        },
+    ),
+    "serve": ("run the pWCET analysis server (repro.service)", _add_serve_arguments),
+    "submit": (
+        "submit an experiment to a running analysis server",
+        _add_submit_arguments,
+    ),
+    "query": (
+        "query the run table assembled from a result store (zero reruns)",
+        {
+            "runs": (
+                "list run-table rows matching the filters",
+                _add_query_runs_arguments,
+            ),
+            "export": (
+                "export the (filtered) run table to CSV or Parquet",
+                _add_query_export_arguments,
+            ),
+            "compare": (
+                "compare two hierarchy setups at a pWCET cutoff "
+                "(e.g. where hrp beats rm at 1e-15), from stored analyses only",
+                _add_query_compare_arguments,
+            ),
+        },
+    ),
+    "pwcet": (
+        "pWCET estimator registry and cross-estimator views",
+        {
+            "list": ("list registered pWCET estimators", None),
+            "compare": (
+                "project one experiment's campaigns through several estimators",
+                _add_pwcet_compare_arguments,
+            ),
+        },
+    ),
+}
+
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The command-line parser; the whole tree unless ``argv`` is given.
+
+    With ``argv``, the tree is built only along the path that its leading
+    words (its first words that are not options) select: every level of
+    that path registers all its command names and help lines, so usage
+    lines, help listings and invalid-choice errors are the full tree's, but
+    only the selected leaf gets its arguments and only the selected command
+    its subcommands.  Argparse hands the rest of argv to exactly that path,
+    because no command above a leaf takes an option besides ``--help``.
+    The full tree took 6.1 ms per call; ``study run`` alone takes about a
+    third of that, and its argument choices are what load the study, engine
+    and estimator registries.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduce the tables and figures of the Random Modulo paper (DAC 2016).",
+    )
+    words = None if argv is None else [word for word in argv if not word.startswith("-")]
+    _add_commands(parser, "command", _COMMANDS, words)
     return parser
 
 
+def _add_commands(
+    parser: argparse.ArgumentParser,
+    dest: str,
+    commands: Dict[str, Tuple[str, _Takes]],
+    words: Optional[List[str]],
+) -> None:
+    """Register ``commands`` under ``parser``, and below the command that
+    ``words`` select (below every command when ``words`` is None)."""
+    subparsers = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_line, takes) in commands.items():
+        command = subparsers.add_parser(name, help=help_line)
+        if takes is None or not (words is None or words[:1] == [name]):
+            continue
+        if isinstance(takes, dict):
+            _add_commands(
+                command, f"{name}_command", takes, None if words is None else words[1:]
+            )
+        else:
+            takes(command)
+
+
 def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
+    from dataclasses import replace
+
+    from .analysis.experiments import ExperimentSettings
+
     settings = ExperimentSettings.from_env()
     if args.runs is not None:
         settings = replace(settings, runs=args.runs)
@@ -512,6 +581,8 @@ def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
 
 def _parse_age(text: str) -> float:
     """Parse an ``--older-than`` age: plain seconds or an s/m/h/d suffix."""
+    from .study.store import check_gc_age
+
     text = text.strip().lower()
     scales = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
     scale = 1.0
@@ -530,6 +601,10 @@ def _parse_age(text: str) -> float:
 
 def _validate_run_request(targets, settings: ExperimentSettings) -> Optional[str]:
     """One-line error when the requested campaign size is unusable, else None."""
+    from .pwcet.protocol import MBPTA_MIN_RUNS
+    from .study.registry import get_study
+    from .workloads.base import check_scale
+
     if settings.runs < 1:
         return f"error: --runs must be >= 1, got {settings.runs}"
     try:
@@ -559,6 +634,9 @@ def _run_one(
     store: ResultStore,
     use_cache: bool = True,
 ) -> None:
+    from .analysis.report import render_result
+    from .study.registry import get_study
+
     study = get_study(identifier)
     chatter = sys.stdout if output_format == "text" else sys.stderr
     print(f"== {identifier}: {study.description}", file=chatter)
@@ -578,12 +656,14 @@ def _run_one(
 
 
 def _resolve_targets(requested: str) -> list:
-    return list(available_studies()) if requested == "all" else [requested]
+    return list(_study_choices()) if requested == "all" else [requested]
 
 
 def _pwcet_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """The ``python -m repro pwcet {list,compare}`` surface."""
     if args.pwcet_command == "list":
+        from .pwcet import estimator_capabilities
+
         capabilities = estimator_capabilities()
         width = max(len(name) for name in capabilities)
         for name, flags in capabilities.items():
@@ -596,6 +676,11 @@ def _pwcet_command(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         return 0
 
     # pwcet_command == "compare"
+    from .analysis.report import CSV_HEADER, render_result
+    from .pwcet import MbptaConfig
+    from .study.registry import get_study
+    from .study.store import ResultStore
+
     if args.bootstrap < 0:
         parser.error(f"--bootstrap must be >= 0, got {args.bootstrap}")
     settings = _validated_settings(parser, args, [args.experiment])
@@ -634,6 +719,7 @@ def _pwcet_command(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 def _query_table(parser: argparse.ArgumentParser, args: argparse.Namespace):
     """Build + filter the run table per the shared query flags."""
     from .study.runtable import build_run_table
+    from .study.store import ResultStore
 
     table = build_run_table(ResultStore(args.store))
     try:
@@ -653,6 +739,8 @@ def _query_command(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
     Every subcommand reads only the store — no simulations, no EVT fits.
     """
+    from .analysis.report import render_rows
+
     if args.query_command == "runs":
         table = _query_table(parser, args)
         if args.limit is not None:
@@ -745,6 +833,8 @@ def _query_command(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 def _print_engine_matrix() -> None:
     """The ``engines`` command: one row per registered engine."""
+    from .engine import engine_capabilities
+
     matrix = engine_capabilities()
     flag = lambda value: "yes" if value else "no"  # noqa: E731
     width = max(len(name) for name in matrix)
@@ -776,6 +866,7 @@ def _validated_settings(
 def _serve_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """The ``python -m repro serve`` surface (repro.service)."""
     from .service.api.server import ReproServer
+    from .study.store import ResultStore
 
     if args.port < 0:
         parser.error(f"--port must be >= 0, got {args.port}")
@@ -878,6 +969,7 @@ def _render_submitted_job(payload: Dict[str, object]) -> None:
 def _submit_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """The ``python -m repro submit`` surface: plan locally, execute remotely."""
     from .service.client import ServiceClient, ServiceError
+    from .study.registry import get_study
 
     if args.follow and args.no_wait:
         parser.error("--follow waits for the job; it cannot combine with --no-wait")
@@ -929,56 +1021,53 @@ def _submit_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     return 1 if finished["state"] == "failed" else 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _worker_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """The ``python -m repro worker`` surface (repro.exec)."""
+    from .exec.worker import run_worker
+    from .study.store import ResultStore
 
-    if args.command == "engines":
-        _print_engine_matrix()
-        return 0
+    if args.max_shards is not None and args.max_shards < 1:
+        parser.error(f"--max-shards must be >= 1, got {args.max_shards}")
+    if args.lease_ttl is not None and not (
+        math.isfinite(args.lease_ttl) and args.lease_ttl > 0
+    ):
+        parser.error(
+            f"--lease-ttl must be a positive, finite number of seconds, got {args.lease_ttl}"
+        )
+    store = ResultStore(args.store)
+    kwargs = {}
+    if args.worker_id is not None:
+        kwargs["worker_id"] = args.worker_id
+    if args.lease_ttl is not None:
+        kwargs["lease_ttl"] = args.lease_ttl
+    if args.max_shards is not None:
+        kwargs["max_shards"] = args.max_shards
+    if args.throttle is not None:
+        kwargs["throttle"] = args.throttle
+    stats = run_worker(store.queue_root, store.root, **kwargs)
+    print(stats.summary())
+    return 0
 
-    if args.command == "pwcet":
-        return _pwcet_command(parser, args)
 
-    if args.command == "query":
-        return _query_command(parser, args)
+def _exec_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """The ``python -m repro exec status`` surface (the only subcommand)."""
+    from .exec.status import render_exec_status
+    from .study.store import ResultStore
 
-    if args.command == "worker":
-        from .exec.worker import run_worker
+    print(render_exec_status(ResultStore(args.store), args.output_format))
+    return 0
 
-        store = ResultStore(args.store)
-        if args.max_shards is not None and args.max_shards < 1:
-            parser.error(f"--max-shards must be >= 1, got {args.max_shards}")
-        kwargs = {}
-        if args.worker_id is not None:
-            kwargs["worker_id"] = args.worker_id
-        if args.lease_ttl is not None:
-            kwargs["lease_ttl"] = args.lease_ttl
-        if args.max_shards is not None:
-            kwargs["max_shards"] = args.max_shards
-        if args.throttle is not None:
-            kwargs["throttle"] = args.throttle
-        stats = run_worker(store.queue_root, store.root, **kwargs)
-        print(stats.summary())
-        return 0
 
-    if args.command == "exec":
-        # exec_command == "status" (the only subcommand today)
-        from .exec.status import render_exec_status
+def _study_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """The ``python -m repro study {list,run,compare,clean}`` surface."""
+    from .analysis.report import CSV_HEADER
+    from .study.registry import get_study
+    from .study.store import ResultStore
 
-        print(render_exec_status(ResultStore(args.store), args.output_format))
-        return 0
-
-    if args.command == "serve":
-        return _serve_command(parser, args)
-
-    if args.command == "submit":
-        return _submit_command(parser, args)
-
-    # command == "study"
     if args.study_command == "list":
-        width = max(len(name) for name in available_studies())
-        for name in available_studies():
+        names = _study_choices()
+        width = max(len(name) for name in names)
+        for name in names:
             study = get_study(name)
             print(f"{name.ljust(width)}  {study.description}")
         return 0
@@ -1069,6 +1158,27 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(comparison)
     return 0
+
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
+    args = parser.parse_args(argv)
+
+    if args.command == "engines":
+        _print_engine_matrix()
+        return 0
+    commands = {
+        "study": _study_command,
+        "worker": _worker_command,
+        "exec": _exec_command,
+        "serve": _serve_command,
+        "submit": _submit_command,
+        "query": _query_command,
+        "pwcet": _pwcet_command,
+    }
+    return commands[args.command](parser, args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in tests

@@ -1,40 +1,36 @@
-"""Analysis layer: measurement campaigns, HWM baseline, experiment settings and results."""
+"""Analysis layer: measurement campaigns, HWM baseline, experiment settings and results.
 
-from .campaign import CampaignResult, run_campaign, run_layout_campaign
-from .experiments import (
-    AveragePerformanceResult,
-    ExperimentSettings,
-    Fig1Result,
-    Fig4aResult,
-    Fig4bResult,
-    Fig5Result,
-    FootprintAblationResult,
-    ReplacementAblationResult,
-    Table1Result,
-    Table2Result,
-)
-from .hwm import HwmBound, high_water_mark, industrial_bound
-from .report import format_ccdf, format_histogram, format_ratio, format_table
+The names below load on first use (:mod:`repro._lazy`), so reading a store
+(which needs :mod:`repro.analysis.campaign`) does not import the
+experiment result classes of :mod:`repro.analysis.experiments`.
+"""
 
-__all__ = [
-    "CampaignResult",
-    "run_campaign",
-    "run_layout_campaign",
-    "AveragePerformanceResult",
-    "ExperimentSettings",
-    "Fig1Result",
-    "Fig4aResult",
-    "Fig4bResult",
-    "Fig5Result",
-    "FootprintAblationResult",
-    "ReplacementAblationResult",
-    "Table1Result",
-    "Table2Result",
-    "HwmBound",
-    "high_water_mark",
-    "industrial_bound",
-    "format_ccdf",
-    "format_histogram",
-    "format_ratio",
-    "format_table",
-]
+from .._lazy import lazy_exports
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "CampaignResult": "campaign",
+    "run_campaign": "campaign",
+    "run_layout_campaign": "campaign",
+    "AveragePerformanceResult": "experiments",
+    "ExperimentSettings": "experiments",
+    "Fig1Result": "experiments",
+    "Fig4aResult": "experiments",
+    "Fig4bResult": "experiments",
+    "Fig5Result": "experiments",
+    "FootprintAblationResult": "experiments",
+    "ReplacementAblationResult": "experiments",
+    "Table1Result": "experiments",
+    "Table2Result": "experiments",
+    "HwmBound": "hwm",
+    "high_water_mark": "hwm",
+    "industrial_bound": "hwm",
+    "format_ccdf": "report",
+    "format_histogram": "report",
+    "format_ratio": "report",
+    "format_table": "report",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -20,36 +20,29 @@ Built-in backends:
   (the oracle the production engine is checked against).
 
 The two are bit-exact with each other.  See DESIGN.md ("Engines") for the
-capability matrix and how to add a backend.
+capability matrix and how to add a backend.  The registry registers both
+before its first lookup; the names below load on first use
+(:mod:`repro._lazy`), so naming :data:`DEFAULT_ENGINE` builds no engine.
 """
 
 from __future__ import annotations
 
-from .base import (
-    DEFAULT_ENGINE,
-    Engine,
-    EngineSimulator,
-    available_engines,
-    engine_capabilities,
-    get_engine,
-    register_engine,
-    unregister_engine,
-)
-from .numpy_engine import NumpyEngine
-from .reference import ReferenceEngine
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_ENGINE",
-    "Engine",
-    "EngineSimulator",
-    "NumpyEngine",
-    "ReferenceEngine",
-    "available_engines",
-    "engine_capabilities",
-    "get_engine",
-    "register_engine",
-    "unregister_engine",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "DEFAULT_ENGINE": "base",
+    "Engine": "base",
+    "EngineSimulator": "base",
+    "NumpyEngine": "numpy_engine",
+    "ReferenceEngine": "reference",
+    "available_engines": "base",
+    "engine_capabilities": "base",
+    "get_engine": "base",
+    "register_engine": "base",
+    "unregister_engine": "base",
+}
 
-register_engine(ReferenceEngine())
-register_engine(NumpyEngine())
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -25,7 +25,9 @@ Capability flags describe what callers may rely on:
 To add a backend: subclass :class:`Engine`, implement :meth:`Engine.simulator`
 returning an object with ``run(seed)`` / ``run_batch(seeds, lines=None)``
 producing :class:`~repro.cache.fastsim.FastRunResult`, and call
-:func:`register_engine` at import time (see ``repro/engine/__init__.py``).
+:func:`register_engine`.  The two built-in engines are registered before
+the registry's first lookup or registration, whichever module a caller
+imported first.
 ``lines`` gives each lane its own table of line addresses in place of the
 compiled trace's ``unique_lines`` (same length, same order): the layout lanes
 of a deterministic campaign are one trace relocated per lane.
@@ -42,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "DEFAULT_ENGINE",
+    "DEFAULT_MAX_LANES",
     "Engine",
     "EngineSimulator",
     "register_engine",
@@ -54,6 +57,16 @@ __all__ = [
 #: The engine every layer uses when none is named: the production engine.
 #: ``reference`` is the oracle it is checked against.
 DEFAULT_ENGINE = "numpy"
+
+#: Widest internal chunk of the numpy engine, in lanes.  Bounds the working
+#: set (state arrays and per-lane placement maps grow linearly with the
+#: lane count) without changing results: lanes are independent, so chunking
+#: is invisible.  The shard planner's default width
+#: (:data:`repro.exec.plan.DEFAULT_SHARD_SIZE`) is this value, so a default
+#: shard is one engine batch.  It lives here, not in
+#: :mod:`repro.engine.numpy_engine`, so the CLI's help can quote it without
+#: importing an engine.
+DEFAULT_MAX_LANES = 1024
 
 
 class EngineSimulator(Protocol):
@@ -101,6 +114,24 @@ class Engine(ABC):
 
 
 _REGISTRY: Dict[str, Engine] = {}
+_builtins_registered = False
+
+
+def _registry() -> Dict[str, Engine]:
+    """The registry, with the built-in engines registered on first use.
+
+    Threads that race here build interchangeable engines, and
+    ``setdefault`` keeps the first, so the check needs no lock.
+    """
+    global _builtins_registered
+    if not _builtins_registered:
+        from .numpy_engine import NumpyEngine
+        from .reference import ReferenceEngine
+
+        for engine in (ReferenceEngine(), NumpyEngine()):
+            _REGISTRY.setdefault(engine.name, engine)
+        _builtins_registered = True
+    return _REGISTRY
 
 
 def register_engine(engine: Engine, replace: bool = False) -> Engine:
@@ -112,7 +143,7 @@ def register_engine(engine: Engine, replace: bool = False) -> Engine:
     name = engine.name
     if not name or name == Engine.name:
         raise ValueError(f"engine {engine!r} must define a concrete name")
-    if name in _REGISTRY and not replace:
+    if name in _registry() and not replace:
         raise ValueError(
             f"engine {name!r} is already registered; pass replace=True to override"
         )
@@ -122,12 +153,12 @@ def register_engine(engine: Engine, replace: bool = False) -> Engine:
 
 def unregister_engine(name: str) -> None:
     """Remove a registered engine (primarily for tests)."""
-    _REGISTRY.pop(name, None)
+    _registry().pop(name, None)
 
 
 def available_engines() -> Tuple[str, ...]:
     """Names of all registered engines, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_registry()))
 
 
 def get_engine(name: str) -> Engine:
@@ -136,7 +167,7 @@ def get_engine(name: str) -> Engine:
     Unknown names raise :class:`ValueError` listing the registered names.
     """
     try:
-        return _REGISTRY[name]
+        return _registry()[name]
     except KeyError:
         registered = ", ".join(available_engines()) or "<none>"
         raise ValueError(
@@ -146,4 +177,4 @@ def get_engine(name: str) -> Engine:
 
 def engine_capabilities() -> Dict[str, Dict[str, object]]:
     """Capability matrix of every registered engine (name -> describe())."""
-    return {name: _REGISTRY[name].describe() for name in available_engines()}
+    return {name: _registry()[name].describe() for name in available_engines()}

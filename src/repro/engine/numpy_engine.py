@@ -48,7 +48,7 @@ from ..cache.hierarchy import HierarchyConfig
 from ..core.bits import mask
 from ..core.placement import make_placement, placement_is_randomized
 from ..core.prng import splitmix64_next_array
-from .base import Engine
+from .base import DEFAULT_MAX_LANES, Engine
 from .plan import TracePlan, compile_plan
 
 try:  # pragma: no cover - exercised implicitly on every plan batch
@@ -57,13 +57,6 @@ except ImportError:  # pragma: no cover - older numpy
     _count_nonzero = np.count_nonzero
 
 __all__ = ["NumpyEngine", "DEFAULT_MAX_LANES", "derive_seed_arrays"]
-
-#: Widest internal chunk, in lanes.  Bounds the working set (state arrays
-#: and per-lane placement maps grow linearly with the lane count) without
-#: changing results: lanes are independent, so chunking is invisible.  The
-#: shard planner's default width (:data:`repro.exec.plan.DEFAULT_SHARD_SIZE`)
-#: is this value, so a default shard is one engine batch.
-DEFAULT_MAX_LANES = 1024
 
 #: Plan steps between two folds of the deferred per-lane counters
 #: (:class:`_PlanCounters`).

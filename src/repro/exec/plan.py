@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from ..engine.numpy_engine import DEFAULT_MAX_LANES
+from ..engine.base import DEFAULT_MAX_LANES
 
 __all__ = [
     "DEFAULT_SHARD_SIZE",

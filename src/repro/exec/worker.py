@@ -26,6 +26,7 @@ kill-mid-shard scenarios deterministic to test.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -219,7 +220,16 @@ def run_worker(
     the error propagates, so a failing campaign cannot fail later drains;
     a rerun re-plans it and enqueues whatever is missing.  Interrupts
     (``KeyboardInterrupt``, a kill) leave the tasks for a resume.
+
+    ``lease_ttl`` must be a positive, finite number of seconds: a lease
+    with a TTL of zero or less is expired when written, so another worker
+    takes a live owner's shard over and runs it twice, and a NaN lease
+    never expires, so a dead owner's shard is never reclaimed.
     """
+    if not (math.isfinite(lease_ttl) and lease_ttl > 0):
+        raise ValueError(
+            f"lease_ttl must be a positive, finite number of seconds, got {lease_ttl!r}"
+        )
     queue = FileQueue(queue_dir)
     store = ResultStore(store_dir)
     owner = worker_id or default_owner_id()

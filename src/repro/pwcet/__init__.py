@@ -21,130 +21,74 @@ subsystem symmetric with :mod:`repro.engine` and :mod:`repro.study`:
 * :mod:`repro.pwcet.compare` — :func:`compare_estimators` cross-views;
 * :mod:`repro.pwcet.persistence` — the persisted analysis payloads keyed
   by ``(spec_hash, analysis_config_hash)`` in the result store.
+
+The names below load on first use (:mod:`repro._lazy`), so a caller that
+needs only :class:`MbptaConfig` does not import the estimators.
 """
 
 from __future__ import annotations
 
-from .admission import (
-    IidAssessment,
-    TestResult,
-    exponential_tail_batch,
-    exponential_tail_test,
-    identical_distribution_batch,
-    identical_distribution_test,
-    iid_assessment,
-    iid_assessment_batch,
-    ks_two_sample_test,
-    stephens_critical_value,
-    stephens_p_value,
-    wald_wolfowitz_batch,
-    wald_wolfowitz_test,
-)
-from .compare import EstimatorComparison, compare_estimators
-from .estimators import (
-    BUILTIN_ESTIMATORS,
-    ExponentialExcessEstimator,
-    ExponentialTailCurve,
-    ExponentialTailFit,
-    GumbelMleEstimator,
-    GumbelPwmEstimator,
-    effective_block_size,
-)
-from .evt import (
-    EULER_MASCHERONI,
-    GumbelFit,
-    PWcetCurve,
-    block_maxima,
-    block_maxima_batch,
-    discarded_run_count,
-    empirical_ccdf,
-    fit_gumbel,
-    fit_gumbel_batch,
-)
-from .persistence import analysis_from_payload, analysis_payload
-from .protocol import (
-    ANALYSIS_VERSION,
-    BOOTSTRAP_CONFIDENCE,
-    DEFAULT_EXCEEDANCE_PROBABILITIES,
-    MBPTA_MIN_RUNS,
-    MbptaConfig,
-    MbptaResult,
-    apply_mbpta,
-    apply_mbpta_batch,
-)
-from .registry import (
-    Estimator,
-    TailEstimate,
-    available_estimators,
-    estimator_capabilities,
-    get_estimator,
-    register_estimator,
-    unregister_estimator,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
     # evt
-    "EULER_MASCHERONI",
-    "GumbelFit",
-    "PWcetCurve",
-    "block_maxima",
-    "block_maxima_batch",
-    "discarded_run_count",
-    "empirical_ccdf",
-    "fit_gumbel",
-    "fit_gumbel_batch",
+    "EULER_MASCHERONI": "evt",
+    "GumbelFit": "evt",
+    "PWcetCurve": "evt",
+    "block_maxima": "evt",
+    "block_maxima_batch": "evt",
+    "discarded_run_count": "evt",
+    "empirical_ccdf": "evt",
+    "fit_gumbel": "evt",
+    "fit_gumbel_batch": "evt",
     # admission
-    "IidAssessment",
-    "TestResult",
-    "exponential_tail_batch",
-    "exponential_tail_test",
-    "identical_distribution_batch",
-    "identical_distribution_test",
-    "iid_assessment",
-    "iid_assessment_batch",
-    "ks_two_sample_test",
-    "stephens_critical_value",
-    "stephens_p_value",
-    "wald_wolfowitz_batch",
-    "wald_wolfowitz_test",
+    "IidAssessment": "admission",
+    "TestResult": "admission",
+    "exponential_tail_batch": "admission",
+    "exponential_tail_test": "admission",
+    "identical_distribution_batch": "admission",
+    "identical_distribution_test": "admission",
+    "iid_assessment": "admission",
+    "iid_assessment_batch": "admission",
+    "ks_two_sample_test": "admission",
+    "stephens_critical_value": "admission",
+    "stephens_p_value": "admission",
+    "wald_wolfowitz_batch": "admission",
+    "wald_wolfowitz_test": "admission",
     # protocol
-    "ANALYSIS_VERSION",
-    "BOOTSTRAP_CONFIDENCE",
-    "DEFAULT_EXCEEDANCE_PROBABILITIES",
-    "MBPTA_MIN_RUNS",
-    "MbptaConfig",
-    "MbptaResult",
-    "apply_mbpta",
-    "apply_mbpta_batch",
-    # registry + estimators
-    "Estimator",
-    "TailEstimate",
-    "available_estimators",
-    "estimator_capabilities",
-    "get_estimator",
-    "register_estimator",
-    "unregister_estimator",
-    "register_builtin_estimators",
-    "BUILTIN_ESTIMATORS",
-    "GumbelPwmEstimator",
-    "GumbelMleEstimator",
-    "ExponentialExcessEstimator",
-    "ExponentialTailCurve",
-    "ExponentialTailFit",
-    "effective_block_size",
+    "ANALYSIS_VERSION": "protocol",
+    "BOOTSTRAP_CONFIDENCE": "protocol",
+    "DEFAULT_EXCEEDANCE_PROBABILITIES": "protocol",
+    "MBPTA_MIN_RUNS": "protocol",
+    "MbptaConfig": "protocol",
+    "MbptaResult": "protocol",
+    "apply_mbpta": "protocol",
+    "apply_mbpta_batch": "protocol",
+    # registry
+    "Estimator": "registry",
+    "TailEstimate": "registry",
+    "available_estimators": "registry",
+    "estimator_capabilities": "registry",
+    "get_estimator": "registry",
+    "register_estimator": "registry",
+    "unregister_estimator": "registry",
+    # estimators
+    "BUILTIN_ESTIMATORS": "estimators",
+    "GumbelPwmEstimator": "estimators",
+    "GumbelMleEstimator": "estimators",
+    "ExponentialExcessEstimator": "estimators",
+    "ExponentialTailCurve": "estimators",
+    "ExponentialTailFit": "estimators",
+    "effective_block_size": "estimators",
     # compare
-    "EstimatorComparison",
-    "compare_estimators",
+    "EstimatorComparison": "compare",
+    "compare_estimators": "compare",
     # persistence
-    "analysis_payload",
-    "analysis_from_payload",
-]
+    "analysis_payload": "persistence",
+    "analysis_from_payload": "persistence",
+}
 
+__all__ = list(_EXPORTS)
 
-def register_builtin_estimators() -> None:
-    """Register (idempotently) the built-in estimators."""
-    for estimator in BUILTIN_ESTIMATORS:
-        register_estimator(estimator, replace=True)
-
-
-register_builtin_estimators()
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

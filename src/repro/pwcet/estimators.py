@@ -283,7 +283,8 @@ class ExponentialExcessEstimator(Estimator):
         )
 
 
-#: The estimators registered by :func:`repro.pwcet.register_builtin_estimators`.
+#: The estimators the registry holds before its first lookup
+#: (:mod:`repro.pwcet.registry`).
 BUILTIN_ESTIMATORS = (
     GumbelPwmEstimator(),
     GumbelMleEstimator(),

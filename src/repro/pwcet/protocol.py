@@ -116,12 +116,17 @@ class MbptaConfig:
 
         Together with a scenario's spec hash this keys persisted pWCET
         results in the result store: same sample, same analysis knobs —
-        same analysis.
+        same analysis.  Computed once per instance and kept in its
+        ``__dict__``, as :meth:`repro.study.scenario.Scenario.spec_hash` is.
         """
-        canonical = json.dumps(
-            self.analysis_config(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode("ascii")).hexdigest()
+        cached = self.__dict__.get("_analysis_hash")
+        if cached is None:
+            canonical = json.dumps(
+                self.analysis_config(), sort_keys=True, separators=(",", ":")
+            )
+            cached = hashlib.sha256(canonical.encode("ascii")).hexdigest()
+            self.__dict__["_analysis_hash"] = cached
+        return cached
 
 
 @dataclass

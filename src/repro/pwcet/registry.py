@@ -23,8 +23,10 @@ Capability flags describe what callers may rely on:
 
 To add an estimator: subclass :class:`Estimator`, implement
 :meth:`Estimator.fit` returning a :class:`TailEstimate`, and call
-:func:`register_estimator` at import time (see
-``repro/pwcet/__init__.py``).
+:func:`register_estimator`.  The built-in estimators
+(:data:`repro.pwcet.estimators.BUILTIN_ESTIMATORS`) are registered before
+the registry's first lookup or registration, whichever module a caller
+imported first.
 """
 
 from __future__ import annotations
@@ -106,6 +108,23 @@ class Estimator(ABC):
 
 
 _REGISTRY: Dict[str, Estimator] = {}
+_builtins_registered = False
+
+
+def _registry() -> Dict[str, Estimator]:
+    """The registry, with the built-in estimators registered on first use.
+
+    Threads that race here register the same objects, and ``setdefault``
+    keeps the first, so the check needs no lock.
+    """
+    global _builtins_registered
+    if not _builtins_registered:
+        from .estimators import BUILTIN_ESTIMATORS
+
+        for estimator in BUILTIN_ESTIMATORS:
+            _REGISTRY.setdefault(estimator.name, estimator)
+        _builtins_registered = True
+    return _REGISTRY
 
 
 def register_estimator(estimator: Estimator, replace: bool = False) -> Estimator:
@@ -117,7 +136,7 @@ def register_estimator(estimator: Estimator, replace: bool = False) -> Estimator
     name = estimator.name
     if not name or name == Estimator.name:
         raise ValueError(f"estimator {estimator!r} must define a concrete name")
-    if name in _REGISTRY and not replace:
+    if name in _registry() and not replace:
         raise ValueError(
             f"estimator {name!r} is already registered; pass replace=True to override"
         )
@@ -127,12 +146,12 @@ def register_estimator(estimator: Estimator, replace: bool = False) -> Estimator
 
 def unregister_estimator(name: str) -> None:
     """Remove a registered estimator (primarily for tests)."""
-    _REGISTRY.pop(name, None)
+    _registry().pop(name, None)
 
 
 def available_estimators() -> Tuple[str, ...]:
     """Names of all registered estimators, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_registry()))
 
 
 def get_estimator(name: str) -> Estimator:
@@ -141,7 +160,7 @@ def get_estimator(name: str) -> Estimator:
     Unknown names raise :class:`ValueError` listing the registered names.
     """
     try:
-        return _REGISTRY[name]
+        return _registry()[name]
     except KeyError:
         registered = ", ".join(available_estimators()) or "<none>"
         raise ValueError(
@@ -151,4 +170,4 @@ def get_estimator(name: str) -> Estimator:
 
 def estimator_capabilities() -> Dict[str, Dict[str, object]]:
     """Capability matrix of every registered estimator (name -> describe())."""
-    return {name: _REGISTRY[name].describe() for name in available_estimators()}
+    return {name: _registry()[name].describe() for name in available_estimators()}

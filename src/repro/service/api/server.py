@@ -100,6 +100,11 @@ class ReproServer:
         gc_age: float = DEFAULT_GC_AGE,
         watch_interval: float = 0.25,
     ) -> None:
+        # The registries fill on first use; fill them here, before the
+        # server's threads start, so no request or job thread imports the
+        # engines or the estimators.
+        engine_capabilities()
+        estimator_capabilities()
         self.store = store
         self.host = host
         self.port = port

@@ -17,51 +17,41 @@ hierarchy x MBPTA protocol} — is expressed here as data instead of code:
 
 The nine paper experiments are registered as built-in studies
 (:mod:`repro.study.library`) and run with :func:`run_study` or the CLI
-surface ``python -m repro study {list,run,compare,clean}``.
+surface ``python -m repro study {list,run,compare,clean}``.  The registry
+loads them before its first lookup, so reading a store or querying the
+run table never imports the study library.  The names below load on
+first use (:mod:`repro._lazy`).
 """
 
 from __future__ import annotations
 
-from .registry import (
-    Study,
-    StudyContext,
-    StudyOutcome,
-    available_studies,
-    get_study,
-    register_study,
-    run_study,
-    unregister_study,
-)
-from .resultset import ExecutionReport, ResultSet, ScenarioOutcome
-from .runner import execute_scenarios
-from .runtable import RunTable, build_run_table
-from .scenario import HierarchySpec, Scenario, Sweep, WorkloadSpec, expand
-from .store import DEFAULT_STORE_DIR, ResultStore
-from .library import register_builtin_studies
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_STORE_DIR",
-    "ExecutionReport",
-    "HierarchySpec",
-    "ResultSet",
-    "ResultStore",
-    "RunTable",
-    "Scenario",
-    "ScenarioOutcome",
-    "Study",
-    "StudyContext",
-    "StudyOutcome",
-    "Sweep",
-    "WorkloadSpec",
-    "available_studies",
-    "build_run_table",
-    "execute_scenarios",
-    "expand",
-    "get_study",
-    "register_builtin_studies",
-    "register_study",
-    "run_study",
-    "unregister_study",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "DEFAULT_STORE_DIR": "store",
+    "ExecutionReport": "resultset",
+    "HierarchySpec": "scenario",
+    "ResultSet": "resultset",
+    "ResultStore": "store",
+    "RunTable": "runtable",
+    "Scenario": "scenario",
+    "ScenarioOutcome": "resultset",
+    "Study": "registry",
+    "StudyContext": "registry",
+    "StudyOutcome": "registry",
+    "Sweep": "scenario",
+    "WorkloadSpec": "scenario",
+    "available_studies": "registry",
+    "build_run_table": "runtable",
+    "execute_scenarios": "runner",
+    "expand": "scenario",
+    "get_study": "registry",
+    "register_study": "registry",
+    "run_study": "registry",
+    "unregister_study": "registry",
+}
 
-register_builtin_studies()
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

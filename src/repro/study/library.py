@@ -7,6 +7,10 @@ offsets of the paper's evaluation — and the builder folds the executed
 dataclass from :mod:`repro.analysis.experiments`.  The ``--format text``
 rendering of every study is pinned byte for byte by the golden tests in
 ``tests/test_study.py``.
+
+:mod:`repro.study.registry` registers :data:`BUILTIN_STUDIES` before its
+first lookup.  Only table1 reads the hardware cost models, so
+``_build_table1`` imports :mod:`repro.hardware` when it runs.
 """
 
 from __future__ import annotations
@@ -27,15 +31,14 @@ from ..analysis.experiments import (
     Table2Result,
 )
 from ..analysis.hwm import industrial_bound
-from ..hardware import FpgaDevice, hrp_module_cost, integrate_on_fpga, rm_module_cost
 from ..core.placement import PlacementGeometry
 from ..pwcet import MbptaConfig, empirical_ccdf
 from ..workloads.eembc import eembc_kernel_names
 from ..workloads.synthetic import SYNTHETIC_FOOTPRINTS
-from .registry import Study, StudyContext, register_study
+from .registry import Study, StudyContext
 from .scenario import HierarchySpec, Scenario, Sweep, WorkloadSpec
 
-__all__ = ["register_builtin_studies"]
+__all__ = ["BUILTIN_STUDIES"]
 
 
 def _mbpta_config(settings: ExperimentSettings) -> MbptaConfig:
@@ -93,6 +96,8 @@ def _plan_table1(settings: ExperimentSettings, **params) -> List[Scenario]:
 
 
 def _build_table1(context: StudyContext) -> Table1Result:
+    from ..hardware import FpgaDevice, hrp_module_cost, integrate_on_fpga, rm_module_cost
+
     num_sets = int(context.params.get("num_sets", 128))
     line_size = int(context.params.get("line_size", 32))
     device = context.params.get("device")
@@ -470,7 +475,8 @@ def _build_ablation_repl(context: StudyContext) -> ReplacementAblationResult:
 # Registration
 # ---------------------------------------------------------------------------
 
-_BUILTIN_STUDIES = (
+#: The paper's studies, in the order the registry holds them.
+BUILTIN_STUDIES = (
     Study(
         name="table1",
         description="ASIC & FPGA implementation results",
@@ -528,9 +534,3 @@ _BUILTIN_STUDIES = (
         builder=_build_ablation_repl,
     ),
 )
-
-
-def register_builtin_studies() -> None:
-    """Register (idempotently) the nine paper studies."""
-    for study in _BUILTIN_STUDIES:
-        register_study(study, replace=True)

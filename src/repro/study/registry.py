@@ -119,6 +119,26 @@ class Study:
 
 
 _REGISTRY: Dict[str, Study] = {}
+_builtins_registered = False
+
+
+def _registry() -> Dict[str, Study]:
+    """The registry, with the nine paper studies registered on first use.
+
+    Importing :mod:`repro.study.library` loads every paper study and its
+    result classes (:mod:`repro.analysis.experiments`), so it waits for
+    the first lookup or registration: reading a store or the run table
+    never pays for it.  Threads that race here register the same objects,
+    and ``setdefault`` keeps the first, so the check needs no lock.
+    """
+    global _builtins_registered
+    if not _builtins_registered:
+        from .library import BUILTIN_STUDIES
+
+        for study in BUILTIN_STUDIES:
+            _REGISTRY.setdefault(study.name, study)
+        _builtins_registered = True
+    return _REGISTRY
 
 
 def register_study(study: Study, replace: bool = False) -> Study:
@@ -128,7 +148,7 @@ def register_study(study: Study, replace: bool = False) -> Study:
     """
     if not study.name:
         raise ValueError(f"study {study!r} must define a non-empty name")
-    if study.name in _REGISTRY and not replace:
+    if study.name in _registry() and not replace:
         raise ValueError(
             f"study {study.name!r} is already registered; pass replace=True to override"
         )
@@ -138,12 +158,12 @@ def register_study(study: Study, replace: bool = False) -> Study:
 
 def unregister_study(name: str) -> None:
     """Remove a registered study (primarily for tests)."""
-    _REGISTRY.pop(name, None)
+    _registry().pop(name, None)
 
 
 def available_studies() -> Tuple[str, ...]:
     """Names of all registered studies, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_registry()))
 
 
 def get_study(name: str) -> Study:
@@ -152,7 +172,7 @@ def get_study(name: str) -> Study:
     Unknown names raise :class:`ValueError` listing the registered names.
     """
     try:
-        return _REGISTRY[name]
+        return _registry()[name]
     except KeyError:
         registered = ", ".join(available_studies()) or "<none>"
         raise ValueError(

@@ -299,9 +299,17 @@ class Scenario:
         }
 
     def spec_hash(self) -> str:
-        """SHA-256 over the canonical JSON spec; keys the result store."""
-        canonical = json.dumps(self.spec_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("ascii")).hexdigest()
+        """SHA-256 over the canonical JSON spec; keys the result store.
+
+        Computed once per instance and kept in its ``__dict__``: the fields
+        are frozen, and :func:`dataclasses.replace` builds a new instance.
+        """
+        cached = self.__dict__.get("_spec_hash")
+        if cached is None:
+            canonical = json.dumps(self.spec_dict(), sort_keys=True, separators=(",", ":"))
+            cached = hashlib.sha256(canonical.encode("ascii")).hexdigest()
+            self.__dict__["_spec_hash"] = cached
+        return cached
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +319,43 @@ class Scenario:
 # a scenario rebuilt from its own spec dict hashes identically.  This is
 # what makes shard tasks (repro.exec) self-contained — a worker in another
 # process, on another host, rebuilds the exact simulation from JSON alone.
+#
+# Numeric and boolean fields are checked, not coerced: int() of 100.9 or
+# bool() of "false" would simulate another scenario than the one sent.
 # ---------------------------------------------------------------------------
+
+def _spec_int(spec: Mapping[str, object], key: str, prefix: str = "") -> int:
+    """An integer spec field: an ``int`` (JSON ``2``, not ``2.0``), not a ``bool``."""
+    value = spec[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{prefix}{key} must be an integer, got {value!r}")
+    return value
+
 
 def workload_from_spec(spec: Mapping[str, object]) -> WorkloadSpec:
     """Rebuild a :class:`WorkloadSpec` from its canonical spec dict."""
     kind = str(spec["kind"])
     if kind == "eembc":
-        return WorkloadSpec.eembc(str(spec["name"]), scale=float(spec["scale"]))  # type: ignore[arg-type]
+        scale = spec["scale"]
+        if isinstance(scale, bool) or not isinstance(scale, (int, float)):
+            raise ValueError(f"scale must be a number, got {scale!r}")
+        return WorkloadSpec.eembc(str(spec["name"]), scale=float(scale))
     if kind == "synthetic":
         return WorkloadSpec.synthetic(
-            int(spec["footprint_bytes"]), int(spec["iterations"])  # type: ignore[arg-type]
+            _spec_int(spec, "footprint_bytes"), _spec_int(spec, "iterations")
         )
     raise ValueError(f"unknown workload kind {kind!r} in spec")
 
 
 def hierarchy_from_spec(spec: Mapping[str, object]) -> HierarchySpec:
     """Rebuild a :class:`HierarchySpec` from its canonical spec dict."""
+    values = dict(spec["parameters"])  # type: ignore[call-overload]
     parameters = Leon3Parameters(
-        **{key: int(value) for key, value in dict(spec["parameters"]).items()}  # type: ignore[arg-type]
+        **{key: _spec_int(values, key, "parameters.") for key in values}
     )
-    with_l2 = bool(spec["with_l2"])
+    with_l2 = spec["with_l2"]
+    if not isinstance(with_l2, bool):
+        raise ValueError(f"with_l2 must be true or false, got {with_l2!r}")
     if "setup" in spec:
         return HierarchySpec(
             setup=str(spec["setup"]), parameters=parameters, with_l2=with_l2
@@ -364,8 +389,8 @@ def scenario_from_spec(spec: Mapping[str, object]) -> Scenario:
     return Scenario(
         workload=workload_from_spec(spec["workload"]),  # type: ignore[arg-type]
         hierarchy=hierarchy_from_spec(spec["hierarchy"]),  # type: ignore[arg-type]
-        runs=int(spec["runs"]),  # type: ignore[arg-type]
-        master_seed=int(spec["seed"]),  # type: ignore[arg-type]
+        runs=_spec_int(spec, "runs"),
+        master_seed=_spec_int(spec, "seed"),
         seed_offset=0,
         campaign=str(spec["campaign"]),
     )

@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
 import csv
 import io
 import json
@@ -45,6 +46,72 @@ class TestParser:
                 main([*command, "--help"])
             help_text = " ".join(capsys.readouterr().out.split())
             assert f"of at most {width} runs" in help_text
+
+
+def _commands(parser, prefix=()):
+    """(path, parser) of every command in a parser tree, walked through its
+    subparser actions, so a new command is covered without editing a test."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, command in action.choices.items():
+                yield (*prefix, name), command
+                yield from _commands(command, (*prefix, name))
+
+
+FULL_TREE_PATHS = [path for path, _ in _commands(build_parser())]
+
+
+def _exit(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that must end in SystemExit."""
+    with pytest.raises(SystemExit) as excinfo:
+        parse(argv)
+    captured = capsys.readouterr()
+    return excinfo.value.code, captured.out, captured.err
+
+
+class TestPrunedParser:
+    """``main`` adds arguments only to the leaf its argv selects; what it
+    prints must be the full ``build_parser()`` tree's, for every path."""
+
+    def test_walk_reaches_nested_commands(self):
+        assert {("engines",), ("study", "run"), ("query", "runs")} <= set(FULL_TREE_PATHS)
+
+    @pytest.mark.parametrize(
+        "path", FULL_TREE_PATHS, ids=[" ".join(path) for path in FULL_TREE_PATHS]
+    )
+    def test_help_and_errors_match_the_full_tree(self, path, capsys):
+        full = build_parser().parse_args
+        for argv in ([*path, "--help"], [*path, "--no-such-flag"]):
+            assert _exit(main, argv, capsys) == _exit(full, argv, capsys), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], [], ["stduy"], ["study", "rn"], ["query", "runs", "--where"],
+         ["study", "run", "table9"], ["--", "study"], ["study", "-5", "run"]],
+    )
+    def test_top_level_and_unknown_commands_match_the_full_tree(self, argv, capsys):
+        full = build_parser().parse_args
+        assert _exit(main, argv, capsys) == _exit(full, argv, capsys)
+
+    def test_only_the_selected_path_is_built(self):
+        def with_arguments(parser):
+            return {
+                path
+                for path, command in _commands(parser)
+                if any(action.dest != "help" for action in command._actions)
+            }
+
+        pruned = build_parser(["study", "run", "fig5"])
+        paths = {path for path, _ in _commands(pruned)}
+        # Every top-level name, the study subcommands, nothing further down.
+        assert {path for path in paths if len(path) == 1} == {
+            path for path in FULL_TREE_PATHS if len(path) == 1
+        }
+        assert {path for path in paths if len(path) == 2} == {
+            ("study", "list"), ("study", "run"), ("study", "compare"), ("study", "clean")
+        }
+        assert with_arguments(pruned) == {("study",), ("study", "run")}
+        assert with_arguments(build_parser()) > with_arguments(pruned)
 
 
 class TestRun:
@@ -234,6 +301,17 @@ class TestShardedExecution:
         status = capsys.readouterr().out
         assert "cli-test" in status
         assert "published" in status
+
+    @pytest.mark.parametrize("ttl", ["0", "-5", "nan", "inf"])
+    def test_worker_rejects_an_unusable_lease_ttl(self, tmp_path, capsys, ttl):
+        # A TTL <= 0 writes leases already expired (a live owner's shard is
+        # taken over and runs twice); a NaN or infinite one never expires.
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker", "--store", str(store), "--lease-ttl", ttl])
+        assert excinfo.value.code == 2
+        assert "--lease-ttl must be a positive, finite number" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_clean_analyses_only_preserves_campaigns(self, tmp_path, capsys):
         from repro.study.store import ResultStore

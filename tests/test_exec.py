@@ -496,6 +496,16 @@ class TestShardedExecution:
         with pytest.raises(RuntimeError, match=shards[0].key):
             reassemble_campaign(scenario, shards, _published(scenario, store))
 
+    @pytest.mark.parametrize("ttl", [0.0, -5.0, float("nan"), float("inf")])
+    def test_worker_rejects_an_unusable_lease_ttl(self, tmp_path, ttl):
+        scenario = _scenario()
+        store = ResultStore(tmp_path / "store")
+        _, queue = _enqueue_all(scenario, store, shard_size=4)
+        with pytest.raises(ValueError, match="lease_ttl must be a positive, finite"):
+            run_worker(queue.root, store.root, lease_ttl=ttl)
+        assert not queue.lease_root.exists()  # nothing was claimed
+        assert read_heartbeats(queue) == []
+
     def test_worker_heartbeats_recorded(self, tmp_path):
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")

@@ -1,5 +1,6 @@
 """Smoke tests for the top-level public API and the example scripts."""
 
+import json
 import os
 import runpy
 import subprocess
@@ -76,6 +77,107 @@ class TestDeclaredDependencies:
         assert child.returncode == 0, child.stderr
         assert "pWCET estimates" in child.stdout
         assert "simulated 2 of 2 scenarios" in child.stdout
+
+
+#: Loaded by no command that does not run an experiment.
+STUDY_LIBRARY = ("repro.study.library", "repro.analysis.experiments")
+#: Loaded by no command but table1 (hardware) and serve/submit (service).
+HARDWARE_AND_SERVICE = ("repro.hardware", "repro.service")
+
+
+def _fresh_modules(tmp_path, code: str) -> list:
+    """The ``repro`` modules a fresh interpreter holds after ``code``."""
+    listing = tmp_path / "modules.json"
+    script = (
+        "import json, sys\n"
+        f"{code}\n"
+        f"with open({str(listing)!r}, 'w') as handle:\n"
+        "    json.dump(sorted(m for m in sys.modules if m.startswith('repro')), handle)\n"
+    )
+    env = dict(os.environ)
+    src_root = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+    child = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(listing.read_text())
+
+
+def _cli(argv) -> str:
+    """``python -m repro ARGV`` inside the fresh interpreter (runpy, as -m)."""
+    return (
+        "import runpy\n"
+        f"sys.argv = ['repro', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit_:\n"
+        "    assert exit_.code in (0, None), exit_.code\n"
+    )
+
+
+def _loaded(modules: list, prefixes) -> list:
+    return [name for name in modules if name.startswith(tuple(prefixes))]
+
+
+class TestImportBudget:
+    """A command loads only what it runs (fresh interpreters, sys.modules)."""
+
+    @pytest.mark.parametrize("command", ["import", "help", "query"])
+    def test_no_study_library_hardware_or_service_without_an_experiment(
+        self, tmp_path, command
+    ):
+        code = {
+            "import": "import repro",
+            "help": _cli(["--help"]),
+            "query": _cli(["query", "runs", "--store", str(tmp_path / "store")]),
+        }[command]
+        modules = _fresh_modules(tmp_path, code)
+        assert _loaded(modules, STUDY_LIBRARY + HARDWARE_AND_SERVICE) == []
+
+    def test_import_repro_and_help_load_no_subpackage(self, tmp_path):
+        assert _fresh_modules(tmp_path, "import repro") == ["repro", "repro._lazy"]
+        assert "repro.engine.numpy_engine" not in _fresh_modules(tmp_path, _cli(["--help"]))
+
+    def test_warm_study_run_loads_no_hardware_or_service(self, tmp_path):
+        from repro.__main__ import main
+
+        argv = ["study", "run", "fig5", "--runs", "24", "--store", str(tmp_path / "store")]
+        assert main(argv) == 0  # cold, in this process
+        modules = _fresh_modules(tmp_path, _cli(argv))
+        assert "repro.study.library" in modules
+        assert _loaded(modules, HARDWARE_AND_SERVICE) == []
+
+    @pytest.mark.parametrize(
+        "code, expected",
+        [
+            (
+                "from repro.study.registry import available_studies as names",
+                {"table1", "table2", "fig1", "fig4a", "fig4b", "fig5", "avg_perf",
+                 "ablation_seg", "ablation_repl"},
+            ),
+            ("from repro.engine.base import available_engines as names",
+             {"numpy", "reference"}),
+            ("from repro.engine import available_engines as names",
+             {"numpy", "reference"}),
+            ("from repro.pwcet.registry import available_estimators as names",
+             {"gumbel-pwm", "gumbel-mle", "exponential-excess"}),
+            ("from repro import available_estimators as names",
+             {"gumbel-pwm", "gumbel-mle", "exponential-excess"}),
+        ],
+        ids=["studies", "engines-base", "engines", "estimators-registry", "estimators"],
+    )
+    def test_registries_hold_the_builtins_whichever_module_is_imported_first(
+        self, tmp_path, code, expected
+    ):
+        listing = tmp_path / "names.json"
+        _fresh_modules(
+            tmp_path,
+            f"{code}\nwith open({str(listing)!r}, 'w') as handle:\n"
+            "    json.dump(names(), handle)",
+        )
+        assert set(json.loads(listing.read_text())) == expected
 
 
 class TestDesignDocumentation:

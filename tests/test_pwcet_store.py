@@ -47,7 +47,8 @@ class _FitCounter:
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        for estimator in pwcet_registry._REGISTRY.values():
+        for name in pwcet_registry.available_estimators():
+            estimator = pwcet_registry.get_estimator(name)
             for method_name in ("fit", "fit_batch"):
                 original = getattr(estimator.__class__, method_name)
                 monkeypatch.setattr(

@@ -66,12 +66,42 @@ def _spec(scenario: Scenario) -> dict:
     return scenario.spec_dict()
 
 
+#: (path into a spec, a mistyped value, the field the 400 names).
+MISTYPED_FIELDS = [
+    (("hierarchy", "with_l2"), "false", "with_l2"),
+    (("hierarchy", "with_l2"), 0, "with_l2"),
+    (("runs",), 100.9, "runs"),
+    (("runs",), True, "runs"),
+    (("seed",), 1.5, "seed"),
+    (("seed",), "77", "seed"),
+    (("hierarchy", "parameters", "l1_ways"), 4.7, "parameters.l1_ways"),
+    (("workload", "iterations"), 2.0, "iterations"),
+    (("workload", "footprint_bytes"), "4096", "footprint_bytes"),
+    (("workload", "scale"), True, "scale"),
+    (("workload", "scale"), "0.5", "scale"),
+]
+
+
+def _mistyped_spec(path: tuple, value: object) -> dict:
+    """A valid spec (eembc when ``path`` is the scale) with one field replaced."""
+    scenario = _scenario()
+    if path[-1] == "scale":
+        scenario = replace(scenario, workload=WorkloadSpec.eembc("a2time", 0.25))
+    spec = _spec(scenario)
+    target = spec
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return spec
+
+
 class _FitCounter:
     """Wraps every registered estimator to count fit/fit_batch calls."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        for estimator in pwcet_registry._REGISTRY.values():
+        for name in pwcet_registry.available_estimators():
+            estimator = pwcet_registry.get_estimator(name)
             for method_name in ("fit", "fit_batch"):
                 original = getattr(estimator.__class__, method_name)
                 monkeypatch.setattr(
@@ -175,6 +205,19 @@ class TestJobRequestParsing:
     def test_malformed_requests_are_rejected(self, payload):
         with pytest.raises(BadRequest):
             parse_job_request(payload)
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        MISTYPED_FIELDS,
+        ids=[f"{field}={value!r}" for _, value, field in MISTYPED_FIELDS],
+    )
+    def test_mistyped_spec_fields_are_rejected_naming_the_field(
+        self, path, value, field
+    ):
+        # Coercing these (bool("false"), int(100.9), ...) would run another
+        # scenario than the one sent.
+        with pytest.raises(BadRequest, match=f"{field} must be"):
+            parse_job_request({"spec": _mistyped_spec(path, value)})
 
     @pytest.mark.parametrize(
         "options",
@@ -315,10 +358,20 @@ class TestJobLifecycle:
             assert excinfo.value.status == 400
             assert message in excinfo.value.message
 
-    def test_unusable_scale_is_a_400(self, tmp_path, start_server):
-        # Rejected at submission, not by a worker's trace build.
+    def test_mistyped_spec_fields_are_a_400(self, tmp_path, start_server):
         _, client = start_server(ResultStore(tmp_path / "store"))
-        for scale in (0, -1, "nan", "inf"):
+        for path, value, field in MISTYPED_FIELDS:
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit({"spec": _mistyped_spec(path, value)})
+            assert excinfo.value.status == 400, (path, value)
+            assert f"{field} must be" in excinfo.value.message
+
+    def test_unusable_scale_is_a_400(self, tmp_path, start_server):
+        # Rejected at submission, not by a worker's trace build.  NaN and
+        # infinity travel as the JSON tokens Python's json reads back as
+        # floats; a string scale is a type error (MISTYPED_FIELDS).
+        _, client = start_server(ResultStore(tmp_path / "store"))
+        for scale in (0, -1, float("nan"), float("inf")):
             spec = _spec(_scenario(runs=8))
             spec["workload"] = {"kind": "eembc", "name": "a2time", "scale": scale}
             with pytest.raises(ServiceError) as excinfo:

@@ -11,8 +11,10 @@ Regenerate the goldens (only when an output change is intended) with::
     PYTHONPATH=src python tests/golden/generate.py
 """
 
+import hashlib
 import json
-from dataclasses import replace
+import pickle
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from repro.__main__ import main
 from repro.analysis.campaign import run_campaign
 from repro.analysis.experiments import ExperimentSettings
 from repro.pwcet.protocol import MbptaConfig
+from repro.study.scenario import scenario_from_spec
 from repro.study import (
     HierarchySpec,
     ResultStore,
@@ -179,6 +182,66 @@ class TestScenarioSpec:
         # Floor-dividing to KB must not make distinct footprints collide.
         assert WorkloadSpec.synthetic(1024, iterations=2).label == "synthetic_1KB"
         assert WorkloadSpec.synthetic(1536, iterations=2).label == "synthetic_1536B"
+
+
+def _sha256_of(canonical: dict) -> str:
+    """The hash of a canonical dict, computed without any instance's memo."""
+    text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+class TestMemoizedHashes:
+    """``spec_hash()``/``analysis_hash()`` are kept per instance; a kept
+    value must always equal a fresh computation."""
+
+    #: One changed value per Scenario field.
+    SCENARIO_CHANGES = {
+        "workload": WorkloadSpec.eembc("tblook", 0.25),
+        "hierarchy": HierarchySpec.named("hrp"),
+        "runs": 31,
+        "master_seed": 5,
+        "seed_offset": 3,
+        "campaign": "layouts",
+        "engine": "reference",
+        "jobs": 2,
+        "mbpta": MbptaConfig(block_size=10),
+        "label": "renamed",
+    }
+
+    #: One changed value per MbptaConfig field.
+    CONFIG_CHANGES = {
+        "block_size": 10,
+        "fit_method": "gumbel-mle",
+        "significance": 0.01,
+        "exceedance_probabilities": (1e-9,),
+        "bootstrap": 5,
+    }
+
+    def test_every_field_is_covered(self):
+        assert set(self.SCENARIO_CHANGES) == {f.name for f in fields(Scenario)}
+        assert set(self.CONFIG_CHANGES) == {f.name for f in fields(MbptaConfig)}
+
+    def test_spec_hash_after_replace_round_trip_and_pickle(self):
+        base = tiny_scenario(workload=WorkloadSpec.eembc("a2time", 0.25))
+        assert base.spec_hash() == _sha256_of(base.spec_dict())  # now kept
+        for name, value in self.SCENARIO_CHANGES.items():
+            changed = replace(base, **{name: value})
+            assert changed.spec_hash() == _sha256_of(changed.spec_dict()), name
+        rebuilt = scenario_from_spec(base.spec_dict())
+        assert rebuilt.spec_hash() == base.spec_hash()
+        unpickled = pickle.loads(pickle.dumps(base))
+        assert unpickled == base
+        assert unpickled.spec_hash() == _sha256_of(unpickled.spec_dict())
+
+    def test_analysis_hash_after_replace_and_pickle(self):
+        base = MbptaConfig()
+        assert base.analysis_hash() == _sha256_of(base.analysis_config())
+        for name, value in self.CONFIG_CHANGES.items():
+            changed = replace(base, **{name: value})
+            assert changed.analysis_hash() == _sha256_of(changed.analysis_config()), name
+            assert changed.analysis_hash() != base.analysis_hash(), name
+        unpickled = pickle.loads(pickle.dumps(base))
+        assert unpickled.analysis_hash() == _sha256_of(unpickled.analysis_config())
 
 
 # ---------------------------------------------------------------------------
