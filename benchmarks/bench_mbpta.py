@@ -1,11 +1,15 @@
-"""Benchmarks of the pWCET analysis subsystem: vectorized batch vs loop.
+"""Benchmarks of the pWCET analysis subsystem: one batch pass vs a loop.
 
 ``test_vectorized_vs_loop_fit_throughput`` measures the whole
 fit-assessment pipeline (admission battery + block maxima + EVT fit +
 pWCET projection) head-to-head: one :func:`repro.pwcet.apply_mbpta_batch`
-call over an ``(n_campaigns, n_runs)`` matrix versus one
-:func:`repro.pwcet.apply_mbpta` call per campaign, at 8/32/128 campaigns.
-Exact equality of the two paths is asserted; the timing table is printed
+call over an ``(n_campaigns, n_runs)`` matrix versus a loop of
+per-campaign one-row calls (:func:`repro.pwcet.apply_mbpta` is a one-row
+``apply_mbpta_batch``), at 8/32/128 campaigns.  The loop pays the
+pipeline's fixed per-call cost once per campaign; no production path
+analyses one campaign per call (``ResultSet`` batches every analysis).
+Exact equality of the two is asserted (a campaign's result does not
+depend on the campaigns batched with it); the timing table is printed
 (shared CI boxes are noisy, so only the 32/128-campaign speedups are
 softly asserted at the >=3x acceptance bar).
 

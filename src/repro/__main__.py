@@ -80,6 +80,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -1034,6 +1035,9 @@ def _worker_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         parser.error(
             f"--lease-ttl must be a positive, finite number of seconds, got {args.lease_ttl}"
         )
+    if not os.path.isdir(args.store):
+        # A mistyped store would drain nothing and exit 0 after creating it.
+        parser.error(f"--store {args.store} is not a directory")
     store = ResultStore(args.store)
     kwargs = {}
     if args.worker_id is not None:

@@ -77,6 +77,8 @@ class ExperimentSettings:
     ``estimator`` names a registered pWCET estimator (see
     :func:`repro.pwcet.available_estimators`).  Left empty, the MBPTA
     config default (``gumbel-pwm``) applies — the historical behaviour.
+    With ``secondary_cutoff`` and ``cutoff`` it makes the one analysis
+    config of a study run (:meth:`mbpta_config`).
 
     ``shard_size`` (CLI ``--shard-size``) routes campaigns through the
     sharded work-queue pipeline (:mod:`repro.exec`): each campaign is split
@@ -94,7 +96,6 @@ class ExperimentSettings:
     shard_size: Optional[int] = None
     cutoff: float = 1e-15
     secondary_cutoff: float = 1e-12
-    mbpta: MbptaConfig = field(default_factory=MbptaConfig)
     parameters: Leon3Parameters = field(default_factory=Leon3Parameters)
 
     @classmethod
@@ -111,6 +112,14 @@ class ExperimentSettings:
         if scale:
             settings = replace(settings, scale=float(scale))
         return settings
+
+    def mbpta_config(self) -> MbptaConfig:
+        """The analysis config of every campaign a study runs: pWCETs at
+        both cutoffs, by ``estimator`` when one is set."""
+        config = MbptaConfig(
+            exceedance_probabilities=(self.secondary_cutoff, self.cutoff)
+        )
+        return replace(config, fit_method=self.estimator) if self.estimator else config
 
     def setup(self, name: str) -> HierarchyConfig:
         """The named LEON3 cache setup with this experiment's parameters."""

@@ -24,52 +24,43 @@ The queue is drained by the executor's worker processes and by separately
 launched ``python -m repro worker`` processes attached to the same
 directory.  ``python -m repro exec status`` renders queue occupancy and
 worker telemetry (:mod:`repro.exec.status`).
+
+The names below load on first use (:mod:`repro._lazy`), so ``exec
+status`` loads neither the executor nor the workers.
 """
 
 from __future__ import annotations
 
-from .plan import (
-    DEFAULT_SHARD_SIZE,
-    Shard,
-    plan_shards,
-    resolve_jobs,
-    resolve_shard_size,
-    shard_key,
-)
-from .queue import DEFAULT_LEASE_TTL, FileQueue, Lease, default_owner_id
-from .telemetry import WorkerHeartbeat, WorkerTelemetry, read_heartbeats
-from .worker import ShardRunner, WorkerStats, run_worker, shard_task
-from .executor import (
-    ShardReport,
-    execute_campaigns,
-    execute_scenario_sharded,
-    reassemble_campaign,
-)
-from .status import exec_status_snapshot, format_exec_status, render_exec_status
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_LEASE_TTL",
-    "DEFAULT_SHARD_SIZE",
-    "FileQueue",
-    "Lease",
-    "Shard",
-    "ShardReport",
-    "ShardRunner",
-    "WorkerHeartbeat",
-    "WorkerStats",
-    "WorkerTelemetry",
-    "default_owner_id",
-    "exec_status_snapshot",
-    "execute_campaigns",
-    "execute_scenario_sharded",
-    "format_exec_status",
-    "render_exec_status",
-    "plan_shards",
-    "read_heartbeats",
-    "reassemble_campaign",
-    "resolve_jobs",
-    "resolve_shard_size",
-    "run_worker",
-    "shard_key",
-    "shard_task",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "DEFAULT_LEASE_TTL": "queue",
+    "DEFAULT_SHARD_SIZE": "plan",
+    "FileQueue": "queue",
+    "Lease": "queue",
+    "Shard": "plan",
+    "ShardReport": "executor",
+    "ShardRunner": "worker",
+    "WorkerHeartbeat": "telemetry",
+    "WorkerStats": "worker",
+    "WorkerTelemetry": "telemetry",
+    "default_owner_id": "queue",
+    "exec_status_snapshot": "status",
+    "execute_campaigns": "executor",
+    "execute_scenario_sharded": "executor",
+    "format_exec_status": "status",
+    "render_exec_status": "status",
+    "plan_shards": "plan",
+    "read_heartbeats": "telemetry",
+    "reassemble_campaign": "executor",
+    "resolve_jobs": "plan",
+    "resolve_shard_size": "plan",
+    "run_worker": "worker",
+    "shard_key": "plan",
+    "shard_task": "worker",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -4,23 +4,28 @@ The paper's deliverable is the pWCET curve MBPTA projects from the cache
 simulation (Sections 4.2–4.3); this package makes that analysis a
 subsystem symmetric with :mod:`repro.engine` and :mod:`repro.study`:
 
-* :mod:`repro.pwcet.evt` — Gumbel fitting (scalar and vectorized batch),
-  block maxima, projection curves, empirical CCDFs;
+* :mod:`repro.pwcet.evt` — Gumbel fitting and block maxima over
+  ``(n_campaigns, n_runs)`` matrices, projection curves, empirical CCDFs;
 * :mod:`repro.pwcet.admission` — the Wald-Wolfowitz/KS/ET admission
-  battery, scalar and vectorized over ``(n_campaigns, n_runs)`` matrices,
-  with Stephens' critical-value table behind the ET p-value;
+  battery, vectorized over ``(n_campaigns, n_runs)`` matrices, with
+  Stephens' critical-value table behind the ET p-value;
 * :mod:`repro.pwcet.registry` — the estimator registry
   (:func:`register_estimator` / :func:`get_estimator`, mirroring
   :func:`repro.engine.register_engine`) with capability flags;
-* :mod:`repro.pwcet.estimators` — the built-in ``gumbel-pwm`` (default,
-  bit-identical to the historical protocol), ``gumbel-mle`` and the
-  peaks-over-threshold ``exponential-excess`` estimators;
-* :mod:`repro.pwcet.protocol` — :func:`apply_mbpta` (one campaign) and
-  :func:`apply_mbpta_batch` (a whole study's campaigns in one vectorized
-  pass, bit-identical to the loop), plus bootstrap confidence intervals;
+* :mod:`repro.pwcet.estimators` — the built-in ``gumbel-pwm`` (default),
+  ``gumbel-mle`` and the peaks-over-threshold ``exponential-excess``
+  estimators;
+* :mod:`repro.pwcet.protocol` — :func:`apply_mbpta_batch` (a whole study's
+  campaigns in one vectorized pass), plus bootstrap confidence intervals;
 * :mod:`repro.pwcet.compare` — :func:`compare_estimators` cross-views;
 * :mod:`repro.pwcet.persistence` — the persisted analysis payloads keyed
   by ``(spec_hash, analysis_config_hash)`` in the result store.
+
+Every statistic has one implementation, over an ``(n_campaigns, n_runs)``
+matrix; the single-campaign names (:func:`apply_mbpta`,
+:func:`iid_assessment`, the three tests, :func:`block_maxima`,
+:func:`fit_gumbel`, :meth:`Estimator.fit`) are one-row views of their
+batch forms, and the test-suite holds the statistics to scipy's.
 
 The names below load on first use (:mod:`repro._lazy`), so a caller that
 needs only :class:`MbptaConfig` does not import the estimators.
@@ -51,7 +56,6 @@ _EXPORTS = {
     "identical_distribution_test": "admission",
     "iid_assessment": "admission",
     "iid_assessment_batch": "admission",
-    "ks_two_sample_test": "admission",
     "stephens_critical_value": "admission",
     "stephens_p_value": "admission",
     "wald_wolfowitz_batch": "admission",

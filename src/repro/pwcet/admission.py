@@ -12,12 +12,14 @@ compatible with a Gumbel/exponential shape.  The paper (Table 2) uses:
   exponential/Gumbel shape, decided against Stephens' critical values for
   the Cramér-von Mises statistic with estimated exponential scale.
 
-The implementations are self-contained (closed-form asymptotics) and the
-test-suite cross-checks them against scipy where scipy offers an
-equivalent.  Every test also has a ``*_batch`` variant operating on an
-``(n_campaigns, n_runs)`` matrix: the statistics are computed for all
-campaigns in one vectorized pass and are **bit-identical** to running the
-scalar test once per row (asserted by the batch-equivalence tests).
+Each test is implemented once, as a ``*_batch`` function over an
+``(n_campaigns, n_runs)`` matrix that computes the statistics of every
+campaign in one vectorized pass.  The single-sample names
+(:func:`wald_wolfowitz_test`, :func:`identical_distribution_test`,
+:func:`exponential_tail_test`, :func:`iid_assessment`) are one-row views
+of their batch form.  The implementations are self-contained
+(closed-form asymptotics); the test-suite checks the statistics against
+scipy's.
 """
 
 from __future__ import annotations
@@ -32,12 +34,10 @@ __all__ = [
     "TestResult",
     "wald_wolfowitz_test",
     "wald_wolfowitz_batch",
-    "ks_two_sample_test",
     "identical_distribution_test",
     "identical_distribution_batch",
     "exponential_tail_test",
     "exponential_tail_batch",
-    "tail_threshold",
     "tail_thresholds",
     "tail_excess_groups",
     "DEFAULT_TAIL_FRACTION",
@@ -66,57 +66,27 @@ class TestResult:
 # --------------------------------------------------------------------------
 
 def wald_wolfowitz_test(samples: Sequence[float], significance: float = 0.05) -> TestResult:
-    """Runs test for independence of a sequence of measurements.
-
-    Observations are dichotomised around the median; the number of runs of
-    consecutive values on the same side is compared with its expectation
-    under independence.  The returned statistic is the absolute standard
-    score; values below the two-sided critical value (1.96 at 5 %) pass,
-    which is how Table 2 of the paper reports it.
-    """
-    values = np.asarray(samples, dtype=float)
-    if len(values) < 10:
-        raise ValueError("the runs test needs at least 10 observations")
-    median = float(np.median(values))
-    # Values equal to the median carry no information about ordering.
-    signs = [1 if value > median else 0 for value in values if value != median]
-    n_pos = sum(signs)
-    n_neg = len(signs) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        # A constant sequence (fully deterministic platform) is trivially
-        # independent: there is nothing left to correlate.
-        return TestResult(
-            name="wald-wolfowitz",
-            statistic=0.0,
-            p_value=1.0,
-            passed=True,
-            details="degenerate sample (constant after removing median ties)",
-        )
-    runs = 1 + sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    n = n_pos + n_neg
-    expected = 2.0 * n_pos * n_neg / n + 1.0
-    variance = (2.0 * n_pos * n_neg * (2.0 * n_pos * n_neg - n)) / (n * n * (n - 1.0))
-    if variance <= 0:
-        statistic = 0.0
-    else:
-        statistic = abs(runs - expected) / math.sqrt(variance)
-    p_value = math.erfc(statistic / math.sqrt(2.0))
-    critical = _normal_two_sided_critical(significance)
-    return TestResult(
-        name="wald-wolfowitz",
-        statistic=statistic,
-        p_value=p_value,
-        passed=statistic < critical,
-        details=f"runs={runs}, expected={expected:.1f}",
-    )
+    """Runs test for independence of one sequence of measurements (a
+    one-row :func:`wald_wolfowitz_batch`)."""
+    return wald_wolfowitz_batch([samples], significance)[0]
 
 
 def wald_wolfowitz_batch(
     matrix: np.ndarray, significance: float = 0.05
 ) -> List[TestResult]:
-    """Row-wise :func:`wald_wolfowitz_test` over an ``(n_campaigns, n_runs)``
-    matrix, with the dichotomisation and runs count vectorized across
-    campaigns."""
+    """Runs test for independence of every row of an ``(n_campaigns,
+    n_runs)`` matrix, with the dichotomisation and runs count vectorized
+    across campaigns.
+
+    Each row's observations are dichotomised around its median (values
+    equal to the median carry no information about ordering and are
+    dropped); the number of runs of consecutive values on the same side is
+    compared with its expectation under independence.  The statistic is
+    the absolute standard score; values below the two-sided critical value
+    (1.96 at 5 %) pass, which is how Table 2 of the paper reports it.  A
+    row that is constant after dropping the median ties (a fully
+    deterministic platform) is trivially independent.
+    """
     matrix = _as_sample_matrix(matrix)
     n_campaigns, n_runs = matrix.shape
     if n_runs < 10:
@@ -193,14 +163,6 @@ def _as_sample_matrix(matrix: np.ndarray) -> np.ndarray:
 # Two-sample Kolmogorov-Smirnov test (identical distribution)
 # --------------------------------------------------------------------------
 
-def _ks_statistic(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
-    """Maximum distance between the two empirical CDFs."""
-    all_values = np.concatenate([sample_a, sample_b])
-    cdf_a = np.searchsorted(np.sort(sample_a), all_values, side="right") / len(sample_a)
-    cdf_b = np.searchsorted(np.sort(sample_b), all_values, side="right") / len(sample_b)
-    return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
 def _ks_p_value(statistic: float, n_a: int, n_b: int) -> float:
     """Asymptotic two-sample KS p-value (Kolmogorov distribution)."""
     effective_n = n_a * n_b / (n_a + n_b)
@@ -216,66 +178,30 @@ def _ks_p_value(statistic: float, n_a: int, n_b: int) -> float:
     return float(min(max(total, 0.0), 1.0))
 
 
-def ks_two_sample_test(
-    sample_a: Sequence[float],
-    sample_b: Sequence[float],
-    significance: float = 0.05,
-) -> TestResult:
-    """Two-sample Kolmogorov-Smirnov test.
-
-    Passing (p-value above the significance level) supports the hypothesis
-    that both samples come from the same distribution.
-    """
-    a = np.asarray(sample_a, dtype=float)
-    b = np.asarray(sample_b, dtype=float)
-    if len(a) < 5 or len(b) < 5:
-        raise ValueError("both samples need at least 5 observations")
-    if np.allclose(a, a[0]) and np.allclose(b, b[0]) and math.isclose(float(a[0]), float(b[0])):
-        return TestResult(
-            name="kolmogorov-smirnov",
-            statistic=0.0,
-            p_value=1.0,
-            passed=True,
-            details="degenerate identical samples",
-        )
-    statistic = _ks_statistic(a, b)
-    p_value = _ks_p_value(statistic, len(a), len(b))
-    return TestResult(
-        name="kolmogorov-smirnov",
-        statistic=statistic,
-        p_value=p_value,
-        passed=p_value > significance,
-        details=f"n_a={len(a)}, n_b={len(b)}",
-    )
-
-
 def identical_distribution_test(
     samples: Sequence[float], significance: float = 0.05
 ) -> TestResult:
-    """Identical-distribution check used by MBPTA.
-
-    The measurement sequence is split into its first and second halves
-    (analysis-time convention of the MBPTA protocol) and the two halves are
-    compared with the two-sample KS test.
-    """
-    values = list(samples)
-    if len(values) < 10:
-        raise ValueError("identical-distribution test needs at least 10 observations")
-    half = len(values) // 2
-    return ks_two_sample_test(values[:half], values[half : 2 * half], significance)
+    """Identical-distribution check of one measurement sequence (a one-row
+    :func:`identical_distribution_batch`)."""
+    return identical_distribution_batch([samples], significance)[0]
 
 
 def identical_distribution_batch(
     matrix: np.ndarray, significance: float = 0.05
 ) -> List[TestResult]:
-    """Row-wise :func:`identical_distribution_test` over a sample matrix.
+    """Identical-distribution check of every row of a sample matrix.
 
-    One argsort per row replaces the per-sample searchsorted calls: walking
-    the combined sample in sorted order, the running count of first-half
-    elements at the end of each tie group is exactly
-    ``searchsorted(sorted_half, x, side="right")``, so the maximum CDF
-    distance is computed from the same integer counts (and the same
-    divide/subtract/abs float operations) as the scalar test.
+    Each row is split into its first and second halves (the analysis-time
+    convention of the MBPTA protocol; an odd trailing run is dropped) and
+    the halves are compared with the two-sample Kolmogorov-Smirnov test.
+    Passing (p-value above the significance level) supports the hypothesis
+    that both halves come from the same distribution.
+
+    One argsort per row gives both empirical CDFs: walking the combined
+    sample in sorted order, the running count of first-half elements at
+    the end of each tie group is the first half's CDF there
+    (``searchsorted(sorted_half, x, side="right")``), and the second
+    half's is the rest.
     """
     matrix = _as_sample_matrix(matrix)
     n_campaigns, n_runs = matrix.shape
@@ -337,21 +263,13 @@ DEFAULT_TAIL_FRACTION = 0.25
 MIN_TAIL_EXCESSES = 10
 
 
-def tail_threshold(
-    sorted_values: np.ndarray, tail_fraction: float = DEFAULT_TAIL_FRACTION
-) -> float:
-    """The excess threshold of one **sorted** sample (1-D)."""
-    n = len(sorted_values)
-    n_tail = max(int(n * tail_fraction), MIN_TAIL_EXCESSES)
-    if n_tail < n:
-        return float(sorted_values[-n_tail - 1])
-    return float(sorted_values[0])
-
-
 def tail_thresholds(
     sorted_matrix: np.ndarray, tail_fraction: float = DEFAULT_TAIL_FRACTION
 ) -> np.ndarray:
-    """Row-wise :func:`tail_threshold` of a row-**sorted** sample matrix."""
+    """The excess threshold of every row of a row-**sorted** sample matrix:
+    the value just below the row's top ``tail_fraction`` (but at least
+    :data:`MIN_TAIL_EXCESSES` values), or its minimum when that covers the
+    whole row."""
     n = sorted_matrix.shape[1]
     n_tail = max(int(n * tail_fraction), MIN_TAIL_EXCESSES)
     if n_tail < n:
@@ -463,49 +381,9 @@ def exponential_tail_test(
     tail_fraction: float = DEFAULT_TAIL_FRACTION,
     significance: float = 0.05,
 ) -> TestResult:
-    """Goodness-of-fit of the sample tail to an exponential distribution.
-
-    This follows the spirit of the ET test of Garrido & Diebolt (MMR 2000),
-    which MBPTA uses to confirm convergence towards a Gumbel: the excesses
-    over a high threshold must be compatible with an exponential
-    distribution.  The implementation tests the excesses with a
-    Cramér-von Mises statistic against the exponential fitted by maximum
-    likelihood; both the pass/fail decision and the p-value come from
-    Stephens' critical-value table for an estimated scale parameter
-    (:func:`stephens_critical_value` / :func:`stephens_p_value`).
-    """
-    if not 0.0 < tail_fraction <= 0.5:
-        raise ValueError(f"tail_fraction must be in (0, 0.5], got {tail_fraction}")
-    values = np.sort(np.asarray(samples, dtype=float))
-    if len(values) < 20:
-        raise ValueError("the exponential-tail test needs at least 20 observations")
-    threshold = tail_threshold(values, tail_fraction)
-    excesses = values[values > threshold] - threshold
-    excesses = excesses[excesses > 0]
-    if len(excesses) < 5 or float(np.mean(excesses)) <= 0:
-        return TestResult(
-            name="exponential-tail",
-            statistic=0.0,
-            p_value=1.0,
-            passed=True,
-            details="degenerate tail (no positive excesses)",
-        )
-    mean_excess = float(np.mean(excesses))
-    u = 1.0 - np.exp(-np.sort(excesses) / mean_excess)
-    n = len(u)
-    indices = np.arange(1, n + 1)
-    w2 = float(np.sum((u - (2 * indices - 1) / (2 * n)) ** 2) + 1.0 / (12 * n))
-    # Small-sample correction (Stephens 1974) before consulting the table.
-    w2_adjusted = w2 * (1.0 + 0.16 / n)
-    critical = stephens_critical_value(significance)
-    p_value = stephens_p_value(w2_adjusted)
-    return TestResult(
-        name="exponential-tail",
-        statistic=w2_adjusted,
-        p_value=p_value,
-        passed=w2_adjusted < critical,
-        details=f"threshold={threshold:.1f}, excesses={n}",
-    )
+    """Goodness-of-fit of one sample's tail to an exponential distribution
+    (a one-row :func:`exponential_tail_batch`)."""
+    return exponential_tail_batch([samples], tail_fraction, significance)[0]
 
 
 def exponential_tail_batch(
@@ -513,7 +391,18 @@ def exponential_tail_batch(
     tail_fraction: float = DEFAULT_TAIL_FRACTION,
     significance: float = 0.05,
 ) -> List[TestResult]:
-    """Row-wise :func:`exponential_tail_test` over a sample matrix.
+    """Goodness-of-fit of every row's tail to an exponential distribution.
+
+    This follows the spirit of the ET test of Garrido & Diebolt (MMR 2000),
+    which MBPTA uses to confirm convergence towards a Gumbel: the excesses
+    over a high threshold must be compatible with an exponential
+    distribution.  The excesses are tested with a Cramér-von Mises
+    statistic against the exponential fitted by maximum likelihood, with
+    Stephens' small-sample modification; both the pass/fail decision and
+    the p-value come from Stephens' critical-value table for an estimated
+    scale parameter (:func:`stephens_critical_value` /
+    :func:`stephens_p_value`).  A row with fewer than five positive
+    excesses has a degenerate tail and passes.
 
     Rows are grouped by their tail size (ties at the threshold can shrink a
     row's excess count) and each group is processed as one vectorized
@@ -598,22 +487,16 @@ class IidAssessment:
 
 
 def iid_assessment(samples: Sequence[float], significance: float = 0.05) -> IidAssessment:
-    """Run the three admission tests on one measurement sample."""
-    return IidAssessment(
-        independence=wald_wolfowitz_test(samples, significance),
-        identical_distribution=identical_distribution_test(samples, significance),
-        gumbel_convergence=exponential_tail_test(samples, significance=significance),
-    )
+    """Run the three admission tests on one measurement sample (a one-row
+    :func:`iid_assessment_batch`)."""
+    return iid_assessment_batch([samples], significance)[0]
 
 
 def iid_assessment_batch(
     matrix: np.ndarray, significance: float = 0.05
 ) -> List[IidAssessment]:
-    """Run the three admission tests on every row of a sample matrix at once.
-
-    Bit-identical to ``[iid_assessment(row, significance) for row in
-    matrix]`` while computing all statistics in vectorized passes.
-    """
+    """Run the three admission tests on every row of a sample matrix at
+    once, each statistic in vectorized passes."""
     matrix = _as_sample_matrix(matrix)
     independence = wald_wolfowitz_batch(matrix, significance)
     identical = identical_distribution_batch(matrix, significance)

@@ -2,12 +2,12 @@
 
 Three estimators ship with the registry:
 
-* ``gumbel-pwm`` — block maxima + probability-weighted-moments Gumbel fit.
-  This is the protocol's historical default (``MbptaConfig.fit_method
-  "pwm"``) and its batched form is bit-identical to the scalar path.
+* ``gumbel-pwm`` — block maxima + probability-weighted-moments Gumbel fit,
+  vectorized across campaigns.  This is the protocol's historical default
+  (``MbptaConfig.fit_method "pwm"``).
 * ``gumbel-mle`` — block maxima + maximum-likelihood Gumbel fit through
   scipy (``fit_method "mle"``).  scipy's optimiser has no vectorized form,
-  so batches fall back to a per-campaign loop.
+  so a batch is fitted campaign by campaign.
 * ``exponential-excess`` — peaks-over-threshold: the excesses over the
   empirical tail threshold (the same threshold convention as the ET
   admission test) are fitted with a maximum-likelihood exponential and the
@@ -19,20 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .admission import (
-    DEFAULT_TAIL_FRACTION,
-    tail_excess_groups,
-    tail_threshold,
-    tail_thresholds,
-)
+from .admission import DEFAULT_TAIL_FRACTION, tail_excess_groups, tail_thresholds
 from .evt import (
     PWcetCurve,
     discarded_run_count,
-    fit_gumbel,
     fit_gumbel_batch,
     projection_ccdf_points,
 )
@@ -69,29 +63,11 @@ def effective_block_size(n_samples: int, config) -> int:
 # ---------------------------------------------------------------------------
 
 class _GumbelEstimator(Estimator):
-    """Shared scalar path of the two Gumbel estimators."""
+    """Block maxima + a Gumbel fit by :attr:`method`, shared by the two
+    Gumbel estimators."""
 
     method = "pwm"
     needs_block_maxima = True
-
-    def fit(self, samples: Sequence[float], config) -> TailEstimate:
-        block_size = effective_block_size(len(samples), config)
-        fit = fit_gumbel(samples, block_size=block_size, method=self.method)
-        return TailEstimate(
-            fit=fit,
-            curve=PWcetCurve(fit=fit, block_size=block_size),
-            block_size=block_size,
-            discarded_runs=discarded_run_count(len(samples), block_size),
-        )
-
-
-class GumbelPwmEstimator(_GumbelEstimator):
-    """Block maxima + probability-weighted-moments Gumbel (the default)."""
-
-    name = "gumbel-pwm"
-    description = "block maxima + probability-weighted-moments Gumbel fit"
-    supports_batch = True
-    method = "pwm"
 
     def fit_batch(self, matrix: np.ndarray, config) -> List[TailEstimate]:
         matrix = np.asarray(matrix, dtype=float)
@@ -106,8 +82,19 @@ class GumbelPwmEstimator(_GumbelEstimator):
                 block_size=block_size,
                 discarded_runs=discarded,
             )
-            for fit in fit_gumbel_batch(matrix, block_size=block_size, method="pwm")
+            for fit in fit_gumbel_batch(
+                matrix, block_size=block_size, method=self.method
+            )
         ]
+
+
+class GumbelPwmEstimator(_GumbelEstimator):
+    """Block maxima + probability-weighted-moments Gumbel (the default)."""
+
+    name = "gumbel-pwm"
+    description = "block maxima + probability-weighted-moments Gumbel fit"
+    supports_batch = True
+    method = "pwm"
 
 
 class GumbelMleEstimator(_GumbelEstimator):
@@ -212,24 +199,6 @@ class ExponentialExcessEstimator(Estimator):
     supports_batch = True
     needs_block_maxima = False
 
-    def fit(self, samples: Sequence[float], config) -> TailEstimate:
-        values = np.sort(np.asarray(samples, dtype=float))
-        n = len(values)
-        if n < 20:
-            raise ValueError(
-                "the exponential-excess estimator needs at least 20 observations"
-            )
-        threshold = tail_threshold(values, TAIL_FRACTION)
-        excesses = values[values > threshold] - threshold
-        fit = self._fit_from_excesses(
-            threshold=threshold,
-            excess_count=len(excesses),
-            mean_excess=float(np.mean(excesses)) if len(excesses) else 0.0,
-            maximum=float(values[-1]),
-            n=n,
-        )
-        return TailEstimate(fit=fit, curve=ExponentialTailCurve(fit=fit))
-
     def fit_batch(self, matrix: np.ndarray, config) -> List[TailEstimate]:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
@@ -268,7 +237,7 @@ class ExponentialExcessEstimator(Estimator):
         if excess_count < 5 or mean_excess <= 0:
             # Degenerate tail (e.g. a constant sample): pin the curve to the
             # largest observation with a vanishing scale, mirroring the
-            # degenerate Gumbel handling in fit_gumbel.
+            # degenerate Gumbel handling in fit_gumbel_batch.
             return ExponentialTailFit(
                 threshold=maximum,
                 scale=max(abs(maximum) * 1e-12, 1e-9),

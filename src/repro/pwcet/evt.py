@@ -8,14 +8,12 @@ is below a target such as 1e-15.
 
 This module implements:
 
-* :func:`fit_gumbel` — Gumbel parameter estimation by probability-weighted
-  moments (the standard, robust choice for small samples) or maximum
-  likelihood (via scipy), on raw samples or block maxima;
-* :func:`fit_gumbel_batch` — the same estimation over a whole
-  ``(n_campaigns, n_runs)`` matrix at once.  The PWM path is fully
-  vectorized across campaigns and **bit-identical** to calling
-  :func:`fit_gumbel` once per row (asserted by the batch-equivalence
-  tests);
+* :func:`fit_gumbel_batch` — Gumbel parameter estimation by
+  probability-weighted moments (the standard, robust choice for small
+  samples; vectorized across the rows of an ``(n_campaigns, n_runs)``
+  matrix) or maximum likelihood (scipy, row by row), on raw samples or
+  block maxima; :func:`fit_gumbel` is its one-row view, as
+  :func:`block_maxima` is of :func:`block_maxima_batch`;
 * :class:`PWcetCurve` — the projected exceedance curve, offering per-run
   exceedance probabilities, quantiles (pWCET at a cutoff probability) and
   CCDF points for plotting figures like Figure 1 and Figure 5(c);
@@ -90,28 +88,18 @@ class GumbelFit:
 
 
 def block_maxima(samples: Sequence[float], block_size: int) -> List[float]:
-    """Split ``samples`` into consecutive blocks and return each block's maximum.
-
-    A trailing partial block is discarded, as in the MBPTA protocol; use
-    :func:`discarded_run_count` to report how many runs that drops.
-    """
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    n_blocks = len(samples) // block_size
-    if n_blocks < 1:
-        raise ValueError(
-            f"not enough samples ({len(samples)}) for a single block of {block_size}"
-        )
-    return [
-        max(samples[i * block_size : (i + 1) * block_size]) for i in range(n_blocks)
-    ]
+    """The maxima of one sample's consecutive blocks (a one-row
+    :func:`block_maxima_batch`)."""
+    return block_maxima_batch([samples], block_size)[0].tolist()
 
 
 def block_maxima_batch(matrix: np.ndarray, block_size: int) -> np.ndarray:
-    """Row-wise :func:`block_maxima` over an ``(n_campaigns, n_runs)`` matrix.
+    """Split each row of an ``(n_campaigns, n_runs)`` matrix into
+    consecutive blocks and return each block's maximum.
 
-    Returns an ``(n_campaigns, n_blocks)`` array; the trailing partial block
-    of every row is discarded, exactly as in the scalar function.
+    Returns an ``(n_campaigns, n_blocks)`` array.  A trailing partial block
+    is discarded, as in the MBPTA protocol; use :func:`discarded_run_count`
+    to report how many runs that drops.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
@@ -135,59 +123,14 @@ def discarded_run_count(n_samples: int, block_size: int) -> int:
     return n_samples - (n_samples // block_size) * block_size
 
 
-def _fit_gumbel_pwm(values: np.ndarray) -> Tuple[float, float]:
-    """Probability-weighted-moments estimator (Hosking et al.)."""
-    ordered = np.sort(values)
-    n = len(ordered)
-    b0 = float(np.mean(ordered))
-    ranks = np.arange(n, dtype=float)
-    b1 = float(np.sum(ranks * ordered) / (n * (n - 1))) if n > 1 else b0
-    scale = (2.0 * b1 - b0) / math.log(2.0)
-    location = b0 - EULER_MASCHERONI * scale
-    return location, scale
-
-
-def _fit_gumbel_mle(values: np.ndarray) -> Tuple[float, float]:
-    """Maximum-likelihood estimator via scipy."""
-    from scipy import stats
-
-    location, scale = stats.gumbel_r.fit(values)
-    return float(location), float(scale)
-
-
 def fit_gumbel(
     samples: Sequence[float],
     block_size: int = 1,
     method: str = "pwm",
 ) -> GumbelFit:
-    """Fit a Gumbel distribution to ``samples`` (or their block maxima).
-
-    ``method`` is ``"pwm"`` (probability-weighted moments, default) or
-    ``"mle"`` (maximum likelihood through scipy).  Degenerate samples (all
-    values identical — which does happen for fully deterministic setups) are
-    given a tiny positive scale so downstream projections remain defined.
-    """
-    if len(samples) < 2:
-        raise ValueError("at least two samples are required to fit a Gumbel")
-    data = block_maxima(samples, block_size) if block_size > 1 else list(samples)
-    values = np.asarray(data, dtype=float)
-    if float(np.max(values)) == float(np.min(values)):
-        return GumbelFit(
-            location=float(values[0]),
-            scale=max(abs(float(values[0])) * 1e-12, 1e-9),
-            method=method,
-            sample_size=len(values),
-        )
-    if method == "pwm":
-        location, scale = _fit_gumbel_pwm(values)
-    elif method == "mle":
-        location, scale = _fit_gumbel_mle(values)
-    else:
-        raise ValueError(f"unknown fit method {method!r}; expected 'pwm' or 'mle'")
-    if scale <= 0:
-        # PWM can produce non-positive scales for nearly-degenerate data.
-        scale = max(float(np.std(values)) * math.sqrt(6.0) / math.pi, 1e-9)
-    return GumbelFit(location=location, scale=scale, method=method, sample_size=len(values))
+    """Fit a Gumbel distribution to one sample or its block maxima (a
+    one-row :func:`fit_gumbel_batch`)."""
+    return fit_gumbel_batch([samples], block_size, method)[0]
 
 
 def fit_gumbel_batch(
@@ -195,36 +138,43 @@ def fit_gumbel_batch(
     block_size: int = 1,
     method: str = "pwm",
 ) -> List[GumbelFit]:
-    """Fit one Gumbel per row of an ``(n_campaigns, n_runs)`` matrix.
+    """Fit one Gumbel per row of an ``(n_campaigns, n_runs)`` matrix (or to
+    each row's block maxima when ``block_size`` > 1).
 
-    Bit-identical to ``[fit_gumbel(row, block_size, method) for row in
-    matrix]``: the PWM path vectorizes the sort and the two
-    probability-weighted moments across campaigns (NumPy applies the same
-    pairwise reductions row-wise as it does to each row alone), and the
-    rare degenerate/fallback rows are finished with the exact scalar
-    arithmetic.  The MLE path delegates to scipy per row (scipy's optimiser
-    has no batched form).
+    ``method`` is ``"pwm"`` (probability-weighted moments, Hosking et al.;
+    the default) or ``"mle"`` (maximum likelihood through scipy).  The PWM
+    path vectorizes the sort and the two probability-weighted moments
+    across campaigns; scipy's optimiser has no batched form, so the MLE
+    path fits row by row.  Degenerate rows (all values identical — which
+    does happen for fully deterministic setups) are given a tiny positive
+    scale so downstream projections remain defined, and a non-positive
+    fitted scale (nearly-degenerate data) falls back to the moment
+    estimate of the row's standard deviation.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D sample matrix, got shape {matrix.shape}")
     if matrix.shape[1] < 2:
         raise ValueError("at least two samples are required to fit a Gumbel")
-    if method == "mle":
-        return [
-            fit_gumbel(row, block_size=block_size, method="mle") for row in matrix
-        ]
-    if method != "pwm":
+    if method not in ("pwm", "mle"):
         raise ValueError(f"unknown fit method {method!r}; expected 'pwm' or 'mle'")
     values = block_maxima_batch(matrix, block_size) if block_size > 1 else matrix
     n_campaigns, n = values.shape
     degenerate = values.max(axis=1) == values.min(axis=1)
-    ordered = np.sort(values, axis=1)
-    b0 = np.mean(ordered, axis=1)
-    ranks = np.arange(n, dtype=float)
-    b1 = np.sum(ranks * ordered, axis=1) / (n * (n - 1)) if n > 1 else b0
-    scale = (2.0 * b1 - b0) / math.log(2.0)
-    location = b0 - EULER_MASCHERONI * scale
+    if method == "pwm":
+        ordered = np.sort(values, axis=1)
+        b0 = np.mean(ordered, axis=1)
+        ranks = np.arange(n, dtype=float)
+        b1 = np.sum(ranks * ordered, axis=1) / (n * (n - 1)) if n > 1 else b0
+        scale = (2.0 * b1 - b0) / math.log(2.0)
+        location = b0 - EULER_MASCHERONI * scale
+    else:
+        from scipy import stats
+
+        location = np.zeros(n_campaigns)
+        scale = np.zeros(n_campaigns)
+        for row in np.flatnonzero(~degenerate):
+            location[row], scale[row] = stats.gumbel_r.fit(values[row])
     fits: List[GumbelFit] = []
     for row in range(n_campaigns):
         if degenerate[row]:

@@ -5,15 +5,11 @@ execution-time measurements collected on a time-randomised platform, check
 the i.i.d. admission tests, fit the tail through a registered estimator and
 project the pWCET curve, exactly as the paper does in Sections 4.2 and 4.3.
 
-Two entry points exist:
-
-* :func:`apply_mbpta` — one campaign at a time (the historical API);
-* :func:`apply_mbpta_batch` — a whole ``(n_campaigns, n_runs)`` matrix in
-  one pass: the admission battery, block maxima, EVT fits and bootstrap
-  confidence intervals are all computed vectorized across campaigns, and
-  the per-campaign results are **bit-identical** to looping
-  :func:`apply_mbpta` (asserted over every registered study by the
-  batch-equivalence tests).
+The protocol is implemented once, by :func:`apply_mbpta_batch`: a whole
+``(n_campaigns, n_runs)`` matrix in one pass, with the admission battery,
+block maxima, EVT fits and bootstrap confidence intervals computed
+vectorized across campaigns.  :func:`apply_mbpta` is its one-row view for
+a single campaign.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .admission import IidAssessment, iid_assessment, iid_assessment_batch
+from .admission import IidAssessment, iid_assessment_batch
 from .registry import Estimator, TailEstimate, get_estimator
 
 __all__ = [
@@ -59,8 +55,8 @@ BOOTSTRAP_CONFIDENCE = 0.95
 
 #: Fixed seed of the bootstrap resampling plan.  A *shared* plan (the same
 #: resample indices for every campaign of a batch) keeps campaign-to-campaign
-#: CI comparisons low-variance and makes the batched path bit-identical to
-#: the per-campaign one.
+#: CI comparisons low-variance and makes a campaign's intervals independent
+#: of the other campaigns batched with it.
 _BOOTSTRAP_SEED = 0x9E3779B9
 
 #: Legacy ``fit_method`` spellings accepted for the estimator name.
@@ -207,7 +203,7 @@ def _resolve(config: Optional[MbptaConfig], estimator: str) -> MbptaConfig:
     return config
 
 
-def _check_iid(assessment: IidAssessment, context: str = "sample") -> None:
+def _check_iid(assessment: IidAssessment, context: str) -> None:
     failed = [
         result.name
         for result in (
@@ -251,40 +247,9 @@ def apply_mbpta(
     require_iid: bool = False,
     estimator: str = "",
 ) -> MbptaResult:
-    """Apply the MBPTA protocol to a sample of execution times.
-
-    Parameters
-    ----------
-    samples:
-        Execution-time measurements, one per run, collected with a fresh
-        random seed per run.
-    config:
-        Protocol configuration (block size, estimator, cutoffs).
-    require_iid:
-        If True, raise ``ValueError`` when any admission test fails —
-        useful in pipelines that must not silently produce pWCET estimates
-        from non-compliant configurations.  The default records the test
-        outcome in the result and continues, which is what the evaluation
-        scripts need when they *compare* compliant and non-compliant setups.
-    estimator:
-        Registry name of the pWCET estimator, overriding
-        ``config.fit_method`` when non-empty.
-    """
-    if len(samples) < MBPTA_MIN_RUNS:
-        raise ValueError(
-            f"MBPTA needs at least {MBPTA_MIN_RUNS} measurements, got {len(samples)}"
-        )
-    config = _resolve(config, estimator)
-    assessment = iid_assessment(samples, config.significance)
-    if require_iid and not assessment.passed:
-        _check_iid(assessment)
-    fitter = get_estimator(config.estimator_name)
-    estimate = fitter.fit(samples, config)
-    ci = None
-    if config.bootstrap > 0:
-        matrix = np.asarray([samples], dtype=float)
-        ci = _bootstrap_intervals(matrix, config, fitter)[0]
-    return _assemble_result(samples, assessment, estimate, config, fitter, ci)
+    """Apply the MBPTA protocol to one sample of execution times (a one-row
+    :func:`apply_mbpta_batch`, which documents the parameters)."""
+    return apply_mbpta_batch([samples], config, require_iid, estimator)[0]
 
 
 def apply_mbpta_batch(
@@ -296,16 +261,33 @@ def apply_mbpta_batch(
 ) -> List[MbptaResult]:
     """Apply the MBPTA protocol to many campaigns in one vectorized pass.
 
-    ``sample_matrix`` holds one campaign per row (``(n_campaigns, n_runs)``;
-    all campaigns must have the same run count — group by length when they
-    differ).  Returns one :class:`MbptaResult` per row, bit-identical to
-    ``[apply_mbpta(row, config) for row in sample_matrix]`` for every
-    registered estimator.
+    Parameters
+    ----------
+    sample_matrix:
+        One campaign per row (``(n_campaigns, n_runs)``): execution-time
+        measurements, one per run, collected with a fresh random seed per
+        run.  All campaigns must have the same run count — group by length
+        when they differ.
+    config:
+        Protocol configuration (block size, estimator, cutoffs).
+    require_iid:
+        If True, raise ``ValueError`` when any admission test fails —
+        useful in pipelines that must not silently produce pWCET estimates
+        from non-compliant configurations.  The default records the test
+        outcome in the result and continues, which is what the evaluation
+        scripts need when they *compare* compliant and non-compliant setups.
+    estimator:
+        Registry name of the pWCET estimator, overriding
+        ``config.fit_method`` when non-empty.
+    assessments:
+        Optionally reuses a precomputed admission battery (one
+        :class:`IidAssessment` per row, in row order) — the battery does
+        not depend on the estimator, so callers assessing the same
+        campaigns with several estimators
+        (:func:`repro.pwcet.compare_estimators`) run it once.
 
-    ``assessments`` optionally reuses a precomputed admission battery (one
-    :class:`IidAssessment` per row, in row order) — the battery does not
-    depend on the estimator, so callers assessing the same campaigns with
-    several estimators (:func:`repro.pwcet.compare_estimators`) run it once.
+    Returns one :class:`MbptaResult` per row; a row's result does not
+    depend on the other rows.
     """
     try:
         rows = [list(row) for row in sample_matrix]
@@ -364,8 +346,8 @@ def _bootstrap_intervals(
     :meth:`Estimator.fit_batch` call over the stacked
     ``(n_campaigns * n_resamples, n_runs)`` matrix) and the
     :data:`BOOTSTRAP_CONFIDENCE` percentile interval of the refitted pWCETs
-    is reported.  The resampling plan depends only on the run count, so the
-    batched and per-campaign paths produce identical intervals.
+    is reported.  The resampling plan depends only on the run count, so a
+    campaign's intervals do not depend on which campaigns share its batch.
     """
     n_campaigns, n_runs = matrix.shape
     n_resamples = config.bootstrap

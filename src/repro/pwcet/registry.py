@@ -13,8 +13,9 @@ Capability flags describe what callers may rely on:
 ``supports_batch``
     :meth:`Estimator.fit_batch` genuinely vectorises the fit across the
     rows of an ``(n_campaigns, n_runs)`` matrix, so assessing a whole study
-    in one call is cheaper than repeated :meth:`Estimator.fit` calls (the
-    base-class fallback simply loops).
+    in one call is cheaper than one call per campaign; without it the
+    estimator fits row by row (``gumbel-mle``: scipy's optimiser has no
+    batched form).
 ``needs_block_maxima``
     The estimator fits block maxima (grouping runs into blocks of
     ``MbptaConfig.block_size`` and discarding a trailing partial block); a
@@ -22,8 +23,9 @@ Capability flags describe what callers may rely on:
     sample, so it never discards runs.
 
 To add an estimator: subclass :class:`Estimator`, implement
-:meth:`Estimator.fit` returning a :class:`TailEstimate`, and call
-:func:`register_estimator`.  The built-in estimators
+:meth:`Estimator.fit_batch` returning one :class:`TailEstimate` per row,
+and call :func:`register_estimator`; :meth:`Estimator.fit` is its one-row
+view.  The built-in estimators
 (:data:`repro.pwcet.estimators.BUILTIN_ESTIMATORS`) are registered before
 the registry's first lookup or registration, whichever module a caller
 imported first.
@@ -82,20 +84,15 @@ class Estimator(ABC):
     needs_block_maxima: bool = True
 
     @abstractmethod
-    def fit(self, samples: Sequence[float], config: "MbptaConfig") -> TailEstimate:
-        """Fit the tail model to one campaign's execution times."""
-
     def fit_batch(
         self, matrix: np.ndarray, config: "MbptaConfig"
     ) -> List[TailEstimate]:
-        """Fit one tail model per row of an ``(n_campaigns, n_runs)`` matrix.
+        """Fit one tail model per row of an ``(n_campaigns, n_runs)`` matrix."""
 
-        The default loops over :meth:`fit`; estimators with
-        ``supports_batch`` override it with a vectorized implementation that
-        is bit-identical to the loop.
-        """
-        matrix = np.asarray(matrix, dtype=float)
-        return [self.fit(row, config) for row in matrix]
+    def fit(self, samples: Sequence[float], config: "MbptaConfig") -> TailEstimate:
+        """Fit the tail model to one campaign's execution times (a one-row
+        :meth:`fit_batch`)."""
+        return self.fit_batch(np.asarray([samples], dtype=float), config)[0]
 
     def describe(self) -> Dict[str, object]:
         """Structured capability summary (used by docs, reports and tests)."""

@@ -460,20 +460,28 @@ class ReproServer:
         await writer.drain()
 
     async def _handle_gc(self, writer: asyncio.StreamWriter, body: bytes) -> None:
+        # Options are checked, not coerced: bool("false") is True and
+        # float(True) is a one-second age.
         payload = self._json_body(body)
         older_than = payload.get("older_than")
         if older_than is not None:
             try:
-                older_than = check_gc_age(float(older_than))  # type: ignore[arg-type]
-            except (TypeError, ValueError):
+                if isinstance(older_than, bool) or not isinstance(
+                    older_than, (int, float)
+                ):
+                    raise ValueError(older_than)
+                older_than = check_gc_age(float(older_than))
+            except ValueError:
                 raise _HttpError(
                     400,
                     f"older_than must be a finite number of seconds >= 0, "
                     f"got {older_than!r}",
                 ) from None
+        for flag in ("dry_run", "analyses_only"):
+            value = payload.get(flag)
+            if value is not None and not isinstance(value, bool):
+                raise _HttpError(400, f"{flag} must be true or false, got {value!r}")
         analyses_only = payload.get("analyses_only")
-        if analyses_only is not None:
-            analyses_only = bool(analyses_only)
         loop = asyncio.get_running_loop()
         if payload.get("dry_run"):
             candidates = await loop.run_in_executor(

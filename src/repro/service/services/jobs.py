@@ -32,7 +32,7 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ...engine import get_engine
 from ...pwcet import MBPTA_MIN_RUNS, MbptaConfig, analysis_payload, get_estimator
@@ -69,16 +69,44 @@ class JobOptions:
     jobs: Optional[int] = None
     shard_size: Optional[int] = None
 
+    def mbpta_config(self) -> MbptaConfig:
+        """The one analysis config of the job's result set."""
+        overrides: Dict[str, Any] = {}
+        if self.estimator:
+            overrides["fit_method"] = self.estimator
+        if self.cutoffs is not None:
+            overrides["exceedance_probabilities"] = self.cutoffs
+        return MbptaConfig(**overrides)
+
+
+def _option_int(payload: Mapping[str, object], key: str) -> Optional[int]:
+    """An integer option: a JSON integer (``2``, not ``2.0``, ``"2"`` or
+    ``true``), or ``None`` when absent.  Coercing would run another job
+    than the one sent: ``int(100.9)`` is 100, ``int(True)`` is 1."""
+    value = payload.get(key)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise BadRequest(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _option_name(payload: Mapping[str, object], key: str) -> str:
+    """A registry-name option: a JSON string, or ``""`` when absent or null
+    (``false`` is not a name, and must not select the default)."""
+    value = payload.get(key)
+    if value is not None and not isinstance(value, str):
+        raise BadRequest(f"{key} must be a registry name, got {value!r}")
+    return value or ""
+
 
 def _parse_options(payload: Mapping[str, object]) -> JobOptions:
-    estimator = str(payload.get("estimator", "") or "")
+    estimator = _option_name(payload, "estimator")
     if estimator:
         try:
             # Resolve through the config so the "pwm"/"mle" aliases work.
             get_estimator(MbptaConfig(fit_method=estimator).estimator_name)
         except ValueError as error:
             raise BadRequest(str(error)) from None
-    engine = str(payload.get("engine", "") or "")
+    engine = _option_name(payload, "engine")
     if engine:
         try:
             get_engine(engine)
@@ -89,30 +117,18 @@ def _parse_options(payload: Mapping[str, object]) -> JobOptions:
         raw = payload["cutoffs"]
         if not isinstance(raw, (list, tuple)) or not raw:
             raise BadRequest("cutoffs must be a non-empty list of probabilities")
-        try:
-            cutoffs = tuple(float(value) for value in raw)
-        except (TypeError, ValueError):
-            raise BadRequest("cutoffs must be numbers") from None
+        for value in raw:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise BadRequest(f"cutoffs must be numbers, got {value!r}")
+        cutoffs = tuple(float(value) for value in raw)
         if any(not 0.0 < value < 1.0 for value in cutoffs):
             raise BadRequest("cutoffs must be exceedance probabilities in (0, 1)")
-    jobs: Optional[int] = None
-    if payload.get("jobs") is not None:
-        try:
-            jobs = int(payload["jobs"])  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            raise BadRequest(f"jobs must be an integer, got {payload['jobs']!r}") from None
-        if jobs < 0:
-            raise BadRequest(f"jobs must be >= 0 (0 = one worker per CPU), got {jobs}")
-    shard_size: Optional[int] = None
-    if payload.get("shard_size") is not None:
-        try:
-            shard_size = int(payload["shard_size"])  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            raise BadRequest(
-                f"shard_size must be an integer, got {payload['shard_size']!r}"
-            ) from None
-        if shard_size < 1:
-            raise BadRequest(f"shard_size must be >= 1, got {shard_size}")
+    jobs = _option_int(payload, "jobs")
+    if jobs is not None and jobs < 0:
+        raise BadRequest(f"jobs must be >= 0 (0 = one worker per CPU), got {jobs}")
+    shard_size = _option_int(payload, "shard_size")
+    if shard_size is not None and shard_size < 1:
+        raise BadRequest(f"shard_size must be >= 1, got {shard_size}")
     return JobOptions(
         estimator=estimator,
         cutoffs=cutoffs,
@@ -131,7 +147,8 @@ def parse_job_request(
     ``{"specs": [{...}, ...]}`` for a sweep.  Scenarios are rebuilt with
     :func:`scenario_from_spec` (so a bad spec fails with its own message),
     deduplicated by spec hash, given unique labels, and stamped with the
-    request's analysis/execution options.  Raises :class:`BadRequest` on
+    request's execution options (the analysis options make the job's one
+    :meth:`JobOptions.mbpta_config`).  Raises :class:`BadRequest` on
     anything the server should answer 400 to.
     """
     if not isinstance(payload, Mapping):
@@ -159,12 +176,7 @@ def parse_job_request(
         if spec_hash in seen_hashes:
             continue  # overlapping sweep entries are one unit of work
         seen_hashes[spec_hash] = index
-        config = scenario.mbpta
-        if options.cutoffs is not None:
-            config = replace(config, exceedance_probabilities=options.cutoffs)
-        if options.estimator:
-            config = replace(config, fit_method=options.estimator)
-        overrides: Dict[str, object] = {"mbpta": config}
+        overrides: Dict[str, object] = {}
         if options.engine:
             overrides["engine"] = options.engine
         if options.jobs is not None:
@@ -422,5 +434,9 @@ class JobManager:
             else self.shard_size
         )
         return execute_scenarios(
-            job.scenarios, store=self.store, use_cache=True, shard_size=shard_size
+            job.scenarios,
+            store=self.store,
+            use_cache=True,
+            shard_size=shard_size,
+            mbpta=job.options.mbpta_config(),
         )

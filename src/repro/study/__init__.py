@@ -4,7 +4,7 @@ The evaluation grid of the paper — {placement policy x workload x cache
 hierarchy x MBPTA protocol} — is expressed here as data instead of code:
 
 * :class:`Scenario` — a frozen spec of one measurement campaign (workload,
-  hierarchy, runs, seed, engine, MBPTA config);
+  hierarchy, runs, seed, engine);
 * :class:`Sweep` — axis grids expanded into scenario lists;
 * :class:`Study` — a named (planner, builder) pair resolved through a
   registry (:func:`register_study` / :func:`get_study`, mirroring
@@ -12,8 +12,8 @@ hierarchy x MBPTA protocol} — is expressed here as data instead of code:
 * :class:`ResultStore` — a content-hash-keyed on-disk cache
   (``results/store/``) so re-running a study only simulates scenarios whose
   spec hash is new;
-* :class:`ResultSet` — label-addressable outcomes with generic
-  ``table()``/``ccdf()``/``compare()`` views.
+* :class:`ResultSet` — label-addressable outcomes, analysed under one
+  MBPTA config, with generic ``table()``/``ccdf()``/``compare()`` views.
 
 The nine paper experiments are registered as built-in studies
 (:mod:`repro.study.library`) and run with :func:`run_study` or the CLI

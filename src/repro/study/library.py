@@ -32,7 +32,7 @@ from ..analysis.experiments import (
 )
 from ..analysis.hwm import industrial_bound
 from ..core.placement import PlacementGeometry
-from ..pwcet import MbptaConfig, empirical_ccdf
+from ..pwcet import empirical_ccdf
 from ..workloads.eembc import eembc_kernel_names
 from ..workloads.synthetic import SYNTHETIC_FOOTPRINTS
 from .registry import Study, StudyContext
@@ -41,29 +41,13 @@ from .scenario import HierarchySpec, Scenario, Sweep, WorkloadSpec
 __all__ = ["BUILTIN_STUDIES"]
 
 
-def _mbpta_config(settings: ExperimentSettings) -> MbptaConfig:
-    """The per-scenario MBPTA configuration of every study.
-
-    ``settings.estimator`` (the CLI's ``--estimator``) overrides the
-    config's estimator; left empty, the config default (``gumbel-pwm``)
-    keeps the historical byte-identical outputs.
-    """
-    config = replace(
-        settings.mbpta,
-        exceedance_probabilities=(settings.secondary_cutoff, settings.cutoff),
-    )
-    if settings.estimator:
-        config = replace(config, fit_method=settings.estimator)
-    return config
-
-
 def _base_scenario(
     settings: ExperimentSettings,
     workload: WorkloadSpec,
     hierarchy: HierarchySpec,
     runs: Optional[int] = None,
 ) -> Scenario:
-    """A scenario carrying the settings' execution and analysis knobs."""
+    """A scenario carrying the settings' execution knobs."""
     return Scenario(
         workload=workload,
         hierarchy=hierarchy,
@@ -71,7 +55,6 @@ def _base_scenario(
         master_seed=settings.master_seed,
         engine=settings.engine,
         jobs=settings.jobs,
-        mbpta=_mbpta_config(settings),
     )
 
 

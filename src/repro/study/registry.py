@@ -99,13 +99,15 @@ class Study:
         use_cache: bool = True,
         **params,
     ) -> StudyOutcome:
-        """Plan, execute (through the store when given) and build."""
+        """Plan, execute (through the store when given) and build, analysing
+        every campaign under ``settings.mbpta_config()``."""
         scenarios = self.plan(settings, **params)
         results = execute_scenarios(
             scenarios,
             store=store,
             use_cache=use_cache,
-            shard_size=getattr(settings, "shard_size", None),
+            shard_size=settings.shard_size,
+            mbpta=settings.mbpta_config(),
         )
         if store is not None:
             # Provenance for the run table: which study produced which entry.

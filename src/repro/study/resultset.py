@@ -8,20 +8,22 @@ The generic views :meth:`ResultSet.table`, :meth:`ResultSet.ccdf` and
 study (including user-registered ones) gets summary tables, CCDF series
 and cross-result-set comparisons without writing formatting code.
 
+A result set carries **one** analysis config (:class:`MbptaConfig`), which
+every caller of :func:`~repro.study.runner.execute_scenarios` sets once
+per call; an estimator or bootstrap override derives a variant of it.
 pWCET analysis routes through the estimator registry and the vectorized
 batch pipeline: the first :meth:`ResultSet.mbpta` call assesses **every**
 eligible scenario of the set in one
-:func:`~repro.pwcet.apply_mbpta_batch` pass per (run count, analysis
-config) group, instead of fitting campaign by campaign.  When the result
-set was executed through a :class:`~repro.study.store.ResultStore`,
-analyses are resolved from / persisted to the store keyed by
-``(spec_hash, analysis_config_hash)``, so a warm re-run performs zero EVT
-fits.
+:func:`~repro.pwcet.apply_mbpta_batch` pass per run count, instead of
+fitting campaign by campaign.  When the result set was executed through a
+:class:`~repro.study.store.ResultStore`, analyses are resolved from /
+persisted to the store keyed by ``(spec_hash, analysis_config_hash)``, so
+a warm re-run performs zero EVT fits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..analysis.campaign import CampaignResult
@@ -34,7 +36,6 @@ from ..pwcet import (
     MbptaResult,
     analysis_from_payload,
     analysis_payload,
-    apply_mbpta,
     apply_mbpta_batch,
     empirical_ccdf,
 )
@@ -96,85 +97,36 @@ class ExecutionReport:
 
 @dataclass
 class ScenarioOutcome:
-    """One executed scenario: its campaign plus provenance and analysis."""
+    """One executed scenario: its campaign plus provenance."""
 
     scenario: Scenario
     campaign: CampaignResult
     from_cache: bool = False
-    #: Spec hash and store of the execution, enabling analysis persistence
-    #: (both unset when the plan ran without a store).
+    #: Spec hash of the execution; keys the scenario's stored analyses.
     spec_hash: str = ""
-    store: Optional[ResultStore] = field(default=None, repr=False, compare=False)
-    use_analysis_cache: bool = True
-    #: Analyses memoized per analysis-config hash (several estimators can
-    #: coexist on one outcome).
-    _analyses: Dict[str, MbptaResult] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @property
     def label(self) -> str:
         return self.scenario.display_label
 
-    def analysis_config(self, estimator: str = "") -> MbptaConfig:
-        """The scenario's MBPTA config with an optional estimator override."""
-        config = self.scenario.mbpta
-        if estimator:
-            config = replace(config, fit_method=estimator)
-        return config
-
-    def mbpta(self, estimator: str = "") -> MbptaResult:
-        """The scenario's pWCET analysis (memoized per estimator/config)."""
-        return self.analysis(self.analysis_config(estimator))
-
-    def analysis(self, config: MbptaConfig) -> MbptaResult:
-        """The pWCET analysis under an arbitrary config (memoized per
-        analysis hash).
-
-        Resolution order: in-memory memo, then the result store (keyed by
-        ``(spec_hash, analysis_config_hash)``), then a fresh
-        :func:`~repro.pwcet.apply_mbpta` — whose outcome is persisted back
-        to the store when one is attached.
-        """
-        key = config.analysis_hash()
-        cached = self._analyses.get(key)
-        if cached is not None:
-            return cached
-        result = self._load_stored_analysis(config, key)
-        if result is None:
-            result = apply_mbpta(self.campaign.execution_times, config=config)
-            self._store_analysis(result, key)
-        self._analyses[key] = result
-        return result
-
-    # ------------------------------------------------------ analysis cache
-
-    def _load_stored_analysis(
-        self, config: MbptaConfig, key: str
-    ) -> Optional[MbptaResult]:
-        if self.store is None or not self.spec_hash or not self.use_analysis_cache:
-            return None
-        payload = self.store.load_analysis(self.spec_hash, key)
-        return analysis_from_payload(payload, self.campaign.execution_times)
-
-    def _store_analysis(self, result: MbptaResult, key: str) -> None:
-        if self.store is not None and self.spec_hash:
-            self.store.save_analysis(self.spec_hash, key, analysis_payload(result))
-
 
 class ResultSet:
-    """Label-addressable outcomes of one executed plan."""
+    """Label-addressable outcomes of one executed plan, analysed under one
+    MBPTA config.
+
+    ``store`` (with ``use_stored_analyses``) resolves analyses from and
+    persists them to the result store the plan executed through.
+    """
 
     def __init__(
         self,
         outcomes: Sequence[ScenarioOutcome],
         report: Optional[ExecutionReport] = None,
+        config: Optional[MbptaConfig] = None,
+        store: Optional[ResultStore] = None,
+        use_stored_analyses: bool = True,
     ) -> None:
         self._outcomes: Dict[str, ScenarioOutcome] = {}
-        #: Admission batteries already computed, keyed by (label,
-        #: significance) — they do not depend on the estimator, so
-        #: cross-estimator comparisons run each battery once.
-        self._assessments: Dict[Tuple[str, float], IidAssessment] = {}
         for outcome in outcomes:
             label = outcome.label
             if label in self._outcomes:
@@ -184,6 +136,17 @@ class ResultSet:
                 )
             self._outcomes[label] = outcome
         self.report = report or ExecutionReport(planned=len(self._outcomes))
+        #: The analysis config of every scenario in the set.
+        self.config = config or MbptaConfig()
+        self.store = store
+        self.use_stored_analyses = use_stored_analyses
+        #: Analyses memoized per (label, analysis hash): several estimators
+        #: can coexist on one scenario.
+        self._analyses: Dict[Tuple[str, str], MbptaResult] = {}
+        #: Admission batteries already computed, keyed by (label,
+        #: significance) — they do not depend on the estimator, so
+        #: cross-estimator comparisons run each battery once.
+        self._assessments: Dict[Tuple[str, float], IidAssessment] = {}
 
     # ------------------------------------------------------------- accessors
 
@@ -212,49 +175,52 @@ class ResultSet:
     def campaign(self, label: str) -> CampaignResult:
         return self[label].campaign
 
+    def analysis_config(self, estimator: str = "") -> MbptaConfig:
+        """The set's MBPTA config with an optional estimator override."""
+        if estimator:
+            return replace(self.config, fit_method=estimator)
+        return self.config
+
     def mbpta(self, label: str, estimator: str = "") -> MbptaResult:
         """One scenario's pWCET analysis, batching the whole set on first use.
 
         The first call assesses every eligible scenario of the set through
-        the vectorized batch pipeline (grouped by run count and analysis
-        config), so per-label loops in study builders trigger exactly one
-        pipeline pass instead of one EVT fit per scenario.
+        the vectorized batch pipeline (grouped by run count), so per-label
+        loops in study builders trigger exactly one pipeline pass instead
+        of one EVT fit per scenario.
         """
-        outcome = self[label]
-        config = outcome.analysis_config(estimator)
-        if config.analysis_hash() not in outcome._analyses:
-            self._analyze_all(lambda out: out.analysis_config(estimator))
-        return outcome.mbpta(estimator)
+        runs = self[label].campaign.runs
+        if runs < MBPTA_MIN_RUNS:
+            raise ValueError(
+                f"MBPTA needs at least {MBPTA_MIN_RUNS} measurements, got {runs}"
+            )
+        config = self.analysis_config(estimator)
+        key = config.analysis_hash()
+        if (label, key) not in self._analyses:
+            self._analyze_all(config)
+        return self._analyses[label, key]
 
-    def _analyze_all(self, config_for) -> None:
-        """Assess every eligible outcome, store-resolved then batch-fitted.
-
-        ``config_for`` maps each outcome to the :class:`MbptaConfig` to
-        analyze it under (the default-estimator path uses the scenario's
-        own config; :meth:`compare_estimators` overrides it per estimator).
-        """
-        groups: Dict[Tuple[int, MbptaConfig], List[ScenarioOutcome]] = {}
+    def _analyze_all(self, config: MbptaConfig) -> None:
+        """Assess every eligible outcome under ``config``: memoized, then
+        store-resolved, then batch-fitted (and stored)."""
+        key = config.analysis_hash()
+        groups: Dict[int, List[ScenarioOutcome]] = {}
         for outcome in self:
-            runs = len(outcome.campaign.execution_times)
-            if runs < MBPTA_MIN_RUNS:
+            runs = outcome.campaign.runs
+            if runs < MBPTA_MIN_RUNS or (outcome.label, key) in self._analyses:
                 continue
-            config = config_for(outcome)
-            key = config.analysis_hash()
-            if key in outcome._analyses:
-                continue
-            stored = outcome._load_stored_analysis(config, key)
+            stored = self._load_stored_analysis(outcome, key)
             if stored is not None:
-                outcome._analyses[key] = stored
+                self._analyses[outcome.label, key] = stored
                 # The persisted payload carries the estimator-independent
                 # admission battery: seed the cross-estimator cache so a
                 # warm comparison never re-runs it.
-                self._assessments[(outcome.label, config.significance)] = (
+                self._assessments[outcome.label, config.significance] = (
                     stored.assessment
                 )
                 continue
-            groups.setdefault((runs, config), []).append(outcome)
-        for (runs, config), members in groups.items():
-            key = config.analysis_hash()
+            groups.setdefault(runs, []).append(outcome)
+        for members in groups.values():
             cached = [
                 self._assessments.get((outcome.label, config.significance))
                 for outcome in members
@@ -265,11 +231,22 @@ class ResultSet:
                 assessments=cached if all(a is not None for a in cached) else None,
             )
             for outcome, result in zip(members, results):
-                self._assessments[(outcome.label, config.significance)] = (
+                self._assessments[outcome.label, config.significance] = (
                     result.assessment
                 )
-                outcome._analyses[key] = result
-                outcome._store_analysis(result, key)
+                self._analyses[outcome.label, key] = result
+                if self.store is not None and outcome.spec_hash:
+                    self.store.save_analysis(
+                        outcome.spec_hash, key, analysis_payload(result)
+                    )
+
+    def _load_stored_analysis(
+        self, outcome: ScenarioOutcome, key: str
+    ) -> Optional[MbptaResult]:
+        if self.store is None or not outcome.spec_hash or not self.use_stored_analyses:
+            return None
+        payload = self.store.load_analysis(outcome.spec_hash, key)
+        return analysis_from_payload(payload, outcome.campaign.execution_times)
 
     def compare_estimators(
         self,
@@ -286,47 +263,28 @@ class ResultSet:
         """
         names = resolve_estimator_names(estimators)
         eligible = [
-            outcome
+            outcome.label
             for outcome in self
-            if len(outcome.campaign.execution_times) >= MBPTA_MIN_RUNS
+            if outcome.campaign.runs >= MBPTA_MIN_RUNS
         ]
         if not eligible:
             raise ValueError(
                 "no scenarios with the MBPTA minimum of "
                 f"{MBPTA_MIN_RUNS} runs to compare"
             )
-        cutoff_sets = {
-            outcome.scenario.mbpta.exceedance_probabilities for outcome in eligible
-        }
-        if len(cutoff_sets) > 1:
-            raise ValueError(
-                "scenarios carry different exceedance probabilities "
-                f"({sorted(cutoff_sets)}); the estimator comparison needs a "
-                "uniform cutoff set"
-            )
-
-        def config_for(outcome: ScenarioOutcome, name: str) -> MbptaConfig:
-            return replace(
-                outcome.scenario.mbpta, fit_method=name, bootstrap=bootstrap
-            )
-
-        # Warm the whole set per estimator first (one vectorized batch pass
-        # per (run count, config) group, store-cached) so the assembly
-        # callback below only reads memoised analyses.
-        by_label = {outcome.label: outcome for outcome in eligible}
+        keys = {}
         for name in names:
-            self._analyze_all(lambda out, _name=name: config_for(out, _name))
+            # One vectorized batch pass per (run count, estimator), store-
+            # cached, so the assembly below only reads memoised analyses.
+            config = replace(self.config, fit_method=name, bootstrap=bootstrap)
+            self._analyze_all(config)
+            keys[name] = config.analysis_hash()
         return assemble_comparison(
-            [outcome.label for outcome in eligible],
+            eligible,
             names,
-            eligible[0].scenario.mbpta.exceedance_probabilities,
-            {
-                outcome.label: max(outcome.campaign.execution_times)
-                for outcome in eligible
-            },
-            lambda label, name: by_label[label].analysis(
-                config_for(by_label[label], name)
-            ),
+            self.config.exceedance_probabilities,
+            {label: self[label].campaign.high_water_mark for label in eligible},
+            lambda label, name: self._analyses[label, keys[name]],
         )
 
     def analysis_summaries(self, estimator: str = "") -> Dict[str, Dict[str, object]]:
@@ -336,16 +294,13 @@ class ResultSet:
         builder or an explicit :meth:`mbpta` call) are included — this never
         triggers new fits, so rendering stays free for analytical studies.
         """
+        key = self.analysis_config(estimator).analysis_hash()
         summaries: Dict[str, Dict[str, object]] = {}
-        for outcome in self:
-            key = outcome.analysis_config(estimator).analysis_hash()
-            result = outcome._analyses.get(key)
+        for label in self.labels():
+            result = self._analyses.get((label, key))
             if result is None:
                 continue
-            summaries[outcome.label] = {
-                "estimator": result.estimator,
-                **result.summary(),
-            }
+            summaries[label] = {"estimator": result.estimator, **result.summary()}
         return summaries
 
     # ----------------------------------------------------------------- views

@@ -27,6 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.campaign import CampaignResult
 from ..engine import get_engine
+from ..pwcet.protocol import MbptaConfig
+from ..pwcet.registry import get_estimator
 from .resultset import ExecutionReport, ResultSet, ScenarioOutcome
 from .scenario import Scenario
 from .store import ResultStore
@@ -39,12 +41,15 @@ def execute_scenarios(
     store: Optional[ResultStore] = None,
     use_cache: bool = True,
     shard_size: Optional[int] = None,
+    mbpta: Optional[MbptaConfig] = None,
 ) -> ResultSet:
     """Execute a plan and return its :class:`ResultSet`.
 
     ``store`` enables the on-disk cache: hits skip simulation entirely and
     fresh results are persisted.  ``use_cache=False`` keeps writing results
-    but ignores existing entries (a forced refresh).
+    but ignores existing entries (a forced refresh), campaigns and
+    analyses alike.  ``mbpta`` is the one analysis config of the returned
+    result set (default: :class:`MbptaConfig`'s defaults).
 
     Campaigns with ``jobs == 1`` run inline in this process.  ``shard_size``
     — or a scenario with ``jobs != 1`` — sends campaigns through the store's
@@ -77,6 +82,8 @@ def execute_scenarios(
             store.save(scenario, campaign)
             report.stored += 1
 
+    config = mbpta or MbptaConfig()
+    get_estimator(config.estimator_name)  # unknown estimators fail early, too
     for scenario in scenarios:
         get_engine(scenario.engine)  # unknown engines fail before any work
         spec_hash = scenario.spec_hash()
@@ -112,8 +119,12 @@ def execute_scenarios(
                 campaign=campaign,
                 from_cache=from_cache,
                 spec_hash=spec_hash,
-                store=store,
-                use_analysis_cache=use_cache,
             )
         )
-    return ResultSet(outcomes, report=report)
+    return ResultSet(
+        outcomes,
+        report=report,
+        config=config,
+        store=store,
+        use_stored_analyses=use_cache,
+    )

@@ -16,9 +16,11 @@ from the hash:
 * ``engine`` and ``jobs`` — every built-in engine is bit-exact and queued
   campaigns are reassembled in lane order, so these only trade wall-clock
   time (see :mod:`repro.engine` and :mod:`repro.exec`);
-* ``mbpta`` — the MBPTA protocol is post-processing applied to the stored
-  execution times, not part of the measurement;
 * ``label`` — presentation only.
+
+The MBPTA protocol is post-processing applied to the stored execution
+times, not part of the measurement, so a scenario carries no analysis
+config: each :class:`~repro.study.resultset.ResultSet` carries one.
 
 :class:`Sweep` expands axis grids into scenario lists: the Cartesian product
 of the axes is applied to a base scenario with :func:`dataclasses.replace`.
@@ -37,7 +39,6 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 from ..cache.hierarchy import HierarchyConfig
 from ..cache.trace import Trace
 from ..engine import DEFAULT_ENGINE
-from ..pwcet.protocol import MbptaConfig
 from ..platform.leon3 import Leon3Parameters, leon3_hierarchy, platform_setup
 from ..workloads.eembc import eembc_spec, eembc_trace
 from ..workloads.synthetic import synthetic_vector_trace
@@ -94,6 +95,9 @@ class WorkloadSpec:
                 raise ValueError("eembc workload needs a benchmark name")
             # Unknown kernels and unusable scales fail here, not in a worker.
             eembc_spec(self.name).scaled(self.scale)
+            # Kept as a float, so the spec dict of scale=1 is the one
+            # workload_from_spec rebuilds (and hashes) from JSON.
+            object.__setattr__(self, "scale", float(self.scale))
         elif self.kind == "synthetic":
             if self.footprint_bytes <= 0 or self.iterations <= 0:
                 raise ValueError(
@@ -248,9 +252,9 @@ class Scenario:
     ``master_seed + seed_offset`` — sweeps use additive offsets to give
     every grid point an independent seed stream.
 
-    ``engine``, ``jobs``, ``mbpta`` and ``label`` do not affect the
-    simulated execution times and are excluded from :meth:`spec_hash`
-    (see the module docstring).
+    ``engine``, ``jobs`` and ``label`` do not affect the simulated
+    execution times and are excluded from :meth:`spec_hash` (see the
+    module docstring).
     """
 
     workload: WorkloadSpec
@@ -261,7 +265,6 @@ class Scenario:
     campaign: str = "seeds"
     engine: str = DEFAULT_ENGINE
     jobs: int = 1
-    mbpta: MbptaConfig = field(default_factory=MbptaConfig)
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -375,7 +378,7 @@ def scenario_from_spec(spec: Mapping[str, object]) -> Scenario:
     """Rebuild a :class:`Scenario` from its canonical spec dict.
 
     Only simulation-determining fields are part of the spec, so the rebuilt
-    scenario carries defaults for ``engine``/``jobs``/``mbpta``/``label`` —
+    scenario carries defaults for ``engine``/``jobs``/``label`` —
     by construction it has the **same spec hash** as the original.  The
     spec's effective seed becomes the master seed (offset zero), which the
     hash treats identically.

@@ -313,6 +313,15 @@ class TestShardedExecution:
         assert "--lease-ttl must be a positive, finite number" in capsys.readouterr().err
         assert not store.exists()
 
+    def test_worker_rejects_a_missing_store(self, tmp_path, capsys):
+        # A mistyped store would drain nothing and report success.
+        store = tmp_path / "no-such-store"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker", "--store", str(store)])
+        assert excinfo.value.code == 2
+        assert f"--store {store} is not a directory" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_clean_analyses_only_preserves_campaigns(self, tmp_path, capsys):
         from repro.study.store import ResultStore
 

@@ -136,6 +136,23 @@ class TestImportBudget:
         modules = _fresh_modules(tmp_path, code)
         assert _loaded(modules, STUDY_LIBRARY + HARDWARE_AND_SERVICE) == []
 
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (
+                ["exec", "status"],
+                ("repro.exec.executor", "repro.exec.worker", "repro.pwcet"),
+            ),
+            (["query", "runs"], ("repro.pwcet",)),
+        ],
+        ids=["exec-status", "query-runs"],
+    )
+    def test_store_readers_load_no_executor_worker_or_analysis(
+        self, tmp_path, argv, absent
+    ):
+        argv = [*argv, "--store", str(tmp_path / "store")]
+        assert _loaded(_fresh_modules(tmp_path, _cli(argv)), absent) == []
+
     def test_import_repro_and_help_load_no_subpackage(self, tmp_path):
         assert _fresh_modules(tmp_path, "import repro") == ["repro", "repro._lazy"]
         assert "repro.engine.numpy_engine" not in _fresh_modules(tmp_path, _cli(["--help"]))

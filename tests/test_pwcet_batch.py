@@ -1,10 +1,23 @@
-"""Batch-pipeline equivalence: vectorized MBPTA must match the scalar path.
+"""The batch pipeline is the one MBPTA implementation; scipy is its oracle.
 
-The acceptance bar for the batch pipeline is **exact float equality** with
-the per-campaign loop — for synthetic corner cases here and, in
-:class:`TestAllStudiesEquality`, for the real campaigns of every registered
-study.
+Every statistic is computed once, over an ``(n_campaigns, n_runs)``
+matrix, and the single-campaign names (``apply_mbpta``,
+``iid_assessment``, ``fit_gumbel``, ...) are one-row views of it.  Two
+properties are checked here, on the corner-case matrices of
+:func:`sample_matrices` and, in :class:`TestAllStudiesEquality`, on the
+campaigns of every registered study:
+
+* a campaign's result does not depend on the campaigns batched with it:
+  a row of a many-row batch equals the one-row view, exactly;
+* each statistic agrees with scipy's: the KS distance with ``ks_2samp``
+  (absolute 1e-12), the ET statistic with ``cramervonmises`` (relative
+  1e-12), the PWM Gumbel fit with ``lmoment`` (relative 1e-12, the scale
+  relative to the location's magnitude), the MLE fit with
+  ``gumbel_r.fit`` (exactly), and the runs test's p-value with
+  ``2 * norm.sf`` of a standard score from a runs count made here.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +25,7 @@ from scipy import stats as scipy_stats
 
 from repro.analysis.experiments import ExperimentSettings
 from repro.pwcet import (
+    EULER_MASCHERONI,
     MBPTA_MIN_RUNS,
     MbptaConfig,
     apply_mbpta,
@@ -23,8 +37,12 @@ from repro.pwcet import (
     iid_assessment,
     iid_assessment_batch,
 )
+from repro.pwcet.admission import DEFAULT_TAIL_FRACTION, MIN_TAIL_EXCESSES
 from repro.study import available_studies, get_study
 from repro.study.runner import execute_scenarios
+
+#: How closely each statistic must match scipy's (see the module docstring).
+TOLERANCE = 1e-12
 
 
 def assert_results_identical(batch, scalar):
@@ -37,6 +55,86 @@ def assert_results_identical(batch, scalar):
     assert batch.discarded_runs == scalar.discarded_runs
     assert batch.estimator == scalar.estimator
     assert list(batch.samples) == list(scalar.samples)
+
+
+def check_runs_test(row, result):
+    """The Wald-Wolfowitz result against a runs count made here."""
+    median = np.median(row)
+    signs = [value > median for value in row if value != median]
+    n_pos = sum(signs)
+    n_neg = len(signs) - n_pos
+    if not n_pos or not n_neg:
+        assert (result.statistic, result.passed) == (0.0, True)
+        return
+    runs = 1 + sum(a != b for a, b in zip(signs, signs[1:]))
+    n = n_pos + n_neg
+    expected = 2.0 * n_pos * n_neg / n + 1.0
+    variance = 2.0 * n_pos * n_neg * (2.0 * n_pos * n_neg - n) / (n * n * (n - 1.0))
+    score = abs(runs - expected) / math.sqrt(variance) if variance > 0 else 0.0
+    assert result.details.startswith(f"runs={runs},")
+    assert result.statistic == pytest.approx(score, rel=TOLERANCE, abs=TOLERANCE)
+    assert result.p_value == pytest.approx(
+        2 * scipy_stats.norm.sf(result.statistic), rel=TOLERANCE
+    )
+
+
+def check_ks_test(row, result):
+    """The split-half KS distance against ``ks_2samp``."""
+    half = len(row) // 2
+    first, second = row[:half], row[half : 2 * half]
+    if result.details == "degenerate identical samples":
+        assert np.allclose(first, first[0]) and np.allclose(second, second[0])
+        return
+    expected = scipy_stats.ks_2samp(first, second).statistic
+    assert abs(result.statistic - expected) <= TOLERANCE
+
+
+def check_et_test(row, result):
+    """The ET statistic against ``cramervonmises`` on the tail excesses."""
+    ordered = np.sort(row)
+    n_tail = max(int(len(row) * DEFAULT_TAIL_FRACTION), MIN_TAIL_EXCESSES)
+    threshold = ordered[-n_tail - 1] if n_tail < len(row) else ordered[0]
+    excesses = ordered[ordered > threshold] - threshold
+    if len(excesses) < 5:
+        assert (result.statistic, result.passed) == (0.0, True)
+        return
+    w2 = scipy_stats.cramervonmises(
+        excesses, "expon", args=(0, excesses.mean())
+    ).statistic
+    assert result.statistic == pytest.approx(
+        w2 * (1 + 0.16 / len(excesses)), rel=TOLERANCE
+    )
+
+
+def check_battery_against_scipy(matrix, assessments):
+    for row, assessment in zip(np.asarray(matrix, dtype=float), assessments):
+        check_runs_test(row, assessment.independence)
+        check_ks_test(row, assessment.identical_distribution)
+        check_et_test(row, assessment.gumbel_convergence)
+
+
+def check_fit_against_scipy(row, fit, block_size):
+    """A Gumbel fit of ``row``'s block maxima against scipy's: L-moments
+    for PWM, ``gumbel_r.fit`` for MLE."""
+    n_blocks = len(row) // block_size
+    maxima = np.asarray(row[: n_blocks * block_size], dtype=float)
+    maxima = maxima.reshape(n_blocks, block_size).max(axis=1)
+    assert fit.sample_size == n_blocks
+    if maxima.max() == maxima.min():
+        assert fit.location == maxima[0] and fit.scale <= abs(maxima[0]) * 1e-9
+        return
+    if fit.method == "mle":
+        assert (fit.location, fit.scale) == tuple(scipy_stats.gumbel_r.fit(maxima))
+        return
+    l1, l2 = scipy_stats.lmoment(maxima, order=[1, 2])
+    scale = l2 / math.log(2.0)
+    # The L-scale is a difference of sums of magnitude |l1|, so its rounding
+    # error scales with |l1|: a 4-cycle scale at a 12,513-cycle location
+    # (a study campaign at 24 runs) differs from scipy's by 6e-13 of itself.
+    assert fit.scale == pytest.approx(scale, rel=TOLERANCE, abs=TOLERANCE * abs(l1))
+    assert fit.location == pytest.approx(
+        l1 - EULER_MASCHERONI * scale, rel=TOLERANCE
+    )
 
 
 def sample_matrices():
@@ -65,6 +163,7 @@ class TestAdmissionBatteryEquality:
         batch = iid_assessment_batch(matrix)
         for row, assessment in zip(matrix, batch):
             assert assessment == iid_assessment(list(row))
+        check_battery_against_scipy(matrix, batch)
 
     def test_batch_rejects_1d_input(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -74,16 +173,19 @@ class TestAdmissionBatteryEquality:
 class TestFitBatchEquality:
     @pytest.mark.parametrize("block_size", [1, 2, 7, 20])
     def test_fit_gumbel_batch_bitwise_equal(self, block_size):
-        matrix = sample_matrices()["rounded"]
-        batch = fit_gumbel_batch(matrix, block_size=block_size)
-        for row, fit in zip(matrix, batch):
-            assert fit == fit_gumbel(list(row), block_size=block_size)
+        for matrix in sample_matrices().values():
+            batch = fit_gumbel_batch(matrix, block_size=block_size)
+            for row, fit in zip(matrix, batch):
+                assert fit == fit_gumbel(list(row), block_size=block_size)
+                check_fit_against_scipy(row, fit, block_size)
 
     def test_mle_batch_matches_loop(self):
-        matrix = sample_matrices()["rounded"][:3]
-        batch = fit_gumbel_batch(matrix, block_size=5, method="mle")
-        for row, fit in zip(matrix, batch):
-            assert fit == fit_gumbel(list(row), block_size=5, method="mle")
+        rounded, mixed = sample_matrices()["rounded"][:3], sample_matrices()["mixed"]
+        for matrix, block_size in ((rounded, 5), (mixed, 4)):
+            batch = fit_gumbel_batch(matrix, block_size=block_size, method="mle")
+            for row, fit in zip(matrix, batch):
+                assert fit == fit_gumbel(list(row), block_size=block_size, method="mle")
+                check_fit_against_scipy(row, fit, block_size)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown fit method"):
@@ -179,7 +281,8 @@ class TestPipelineEquality:
 
 
 class TestAllStudiesEquality:
-    """The acceptance criterion: batch == loop over every registered study."""
+    """Every registered study's campaigns, analysed through the result set's
+    batches: each equals its one-row analysis and agrees with scipy."""
 
     SETTINGS = ExperimentSettings(runs=24, scale=0.25)
 
@@ -189,24 +292,19 @@ class TestAllStudiesEquality:
         scenarios = study.plan(self.SETTINGS)
         if not any(scenario.runs >= MBPTA_MIN_RUNS for scenario in scenarios):
             pytest.skip(f"{study_name} runs no MBPTA-eligible campaigns")
-        results = execute_scenarios(scenarios)
-        groups = {}
-        for outcome in results:
-            if outcome.campaign.runs < MBPTA_MIN_RUNS:
-                continue
-            key = (outcome.campaign.runs, outcome.scenario.mbpta)
-            groups.setdefault(key, []).append(outcome)
-        assert groups, f"{study_name} produced no eligible campaigns"
-        for (_, config), outcomes in groups.items():
-            batch = apply_mbpta_batch(
-                [outcome.campaign.execution_times for outcome in outcomes],
-                config=config,
-            )
-            for outcome, result in zip(outcomes, batch):
-                assert_results_identical(
-                    result,
-                    apply_mbpta(outcome.campaign.execution_times, config=config),
-                )
+        results = execute_scenarios(scenarios, mbpta=self.SETTINGS.mbpta_config())
+        eligible = [
+            outcome for outcome in results if outcome.campaign.runs >= MBPTA_MIN_RUNS
+        ]
+        assert eligible, f"{study_name} produced no eligible campaigns"
+        for estimator in ("gumbel-pwm", "gumbel-mle"):
+            config = results.analysis_config(estimator)
+            for outcome in eligible:
+                times = outcome.campaign.execution_times
+                batched = results.mbpta(outcome.label, estimator)
+                assert_results_identical(batched, apply_mbpta(times, config=config))
+                check_battery_against_scipy([times], [batched.assessment])
+                check_fit_against_scipy(times, batched.fit, batched.curve.block_size)
 
 
 class TestCompareEstimators:

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from repro.analysis.campaign import CampaignResult
 from repro.pwcet import (
     Estimator,
     ExponentialTailFit,
+    GumbelFit,
     MbptaConfig,
+    PWcetCurve,
     TailEstimate,
     apply_mbpta,
     available_estimators,
@@ -15,6 +18,13 @@ from repro.pwcet import (
     get_estimator,
     register_estimator,
     unregister_estimator,
+)
+from repro.study import (
+    HierarchySpec,
+    ResultSet,
+    Scenario,
+    ScenarioOutcome,
+    WorkloadSpec,
 )
 
 
@@ -44,7 +54,7 @@ class TestRegistry:
 
     def test_register_requires_concrete_name(self):
         class Nameless(Estimator):
-            def fit(self, samples, config):  # pragma: no cover - never called
+            def fit_batch(self, matrix, config):  # pragma: no cover - never called
                 raise NotImplementedError
 
         with pytest.raises(ValueError, match="concrete name"):
@@ -56,19 +66,39 @@ class TestRegistry:
         register_estimator(get_estimator("gumbel-pwm"), replace=True)
 
     def test_custom_estimator_round_trip(self):
+        """An estimator implementing only fit_batch runs through every
+        analysis entry point."""
+
         class Constant(Estimator):
             name = "constant-test"
 
-            def fit(self, samples, config):
-                from repro.pwcet import GumbelFit, PWcetCurve
+            def fit_batch(self, matrix, config):
+                fits = [GumbelFit(float(max(row)), scale=1.0) for row in matrix]
+                return [TailEstimate(fit, PWcetCurve(fit=fit)) for fit in fits]
 
-                fit = GumbelFit(location=float(max(samples)), scale=1.0)
-                return TailEstimate(fit=fit, curve=PWcetCurve(fit=fit))
-
+        samples = {"a": gumbel_sample(100, seed=1), "b": gumbel_sample(100, seed=2)}
+        results = ResultSet(
+            [
+                ScenarioOutcome(
+                    scenario=Scenario(
+                        workload=WorkloadSpec.synthetic(4096, 2),
+                        hierarchy=HierarchySpec.named("rm"),
+                        runs=100,
+                        label=label,
+                    ),
+                    campaign=CampaignResult("w", "rm", times),
+                )
+                for label, times in samples.items()
+            ]
+        )
         register_estimator(Constant())
         try:
-            result = apply_mbpta(gumbel_sample(100), estimator="constant-test")
+            result = apply_mbpta(samples["a"], estimator="constant-test")
             assert result.estimator == "constant-test"
+            assert result.fit.location == max(samples["a"])
+            assert results.mbpta("b", "constant-test").fit.location == max(samples["b"])
+            comparison = results.compare_estimators(["constant-test", "gumbel-pwm"])
+            assert comparison.cells["a"]["constant-test"]["pwcet"] == result.pwcet
         finally:
             unregister_estimator("constant-test")
         assert "constant-test" not in available_estimators()

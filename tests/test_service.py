@@ -179,16 +179,27 @@ class TestJobRequestParsing:
         assert len(set(labels)) == 3
 
     def test_cutoffs_and_estimator_land_in_the_analysis_config(self):
-        scenarios, _ = parse_job_request(
+        _, options = parse_job_request(
             {
                 "spec": _spec(_scenario()),
                 "cutoffs": list(CUTOFFS),
                 "estimator": "gumbel-mle",
             }
         )
-        config = scenarios[0].mbpta
+        config = options.mbpta_config()
         assert config.exceedance_probabilities == CUTOFFS
         assert config.fit_method == "gumbel-mle"
+
+    def test_default_options_make_the_cli_analysis_config(self):
+        # The CLI's default study run and a bare server job share their
+        # stored analyses only if both build the same config.
+        cli = ExperimentSettings().mbpta_config()
+        _, options = parse_job_request({"spec": _spec(_scenario())})
+        assert options.mbpta_config().analysis_hash() == cli.analysis_hash()
+        _, options = parse_job_request(
+            {"spec": _spec(_scenario()), "cutoffs": list(CUTOFFS)}
+        )
+        assert options.mbpta_config().analysis_hash() == cli.analysis_hash()
 
     @pytest.mark.parametrize(
         "payload",
@@ -238,6 +249,29 @@ class TestJobRequestParsing:
     )
     def test_bad_options_are_rejected(self, options):
         with pytest.raises(BadRequest):
+            parse_job_request({"spec": _spec(_scenario()), **options})
+
+    @pytest.mark.parametrize(
+        "options, field",
+        [
+            ({"shard_size": 100.9}, "shard_size"),
+            ({"shard_size": "8"}, "shard_size"),
+            ({"shard_size": True}, "shard_size"),
+            ({"jobs": True}, "jobs"),
+            ({"jobs": "3"}, "jobs"),
+            ({"jobs": 2.0}, "jobs"),
+            ({"cutoffs": ["1e-3"]}, "cutoffs"),
+            ({"estimator": False}, "estimator"),
+            ({"engine": 0}, "engine"),
+        ],
+        ids=["shard_size=100.9", "shard_size='8'", "shard_size=true", "jobs=true",
+             "jobs='3'", "jobs=2.0", "cutoffs=['1e-3']", "estimator=false",
+             "engine=0"],
+    )
+    def test_mistyped_options_are_rejected_naming_the_field(self, options, field):
+        # Coercing these (int(100.9), int(True), float("1e-3"), false as
+        # the default estimator) would run another job than the one sent.
+        with pytest.raises(BadRequest, match=f"{field} must be"):
             parse_job_request({"spec": _spec(_scenario()), **options})
 
 
@@ -566,7 +600,7 @@ class TestWarmOverlap:
             assert entry["high_water_mark"] == campaign.high_water_mark
             # The analysis payload is byte-for-byte what the CLI persisted.
             persisted = store.load_analysis(
-                spec_hash, scenario.mbpta.analysis_hash()
+                spec_hash, settings.mbpta_config().analysis_hash()
             )
             assert persisted is not None
             assert json.dumps(entry["analysis"], sort_keys=True) == json.dumps(
@@ -785,6 +819,34 @@ class TestStatusAndGc:
             client.gc(older_than="soon")  # type: ignore[arg-type]
         assert excinfo.value.status == 400
         assert "older_than" in excinfo.value.message
+
+    @pytest.mark.parametrize(
+        "options, field",
+        [
+            ({"older_than": True}, "older_than"),
+            ({"older_than": "0"}, "older_than"),
+            ({"analyses_only": "false"}, "analyses_only"),
+            ({"analyses_only": 0}, "analyses_only"),
+            ({"dry_run": "yes"}, "dry_run"),
+        ],
+        ids=["older_than=true", "older_than='0'", "analyses_only='false'",
+             "analyses_only=0", "dry_run='yes'"],
+    )
+    def test_gc_rejects_mistyped_options_and_removes_nothing(
+        self, tmp_path, start_server, options, field
+    ):
+        """bool("false") is True and float(True) a one-second age: a
+        coerced option would sweep by another rule than the one sent."""
+        store = ResultStore(tmp_path / "store")
+        store.save_analysis("aaa", "cfg", {"v": 1})
+        store.save_shard("bbb", "00000000x000004", {"version": 1})
+        planted = [path for path in store.root.rglob("*") if path.is_file()]
+        _, client = start_server(store)
+        with pytest.raises(ServiceError) as excinfo:
+            client.gc(**{"older_than": 0, **options})
+        assert excinfo.value.status == 400
+        assert f"{field} must be" in excinfo.value.message
+        assert all(path.exists() for path in planted)
 
     @pytest.mark.parametrize(
         "older_than", [-1, "nan", float("nan")], ids=["negative", "nan-text", "nan-json"]

@@ -12,7 +12,6 @@ from repro.pwcet.admission import (
     exponential_tail_test,
     identical_distribution_test,
     iid_assessment,
-    ks_two_sample_test,
     stephens_critical_value,
     stephens_p_value,
     wald_wolfowitz_test,
@@ -66,32 +65,38 @@ class TestWaldWolfowitz:
 
 
 class TestKolmogorovSmirnov:
+    """The KS test compares a sample's first half with its second."""
+
     def test_same_distribution_passes(self):
         a = gumbel_sample(400, seed=8)
         b = gumbel_sample(400, seed=9)
-        result = ks_two_sample_test(a, b)
+        result = identical_distribution_test(a + b)
         assert result.passed
 
     def test_different_distributions_fail(self):
         a = gumbel_sample(400, seed=6, loc=1000.0)
         b = gumbel_sample(400, seed=7, loc=1200.0)
-        assert not ks_two_sample_test(a, b).passed
+        assert not identical_distribution_test(a + b).passed
 
     def test_statistic_matches_scipy(self):
-        a = gumbel_sample(200, seed=8)
+        a = gumbel_sample(300, seed=8)
         b = gumbel_sample(300, seed=9)
-        ours = ks_two_sample_test(a, b)
+        ours = identical_distribution_test(a + b)
         reference = scipy_stats.ks_2samp(a, b)
-        assert ours.statistic == pytest.approx(reference.statistic, abs=1e-9)
+        assert ours.statistic == pytest.approx(reference.statistic, abs=1e-12)
         assert ours.p_value == pytest.approx(reference.pvalue, abs=0.02)
 
     def test_identical_constant_samples_pass(self):
-        result = ks_two_sample_test([5.0] * 50, [5.0] * 50)
+        result = identical_distribution_test([5.0] * 100)
         assert result.passed and result.p_value == 1.0
 
     def test_rejects_tiny_samples(self):
-        with pytest.raises(ValueError):
-            ks_two_sample_test([1.0], [2.0, 3.0, 4.0, 5.0, 6.0])
+        # Ten observations make two halves of five, the fewest the test takes.
+        with pytest.raises(ValueError, match="at least 10"):
+            identical_distribution_test([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
+        result = identical_distribution_test([float(i) for i in range(10)])
+        assert result.details == "n_a=5, n_b=5"
+        assert result.statistic == 1.0  # the halves do not overlap
 
     def test_identical_distribution_split_test(self):
         result = identical_distribution_test(gumbel_sample(600, seed=10))

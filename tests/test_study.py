@@ -152,9 +152,6 @@ class TestScenarioSpec:
         assert base.spec_hash() == tiny_scenario(engine="numpy").spec_hash()
         assert base.spec_hash() == tiny_scenario(jobs=4).spec_hash()
         assert base.spec_hash() == tiny_scenario(label="renamed").spec_hash()
-        assert base.spec_hash() == tiny_scenario(
-            mbpta=MbptaConfig(block_size=10)
-        ).spec_hash()
 
     def test_simulation_fields_change_the_hash(self):
         base = tiny_scenario()
@@ -177,6 +174,19 @@ class TestScenarioSpec:
     def test_display_label_defaults_to_workload_and_hierarchy(self):
         assert tiny_scenario().display_label == "synthetic_4KB/rm"
         assert tiny_scenario(label="mine").display_label == "mine"
+
+    def test_integer_eembc_scale_round_trips_its_hash(self):
+        # JSON keeps 1 and 1.0 apart, and workload_from_spec rebuilds a
+        # float, so the spec must hold the float too.
+        scenario = tiny_scenario(workload=WorkloadSpec.eembc("a2time", 1))
+        assert scenario.spec_dict()["workload"]["scale"] == 1.0
+        assert isinstance(scenario.workload.scale, float)
+        assert scenario_from_spec(scenario.spec_dict()).spec_hash() == (
+            scenario.spec_hash()
+        )
+        assert scenario.spec_hash() == tiny_scenario(
+            workload=WorkloadSpec.eembc("a2time", 1.0)
+        ).spec_hash()
 
     def test_sub_kb_footprints_get_distinct_labels(self):
         # Floor-dividing to KB must not make distinct footprints collide.
@@ -204,7 +214,6 @@ class TestMemoizedHashes:
         "campaign": "layouts",
         "engine": "reference",
         "jobs": 2,
-        "mbpta": MbptaConfig(block_size=10),
         "label": "renamed",
     }
 
@@ -351,10 +360,30 @@ class TestExecution:
             got = results.campaign(scenario.label)
             assert got.execution_times == expected.execution_times
 
+    def test_integer_eembc_scale_runs_sharded(self, tmp_path):
+        # A shard task carries the spec dict, and the worker checks that
+        # its rebuilt scenario hashes to the task's spec hash.
+        store = ResultStore(tmp_path / "store")
+        scenario = Scenario(
+            workload=WorkloadSpec.eembc("a2time", 1),
+            hierarchy=HierarchySpec.named("rm"),
+            runs=4,
+        )
+        results = execute_scenarios([scenario], store, shard_size=2)
+        assert results.report.shards_executed == 2
+        assert store.load(scenario.spec_hash()) is not None
+
     def test_unknown_engine_fails_before_any_simulation(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         with pytest.raises(ValueError, match="unknown engine"):
             execute_scenarios([tiny_scenario(engine="warp")], store=store)
+        assert len(store) == 0
+
+    def test_unknown_estimator_fails_before_any_simulation(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        settings = ExperimentSettings(runs=24, estimator="weibull")
+        with pytest.raises(ValueError, match="unknown estimator 'weibull'"):
+            run_study("fig5", settings, store=store)
         assert len(store) == 0
 
 
