@@ -289,7 +289,7 @@ def test_batch_memory(capsys):
     _emit_bench_json(BENCH_JSON, {"batch_memory": rows})
 
 
-@pytest.mark.parametrize("policy", ["modulo", "xor", "hrp", "rm"])
+@pytest.mark.parametrize("policy", ["modulo", "hrp", "rm"])
 def test_placement_throughput(benchmark, policy):
     geometry = PlacementGeometry(num_sets=128, line_size=32)
     placement = make_placement(policy, geometry, seed=7)

@@ -4,7 +4,7 @@ Real-Time Critical Systems* (Hernández et al., DAC 2016).
 The package is organised in layers (see DESIGN.md):
 
 * :mod:`repro.core` — the paper's contribution: placement policies (modulo,
-  XOR, hRP, Random Modulo), permutation networks and hardware-style PRNGs.
+  hRP, Random Modulo), permutation networks and the seed generator.
 * :mod:`repro.cache` — memory-access traces, set-associative cache and
   hierarchy models, and the compiled-trace representation the campaign
   engines replay.
@@ -61,7 +61,6 @@ _EXPORTS = {
     # core
     "HashRandomPlacement": "core",
     "ModuloPlacement": "core",
-    "MultiLfsrPrng": "core",
     "PlacementGeometry": "core",
     "RandomModuloPlacement": "core",
     "make_placement": "core",

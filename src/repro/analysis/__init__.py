@@ -27,7 +27,6 @@ _EXPORTS = {
     "industrial_bound": "hwm",
     "format_ccdf": "report",
     "format_histogram": "report",
-    "format_ratio": "report",
     "format_table": "report",
 }
 

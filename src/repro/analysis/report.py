@@ -26,7 +26,6 @@ __all__ = [
     "format_table",
     "format_histogram",
     "format_ccdf",
-    "format_ratio",
     "format_estimator_comparison",
     "RESULT_FORMATS",
     "QUERY_FORMATS",
@@ -112,11 +111,6 @@ def format_ccdf(points: Sequence[Tuple[float, float]], title: str = "") -> str:
     """Render (value, exceedance probability) pairs as a small table."""
     rows = [(f"{value:,.0f}", f"{probability:.3g}") for value, probability in points]
     return format_table(["execution time", "exceedance prob."], rows, title=title)
-
-
-def format_ratio(value: float) -> str:
-    """Format a ratio as a percentage difference (e.g. 0.57 -> '-43.0%')."""
-    return f"{(value - 1.0) * 100.0:+.1f}%"
 
 
 def format_estimator_comparison(comparison) -> str:

@@ -2,8 +2,6 @@
 and compiled traces."""
 
 from .cache import (
-    WRITE_BACK,
-    WRITE_THROUGH,
     AccessOutcome,
     CacheConfig,
     CacheStats,
@@ -14,18 +12,14 @@ from .fastsim import CompiledTrace, FastRunResult
 from .hierarchy import CacheHierarchy, HierarchyConfig, MemoryTimings, derive_cache_seeds
 from .replacement import (
     REPLACEMENT_NAMES,
-    FifoReplacement,
     LruReplacement,
     RandomReplacement,
     ReplacementPolicy,
-    TreePlruReplacement,
     make_replacement,
 )
 from .trace import AccessKind, Trace
 
 __all__ = [
-    "WRITE_BACK",
-    "WRITE_THROUGH",
     "AccessOutcome",
     "CacheConfig",
     "CacheStats",
@@ -38,11 +32,9 @@ __all__ = [
     "MemoryTimings",
     "derive_cache_seeds",
     "REPLACEMENT_NAMES",
-    "FifoReplacement",
     "LruReplacement",
     "RandomReplacement",
     "ReplacementPolicy",
-    "TreePlruReplacement",
     "make_replacement",
     "AccessKind",
     "Trace",

@@ -9,15 +9,17 @@ model in the test suite.
 The model tracks tags, valid and dirty bits per way, delegates the
 address-to-set mapping to a :class:`~repro.core.placement.PlacementPolicy`
 and the victim selection to a
-:class:`~repro.cache.replacement.ReplacementPolicy`, and implements the two
-write policies discussed in the paper (write-through + no-write-allocate, as
-used by first-level caches of safety-critical processors, and write-back +
-write-allocate).
+:class:`~repro.cache.replacement.ReplacementPolicy`, and implements the
+paper's two write policies: write-through + no-write-allocate (the default,
+as in the LEON3's first-level caches) and, with ``write_back=True``,
+write-back + write-allocate (its L2).  The policy belongs to the cache's
+level, not to its :class:`CacheConfig`: :class:`~repro.cache.hierarchy.CacheHierarchy`
+builds write-through L1s and a write-back L2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.bits import is_power_of_two
@@ -50,10 +52,6 @@ def derive_policy_seeds(cache_seed: int) -> Tuple[int, int]:
     expander = SplitMix64(cache_seed)
     return expander.next_uint64(), expander.next_uint64()
 
-#: Write policy constants.
-WRITE_THROUGH = "write-through"
-WRITE_BACK = "write-back"
-
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -74,11 +72,15 @@ class CacheConfig:
     replacement:
         Replacement policy name (see
         :data:`repro.cache.replacement.REPLACEMENT_NAMES`).
-    write_policy:
-        ``"write-through"`` (no-write-allocate) or ``"write-back"``
-        (write-allocate).
     address_bits:
         Physical address width.
+    geometry:
+        The :class:`~repro.core.placement.PlacementGeometry` implied by the
+        fields, built (and so checked against ``address_bits``) on
+        construction.
+
+    Every check runs on construction, so a configuration no engine can
+    simulate never reaches one.
     """
 
     name: str = "cache"
@@ -87,12 +89,17 @@ class CacheConfig:
     line_size: int = 32
     placement: str = "modulo"
     replacement: str = "random"
-    write_policy: str = WRITE_THROUGH
     address_bits: int = 32
+    geometry: PlacementGeometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ways < 1:
             raise ValueError(f"ways must be >= 1, got {self.ways}")
+        if not is_power_of_two(self.line_size):
+            raise ValueError(
+                f"{self.name}: line_size must be a positive power of two, "
+                f"got {self.line_size}"
+            )
         if self.size_bytes % (self.ways * self.line_size):
             raise ValueError(
                 f"{self.name}: size {self.size_bytes} is not a multiple of "
@@ -102,19 +109,15 @@ class CacheConfig:
             raise ValueError(
                 f"{self.name}: number of sets must be a power of two, got {self.num_sets}"
             )
-        if self.write_policy not in (WRITE_THROUGH, WRITE_BACK):
-            raise ValueError(
-                f"{self.name}: write_policy must be '{WRITE_THROUGH}' or "
-                f"'{WRITE_BACK}', got {self.write_policy!r}"
-            )
-        # Exact names only: the engines compare against these literals, so a
-        # variant spelling ("LRU") would otherwise run as another policy.
+        # Exact names only: the engines compare against these literals, and
+        # the spec hash of a variant spelling ("LRU", "RM") would store the
+        # same campaign twice.
         if self.replacement not in REPLACEMENT_NAMES:
             raise ValueError(
                 f"{self.name}: replacement must be one of {REPLACEMENT_NAMES}, "
                 f"got {self.replacement!r}"
             )
-        placement = PLACEMENT_CLASSES.get(self.placement.lower())
+        placement = PLACEMENT_CLASSES.get(self.placement)
         if placement is None:
             raise ValueError(
                 f"{self.name}: placement must be one of {PLACEMENT_NAMES}, "
@@ -125,20 +128,17 @@ class CacheConfig:
                 f"{self.name}: {placement.name} placement needs at least "
                 f"{placement.min_sets} sets, got {self.num_sets}"
             )
+        geometry = PlacementGeometry(
+            num_sets=self.num_sets,
+            line_size=self.line_size,
+            address_bits=self.address_bits,
+        )
+        object.__setattr__(self, "geometry", geometry)
 
     @property
     def num_sets(self) -> int:
         """Number of sets: ``size / (ways * line_size)``."""
         return self.size_bytes // (self.ways * self.line_size)
-
-    @property
-    def geometry(self) -> PlacementGeometry:
-        """The placement geometry implied by this configuration."""
-        return PlacementGeometry(
-            num_sets=self.num_sets,
-            line_size=self.line_size,
-            address_bits=self.address_bits,
-        )
 
     @property
     def way_size(self) -> int:
@@ -216,7 +216,11 @@ class _Line:
 
 
 class SetAssociativeCache:
-    """Reference set-associative cache with pluggable placement/replacement."""
+    """Reference set-associative cache with pluggable placement/replacement.
+
+    ``write_back`` selects write-back + write-allocate; the default is
+    write-through + no-write-allocate.
+    """
 
     def __init__(
         self,
@@ -224,8 +228,10 @@ class SetAssociativeCache:
         placement: Optional[PlacementPolicy] = None,
         replacement: Optional[ReplacementPolicy] = None,
         seed: int = 0,
+        write_back: bool = False,
     ) -> None:
         self.config = config
+        self.write_back = write_back
         placement_seed, replacement_seed = derive_policy_seeds(seed)
         self.placement = placement or make_placement(
             config.placement, config.geometry, seed=placement_seed
@@ -314,7 +320,7 @@ class SetAssociativeCache:
             if line.valid and line.tag == tag:
                 self.stats.hits += 1
                 self.replacement.touch(set_index, way)
-                if is_write and config.write_policy == WRITE_BACK:
+                if is_write and self.write_back:
                     line.dirty = True
                 return AccessOutcome(hit=True)
 
@@ -325,7 +331,7 @@ class SetAssociativeCache:
         else:
             self.stats.read_misses += 1
 
-        if is_write and config.write_policy == WRITE_THROUGH:
+        if is_write and not self.write_back:
             # No-write-allocate: the store is forwarded to the next level
             # without installing the line.
             return AccessOutcome(hit=False, allocated=False)
@@ -337,7 +343,7 @@ class SetAssociativeCache:
             way = self.replacement.victim(set_index)
             victim = cache_set[way]
             victim_address = victim.line_address
-            writeback = victim.dirty and config.write_policy == WRITE_BACK
+            writeback = victim.dirty
             self.stats.evictions += 1
             if writeback:
                 self.stats.writebacks += 1
@@ -346,7 +352,7 @@ class SetAssociativeCache:
         line.valid = True
         line.tag = tag
         line.line_address = line_address
-        line.dirty = is_write and config.write_policy == WRITE_BACK
+        line.dirty = is_write  # a write-through cache allocates on reads only
         self.stats.fills += 1
         self.replacement.touch(set_index, way)
         return AccessOutcome(

@@ -7,7 +7,9 @@ used in the paper (single-cycle L1 hits, on-chip L2, off-chip SDRAM).
 
 The model is trace-accurate for what matters to the paper: every instruction
 fetch probes the IL1, every load/store probes the DL1, L1 misses probe the
-L2, and L2 misses pay the memory latency.  Write-through L1 stores are
+L2, and L2 misses pay the memory latency.  The write policy follows the
+level, as on the LEON3: the L1s are write-through with no write-allocate,
+the L2 is write-back with write-allocate.  Write-through L1 stores are
 assumed to be absorbed by a store buffer (no added latency on hits) but the
 write traffic is still recorded in the statistics.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core.prng import SplitMix64
-from .cache import WRITE_BACK, CacheConfig, SetAssociativeCache
+from .cache import CacheConfig, SetAssociativeCache
 
 __all__ = [
     "MemoryTimings",
@@ -45,8 +47,8 @@ class MemoryTimings:
     ``l1_hit`` is the total latency of an access that hits in an L1 cache;
     ``l2_hit`` is the *additional* latency paid when the access misses the L1
     but hits the L2; ``memory`` is the additional latency of going to main
-    memory; ``writeback`` is the cost of writing a dirty victim back to the
-    next level.
+    memory; ``writeback`` is the cost of writing a dirty L2 victim back to
+    memory.
     """
 
     l1_hit: int = 1
@@ -69,26 +71,9 @@ class HierarchyConfig:
     l2: Optional[CacheConfig] = None
     timings: MemoryTimings = MemoryTimings()
 
-    def describe(self) -> Dict[str, object]:
-        """Structured summary used by experiment logs."""
-        summary: Dict[str, object] = {
-            "il1": f"{self.il1.size_bytes // 1024}KB/{self.il1.ways}w/{self.il1.placement}",
-            "dl1": f"{self.dl1.size_bytes // 1024}KB/{self.dl1.ways}w/{self.dl1.placement}",
-            "timings": {
-                "l1_hit": self.timings.l1_hit,
-                "l2_hit": self.timings.l2_hit,
-                "memory": self.timings.memory,
-            },
-        }
-        if self.l2 is not None:
-            summary["l2"] = (
-                f"{self.l2.size_bytes // 1024}KB/{self.l2.ways}w/{self.l2.placement}"
-            )
-        return summary
-
 
 class CacheHierarchy:
-    """IL1 + DL1 + optional shared L2 in front of main memory."""
+    """Write-through IL1 + DL1 + optional write-back L2 in front of main memory."""
 
     def __init__(self, config: HierarchyConfig, seed: int = 0) -> None:
         self.config = config
@@ -96,7 +81,7 @@ class CacheHierarchy:
         self.il1 = SetAssociativeCache(config.il1, seed=il1_seed)
         self.dl1 = SetAssociativeCache(config.dl1, seed=dl1_seed)
         self.l2: Optional[SetAssociativeCache] = (
-            SetAssociativeCache(config.l2, seed=l2_seed)
+            SetAssociativeCache(config.l2, seed=l2_seed, write_back=True)
             if config.l2 is not None
             else None
         )
@@ -147,28 +132,16 @@ class CacheHierarchy:
         return self._access(self.dl1, address, is_write=True)
 
     def _access(self, l1: SetAssociativeCache, address: int, is_write: bool) -> int:
-        timings = self.config.timings
-        latency = timings.l1_hit
+        latency = self.config.timings.l1_hit
         outcome = l1.access(address, is_write=is_write)
-
-        if outcome.writeback:
-            latency += self._write_next_level(outcome.victim_address)
-
-        write_through_store = (
-            is_write and l1.config.write_policy != WRITE_BACK
-        )
-
         if outcome.hit:
-            if write_through_store:
-                # The store is propagated to the next level; assumed to be
-                # absorbed by the store buffer, so it costs no extra cycles
-                # but the L2 write traffic is recorded.
-                self._write_next_level(address, latency_free=True)
+            if is_write:
+                self._store_through(address)
             self.cycles += latency
             return latency
 
         # L1 miss: the request goes to the next level.
-        latency += self._read_next_level(address, is_write=write_through_store)
+        latency += self._read_next_level(address, is_write=is_write)
         self.cycles += latency
         return latency
 
@@ -183,27 +156,21 @@ class CacheHierarchy:
             extra += timings.writeback
             self.memory_accesses += 1
         if not outcome.hit:
-            if is_write and not outcome.allocated:
-                # Write-through store that also misses the L2 goes to memory.
-                self.memory_accesses += 1
-                return extra + timings.memory
             extra += timings.memory
             self.memory_accesses += 1
         return extra
 
-    def _write_next_level(self, address: Optional[int], latency_free: bool = False) -> int:
-        """Propagate a write (store or writeback) to the level below the L1."""
-        if address is None:
-            return 0
-        timings = self.config.timings
+    def _store_through(self, address: int) -> None:
+        """Propagate an L1 store hit to the next level.
+
+        The store buffer absorbs it, so it costs no cycles, but the write
+        traffic is recorded: a memory access without an L2, else an L2
+        write that allocates on a miss (its dirty victim is dropped).
+        """
         if self.l2 is None:
             self.memory_accesses += 1
-            return 0 if latency_free else timings.memory
-        outcome = self.l2.access(address, is_write=True)
-        cost = 0 if latency_free else timings.writeback
-        if not outcome.hit and not outcome.allocated:
-            self.memory_accesses += 1
-        return cost
+        else:
+            self.l2.access(address, is_write=True)
 
     # ------------------------------------------------------------------ stats
 

@@ -2,15 +2,12 @@
 
 The paper's MBPTA-compliant designs pair a random *placement* function with
 random *replacement* (as in the LEON3/LEON4 and ARM Cortex-R families);
-deterministic baselines typically use LRU.  Four policies are provided:
+the deterministic baseline uses LRU.  These are the two policies modelled:
 
 * :class:`LruReplacement` — true least-recently-used.
-* :class:`RandomReplacement` — evict a uniformly random way (driven by the
-  hardware-style PRNG so that analysis-time and operation-time behaviour are
+* :class:`RandomReplacement` — evict a uniformly random way (driven by a
+  seeded PRNG so that analysis-time and operation-time behaviour are
   governed by the same probability distribution).
-* :class:`FifoReplacement` — round-robin/FIFO per set.
-* :class:`TreePlruReplacement` — the tree-based pseudo-LRU used by many
-  commercial cores, included for the deterministic comparisons.
 
 A policy instance manages the metadata of *all* sets of one cache so that the
 cache model stays a thin orchestration layer.
@@ -27,8 +24,6 @@ __all__ = [
     "ReplacementPolicy",
     "LruReplacement",
     "RandomReplacement",
-    "FifoReplacement",
-    "TreePlruReplacement",
     "make_replacement",
     "replacement_touches_on_hit",
     "REPLACEMENT_CLASSES",
@@ -40,8 +35,8 @@ class ReplacementPolicy(ABC):
     """Per-set replacement metadata and victim selection."""
 
     name: str = "abstract"
-    #: True when a hit mutates per-set metadata (LRU stamps, PLRU tree bits).
-    #: Policies where :meth:`touch` is a no-op (random, FIFO) leave hits
+    #: True when a hit mutates per-set metadata (LRU's recency order).
+    #: Random replacement's :meth:`touch` is a no-op, so its hits are
     #: stateless, which the plan compiler exploits: eliding a guaranteed hit
     #: cannot change any future victim choice.
     touches_on_hit: bool = False
@@ -109,71 +104,12 @@ class RandomReplacement(ReplacementPolicy):
         return self._rng.next_below(self.num_ways)
 
 
-class FifoReplacement(ReplacementPolicy):
-    """Round-robin (FIFO) replacement: evict ways in cyclic order."""
-
-    name = "fifo"
-
-    def reset(self) -> None:
-        self._next: List[int] = [0] * self.num_sets
-
-    def victim(self, set_index: int) -> int:
-        way = self._next[set_index]
-        self._next[set_index] = (way + 1) % self.num_ways
-        return way
-
-
-class TreePlruReplacement(ReplacementPolicy):
-    """Tree-based pseudo-LRU for power-of-two associativities.
-
-    Each set keeps ``num_ways - 1`` tree bits; a hit flips the bits along the
-    path to point *away* from the accessed way, and the victim is found by
-    following the bits from the root.
-    """
-
-    name = "plru"
-    touches_on_hit = True
-
-    def __init__(self, num_sets: int, num_ways: int) -> None:
-        if num_ways & (num_ways - 1):
-            raise ValueError(
-                f"TreePlruReplacement requires a power-of-two associativity, got {num_ways}"
-            )
-        super().__init__(num_sets, num_ways)
-
-    def reset(self) -> None:
-        self._bits: List[List[int]] = [
-            [0] * (self.num_ways - 1) for _ in range(self.num_sets)
-        ]
-
-    def victim(self, set_index: int) -> int:
-        bits = self._bits[set_index]
-        node = 0
-        # Internal nodes are stored heap-style: children of node i are
-        # 2i + 1 and 2i + 2; a bit of 0 points to the left subtree.
-        while node < self.num_ways - 1:
-            node = 2 * node + 1 + bits[node]
-        return node - (self.num_ways - 1)
-
-    def touch(self, set_index: int, way: int) -> None:
-        bits = self._bits[set_index]
-        node = way + (self.num_ways - 1)
-        while node > 0:
-            parent = (node - 1) // 2
-            is_left_child = node == 2 * parent + 1
-            # Point the parent away from the child that was just used.
-            bits[parent] = 1 if is_left_child else 0
-            node = parent
-
-
 #: Policy classes by name — lets callers inspect class-level traits such as
 #: ``touches_on_hit`` without instantiating a policy (mirrors
 #: ``repro.core.placement.PLACEMENT_CLASSES``).
 REPLACEMENT_CLASSES = {
     "lru": LruReplacement,
     "random": RandomReplacement,
-    "fifo": FifoReplacement,
-    "plru": TreePlruReplacement,
 }
 
 #: Names accepted by :func:`make_replacement`.
@@ -182,7 +118,7 @@ REPLACEMENT_NAMES = tuple(REPLACEMENT_CLASSES)
 
 def _replacement_class(name: str) -> type:
     try:
-        return REPLACEMENT_CLASSES[name.lower()]
+        return REPLACEMENT_CLASSES[name]
     except KeyError as error:
         raise ValueError(
             f"unknown replacement policy {name!r}; expected one of {REPLACEMENT_NAMES}"

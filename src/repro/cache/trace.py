@@ -14,7 +14,7 @@ footprint helpers for the workload generators and the tests.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 __all__ = ["AccessKind", "Trace"]
 
@@ -86,18 +86,6 @@ class Trace:
     def footprint_bytes(self, line_size: int = 32) -> int:
         """Total footprint in bytes at line granularity."""
         return len(self.unique_lines(line_size)) * line_size
-
-    def split_by_kind(self, line_size: int = 32) -> Tuple[List[int], List[int]]:
-        """Return (instruction line addresses, data line addresses)."""
-        instruction_lines = set()
-        data_lines = set()
-        for kind, address in zip(self.kinds, self.addresses):
-            line = address & ~(line_size - 1)
-            if kind == AccessKind.FETCH:
-                instruction_lines.add(line)
-            else:
-                data_lines.add(line)
-        return sorted(instruction_lines), sorted(data_lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Trace(name={self.name!r}, accesses={len(self)})"

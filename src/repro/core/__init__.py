@@ -1,9 +1,9 @@
 """Core contribution of the paper: random cache placement functions.
 
 The :mod:`repro.core` package contains everything needed to compute the set
-index of an address under the placement policies studied in the paper
-(modulo, deterministic XOR, hash-based random placement and Random Modulo),
-plus the hardware-style pseudo-random number generators and the permutation
+index of an address under the placement policies the paper evaluates
+(modulo, hash-based random placement and Random Modulo), plus the SplitMix64
+seed and victim generator of the randomised designs and the permutation
 networks Random Modulo is built from.
 """
 
@@ -25,7 +25,6 @@ from .bits import (
 )
 from .placement import (
     PLACEMENT_NAMES,
-    DeterministicXorPlacement,
     HashRandomPlacement,
     ModuloPlacement,
     PlacementGeometry,
@@ -33,7 +32,7 @@ from .placement import (
     RandomModuloPlacement,
     make_placement,
 )
-from .prng import GaloisLfsr, MultiLfsrPrng, SplitMix64, derive_run_seeds
+from .prng import SplitMix64, derive_run_seeds
 
 __all__ = [
     "BenesNetwork",
@@ -49,15 +48,12 @@ __all__ = [
     "rotate_right",
     "to_bits",
     "PLACEMENT_NAMES",
-    "DeterministicXorPlacement",
     "HashRandomPlacement",
     "ModuloPlacement",
     "PlacementGeometry",
     "PlacementPolicy",
     "RandomModuloPlacement",
     "make_placement",
-    "GaloisLfsr",
-    "MultiLfsrPrng",
     "SplitMix64",
     "derive_run_seeds",
 ]

@@ -18,7 +18,6 @@ __all__ = [
     "fold_xor",
     "to_bits",
     "from_bits",
-    "bit_slice",
     "parity",
 ]
 
@@ -64,9 +63,8 @@ def fold_xor(value: int, in_width: int, out_width: int) -> int:
     """XOR-fold an ``in_width``-bit value down to ``out_width`` bits.
 
     The value is split into ``out_width``-bit chunks starting from the least
-    significant bit and the chunks are XORed together.  This is how wide
-    address fields are compressed onto a narrow index in XOR-hash placement
-    hardware.
+    significant bit and the chunks are XORed together.  This is how Random
+    Modulo compresses the upper address bits onto its switch control word.
     """
     if out_width <= 0:
         raise ValueError(f"out_width must be positive, got {out_width}")
@@ -92,13 +90,6 @@ def from_bits(bits: Iterable[int]) -> int:
             raise ValueError(f"bits must be 0 or 1, got {bit!r} at position {i}")
         value |= bit << i
     return value
-
-
-def bit_slice(value: int, low: int, width: int) -> int:
-    """Extract ``width`` bits of ``value`` starting at bit ``low``."""
-    if low < 0 or width < 0:
-        raise ValueError("low and width must be non-negative")
-    return (value >> low) & mask(width)
 
 
 def parity(value: int) -> int:

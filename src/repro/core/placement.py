@@ -4,9 +4,6 @@ This module contains the paper's contribution and its comparison points:
 
 * :class:`ModuloPlacement` — the conventional deterministic placement used by
   virtually all processors: the index is the low-order line-address bits.
-* :class:`DeterministicXorPlacement` — an XOR-hash placement in the style of
-  González et al. (ICS 1997): still deterministic, included as the
-  related-work baseline the paper discusses in Section 5.
 * :class:`HashRandomPlacement` (hRP) — the MBPTA-compliant parametric hash of
   Kosmidis et al. (DATE 2013), Figure 2 of the paper: rotate blocks over the
   upper address bits combined through an XOR tree with the random seed.
@@ -17,7 +14,9 @@ This module contains the paper's contribution and its comparison points:
 All policies share the :class:`PlacementPolicy` interface used by the cache
 model: they map a 32-bit byte address to a set index and a tag, can be
 reseeded between runs, and report whether the tag array must also store the
-index bits (needed when the placement is not segment-preserving).
+index bits (needed when the placement is not segment-preserving).  These
+three are the placements the paper evaluates; :func:`make_placement` and
+:data:`PLACEMENT_NAMES` know no other, and match names exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "PlacementGeometry",
     "PlacementPolicy",
     "ModuloPlacement",
-    "DeterministicXorPlacement",
     "HashRandomPlacement",
     "RandomModuloPlacement",
     "make_placement",
@@ -102,10 +100,6 @@ class PlacementGeometry:
     def modulo_index(self, address: int) -> int:
         """The conventional modulo set index of ``address``."""
         return self.line_address(address) & mask(self.index_bits)
-
-    def segment_of(self, address: int) -> int:
-        """The cache segment (way-aligned region) ``address`` belongs to."""
-        return (address & mask(self.address_bits)) // self.segment_size
 
 
 class PlacementPolicy(ABC):
@@ -239,38 +233,6 @@ class ModuloPlacement(PlacementPolicy):
     def set_index_array(self, addresses):
         lines = self._line_addresses_array(addresses)
         return (lines & mask(self.geometry.index_bits)).astype("int64")
-
-
-class DeterministicXorPlacement(PlacementPolicy):
-    """Deterministic XOR-hash placement (González et al. style).
-
-    The set index is the modulo index XORed with a fold of the upper address
-    bits.  It spreads conflicting addresses compared to plain modulo but is
-    fully deterministic: a pathological input set collides systematically in
-    every run, which is why it is not MBPTA-compliant (Section 5).
-    """
-
-    name = "xor"
-    randomized = False
-    min_sets = 2  # the upper bits fold into at least one index bit
-
-    def set_index(self, address: int) -> int:
-        geometry = self.geometry
-        upper = self.geometry.line_address(address) >> geometry.index_bits
-        return geometry.modulo_index(address) ^ fold_xor(
-            upper, geometry.upper_bits, geometry.index_bits
-        )
-
-    def set_index_array(self, addresses):
-        geometry = self.geometry
-        if geometry.upper_bits > 64 or not 0 < geometry.index_bits < 64:
-            return super().set_index_array(addresses)
-        lines = self._line_addresses_array(addresses)
-        modulo = lines & mask(geometry.index_bits)
-        folded = _fold_xor_array(
-            lines >> geometry.index_bits, geometry.upper_bits, geometry.index_bits
-        )
-        return (modulo ^ folded).astype("int64")
 
 
 class HashRandomPlacement(PlacementPolicy):
@@ -539,7 +501,6 @@ class RandomModuloPlacement(PlacementPolicy):
 #: mere capability check).
 PLACEMENT_CLASSES: Dict[str, type] = {
     "modulo": ModuloPlacement,
-    "xor": DeterministicXorPlacement,
     "hrp": HashRandomPlacement,
     "rm": RandomModuloPlacement,
 }
@@ -551,7 +512,7 @@ PLACEMENT_NAMES = tuple(PLACEMENT_CLASSES)
 def placement_is_randomized(name: str) -> bool:
     """Whether the named policy redraws its mapping from the per-run seed."""
     try:
-        return bool(PLACEMENT_CLASSES[name.lower()].randomized)
+        return bool(PLACEMENT_CLASSES[name].randomized)
     except KeyError as error:
         raise ValueError(
             f"unknown placement policy {name!r}; expected one of {PLACEMENT_NAMES}"
@@ -563,17 +524,11 @@ def make_placement(
     geometry: PlacementGeometry,
     seed: int = 0,
 ) -> PlacementPolicy:
-    """Instantiate a placement policy by name.
-
-    ``name`` is one of ``"modulo"``, ``"xor"``, ``"hrp"`` or ``"rm"``.
-    """
-    key = name.lower()
-    if key == "modulo":
+    """Instantiate a placement policy by name: ``"modulo"``, ``"hrp"`` or ``"rm"``."""
+    if name == "modulo":
         return ModuloPlacement(geometry)
-    if key == "xor":
-        return DeterministicXorPlacement(geometry)
-    if key == "hrp":
+    if name == "hrp":
         return HashRandomPlacement(geometry, seed=seed)
-    if key == "rm":
+    if name == "rm":
         return RandomModuloPlacement(geometry, seed=seed)
     raise ValueError(f"unknown placement policy {name!r}; expected one of {PLACEMENT_NAMES}")

@@ -2,7 +2,10 @@
 
 This is the production engine.  A campaign becomes **one** array program
 instead of one Python loop over the trace per lane: at every step all lanes
-advance together, with cache state carried as per-lane arrays.
+advance together, with cache state carried as per-lane arrays.  It models
+the paper's platform and nothing else: write-through, no-write-allocate
+L1s, an optional write-back, write-allocate L2, and LRU or random
+replacement on every level.
 
 Each simulator executes one :class:`~repro.engine.plan.TracePlan`, compiled
 by :func:`~repro.engine.plan.compile_plan` on its first batch: guaranteed
@@ -42,7 +45,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..cache.cache import WRITE_BACK, CacheConfig
+from ..cache.cache import CacheConfig
 from ..cache.fastsim import FETCH_KIND, CompiledTrace, FastRunResult
 from ..cache.hierarchy import HierarchyConfig
 from ..core.bits import mask
@@ -107,12 +110,11 @@ class _PlanCache:
     State layout, by shape:
 
     * per (row, lane): ``way_cell`` (``int64``), ``way_of`` (``int16``)
-      and, write-back only, ``dirty_line`` (``bool``);
+      and, on the write-back L2 only, ``dirty_line`` (``bool``);
     * per (lane, set, way) cell: ``victims``, the row installed in each
       way (``int16`` below 2**15 rows, else ``int32``), and LRU ``stamp``
       (``int64``);
-    * per (lane, set): ``occupancy`` and FIFO ``fifo_next`` (``int16``),
-      PLRU ``plru_bits`` (``uint8``);
+    * per (lane, set): ``occupancy`` (``int16``);
     * per row: ``resident`` (``int64``).
 
     The set map itself is not kept: it becomes ``way_cell`` in place.  The
@@ -146,18 +148,16 @@ class _PlanCache:
         n_lanes: int,
         line_sets: np.ndarray,
         replacement_states: np.ndarray,
+        write_back: bool,
         buffers: Optional[dict] = None,
     ) -> None:
         """``line_sets`` is the ``int64`` set map: ``(rows,)`` when every
         lane shares it, or ``(rows, lanes)`` built for this batch alone and
-        turned into ``way_cell`` in place."""
+        turned into ``way_cell`` in place.  ``write_back`` is true for the
+        L2 alone: the write policy follows the level."""
         self.n_lanes = n_lanes
         self.ways = config.ways
-        self.write_back = config.write_policy == WRITE_BACK
         self.lru = config.replacement == "lru"
-        self.fifo = config.replacement == "fifo"
-        self.plru = config.replacement == "plru"
-        self.touches = self.lru or self.plru
         n_rows = line_sets.shape[0]
         lane_offsets = np.arange(n_lanes, dtype=np.int64) * config.num_sets
         if line_sets.ndim == 2:
@@ -178,12 +178,12 @@ class _PlanCache:
         # Dirtiness is a property of the cached *line*, not its way slot:
         # tracked per (row, lane), it is read only while a line is resident
         # (victim collection), so stale entries of evicted lines are always
-        # overwritten by the next install before any read.  Store hits of
-        # non-touching policies then dirty a whole row without gathering way
-        # cells at all.  Write-through caches never read it.
+        # overwritten by the next install before any read.  Store hits under
+        # random replacement then dirty a whole row without gathering way
+        # cells at all.  The write-through L1s never read it.
         self.dirty_line = (
             pooled(buffers, "dirty_line", (n_rows, n_lanes), bool, False)
-            if self.write_back
+            if write_back
             else None
         )
         # Never read before the cell is installed (reads happen only for
@@ -196,24 +196,6 @@ class _PlanCache:
             self.stamp = pooled(buffers, "stamp", (cells,), np.int64, 0)
             self.stamp_sets = self.stamp.reshape(-1, config.ways)
             self._clock = 0
-        elif self.plru:
-            if not power_of_two:
-                raise ValueError(
-                    f"plru replacement requires a power-of-two associativity, "
-                    f"got {config.ways} for {config.name}"
-                )
-            self._plru_depth = config.ways.bit_length() - 1
-            self.plru_bits = pooled(
-                buffers,
-                "plru_bits",
-                (n_lanes * config.num_sets, max(config.ways - 1, 1)),
-                np.uint8,
-                0,
-            )
-        elif self.fifo:
-            self.fifo_next = pooled(
-                buffers, "fifo_next", (n_lanes * config.num_sets,), np.int16, 0
-            )
         else:
             self.rng_state = replacement_states
 
@@ -223,27 +205,11 @@ class _PlanCache:
             return cells // self.ways
         return cells >> self._set_shift
 
-    def touch_cells(self, cells, ways) -> None:
-        """Record a hit/fill of way ``ways`` in the way cells ``cells``.
-
-        LRU stamps the cells; PLRU flips the tree bits of their sets away
-        from the used way.  Stateless policies ignore the call.
-        """
-        if self.lru:
-            self._clock += 1
-            self.stamp[cells] = self._clock
-        elif self.plru:
-            # Flip the tree bits along the leaf-to-root path to point away
-            # from the used way (all leaves share one depth: ways is a
-            # power of two).  A node is its parent's left child iff its
-            # heap index is odd.
-            bits = self.plru_bits
-            occ_cells = self.set_cells(cells)
-            node = ways.astype(np.int64) + (self.ways - 1)
-            for _ in range(self._plru_depth):
-                parent = (node - 1) >> 1
-                bits[occ_cells, parent] = (node & 1).astype(np.uint8)
-                node = parent
+    def touch_cells(self, cells) -> None:
+        """Record a hit/fill of the way cells ``cells``: LRU stamps them.
+        Random replacement never calls it (its hits are stateless)."""
+        self._clock += 1
+        self.stamp[cells] = self._clock
 
     def _advance_rng(self, idx: np.ndarray) -> np.ndarray:
         states = self.rng_state[idx]
@@ -291,18 +257,6 @@ class _PlanCache:
         """Replacement victims for full sets (one per entry of ``occ_cells``)."""
         if self.lru:
             return self.stamp_sets[occ_cells].argmin(axis=1)
-        if self.fifo:
-            head = self.fifo_next[occ_cells].astype(np.int64)
-            nxt = head + 1
-            nxt[nxt == self.ways] = 0
-            self.fifo_next[occ_cells] = nxt
-            return head
-        if self.plru:
-            bits = self.plru_bits
-            node = np.zeros(occ_cells.shape, dtype=np.int64)
-            for _ in range(self._plru_depth):
-                node = 2 * node + 1 + bits[occ_cells, node]
-            return node - (self.ways - 1)
         if all_lanes:
             return self._draw_below_all()
         return self._draw_below(idx)
@@ -315,106 +269,69 @@ class _PlanCache:
             for uid in evicted.tolist():
                 resident[uid] -= 1
 
-    def allocate(self, idx, base_cells, uids, make_dirty, collect=False,
+    def allocate(self, idx, base_cells, uid, make_dirty=False, collect=False,
                  all_lanes=False):
-        """Victim choice + eviction + install for the missing lanes ``idx``.
+        """Victim choice + eviction + install of row ``uid`` for the missing
+        lanes ``idx``.
 
         ``base_cells`` are the first way cells of the target line's set in
-        those lanes (its ``way_cell`` entries); ``uids`` is the installed
-        line's row (scalar, or per-lane array for writeback targets).  With
-        ``collect`` the dirty evicted victims are returned as ``(lanes,
-        rows)`` (else ``(None, None)``) — demand fills charge them, plain L2
-        write allocations drop them.  ``all_lanes`` asserts ``idx`` covers
-        every lane in order (the dominant cold-miss case), turning scatters
-        into whole-row writes.
+        those lanes (its ``way_cell`` entries).  With ``collect`` the lanes
+        whose evicted victim was dirty are returned (else ``None``): L2
+        demand fills charge them, L2 write allocations drop them.
+        ``all_lanes`` asserts ``idx`` covers every lane in order (the
+        dominant cold-miss case), turning scatters into whole-row writes.
         """
         ways = self.ways
         occupancy = self.occupancy
         victims = self.victims
         way_of = self.way_of
-        write_back = self.write_back
         occ_cells = self.set_cells(base_cells)
         occ = occupancy[occ_cells]
         full = occ >= ways
         n_full = _count_nonzero(full)
-        wb_lanes = wb_uids = None
+        dirty_lanes = None
         if not n_full:
             # Pure fill — no target set is full (the dominant case while a
             # cache warms up, and nearly every L2 call: few hundred distinct
-            # lines over a thousand sets rarely fill one).  Install into the
-            # next free way and return without the eviction machinery.
+            # lines over a thousand sets rarely fill one): install into the
+            # next free way, with no eviction.
             victim = occ
             occupancy[occ_cells] = occ + 1
             cells = base_cells + victim
-            victims[cells] = uids
-            if isinstance(uids, int):
-                if write_back:
-                    if all_lanes:
-                        self.dirty_line[uids] = make_dirty
-                    else:
-                        self.dirty_line[uids, idx] = make_dirty
-                if all_lanes:
-                    way_of[uids] = victim
-                else:
-                    way_of[uids, idx] = victim
-                self.resident[uids] += idx.size
-            else:
-                if write_back:
-                    self.dirty_line[uids, idx] = make_dirty
-                way_of[uids, idx] = victim
-                for uid in uids.tolist():
-                    self.resident[uid] += 1
-            if self.touches:
-                self.touch_cells(cells, victim)
-            return None, None
-        if n_full == full.size:
-            # Steady state: every target set is full, occupancy is pinned at
-            # ``ways`` and every fill evicts.
-            victim = self._policy_victims(occ_cells, idx, all_lanes=all_lanes)
-            cells = base_cells + victim
-            evicted = victims[cells]
-            way_of[evicted, idx] = -1
-            self._evict_resident(evicted)
-            if collect and write_back:
-                needs = self.dirty_line[evicted, idx]
-                if needs.any():
-                    wb_lanes = idx[needs]
-                    wb_uids = evicted[needs]
         else:
-            victim = occ.astype(np.int64)
-            full_idx = idx[full]
-            victim[full] = self._policy_victims(occ_cells[full], full_idx)
-            occupancy[occ_cells] = np.minimum(occ + 1, ways)
-            cells = base_cells + victim
-            evicted = victims[cells[full]]
+            if n_full == full.size:
+                # Steady state: every target set is full, occupancy is
+                # pinned at ``ways`` and every fill evicts.
+                victim = self._policy_victims(occ_cells, idx, all_lanes=all_lanes)
+                full_idx = idx
+                cells = base_cells + victim
+                evicted = victims[cells]
+            else:
+                victim = occ.astype(np.int64)
+                full_idx = idx[full]
+                victim[full] = self._policy_victims(occ_cells[full], full_idx)
+                occupancy[occ_cells] = np.minimum(occ + 1, ways)
+                cells = base_cells + victim
+                evicted = victims[cells[full]]
             way_of[evicted, full_idx] = -1
             self._evict_resident(evicted)
-            if collect and write_back:
+            if collect:
                 needs = self.dirty_line[evicted, full_idx]
                 if needs.any():
-                    wb_lanes = full_idx[needs]
-                    wb_uids = evicted[needs]
-        victims[cells] = uids
-        if isinstance(uids, int):
-            if write_back:
-                if all_lanes:
-                    self.dirty_line[uids] = make_dirty
-                else:
-                    self.dirty_line[uids, idx] = make_dirty
-            if all_lanes:
-                way_of[uids] = victim
-            else:
-                way_of[uids, idx] = victim
-            self.resident[uids] += idx.size
+                    dirty_lanes = full_idx[needs]
+        victims[cells] = uid
+        if all_lanes:
+            way_of[uid] = victim
+            if self.dirty_line is not None:
+                self.dirty_line[uid] = make_dirty
         else:
-            if write_back:
-                self.dirty_line[uids, idx] = make_dirty
-            way_of[uids, idx] = victim
-            for uid in uids.tolist():
-                self.resident[uid] += 1
-        if self.touches:
-            self.touch_cells(cells, victim)
-        return wb_lanes, wb_uids
+            way_of[uid, idx] = victim
+            if self.dirty_line is not None:
+                self.dirty_line[uid, idx] = make_dirty
+        self.resident[uid] += idx.size
+        if self.lru:
+            self.touch_cells(cells)
+        return dirty_lanes
 
 
 class _PlanCounters:
@@ -432,11 +349,11 @@ class _PlanCounters:
     """
 
     #: The counters: the rows of ``totals`` and the lists of :meth:`pending`.
-    NAMES = ("il1_miss", "dl1_miss", "demand", "write", "l2_miss", "mem", "memonly")
+    NAMES = ("il1_miss", "dl1_miss", "demand", "write", "l2_miss", "mem")
 
     __slots__ = (
         "l1_miss", "l1_miss_all", "demand", "demand_all", "write", "write_all",
-        "l2_miss", "l2_miss_all", "mem", "mem_all", "memonly", "totals",
+        "l2_miss", "l2_miss_all", "mem", "mem_all", "totals",
     )
 
     def __init__(self, n: int) -> None:
@@ -450,14 +367,11 @@ class _PlanCounters:
         self.l2_miss_all = 0
         self.mem = []           # memory accesses that charge memory latency
         self.mem_all = 0
-        self.memonly = []       # memory accesses with no latency (WT stores)
         self.totals = np.zeros((len(self.NAMES), n), dtype=np.int64)
 
     def pending(self) -> tuple:
         """Each counter's lane-index arrays not folded yet, in :attr:`NAMES` order."""
-        return (
-            *self.l1_miss, self.demand, self.write, self.l2_miss, self.mem, self.memonly,
-        )
+        return (*self.l1_miss, self.demand, self.write, self.l2_miss, self.mem)
 
     def fold(self) -> None:
         """Add the pending lane-index arrays to the per-lane totals."""
@@ -473,7 +387,7 @@ class _PlanCounters:
         self.fold()
         wholes = (
             *self.l1_miss_all, self.demand_all, self.write_all,
-            self.l2_miss_all, self.mem_all, 0,
+            self.l2_miss_all, self.mem_all,
         )
         for total, whole in zip(self.totals, wholes):
             total += whole
@@ -493,8 +407,8 @@ class _VectorSimulator:
         # Lines (unique-line ids) each cache's tables hold a row for: fetches
         # only ever reach the IL1 and data accesses the DL1, so each L1's
         # placement map and state cover its own lines only (fig5's IL1
-        # indexes 3 of 643 lines).  The L2 sees any line (demands and
-        # writebacks) and keeps the full table (``None``).
+        # indexes 3 of 643 lines).  The L2 sees any line (fetch and data
+        # demands, store-throughs) and keeps the full table (``None``).
         kinds_arr = np.array(compiled.kinds)
         ids_arr = np.array(compiled.line_ids, dtype=np.int64)
         self._slot_rows = (
@@ -609,7 +523,7 @@ class _VectorSimulator:
             line_sets = static_sets
         return _PlanCache(
             cache_config, n_lanes, line_sets, replacement_seeds,
-            buffers=self._buffer_pool.setdefault(slot, {}),
+            write_back=slot == 2, buffers=self._buffer_pool.setdefault(slot, {}),
         )
 
     def _build_hierarchy(self, seeds: Sequence[int], tables=None):
@@ -668,10 +582,12 @@ class _VectorSimulator:
         lanes = np.arange(n)
         l1s = (il1, dl1)
         rows_of = self._row_of
-        slot_rows = self._slot_rows
         acc = _PlanCounters(n)
 
-        for index, (slot, uid, is_store, sure_hit, dirty_after) in enumerate(plan.steps):
+        # The L1s are write-through with no write-allocate: a store hit
+        # writes through to the L2 (or memory), a store miss goes to the
+        # next level without installing the line.
+        for index, (slot, uid, is_store, sure_hit) in enumerate(plan.steps):
             if not index % FOLD_STEPS:
                 acc.fold()
             l1 = l1s[slot]
@@ -679,14 +595,9 @@ class _VectorSimulator:
             row = rows_of[slot][uid]
             if sure_hit or l1.resident[row] == n:
                 # Every lane hits: touch / store traffic only.
-                if not (l1.touches or is_store or dirty_after):
-                    continue
-                if l1.touches:
-                    ways_u = l1.way_of[row]
-                    l1.touch_cells(l1.way_cell[row] + ways_u, ways_u)
-                if (is_store and l1.write_back) or dirty_after:
-                    l1.dirty_line[row] = True
-                if is_store and not l1.write_back:
+                if l1.lru:
+                    l1.touch_cells(l1.way_cell[row] + l1.way_of[row])
+                if is_store:
                     if l2 is not None:
                         self._plan_l2_write(l2, lanes, uid, acc, all_lanes=True)
                     else:
@@ -699,7 +610,7 @@ class _VectorSimulator:
             if all_miss:
                 hit_idx = None
                 miss_idx = lanes
-            elif l1.touches or is_store:
+            elif l1.lru or is_store:
                 hit = ways_u >= 0
                 hit_idx = np.nonzero(hit)[0]
                 miss_idx = np.nonzero(~hit)[0]
@@ -708,12 +619,9 @@ class _VectorSimulator:
                 miss_idx = np.nonzero(ways_u < 0)[0]
 
             if hit_idx is not None and hit_idx.size:
-                if l1.touches:
-                    hit_ways = ways_u[hit_idx]
-                    l1.touch_cells(base_row[hit_idx] + hit_ways, hit_ways)
-                if is_store and l1.write_back:
-                    l1.dirty_line[row, hit_idx] = True
-                if is_store and not l1.write_back:
+                if l1.lru:
+                    l1.touch_cells(base_row[hit_idx] + ways_u[hit_idx])
+                if is_store:
                     if l2 is not None:
                         self._plan_l2_write(l2, hit_idx, uid, acc)
                     else:
@@ -723,29 +631,11 @@ class _VectorSimulator:
                 acc.l1_miss_all[slot] += 1
             else:
                 acc.l1_miss[slot].append(miss_idx)
-            writeback_lanes = writeback_rows = None
-            if not (is_store and not l1.write_back):
-                writeback_lanes, writeback_rows = l1.allocate(
+            if not is_store:
+                l1.allocate(
                     miss_idx, base_row if all_miss else base_row[miss_idx], row,
-                    is_store and l1.write_back, collect=l1.write_back,
                     all_lanes=all_miss,
                 )
-            if dirty_after:
-                # Elided write-back store hits of this step's run: the line
-                # is now resident in every lane (hit or just filled).
-                l1.dirty_line[row] = True
-
-            # Dirty L1 victims go to the next level first.
-            if writeback_lanes is not None:
-                if l2 is not None:
-                    extra_cycles[writeback_lanes] += writeback_latency
-                    self._plan_l2_write(
-                        l2, writeback_lanes, None, acc,
-                        uids=slot_rows[slot][writeback_rows],
-                    )
-                else:
-                    extra_cycles[writeback_lanes] += memory_latency
-                    memory_accesses[writeback_lanes] += 1
 
             # The demand request goes to the next level.
             if l2 is None:
@@ -761,105 +651,74 @@ class _VectorSimulator:
             else:
                 acc.demand.append(miss_idx)
             self._plan_l2_demand(
-                l2, miss_idx, uid, is_store and not l1.write_back,
-                extra_cycles, memory_accesses, writeback_latency, acc,
-                all_lanes=all_miss,
+                l2, miss_idx, uid, is_store, extra_cycles, memory_accesses,
+                writeback_latency, acc, all_lanes=all_miss,
             )
 
-        il1_miss, dl1_miss, demand, write, l2_miss, mem, memonly = acc.finish()
+        il1_miss, dl1_miss, demand, write, l2_miss, mem = acc.finish()
         extra_cycles += demand * l2_hit_latency + mem * memory_latency
-        memory_accesses += mem + memonly
+        memory_accesses += mem
         return self._package_results(
             n, extra_cycles, memory_accesses, il1_miss, dl1_miss, demand + write, l2_miss
         )
 
-    def _plan_l2_write(
-        self, l2, idx, uid, acc, uids=None, all_lanes=False
-    ) -> None:
-        """Latency-free write (store-through or writeback) into the L2.
+    def _plan_l2_write(self, l2, idx, uid, acc, all_lanes=False) -> None:
+        """Latency-free store-through of ``uid`` into the write-back L2.
 
-        Write-back L2: hits are marked dirty, misses allocate (dirty)
-        without charging latency or memory traffic — dirty victims of a
-        write allocation are dropped.  A write-through L2 never holds dirty
-        lines and never write-allocates: hits only touch the replacement
-        metadata, misses forward the write to memory (one memory access,
-        still latency-free — the cost model charges the writeback at the
-        call site).  ``uid`` is the scalar store target; writebacks pass
-        per-lane ``uids``.  Counter traffic goes to ``acc``.
+        Hits are marked dirty; misses allocate (dirty) without charging
+        latency or memory traffic, and the dirty victims of a write
+        allocation are dropped.  Counter traffic goes to ``acc``.
         """
         if all_lanes:
             acc.write_all += 1
         else:
             acc.write.append(idx)
-        wb = l2.write_back
-        if uids is None:
-            if l2.resident[uid] == l2.n_lanes:
-                if l2.touches:
-                    if all_lanes:
-                        ways = l2.way_of[uid]
-                        cells = l2.way_cell[uid] + ways
-                    else:
-                        ways = l2.way_of[uid][idx]
-                        cells = l2.way_cell[uid][idx] + ways
-                    l2.touch_cells(cells, ways)
-                if wb:
-                    if all_lanes:
-                        l2.dirty_line[uid] = True
-                    else:
-                        l2.dirty_line[uid, idx] = True
-                return
-            base = l2.way_cell[uid][idx]
-            ways = l2.way_of[uid][idx]
-        else:
-            base = l2.way_cell[uids, idx]
-            ways = l2.way_of[uids, idx]
+        if l2.resident[uid] == l2.n_lanes:
+            if all_lanes:
+                if l2.lru:
+                    l2.touch_cells(l2.way_cell[uid] + l2.way_of[uid])
+                l2.dirty_line[uid] = True
+            else:
+                if l2.lru:
+                    l2.touch_cells(l2.way_cell[uid][idx] + l2.way_of[uid][idx])
+                l2.dirty_line[uid, idx] = True
+            return
+        base = l2.way_cell[uid][idx]
+        ways = l2.way_of[uid][idx]
         hit = ways >= 0
         hit_pos = np.nonzero(hit)[0]
         if hit_pos.size:
-            if l2.touches:
-                ways_hit = ways[hit_pos]
-                l2.touch_cells(base[hit_pos] + ways_hit, ways_hit)
-            if wb:
-                if uids is None:
-                    l2.dirty_line[uid, idx[hit_pos]] = True
-                else:
-                    l2.dirty_line[uids[hit_pos], idx[hit_pos]] = True
+            if l2.lru:
+                l2.touch_cells(base[hit_pos] + ways[hit_pos])
+            l2.dirty_line[uid, idx[hit_pos]] = True
         miss = np.nonzero(~hit)[0]
         if not miss.size:
             return
         miss_idx = idx[miss]
         acc.l2_miss.append(miss_idx)
-        if not wb:
-            # No-write-allocate: the write goes straight to memory.
-            acc.memonly.append(miss_idx)
-            return
-        fill_uids = uid if uids is None else uids[miss]
-        l2.allocate(miss_idx, base[miss], fill_uids, True)
+        l2.allocate(miss_idx, base[miss], uid, make_dirty=True)
 
     def _plan_l2_demand(
         self, l2, idx, uid, is_write, extra_cycles, memory_accesses,
         writeback_latency, acc, all_lanes=False,
     ) -> None:
-        """Demand fill of ``uid`` in the L2 for the given lanes.
+        """Demand fill of ``uid`` in the write-back L2 for the given lanes;
+        an L1 store miss (``is_write``) write-allocates the line dirty.
 
         The caller records the lookup itself (access count + L2 hit latency)
         in ``acc``; this method adds the miss-side events.
         """
-        dirty_write = is_write and l2.write_back
         resident = int(l2.resident[uid])
         if resident == l2.n_lanes:
-            if l2.touches:
-                if all_lanes:
-                    ways = l2.way_of[uid]
-                    cells = l2.way_cell[uid] + ways
-                else:
-                    ways = l2.way_of[uid][idx]
-                    cells = l2.way_cell[uid][idx] + ways
-                l2.touch_cells(cells, ways)
-            if dirty_write:
-                if all_lanes:
+            if all_lanes:
+                if l2.lru:
+                    l2.touch_cells(l2.way_cell[uid] + l2.way_of[uid])
+                if is_write:
                     l2.dirty_line[uid] = True
-                else:
+            else:
+                if l2.lru:
+                    l2.touch_cells(l2.way_cell[uid][idx] + l2.way_of[uid][idx])
+                if is_write:
                     l2.dirty_line[uid, idx] = True
             return
         if resident:
@@ -867,13 +726,12 @@ class _VectorSimulator:
             ways = l2.way_of[uid][idx] if not all_lanes else l2.way_of[uid]
             hit = ways >= 0
             miss = np.nonzero(~hit)[0]
-            if l2.touches or dirty_write:
+            if l2.lru or is_write:
                 hit_pos = np.nonzero(hit)[0]
                 if hit_pos.size:
-                    if l2.touches:
-                        ways_hit = ways[hit_pos]
-                        l2.touch_cells(base[hit_pos] + ways_hit, ways_hit)
-                    if dirty_write:
+                    if l2.lru:
+                        l2.touch_cells(base[hit_pos] + ways[hit_pos])
+                    if is_write:
                         hit_lanes = idx[hit_pos] if not all_lanes else hit_pos
                         l2.dirty_line[uid, hit_lanes] = True
             if not miss.size:
@@ -889,20 +747,13 @@ class _VectorSimulator:
             acc.l2_miss_all += 1
         else:
             acc.l2_miss.append(miss_idx)
-        if is_write and not l2.write_back:
-            # Write-through store missing the L2 too: no-write-allocate, the
-            # store goes to memory (no victim draw, no fill).
-            if miss_all:
-                acc.mem_all += 1
-            else:
-                acc.mem.append(miss_idx)
-            return
-        wb_lanes, _wb_uids = l2.allocate(
-            miss_idx, base_miss, uid, is_write, collect=True, all_lanes=miss_all
+        dirty_lanes = l2.allocate(
+            miss_idx, base_miss, uid, make_dirty=is_write, collect=True,
+            all_lanes=miss_all,
         )
-        if wb_lanes is not None:
-            extra_cycles[wb_lanes] += writeback_latency
-            memory_accesses[wb_lanes] += 1
+        if dirty_lanes is not None:
+            extra_cycles[dirty_lanes] += writeback_latency
+            memory_accesses[dirty_lanes] += 1
         if miss_all:
             acc.mem_all += 1
         else:

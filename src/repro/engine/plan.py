@@ -20,26 +20,21 @@ Hence the next access **to the same L1** is a guaranteed hit iff it
 touches the same line.  The rule reads no set map, so it holds whatever
 table of line addresses a lane brings and whatever placement maps it.
 
-Write-through stores never allocate and never evict, so they never
-*establish* a residence guarantee; in a write-back cache every access
-(re-)establishes the guarantee for its line.  Replacement policies whose
-hits mutate per-set metadata (LRU stamps, PLRU tree bits —
-``touches_on_hit``) add one demotion rule: a write-through store hitting a
-*different* line than the guaranteed one still touches that line's
-metadata, so the guaranteed line may stop being most-recently-used (LRU) or
-the tree bits may be redirected (PLRU) — the guarantee (which licenses
-skipping the touch) is dropped for any non-same-line write-through store.
-Random and FIFO replacement have stateless hits (FIFO's cyclic counter
-advances only on evictions), so the guarantee survives those stores.
-Elided accesses are free: base latency already charges one L1 hit per trace
-entry, repeated touches of the most-recently-used way preserve the relative
-LRU stamp order and are exactly idempotent on PLRU tree bits, a write-back
-store hit folds into a ``dirty_after`` flag on its *anchor* (the step that
-established the guarantee), and a write-through store hit with no L2
-contributes one memory access — a per-trace constant.  The one case that
-cannot be elided is a write-through store hit with an L2 behind it: each one
-advances shared L2 state, so it stays a step (flagged ``sure_hit`` so the
-executor skips the lookup).
+The L1s are write-through with no write-allocate (the write policy follows
+the level), so a store never allocates or evicts and never *establishes* a
+residence guarantee; fetches and loads do.  Under LRU, whose hits reorder
+the set, a store hitting a *different* line than the guaranteed one still
+touches that line's recency, so the guaranteed line may stop being
+most-recently-used, and the guarantee (which licenses skipping the touch)
+is dropped for any store to another line.  Random replacement has
+stateless hits, so the guarantee survives those stores.  Elided accesses
+are free: base latency already charges one L1 hit per trace entry,
+repeated touches of the most-recently-used way preserve the relative LRU
+stamp order, and an elided store hit with no L2 contributes one memory
+access — a per-trace constant.  The one case that cannot be elided is a
+store hit with an L2 behind it: each one writes into the L2 and advances
+its state, so it stays a step (flagged ``sure_hit`` so the executor skips
+the lookup).
 
 **Per-set occupancy structure.**
 Filled ways are never invalidated, so each set fills ways ``0..k-1`` in
@@ -53,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..cache.cache import WRITE_BACK
 from ..cache.fastsim import FETCH_KIND, STORE_KIND, CompiledTrace
 from ..cache.hierarchy import HierarchyConfig
 from ..cache.replacement import replacement_touches_on_hit
@@ -64,12 +58,11 @@ __all__ = [
 ]
 
 
-#: One executable step: ``(slot, uid, is_store, sure_hit, dirty_after)``.
-#: ``slot`` selects the L1 (0 = IL1, 1 = DL1), ``uid`` indexes the unique
-#: line table, ``sure_hit`` marks steps proven to hit in every lane (kept
-#: only because they advance L2 state), and ``dirty_after`` folds the
-#: write-back store hits elided from this step's run into one dirty-bit set.
-Step = Tuple[int, int, bool, bool, bool]
+#: One executable step: ``(slot, uid, is_store, sure_hit)``.  ``slot``
+#: selects the L1 (0 = IL1, 1 = DL1), ``uid`` indexes the unique line table
+#: and ``sure_hit`` marks steps proven to hit in every lane (kept only
+#: because they advance L2 state).
+Step = Tuple[int, int, bool, bool]
 
 
 @dataclass
@@ -80,8 +73,8 @@ class TracePlan:
     n_accesses: int
     #: Accesses elided per L1 slot ("il1" / "dl1").
     elided: Dict[str, int]
-    #: Memory accesses contributed by elided write-through store hits
-    #: (no-L2 hierarchies only) — a per-lane constant.
+    #: Memory accesses contributed by elided store hits (no-L2 hierarchies
+    #: only) — a per-lane constant.
     elided_store_memory_accesses: int
 
     @property
@@ -111,49 +104,39 @@ def compile_plan(config: HierarchyConfig, compiled: CompiledTrace) -> TracePlan:
     in the model: it admits only the replacement policies planned here.
     """
     has_l2 = config.l2 is not None
-    slot_configs = (config.il1, config.dl1)
-    write_back = [c.write_policy == WRITE_BACK for c in slot_configs]
-    touches = [replacement_touches_on_hit(c.replacement) for c in slot_configs]
+    touches = [
+        replacement_touches_on_hit(c.replacement) for c in (config.il1, config.dl1)
+    ]
 
-    steps: List[List] = []
+    steps: List[Step] = []
     elided = [0, 0]
     elided_store_mem = 0
-    # Per slot: (guaranteed-resident uid, anchor step index), or None.  The
-    # anchor is the step that established the guarantee; elided write-back
-    # store hits fold their dirty bit into it.
-    guards: List[Optional[Tuple[int, int]]] = [None, None]
+    # Per slot: the guaranteed-resident uid, or None.
+    guards: List[Optional[int]] = [None, None]
 
     fetch_kind, store_kind = FETCH_KIND, STORE_KIND
     for kind, uid in zip(compiled.kinds, compiled.line_ids):
         slot = 0 if kind == fetch_kind else 1
         is_store = kind == store_kind
-        wt_store = is_store and not write_back[slot]
-        anchored = guards[slot]
-        sure_hit = anchored is not None and anchored[0] == uid
-        if sure_hit and not (wt_store and has_l2):
+        sure_hit = guards[slot] == uid
+        if sure_hit and not (is_store and has_l2):
             elided[slot] += 1
-            if wt_store:
-                # Write-through store hit, no L2: one memory access, always.
+            if is_store:
+                # Store hit, no L2: one memory access, always.
                 elided_store_mem += 1
-            elif is_store:
-                # Write-back store hit: dirty bit folds into the anchor.
-                steps[anchored[1]][4] = True
             continue
-        index = len(steps)
-        steps.append([slot, uid, is_store, sure_hit, False])
-        if not wt_store:
-            guards[slot] = (uid, index)
+        steps.append((slot, uid, is_store, sure_hit))
+        if not is_store:
+            guards[slot] = uid
         elif touches[slot] and not sure_hit:
-            # A write-through store to a different line may touch that
-            # line's replacement metadata (if it hits) — demoting the
-            # guaranteed line from most-recently-used under LRU, or
-            # redirecting the tree bits under PLRU; the touch-elision
-            # licence is gone.  Random and FIFO hits are stateless, so the
-            # guarantee survives.
+            # A store to a different line may touch that line's recency
+            # (if it hits), demoting the guaranteed line from
+            # most-recently-used under LRU: the touch-elision licence is
+            # gone.  Random hits are stateless, so the guarantee survives.
             guards[slot] = None
 
     return TracePlan(
-        steps=[tuple(step) for step in steps],
+        steps=steps,
         n_accesses=len(compiled.kinds),
         elided={"il1": elided[0], "dl1": elided[1]},
         elided_store_memory_accesses=elided_store_mem,

@@ -9,9 +9,13 @@ setups used in the evaluation:
 * ``rm`` — Random Modulo in both L1s (the proposal); the L2 keeps hRP, as in
   the paper's Section 4.3 setup.
 * ``hrp`` — hash-based random placement in the L1s and the L2.
-* ``modulo`` / ``xor`` — deterministic baselines (modulo or XOR-hash
-  placement with LRU replacement), used for the high-water-mark comparison
-  and the average-performance comparison.
+* ``modulo`` — the deterministic baseline (modulo placement with LRU
+  replacement), used for the high-water-mark comparison and the
+  average-performance comparison.
+
+Every hierarchy has write-through L1s and a write-back L2, as the paper's
+platform does; the level fixes the write policy, so no factory takes one.
+Setup and policy names are matched exactly.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
-from ..cache.cache import WRITE_BACK, WRITE_THROUGH, CacheConfig
+from ..cache.cache import CacheConfig
 from ..cache.hierarchy import HierarchyConfig, MemoryTimings
+from ..cache.replacement import REPLACEMENT_NAMES
+from ..core.placement import PLACEMENT_NAMES
 
 __all__ = ["Leon3Parameters", "leon3_hierarchy", "PLATFORM_SETUPS", "platform_setup"]
 
@@ -69,8 +75,18 @@ def leon3_hierarchy(
     Parameters mirror the experimental knobs of the paper: the placement of
     the L1s and of the L2 can be selected independently (the pWCET
     experiments keep hRP in the L2 while switching the L1s between hRP and
-    RM), and the L2 can be dropped entirely for microbenchmarks.
+    RM), and the L2 can be dropped entirely for microbenchmarks.  Each
+    policy name is checked by its parameter's name, the L2's too when
+    ``with_l2`` is false.
     """
+    for name, value, accepted in (
+        ("l1_placement", l1_placement, PLACEMENT_NAMES),
+        ("l2_placement", l2_placement, PLACEMENT_NAMES),
+        ("l1_replacement", l1_replacement, REPLACEMENT_NAMES),
+        ("l2_replacement", l2_replacement, REPLACEMENT_NAMES),
+    ):
+        if value not in accepted:
+            raise ValueError(f"{name} must be one of {accepted}, got {value!r}")
     params = parameters or Leon3Parameters()
     il1 = CacheConfig(
         name="IL1",
@@ -79,7 +95,6 @@ def leon3_hierarchy(
         line_size=params.line_size,
         placement=l1_placement,
         replacement=l1_replacement,
-        write_policy=WRITE_THROUGH,
     )
     dl1 = replace(il1, name="DL1")
     l2 = (
@@ -90,7 +105,6 @@ def leon3_hierarchy(
             line_size=params.line_size,
             placement=l2_placement,
             replacement=l2_replacement,
-            write_policy=WRITE_BACK,
         )
         if with_l2
         else None
@@ -111,13 +125,6 @@ PLATFORM_SETUPS: Dict[str, Dict[str, str]] = {
         "l1_replacement": "lru",
         "l2_replacement": "lru",
     },
-    # Deterministic XOR-hash baseline (related work, Section 5).
-    "xor": {
-        "l1_placement": "xor",
-        "l2_placement": "xor",
-        "l1_replacement": "lru",
-        "l2_replacement": "lru",
-    },
 }
 
 
@@ -126,11 +133,11 @@ def platform_setup(
     parameters: Optional[Leon3Parameters] = None,
     with_l2: bool = True,
 ) -> HierarchyConfig:
-    """Return the named platform setup (``rm``, ``hrp``, ``modulo``, ``xor``)."""
+    """Return the named platform setup (``rm``, ``hrp`` or ``modulo``)."""
     try:
-        kwargs = PLATFORM_SETUPS[name.lower()]
+        kwargs = PLATFORM_SETUPS[name]
     except KeyError as error:
         raise ValueError(
-            f"unknown platform setup {name!r}; expected one of {sorted(PLATFORM_SETUPS)}"
+            f"setup must be one of {tuple(PLATFORM_SETUPS)}, got {name!r}"
         ) from error
     return leon3_hierarchy(parameters=parameters, with_l2=with_l2, **kwargs)

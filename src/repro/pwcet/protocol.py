@@ -74,6 +74,10 @@ class MbptaConfig:
     spellings ``"pwm"`` and ``"mle"`` remain aliases for ``"gumbel-pwm"``
     and ``"gumbel-mle"``.  ``bootstrap`` > 0 adds percentile confidence
     intervals from that many block-resampled refits.
+
+    ``exceedance_probabilities`` is kept sorted in descending order with
+    duplicates removed, so one set of cutoffs is one analysis hash however
+    it is written.
     """
 
     block_size: int = 20
@@ -88,6 +92,11 @@ class MbptaConfig:
         for probability in self.exceedance_probabilities:
             if not 0.0 < probability < 1.0:
                 raise ValueError(f"exceedance probability out of range: {probability}")
+        object.__setattr__(
+            self,
+            "exceedance_probabilities",
+            tuple(sorted(set(self.exceedance_probabilities), reverse=True)),
+        )
         if self.bootstrap < 0:
             raise ValueError(f"bootstrap must be >= 0, got {self.bootstrap}")
 

@@ -51,7 +51,6 @@ __all__ = [
     "unpack_entry",
     "read_entry",
     "read_columns",
-    "is_columnar",
 ]
 
 #: File extension of columnar store entries (``<key>.rcol``).
@@ -101,11 +100,6 @@ def _narrowest_dtype_of(array: "np.ndarray") -> str:
     if high <= 0xFFFFFFFF:
         return "u4"
     return "u8"
-
-
-def is_columnar(blob: bytes) -> bool:
-    """True when ``blob`` starts with the columnar magic."""
-    return blob.startswith(_MAGIC)
 
 
 def pack_entry(

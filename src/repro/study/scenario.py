@@ -154,9 +154,10 @@ class HierarchySpec:
 
     Either a **named platform setup** (``setup`` in
     :data:`repro.platform.leon3.PLATFORM_SETUPS`: ``rm``, ``hrp``,
-    ``modulo``, ``xor``) or a **custom LEON3 configuration** built from the
-    four placement/replacement fields (``setup`` empty), mirroring
-    :func:`repro.platform.leon3.leon3_hierarchy`.  ``parameters`` carries
+    ``modulo``) or a **custom LEON3 configuration** built from the four
+    placement/replacement fields (``setup`` empty), mirroring
+    :func:`repro.platform.leon3.leon3_hierarchy`.  Names are matched
+    exactly, so one campaign has one spec hash.  ``parameters`` carries
     the cache geometry and timings and is part of the spec hash.
     """
 
@@ -175,7 +176,7 @@ class HierarchySpec:
     def named(
         cls, setup: str, parameters: Leon3Parameters | None = None
     ) -> "HierarchySpec":
-        """One of the evaluation's named setups (``rm``/``hrp``/``modulo``/``xor``)."""
+        """One of the evaluation's named setups (``rm``/``hrp``/``modulo``)."""
         return cls(setup=setup, parameters=parameters or Leon3Parameters())
 
     @classmethod

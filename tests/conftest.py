@@ -33,15 +33,15 @@ def tiny_hierarchy_config() -> HierarchyConfig:
     """
     il1 = CacheConfig(
         name="IL1", size_bytes=1024, ways=2, line_size=32,
-        placement="hrp", replacement="random", write_policy="write-through",
+        placement="hrp", replacement="random",
     )
     dl1 = CacheConfig(
         name="DL1", size_bytes=1024, ways=2, line_size=32,
-        placement="hrp", replacement="random", write_policy="write-through",
+        placement="hrp", replacement="random",
     )
     l2 = CacheConfig(
         name="L2", size_bytes=4096, ways=4, line_size=32,
-        placement="hrp", replacement="random", write_policy="write-back",
+        placement="hrp", replacement="random",
     )
     return HierarchyConfig(il1=il1, dl1=dl1, l2=l2, timings=MemoryTimings())
 

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.bits import (
-    bit_slice,
     ceil_log2,
     fold_xor,
     from_bits,
@@ -119,13 +118,6 @@ class TestBitVectors:
 
 
 class TestBitSliceAndParity:
-    def test_bit_slice(self):
-        assert bit_slice(0xABCD, 4, 8) == 0xBC
-
-    def test_bit_slice_rejects_negative(self):
-        with pytest.raises(ValueError):
-            bit_slice(1, -1, 4)
-
     def test_parity(self):
         assert parity(0) == 0
         assert parity(0b111) == 1

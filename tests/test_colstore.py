@@ -20,7 +20,6 @@ from repro.study import ResultStore, Scenario, WorkloadSpec, HierarchySpec
 from repro.study import columnar
 from repro.study.columnar import (
     COLUMNAR_SUFFIX,
-    is_columnar,
     pack_entry,
     read_columns,
     read_entry,
@@ -77,7 +76,7 @@ class TestCodec:
         meta = {"version": 1, "spec": {"runs": 3, "nested": [1, "two"]}, "note": "x"}
         columns = {"cycles": [5, 70_000, 123], "misses": [0, 1, 2]}
         frame = pack_entry(meta, columns)
-        assert is_columnar(frame)
+        assert frame.startswith(b"RCOL1\x00")
         got_meta, got_columns = unpack_entry(frame)
         assert got_meta == meta
         assert got_columns == {"cycles": [5, 70_000, 123], "misses": [0, 1, 2]}

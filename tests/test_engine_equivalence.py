@@ -19,7 +19,9 @@ from repro.analysis.campaign import run_campaign, run_layout_campaign
 from repro.cache.cache import CacheConfig
 from repro.cache.fastsim import CompiledTrace
 from repro.cache.hierarchy import HierarchyConfig, MemoryTimings
+from repro.cache.replacement import REPLACEMENT_NAMES
 from repro.cache.trace import Trace
+from repro.core.placement import PLACEMENT_NAMES
 from repro.engine import DEFAULT_ENGINE, available_engines, get_engine, numpy_engine
 from repro.engine.plan import compile_plan
 from repro.platform.leon3 import Leon3Parameters, leon3_hierarchy, platform_setup
@@ -30,27 +32,24 @@ from repro.workloads import eembc_kernel_names, eembc_trace, random_layouts
 def build_config(
     l1_placement="rm",
     l1_replacement="random",
-    l1_write="write-through",
     l2_placement="hrp",
     l2_replacement="random",
-    l2_write="write-back",
     with_l2=True,
     ways=2,
 ):
     l1_size = ways * 32 * 8  # 8 sets at any associativity
     il1 = CacheConfig(
         name="IL1", size_bytes=l1_size, ways=ways, line_size=32,
-        placement=l1_placement, replacement=l1_replacement, write_policy=l1_write,
+        placement=l1_placement, replacement=l1_replacement,
     )
     dl1 = CacheConfig(
         name="DL1", size_bytes=l1_size, ways=ways, line_size=32,
-        placement=l1_placement, replacement=l1_replacement, write_policy=l1_write,
+        placement=l1_placement, replacement=l1_replacement,
     )
     l2 = (
         CacheConfig(
             name="L2", size_bytes=2048, ways=4, line_size=32,
             placement=l2_placement, replacement=l2_replacement,
-            write_policy=l2_write,
         )
         if with_l2
         else None
@@ -65,16 +64,14 @@ ACCESSES = st.lists(
     max_size=200,
 )
 
-#: Hierarchies over every placement, replacement and write policy, with and
-#: without an L2.
+#: Hierarchies over every placement and replacement policy, with and
+#: without an L2 (write-through L1s, a write-back L2).
 CONFIGS = st.builds(
     build_config,
-    l1_placement=st.sampled_from(["modulo", "xor", "hrp", "rm"]),
-    l1_replacement=st.sampled_from(["random", "lru", "fifo", "plru"]),
-    l1_write=st.sampled_from(["write-through", "write-back"]),
-    l2_placement=st.sampled_from(["modulo", "xor", "hrp", "rm"]),
-    l2_replacement=st.sampled_from(["random", "lru", "fifo", "plru"]),
-    l2_write=st.sampled_from(["write-through", "write-back"]),
+    l1_placement=st.sampled_from(["modulo", "hrp", "rm"]),
+    l1_replacement=st.sampled_from(["random", "lru"]),
+    l2_placement=st.sampled_from(["modulo", "hrp", "rm"]),
+    l2_replacement=st.sampled_from(["random", "lru"]),
     with_l2=st.booleans(),
 )
 
@@ -124,11 +121,7 @@ class TestAllRegisteredEnginesAgree:
     def test_l2_lru_and_deterministic_l2_placement(self, small_kernel_trace):
         """Directed coverage of the L2 LRU-stamp and static-map paths."""
         for l2_placement in ("modulo", "rm"):
-            config = build_config(
-                l1_write="write-back",
-                l2_placement=l2_placement,
-                l2_replacement="lru",
-            )
+            config = build_config(l2_placement=l2_placement, l2_replacement="lru")
             assert_all_equal(run_all_engines(config, small_kernel_trace, list(range(5))))
 
     def test_three_way_cache_exercises_rejection_sampling(self, small_kernel_trace):
@@ -142,49 +135,29 @@ class TestAllRegisteredEnginesAgree:
         guard-drop rule exists for (see repro.engine.plan)."""
         for l1_placement, ways, with_l2 in (
             ("modulo", 3, False),
-            ("xor", 2, True),
+            ("hrp", 2, True),
             ("rm", 2, True),
         ):
             config = build_config(
                 l1_placement=l1_placement,
                 l1_replacement="lru",
-                l1_write="write-through",
                 with_l2=with_l2,
                 ways=ways,
             )
             assert_all_equal(
                 run_all_engines(config, small_kernel_trace, list(range(6)))
             )
-
-    @pytest.mark.parametrize("replacement", ["fifo", "plru"])
-    @pytest.mark.parametrize("l1_write", ["write-through", "write-back"])
-    @pytest.mark.parametrize("with_l2", [False, True])
-    def test_fifo_and_plru_compiled_plans(
-        self, small_kernel_trace, replacement, l1_write, with_l2
-    ):
-        """Directed FIFO/PLRU coverage: the numpy plan executor must agree
-        with the reference model across both write policies, with and
-        without an L2."""
-        config = build_config(
-            l1_replacement=replacement,
-            l1_write=l1_write,
-            l2_replacement=replacement,
-            with_l2=with_l2,
-        )
-        assert_all_equal(run_all_engines(config, small_kernel_trace, list(range(6))))
-
-    @pytest.mark.parametrize("l2_replacement", ["random", "lru", "fifo", "plru"])
-    def test_write_through_l2_compiled_plans(
-        self, small_kernel_trace, l2_replacement
-    ):
-        """A write-through L2 (stores propagate to memory, no dirty lines)
-        through the compiled plan path, against the reference model."""
-        config = build_config(
-            l1_write="write-back",
-            l2_replacement=l2_replacement,
-            l2_write="write-through",
-        )
-        assert_all_equal(run_all_engines(config, small_kernel_trace, list(range(6))))
+        # Pinned: lines 0, 8 and 16 share set 0 of the 8-set, 2-way modulo
+        # DL1.  The store hit on line 8 makes it most-recently-used, so the
+        # next load of line 0 must touch it again (it may not be elided);
+        # otherwise the miss on line 16 evicts line 0 instead of line 8 and
+        # the last load misses.
+        pinned = trace_of([(1, 0), (1, 8), (1, 0), (2, 8), (1, 0), (1, 16), (1, 0)])
+        for with_l2 in (False, True):
+            config = build_config(
+                l1_placement="modulo", l1_replacement="lru", with_l2=with_l2
+            )
+            assert_all_equal(run_all_engines(config, pinned, [0]))
 
     def test_trace_core_routes_all_engines(self, small_kernel_trace, tiny_hierarchy_config):
         seeds = [0, 9, 2**63 + 5]
@@ -197,35 +170,71 @@ class TestAllRegisteredEnginesAgree:
         assert set(result.values()) == {0}  # 0 cycles, no accesses, no misses
 
 
+#: Every L2 the model has: none, or one placement and one replacement.
+L2_CHOICES = [None] + [
+    (placement, replacement)
+    for placement in PLACEMENT_NAMES
+    for replacement in REPLACEMENT_NAMES
+]
+
+
+def platform_space_trace():
+    """1,000 random accesses over 32 lines, then 600 over 160.
+
+    The first phase revisits lines often enough for the LRU store-demotion
+    pattern the plan's guard-drop rule exists for; the second overflows the
+    2 KB L2, so its dirty victims are written back."""
+    rng = random.Random(26)
+    return trace_of(
+        [(rng.randrange(3), rng.randrange(32)) for _ in range(1000)]
+        + [(rng.randrange(3), rng.randrange(160)) for _ in range(600)]
+    )
+
+
+class TestPlatformSpace:
+    """The whole configuration space, enumerated rather than sampled: the
+    3 placements x 2 replacements of the L1s, each with no L2 or any of the
+    6 L2s.  Each point has its own plan-compiler and engine paths (static
+    maps or per-lane routing, LRU stamps and the guard-drop rule or victim
+    draws, the L2's write-allocate and dirty victims), so each is checked
+    against the oracle on every run, not only when hypothesis draws it."""
+
+    TRACE = platform_space_trace()
+
+    @pytest.mark.parametrize(
+        "l2", L2_CHOICES, ids=["no-l2" if l2 is None else "l2-" + "+".join(l2) for l2 in L2_CHOICES]
+    )
+    @pytest.mark.parametrize("l1_replacement", REPLACEMENT_NAMES)
+    @pytest.mark.parametrize("l1_placement", PLACEMENT_NAMES)
+    def test_engines_agree(self, l1_placement, l1_replacement, l2):
+        l2_policies = {} if l2 is None else dict(l2_placement=l2[0], l2_replacement=l2[1])
+        config = build_config(
+            l1_placement=l1_placement,
+            l1_replacement=l1_replacement,
+            with_l2=l2 is not None,
+            **l2_policies,
+        )
+        assert_all_equal(run_all_engines(config, self.TRACE, [0, 1, 2**63 + 5]))
+
+
 class TestLeanBatchState:
     """The numpy engine's batch state: counters folded in blocks, one
     buffer set per cache slot, and a per-lane memory bound."""
 
     @pytest.mark.parametrize(
-        "l1_write, l2_write, with_l2, counters",
+        "with_l2, counters",
         [
-            # Write-through L1 store hits reach a write-through L2, whose
-            # misses go to memory without latency ("memonly").
-            (
-                "write-through", "write-through", True,
-                set(numpy_engine._PlanCounters.NAMES),
-            ),
-            (
-                "write-back", "write-back", True,
-                {"il1_miss", "dl1_miss", "demand", "write", "l2_miss", "mem"},
-            ),
+            (True, set(numpy_engine._PlanCounters.NAMES)),
             # Without an L2 only the L1 misses are deferred.
-            ("write-through", "write-through", False, {"il1_miss", "dl1_miss"}),
+            (False, {"il1_miss", "dl1_miss"}),
         ],
     )
-    def test_long_trace_folds_every_counter(
-        self, monkeypatch, l1_write, l2_write, with_l2, counters
-    ):
+    def test_long_trace_folds_every_counter(self, monkeypatch, with_l2, counters):
         """A trace of several fold blocks matches the oracle, and every
         deferred counter folds partial-lane events in more than one block."""
         rng = random.Random(5)
         trace = trace_of([(rng.randrange(3), rng.randrange(160)) for _ in range(3000)])
-        config = build_config(l1_write=l1_write, l2_write=l2_write, with_l2=with_l2)
+        config = build_config(with_l2=with_l2)
         plan = compile_plan(config, CompiledTrace(trace, line_size=32))
         assert plan.n_steps > 4 * numpy_engine.FOLD_STEPS
         blocks = Counter()
@@ -274,11 +283,11 @@ class TestPlanPathEdgeCases:
     """Degenerate shapes where the plan compiler's derived structure could
     go wrong: the numpy plan executor must still agree with the oracle."""
 
-    def _single_set_config(self, ways, placement, replacement, write):
+    def _single_set_config(self, ways, placement, replacement):
         l1_size = ways * 32  # exactly one set
         cache = dict(
             size_bytes=l1_size, ways=ways, line_size=32,
-            placement=placement, replacement=replacement, write_policy=write,
+            placement=placement, replacement=replacement,
         )
         return HierarchyConfig(
             il1=CacheConfig(name="IL1", **cache),
@@ -293,17 +302,14 @@ class TestPlanPathEdgeCases:
     @pytest.mark.parametrize("placement", ["modulo", "hrp"])
     def test_single_set_caches(self, small_kernel_trace, placement, replacement):
         """num_sets == 1: every line conflicts with every other line."""
-        config = self._single_set_config(4, placement, replacement, "write-through")
+        config = self._single_set_config(4, placement, replacement)
         assert_all_equal(run_all_engines(config, small_kernel_trace, [0, 1, 7]))
 
-    @pytest.mark.parametrize("write", ["write-through", "write-back"])
-    def test_direct_mapped_caches(self, small_kernel_trace, write):
+    def test_direct_mapped_caches(self, small_kernel_trace):
         """ways == 1: the victim is forced, but draws must still be consumed
         in the reference model's order for randomized replacement."""
         for placement in ("modulo", "hrp"):
-            config = build_config(
-                l1_placement=placement, l1_write=write, ways=1, with_l2=True
-            )
+            config = build_config(l1_placement=placement, ways=1, with_l2=True)
             assert_all_equal(run_all_engines(config, small_kernel_trace, [3, 11]))
 
     def test_traces_shorter_than_one_run(self):
@@ -312,9 +318,7 @@ class TestPlanPathEdgeCases:
             trace = Trace(name="tiny")
             for kind, line in accesses:
                 trace.append(kind, 0x40000000 + line * 32)
-            for write in ("write-through", "write-back"):
-                config = build_config(l1_write=write)
-                assert_all_equal(run_all_engines(config, trace, [0, 5]))
+            assert_all_equal(run_all_engines(build_config(), trace, [0, 5]))
 
     def test_empty_seed_batch(self, small_kernel_trace):
         config = build_config()
@@ -358,8 +362,8 @@ class TestLayoutLanes:
     @given(
         kernel=st.sampled_from(eembc_kernel_names()),
         scale=st.sampled_from([0.05, 0.1, 0.25]),
-        placement=st.sampled_from(["modulo", "xor", "rm", "hrp"]),
-        replacement=st.sampled_from(["lru", "fifo", "plru", "random"]),
+        placement=st.sampled_from(["modulo", "rm", "hrp"]),
+        replacement=st.sampled_from(["lru", "random"]),
         line_size=st.sampled_from([16, 32, 64, 128]),
         l1_size=st.sampled_from([512, 1024, 2048]),
         l1_ways=st.sampled_from([1, 2]),

@@ -2,25 +2,28 @@
 
 The cross-engine suite certifies that plan execution matches the
 reference engine bit-exactly; these tests pin the compiler's *derived structure*
-directly — which accesses are elided, where dirty bits fold, when
-guarantees are dropped, and that every placement compiles to one plan — so
+directly — which accesses are elided, when guarantees are dropped, and
+that every placement compiles to one plan — so
 a regression shows up as a readable structural diff instead of a counter
 mismatch three layers down.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.cache.cache import CacheConfig
 from repro.cache.fastsim import CompiledTrace
 from repro.cache.hierarchy import HierarchyConfig, MemoryTimings
+from repro.cache.replacement import REPLACEMENT_NAMES
 from repro.cache.trace import Trace
+from repro.core.placement import PLACEMENT_NAMES
 from repro.engine.plan import compile_plan
 
 
 def make_config(
     l1_placement="modulo",
     l1_replacement="random",
-    l1_write="write-through",
     with_l2=False,
     ways=2,
     num_sets=8,
@@ -28,12 +31,11 @@ def make_config(
     cache = dict(
         size_bytes=ways * 32 * num_sets, ways=ways, line_size=32,
         placement=l1_placement, replacement=l1_replacement,
-        write_policy=l1_write,
     )
     l2 = (
         CacheConfig(
             name="L2", size_bytes=2048, ways=4, line_size=32,
-            placement="modulo", replacement="random", write_policy="write-back",
+            placement="modulo", replacement="random",
         )
         if with_l2
         else None
@@ -108,17 +110,14 @@ class TestSameLineRunElision:
 
 class TestStoreRules:
     def test_write_through_store_never_establishes_guarantee(self):
-        plan = plan_for(
-            make_config(l1_write="write-through"),
-            [("store", 0), ("store", 0), ("store", 0)],
-        )
+        plan = plan_for(make_config(), [("store", 0), ("store", 0), ("store", 0)])
         # A WT store does not allocate, so no run ever forms.
         assert plan.n_steps == 3
         assert plan.elided_store_memory_accesses == 0
 
     def test_elided_wt_store_hit_without_l2_counts_memory_access(self):
         plan = plan_for(
-            make_config(l1_write="write-through", with_l2=False),
+            make_config(with_l2=False),
             [("load", 0), ("store", 0), ("store", 0)],
         )
         assert plan.n_steps == 1
@@ -129,23 +128,12 @@ class TestStoreRules:
         # Each one advances shared L2 state, so it cannot be elided; it is
         # flagged sure_hit so executors skip the L1 lookup.
         plan = plan_for(
-            make_config(l1_write="write-through", with_l2=True),
+            make_config(with_l2=True),
             [("load", 0), ("store", 0), ("store", 0)],
         )
         assert plan.n_steps == 3
         assert plan.steps[1][3] and plan.steps[2][3]  # sure_hit
         assert plan.elided_store_memory_accesses == 0
-
-    def test_write_back_store_hit_folds_dirty_bit_into_anchor(self):
-        plan = plan_for(
-            make_config(l1_write="write-back"),
-            [("load", 0), ("store", 0), ("load", 0)],
-        )
-        assert plan.n_steps == 1
-        anchor = plan.steps[0]
-        assert not anchor[2]  # still the load...
-        assert anchor[4]  # ...but dirty_after records the folded store
-        assert plan.elided == {"il1": 0, "dl1": 2}
 
 
 class TestLruGuardDrop:
@@ -153,10 +141,7 @@ class TestLruGuardDrop:
     demoting the guaranteed line from MRU; the guard must be dropped."""
 
     def test_wt_store_to_other_line_drops_lru_guarantee(self):
-        config = make_config(
-            l1_placement="modulo", l1_replacement="lru",
-            l1_write="write-through",
-        )
+        config = make_config(l1_placement="modulo", l1_replacement="lru")
         plan = plan_for(
             config,
             [("load", 0), ("store", 8), ("load", 0)],  # lines 0, 8 share a set
@@ -165,10 +150,7 @@ class TestLruGuardDrop:
 
     def test_wt_store_keeps_random_replacement_guarantee(self):
         # Without stamps there is nothing a foreign store hit can corrupt.
-        config = make_config(
-            l1_placement="modulo", l1_replacement="random",
-            l1_write="write-through",
-        )
+        config = make_config(l1_placement="modulo", l1_replacement="random")
         plan = plan_for(
             config,
             [("load", 0), ("store", 8), ("load", 0)],
@@ -179,10 +161,7 @@ class TestLruGuardDrop:
     def test_sure_hit_same_line_wt_store_keeps_guarantee(self):
         # A sure-hit store to the guaranteed line itself only re-touches
         # the MRU way — stamp order is preserved, the guard survives.
-        config = make_config(
-            l1_placement="modulo", l1_replacement="lru",
-            l1_write="write-through", with_l2=True,
-        )
+        config = make_config(l1_placement="modulo", l1_replacement="lru", with_l2=True)
         plan = plan_for(
             config,
             [("load", 0), ("store", 0), ("load", 0)],
@@ -191,26 +170,66 @@ class TestLruGuardDrop:
         assert plan.n_steps == 2
 
 
+#: Fetch runs and alternations, load/store pairs on two lines, and a line
+#: that conflicts with line 0 in an 8-set modulo L1.
+MIXED_ACCESSES = [
+    (kind, line)
+    for i in range(12)
+    for kind, line in (("fetch", i % 3), ("fetch", 8), ("load", i % 2),
+                       ("store", i % 2), ("load", 16))
+]
+
+
 class TestOnePlan:
     """Seed lanes and layout lanes run one plan, whatever the placement."""
 
     @pytest.mark.parametrize("replacement", ["lru", "random"])
-    @pytest.mark.parametrize("write", ["write-through", "write-back"])
-    def test_modulo_plan_is_the_rm_plan(self, replacement, write):
+    def test_modulo_plan_is_the_rm_plan(self, replacement):
         # The singleton rule reads no set map, so the deterministic (modulo)
         # plan elides exactly what the randomized (rm) plan does.
-        accesses = [
-            (kind, line)
-            for i in range(12)
-            for kind, line in (("fetch", i % 3), ("fetch", 8), ("load", i % 2),
-                               ("store", i % 2), ("load", 16))
-        ]
-        compiled = CompiledTrace(make_trace(accesses))
+        compiled = CompiledTrace(make_trace(MIXED_ACCESSES))
         modulo = make_config(l1_placement="modulo", l1_replacement=replacement,
-                             l1_write=write, with_l2=True)
-        rm = make_config(l1_placement="rm", l1_replacement=replacement,
-                         l1_write=write, with_l2=True)
+                             with_l2=True)
+        rm = make_config(l1_placement="rm", l1_replacement=replacement, with_l2=True)
         assert compile_plan(modulo, compiled) == compile_plan(rm, compiled)
+
+    @pytest.mark.parametrize("with_l2", [False, True])
+    @pytest.mark.parametrize("replacement", REPLACEMENT_NAMES)
+    def test_every_placement_compiles_to_one_plan(self, replacement, with_l2):
+        # hRP too: no placement's set map reaches the plan, with or without
+        # the L2 (whose store-hit steps the plan keeps).
+        compiled = CompiledTrace(make_trace(MIXED_ACCESSES))
+        plans = [
+            compile_plan(
+                make_config(l1_placement=placement, l1_replacement=replacement,
+                            with_l2=with_l2),
+                compiled,
+            )
+            for placement in PLACEMENT_NAMES
+        ]
+        assert plans[1:] == plans[:1] * (len(plans) - 1)
+
+    def test_l2_policies_do_not_change_the_plan(self):
+        # The plan elides L1 accesses only; every access that reaches the L2
+        # stays a step, so the L2's placement and replacement compile away.
+        compiled = CompiledTrace(make_trace(MIXED_ACCESSES))
+        base = make_config(with_l2=True)
+        plans = {
+            (placement, replacement): compile_plan(
+                replace(
+                    base,
+                    l2=CacheConfig(
+                        name="L2", size_bytes=2048, ways=4, line_size=32,
+                        placement=placement, replacement=replacement,
+                    ),
+                ),
+                compiled,
+            )
+            for placement in PLACEMENT_NAMES
+            for replacement in REPLACEMENT_NAMES
+        }
+        assert len(plans) == 6
+        assert all(plan == compile_plan(base, compiled) for plan in plans.values())
 
 
 class TestPlanShape:
@@ -228,33 +247,18 @@ class TestPlanShape:
 
 
 class TestPlanCoverage:
-    """Every registered replacement policy and write policy compiles."""
+    """Every registered replacement policy compiles."""
 
-    @pytest.mark.parametrize("replacement", ["random", "lru", "fifo", "plru"])
+    @pytest.mark.parametrize("replacement", ["random", "lru"])
     def test_all_replacement_policies_compile(self, replacement):
         config = make_config(l1_replacement=replacement)
         plan = plan_for(config, [("fetch", 0), ("fetch", 1), ("fetch", 0)])
         assert plan.n_steps >= 1
 
-    def test_write_through_l2_compiles(self):
-        config = make_config(with_l2=True)
-        object.__setattr__(config.l2, "write_policy", "write-through")
-        plan = plan_for(config, [("fetch", 0), ("store", 1)])
-        assert plan.n_steps == 2
-
-    def test_fifo_hits_keep_guarantees(self):
-        # FIFO never reorders on a hit, so revisits stay elidable even
-        # where LRU-style policies would have to keep the step.
-        plan = plan_for(
-            make_config(l1_replacement="fifo"),
-            [("fetch", 0)] * 4,
-        )
-        assert plan.elided == {"il1": 3, "dl1": 0}
-
     def test_unknown_replacement_raises(self):
         # The plan models exactly REPLACEMENT_NAMES; anything else is
         # rejected when the config is built, before any engine sees it —
         # including case variants the reference model would have accepted.
-        for name in ("LRU", "Random", "clock", "lru ", ""):
+        for name in ("LRU", "Random", "clock", "lru ", "", "fifo", "plru"):
             with pytest.raises(ValueError, match="replacement must be one of"):
                 make_config(l1_replacement=name)

@@ -19,7 +19,7 @@ def small_hierarchy(l2=True, l1_placement="modulo", l1_replacement="lru"):
     l2_config = (
         CacheConfig(
             name="L2", size_bytes=2048, ways=4, line_size=32,
-            placement="modulo", replacement="lru", write_policy="write-back",
+            placement="modulo", replacement="lru",
         )
         if l2
         else None
@@ -87,6 +87,23 @@ class TestDataPath:
         l2_accesses_before = hierarchy.l2.stats.accesses
         hierarchy.store(0x2000)
         assert hierarchy.l2.stats.accesses == l2_accesses_before + 1
+
+    def test_dirty_l2_victim_costs_a_writeback(self):
+        # The store miss write-allocates line 0 dirty in L2 set 0; four
+        # loads of lines 512 B apart (16 L2 sets) fill the set and the
+        # last one evicts line 0 (LRU), paying its writeback to memory.
+        hierarchy = small_hierarchy()
+        timings = hierarchy.config.timings
+        hierarchy.store(0x0)
+        for address in (0x200, 0x400, 0x600):
+            hierarchy.load(address)
+        before = hierarchy.memory_accesses
+        latency = hierarchy.load(0x800)
+        assert latency == (
+            timings.l1_hit + timings.l2_hit + timings.writeback + timings.memory
+        )
+        assert hierarchy.memory_accesses == before + 2
+        assert hierarchy.l2.stats.writebacks == 1
 
     def test_store_miss_does_not_allocate_in_l1(self):
         hierarchy = small_hierarchy()
@@ -156,11 +173,8 @@ class TestLeon3Factory:
         assert config.l2.placement == "hrp"
 
     def test_l1s_are_write_through_l2_write_back(self):
-        config = leon3_hierarchy()
-        assert config.il1.write_policy == "write-through"
-        assert config.l2.write_policy == "write-back"
-
-    def test_describe_summarises_sizes(self):
-        description = leon3_hierarchy().describe()
-        assert description["il1"].startswith("16KB/4w")
-        assert "l2" in description
+        # The write policy follows the level, not the configuration.
+        hierarchy = CacheHierarchy(leon3_hierarchy())
+        assert not hierarchy.il1.write_back
+        assert not hierarchy.dl1.write_back
+        assert hierarchy.l2.write_back

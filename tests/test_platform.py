@@ -1,5 +1,7 @@
 """Tests for the LEON3 platform factory."""
 
+import re
+
 import pytest
 
 from repro.platform.leon3 import (
@@ -32,6 +34,31 @@ class TestSetups:
     def test_unknown_setup_rejected(self):
         with pytest.raises(ValueError):
             platform_setup("fancy")
+
+    @pytest.mark.parametrize("name", ["xor", "RM", "Modulo"])
+    def test_setup_outside_the_model_rejected(self, name):
+        # The deleted xor setup and case variants alike, listing the setups.
+        message = f"setup must be one of {tuple(PLATFORM_SETUPS)}, got {name!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            platform_setup(name)
+
+    @pytest.mark.parametrize(
+        "parameter, name",
+        [
+            ("l1_placement", "xor"),
+            ("l2_placement", "xor"),
+            ("l1_replacement", "fifo"),
+            ("l2_replacement", "plru"),
+        ],
+    )
+    def test_policy_outside_the_model_names_the_parameter(self, parameter, name):
+        with pytest.raises(ValueError, match=f"^{parameter} must be one of .*, got {name!r}$"):
+            leon3_hierarchy(**{parameter: name})
+
+    def test_l2_policies_checked_without_an_l2(self):
+        # No L2 is built, yet its names are still checked by parameter.
+        with pytest.raises(ValueError, match="^l2_placement must be one of"):
+            leon3_hierarchy(l2_placement="xor", with_l2=False)
 
     def test_rm_and_hrp_setups_differ_in_l1_only(self):
         rm = platform_setup("rm")

@@ -1,79 +1,10 @@
-"""Tests for the hardware-style PRNGs."""
+"""Tests for the SplitMix64 seed and victim generator."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.prng import GaloisLfsr, MultiLfsrPrng, SplitMix64, derive_run_seeds
-
-
-class TestGaloisLfsr:
-    def test_zero_seed_is_sanitised(self):
-        lfsr = GaloisLfsr(31, 0x48000000, seed=0)
-        assert lfsr.state != 0
-
-    def test_state_stays_in_range(self):
-        lfsr = GaloisLfsr(8, 0xB8, seed=0x5A)
-        for _ in range(300):
-            lfsr.next_bit()
-            assert 0 < lfsr.state <= 0xFF
-
-    def test_sequence_is_deterministic_per_seed(self):
-        a = GaloisLfsr(31, 0x48000000, seed=123)
-        b = GaloisLfsr(31, 0x48000000, seed=123)
-        assert [a.next_bit() for _ in range(64)] == [b.next_bit() for _ in range(64)]
-
-    def test_different_seeds_differ(self):
-        a = GaloisLfsr(31, 0x48000000, seed=123)
-        b = GaloisLfsr(31, 0x48000000, seed=456)
-        assert [a.next_bit() for _ in range(64)] != [b.next_bit() for _ in range(64)]
-
-    def test_rejects_tiny_width(self):
-        with pytest.raises(ValueError):
-            GaloisLfsr(1, 1)
-
-    def test_rejects_zero_taps(self):
-        with pytest.raises(ValueError):
-            GaloisLfsr(8, 0)
-
-    def test_next_bits_packs_lsb_first(self):
-        lfsr = GaloisLfsr(8, 0xB8, seed=1)
-        reference = GaloisLfsr(8, 0xB8, seed=1)
-        bits = [reference.next_bit() for _ in range(8)]
-        assert lfsr.next_bits(8) == sum(bit << i for i, bit in enumerate(bits))
-
-
-class TestMultiLfsrPrng:
-    def test_reproducible(self):
-        a = MultiLfsrPrng(seed=99)
-        b = MultiLfsrPrng(seed=99)
-        assert [a.next_uint32() for _ in range(8)] == [b.next_uint32() for _ in range(8)]
-
-    def test_reseed_changes_stream(self):
-        prng = MultiLfsrPrng(seed=1)
-        first = [prng.next_uint32() for _ in range(4)]
-        prng.reseed(2)
-        second = [prng.next_uint32() for _ in range(4)]
-        assert first != second
-
-    def test_bit_balance_is_reasonable(self):
-        prng = MultiLfsrPrng(seed=7)
-        ones = sum(prng.next_bit() for _ in range(4000))
-        assert 1700 < ones < 2300
-
-    def test_next_below_respects_bound(self):
-        prng = MultiLfsrPrng(seed=3)
-        values = [prng.next_below(10) for _ in range(200)]
-        assert all(0 <= value < 10 for value in values)
-        assert len(set(values)) > 5
-
-    def test_next_below_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            MultiLfsrPrng(seed=1).next_below(0)
-
-    def test_unknown_width_rejected(self):
-        with pytest.raises(ValueError):
-            MultiLfsrPrng(widths=(31, 33))
+from repro.core.prng import SplitMix64, derive_run_seeds
 
 
 class TestSplitMix64:

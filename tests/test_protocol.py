@@ -26,6 +26,38 @@ class TestConfig:
         with pytest.raises(ValueError):
             MbptaConfig(exceedance_probabilities=(2.0,))
 
+    @pytest.mark.parametrize(
+        "cutoffs", [(1e-15, 1e-12), (1e-12, 1e-15, 1e-15), [1e-15, 1e-12, 1e-12]]
+    )
+    def test_one_set_of_cutoffs_is_one_analysis(self, cutoffs):
+        # Sorted descending, duplicates removed: the default's hash, so the
+        # default analysis is not fitted and stored a second time.
+        config = MbptaConfig(exceedance_probabilities=cutoffs)
+        assert config.exceedance_probabilities == (1e-12, 1e-15)
+        assert config.analysis_hash() == MbptaConfig().analysis_hash()
+
+    @pytest.mark.parametrize(
+        "cutoffs, canonical",
+        [
+            ((1e-9, 1e-12, 1e-9), (1e-9, 1e-12)),
+            ((1e-15, 1e-9, 1e-12), (1e-9, 1e-12, 1e-15)),
+            ((1e-15,), (1e-15,)),
+        ],
+    )
+    def test_cutoffs_are_kept_descending_and_unique(self, cutoffs, canonical):
+        config = MbptaConfig(exceedance_probabilities=cutoffs)
+        assert config.exceedance_probabilities == canonical
+        assert (
+            config.analysis_hash()
+            == MbptaConfig(exceedance_probabilities=canonical).analysis_hash()
+        )
+
+    def test_another_set_of_cutoffs_is_another_analysis(self):
+        # Canonical order merges spellings of one set, never two sets.
+        default = MbptaConfig().analysis_hash()
+        for cutoffs in ((1e-12,), (1e-15,), (1e-9, 1e-12, 1e-15)):
+            assert MbptaConfig(exceedance_probabilities=cutoffs).analysis_hash() != default
+
 
 class TestApplyMbpta:
     def test_end_to_end_on_iid_sample(self):

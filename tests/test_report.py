@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import format_ccdf, format_histogram, format_ratio, format_table
+from repro.analysis.report import format_ccdf, format_histogram, format_table
 
 
 class TestFormatTable:
@@ -45,7 +45,3 @@ class TestFormatCcdfAndRatio:
         text = format_ccdf([(1000.0, 0.5), (2000.0, 1e-6)], title="curve")
         assert "curve" in text
         assert "1e-06" in text or "1e-6" in text
-
-    def test_ratio_formatting(self):
-        assert format_ratio(0.57) == "-43.0%"
-        assert format_ratio(1.07) == "+7.0%"

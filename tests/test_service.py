@@ -82,6 +82,43 @@ MISTYPED_FIELDS = [
 ]
 
 
+#: Cache geometries no engine can simulate: (parameter overrides, the
+#: message of the 400).
+UNUSABLE_GEOMETRIES = [
+    # Checked before CacheConfig divides by ways * line_size.
+    ({"line_size": 0}, "line_size must be a positive power of two, got 0"),
+    ({"line_size": 48}, "line_size must be a positive power of two, got 48"),
+    # 2**40 B in 4 ways of 32 B lines needs 38 address bits, not 32.
+    ({"l1_size_bytes": 1 << 40}, "address_bits too small for the requested geometry: 32 < 38"),
+]
+
+#: Policy names the model does not have, as (spec field, name): the XOR
+#: placement and setup, FIFO and tree-PLRU replacement.
+OFF_PLATFORM_NAMES = [
+    ("l1_placement", "xor"),
+    ("l2_placement", "xor"),
+    ("setup", "xor"),
+    ("l1_replacement", "fifo"),
+    ("l2_replacement", "plru"),
+]
+
+#: The values each hierarchy name field accepts.
+ACCEPTED_NAMES = {
+    "setup": "('rm', 'hrp', 'modulo')",
+    "l1_placement": "('modulo', 'hrp', 'rm')",
+    "l2_placement": "('modulo', 'hrp', 'rm')",
+    "l1_replacement": "('lru', 'random')",
+    "l2_replacement": "('lru', 'random')",
+}
+
+
+def _geometry_spec(parameters: dict) -> dict:
+    """A valid spec with some cache parameters replaced."""
+    spec = _spec(_scenario())
+    spec["hierarchy"]["parameters"].update(parameters)
+    return spec
+
+
 def _mistyped_spec(path: tuple, value: object) -> dict:
     """A valid spec (eembc when ``path`` is the scale) with one field replaced."""
     scenario = _scenario()
@@ -190,6 +227,16 @@ class TestJobRequestParsing:
         assert config.exceedance_probabilities == CUTOFFS
         assert config.fit_method == "gumbel-mle"
 
+    def test_cutoff_order_is_not_part_of_the_analysis(self):
+        # Ascending or repeated, the job's cutoffs are the CLI's set.
+        cli = ExperimentSettings().mbpta_config()
+        _, options = parse_job_request(
+            {"spec": _spec(_scenario()), "cutoffs": [1e-15, 1e-12, 1e-15]}
+        )
+        config = options.mbpta_config()
+        assert config.exceedance_probabilities == CUTOFFS
+        assert config.analysis_hash() == cli.analysis_hash()
+
     def test_default_options_make_the_cli_analysis_config(self):
         # The CLI's default study run and a bare server job share their
         # stored analyses only if both build the same config.
@@ -229,6 +276,18 @@ class TestJobRequestParsing:
         # scenario than the one sent.
         with pytest.raises(BadRequest, match=f"{field} must be"):
             parse_job_request({"spec": _mistyped_spec(path, value)})
+
+    @pytest.mark.parametrize(
+        "parameters, message",
+        UNUSABLE_GEOMETRIES,
+        ids=[next(iter(parameters)) for parameters, _ in UNUSABLE_GEOMETRIES],
+    )
+    def test_unusable_geometry_is_rejected(self, parameters, message):
+        # Rejected while parsing: CacheConfig checks the line size before
+        # it divides by it, and the address width when it builds its
+        # placement geometry.
+        with pytest.raises(BadRequest, match=message):
+            parse_job_request({"spec": _geometry_spec(parameters)})
 
     @pytest.mark.parametrize(
         "options",
@@ -376,16 +435,17 @@ class TestJobLifecycle:
         assert "unknown EEMBC kernel 'nope'" in excinfo.value.message
         # So does a custom hierarchy no cache can be built from.
         hierarchy = HierarchySpec.custom(with_l2=False).spec_dict()
-        for placement, l1_size_bytes, message in (
-            ("rm", 100, "is not a multiple of ways * line_size"),
-            ("rm", 2 * 4 * 32, "rm placement needs at least 4 sets"),
-            ("nope", 16 * 1024, "placement must be one of"),
+        for placement, parameters, message in (
+            ("rm", {"l1_size_bytes": 100}, "is not a multiple of ways * line_size"),
+            ("rm", {"l1_size_bytes": 2 * 4 * 32}, "rm placement needs at least 4 sets"),
+            ("nope", {}, "placement must be one of"),
+            *(("rm", parameters, message) for parameters, message in UNUSABLE_GEOMETRIES),
         ):
             spec = _spec(_scenario(runs=8))
             spec["hierarchy"] = dict(
                 hierarchy,
                 l1_placement=placement,
-                parameters=dict(hierarchy["parameters"], l1_size_bytes=l1_size_bytes),
+                parameters=dict(hierarchy["parameters"], **parameters),
             )
             with pytest.raises(ServiceError) as excinfo:
                 client.submit({"spec": spec})
@@ -399,6 +459,30 @@ class TestJobLifecycle:
                 client.submit({"spec": _mistyped_spec(path, value)})
             assert excinfo.value.status == 400, (path, value)
             assert f"{field} must be" in excinfo.value.message
+
+    @pytest.mark.parametrize(
+        "field, name", OFF_PLATFORM_NAMES, ids=[f"{f}={n}" for f, n in OFF_PLATFORM_NAMES]
+    )
+    def test_off_platform_policy_name_is_rejected_listing_the_accepted(
+        self, tmp_path, start_server, field, name
+    ):
+        message = f"{field} must be one of {ACCEPTED_NAMES[field]}, got {name!r}"
+        with pytest.raises(ValueError) as excinfo:
+            if field == "setup":
+                HierarchySpec.named(name)
+            else:
+                HierarchySpec.custom(**{field: name})
+        assert message in str(excinfo.value)
+        spec = _spec(_scenario(runs=8))
+        if field == "setup":
+            spec["hierarchy"]["setup"] = name
+        else:
+            spec["hierarchy"] = dict(HierarchySpec.custom().spec_dict(), **{field: name})
+        _, client = start_server(ResultStore(tmp_path / "store"))
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"spec": spec})
+        assert excinfo.value.status == 400
+        assert message in excinfo.value.message
 
     def test_unusable_scale_is_a_400(self, tmp_path, start_server):
         # Rejected at submission, not by a worker's trace build.  NaN and
@@ -606,6 +690,39 @@ class TestWarmOverlap:
             assert json.dumps(entry["analysis"], sort_keys=True) == json.dumps(
                 persisted, sort_keys=True
             )
+
+
+    def test_reordered_cutoffs_reuse_the_cli_analyses(
+        self, tmp_path, start_server, monkeypatch, capsys
+    ):
+        """One set of cutoffs is one analysis: a job that writes the CLI's
+        cutoffs ascending, or repeats one, fits and stores nothing new."""
+        store_dir = tmp_path / "store"
+        assert (
+            main(
+                ["study", "run", "fig5", "--runs", "24", "--scale", "0.05",
+                 "--store", str(store_dir)]
+            )
+            == 0
+        )
+        capsys.readouterr()  # drop the CLI chatter
+        store = ResultStore(store_dir)
+        analyses = store.analysis_keys()
+        settings = replace(ExperimentSettings.from_env(), runs=24, scale=0.05)
+        specs = [s.spec_dict() for s in get_study("fig5").plan(settings)]
+        counter = _FitCounter(monkeypatch)
+        _, client = start_server(store)
+        for cutoffs in (
+            [settings.cutoff, settings.secondary_cutoff],
+            [settings.secondary_cutoff, settings.cutoff, settings.cutoff],
+        ):
+            finished = client.wait(
+                client.submit({"specs": specs, "cutoffs": cutoffs})["job_id"],
+                timeout=60,
+            )
+            assert finished["state"] == "done"
+        assert counter.calls == 0
+        assert store.analysis_keys() == analyses
 
 
 class TestColdOverlap:

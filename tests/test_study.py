@@ -22,6 +22,7 @@ import pytest
 from repro.__main__ import main
 from repro.analysis.campaign import run_campaign
 from repro.analysis.experiments import ExperimentSettings
+from repro.platform.leon3 import Leon3Parameters
 from repro.pwcet.protocol import MbptaConfig
 from repro.study.scenario import scenario_from_spec
 from repro.study import (
@@ -139,6 +140,40 @@ class TestScenarioSpec:
             tiny_scenario(workload=WorkloadSpec(kind="eembc", name="dhrystone"))
         # Initials are valid and kept as given, so spec hashes do not move.
         assert WorkloadSpec.eembc("A2").spec_dict()["name"] == "A2"
+
+    @pytest.mark.parametrize(
+        "parameters, message",
+        [
+            # Checked before CacheConfig divides by ways * line_size.
+            (dict(line_size=0), "line_size must be a positive power of two"),
+            (dict(line_size=-32), "line_size must be a positive power of two"),
+            (dict(line_size=48), "line_size must be a positive power of two"),
+            # 2**40 B in 4 ways of 32 B lines needs 38 address bits, not 32.
+            (dict(l1_size_bytes=1 << 40), "address_bits too small"),
+            (dict(l2_size_bytes=1 << 40), "address_bits too small"),
+        ],
+        ids=[
+            "line_size=0",
+            "line_size=-32",
+            "line_size=48",
+            "l1_size_bytes=2**40",
+            "l2_size_bytes=2**40",
+        ],
+    )
+    def test_unusable_geometry_rejected(self, parameters, message):
+        # An invalid hierarchy fails at construction, not in a worker.
+        with pytest.raises(ValueError, match=message):
+            HierarchySpec.named("rm", Leon3Parameters(**parameters))
+
+    def test_case_variant_names_rejected(self):
+        # Names match exactly: "RM" would simulate the rm campaign under a
+        # second spec hash (and a second store entry).
+        with pytest.raises(ValueError, match=r"setup must be one of \('rm', 'hrp', 'modulo'\), got 'RM'"):
+            HierarchySpec.named("RM")
+        with pytest.raises(ValueError, match="l1_placement must be one of"):
+            HierarchySpec.custom(l1_placement="RM")
+        with pytest.raises(ValueError, match="l2_replacement must be one of"):
+            HierarchySpec.custom(l2_replacement="LRU")
 
     def test_hash_is_stable(self):
         # Pinned literal: changing the canonical spec layout breaks every

@@ -36,12 +36,3 @@ class TestFootprints:
     def test_unique_lines_rejects_bad_line_size(self):
         with pytest.raises(ValueError):
             Trace().unique_lines(0)
-
-    def test_split_by_kind(self):
-        trace = Trace()
-        trace.fetch(0x0)
-        trace.load(0x1000)
-        trace.store(0x1020)
-        code, data = trace.split_by_kind(32)
-        assert code == [0x0]
-        assert data == [0x1000, 0x1020]

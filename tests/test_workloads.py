@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.trace import AccessKind
 from repro.core.prng import SplitMix64
 from repro.workloads.base import (
     ACCESS_PATTERNS,
@@ -201,7 +202,11 @@ class TestSyntheticKernel:
 
     def test_footprint_is_respected(self):
         trace = synthetic_vector_trace(8 * 1024, iterations=2)
-        data_lines = trace.split_by_kind(32)[1]
+        data_lines = {
+            address & ~31
+            for kind, address in zip(trace.kinds, trace.addresses)
+            if kind != AccessKind.FETCH
+        }
         assert len(data_lines) == 8 * 1024 // 32
 
     def test_iterations_scale_length(self):
