@@ -11,15 +11,25 @@ breakdown is persisted to ``BENCH_study.json`` at the repo root (the
 ``BENCH_engine.json`` idiom) — CI asserts the JSON-vs-columnar round-trip
 ratio there, not here (shared CI boxes are noisy, so in-test assertions
 stay structural).
+
+``test_warm_command`` times warm commands through ``main()`` and counts
+what each one rebuilds (``warm_command`` in ``BENCH_study.json``); CI
+asserts the counts, which are deterministic, and not the times.
 """
 
+import argparse
+import contextlib
 import gc
+import io
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
+from repro.__main__ import main
 from repro.analysis.campaign import CampaignResult
+from repro.cache.hierarchy import HierarchyConfig
 from repro.study import (
     HierarchySpec,
     ResultStore,
@@ -27,14 +37,21 @@ from repro.study import (
     WorkloadSpec,
     execute_scenarios,
 )
+from repro.study import scenario as scenario_module
 
 #: Machine-readable benchmark trajectory, tracked across PRs (repo root).
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_study.json"
 
 
 def _emit_bench_json(path: Path, payload: dict) -> None:
-    payload = dict(payload, written_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"))
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Merge ``payload`` into the JSON at ``path``: each benchmark here
+    writes its own keys, in either order."""
+    try:
+        merged = json.loads(path.read_text())
+    except (OSError, ValueError):
+        merged = {}
+    merged.update(payload, written_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"))
+    path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
 
 
 def _timed(callable_, repeats: int = 3) -> float:
@@ -355,4 +372,74 @@ def test_store_roundtrip_breakdown(tmp_path, capsys):
     # Structural floor only (CI asserts the >= 3x bar on BENCH_study.json,
     # where the noisy-box caveat is visible in the artifact).
     assert round_trip_ratio > 1.0
+    assert BENCH_JSON.is_file()
+
+
+# ---------------------------------------------------------------------------
+# Warm commands through main() (BENCH_study.json "warm_command")
+# ---------------------------------------------------------------------------
+
+#: Timed repetitions of each warm command.
+WARM_REPEATS = 30
+
+
+@contextlib.contextmanager
+def _counting(monkeypatch):
+    """Count HierarchyConfig builds, spec hashes computed and ArgumentParser
+    objects built while the block runs."""
+    counts = {"hierarchy_configs": 0, "spec_hashes": 0, "argument_parsers": 0}
+
+    def counted(key, function):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            HierarchyConfig, "__init__", counted("hierarchy_configs", HierarchyConfig.__init__)
+        )
+        patch.setattr(scenario_module, "sha256", counted("spec_hashes", scenario_module.sha256))
+        patch.setattr(
+            argparse.ArgumentParser,
+            "__init__",
+            counted("argument_parsers", argparse.ArgumentParser.__init__),
+        )
+        yield counts
+
+
+def _quiet_main(argv) -> None:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+
+
+def test_warm_command(tmp_path, monkeypatch, capsys):
+    """Warm ``study run fig4b --runs 40`` and ``query runs`` in one process,
+    after the cold run: median ms, and what one warm command rebuilds."""
+    store = str(tmp_path / "store")
+    commands = {
+        "study run fig4b --runs 40": ["study", "run", "fig4b", "--runs", "40", "--store", store],
+        "query runs": ["query", "runs", "--store", store],
+    }
+    _quiet_main(commands["study run fig4b --runs 40"])  # the cold run
+    rows = {}
+    for name, argv in commands.items():
+        times = []
+        for _ in range(WARM_REPEATS):
+            start = time.perf_counter()
+            _quiet_main(argv)
+            times.append(1000.0 * (time.perf_counter() - start))
+        with _counting(monkeypatch) as counts:
+            _quiet_main(argv)
+        rows[name] = dict(counts, median_ms=statistics.median(times), repeats=WARM_REPEATS)
+    _emit_bench_json(BENCH_JSON, {"warm_command": rows})
+    with capsys.disabled():
+        for name, row in rows.items():
+            print(
+                f"\nwarm {name}: {row['median_ms']:.1f} ms median; "
+                f"{row['hierarchy_configs']} hierarchy configs, "
+                f"{row['spec_hashes']} spec hashes, "
+                f"{row['argument_parsers']} argument parsers built"
+            )
     assert BENCH_JSON.is_file()

@@ -83,7 +83,7 @@ import math
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
 # The planner's default shard width (repro.exec.plan.DEFAULT_SHARD_SIZE) is
 # one engine batch.  repro.engine.base defines it without loading an engine,
@@ -525,15 +525,20 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
     because no command above a leaf takes an option besides ``--help``.
     The full tree took 6.1 ms per call; ``study run`` alone takes about a
     third of that, and its argument choices are what load the study, engine
-    and estimator registries.
+    and estimator registries.  :func:`main` parses with a narrower parser
+    still (:func:`_path_parser`) and comes here only to print.
     """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the tables and figures of the Random Modulo paper (DAC 2016).",
     )
-    words = None if argv is None else [word for word in argv if not word.startswith("-")]
-    _add_commands(parser, "command", _COMMANDS, words)
+    _add_commands(parser, "command", _COMMANDS, _words(argv))
     return parser
+
+
+def _words(argv: Optional[Sequence[str]]) -> Optional[List[str]]:
+    """The words of argv that may name commands: those that are not options."""
+    return None if argv is None else [word for word in argv if not word.startswith("-")]
 
 
 def _add_commands(
@@ -541,20 +546,64 @@ def _add_commands(
     dest: str,
     commands: Dict[str, Tuple[str, _Takes]],
     words: Optional[List[str]],
+    path_only: bool = False,
 ) -> None:
     """Register ``commands`` under ``parser``, and below the command that
-    ``words`` select (below every command when ``words`` is None)."""
+    ``words`` select (below every command when ``words`` is None); with
+    ``path_only``, register the selected command alone."""
     subparsers = parser.add_subparsers(dest=dest, required=True)
     for name, (help_line, takes) in commands.items():
+        selected = words is None or words[:1] == [name]
+        if path_only and not selected:
+            continue
         command = subparsers.add_parser(name, help=help_line)
-        if takes is None or not (words is None or words[:1] == [name]):
+        if takes is None or not selected:
             continue
         if isinstance(takes, dict):
             _add_commands(
-                command, f"{name}_command", takes, None if words is None else words[1:]
+                command,
+                f"{name}_command",
+                takes,
+                None if words is None else words[1:],
+                path_only,
             )
         else:
             takes(command)
+
+
+class _OffPath(Exception):
+    """A help request or a parse error met by a :class:`_PathParser`."""
+
+
+class _PathParser(argparse.ArgumentParser):
+    """A parser holding, at each level, only the command argv selects.
+
+    It prints no text of its own, since its usage lines and command lists
+    are not the full tree's.  While :func:`main` parses, a help request or
+    a parse error at any level raises :class:`_OffPath`, and :func:`main`
+    parses argv again with :func:`build_parser`, which prints and exits.
+    Afterwards, an error a command reports through the top level's
+    :meth:`error` is printed by the full tree's ``error()``.
+    """
+
+    #: Set on the top level once argv is parsed.
+    parsed_argv: Optional[List[str]] = None
+
+    def error(self, message: str) -> NoReturn:
+        if self.parsed_argv is None:
+            raise _OffPath(message)
+        build_parser(self.parsed_argv).error(message)
+
+    def print_help(self, file=None) -> None:
+        raise _OffPath()
+
+
+def _path_parser(argv: Sequence[str]) -> _PathParser:
+    """The parser of the one command path argv selects: ``study run`` builds
+    three parsers instead of the thirteen of :func:`build_parser` (argv)."""
+    parser = _PathParser(prog="repro")
+    _add_commands(parser, "command", _COMMANDS, _words(argv), path_only=True)
+    return parser
 
 
 def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
@@ -643,15 +692,15 @@ def _run_one(
     print(f"== {identifier}: {study.description}", file=chatter)
     start = time.time()
     outcome = study.run(settings, store=store, use_cache=use_cache)
-    print(
-        render_result(
-            identifier,
-            outcome.result,
-            output_format,
+    # The paper-style text ignores the per-scenario extras; only JSON and
+    # CSV pay for them.
+    extras = {}
+    if output_format != "text":
+        extras = dict(
             miss_rates=outcome.results.miss_rates(),
             analysis=outcome.results.analysis_summaries(settings.estimator),
         )
-    )
+    print(render_result(identifier, outcome.result, output_format, **extras))
     print(f"-- {identifier}: {outcome.report.summary()}", file=chatter)
     print(f"-- {identifier} finished in {time.time() - start:.1f}s\n", file=chatter)
 
@@ -1167,8 +1216,16 @@ def _study_command(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
+    path_parser = _path_parser(argv)
+    parser: argparse.ArgumentParser = path_parser
+    try:
+        args = path_parser.parse_args(argv)
+    except _OffPath:
+        # Help and parse errors are the full tree's text: it prints and exits.
+        parser = build_parser(argv)
+        args = parser.parse_args(argv)
+    else:
+        path_parser.parsed_argv = argv
 
     if args.command == "engines":
         _print_engine_matrix()

@@ -20,7 +20,7 @@ Setup and policy names are matched exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional
 
 from ..cache.cache import CacheConfig
@@ -52,6 +52,14 @@ class Leon3Parameters:
     memory_cycles: int = 30
     writeback_cycles: int = 6
 
+    def __post_init__(self) -> None:
+        # Checked, not coerced: 16384.0 == 16384, yet it would fail in a
+        # bit operation, and it hashes as another spec.
+        for name in _PARAMETER_NAMES:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+
     @property
     def timings(self) -> MemoryTimings:
         return MemoryTimings(
@@ -60,6 +68,9 @@ class Leon3Parameters:
             memory=self.memory_cycles,
             writeback=self.writeback_cycles,
         )
+
+
+_PARAMETER_NAMES = tuple(field.name for field in fields(Leon3Parameters))
 
 
 def leon3_hierarchy(

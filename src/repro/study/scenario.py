@@ -30,10 +30,11 @@ how coupled axes (for example a per-benchmark seed offset) are expressed.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
+from hashlib import sha256
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from ..cache.hierarchy import HierarchyConfig
@@ -63,9 +64,24 @@ SPEC_VERSION = 1
 #: Campaign kinds a scenario can request.
 CAMPAIGN_KINDS = ("seeds", "layouts")
 
+#: Distinct hierarchies and spec hashes one process keeps (see
+#: :func:`_hierarchy_config` and :func:`_spec_hash`): ``study run all``
+#: plans 58 distinct campaigns on 7 hierarchies, and a server keeps what
+#: its clients send within these bounds.
+HIERARCHY_MEMO_SIZE = 256
+SPEC_HASH_MEMO_SIZE = 4096
+
 
 def _parameters_dict(parameters: Leon3Parameters) -> Dict[str, object]:
     return {f.name: getattr(parameters, f.name) for f in fields(parameters)}
+
+
+def _check_int(name: str, value: object) -> None:
+    """An integer field must be an ``int``, not a ``bool`` or a ``float``:
+    ``7.0 == 7`` and ``True == 1``, yet their canonical JSON differs, so a
+    coerced value would store one campaign under two spec hashes."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +106,19 @@ class WorkloadSpec:
     iterations: int = 0
 
     def __post_init__(self) -> None:
+        _check_int("footprint_bytes", self.footprint_bytes)
+        _check_int("iterations", self.iterations)
         if self.kind == "eembc":
             if not self.name:
                 raise ValueError("eembc workload needs a benchmark name")
             # Unknown kernels and unusable scales fail here, not in a worker.
-            eembc_spec(self.name).scaled(self.scale)
+            kernel = eembc_spec(self.name)
+            if kernel.name != self.name:
+                # One campaign, one spec hash: no initials or case variants.
+                raise ValueError(
+                    f"EEMBC kernel {self.name!r} must be named exactly: {kernel.name!r}"
+                )
+            kernel.scaled(self.scale)
             # Kept as a float, so the spec dict of scale=1 is the one
             # workload_from_spec rebuilds (and hashes) from JSON.
             object.__setattr__(self, "scale", float(self.scale))
@@ -158,7 +182,9 @@ class HierarchySpec:
     placement/replacement fields (``setup`` empty), mirroring
     :func:`repro.platform.leon3.leon3_hierarchy`.  Names are matched
     exactly, so one campaign has one spec hash.  ``parameters`` carries
-    the cache geometry and timings and is part of the spec hash.
+    the cache geometry and timings and is part of the spec hash.  Without
+    an L2 (``with_l2`` false) the L2 policy names are still checked, but
+    they are not part of the spec hash: they simulate nothing.
     """
 
     setup: str = ""
@@ -170,6 +196,10 @@ class HierarchySpec:
     with_l2: bool = True
 
     def __post_init__(self) -> None:
+        # Checked before the memoized config: 1 == True, so a config built
+        # for with_l2=True would answer for with_l2=1.
+        if not isinstance(self.with_l2, bool):
+            raise ValueError(f"with_l2 must be true or false, got {self.with_l2!r}")
         self.config()  # an invalid hierarchy fails here, not in a worker
 
     @classmethod
@@ -207,19 +237,8 @@ class HierarchySpec:
         return f"{self.l1_placement}+{self.l1_replacement}"
 
     def config(self) -> HierarchyConfig:
-        """Build the concrete :class:`HierarchyConfig`."""
-        if self.setup:
-            return platform_setup(
-                self.setup, parameters=self.parameters, with_l2=self.with_l2
-            )
-        return leon3_hierarchy(
-            l1_placement=self.l1_placement,
-            l2_placement=self.l2_placement,
-            l1_replacement=self.l1_replacement,
-            l2_replacement=self.l2_replacement,
-            parameters=self.parameters,
-            with_l2=self.with_l2,
-        )
+        """The concrete :class:`HierarchyConfig`, built once per distinct spec."""
+        return _hierarchy_config(self)
 
     def spec_dict(self) -> Dict[str, object]:
         spec: Dict[str, object] = {
@@ -230,12 +249,35 @@ class HierarchySpec:
             spec["setup"] = self.setup
         else:
             spec.update(
-                l1_placement=self.l1_placement,
-                l2_placement=self.l2_placement,
-                l1_replacement=self.l1_replacement,
-                l2_replacement=self.l2_replacement,
+                l1_placement=self.l1_placement, l1_replacement=self.l1_replacement
             )
+            if self.with_l2:
+                spec.update(
+                    l2_placement=self.l2_placement, l2_replacement=self.l2_replacement
+                )
         return spec
+
+
+@lru_cache(maxsize=HIERARCHY_MEMO_SIZE)
+def _hierarchy_config(spec: HierarchySpec) -> HierarchyConfig:
+    """Build and check ``spec``'s :class:`HierarchyConfig`; one per distinct spec.
+
+    A spec and its config are frozen, and every spec field is type-checked
+    on construction, so equal specs build equal configs: plans, the run
+    table, the server and the shard runner share one instead of building
+    three :class:`~repro.cache.cache.CacheConfig` objects per spec.  An
+    invalid spec raises every time (an exception is not cached).
+    """
+    if spec.setup:
+        return platform_setup(spec.setup, parameters=spec.parameters, with_l2=spec.with_l2)
+    return leon3_hierarchy(
+        l1_placement=spec.l1_placement,
+        l2_placement=spec.l2_placement,
+        l1_replacement=spec.l1_replacement,
+        l2_replacement=spec.l2_replacement,
+        parameters=spec.parameters,
+        with_l2=spec.with_l2,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +311,8 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self) -> None:
+        for name in ("runs", "master_seed", "seed_offset"):
+            _check_int(name, getattr(self, name))
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.campaign not in CAMPAIGN_KINDS:
@@ -291,29 +335,54 @@ class Scenario:
         """The scenario's name inside a result set."""
         return self.label or f"{self.workload.label}/{self.hierarchy.label}"
 
+    def _spec_key(self) -> Tuple[WorkloadSpec, HierarchySpec, str, int, int]:
+        """Every field of the spec dict besides its version."""
+        return self.workload, self.hierarchy, self.campaign, self.runs, self.effective_seed
+
     def spec_dict(self) -> Dict[str, object]:
         """Canonical, simulation-determining form (the hash input)."""
-        return {
-            "version": SPEC_VERSION,
-            "workload": self.workload.spec_dict(),
-            "hierarchy": self.hierarchy.spec_dict(),
-            "campaign": self.campaign,
-            "runs": self.runs,
-            "seed": self.effective_seed,
-        }
+        return _spec_dict(*self._spec_key())
 
     def spec_hash(self) -> str:
         """SHA-256 over the canonical JSON spec; keys the result store.
 
-        Computed once per instance and kept in its ``__dict__``: the fields
-        are frozen, and :func:`dataclasses.replace` builds a new instance.
+        Computed once per distinct spec (:func:`_spec_hash`), and kept in
+        the instance's ``__dict__``: the fields are frozen, and
+        :func:`dataclasses.replace` builds a new instance.
         """
         cached = self.__dict__.get("_spec_hash")
         if cached is None:
-            canonical = json.dumps(self.spec_dict(), sort_keys=True, separators=(",", ":"))
-            cached = hashlib.sha256(canonical.encode("ascii")).hexdigest()
-            self.__dict__["_spec_hash"] = cached
+            cached = self.__dict__["_spec_hash"] = _spec_hash(*self._spec_key())
         return cached
+
+
+def _spec_dict(
+    workload: WorkloadSpec, hierarchy: HierarchySpec, campaign: str, runs: int, seed: int
+) -> Dict[str, object]:
+    return {
+        "version": SPEC_VERSION,
+        "workload": workload.spec_dict(),
+        "hierarchy": hierarchy.spec_dict(),
+        "campaign": campaign,
+        "runs": runs,
+        "seed": seed,
+    }
+
+
+@lru_cache(maxsize=SPEC_HASH_MEMO_SIZE)
+def _spec_hash(
+    workload: WorkloadSpec, hierarchy: HierarchySpec, campaign: str, runs: int, seed: int
+) -> str:
+    """The spec hash of one campaign, computed once per distinct key.
+
+    The key holds frozen values whose types are checked on construction
+    (an ``int`` is never a ``bool`` or a ``float``, ``scale`` is always a
+    float), so equal keys have the same canonical JSON and so the same
+    hash: a warm command rebuilds its plan's scenarios and hashes none.
+    """
+    spec = _spec_dict(workload, hierarchy, campaign, runs, seed)
+    canonical = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+    return sha256(canonical.encode("ascii")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +394,15 @@ class Scenario:
 # process, on another host, rebuilds the exact simulation from JSON alone.
 #
 # Numeric and boolean fields are checked, not coerced: int() of 100.9 or
-# bool() of "false" would simulate another scenario than the one sent.
+# bool() of "false" would simulate another scenario than the one sent.  The
+# constructors check their own fields; _spec_int checks those whose JSON
+# name they would not name (``seed``, ``parameters.*``).
 # ---------------------------------------------------------------------------
 
 def _spec_int(spec: Mapping[str, object], key: str, prefix: str = "") -> int:
     """An integer spec field: an ``int`` (JSON ``2``, not ``2.0``), not a ``bool``."""
     value = spec[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{prefix}{key} must be an integer, got {value!r}")
+    _check_int(prefix + key, value)
     return value
 
 
@@ -346,32 +416,41 @@ def workload_from_spec(spec: Mapping[str, object]) -> WorkloadSpec:
         return WorkloadSpec.eembc(str(spec["name"]), scale=float(scale))
     if kind == "synthetic":
         return WorkloadSpec.synthetic(
-            _spec_int(spec, "footprint_bytes"), _spec_int(spec, "iterations")
+            spec["footprint_bytes"], spec["iterations"]  # type: ignore[arg-type]
         )
     raise ValueError(f"unknown workload kind {kind!r} in spec")
 
 
 def hierarchy_from_spec(spec: Mapping[str, object]) -> HierarchySpec:
-    """Rebuild a :class:`HierarchySpec` from its canonical spec dict."""
+    """Rebuild a :class:`HierarchySpec` from its canonical spec dict.
+
+    Without an L2 the spec may omit the L2 policy names (its canonical form
+    does); an older entry's names are read and checked.
+    """
     values = dict(spec["parameters"])  # type: ignore[call-overload]
     parameters = Leon3Parameters(
         **{key: _spec_int(values, key, "parameters.") for key in values}
     )
     with_l2 = spec["with_l2"]
-    if not isinstance(with_l2, bool):
-        raise ValueError(f"with_l2 must be true or false, got {with_l2!r}")
     if "setup" in spec:
         return HierarchySpec(
-            setup=str(spec["setup"]), parameters=parameters, with_l2=with_l2
+            setup=str(spec["setup"]),
+            parameters=parameters,
+            with_l2=with_l2,  # type: ignore[arg-type]
         )
+    # Required with an L2; a mistyped with_l2 is HierarchySpec's error.
+    l2_names = {
+        key: str(spec[key])
+        for key in ("l2_placement", "l2_replacement")
+        if key in spec or with_l2 is True
+    }
     return HierarchySpec(
         setup="",
         l1_placement=str(spec["l1_placement"]),
-        l2_placement=str(spec["l2_placement"]),
         l1_replacement=str(spec["l1_replacement"]),
-        l2_replacement=str(spec["l2_replacement"]),
         parameters=parameters,
-        with_l2=with_l2,
+        with_l2=with_l2,  # type: ignore[arg-type]
+        **l2_names,
     )
 
 
@@ -393,7 +472,7 @@ def scenario_from_spec(spec: Mapping[str, object]) -> Scenario:
     return Scenario(
         workload=workload_from_spec(spec["workload"]),  # type: ignore[arg-type]
         hierarchy=hierarchy_from_spec(spec["hierarchy"]),  # type: ignore[arg-type]
-        runs=_spec_int(spec, "runs"),
+        runs=spec["runs"],  # type: ignore[arg-type]
         master_seed=_spec_int(spec, "seed"),
         seed_offset=0,
         campaign=str(spec["campaign"]),

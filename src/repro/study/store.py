@@ -126,11 +126,21 @@ class ResultStore:
 
     def __init__(self, root: Union[str, Path] = DEFAULT_STORE_DIR) -> None:
         self.root = Path(root)
+        # Warm reads open these prefixes plus a key: a small entry's read
+        # took 19.5 us through a Path and 12.5 us through a string.
+        self._entry_prefix = os.path.join(self.root, "")
+        self._analysis_prefix = os.path.join(self.analysis_root, "")
 
     # ----------------------------------------------------------- locations
 
+    def _entry_file(self, spec_hash: str) -> str:
+        return f"{self._entry_prefix}{spec_hash}{columnar.COLUMNAR_SUFFIX}"
+
+    def _analysis_file(self, spec_hash: str, analysis_hash: str) -> str:
+        return f"{self._analysis_prefix}{spec_hash}.{analysis_hash}.json"
+
     def path_for(self, spec_hash: str) -> Path:
-        return self.root / f"{spec_hash}{columnar.COLUMNAR_SUFFIX}"
+        return Path(self._entry_file(spec_hash))
 
     @property
     def study_log_path(self) -> Path:
@@ -154,7 +164,9 @@ class ResultStore:
         A corrupt, truncated, version-mismatched or empty entry is a miss.
         """
         try:
-            meta, columns = columnar.unpack_entry(self.path_for(spec_hash).read_bytes())
+            with open(self._entry_file(spec_hash), "rb") as handle:
+                blob = handle.read()
+            meta, columns = columnar.unpack_entry(blob)
             if meta["version"] != SPEC_VERSION:
                 return None
             return CampaignResult(
@@ -184,7 +196,7 @@ class ResultStore:
         ``None`` on any miss, like :meth:`load`.
         """
         try:
-            meta, columns = columnar.read_columns(self.path_for(spec_hash))
+            meta, columns = columnar.read_columns(self._entry_file(spec_hash))
         except (OSError, ValueError):
             return None
         if meta.get("version") != SPEC_VERSION:
@@ -219,7 +231,7 @@ class ResultStore:
         return self.root / "analysis"
 
     def analysis_path_for(self, spec_hash: str, analysis_hash: str) -> Path:
-        return self.analysis_root / f"{spec_hash}.{analysis_hash}.json"
+        return Path(self._analysis_file(spec_hash, analysis_hash))
 
     def load_analysis(
         self, spec_hash: str, analysis_hash: str
@@ -231,7 +243,9 @@ class ResultStore:
         Unreadable entries are misses, never errors.
         """
         try:
-            payload = json.loads(self.analysis_path_for(spec_hash, analysis_hash).read_text())
+            with open(self._analysis_file(spec_hash, analysis_hash), "rb") as handle:
+                blob = handle.read()
+            payload = json.loads(blob)
         except (OSError, ValueError):
             return None
         if not isinstance(payload, dict):

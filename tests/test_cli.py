@@ -113,6 +113,91 @@ class TestPrunedParser:
         assert with_arguments(pruned) == {("study",), ("study", "run")}
         assert with_arguments(build_parser()) > with_arguments(pruned)
 
+    #: Errors a command reports after parsing, with their messages.
+    HANDLER_ERRORS = [
+        (["study", "run", "fig5", "--jobs", "-1"],
+         "jobs must be >= 0 (0 = one worker per CPU), got -1"),
+        (["serve", "--port", "-1"], "--port must be >= 0, got -1"),
+        (["worker", "--max-shards", "0"], "--max-shards must be >= 1, got 0"),
+        (["study", "clean", "--older-than", "soon"],
+         "invalid age 'soon'; expected seconds or a number with an s/m/h/d "
+         "suffix (e.g. 90, 45m, 7d)"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, message", HANDLER_ERRORS, ids=[" ".join(argv[:2]) for argv, _ in HANDLER_ERRORS]
+    )
+    def test_handler_errors_match_the_full_tree(self, argv, message, tmp_path, capsys):
+        argv = [*argv, "--store", str(tmp_path / "store")]
+        full = _exit(lambda _: build_parser().error(message), argv, capsys)
+        assert full[0] == 2 and full[2].endswith(f"repro: error: {message}\n")
+        assert _exit(main, argv, capsys) == full
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("path", [("study", "list"), ("query", "runs")])
+    def test_main_parses_with_the_selected_names_only(
+        self, path, tmp_path, monkeypatch, capsys
+    ):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def record(parser, *args, **kwargs):
+            original(parser, *args, **kwargs)
+            built.append(parser.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", record)
+        store = [] if path[0] == "study" else ["--store", str(tmp_path / "store")]
+        assert main([*path, *store]) == 0
+        assert built == ["repro", f"repro {path[0]}", f"repro {' '.join(path)}"]
+        # A help request is printed by build_parser(argv), every name in it.
+        built.clear()
+        with pytest.raises(SystemExit):
+            main([path[0], "--help"])
+        every_name = {"repro engines", "repro study", "repro query", f"repro {' '.join(path)}"}
+        assert every_name <= set(built)
+        capsys.readouterr()
+
+
+class TestWarmCommand:
+    """A warm command reads the store and rebuilds nothing the cold one built."""
+
+    def test_warm_fig4b_builds_no_config_and_hashes_no_spec(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cache.hierarchy import HierarchyConfig
+        from repro.study import scenario
+
+        scenario._hierarchy_config.cache_clear()
+        scenario._spec_hash.cache_clear()
+        counts = {"configs": 0, "hashes": 0}
+        build_config, digest = HierarchyConfig.__init__, scenario.sha256
+
+        def count_config(config, *args, **kwargs):
+            counts["configs"] += 1
+            build_config(config, *args, **kwargs)
+
+        def count_hash(data):
+            counts["hashes"] += 1
+            return digest(data)
+
+        monkeypatch.setattr(HierarchyConfig, "__init__", count_config)
+        monkeypatch.setattr(scenario, "sha256", count_hash)
+        argv = study_run(tmp_path, "fig4b", "--runs", "40")
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        # Two distinct hierarchies (rm, modulo) and 22 distinct campaigns.
+        assert counts == {"configs": 2, "hashes": 22}
+        counts.update(configs=0, hashes=0)
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert counts == {"configs": 0, "hashes": 0}
+        assert "full cache hit" in warm
+
+        def result(text):
+            return [line for line in text.splitlines() if not line.startswith(("==", "--"))]
+
+        assert result(warm) == result(cold)
+
 
 class TestRun:
     def test_run_table1(self, tmp_path, capsys):

@@ -277,6 +277,13 @@ class TestJobRequestParsing:
         with pytest.raises(BadRequest, match=f"{field} must be"):
             parse_job_request({"spec": _mistyped_spec(path, value)})
 
+    @pytest.mark.parametrize("name", ["A2", "A2TIME", "A2Time"])
+    def test_inexact_eembc_name_is_rejected(self, name):
+        spec = _spec(replace(_scenario(), workload=WorkloadSpec.eembc("a2time", 0.25)))
+        spec["workload"]["name"] = name
+        with pytest.raises(BadRequest, match=f"'{name}' must be named exactly: 'a2time'"):
+            parse_job_request({"spec": spec})
+
     @pytest.mark.parametrize(
         "parameters, message",
         UNUSABLE_GEOMETRIES,
@@ -433,6 +440,13 @@ class TestJobLifecycle:
             client.submit({"spec": spec})
         assert excinfo.value.status == 400
         assert "unknown EEMBC kernel 'nope'" in excinfo.value.message
+        # So do initials and case variants: one campaign, one spec hash.
+        for name in ("A2", "A2TIME"):
+            spec["workload"] = {"kind": "eembc", "name": name, "scale": 1.0}
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit({"spec": spec})
+            assert excinfo.value.status == 400
+            assert f"'{name}' must be named exactly: 'a2time'" in excinfo.value.message
         # So does a custom hierarchy no cache can be built from.
         hierarchy = HierarchySpec.custom(with_l2=False).spec_dict()
         for placement, parameters, message in (

@@ -18,13 +18,14 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.__main__ import main
 from repro.analysis.campaign import run_campaign
 from repro.analysis.experiments import ExperimentSettings
 from repro.platform.leon3 import Leon3Parameters
 from repro.pwcet.protocol import MbptaConfig
-from repro.study.scenario import scenario_from_spec
+from repro.study.scenario import hierarchy_from_spec, scenario_from_spec
 from repro.study import (
     HierarchySpec,
     ResultStore,
@@ -39,6 +40,7 @@ from repro.study import (
     run_study,
     unregister_study,
 )
+from repro.workloads.eembc import eembc_kernel_names
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -138,8 +140,11 @@ class TestScenarioSpec:
             WorkloadSpec.eembc("nope")
         with pytest.raises(ValueError, match="unknown EEMBC kernel"):
             tiny_scenario(workload=WorkloadSpec(kind="eembc", name="dhrystone"))
-        # Initials are valid and kept as given, so spec hashes do not move.
-        assert WorkloadSpec.eembc("A2").spec_dict()["name"] == "A2"
+        # Only the exact kernel name: initials or a case variant would store
+        # one campaign under a second spec hash.
+        for name in ("A2", "A2TIME", "A2Time"):
+            with pytest.raises(ValueError, match=f"'{name}' must be named exactly: 'a2time'"):
+                WorkloadSpec.eembc(name)
 
     @pytest.mark.parametrize(
         "parameters, message",
@@ -223,6 +228,80 @@ class TestScenarioSpec:
             workload=WorkloadSpec.eembc("a2time", 1.0)
         ).spec_hash()
 
+    #: Every integer field of the Python API: a builder taking its value.
+    INTEGER_FIELDS = {
+        "runs": lambda value: tiny_scenario(runs=value),
+        "master_seed": lambda value: tiny_scenario(master_seed=value),
+        "seed_offset": lambda value: tiny_scenario(seed_offset=value),
+        "footprint_bytes": lambda value: WorkloadSpec.synthetic(value, iterations=2),
+        "iterations": lambda value: WorkloadSpec.synthetic(4096, iterations=value),
+        **{
+            f.name: (lambda name: lambda value: Leon3Parameters(**{name: value}))(f.name)
+            for f in fields(Leon3Parameters)
+        },
+    }
+
+    @pytest.mark.parametrize("value", [True, 16.0], ids=["bool", "float"])
+    @pytest.mark.parametrize("name", sorted(INTEGER_FIELDS))
+    def test_integer_fields_are_checked_not_coerced(self, name, value):
+        # 16.0 == 16 and True == 1, yet each hashes as another spec (or
+        # fails deep in a worker), so neither is accepted.
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            self.INTEGER_FIELDS[name](value)
+        self.INTEGER_FIELDS[name](16)  # the int itself is fine
+
+    @pytest.mark.parametrize("value", [1, 0, "false", None])
+    def test_with_l2_must_be_a_bool(self, value):
+        # 1 == True: a coerced 1 would store the campaign under a second hash.
+        with pytest.raises(ValueError, match=rf"^with_l2 must be true or false, got {value!r}$"):
+            HierarchySpec(setup="rm", with_l2=value)
+        with pytest.raises(ValueError, match="with_l2 must be true or false"):
+            HierarchySpec.custom(with_l2=value)
+
+    def test_l2_names_are_not_hashed_without_an_l2(self):
+        # Without an L2 the L2 names simulate nothing, so they key nothing.
+        plain = HierarchySpec.custom(with_l2=False)
+        named = HierarchySpec.custom(with_l2=False, l2_placement="modulo", l2_replacement="lru")
+        assert plain.config() == named.config()
+        assert "l2_placement" not in plain.spec_dict()
+        assert "l2_replacement" not in named.spec_dict()
+        assert (
+            tiny_scenario(hierarchy=plain).spec_hash()
+            == tiny_scenario(hierarchy=named).spec_hash()
+        )
+        # With an L2 they do simulate, and they are still checked without.
+        assert (
+            tiny_scenario(hierarchy=HierarchySpec.custom()).spec_hash()
+            != tiny_scenario(
+                hierarchy=HierarchySpec.custom(l2_placement="modulo", l2_replacement="lru")
+            ).spec_hash()
+        )
+        with pytest.raises(ValueError, match="l2_placement must be one of"):
+            HierarchySpec.custom(with_l2=False, l2_placement="xor")
+
+    def test_no_l2_spec_round_trips(self):
+        scenario = tiny_scenario(
+            hierarchy=HierarchySpec.custom(
+                l1_placement="hrp", l1_replacement="lru", l2_placement="modulo", with_l2=False
+            )
+        )
+        spec = json.loads(json.dumps(scenario.spec_dict()))
+        rebuilt = scenario_from_spec(spec)
+        assert rebuilt.spec_dict() == scenario.spec_dict()
+        assert rebuilt.spec_hash() == scenario.spec_hash()
+        assert rebuilt.hierarchy.config() == scenario.hierarchy.config()
+        # An older entry's spec still names its L2 policies: they are read
+        # (and checked), and canonicalize away.
+        older = dict(spec["hierarchy"], l2_placement="modulo", l2_replacement="lru")
+        assert hierarchy_from_spec(older).spec_dict() == spec["hierarchy"]
+        with pytest.raises(ValueError, match="l2_replacement must be one of"):
+            hierarchy_from_spec(dict(older, l2_replacement="fifo"))
+        # With an L2 the names stay required.
+        with_l2 = HierarchySpec.custom().spec_dict()
+        del with_l2["l2_placement"]
+        with pytest.raises(KeyError):
+            hierarchy_from_spec(with_l2)
+
     def test_sub_kb_footprints_get_distinct_labels(self):
         # Floor-dividing to KB must not make distinct footprints collide.
         assert WorkloadSpec.synthetic(1024, iterations=2).label == "synthetic_1KB"
@@ -233,6 +312,55 @@ def _sha256_of(canonical: dict) -> str:
     """The hash of a canonical dict, computed without any instance's memo."""
     text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+_PLACEMENTS = ("modulo", "hrp", "rm")
+_REPLACEMENTS = ("lru", "random")
+
+
+@st.composite
+def _scenarios(draw) -> Scenario:
+    """Scenarios over every spec field: workloads of both kinds, named and
+    custom hierarchies with and without an L2, other cache parameters."""
+    if draw(st.booleans()):
+        workload = WorkloadSpec.eembc(
+            draw(st.sampled_from(eembc_kernel_names())),
+            draw(st.sampled_from([0.25, 0.5, 1, 1.0, 2.5])),
+        )
+        campaign = draw(st.sampled_from(["seeds", "layouts"]))
+    else:
+        workload = WorkloadSpec.synthetic(
+            draw(st.integers(1, 1 << 20)), draw(st.integers(1, 64))
+        )
+        campaign = "seeds"
+    parameters = Leon3Parameters(
+        l2_size_bytes=draw(st.sampled_from([32 * 1024, 128 * 1024])),
+        memory_cycles=draw(st.integers(0, 100)),
+    )
+    with_l2 = draw(st.booleans())
+    if draw(st.booleans()):
+        hierarchy = HierarchySpec(
+            setup=draw(st.sampled_from(["rm", "hrp", "modulo"])),
+            parameters=parameters,
+            with_l2=with_l2,
+        )
+    else:
+        hierarchy = HierarchySpec.custom(
+            l1_placement=draw(st.sampled_from(_PLACEMENTS)),
+            l2_placement=draw(st.sampled_from(_PLACEMENTS)),
+            l1_replacement=draw(st.sampled_from(_REPLACEMENTS)),
+            l2_replacement=draw(st.sampled_from(_REPLACEMENTS)),
+            parameters=parameters,
+            with_l2=with_l2,
+        )
+    return Scenario(
+        workload=workload,
+        hierarchy=hierarchy,
+        runs=draw(st.integers(1, 10**6)),
+        master_seed=draw(st.integers(0, 2**62)),
+        seed_offset=draw(st.integers(0, 10**4)),
+        campaign=campaign,
+    )
 
 
 class TestMemoizedHashes:
@@ -276,6 +404,25 @@ class TestMemoizedHashes:
         unpickled = pickle.loads(pickle.dumps(base))
         assert unpickled == base
         assert unpickled.spec_hash() == _sha256_of(unpickled.spec_dict())
+
+    @hyp_settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_memoized_hash_is_the_canonical_sha256(self, data):
+        # A hash memoized for one scenario answers for every equal one, so
+        # it must equal a fresh sha256 for any spec, first call or repeat.
+        scenario = data.draw(_scenarios())
+        assert scenario.spec_hash() == _sha256_of(scenario.spec_dict())
+        # Rebuilt from JSON: equal, but not the same objects.
+        rebuilt = scenario_from_spec(json.loads(json.dumps(scenario.spec_dict())))
+        assert rebuilt.workload is not scenario.workload
+        assert rebuilt.spec_hash() == _sha256_of(rebuilt.spec_dict()) == scenario.spec_hash()
+
+    def test_equal_hierarchy_specs_share_one_config(self):
+        parameters = Leon3Parameters(l2_size_bytes=32 * 1024)
+        first = HierarchySpec.named("rm", parameters)
+        again = HierarchySpec.named("rm", Leon3Parameters(l2_size_bytes=32 * 1024))
+        assert first.config() is again.config()
+        assert first.config() is not HierarchySpec.named("rm").config()
 
     def test_analysis_hash_after_replace_and_pickle(self):
         base = MbptaConfig()
