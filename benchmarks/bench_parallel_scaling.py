@@ -1,24 +1,29 @@
-"""Wall-clock cost of ``jobs`` for one measurement campaign.
+"""Wall-clock cost of ``jobs`` for one campaign and for a study's campaigns.
 
-Runs the same ``run_all``-class workload — a 300-run MBPTA campaign of one
-EEMBC stand-in on the Random Modulo platform — through
-``execute_scenarios`` at several ``jobs`` settings, each on a fresh result
-store.  ``jobs=1`` drains the campaign inline as one engine batch; any
-other value sends it through the store's work queue as equal shards of at
-most ``DEFAULT_SHARD_SIZE`` (1,024) runs, none wider than an even split
-over the workers, drained by that many worker processes.  Every campaign
-is checked bit-exact against the ``jobs=1`` one, and the script exits
-non-zero on a divergence.
+Runs two workloads through ``execute_scenarios`` at several ``jobs``
+settings, each on a fresh result store:
 
-Each shard is one engine batch, and a numpy batch pays a fixed cost per
-plan step whatever its width, so whether workers pay off depends on the
-campaign.  On a 2-CPU container (Python 3.11, numpy 2.4.6; medians of
-three) this script's ``a2time`` campaign took 0.16 s inline and 0.13 s at
-``jobs=2`` (300 runs; 0.22 s and 0.18 s at 1,000 runs), and ``study run
-fig5 --runs 1000`` on a fresh store, whose batches cost more per plan
-step, took 2.2 s with ``--jobs 1`` and 2.1 s with ``--jobs 2`` (two
-shards of 500 runs per campaign; 2.5 s in eight shards of 250 runs when
-shards were capped at 256 runs, 14.6 s when they were capped at 32).
+* one 300-run MBPTA campaign of one EEMBC stand-in on the Random Modulo
+  platform (the ``run_all`` size);
+* the 8 campaigns of the ``ablation_seg`` study, in one call, as ``study
+  run`` executes them.
+
+``jobs=1`` drains the call's campaigns inline, each as one engine batch;
+any other value sends them through the store's work queue, where one set
+of ``jobs`` worker processes drains the call's campaigns together.  A
+campaign is one shard of at most ``DEFAULT_SHARD_SIZE`` (1,024) runs, so
+each worker runs whole campaigns; only a call with fewer campaigns than
+workers splits its campaigns into equal shards, one per worker.  Every
+campaign is checked bit-exact against the ``jobs=1`` one, and the script
+exits non-zero on a divergence.
+
+A numpy batch pays a fixed cost per plan step whatever its width, so a
+split campaign gains less than its number of workers, while whole
+campaigns per worker keep each batch full.  On a 2-CPU container (Python
+3.11, numpy 2.4.6; medians of three, 300 runs) the ``a2time`` campaign
+took 0.07 s inline and 0.15 s at ``jobs=2`` (starting the workers costs
+more than the campaign), and ``ablation_seg``'s 8 campaigns took 2.84 s
+inline and 1.69 s at ``jobs=2``.
 
 Usage::
 
@@ -31,23 +36,36 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import tempfile
 import time
-from dataclasses import replace
+from typing import List, Sequence, Tuple
 
+from repro.analysis.experiments import ExperimentSettings
 from repro.analysis.report import format_table
-from repro.study import HierarchySpec, ResultStore, Scenario, WorkloadSpec, execute_scenarios
+from repro.study import (
+    HierarchySpec,
+    ResultStore,
+    Scenario,
+    WorkloadSpec,
+    execute_scenarios,
+    get_study,
+)
 
 MASTER_SEED = 20160605
 
+#: Timings per cell; the table shows their median.
+REPEATS = 3
 
-def measure(scenario: Scenario) -> tuple[float, list[int]]:
-    """Seconds and execution times of ``scenario`` on a fresh store."""
+
+def measure(scenarios: Sequence[Scenario], jobs: int) -> Tuple[float, List[List[int]]]:
+    """Seconds and execution times of one call over ``scenarios`` on a
+    fresh store."""
     with tempfile.TemporaryDirectory() as root:
         start = time.perf_counter()
-        results = execute_scenarios([scenario], store=ResultStore(root))
+        results = execute_scenarios(scenarios, store=ResultStore(root), jobs=jobs)
         seconds = time.perf_counter() - start
-    return seconds, next(iter(results)).campaign.execution_times
+    return seconds, [outcome.campaign.execution_times for outcome in results]
 
 
 def main() -> None:
@@ -68,35 +86,46 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    scenario = Scenario(
+    campaign = Scenario(
         workload=WorkloadSpec.eembc(args.benchmark),
         hierarchy=HierarchySpec.named("rm"),
         runs=args.runs,
         master_seed=MASTER_SEED,
     )
-    print(
-        f"campaign: {args.benchmark}, {len(scenario.workload.build_trace())} "
-        f"accesses/run, {args.runs} runs, {os.cpu_count()} CPUs visible"
+    study = get_study("ablation_seg").plan(
+        ExperimentSettings(runs=args.runs, master_seed=MASTER_SEED)
     )
+    calls = [
+        (f"{args.benchmark} (1 campaign)", [campaign]),
+        (f"ablation_seg ({len(study)} campaigns)", study),
+    ]
+    print(f"{args.runs} runs per campaign, {os.cpu_count()} CPUs visible")
 
-    inline_seconds, inline_times = measure(scenario)
-    rows = [("1 (inline)", f"{inline_seconds:.2f}", "1.00x", "yes")]
-    for jobs in args.jobs:
-        if jobs == 1:
-            continue
-        seconds, times = measure(replace(scenario, jobs=jobs))
-        rows.append(
-            (
-                str(jobs),
-                f"{seconds:.2f}",
-                f"{inline_seconds / seconds:.2f}x",
-                "yes" if times == inline_times else "NO",
+    rows = []
+    for name, scenarios in calls:
+        inline_seconds, inline_times = 0.0, None
+        for jobs in [1] + [jobs for jobs in args.jobs if jobs != 1]:
+            timings, exact = [], True
+            for _ in range(REPEATS):
+                seconds, times = measure(scenarios, jobs)
+                timings.append(seconds)
+                inline_times = inline_times or times
+                exact &= times == inline_times
+            seconds = statistics.median(timings)
+            inline_seconds = inline_seconds or seconds
+            rows.append(
+                (
+                    name,
+                    "1 (inline)" if jobs == 1 else str(jobs),
+                    f"{seconds:.2f}",
+                    f"{inline_seconds / seconds:.2f}x",
+                    "yes" if exact else "NO",
+                )
             )
-        )
-    print(format_table(["jobs", "seconds", "speedup", "bit-exact"], rows,
-                       title="Campaign wall clock by jobs"))
-    if any(row[3] == "NO" for row in rows):
-        raise SystemExit("queued campaign diverged from the inline baseline")
+    print(format_table(["call", "jobs", "seconds", "speedup", "bit-exact"], rows,
+                       title="Call wall clock by jobs"))
+    if any(row[4] == "NO" for row in rows):
+        raise SystemExit("queued campaigns diverged from the inline baseline")
 
 
 if __name__ == "__main__":

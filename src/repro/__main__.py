@@ -8,7 +8,7 @@ Usage::
     python -m repro study run fig5 --engine reference  # the slow oracle
     python -m repro study run fig4a --format json      # machine-readable output
     python -m repro study run all --format csv > results.csv
-    python -m repro study run all --jobs 4      # 4 worker processes, bit-exact
+    python -m repro study run all --jobs 2      # 2 worker processes per study, bit-exact
     python -m repro study compare fig5 fig5     # diff two executed studies
     python -m repro study clean                 # drop the result store
 
@@ -58,9 +58,10 @@ machine-readable.
 ``study run`` executes each campaign — a range of lanes, seeds or memory
 layouts — inline; ``--shard-size N`` or ``--jobs N`` (N != 1) routes every
 campaign through the sharded work-queue pipeline (:mod:`repro.exec`)
-instead: campaigns are split into lane-range shards, persisted shard by
-shard, and reassembled bit-exactly — a killed run loses at most its
-in-flight shards, and rerunning it executes only the missing ones.
+instead: a study's campaigns are planned into lane-range shards, drained
+by one set of N worker processes, persisted shard by shard, and
+reassembled bit-exactly — a killed run loses at most its in-flight
+shards, and rerunning it executes only the missing ones.
 ``python -m repro worker`` attaches an external worker process to the same
 queue, and ``python -m repro exec status`` shows queue occupancy plus
 per-worker heartbeat telemetry (``--format json`` emits the same snapshot
@@ -113,13 +114,13 @@ def _add_campaign_arguments(
         "-j",
         type=int,
         default=None,
-        help="worker processes per campaign (1 = inline, 0 = all CPUs; other "
-        "values drain campaigns through the store's work queue, in shards "
-        f"of at most {DEFAULT_SHARD_SIZE} runs); results are bit-exact for "
-        "any value. Each shard repeats the engine's fixed per-batch cost, so "
-        "more workers gain less than their number: on 2 CPUs a cold 'study "
-        "run fig5 --runs 1000' took 2.1 s with --jobs 2 and 2.2 s with "
-        "--jobs 1",
+        help="worker processes per study (1 = inline, 0 = all CPUs; other "
+        "values drain a study's campaigns through the store's work queue, "
+        f"each campaign one shard of at most {DEFAULT_SHARD_SIZE} runs unless "
+        "the study has fewer campaigns than workers); results are bit-exact "
+        "for any value. Each worker runs whole campaigns, so studies with "
+        "many campaigns gain the most: on 2 CPUs a cold 'study run all' took "
+        "4.4 s with --jobs 2 and 6.5 s with --jobs 1",
     )
     parser.add_argument(
         "--engine",
@@ -268,11 +269,11 @@ def _add_serve_arguments(serve: argparse.ArgumentParser) -> None:
         "-j",
         type=int,
         default=1,
-        help="worker processes per campaign for cold jobs (1 = the job "
+        help="worker processes per job for its cold campaigns (1 = the job "
         "thread drains the queue inline; external workers can always join). "
-        f"Campaigns drain in shards of at most {DEFAULT_SHARD_SIZE} runs, "
-        "each repeating the engine's fixed per-batch cost, so more workers "
-        "gain less than their number (see 'study run --help')",
+        f"Each campaign is one shard of at most {DEFAULT_SHARD_SIZE} runs "
+        "unless the job has fewer campaigns than workers, so each worker "
+        "runs whole campaigns (see 'study run --help')",
     )
     serve.add_argument(
         "--shard-size",
@@ -280,8 +281,8 @@ def _add_serve_arguments(serve: argparse.ArgumentParser) -> None:
         default=None,
         dest="shard_size",
         help="shard size for queued campaigns (default: equal shards of at "
-        f"most {DEFAULT_SHARD_SIZE} runs, none wider than an even split over "
-        "the workers)",
+        f"most {DEFAULT_SHARD_SIZE} runs, one per campaign unless a job has "
+        "fewer campaigns than workers)",
     )
     serve.add_argument(
         "--concurrency",

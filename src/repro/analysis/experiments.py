@@ -66,13 +66,15 @@ class ExperimentSettings:
 
     ``engine`` names a registered simulation backend (see
     :func:`repro.engine.available_engines`).  ``jobs`` selects how many
-    worker processes each campaign may use: ``1`` (default) runs it inline,
-    ``0`` means one worker per CPU, and any other positive value is taken
-    literally.  Any value other than ``1`` drains campaigns through the
-    result store's work queue (:mod:`repro.exec`), so it needs a store
-    (``study run --jobs N``).  Campaigns are bit-exact for every ``jobs``
-    value and every bit-exact engine, so both knobs only affect wall-clock
-    time.
+    worker processes drain a study's campaigns: ``1`` (default) runs them
+    inline, ``0`` means one worker per CPU, and any other positive value is
+    taken literally.  Any value other than ``1`` drains the study's
+    campaigns through the result store's work queue (:mod:`repro.exec`),
+    whole campaigns per worker, so it needs a store (``study run --jobs
+    N``).  :meth:`repro.study.Study.run` passes both once to
+    :func:`~repro.study.runner.execute_scenarios`; no scenario carries
+    them.  Campaigns are bit-exact for every ``jobs`` value and every
+    bit-exact engine, so both knobs only affect wall-clock time.
 
     ``estimator`` names a registered pWCET estimator (see
     :func:`repro.pwcet.available_estimators`).  Left empty, the MBPTA

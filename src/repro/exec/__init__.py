@@ -16,9 +16,10 @@ platforms, memory layouts on the deterministic baseline — layered as
   :class:`~repro.study.store.ResultStore`, with heartbeat telemetry
   (:mod:`repro.exec.telemetry`);
 * :mod:`repro.exec.executor` — the two drains (inline: one shard spanning
-  the campaign, in the calling process; queue: shards through the store's
-  queue) plus the **reassembler** that merges shards in lane order,
-  bit-exact with serial execution for any shard size and worker count.
+  each campaign, in the calling process; queue: a call's shards through
+  the store's queue, drained by one set of workers) plus the
+  **reassembler** that merges shards in lane order, bit-exact with serial
+  execution for any shard size and worker count.
 
 The queue is drained by the executor's worker processes and by separately
 launched ``python -m repro worker`` processes attached to the same
@@ -48,7 +49,6 @@ _EXPORTS = {
     "default_owner_id": "queue",
     "exec_status_snapshot": "status",
     "execute_campaigns": "executor",
-    "execute_scenario_sharded": "executor",
     "format_exec_status": "status",
     "render_exec_status": "status",
     "plan_shards": "plan",

@@ -2,19 +2,20 @@
 
 Every campaign is a range of lanes — per-run seeds of a seed campaign, or
 memory layouts of a layout campaign — and one lane executor,
-:class:`~repro.exec.worker.ShardRunner`, runs every range.  A campaign is
-drained one of two ways:
+:class:`~repro.exec.worker.ShardRunner`, runs every range.  One call of
+:func:`execute_campaigns` drains its campaigns one of two ways:
 
-* **inline** — with ``jobs == 1`` and no shard size, the campaign is one
+* **inline** — with ``jobs == 1`` and no shard size, each campaign is one
   shard spanning all its lanes, executed in the calling process; nothing
   is written to the queue or the shard store;
-* **queue** — otherwise the planner splits it into ``(spec_hash,
-  lane-range)`` shards, the missing ones are enqueued as self-contained
-  tasks in the store's :class:`~repro.exec.queue.FileQueue`, workers (this
-  process's worker processes, plus any external ``python -m repro worker``
-  attached to the same directory) lease and execute them, and every
-  finished shard is published as a content-hash-keyed entry under the
-  store's ``shards/`` directory.
+* **queue** — otherwise the call's missing campaigns are planned into
+  ``(spec_hash, lane-range)`` shards, the unpublished ones enqueued as
+  self-contained tasks in the store's :class:`~repro.exec.queue.FileQueue`,
+  and one set of ``min(jobs, tasks)`` workers (this process, when there is
+  one) drains them, with any attached ``python -m repro worker``; each
+  finished shard is published under the store's ``shards/``.  A campaign
+  is one shard of at most ``DEFAULT_SHARD_SIZE`` lanes unless the call
+  has fewer campaigns than workers, so each worker runs whole campaigns.
 
 Both drains feed one reassembler, which merges shard payloads in lane
 order into a :class:`CampaignResult` that is **bit-exact** with serial
@@ -42,25 +43,24 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.campaign import MISS_COUNTERS, CampaignResult, summarize_misses
-from ..engine import get_engine
+from ..engine import DEFAULT_ENGINE
 from ..study.scenario import Scenario, WorkloadSpec
 from ..study.store import ResultStore
 from .plan import Shard, plan_shards, resolve_jobs, resolve_shard_size
-from .queue import DEFAULT_LEASE_TTL, FileQueue
+from .queue import FileQueue
 from .worker import ShardRunner, run_worker, shard_task
 
 __all__ = [
     "ShardReport",
     "execute_campaigns",
-    "execute_scenario_sharded",
     "reassemble_campaign",
 ]
 
 @dataclass
 class ShardReport:
-    """How one scenario's queued shards were resolved.
+    """How one call's queued shards were resolved.
 
-    ``reused`` counts the shards already published when the campaign was
+    ``reused`` counts the shards already published when the campaigns were
     planned; ``executed`` counts the shards this drain's worker passes
     executed (each :func:`run_worker` call's ``shards_done``), so shards
     another drain executes are not counted twice.
@@ -69,11 +69,6 @@ class ShardReport:
     planned: int = 0
     reused: int = 0
     executed: int = 0
-
-    def merge(self, other: "ShardReport") -> None:
-        self.planned += other.planned
-        self.reused += other.reused
-        self.executed += other.executed
 
 
 def reassemble_campaign(
@@ -123,135 +118,123 @@ def execute_campaigns(
     scenarios: Sequence[Scenario],
     store: Optional[ResultStore],
     record: Callable[[Scenario, CampaignResult, bool], None],
+    engine: str = DEFAULT_ENGINE,
+    jobs: int = 1,
     shard_size: Optional[int] = None,
     use_cache: bool = True,
 ) -> ShardReport:
-    """Execute campaigns, calling ``record`` as each one is reassembled.
+    """Execute campaigns on ``engine``, calling ``record`` as each one is
+    reassembled; returns the queued shards' accounting.
 
-    A campaign with ``jobs == 1`` and no ``shard_size`` drains inline;
-    every other one drains through ``store``'s queue (``shard_size`` of
-    ``None`` or ``0`` picks the planner's heuristic size), and its shards
-    are cleared once ``record(scenario, campaign, from_store)`` has
-    stored the campaign entry.  ``from_store`` is true for a campaign the
-    queued drain returned from the store because another drain recorded
-    it first.  Queued campaigns without a store raise
-    :class:`ValueError` before anything runs.  ``use_cache=False`` stops a
-    queued drain from returning an entry another drain recorded (see
-    :func:`execute_scenario_sharded`).  Campaigns run grouped by workload,
-    so each workload's trace is built and compiled once.  Returns the
-    queued shards' accounting.
+    With ``jobs == 1`` and no ``shard_size`` every campaign drains inline.
+    Otherwise the call drains ``store``'s queue once over all its
+    campaigns, with ``jobs`` workers (``0`` = one per CPU; a single worker
+    runs in this process); ``shard_size`` ``None`` or ``0`` plans one shard
+    per campaign unless the call has fewer campaigns than workers.  A
+    campaign's shards are cleared once ``record(scenario, campaign,
+    from_store)`` has stored its entry; ``from_store`` is true for a
+    campaign the drain found recorded in the store, before planning or
+    because another drain recorded it first (not with ``use_cache=False``,
+    a forced refresh).  Queued campaigns without a store raise
+    :class:`ValueError` before anything runs.  Campaigns run grouped by
+    workload, so a worker builds and compiles each trace once.
     """
-    if store is None and (
-        shard_size is not None or any(scenario.jobs != 1 for scenario in scenarios)
-    ):
+    if shard_size is None and jobs == 1:
+        runner = ShardRunner()
+        for scenario in _by_workload(scenarios):
+            (shard,) = plan_shards(scenario.spec_hash(), scenario.runs, scenario.runs)
+            payload = runner.execute(shard_task(scenario, shard, engine))
+            campaign = reassemble_campaign(scenario, [shard], lambda _: payload)
+            record(scenario, campaign, False)
+        return ShardReport()
+    if store is None:
         raise ValueError(
             "queued execution (shard_size, or jobs != 1) requires a result store; "
             "use 'python -m repro study run --jobs N' for worker processes"
         )
+    workers = resolve_jobs(jobs)
+
+    def recorded(scenario: Scenario) -> Optional[CampaignResult]:
+        return store.load(scenario.spec_hash()) if use_cache else None
+
+    missing: List[Scenario] = []
+    for scenario in _by_workload(scenarios):
+        campaign = recorded(scenario)
+        if campaign is None:
+            missing.append(scenario)
+        else:
+            record(scenario, campaign, True)
+    if not missing:
+        return ShardReport()
+    queue = FileQueue(store.queue_root)
     report = ShardReport()
-    by_workload: Dict[WorkloadSpec, List[Scenario]] = {}
-    for scenario in scenarios:
-        by_workload.setdefault(scenario.workload, []).append(scenario)
-    runner = ShardRunner()
-    for group in by_workload.values():
-        for scenario in group:
-            if shard_size is None and scenario.jobs == 1:
-                (shard,) = plan_shards(scenario.spec_hash(), scenario.runs, scenario.runs)
-                payload = runner.execute(shard_task(scenario, shard, scenario.engine))
-                campaign = reassemble_campaign(scenario, [shard], lambda _: payload)
-                record(scenario, campaign, False)
-                continue
-            campaign, from_store, shards = execute_scenario_sharded(
-                scenario, store, shard_size=shard_size or None, use_cache=use_cache
-            )
-            report.merge(shards)
-            record(scenario, campaign, from_store)
-            # The recorded campaign entry supersedes its shards; drop them so
-            # the store does not keep one shard file per lane range forever.
-            store.clear_shards(scenario.spec_hash())
+    # Whole campaigns per worker: lanes split only to give every worker one.
+    split = -(-workers // len(missing))
+    plans: List[Tuple[Scenario, List[Shard]]] = []
+    tasks = 0
+    for scenario in missing:
+        spec_hash = scenario.spec_hash()
+        size = resolve_shard_size(scenario.runs, split, shard_size or None)
+        published = {
+            key
+            for _, key in store.shard_keys(spec_hash)
+            if store.load_shard(spec_hash, key) is not None
+        }
+        shards = plan_shards(spec_hash, scenario.runs, size, published)
+        _retire_off_plan_tasks(queue, shards)
+        for shard in shards:
+            if shard.key not in published:
+                queue.enqueue(shard_task(scenario, shard, engine))
+                tasks += 1
+        report.planned += len(shards)
+        report.reused += sum(shard.key in published for shard in shards)
+        plans.append((scenario, shards))
+    if tasks:
+        order = [scenario.spec_hash() for scenario in missing]
+        report.executed = _drain(queue, store, min(workers, tasks), order)
+    for scenario, shards in plans:
+        spec_hash = scenario.spec_hash()
+        campaign = _await_foreign_shards(
+            scenario, shards, engine, store, queue, recorded, report
+        )
+        from_store = campaign is not None
+        if not from_store:
+            try:
+                campaign = reassemble_campaign(
+                    scenario, shards, lambda shard: store.load_shard(spec_hash, shard.key)
+                )
+            except RuntimeError:
+                # Another drain recorded the campaign and cleared its shards.
+                campaign, from_store = recorded(scenario), True
+                if campaign is None:
+                    raise
+        record(scenario, campaign, from_store)
+        # The recorded campaign entry supersedes its shards; drop them so
+        # the store does not keep one shard file per lane range forever.
+        store.clear_shards(spec_hash)
     return report
 
 
-def execute_scenario_sharded(
-    scenario: Scenario,
-    store: ResultStore,
-    jobs: Optional[int] = None,
-    shard_size: Optional[int] = None,
-    use_cache: bool = True,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
-) -> Tuple[CampaignResult, bool, ShardReport]:
-    """Execute one campaign (seeds or layouts) through the store's queue.
+def _by_workload(scenarios: Sequence[Scenario]) -> List[Scenario]:
+    """``scenarios`` grouped by workload, in first-appearance order."""
+    groups: Dict[WorkloadSpec, List[Scenario]] = {}
+    for scenario in scenarios:
+        groups.setdefault(scenario.workload, []).append(scenario)
+    return [scenario for group in groups.values() for scenario in group]
 
-    ``jobs`` defaults to the scenario's own ``jobs`` field (``0`` = one
-    worker per CPU); ``shard_size`` defaults to the planner's heuristic.
-    Shard entries already published for this spec hash are reused, whatever
-    shard size published them, and only the lanes they leave uncovered
-    execute.  Another drain of the same spec may finish the campaign
-    first, record it and clear its shards; so whenever the
-    campaign's entry is in the store — before anything is enqueued, on
-    every wait for foreign shards, and when reassembly finds shards
-    missing — that entry is returned instead (not with ``use_cache=False``,
-    a forced refresh).  Returns the campaign (bit-exact with serial
-    execution), whether it came from the store, and the shard accounting.
-    """
-    get_engine(scenario.engine)  # unknown engines fail before any work
-    spec_hash = scenario.spec_hash()
 
-    def recorded() -> Optional[CampaignResult]:
-        return store.load(spec_hash) if use_cache else None
-
-    campaign = recorded()
-    if campaign is not None:
-        return campaign, True, ShardReport()
-    workers = min(resolve_jobs(scenario.jobs if jobs is None else jobs), scenario.runs)
-    size = resolve_shard_size(scenario.runs, workers, shard_size)
-    published = {
-        key
-        for _, key in store.shard_keys(spec_hash)
-        if store.load_shard(spec_hash, key) is not None
-    }
-    shards = plan_shards(spec_hash, scenario.runs, size, published)
-    missing = [shard for shard in shards if shard.key not in published]
-    report = ShardReport(planned=len(shards), reused=len(shards) - len(missing))
-    queue = FileQueue(store.queue_root)
-    _retire_off_plan_tasks(queue, shards)
-    if missing:
-        for shard in missing:
-            queue.enqueue(shard_task(scenario, shard, scenario.engine))
-        workers = min(workers, len(missing))
-        if workers <= 1:
-            stats = [
-                run_worker(queue.root, store.root, lease_ttl=lease_ttl, spec_hash=spec_hash)
-            ]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        run_worker,
-                        str(queue.root),
-                        str(store.root),
-                        lease_ttl=lease_ttl,
-                        spec_hash=spec_hash,
-                    )
-                    for _ in range(workers)
-                ]
-                stats = [future.result() for future in futures]
-        report.executed = sum(worker.shards_done for worker in stats)
-        campaign = _await_foreign_shards(
-            scenario, shards, store, queue, lease_ttl, recorded, report
-        )
-        if campaign is not None:
-            return campaign, True, report
-    try:
-        campaign = reassemble_campaign(
-            scenario, shards, lambda shard: store.load_shard(spec_hash, shard.key)
-        )
-    except RuntimeError:
-        campaign = recorded()
-        if campaign is None:
-            raise
-        return campaign, True, report
-    return campaign, False, report
+def _drain(queue: FileQueue, store: ResultStore, workers: int, order: Sequence[str]) -> int:
+    """Run ``workers`` worker passes over the tasks of the ``order``
+    campaigns (in this process when there is one, else in a pool opened
+    for this drain); returns the shards they executed."""
+    if workers == 1:
+        return run_worker(queue.root, store.root, spec_hashes=order).shards_done
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(run_worker, str(queue.root), str(store.root), spec_hashes=order)
+            for _ in range(workers)
+        ]
+        return sum(future.result().shards_done for future in futures)
 
 
 def _retire_off_plan_tasks(queue: FileQueue, shards: Sequence[Shard]) -> None:
@@ -277,27 +260,28 @@ def _retire_off_plan_tasks(queue: FileQueue, shards: Sequence[Shard]) -> None:
 def _await_foreign_shards(
     scenario: Scenario,
     shards: Sequence[Shard],
+    engine: str,
     store: ResultStore,
     queue: FileQueue,
-    lease_ttl: float,
-    recorded: Callable[[], Optional[CampaignResult]],
+    recorded: Callable[[Scenario], Optional[CampaignResult]],
     report: ShardReport,
     poll: float = 0.2,
 ) -> Optional[CampaignResult]:
     """Block until every planned shard is published (returns ``None``) or
-    another drain has recorded the campaign (returns ``recorded()``),
-    adding the shards its worker passes execute to ``report.executed``.
+    another drain has recorded the campaign (returns that entry), adding
+    the shards its worker passes execute to ``report.executed``.
 
     The worker loop only executes what it can claim; a shard leased by a
-    live foreign owner — an attached ``python -m repro worker``, or an
-    orphaned worker process of a killed coordinator — is left alone.  Those
-    shards are waited out here: each either gets published by its owner or
-    its lease dies (pid gone, or TTL expiry), at which point an inline
-    worker pass reclaims and executes it.  A retired task whose shard entry
-    has since vanished (e.g. an aggressive ``study clean`` sweep) is
-    re-enqueued, so the loop always makes progress toward a full plan —
-    unless another drain recorded the campaign and cleared its shards,
-    which ``recorded()`` is asked about first whenever a shard is missing.
+    live foreign owner — an attached ``python -m repro worker``, another
+    drain's worker, or an orphaned worker process of a killed coordinator —
+    is left alone.  Those shards are waited out here: each either gets
+    published by its owner or its lease dies (pid gone, or TTL expiry), at
+    which point an inline worker pass reclaims and executes it.  A retired
+    task whose shard entry has since vanished (e.g. an aggressive ``study
+    clean`` sweep) is re-enqueued, so the loop always makes progress toward
+    a full plan — unless another drain recorded the campaign and cleared
+    its shards, which ``recorded`` is asked about first whenever a shard is
+    missing.
     """
     spec_hash = scenario.spec_hash()
     while True:
@@ -308,14 +292,14 @@ def _await_foreign_shards(
         ]
         if not missing:
             return None
-        campaign = recorded()
+        campaign = recorded(scenario)
         if campaign is not None:
             return campaign
         claimable = waiting = False
         for shard in missing:
             task_path = queue.task_path(spec_hash, shard.key)
             if not task_path.exists():
-                queue.enqueue(shard_task(scenario, shard, scenario.engine))
+                queue.enqueue(shard_task(scenario, shard, engine))
                 claimable = True
                 continue
             lease = queue.lease_for(task_path)
@@ -325,7 +309,7 @@ def _await_foreign_shards(
                 waiting = True
         if claimable:
             report.executed += run_worker(
-                queue.root, store.root, lease_ttl=lease_ttl, spec_hash=spec_hash
+                queue.root, store.root, spec_hashes=[spec_hash]
             ).shards_done
         elif waiting:
             time.sleep(poll)

@@ -59,18 +59,19 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 
 def resolve_shard_size(
-    total: int, jobs: int, shard_size: Optional[int] = None
+    total: int, split: int, shard_size: Optional[int] = None
 ) -> int:
     """Normalise a shard-size request for ``total`` work units.
 
     An explicit ``shard_size`` is taken literally.  Otherwise the lanes are
     split into equal-width shards of ``ceil(total / count)`` lanes, with
-    ``count = max(jobs, ceil(total / DEFAULT_SHARD_SIZE))``: no shard is
+    ``count = max(split, ceil(total / DEFAULT_SHARD_SIZE))``: no shard is
     wider than :data:`DEFAULT_SHARD_SIZE`, nor than an even split of the
-    lanes over the workers.
+    lanes into ``split`` shards (the executor asks for one per worker only
+    when a call has fewer campaigns than workers).
     """
     if shard_size is None:
-        count = max(jobs, -(-total // DEFAULT_SHARD_SIZE))
+        count = max(split, -(-total // DEFAULT_SHARD_SIZE))
         shard_size = max(1, -(-total // count))
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")

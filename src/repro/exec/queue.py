@@ -146,13 +146,18 @@ class FileQueue:
         os.replace(temporary, path)
         return path
 
-    def tasks(self, spec_hash: Optional[str] = None) -> List[Path]:
-        """Pending task files, sorted (deterministic claim order); only
-        ``spec_hash``'s campaign when given."""
+    def tasks(self, *spec_hashes: str) -> List[Path]:
+        """Pending task files in claim order: all of them, sorted; or only
+        the ``spec_hashes`` campaigns' tasks, campaign by campaign in the
+        order given (each campaign's in lane order)."""
         if not self.task_root.is_dir():
             return []
-        pattern = f"{spec_hash}.*.json" if spec_hash else "*.json"
-        return sorted(self.task_root.glob(pattern))
+        paths = sorted(self.task_root.glob("*.json"))
+        if not spec_hashes:
+            return paths
+        rank = {spec_hash: index for index, spec_hash in enumerate(spec_hashes)}
+        paths = [path for path in paths if path.name.partition(".")[0] in rank]
+        return sorted(paths, key=lambda path: rank[path.name.partition(".")[0]])
 
     def read_task(self, path: Path) -> Optional[Dict[str, object]]:
         """The task payload, or ``None`` for vanished/corrupt files."""

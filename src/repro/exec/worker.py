@@ -106,8 +106,8 @@ def _shard_payload(
 class ShardRunner:
     """Executes shard tasks: lane ranges of seed or layout campaigns.
 
-    A drain sees one campaign's shards back to back (workers claim tasks in
-    sorted order, and the inline drain groups campaigns by workload), so the
+    A drain sees one campaign's shards back to back, and a call's campaigns
+    grouped by workload (the order its workers claim them in), so the
     runner keeps only what the next shard can reuse: the current workload's
     trace and compiled traces, plus the current seed campaign's simulator
     and seed list.  A layout shard relocates the same cached trace per lane
@@ -205,7 +205,7 @@ def run_worker(
     lease_ttl: float = DEFAULT_LEASE_TTL,
     max_shards: Optional[int] = None,
     throttle: Optional[float] = None,
-    spec_hash: Optional[str] = None,
+    spec_hashes: Sequence[str] = (),
 ) -> WorkerStats:
     """Drain claimable shards from a queue; returns this worker's stats.
 
@@ -213,8 +213,9 @@ def run_worker(
     remaining shard is leased by a live owner) or after ``max_shards``
     executed shards.  Tasks whose shard entry already exists in the store
     are retired without re-execution, so a resumed queue converges even
-    when several workers race over it.  ``spec_hash`` limits the drain to
-    that campaign's tasks (a coordinator drains only its own).
+    when several workers race over it.  ``spec_hashes`` limits the drain
+    to those campaigns' tasks, claimed campaign by campaign in that order
+    (a coordinator drains only its own call's campaigns).
 
     A shard that raises retires every queued task of its campaign before
     the error propagates, so a failing campaign cannot fail later drains;
@@ -241,7 +242,7 @@ def run_worker(
     try:
         while max_shards is None or stats.shards_done < max_shards:
             claimed = False
-            for task_path in queue.tasks(spec_hash):
+            for task_path in queue.tasks(*spec_hashes):
                 task = queue.read_task(task_path)
                 if task is None:
                     continue

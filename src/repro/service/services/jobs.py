@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ...engine import get_engine
+from ...engine import DEFAULT_ENGINE, get_engine
 from ...pwcet import MBPTA_MIN_RUNS, MbptaConfig, analysis_payload, get_estimator
 from ...study.runner import execute_scenarios
 from ...study.resultset import ResultSet, ScenarioOutcome
@@ -146,10 +146,11 @@ def parse_job_request(
     Accepts ``{"spec": {...}}`` for a single scenario or
     ``{"specs": [{...}, ...]}`` for a sweep.  Scenarios are rebuilt with
     :func:`scenario_from_spec` (so a bad spec fails with its own message),
-    deduplicated by spec hash, given unique labels, and stamped with the
-    request's execution options (the analysis options make the job's one
-    :meth:`JobOptions.mbpta_config`).  Raises :class:`BadRequest` on
-    anything the server should answer 400 to.
+    deduplicated by spec hash and given unique labels; the options apply
+    to the whole job (the analysis options make its one
+    :meth:`JobOptions.mbpta_config`, the engine and ``jobs`` its one
+    execution).  Raises :class:`BadRequest` on anything the server should
+    answer 400 to.
     """
     if not isinstance(payload, Mapping):
         raise BadRequest("request body must be a JSON object")
@@ -176,19 +177,14 @@ def parse_job_request(
         if spec_hash in seen_hashes:
             continue  # overlapping sweep entries are one unit of work
         seen_hashes[spec_hash] = index
-        overrides: Dict[str, object] = {}
-        if options.engine:
-            overrides["engine"] = options.engine
-        if options.jobs is not None:
-            overrides["jobs"] = options.jobs
         # Labels are presentation-only (excluded from the hash) but must be
         # unique within a result set; suffix collisions deterministically.
         label = scenario.display_label
         count = seen_labels.get(label, 0)
         seen_labels[label] = count + 1
         if count:
-            overrides["label"] = f"{label}#{count + 1}"
-        scenarios.append(replace(scenario, **overrides))
+            scenario = replace(scenario, label=f"{label}#{count + 1}")
+        scenarios.append(scenario)
     return scenarios, options
 
 
@@ -273,10 +269,9 @@ class JobManager:
     ) -> None:
         self.store = store
         self.bus = bus
-        #: Per-campaign worker processes for cold scenarios (1 = the job
-        #: thread drains the queue inline; external workers may always join).
-        #: Applied to every scenario a request does not override with its
-        #: own ``jobs``.
+        #: Worker processes of a job's cold campaigns (1 = the job thread
+        #: drains the queue inline; external workers may always join), for
+        #: every job that does not set its own ``jobs``.
         self.default_jobs = jobs
         #: 0 = queue pipeline with the planner's heuristic shard size.
         self.shard_size = shard_size
@@ -294,13 +289,6 @@ class JobManager:
         if self._closed:
             raise RuntimeError("server is shutting down")
         scenarios, options = parse_job_request(payload)
-        if options.jobs is None and self.default_jobs != 1:
-            # The server-wide ``--jobs`` default; ``jobs`` is excluded from
-            # the spec hash, so stamping it never perturbs dedupe or store
-            # keys (0 = one worker per CPU).
-            scenarios = [
-                replace(scenario, jobs=self.default_jobs) for scenario in scenarios
-            ]
         job = Job(job_id=uuid.uuid4().hex[:12], scenarios=scenarios, options=options)
         with self._lock:
             self._jobs[job.job_id] = job
@@ -421,22 +409,22 @@ class JobManager:
             )
 
     def _execute_scenarios(self, job: Job) -> ResultSet:
-        """Run the job's scenarios through the store + exec queue.
+        """Run the job's scenarios through the store + exec queue, in one
+        drain on the job's engine and ``jobs`` (else the server's).
 
         Concurrent jobs sharing a spec hash converge on the same shard
         entries, and a job that reaches a spec another job has recorded
         returns that entry instead of simulating it again (see
-        :func:`repro.exec.executor.execute_scenario_sharded`).
+        :func:`repro.exec.executor.execute_campaigns`).
         """
-        shard_size = (
-            job.options.shard_size
-            if job.options.shard_size is not None
-            else self.shard_size
-        )
+        options = job.options
+        shard_size = options.shard_size
         return execute_scenarios(
             job.scenarios,
             store=self.store,
             use_cache=True,
-            shard_size=shard_size,
-            mbpta=job.options.mbpta_config(),
+            engine=options.engine or DEFAULT_ENGINE,
+            jobs=self.default_jobs if options.jobs is None else options.jobs,
+            shard_size=self.shard_size if shard_size is None else shard_size,
+            mbpta=options.mbpta_config(),
         )

@@ -47,14 +47,12 @@ def _base_scenario(
     hierarchy: HierarchySpec,
     runs: Optional[int] = None,
 ) -> Scenario:
-    """A scenario carrying the settings' execution knobs."""
+    """A scenario of the settings' run count and master seed."""
     return Scenario(
         workload=workload,
         hierarchy=hierarchy,
         runs=runs if runs is not None else settings.runs,
         master_seed=settings.master_seed,
-        engine=settings.engine,
-        jobs=settings.jobs,
     )
 
 

@@ -99,13 +99,16 @@ class Study:
         use_cache: bool = True,
         **params,
     ) -> StudyOutcome:
-        """Plan, execute (through the store when given) and build, analysing
-        every campaign under ``settings.mbpta_config()``."""
+        """Plan, execute (through the store when given) and build: every
+        campaign runs on ``settings.engine`` with ``settings.jobs`` workers
+        and is analysed under ``settings.mbpta_config()``."""
         scenarios = self.plan(settings, **params)
         results = execute_scenarios(
             scenarios,
             store=store,
             use_cache=use_cache,
+            engine=settings.engine,
+            jobs=settings.jobs,
             shard_size=settings.shard_size,
             mbpta=settings.mbpta_config(),
         )

@@ -114,6 +114,7 @@ class ResultSet:
     """Label-addressable outcomes of one executed plan, analysed under one
     MBPTA config.
 
+    ``outcomes`` carry distinct labels (``execute_scenarios`` checks them).
     ``store`` (with ``use_stored_analyses``) resolves analyses from and
     persists them to the result store the plan executed through.
     """
@@ -126,15 +127,7 @@ class ResultSet:
         store: Optional[ResultStore] = None,
         use_stored_analyses: bool = True,
     ) -> None:
-        self._outcomes: Dict[str, ScenarioOutcome] = {}
-        for outcome in outcomes:
-            label = outcome.label
-            if label in self._outcomes:
-                raise ValueError(
-                    f"duplicate scenario label {label!r}; give the scenarios "
-                    "distinct 'label' fields"
-                )
-            self._outcomes[label] = outcome
+        self._outcomes = {outcome.label: outcome for outcome in outcomes}
         self.report = report or ExecutionReport(planned=len(self._outcomes))
         #: The analysis config of every scenario in the set.
         self.config = config or MbptaConfig()

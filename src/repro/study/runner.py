@@ -8,12 +8,13 @@ into a :class:`~repro.study.resultset.ResultSet` in three steps:
 2. **Resolve** — with a :class:`~repro.study.store.ResultStore`, any
    scenario whose spec hash is already stored is loaded instead of
    simulated.
-3. **Execute and record** — the remaining campaigns go to
-   :func:`repro.exec.executor.execute_campaigns`, which treats each one as a
-   lane range (seeds or memory layouts) and drains it inline or through the
-   store's work queue; each reassembled campaign (execution times plus the
-   per-level miss summary) is written back to the store, unless a queued
-   drain found it already recorded by another drain (a cache hit).
+3. **Execute and record** — the remaining campaigns go to one
+   :func:`repro.exec.executor.execute_campaigns` call, which treats each one
+   as a lane range (seeds or memory layouts) and drains them inline or,
+   together, through the store's work queue; each reassembled campaign
+   (execution times plus the per-level miss summary) is written back to
+   the store, unless a queued drain found it already recorded by another
+   drain (a cache hit).
 
 Every path is bit-exact with calling
 :func:`repro.analysis.campaign.run_campaign` (or ``run_layout_campaign``)
@@ -23,10 +24,11 @@ in lane order.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.campaign import CampaignResult
-from ..engine import get_engine
+from ..engine import DEFAULT_ENGINE, get_engine
 from ..pwcet.protocol import MbptaConfig
 from ..pwcet.registry import get_estimator
 from .resultset import ExecutionReport, ResultSet, ScenarioOutcome
@@ -40,6 +42,9 @@ def execute_scenarios(
     scenarios: Sequence[Scenario],
     store: Optional[ResultStore] = None,
     use_cache: bool = True,
+    *,
+    engine: str = DEFAULT_ENGINE,
+    jobs: int = 1,
     shard_size: Optional[int] = None,
     mbpta: Optional[MbptaConfig] = None,
 ) -> ResultSet:
@@ -51,19 +56,31 @@ def execute_scenarios(
     analyses alike.  ``mbpta`` is the one analysis config of the returned
     result set (default: :class:`MbptaConfig`'s defaults).
 
-    Campaigns with ``jobs == 1`` run inline in this process.  ``shard_size``
-    — or a scenario with ``jobs != 1`` — sends campaigns through the store's
-    sharded work queue (:mod:`repro.exec`) instead: each campaign is split
-    into lane-range shards published individually, so a killed run loses at
-    most its in-flight shards and worker processes (this run's, or attached
-    ``python -m repro worker`` processes) drain them.  ``0`` selects the
-    planner's per-campaign heuristic size (used by the analysis server,
-    whose jobs always go through the queue).  Queued execution requires a
-    ``store``; without one it raises :class:`ValueError` before any
-    simulation.  The shard entries a previous (killed) run already
-    published are reused and only the missing shards execute; the
-    reassembled campaign is bit-exact with serial execution either way.
+    ``engine`` and ``jobs`` apply to every campaign of the call.  With
+    ``jobs == 1`` and no ``shard_size`` the campaigns run inline in this
+    process.  ``shard_size``, or ``jobs != 1``, sends the call's missing
+    campaigns through the store's work queue (:mod:`repro.exec`) instead:
+    they are planned into lane-range shards, published individually, and
+    drained by one set of ``jobs`` workers (``0`` = one per CPU), whole
+    campaigns per worker, which ``python -m repro worker`` processes may
+    join; a killed run loses at most its in-flight shards, and a rerun
+    executes only the missing ones, bit-exact either way.  ``shard_size``
+    ``0`` selects the planner's size (the analysis server's setting).
+    Queued execution without a ``store``, a duplicate display label, an
+    unknown engine or an unknown estimator raises :class:`ValueError`
+    before any simulation (the last three before the store is read).
     """
+    counts = Counter(scenario.display_label for scenario in scenarios)
+    for label, count in counts.items():
+        if count > 1:
+            raise ValueError(
+                f"duplicate scenario label {label!r}; give the scenarios "
+                "distinct 'label' fields"
+            )
+    get_engine(engine)
+    config = mbpta or MbptaConfig()
+    get_estimator(config.estimator_name)
+
     # ``planned`` counts unique specs: scenarios sharing a spec hash are one
     # unit of work (simulated or cache-resolved once), however many labels
     # they fan out to in the result set.
@@ -82,10 +99,7 @@ def execute_scenarios(
             store.save(scenario, campaign)
             report.stored += 1
 
-    config = mbpta or MbptaConfig()
-    get_estimator(config.estimator_name)  # unknown estimators fail early, too
     for scenario in scenarios:
-        get_engine(scenario.engine)  # unknown engines fail before any work
         spec_hash = scenario.spec_hash()
         if spec_hash in resolved or spec_hash in pending_hashes:
             continue
@@ -103,7 +117,13 @@ def execute_scenarios(
         from ..exec.executor import execute_campaigns
 
         shards = execute_campaigns(
-            pending, store, record, shard_size=shard_size, use_cache=use_cache
+            pending,
+            store,
+            record,
+            engine=engine,
+            jobs=jobs,
+            shard_size=shard_size,
+            use_cache=use_cache,
         )
         report.shards_planned = shards.planned
         report.shards_reused = shards.reused

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
-from .scenario import hierarchy_from_spec, workload_from_spec
+from .scenario import hierarchy_label, workload_label
 from .store import ResultStore
 
 __all__ = [
@@ -74,31 +74,20 @@ def _campaign_row(
     columns in a 64-bit integer), so ``mean_cycles`` is bit-identical to
     the JSON-era ``sum(list)/len(list)``.
     """
-    spec = meta.get("spec")
-    if not isinstance(spec, dict):
-        spec = {}
-    try:
-        workload = workload_from_spec(spec["workload"]).label  # type: ignore[arg-type]
-    except (KeyError, ValueError, TypeError):
-        workload = str(meta.get("workload", ""))
-    try:
-        setup = hierarchy_from_spec(spec["hierarchy"]).label  # type: ignore[arg-type]
-    except (KeyError, ValueError, TypeError):
-        setup = str(meta.get("setup", ""))
+    spec = meta["spec"]
     summary = meta.get("miss_summary")
     if not isinstance(summary, dict):
         summary = {}
-    master_seed = meta.get("master_seed", 0)
     return {
         "study": "",
-        "workload": workload,
-        "setup": setup,
+        "workload": workload_label(spec["workload"]),  # type: ignore[index]
+        "setup": hierarchy_label(spec["hierarchy"]),  # type: ignore[index]
         "label": str(meta.get("setup", "")),
-        "campaign": str(spec.get("campaign", "")),
-        "runs": int(spec.get("runs", times.size)),  # type: ignore[arg-type]
-        "seed": int(spec.get("seed", master_seed)),  # type: ignore[arg-type]
-        "mean_cycles": int(times.sum()) / times.size if times.size else 0.0,
-        "max_cycles": int(times.max()) if times.size else 0,
+        "campaign": str(spec["campaign"]),  # type: ignore[index]
+        "runs": int(spec["runs"]),  # type: ignore[index]
+        "seed": int(spec["seed"]),  # type: ignore[index]
+        "mean_cycles": int(times.sum()) / times.size,
+        "max_cycles": int(times.max()),
         "il1_miss_rate": float(summary.get("il1_miss_rate", 0.0)),
         "dl1_miss_rate": float(summary.get("dl1_miss_rate", 0.0)),
         "l2_miss_rate": float(summary.get("l2_miss_rate", 0.0)),
@@ -152,12 +141,9 @@ def _rows_for_spec(
     if entry is None:
         return []
     meta, columns = entry
-    times = columns.get("execution_times")
-    if times is None or not times.size:
-        return []
     try:
-        base = _campaign_row(spec_hash, meta, times)
-    except (ValueError, TypeError):
+        base = _campaign_row(spec_hash, meta, columns["execution_times"])
+    except (KeyError, ValueError, TypeError):
         # Malformed meta (a hand-edited or damaged header): skip the entry
         # rather than fail the whole table build.
         return []

@@ -9,18 +9,14 @@ batching and execution live in :mod:`repro.study.runner`.
 Every scenario exposes a **spec hash** (:meth:`Scenario.spec_hash`): the
 SHA-256 of its canonical, simulation-determining JSON form.  Two scenarios
 with the same spec hash are guaranteed to produce the same campaign, so the
-hash keys the on-disk result store (:mod:`repro.study.store`).  Fields that
-cannot change the simulated execution times are deliberately **excluded**
-from the hash:
+hash keys the on-disk result store (:mod:`repro.study.store`).  The
+presentation-only ``label`` is **excluded** from the hash, and so are the
+cache parameters a hierarchy without an L2 never reads.
 
-* ``engine`` and ``jobs`` — every built-in engine is bit-exact and queued
-  campaigns are reassembled in lane order, so these only trade wall-clock
-  time (see :mod:`repro.engine` and :mod:`repro.exec`);
-* ``label`` — presentation only.
-
-The MBPTA protocol is post-processing applied to the stored execution
-times, not part of the measurement, so a scenario carries no analysis
-config: each :class:`~repro.study.resultset.ResultSet` carries one.
+A scenario names no engine, worker count or analysis config: engines are
+bit-exact and queued campaigns reassemble in lane order, and MBPTA is
+post-processing of the stored execution times, so each call of
+:func:`~repro.study.runner.execute_scenarios` takes all three once.
 
 :class:`Sweep` expands axis grids into scenario lists: the Cartesian product
 of the axes is applied to a base scenario with :func:`dataclasses.replace`.
@@ -33,13 +29,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from hashlib import sha256
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from ..cache.hierarchy import HierarchyConfig
 from ..cache.trace import Trace
-from ..engine import DEFAULT_ENGINE
 from ..platform.leon3 import Leon3Parameters, leon3_hierarchy, platform_setup
 from ..workloads.eembc import eembc_spec, eembc_trace
 from ..workloads.synthetic import synthetic_vector_trace
@@ -47,6 +42,8 @@ from ..workloads.synthetic import synthetic_vector_trace
 __all__ = [
     "SPEC_VERSION",
     "WorkloadSpec",
+    "workload_label",
+    "hierarchy_label",
     "HierarchySpec",
     "Scenario",
     "Sweep",
@@ -72,8 +69,17 @@ HIERARCHY_MEMO_SIZE = 256
 SPEC_HASH_MEMO_SIZE = 4096
 
 
-def _parameters_dict(parameters: Leon3Parameters) -> Dict[str, object]:
-    return {f.name: getattr(parameters, f.name) for f in fields(parameters)}
+#: The :class:`Leon3Parameters` only an L2 reads (the L1s write through),
+#: left out of the spec of a hierarchy without an L2.
+L2_PARAMETERS = ("l2_size_bytes", "l2_ways", "l2_hit_cycles", "writeback_cycles")
+
+
+def _parameters_dict(parameters: Leon3Parameters, with_l2: bool) -> Dict[str, object]:
+    return {
+        f.name: getattr(parameters, f.name)
+        for f in fields(parameters)
+        if with_l2 or f.name not in L2_PARAMETERS
+    }
 
 
 def _check_int(name: str, value: object) -> None:
@@ -82,6 +88,23 @@ def _check_int(name: str, value: object) -> None:
     coerced value would store one campaign under two spec hashes."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def workload_label(spec: Mapping[str, object]) -> str:
+    """The display label of a canonical :meth:`WorkloadSpec.spec_dict`."""
+    if spec["kind"] == "eembc":
+        return str(spec["name"])
+    footprint = int(spec["footprint_bytes"])  # type: ignore[call-overload]
+    if footprint % 1024 == 0:
+        return f"synthetic_{footprint // 1024}KB"
+    return f"synthetic_{footprint}B"  # exact, no KB collisions
+
+
+def hierarchy_label(spec: Mapping[str, object]) -> str:
+    """The display label of a canonical :meth:`HierarchySpec.spec_dict`."""
+    if "setup" in spec:
+        return str(spec["setup"])
+    return f"{spec['l1_placement']}+{spec['l1_replacement']}"
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +167,9 @@ class WorkloadSpec:
             kind="synthetic", footprint_bytes=footprint_bytes, iterations=iterations
         )
 
-    @property
+    @cached_property
     def label(self) -> str:
-        if self.kind == "eembc":
-            return self.name
-        if self.footprint_bytes % 1024 == 0:
-            return f"synthetic_{self.footprint_bytes // 1024}KB"
-        return f"synthetic_{self.footprint_bytes}B"  # exact, no KB collisions
+        return workload_label(self.spec_dict())
 
     def build_trace(self) -> Trace:
         """Materialise the workload's memory-access trace."""
@@ -184,7 +203,8 @@ class HierarchySpec:
     exactly, so one campaign has one spec hash.  ``parameters`` carries
     the cache geometry and timings and is part of the spec hash.  Without
     an L2 (``with_l2`` false) the L2 policy names are still checked, but
-    they are not part of the spec hash: they simulate nothing.
+    they and the :data:`L2_PARAMETERS` are not part of the spec hash: they
+    simulate nothing.
     """
 
     setup: str = ""
@@ -230,11 +250,9 @@ class HierarchySpec:
             with_l2=with_l2,
         )
 
-    @property
+    @cached_property
     def label(self) -> str:
-        if self.setup:
-            return self.setup
-        return f"{self.l1_placement}+{self.l1_replacement}"
+        return hierarchy_label(self.spec_dict())
 
     def config(self) -> HierarchyConfig:
         """The concrete :class:`HierarchyConfig`, built once per distinct spec."""
@@ -242,7 +260,7 @@ class HierarchySpec:
 
     def spec_dict(self) -> Dict[str, object]:
         spec: Dict[str, object] = {
-            "parameters": _parameters_dict(self.parameters),
+            "parameters": _parameters_dict(self.parameters, self.with_l2),
             "with_l2": self.with_l2,
         }
         if self.setup:
@@ -295,9 +313,8 @@ class Scenario:
     ``master_seed + seed_offset`` — sweeps use additive offsets to give
     every grid point an independent seed stream.
 
-    ``engine``, ``jobs`` and ``label`` do not affect the simulated
-    execution times and are excluded from :meth:`spec_hash` (see the
-    module docstring).
+    ``label`` does not affect the simulated execution times and is
+    excluded from :meth:`spec_hash` (see the module docstring).
     """
 
     workload: WorkloadSpec
@@ -306,8 +323,6 @@ class Scenario:
     master_seed: int = 20160605
     seed_offset: int = 0
     campaign: str = "seeds"
-    engine: str = DEFAULT_ENGINE
-    jobs: int = 1
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -424,8 +439,9 @@ def workload_from_spec(spec: Mapping[str, object]) -> WorkloadSpec:
 def hierarchy_from_spec(spec: Mapping[str, object]) -> HierarchySpec:
     """Rebuild a :class:`HierarchySpec` from its canonical spec dict.
 
-    Without an L2 the spec may omit the L2 policy names (its canonical form
-    does); an older entry's names are read and checked.
+    Without an L2 the spec may omit the L2 policy names and the
+    :data:`L2_PARAMETERS` (its canonical form does), which then take their
+    defaults; an older entry's names are read and checked.
     """
     values = dict(spec["parameters"])  # type: ignore[call-overload]
     parameters = Leon3Parameters(
@@ -458,10 +474,10 @@ def scenario_from_spec(spec: Mapping[str, object]) -> Scenario:
     """Rebuild a :class:`Scenario` from its canonical spec dict.
 
     Only simulation-determining fields are part of the spec, so the rebuilt
-    scenario carries defaults for ``engine``/``jobs``/``label`` —
-    by construction it has the **same spec hash** as the original.  The
-    spec's effective seed becomes the master seed (offset zero), which the
-    hash treats identically.
+    scenario carries the default (empty) ``label``, and a hierarchy without
+    an L2 the default :data:`L2_PARAMETERS` — by construction it has the
+    **same spec hash** as the original.  The spec's effective seed becomes
+    the master seed (offset zero), which the hash treats identically.
     """
     version = spec.get("version")
     if version != SPEC_VERSION:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.__main__ import build_parser, main
 from repro.analysis.report import CSV_HEADER
-from repro.engine import available_engines
+from repro.engine import DEFAULT_ENGINE, available_engines
 from repro.exec import DEFAULT_SHARD_SIZE
 
 
@@ -375,7 +375,7 @@ class TestShardedExecution:
         store = ResultStore(tmp_path / "store")
         queue = FileQueue(store.queue_root)
         for shard in plan_shards(scenario.spec_hash(), scenario.runs, 4):
-            queue.enqueue(shard_task(scenario, shard, scenario.engine))
+            queue.enqueue(shard_task(scenario, shard, DEFAULT_ENGINE))
         assert main(
             ["worker", "--store", str(store.root), "--worker-id", "cli-test",
              "--max-shards", "2"]
@@ -524,7 +524,7 @@ class TestExecStatusFormats:
         store = ResultStore(tmp_path / "store")
         queue = FileQueue(store.queue_root)
         for shard in plan_shards(scenario.spec_hash(), scenario.runs, 4):
-            queue.enqueue(shard_task(scenario, shard, scenario.engine))
+            queue.enqueue(shard_task(scenario, shard, DEFAULT_ENGINE))
         return scenario, store
 
     def test_json_format_is_parseable_and_matches_snapshot(

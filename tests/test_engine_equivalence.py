@@ -456,8 +456,6 @@ class TestCampaignLevelEquivalence:
             hierarchy=HierarchySpec.named("hrp"),
             runs=13,
             master_seed=3,
-            engine="numpy",
-            jobs=jobs,
         )
         serial_reference = run_campaign(
             scenario.workload.build_trace(),
@@ -466,7 +464,9 @@ class TestCampaignLevelEquivalence:
             master_seed=3,
             engine="reference",
         )
-        results = execute_scenarios([scenario], store=ResultStore(tmp_path / "store"))
+        results = execute_scenarios(
+            [scenario], store=ResultStore(tmp_path / "store"), engine="numpy", jobs=jobs
+        )
         assert results.report.shards_executed > 1
         parallel_numpy = next(iter(results)).campaign
         assert parallel_numpy.execution_times == serial_reference.execution_times

@@ -35,7 +35,7 @@ from repro.exec import (
     Lease,
     Shard,
     ShardRunner,
-    execute_scenario_sharded,
+    execute_campaigns,
     plan_shards,
     read_heartbeats,
     reassemble_campaign,
@@ -59,14 +59,13 @@ from repro.study.store import ResultStore
 from repro.workloads import eembc as eembc_module
 
 
-def _scenario(runs: int = 12, master_seed: int = 77, engine: str = DEFAULT_ENGINE) -> Scenario:
+def _scenario(runs: int = 12, master_seed: int = 77) -> Scenario:
     """A small, fast synthetic-kernel scenario for pipeline tests."""
     return Scenario(
         workload=WorkloadSpec.synthetic(4 * 1024, 2),
         hierarchy=HierarchySpec(setup="rm", with_l2=False),
         runs=runs,
         master_seed=master_seed,
-        engine=engine,
     )
 
 
@@ -74,9 +73,7 @@ def _scenario(runs: int = 12, master_seed: int = 77, engine: str = DEFAULT_ENGIN
 TINY_CACHES = Leon3Parameters(l1_size_bytes=512, l1_ways=1, l2_size_bytes=4096)
 
 
-def _layout_scenario(
-    runs: int = 6, master_seed: int = 77, engine: str = DEFAULT_ENGINE
-) -> Scenario:
+def _layout_scenario(runs: int = 6, master_seed: int = 77) -> Scenario:
     """A small deterministic layout campaign (the Fig. 4b baseline shape)."""
     return Scenario(
         workload=WorkloadSpec.eembc("matrix", scale=0.1),
@@ -84,11 +81,10 @@ def _layout_scenario(
         runs=runs,
         master_seed=master_seed,
         campaign="layouts",
-        engine=engine,
     )
 
 
-def _serial(scenario: Scenario):
+def _serial(scenario: Scenario, engine: str = DEFAULT_ENGINE):
     """The reference serial campaign for ``scenario``."""
     run = run_layout_campaign if scenario.campaign == "layouts" else run_campaign
     return run(
@@ -96,7 +92,7 @@ def _serial(scenario: Scenario):
         scenario.hierarchy.config(),
         runs=scenario.runs,
         master_seed=scenario.effective_seed,
-        engine=scenario.engine,
+        engine=engine,
     )
 
 
@@ -110,8 +106,27 @@ def _enqueue_all(scenario, store, shard_size):
     shards = plan_shards(scenario.spec_hash(), scenario.runs, shard_size)
     queue = FileQueue(store.queue_root)
     for shard in shards:
-        queue.enqueue(shard_task(scenario, shard, scenario.engine))
+        queue.enqueue(shard_task(scenario, shard, DEFAULT_ENGINE))
     return shards, queue
+
+
+def _drain(scenarios, store, **options):
+    """Drain ``scenarios`` in one :func:`execute_campaigns` call; returns
+    ``{spec hash: (campaign, from_store)}`` and the shard report.  Nothing
+    is saved, so a campaign's entry is in the store only if another drain
+    recorded it."""
+    recorded = {}
+
+    def record(scenario, campaign, from_store):
+        recorded[scenario.spec_hash()] = (campaign, from_store)
+
+    return recorded, execute_campaigns(scenarios, store, record, **options)
+
+
+def _drain_one(scenario, store, **options):
+    """``(campaign, from_store, report)`` of ``scenario`` drained alone."""
+    recorded, report = _drain([scenario], store, **options)
+    return (*recorded[scenario.spec_hash()], report)
 
 
 def _published(scenario, store):
@@ -430,9 +445,7 @@ class TestShardedExecution:
     def test_single_worker_matches_serial(self, tmp_path):
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        campaign, from_store, report = execute_scenario_sharded(
-            scenario, store, jobs=1, shard_size=5
-        )
+        campaign, from_store, report = _drain_one(scenario, store, shard_size=5)
         assert campaign.execution_times == _serial_times(scenario)
         assert campaign.master_seed == scenario.effective_seed
         assert campaign.setup == scenario.display_label
@@ -443,9 +456,7 @@ class TestShardedExecution:
     def test_multiprocess_workers_match_serial(self, tmp_path):
         scenario = _scenario(runs=14)
         store = ResultStore(tmp_path / "store")
-        campaign, _, report = execute_scenario_sharded(
-            scenario, store, jobs=2, shard_size=3
-        )
+        campaign, _, report = _drain_one(scenario, store, jobs=2, shard_size=3)
         assert campaign.execution_times == _serial_times(scenario)
         assert report.executed == report.planned == 5
 
@@ -454,16 +465,19 @@ class TestShardedExecution:
         # the one run_campaign summarizes from the in-memory run results.
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        sharded, _, _ = execute_scenario_sharded(scenario, store, jobs=1, shard_size=4)
+        sharded, _, _ = _drain_one(scenario, store, shard_size=4)
         assert sharded.miss_summary == _serial(scenario).miss_summary
 
     def test_resume_reuses_published_shards(self, tmp_path):
+        # A killed run published every shard but recorded no campaign.
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        execute_scenario_sharded(scenario, store, jobs=1, shard_size=4)
-        _, _, report = execute_scenario_sharded(scenario, store, jobs=1, shard_size=4)
+        shards, queue = _enqueue_all(scenario, store, shard_size=4)
+        assert run_worker(queue.root, store.root).shards_done == len(shards)
+        campaign, _, report = _drain_one(scenario, store, shard_size=4)
         assert report.executed == 0
-        assert report.reused == report.planned
+        assert report.reused == report.planned == len(shards)
+        assert campaign.execution_times == _serial_times(scenario)
 
     def test_layout_campaign_through_queue_matches_inline(self, tmp_path):
         scenario = _layout_scenario()
@@ -472,7 +486,7 @@ class TestShardedExecution:
         for shard_size in (1, 3, scenario.runs):
             for jobs in (1, 2):
                 store = ResultStore(tmp_path / f"store-{shard_size}-{jobs}")
-                campaign, _, report = execute_scenario_sharded(
+                campaign, _, report = _drain_one(
                     scenario, store, jobs=jobs, shard_size=shard_size
                 )
                 assert campaign.execution_times == inline.execution_times
@@ -483,9 +497,7 @@ class TestShardedExecution:
         store = ResultStore(tmp_path / "resumed")
         shards, queue = _enqueue_all(scenario, store, shard_size=2)
         assert run_worker(queue.root, store.root, max_shards=1).shards_done == 1
-        campaign, _, report = execute_scenario_sharded(
-            scenario, store, jobs=1, shard_size=2
-        )
+        campaign, _, report = _drain_one(scenario, store, shard_size=2)
         assert (report.planned, report.reused, report.executed) == (len(shards), 1, 2)
         assert campaign.execution_times == inline.execution_times
 
@@ -509,7 +521,7 @@ class TestShardedExecution:
     def test_worker_heartbeats_recorded(self, tmp_path):
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        execute_scenario_sharded(scenario, store, jobs=1, shard_size=4)
+        _drain_one(scenario, store, shard_size=4)
         beats = read_heartbeats(FileQueue(store.queue_root))
         assert len(beats) == 1
         assert beats[0].finished
@@ -519,60 +531,64 @@ class TestShardedExecution:
     def test_exec_status_renders_queue_and_workers(self, tmp_path):
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        execute_scenario_sharded(scenario, store, jobs=1, shard_size=4)
+        _drain_one(scenario, store, shard_size=4)
         text = format_exec_status(store)
         assert "finished" in text
         assert "runs/s" in text
 
     @pytest.mark.parametrize("shard_size", [1, 7, None])
     def test_shard_size_invariance(self, tmp_path, monkeypatch, shard_size):
-        # shard_size=None exercises the planner's default rule, narrowed to
-        # 5-lane shards so that 12 runs still split ([4, 4, 4]); size 7
-        # yields an uneven [7, 5] split.
+        # shard_size=None exercises the planner's default rule (the queue's
+        # shard size 0), narrowed to 5-lane shards so that 12 runs still
+        # split ([4, 4, 4]); size 7 yields an uneven [7, 5] split.
         monkeypatch.setattr(plan_module, "DEFAULT_SHARD_SIZE", 5)
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        campaign, _, report = execute_scenario_sharded(
-            scenario, store, jobs=1, shard_size=shard_size
-        )
+        campaign, _, report = _drain_one(scenario, store, shard_size=shard_size or 0)
         assert report.planned > 1
         assert campaign.execution_times == _serial_times(scenario)
 
     def test_whole_campaign_shard_matches_serial(self, tmp_path):
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        campaign, _, report = execute_scenario_sharded(
-            scenario, store, jobs=1, shard_size=scenario.runs
-        )
+        campaign, _, report = _drain_one(scenario, store, shard_size=scenario.runs)
         assert report.planned == 1
         assert campaign.execution_times == _serial_times(scenario)
 
 
 class TestShardedExecutionProperty:
-    """Hypothesis: any (campaign kind, engine, shard size, worker count) is bit-exact."""
+    """Hypothesis: any call (1-3 seed and layout campaigns, engine, shard
+    size, worker count) is bit-exact."""
 
     @given(
-        kind=st.sampled_from(["seeds", "layouts"]),
+        kinds=st.lists(st.sampled_from(["seeds", "layouts"]), min_size=1, max_size=3),
         engine=st.sampled_from(sorted(available_engines())),
-        shard_size=st.integers(min_value=1, max_value=10),
+        shard_size=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
         jobs=st.sampled_from([1, 2]),
     )
-    @hyp_settings(max_examples=8, deadline=None)
+    @hyp_settings(max_examples=10, deadline=None)
     def test_bit_exact_for_any_partition(
-        self, tmp_path_factory, kind, engine, shard_size, jobs
+        self, tmp_path_factory, kinds, engine, shard_size, jobs
     ):
-        make = _layout_scenario if kind == "layouts" else _scenario
-        scenario = make(runs=10, master_seed=31, engine=engine)
+        scenarios = [
+            (_layout_scenario if kind == "layouts" else _scenario)(
+                runs=10, master_seed=31 + index
+            )
+            for index, kind in enumerate(kinds)
+        ]
         store = ResultStore(tmp_path_factory.mktemp("store"))
-        campaign, _, _ = execute_scenario_sharded(
-            scenario, store, jobs=jobs, shard_size=shard_size
+        recorded, _ = _drain(
+            scenarios, store, engine=engine, jobs=jobs, shard_size=shard_size
         )
-        serial = _serial(scenario)
-        assert campaign.execution_times == serial.execution_times
-        # One miss summary for every partition: the serial one for seeds,
-        # none for layouts.
-        assert campaign.miss_summary == serial.miss_summary
-        assert (campaign.miss_summary == {}) == (kind == "layouts")
+        for scenario in scenarios:
+            campaign, _ = recorded[scenario.spec_hash()]
+            serial = _serial(scenario, engine)
+            assert campaign.execution_times == serial.execution_times
+            # One miss summary for every partition: the serial one for
+            # seeds, none for layouts.
+            assert campaign.miss_summary == serial.miss_summary
+            assert (campaign.miss_summary == {}) == (scenario.campaign == "layouts")
+        assert store.shard_keys() == []  # each recorded campaign drops its shards
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +612,7 @@ class TestShardRunner:
         first, second = _scenario(master_seed=1), _scenario(master_seed=2)
         for scenario in (first, second):
             for shard in plan_shards(scenario.spec_hash(), scenario.runs, 6):
-                runner.execute(shard_task(scenario, shard, scenario.engine))
+                runner.execute(shard_task(scenario, shard, DEFAULT_ENGINE))
         gc.collect()
         assert len(built) == 2  # one simulator per campaign, reused across shards
         assert built[0]() is None
@@ -605,7 +621,7 @@ class TestShardRunner:
     def test_layout_task_runs_its_layout_range(self):
         scenario = _layout_scenario()
         shard = plan_shards(scenario.spec_hash(), scenario.runs, 4)[1]
-        payload = ShardRunner().execute(shard_task(scenario, shard, scenario.engine))
+        payload = ShardRunner().execute(shard_task(scenario, shard, DEFAULT_ENGINE))
         assert payload["cycles"] == _serial_times(scenario)[shard.start : shard.stop]
         assert "il1_misses" not in payload
 
@@ -628,14 +644,14 @@ class TestShardRunner:
         runner = ShardRunner()
         for scenario in (seeds, layouts):
             shard = plan_shards(scenario.spec_hash(), scenario.runs, scenario.runs)[0]
-            runner.execute(shard_task(scenario, shard, scenario.engine))
+            runner.execute(shard_task(scenario, shard, DEFAULT_ENGINE))
         assert builds == ["matrix"]
 
     def test_slice_outside_the_campaign_is_rejected(self):
         for scenario in (_scenario(), _layout_scenario()):
             shard = Shard(scenario.spec_hash(), 0, 1, scenario.runs - 1, 2)
             with pytest.raises(ValueError, match="outside"):
-                ShardRunner().execute(shard_task(scenario, shard, scenario.engine))
+                ShardRunner().execute(shard_task(scenario, shard, DEFAULT_ENGINE))
 
 
 # ---------------------------------------------------------------------------
@@ -697,12 +713,10 @@ class TestCrashResume:
         store = ResultStore(tmp_path / "store")
         queue = FileQueue(store.queue_root)
         shards = plan_shards(scenario.spec_hash(), scenario.runs, 4)
-        path = queue.enqueue(shard_task(scenario, shards[0], scenario.engine))
+        path = queue.enqueue(shard_task(scenario, shards[0], DEFAULT_ENGINE))
         # Live pid (this process), short deadline: active for ~1 second.
         assert queue.try_claim(path, "foreign-worker", ttl=1.0)
-        campaign, _, report = execute_scenario_sharded(
-            scenario, store, jobs=1, shard_size=4
-        )
+        campaign, _, report = _drain_one(scenario, store, shard_size=4)
         assert report.executed == report.planned == len(shards)
         assert campaign.execution_times == _serial_times(scenario)
 
@@ -730,9 +744,7 @@ class TestCrashResume:
             return save_shard(store, spec_hash, key, payload)
 
         monkeypatch.setattr(ResultStore, "save_shard", recording)
-        campaign, _, report = execute_scenario_sharded(
-            scenario, store, jobs=1, shard_size=4
-        )
+        campaign, _, report = _drain_one(scenario, store, shard_size=4)
         assert sorted(published) == [shard_key(3, 4), shard_key(7, 4), shard_key(11, 1)]
         assert (report.planned, report.reused, report.executed) == (4, 1, 3)
         assert campaign.execution_times == _serial_times(scenario)
@@ -754,9 +766,7 @@ class TestCrashResume:
             return execute(runner, task)
 
         monkeypatch.setattr(ShardRunner, "execute", recording)
-        campaign, _, report = execute_scenario_sharded(
-            scenario, store, jobs=1, shard_size=8
-        )
+        campaign, _, report = _drain_one(scenario, store, shard_size=8)
         assert sorted(executed) == list(range(12, 24))
         assert (report.planned, report.reused, report.executed) == (4, 2, 2)
         assert campaign.execution_times == _serial_times(scenario)
@@ -827,7 +837,7 @@ class TestOverlappingDrains:
         executed = cls._count_executed(monkeypatch)
 
         def other_job_finishes(seconds):
-            task = shard_task(scenario, shards[0], scenario.engine)
+            task = shard_task(scenario, shards[0], DEFAULT_ENGINE)
             store.save_shard(spec_hash, shards[0].key, other_job_execute(ShardRunner(), task))
             campaign = reassemble_campaign(scenario, shards, _published(scenario, store))
             other_job_save(store, scenario, campaign)
@@ -847,9 +857,7 @@ class TestOverlappingDrains:
         shards, queue, executed = self._another_drain_records_while_waiting(
             scenario, store, monkeypatch
         )
-        campaign, from_store, report = execute_scenario_sharded(
-            scenario, store, jobs=1, shard_size=4
-        )
+        campaign, from_store, report = _drain_one(scenario, store, shard_size=4)
         assert sorted(executed) == sorted(shard.key for shard in shards[1:])
         assert campaign.execution_times == _serial_times(scenario)
         assert from_store
@@ -880,9 +888,7 @@ class TestOverlappingDrains:
         store = ResultStore(tmp_path / "store")
         execute_scenarios([scenario], store, shard_size=4)
         executed = self._count_executed(monkeypatch)
-        campaign, from_store, _ = execute_scenario_sharded(
-            scenario, store, jobs=1, shard_size=4
-        )
+        campaign, from_store, _ = _drain_one(scenario, store, shard_size=4)
         assert executed == [] and from_store
         assert campaign.execution_times == _serial_times(scenario)
         assert FileQueue(store.queue_root).pending() == 0
@@ -922,8 +928,8 @@ class TestFailingCampaign:
         queue = FileQueue(store.queue_root)
         self._fail_campaign(failed, monkeypatch)
         with pytest.raises(ValueError, match="shard failed"):
-            execute_scenario_sharded(failed, store, shard_size=3)
-        campaign, from_store, _ = execute_scenario_sharded(good, store, shard_size=3)
+            _drain_one(failed, store, shard_size=3)
+        campaign, from_store, _ = _drain_one(good, store, shard_size=3)
         assert not from_store
         self._assert_matches_serial(campaign, good)
         assert queue.pending() == 0
@@ -934,11 +940,38 @@ class TestFailingCampaign:
         store = ResultStore(tmp_path / "store")
         shards, queue = _enqueue_all(pending, store, shard_size=3)
         self._fail_campaign(pending, monkeypatch)
-        campaign, _, _ = execute_scenario_sharded(good, store, shard_size=3)
+        campaign, _, _ = _drain_one(good, store, shard_size=3)
         self._assert_matches_serial(campaign, good)
         assert queue.tasks() == [
             queue.task_path(pending.spec_hash(), shard.key) for shard in shards
         ]
+
+    def test_failure_inside_a_call_retires_only_its_campaign(
+        self, tmp_path, monkeypatch
+    ):
+        # One worker drains a, then fails on b's first shard: b's tasks are
+        # retired, a's shards stay published and c's tasks stay queued.  A
+        # rerun reuses a's shards and executes b's and c's.
+        first, failed, last = (
+            replace(_scenario(master_seed=seed), label=f"seed {seed}") for seed in (1, 2, 3)
+        )
+        store = ResultStore(tmp_path / "store")
+        queue = FileQueue(store.queue_root)
+        self._fail_campaign(failed, monkeypatch)
+        with pytest.raises(ValueError, match="shard failed"):
+            _drain([first, failed, last], store, shard_size=3)
+        assert queue.tasks(failed.spec_hash()) == []
+        assert len(store.shard_keys(first.spec_hash())) == 4
+        assert len(queue.tasks(last.spec_hash())) == 4
+        assert list(queue.lease_root.glob("*.lease")) == []
+        monkeypatch.undo()
+        results = execute_scenarios([first, failed, last], store, shard_size=3)
+        report = results.report
+        assert (report.shards_planned, report.shards_reused, report.shards_executed) == (
+            12, 4, 8
+        )
+        for scenario in (first, failed, last):
+            self._assert_matches_serial(results.campaign(scenario.display_label), scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -957,8 +990,29 @@ class TestRunnerIntegration:
             WorkloadSpec, "build_trace", lambda spec: built.append(spec) or original(spec)
         )
         with pytest.raises(ValueError, match="study run --jobs N"):
-            execute_scenarios([_scenario(), replace(_scenario(master_seed=5), jobs=2)])
+            execute_scenarios([_scenario(), _layout_scenario()], jobs=2)
         assert built == []
+
+    def test_call_drains_whole_campaigns_on_one_set_of_workers(self, tmp_path):
+        # Four campaigns and two workers: one shard per campaign, and one
+        # worker process (one heartbeat) per worker for the whole call.
+        store = ResultStore(tmp_path / "store")
+        scenarios = [replace(_scenario(master_seed=seed), label=f"seed {seed}") for seed in range(4)]
+        results = execute_scenarios(scenarios, store, jobs=2)
+        report = results.report
+        assert report.shards_planned == report.shards_executed == 4
+        assert len(list(FileQueue(store.queue_root).worker_root.iterdir())) == 2
+        assert len(read_heartbeats(FileQueue(store.queue_root))) == 2
+        for scenario in scenarios:
+            assert results.campaign(scenario.display_label).execution_times == (
+                _serial_times(scenario)
+            )
+
+    def test_fewer_campaigns_than_workers_split_their_lanes(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        scenarios = [replace(_scenario(master_seed=seed), label=f"seed {seed}") for seed in range(2)]
+        report = execute_scenarios(scenarios, store, jobs=4).report
+        assert report.shards_planned == report.shards_executed == 4
 
     def test_inline_drain_writes_no_queue_or_shard_files(self, tmp_path):
         store = ResultStore(tmp_path / "store")

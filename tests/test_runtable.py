@@ -147,6 +147,41 @@ class TestBuild:
         estimators = {row["analysis_hash"]: row["estimator"] for row in table.rows}
         assert estimators["zz"] == "weibull"
 
+    def test_labels_come_from_the_stored_spec_without_rebuilding_it(
+        self, tmp_path, monkeypatch
+    ):
+        # The labels are computed from the entry's spec dict, so the build
+        # constructs no spec, and a spec this version could no longer
+        # rebuild (a policy that is gone) still gets its labels.
+        store = ResultStore(tmp_path / "store")
+        custom = Scenario(
+            workload=WorkloadSpec.eembc("a2time", scale=0.25),
+            hierarchy=HierarchySpec.custom(l1_placement="hrp", l1_replacement="lru"),
+            runs=24,
+        )
+        scenarios = [scenario_for(), scenario_for(setup="modulo"), custom]
+        for scenario in scenarios:
+            store.save(scenario, CampaignResult("w", "s", [1000] * 24, 0))
+        gone = scenario_for(setup="hrp")
+        meta = gone.spec_dict()
+        meta["hierarchy"]["setup"] = "xor"
+        monkeypatch.setattr(type(gone), "spec_dict", lambda self: meta)
+        store.save(gone, CampaignResult("w", "s", [1000] * 24, 0))
+        monkeypatch.undo()
+
+        def no_rebuild(self):
+            raise AssertionError("the run table rebuilt a spec")
+
+        monkeypatch.setattr(WorkloadSpec, "__post_init__", no_rebuild)
+        monkeypatch.setattr(HierarchySpec, "__post_init__", no_rebuild)
+        labels = {(row["workload"], row["setup"]) for row in build_run_table(store).rows}
+        assert labels == {
+            ("synthetic_4KB", "rm"),
+            ("synthetic_4KB", "modulo"),
+            ("a2time", "hrp+lru"),
+            ("synthetic_4KB", "xor"),
+        }
+
 
 class TestFilter:
     def _table(self, tmp_path):

@@ -33,12 +33,14 @@ import repro
 import repro.pwcet.registry as pwcet_registry
 from repro.__main__ import main
 from repro.analysis.experiments import ExperimentSettings
+from repro.engine import DEFAULT_ENGINE
 from repro.exec import FileQueue, ShardRunner, plan_shards, read_heartbeats, shard_task
 from repro.exec.status import exec_status_snapshot
 from repro.pwcet import MbptaConfig
 from repro.service.api.server import ReproServer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.services.events import EventBus, GLOBAL_CHANNEL
+from repro.service.services import jobs as jobs_module
 from repro.service.services.gc import GcService
 from repro.service.services.jobs import BadRequest, JobManager, parse_job_request
 from repro.study import get_study
@@ -572,16 +574,25 @@ class TestJobLifecycle:
     def test_manager_jobs_default_applies_unless_overridden(
         self, tmp_path, monkeypatch
     ):
-        """The `repro serve --jobs` default reaches the scenarios."""
+        """The `repro serve --jobs` default reaches the job's one drain."""
         monkeypatch.setattr(JobManager, "_execute", lambda self, job: None)
+        calls = []
+        monkeypatch.setattr(
+            jobs_module,
+            "execute_scenarios",
+            lambda scenarios, **options: calls.append(options),
+        )
         manager = JobManager(ResultStore(tmp_path / "store"), EventBus(), jobs=3)
         try:
-            defaulted = manager.submit({"spec": _spec(_scenario())})
-            assert [s.jobs for s in defaulted.scenarios] == [3]
-            overridden = manager.submit({"spec": _spec(_scenario()), "jobs": 2})
-            assert [s.jobs for s in overridden.scenarios] == [2]
+            for options in ({}, {"jobs": 2, "engine": "reference"}):
+                job = manager.submit({"spec": _spec(_scenario()), **options})
+                manager._execute_scenarios(job)
         finally:
             manager.shutdown()
+        assert [(call["jobs"], call["engine"]) for call in calls] == [
+            (3, DEFAULT_ENGINE),
+            (2, "reference"),
+        ]
 
     def test_sse_stream_replays_and_terminates(self, tmp_path, start_server):
         _, client = start_server(ResultStore(tmp_path / "store"))
@@ -807,7 +818,7 @@ class TestCrashResilience:
         # the real tasks to claim before the server even starts.
         shards = plan_shards(scenario.spec_hash(), scenario.runs, 4)
         for shard in shards:
-            queue.enqueue(shard_task(scenario, shard, scenario.engine))
+            queue.enqueue(shard_task(scenario, shard, DEFAULT_ENGINE))
 
         env = dict(os.environ)
         src_root = str(Path(repro.__file__).resolve().parent.parent)
@@ -993,7 +1004,7 @@ class TestStatusAndGc:
         store.save_shard("bbb", "00000000x000004", {"version": 1})
         queue = FileQueue(store.queue_root)
         [shard] = plan_shards(scenario.spec_hash(), scenario.runs, 8)
-        assert queue.try_claim(queue.enqueue(shard_task(scenario, shard, scenario.engine)), "gc-test")
+        assert queue.try_claim(queue.enqueue(shard_task(scenario, shard, DEFAULT_ENGINE)), "gc-test")
         planted = [path for path in store.root.rglob("*") if path.is_file()]
         _, client = start_server(store)
         for dry_run in (True, False):

@@ -23,9 +23,10 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from repro.__main__ import main
 from repro.analysis.campaign import run_campaign
 from repro.analysis.experiments import ExperimentSettings
+from repro.engine import available_engines
 from repro.platform.leon3 import Leon3Parameters
 from repro.pwcet.protocol import MbptaConfig
-from repro.study.scenario import hierarchy_from_spec, scenario_from_spec
+from repro.study.scenario import L2_PARAMETERS, hierarchy_from_spec, scenario_from_spec
 from repro.study import (
     HierarchySpec,
     ResultStore,
@@ -188,9 +189,11 @@ class TestScenarioSpec:
         )
 
     def test_execution_knobs_do_not_change_the_hash(self):
+        # The engine and the worker count are parameters of the call, not
+        # scenario fields, so they cannot reach the hash; the label is
+        # presentation only.
+        assert not {"engine", "jobs"} & {f.name for f in fields(Scenario)}
         base = tiny_scenario()
-        assert base.spec_hash() == tiny_scenario(engine="numpy").spec_hash()
-        assert base.spec_hash() == tiny_scenario(jobs=4).spec_hash()
         assert base.spec_hash() == tiny_scenario(label="renamed").spec_hash()
 
     def test_simulation_fields_change_the_hash(self):
@@ -278,6 +281,55 @@ class TestScenarioSpec:
         )
         with pytest.raises(ValueError, match="l2_placement must be one of"):
             HierarchySpec.custom(with_l2=False, l2_placement="xor")
+
+    def test_l2_parameters_are_not_hashed_without_an_l2(self):
+        # No L2 reads its geometry, hit latency or write-back cost (the L1s
+        # write through), so they key nothing without one.
+        workload = WorkloadSpec.synthetic(4096, 2)
+        variants = [
+            Leon3Parameters(),
+            Leon3Parameters(l2_size_bytes=32 * 1024, l2_ways=8),
+            Leon3Parameters(l2_hit_cycles=20, writeback_cycles=9),
+        ]
+        scenarios = [
+            tiny_scenario(
+                workload=workload,
+                hierarchy=HierarchySpec(setup="rm", parameters=parameters, with_l2=False),
+            )
+            for parameters in variants
+        ]
+        assert len({scenario.spec_hash() for scenario in scenarios}) == 1
+        assert not set(L2_PARAMETERS) & set(scenarios[0].hierarchy.spec_dict()["parameters"])
+        trace = workload.build_trace()
+        for engine in available_engines():
+            times = {
+                tuple(
+                    run_campaign(
+                        trace, scenario.hierarchy.config(), runs=6, master_seed=3, engine=engine
+                    ).execution_times
+                )
+                for scenario in scenarios
+            }
+            assert len(times) == 1, engine
+        # With an L2 each of them simulates, so each keys its own campaign.
+        with_l2 = {
+            tiny_scenario(
+                workload=workload, hierarchy=HierarchySpec(setup="rm", parameters=parameters)
+            ).spec_hash()
+            for parameters in variants
+        }
+        assert len(with_l2) == len(variants)
+
+    def test_no_l2_parameters_round_trip_to_their_defaults(self):
+        hierarchy = HierarchySpec.custom(
+            parameters=Leon3Parameters(l2_size_bytes=32 * 1024, l2_hit_cycles=20),
+            with_l2=False,
+        )
+        scenario = tiny_scenario(hierarchy=hierarchy)
+        rebuilt = scenario_from_spec(json.loads(json.dumps(scenario.spec_dict())))
+        assert rebuilt.hierarchy.parameters == Leon3Parameters()
+        assert rebuilt.spec_dict() == scenario.spec_dict()
+        assert rebuilt.spec_hash() == scenario.spec_hash()
 
     def test_no_l2_spec_round_trips(self):
         scenario = tiny_scenario(
@@ -375,8 +427,6 @@ class TestMemoizedHashes:
         "master_seed": 5,
         "seed_offset": 3,
         "campaign": "layouts",
-        "engine": "reference",
-        "jobs": 2,
         "label": "renamed",
     }
 
@@ -558,7 +608,7 @@ class TestExecution:
     def test_unknown_engine_fails_before_any_simulation(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         with pytest.raises(ValueError, match="unknown engine"):
-            execute_scenarios([tiny_scenario(engine="warp")], store=store)
+            execute_scenarios([tiny_scenario()], store=store, engine="warp")
         assert len(store) == 0
 
     def test_unknown_estimator_fails_before_any_simulation(self, tmp_path):
@@ -618,6 +668,21 @@ class TestResultSet:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="duplicate scenario label"):
             execute_scenarios([tiny_scenario(), tiny_scenario(runs=25)])
+
+    def test_duplicate_labels_fail_before_any_simulation(self, tmp_path, monkeypatch):
+        # Four campaigns, two labels: nothing is read, simulated or stored.
+        loads = []
+        monkeypatch.setattr(ResultStore, "load", lambda *args: loads.append(args))
+        store = ResultStore(tmp_path / "store")
+        scenarios = [
+            tiny_scenario(hierarchy=HierarchySpec.named(setup), master_seed=seed)
+            for seed in (1, 2)
+            for setup in ("rm", "hrp")
+        ]
+        with pytest.raises(ValueError, match="duplicate scenario label 'synthetic_4KB/rm'"):
+            execute_scenarios(scenarios, store=store)
+        assert loads == []
+        assert len(store) == 0
 
 
 # ---------------------------------------------------------------------------
