@@ -15,6 +15,10 @@ softly asserted at the >=3x acceptance bar).
 
 ``test_bootstrap_batch_throughput`` measures the same comparison with
 bootstrap confidence intervals enabled, where the resample refits dominate.
+
+``test_batch_throughput`` times what production runs, the batch pass
+alone: campaigns per second at 8/32/128 campaigns (``batch-throughput``
+in ``BENCH_mbpta.json``).
 """
 
 import json
@@ -131,6 +135,35 @@ def test_bootstrap_batch_throughput(capsys):
             f"batch {batch_seconds:.2f}s "
             f"({loop_seconds / batch_seconds:.1f}x)"
         )
+
+
+def test_batch_throughput(capsys):
+    """Campaigns per second of one apply_mbpta_batch pass (best of 5)."""
+    config = MbptaConfig()
+    rows = []
+    for n_campaigns in CAMPAIGN_COUNTS:
+        samples = [list(row) for row in _matrix(n_campaigns)]
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            apply_mbpta_batch(samples, config=config)
+            best = min(best, time.perf_counter() - start)
+        rows.append({
+            "campaigns": n_campaigns,
+            "runs_per_campaign": RUNS_PER_CAMPAIGN,
+            "batch_seconds": best,
+            "campaigns_per_second": n_campaigns / best,
+        })
+    _merge_bench_json("batch-throughput", {"estimator": "gumbel-pwm", "rows": rows})
+    with capsys.disabled():
+        print(
+            "\nbatch pipeline throughput: "
+            + ", ".join(
+                f"{row['campaigns']} campaigns {row['campaigns_per_second']:.0f}/s"
+                for row in rows
+            )
+        )
+    assert all(row["campaigns_per_second"] > 0 for row in rows)
 
 
 @pytest.mark.parametrize("n_campaigns", CAMPAIGN_COUNTS)

@@ -13,8 +13,13 @@ ratio there, not here (shared CI boxes are noisy, so in-test assertions
 stay structural).
 
 ``test_warm_command`` times warm commands through ``main()`` and counts
-what each one rebuilds (``warm_command`` in ``BENCH_study.json``); CI
-asserts the counts, which are deterministic, and not the times.
+what each one rebuilds and which store files it decodes (``warm_command``
+in ``BENCH_study.json``); CI asserts the counts, which are deterministic,
+and not the times.
+
+``test_campaign_setup`` times the stages that feed a campaign to the
+engine (trace build, ``CompiledTrace``, plan compile, simulator set-up)
+over fig4b's and fig5's scenarios (``campaign_setup``).
 """
 
 import argparse
@@ -29,15 +34,22 @@ from pathlib import Path
 
 from repro.__main__ import main
 from repro.analysis.campaign import CampaignResult
+from repro.analysis.experiments import ExperimentSettings
+from repro.cache.fastsim import CompiledTrace
 from repro.cache.hierarchy import HierarchyConfig
+from repro.engine import get_engine
+from repro.engine.plan import compile_plan
 from repro.study import (
     HierarchySpec,
     ResultStore,
     Scenario,
     WorkloadSpec,
     execute_scenarios,
+    get_study,
 )
 from repro.study import scenario as scenario_module
+from repro.study import store as store_module
+from repro.workloads.base import relocate_trace
 
 #: Machine-readable benchmark trajectory, tracked across PRs (repo root).
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_study.json"
@@ -218,8 +230,11 @@ def _shard_payload(scenario, campaign, start, count):
     }
 
 
-def test_store_roundtrip_breakdown(tmp_path, capsys):
+def test_store_roundtrip_breakdown(tmp_path, monkeypatch, capsys):
     """Columnar vs JSON persistence head-to-head; emits BENCH_study.json."""
+    # The codecs are compared on decodes: with a memo of size 0 every read
+    # decodes its file, as the first read of a process does.
+    monkeypatch.setattr(store_module, "READ_MEMO", store_module.ReadMemo(capacity=0))
     entries = _synthetic_entries()
     store = ResultStore(tmp_path / "store")
     json_root = tmp_path / "json_store"
@@ -231,7 +246,7 @@ def test_store_roundtrip_breakdown(tmp_path, capsys):
             store.save(scenario, campaign)
 
     def columnar_read():
-        # The store's native warm read: mmap'd zero-copy column views, the
+        # The store's native warm read: zero-copy column views, the
         # form every bulk consumer (run table, MBPTA fits, reassembly)
         # actually wants.  The JSON baseline cannot serve arrays without
         # per-element parsing — that asymmetry is the tax being measured.
@@ -385,9 +400,16 @@ WARM_REPEATS = 30
 
 @contextlib.contextmanager
 def _counting(monkeypatch):
-    """Count HierarchyConfig builds, spec hashes computed and ArgumentParser
-    objects built while the block runs."""
-    counts = {"hierarchy_configs": 0, "spec_hashes": 0, "argument_parsers": 0}
+    """Count HierarchyConfig builds, spec hashes computed, ArgumentParser
+    objects built and store files (campaign entries, analyses) decoded
+    while the block runs."""
+    counts = {
+        "hierarchy_configs": 0,
+        "spec_hashes": 0,
+        "argument_parsers": 0,
+        "entries_decoded": 0,
+        "analyses_decoded": 0,
+    }
 
     def counted(key, function):
         def wrapper(*args, **kwargs):
@@ -405,6 +427,14 @@ def _counting(monkeypatch):
             argparse.ArgumentParser,
             "__init__",
             counted("argument_parsers", argparse.ArgumentParser.__init__),
+        )
+        patch.setattr(
+            store_module, "_decode_entry", counted("entries_decoded", store_module._decode_entry)
+        )
+        patch.setattr(
+            store_module,
+            "_decode_analysis",
+            counted("analyses_decoded", store_module._decode_analysis),
         )
         yield counts
 
@@ -440,6 +470,68 @@ def test_warm_command(tmp_path, monkeypatch, capsys):
                 f"\nwarm {name}: {row['median_ms']:.1f} ms median; "
                 f"{row['hierarchy_configs']} hierarchy configs, "
                 f"{row['spec_hashes']} spec hashes, "
-                f"{row['argument_parsers']} argument parsers built"
+                f"{row['argument_parsers']} argument parsers built, "
+                f"{row['entries_decoded']} entries and "
+                f"{row['analyses_decoded']} analyses decoded"
             )
     assert BENCH_JSON.is_file()
+
+
+#: Set-up stages in the order a campaign passes through them.
+SETUP_STAGES = ("trace_build", "compiled_trace", "plan_compile", "simulator_setup")
+
+
+def test_campaign_setup(capsys):
+    """Set-up of fig4b's 22 and fig5's 2 scenarios at ``--runs 40``: ms per
+    stage (best of 5).  As a worker does, each workload's trace is built
+    and compiled once, and each scenario compiles its plan and sets up its
+    numpy simulator; layout campaigns relocate the trace to their one
+    alignment class first, counted as trace build."""
+    settings = ExperimentSettings(runs=40)
+    scenarios = [
+        scenario for study in ("fig4b", "fig5") for scenario in get_study(study).plan(settings)
+    ]
+    engine = get_engine("numpy")
+
+    def stages():
+        seconds = dict.fromkeys(SETUP_STAGES, 0.0)
+        traces = {}
+        for scenario in scenarios:
+            config = scenario.hierarchy.config()
+            start = time.perf_counter()
+            trace = traces.get(scenario.workload)
+            if trace is None:
+                trace = traces[scenario.workload] = scenario.workload.build_trace()
+            if scenario.campaign == "layouts":
+                trace = relocate_trace(trace, 0, 0)
+            built = time.perf_counter()
+            compiled = CompiledTrace(trace, line_size=config.il1.line_size)
+            compiled_at = time.perf_counter()
+            compile_plan(config, compiled)
+            planned = time.perf_counter()
+            engine.simulator(config, compiled)
+            done = time.perf_counter()
+            for stage, elapsed in zip(
+                SETUP_STAGES,
+                (built - start, compiled_at - built, planned - compiled_at, done - planned),
+            ):
+                seconds[stage] += elapsed
+        return seconds
+
+    best = dict.fromkeys(SETUP_STAGES, float("inf"))
+    for _ in range(5):
+        for stage, elapsed in stages().items():
+            best[stage] = min(best[stage], elapsed)
+    row = {
+        "scenarios": len(scenarios),
+        "workloads": len({scenario.workload for scenario in scenarios}),
+        "ms": {stage: round(1000.0 * best[stage], 3) for stage in SETUP_STAGES},
+        "total_ms": round(1000.0 * sum(best.values()), 3),
+    }
+    _emit_bench_json(BENCH_JSON, {"campaign_setup": row})
+    with capsys.disabled():
+        print(
+            f"\ncampaign set-up over {row['scenarios']} scenarios: "
+            + ", ".join(f"{stage} {ms:.1f} ms" for stage, ms in row["ms"].items())
+        )
+    assert row["scenarios"] == 24

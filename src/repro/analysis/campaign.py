@@ -213,13 +213,12 @@ def _relocated_lines(
     line and a data line coincide, or a line touched by both fetches and
     data accesses would be split by unequal shifts.
     """
-    unique = np.array(compiled.unique_lines, dtype=np.int64)
-    kinds = np.array(compiled.kinds)
-    ids = np.array(compiled.line_ids, dtype=np.int64)
+    unique = compiled.unique_lines
+    fetches = compiled.kinds == FETCH_KIND
     code = np.zeros(unique.size, dtype=bool)
-    code[ids[kinds == FETCH_KIND]] = True
+    code[compiled.line_ids[fetches]] = True
     data = np.zeros(unique.size, dtype=bool)
-    data[ids[kinds != FETCH_KIND]] = True
+    data[compiled.line_ids[~fetches]] = True
     moves = np.array(shifts, dtype=np.int64).reshape(-1, 2)
     tables = (unique[None, :] + np.where(code, moves[:, :1], moves[:, 1:])) & 0xFFFFFFFF
     ordered = np.sort(tables, axis=1)

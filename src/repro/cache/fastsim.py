@@ -13,9 +13,11 @@ results compare field by field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
-from .trace import AccessKind, Trace
+import numpy as np
+
+from .trace import AccessKind, Trace, check_line_size
 
 # Access-kind encodings as plain ints, the form the engines compare against.
 FETCH_KIND = int(AccessKind.FETCH)
@@ -72,26 +74,26 @@ class CompiledTrace:
     Addresses are replaced by indices into the table of unique line
     addresses, so each run only has to evaluate the (possibly expensive)
     placement hash once per unique line rather than once per access.
+    Lines are numbered in order of first appearance.  ``kinds`` (the
+    trace's ``uint8`` kinds), ``line_ids`` and ``unique_lines`` (both
+    ``int64``) are numpy arrays, built in a few whole-array passes.
     """
 
     def __init__(self, trace: Trace, line_size: int = 32) -> None:
         self.name = trace.name
-        self.line_size = line_size
-        line_mask = ~(line_size - 1) & 0xFFFFFFFF
-        unique: Dict[int, int] = {}
-        kinds: List[int] = []
-        line_ids: List[int] = []
-        for kind, address in zip(trace.kinds, trace.addresses):
-            line = address & line_mask
-            uid = unique.get(line)
-            if uid is None:
-                uid = len(unique)
-                unique[line] = uid
-            kinds.append(kind)
-            line_ids.append(uid)
-        self.kinds = kinds
-        self.line_ids = line_ids
-        self.unique_lines: List[int] = list(unique.keys())
+        self.line_size = check_line_size(line_size)
+        lines = trace.addresses & ~(line_size - 1)
+        # np.unique numbers lines in sorted order; renumber them by the
+        # position of each line's first access.
+        sorted_lines, first, inverse = np.unique(
+            lines, return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        rank = np.empty(order.size, dtype=np.int64)
+        rank[order] = np.arange(order.size)
+        self.kinds: np.ndarray = trace.kinds
+        self.line_ids: np.ndarray = rank[inverse]
+        self.unique_lines: np.ndarray = sorted_lines[order]
 
     def __len__(self) -> int:
         return len(self.kinds)

@@ -6,9 +6,13 @@ byte addresses.  The EEMBC-like kernels and the synthetic vector benchmark
 generate traces directly, and :class:`~repro.cache.fastsim.CompiledTrace`
 compiles one for the engines.
 
-Traces are deliberately simple (two parallel lists) so that trace
-compilation can iterate them with minimal overhead, while still offering
-footprint helpers for the workload generators and the tests.
+A trace is two parallel numpy arrays: ``kinds`` (``uint8``
+:class:`AccessKind` codes) and ``addresses`` (``int64``, each below
+``2**32``).  The workload generators build both in whole-array passes and
+hand them to the constructor, and trace compilation reads them the same
+way, so no stage of campaign set-up runs Python once per access.
+:meth:`Trace.append` (and ``fetch``/``load``/``store``) still builds a
+trace one access at a time, into arrays that grow by doubling.
 """
 
 from __future__ import annotations
@@ -16,7 +20,11 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Dict, List, Sequence
 
-__all__ = ["AccessKind", "Trace"]
+import numpy as np
+
+from ..core.bits import is_power_of_two
+
+__all__ = ["AccessKind", "Trace", "check_line_size"]
 
 
 class AccessKind(IntEnum):
@@ -27,30 +35,62 @@ class AccessKind(IntEnum):
     STORE = 2
 
 
+def check_line_size(line_size: int) -> int:
+    """``line_size`` if it is a positive power of two, else ``ValueError``.
+
+    Line addresses are ``address & ~(line_size - 1)``: any other line size
+    would merge and split lines arbitrarily (48 B lines put 0x40 and 0x50
+    in one line and 0x30 alone), and 0 would map every address to one line.
+    """
+    if not is_power_of_two(line_size):
+        raise ValueError(f"line_size must be a positive power of two, got {line_size}")
+    return line_size
+
+
 class Trace:
     """An ordered sequence of memory accesses."""
 
     def __init__(
         self,
-        kinds: Sequence[int] | None = None,
-        addresses: Sequence[int] | None = None,
+        kinds: Sequence[int] | np.ndarray | None = None,
+        addresses: Sequence[int] | np.ndarray | None = None,
         name: str = "trace",
     ) -> None:
-        self.kinds: List[int] = list(kinds) if kinds is not None else []
-        self.addresses: List[int] = list(addresses) if addresses is not None else []
-        if len(self.kinds) != len(self.addresses):
+        kinds = np.array([] if kinds is None else kinds, dtype=np.uint8)
+        addresses = np.array([] if addresses is None else addresses, dtype=np.int64)
+        if kinds.shape != addresses.shape or kinds.ndim != 1:
             raise ValueError(
                 f"kinds and addresses must have the same length "
-                f"({len(self.kinds)} != {len(self.addresses)})"
+                f"({kinds.size} != {addresses.size})"
             )
+        addresses &= 0xFFFFFFFF
+        self._kinds = kinds
+        self._addresses = addresses
+        self._size = kinds.size
         self.name = name
+
+    @property
+    def kinds(self) -> np.ndarray:
+        """The access kinds, one :class:`AccessKind` code per access."""
+        return self._kinds[: self._size]
+
+    @property
+    def addresses(self) -> np.ndarray:
+        """The byte addresses, one per access, wrapped to 32 bits."""
+        return self._addresses[: self._size]
 
     # ----------------------------------------------------------- construction
 
     def append(self, kind: AccessKind | int, address: int) -> None:
         """Append one access."""
-        self.kinds.append(int(kind))
-        self.addresses.append(address & 0xFFFFFFFF)
+        size = self._size
+        if size == self._kinds.size:
+            capacity = max(16, 2 * size)
+            self._kinds = np.resize(self._kinds, capacity)
+            self._addresses = np.resize(self._addresses, capacity)
+        self._kinds[size] = int(kind)
+        self._addresses[size] = address & 0xFFFFFFFF
+        self._size = size + 1
 
     def fetch(self, address: int) -> None:
         """Append an instruction fetch."""
@@ -67,21 +107,17 @@ class Trace:
     # ---------------------------------------------------------------- queries
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return self._size
 
     def counts(self) -> Dict[str, int]:
         """Number of fetches, loads and stores in the trace."""
-        fetches = self.kinds.count(int(AccessKind.FETCH))
-        loads = self.kinds.count(int(AccessKind.LOAD))
-        stores = self.kinds.count(int(AccessKind.STORE))
+        fetches, loads, stores = np.bincount(self.kinds, minlength=3)[:3].tolist()
         return {"fetches": fetches, "loads": loads, "stores": stores}
 
     def unique_lines(self, line_size: int = 32) -> List[int]:
         """Sorted unique line-aligned addresses touched by the trace."""
-        if line_size <= 0:
-            raise ValueError(f"line_size must be positive, got {line_size}")
-        lines = {address & ~(line_size - 1) for address in self.addresses}
-        return sorted(lines)
+        check_line_size(line_size)
+        return np.unique(self.addresses & ~(line_size - 1)).tolist()
 
     def footprint_bytes(self, line_size: int = 32) -> int:
         """Total footprint in bytes at line granularity."""

@@ -75,6 +75,40 @@ class SplitMix64:
             if value < limit:
                 return value % bound
 
+    def next_below_array(self, bounds: np.ndarray) -> np.ndarray:
+        """``next_below(b)`` for each ``b`` of ``bounds`` in order, as one
+        ``uint64`` array, leaving the generator where those calls would.
+
+        SplitMix64 is counter-based, so the ``k``-th draw is one mix of
+        ``state + (k + 1) * gamma`` and a run of draws is one array pass.
+        A draw that lands in its bound's rejection band (probability below
+        ``b / 2**64``) falls back to :meth:`next_below`, which redraws it,
+        and the pass resumes after it.
+        """
+        bounds = np.asarray(bounds, dtype=np.uint64)
+        if bounds.size and not bounds.min():
+            raise ValueError("bound must be positive, got 0")
+        out = np.empty(bounds.size, dtype=np.uint64)
+        start = 0
+        while start < bounds.size:
+            todo = bounds[start:]
+            counters = np.arange(todo.size, dtype=np.uint64)
+            counters *= _GAMMA
+            counters += np.uint64(self.state)
+            values = splitmix64_next_array(counters)
+            # 2**64 % b, computed as (2**64 - b) % b in wrapping uint64; the
+            # accepted draws are those below 2**64 minus it.
+            band = (np.uint64(0) - todo) % todo
+            rejected = (band != 0) & (values >= np.uint64(0) - band)
+            accepted = int(rejected.argmax()) if rejected.any() else todo.size
+            out[start : start + accepted] = values[:accepted] % todo[:accepted]
+            self.state = (self.state + accepted * SPLITMIX64_GAMMA) & mask(64)
+            start += accepted
+            if start < bounds.size:
+                out[start] = self.next_below(int(bounds[start]))
+                start += 1
+        return out
+
 
 def splitmix64_next_array(states: np.ndarray) -> np.ndarray:
     """Advance a ``uint64`` array of SplitMix64 states in place; return the

@@ -400,20 +400,18 @@ class _VectorSimulator:
     def __init__(self, config: HierarchyConfig, compiled: CompiledTrace) -> None:
         self.config = config
         self.compiled = compiled
-        self._lines = np.array(compiled.unique_lines, dtype=np.uint64)
-        self._kinds = list(compiled.kinds)
-        self._il1_accesses = sum(1 for kind in self._kinds if kind == FETCH_KIND)
-        self._dl1_accesses = len(self._kinds) - self._il1_accesses
+        self._lines = compiled.unique_lines.astype(np.uint64)
+        fetches = compiled.kinds == FETCH_KIND
+        self._il1_accesses = int(np.count_nonzero(fetches))
+        self._dl1_accesses = len(compiled) - self._il1_accesses
         # Lines (unique-line ids) each cache's tables hold a row for: fetches
         # only ever reach the IL1 and data accesses the DL1, so each L1's
         # placement map and state cover its own lines only (fig5's IL1
         # indexes 3 of 643 lines).  The L2 sees any line (fetch and data
         # demands, store-throughs) and keeps the full table (``None``).
-        kinds_arr = np.array(compiled.kinds)
-        ids_arr = np.array(compiled.line_ids, dtype=np.int64)
         self._slot_rows = (
-            np.unique(ids_arr[kinds_arr == FETCH_KIND]),
-            np.unique(ids_arr[kinds_arr != FETCH_KIND]),
+            np.unique(compiled.line_ids[fetches]),
+            np.unique(compiled.line_ids[~fetches]),
             None,
         )
         #: Per L1: unique-line id -> row of that L1's tables, as a list the
@@ -538,7 +536,7 @@ class _VectorSimulator:
         self, n, extra_cycles, memory_accesses, il1_misses, dl1_misses,
         l2_accesses, l2_misses,
     ) -> List[FastRunResult]:
-        base_cycles = len(self._kinds) * self.config.timings.l1_hit
+        base_cycles = len(self.compiled) * self.config.timings.l1_hit
         # ``tolist`` converts whole arrays to Python ints in one C call,
         # instead of one ``int()`` round-trip per field per lane.
         cycles = (base_cycles + extra_cycles).tolist()

@@ -46,7 +46,9 @@ tag-compare hit detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from ..cache.fastsim import FETCH_KIND, STORE_KIND, CompiledTrace
 from ..cache.hierarchy import HierarchyConfig
@@ -97,47 +99,70 @@ class TracePlan:
         }
 
 
+def _sure_hits(uids: np.ndarray, stores: np.ndarray, touches: bool) -> np.ndarray:
+    """Which accesses of one L1's stream hit the guaranteed line.
+
+    The guard before access ``i`` is the line of the stream's last
+    allocating access (fetch or load) before ``i``; ``np.maximum.accumulate``
+    finds it.  Under LRU (``touches``) a store to another line since that
+    access voids it: counting those stores with ``np.cumsum`` tells whether
+    any falls between the guard's access and ``i``.
+    """
+    n = uids.size
+    positions = np.arange(n)
+    last_alloc = np.maximum.accumulate(np.where(stores, -1, positions))
+    # The guard in force at access i was set at access guard_at[i] (-1: none).
+    guard_at = np.empty(n, dtype=np.int64)
+    guard_at[:1] = -1
+    guard_at[1:] = last_alloc[:-1]
+    has_guard = guard_at >= 0
+    guard_uid = uids[np.maximum(guard_at, 0)]
+    sure = has_guard & (uids == guard_uid)
+    if touches:
+        voiding = np.cumsum(stores & has_guard & (uids != guard_uid))
+        # Voiding stores strictly between access guard_at[i] and access i.
+        before_i = np.concatenate(([0], voiding[:-1]))
+        at_guard = voiding[np.maximum(guard_at, 0)]
+        sure &= before_i == at_guard
+    return sure
+
+
 def compile_plan(config: HierarchyConfig, compiled: CompiledTrace) -> TracePlan:
     """Compile ``compiled`` for ``config`` into a :class:`TracePlan`.
 
     Every configuration :class:`~repro.cache.cache.CacheConfig` accepts is
     in the model: it admits only the replacement policies planned here.
+    Each L1's stream is planned in whole-array passes (:func:`_sure_hits`).
     """
     has_l2 = config.l2 is not None
-    touches = [
-        replacement_touches_on_hit(c.replacement) for c in (config.il1, config.dl1)
-    ]
-
-    steps: List[Step] = []
-    elided = [0, 0]
-    elided_store_mem = 0
-    # Per slot: the guaranteed-resident uid, or None.
-    guards: List[Optional[int]] = [None, None]
-
-    fetch_kind, store_kind = FETCH_KIND, STORE_KIND
-    for kind, uid in zip(compiled.kinds, compiled.line_ids):
-        slot = 0 if kind == fetch_kind else 1
-        is_store = kind == store_kind
-        sure_hit = guards[slot] == uid
-        if sure_hit and not (is_store and has_l2):
-            elided[slot] += 1
-            if is_store:
-                # Store hit, no L2: one memory access, always.
-                elided_store_mem += 1
-            continue
-        steps.append((slot, uid, is_store, sure_hit))
-        if not is_store:
-            guards[slot] = uid
-        elif touches[slot] and not sure_hit:
-            # A store to a different line may touch that line's recency
-            # (if it hits), demoting the guaranteed line from
-            # most-recently-used under LRU: the touch-elision licence is
-            # gone.  Random hits are stateless, so the guarantee survives.
-            guards[slot] = None
-
+    kinds = compiled.kinds
+    uids = compiled.line_ids
+    slots = (kinds != FETCH_KIND).astype(np.int8)
+    stores = kinds == STORE_KIND
+    sure_hits = np.zeros(len(kinds), dtype=bool)
+    for slot, cache in enumerate((config.il1, config.dl1)):
+        members = np.flatnonzero(slots == slot)
+        sure_hits[members] = _sure_hits(
+            uids[members],
+            stores[members],
+            replacement_touches_on_hit(cache.replacement),
+        )
+    # A sure store hit with an L2 behind it stays a step: it writes into
+    # the L2 and advances its state.
+    elided = sure_hits & ~stores if has_l2 else sure_hits
+    keep = ~elided
+    elided_il1 = int(np.count_nonzero(elided & (slots == 0)))
     return TracePlan(
-        steps=steps,
-        n_accesses=len(compiled.kinds),
-        elided={"il1": elided[0], "dl1": elided[1]},
-        elided_store_memory_accesses=elided_store_mem,
+        steps=list(
+            zip(
+                slots[keep].tolist(),
+                uids[keep].tolist(),
+                stores[keep].tolist(),
+                sure_hits[keep].tolist(),
+            )
+        ),
+        n_accesses=len(kinds),
+        elided={"il1": elided_il1, "dl1": int(np.count_nonzero(elided)) - elided_il1},
+        # Each elided store hit (no L2) is one memory access, always.
+        elided_store_memory_accesses=int(np.count_nonzero(elided & stores)),
     )

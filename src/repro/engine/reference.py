@@ -45,7 +45,7 @@ class _ReferenceSimulator:
         self.compiled = compiled
 
     def run(self, seed: int) -> FastRunResult:
-        return self._replay(seed, self.compiled.unique_lines)
+        return self._replay(seed, self.compiled.unique_lines.tolist())
 
     def run_batch(self, seeds: Sequence[int], lines=None) -> List[FastRunResult]:
         if lines is None:
@@ -64,7 +64,7 @@ class _ReferenceSimulator:
     def _replay(self, seed: int, lines: Sequence[int]) -> FastRunResult:
         """One run under ``seed``, with ``lines`` as the unique line table."""
         hierarchy = CacheHierarchy(self.config, seed=seed)
-        for kind, uid in zip(self.compiled.kinds, self.compiled.line_ids):
+        for kind, uid in zip(self.compiled.kinds.tolist(), self.compiled.line_ids.tolist()):
             address = lines[uid]
             if kind == FETCH_KIND:
                 hierarchy.fetch(address)

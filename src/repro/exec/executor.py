@@ -37,6 +37,7 @@ entry instead of simulating it again.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -175,11 +176,7 @@ def execute_campaigns(
     for scenario in missing:
         spec_hash = scenario.spec_hash()
         size = resolve_shard_size(scenario.runs, split, shard_size or None)
-        published = {
-            key
-            for _, key in store.shard_keys(spec_hash)
-            if store.load_shard(spec_hash, key) is not None
-        }
+        published = {key for _, key in store.shard_keys(spec_hash)}
         shards = plan_shards(spec_hash, scenario.runs, size, published)
         _retire_off_plan_tasks(queue, shards)
         for shard in shards:
@@ -193,26 +190,54 @@ def execute_campaigns(
         order = [scenario.spec_hash() for scenario in missing]
         report.executed = _drain(queue, store, min(workers, tasks), order)
     for scenario, shards in plans:
-        spec_hash = scenario.spec_hash()
-        campaign = _await_foreign_shards(
-            scenario, shards, engine, store, queue, recorded, report
-        )
-        from_store = campaign is not None
-        if not from_store:
-            try:
-                campaign = reassemble_campaign(
-                    scenario, shards, lambda shard: store.load_shard(spec_hash, shard.key)
-                )
-            except RuntimeError:
-                # Another drain recorded the campaign and cleared its shards.
-                campaign, from_store = recorded(scenario), True
-                if campaign is None:
-                    raise
+        campaign, from_store = _collect(scenario, shards, engine, store, queue, recorded, report)
         record(scenario, campaign, from_store)
         # The recorded campaign entry supersedes its shards; drop them so
         # the store does not keep one shard file per lane range forever.
-        store.clear_shards(spec_hash)
+        store.clear_shards(scenario.spec_hash())
     return report
+
+
+def _collect(
+    scenario: Scenario,
+    shards: Sequence[Shard],
+    engine: str,
+    store: ResultStore,
+    queue: FileQueue,
+    recorded: Callable[[Scenario], Optional[CampaignResult]],
+    report: ShardReport,
+) -> Tuple[CampaignResult, bool]:
+    """The campaign of the planned ``shards`` and whether it came from the
+    store, once every shard is published (:func:`_await_foreign_shards`).
+
+    Until then shards are only stat-ed; each published shard is decoded
+    here, once.  One that reads as a miss (corrupt, truncated, or of the
+    wrong length) is removed and awaited again, so it is executed anew.
+    """
+    spec_hash = scenario.spec_hash()
+    payloads: Dict[str, Optional[Dict[str, object]]] = {}
+    while True:
+        campaign = _await_foreign_shards(
+            scenario, shards, engine, store, queue, recorded, report
+        )
+        if campaign is not None:
+            return campaign, True
+        for shard in shards:
+            if payloads.get(shard.key) is None:
+                payload = store.load_shard(spec_hash, shard.key)
+                whole = (
+                    payload is not None
+                    and len(payload.get("cycles", ())) == shard.count  # type: ignore[arg-type]
+                )
+                payloads[shard.key] = payload if whole else None
+        unreadable = [key for key, payload in payloads.items() if payload is None]
+        if not unreadable:
+            return reassemble_campaign(scenario, shards, lambda shard: payloads[shard.key]), False
+        # A shard another drain cleared after recording the campaign is
+        # gone already; the next await finds that entry.
+        for key in unreadable:
+            with contextlib.suppress(FileNotFoundError):
+                store.shard_path_for(spec_hash, key).unlink()
 
 
 def _by_workload(scenarios: Sequence[Scenario]) -> List[Scenario]:
@@ -285,11 +310,7 @@ def _await_foreign_shards(
     """
     spec_hash = scenario.spec_hash()
     while True:
-        missing = [
-            shard
-            for shard in shards
-            if store.load_shard(spec_hash, shard.key) is None
-        ]
+        missing = [shard for shard in shards if not store.has_shard(spec_hash, shard.key)]
         if not missing:
             return None
         campaign = recorded(scenario)

@@ -247,7 +247,7 @@ def run_worker(
                 if task is None:
                     continue
                 task_hash, key = str(task["spec_hash"]), str(task["key"])
-                if store.load_shard(task_hash, key) is not None:
+                if store.has_shard(task_hash, key):
                     # Published by another worker (or a previous life of
                     # this queue); just retire the task.
                     queue.complete(task_path, owner)
@@ -255,7 +255,7 @@ def run_worker(
                     continue
                 if not queue.try_claim(task_path, owner, ttl=lease_ttl):
                     continue
-                if store.load_shard(task_hash, key) is not None:
+                if store.has_shard(task_hash, key):
                     # Published and released between the check above and
                     # this claim (two drains over one queue).
                     queue.complete(task_path, owner)

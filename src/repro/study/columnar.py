@@ -25,11 +25,11 @@ Each column is stored with the **narrowest sufficient dtype** (``u1``,
 ``u2``, ``u4``, ``u8``; ``i8`` when negatives appear), so a store entry is
 typically 4--8x smaller than its JSON form and decodes via
 :func:`numpy.frombuffer` without any per-element parsing.  The data section
-starts at a fixed, header-derived offset, so readers can ``mmap`` the file
-and view columns zero-copy (:func:`read_columns`).
+starts at a fixed, header-derived offset, so :func:`unpack_columns` views
+the columns zero-copy in the blob.
 
-The codec is forgiving: :func:`unpack_entry` raises :class:`ValueError` on
-*any* structural problem
+The codec is forgiving: :func:`unpack_columns` and :func:`unpack_entry`
+raise :class:`ValueError` on *any* structural problem
 (bad magic, truncated frame, checksum mismatch, unknown dtype), and callers
 treat that as a cache miss — corrupt entries are overwritten by the next
 save, never propagated.
@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import mmap
-from pathlib import Path
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
@@ -48,9 +46,8 @@ import numpy as np
 __all__ = [
     "COLUMNAR_SUFFIX",
     "pack_entry",
+    "unpack_columns",
     "unpack_entry",
-    "read_entry",
-    "read_columns",
 ]
 
 #: File extension of columnar store entries (``<key>.rcol``).
@@ -161,9 +158,7 @@ def _parse_frame(blob: Union[bytes, memoryview]) -> Tuple[Dict[str, object], int
 
 
 def _decode_columns(
-    header: Dict[str, object],
-    payload: Union[bytes, memoryview],
-    copy: bool,
+    header: Dict[str, object], payload: Union[bytes, memoryview]
 ) -> Dict[str, np.ndarray]:
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header.get("payload_sha256"):
@@ -184,12 +179,28 @@ def _decode_columns(
         nbytes = dtype.itemsize * count
         if position + nbytes > len(payload):
             raise ValueError(f"column {name!r} extends past the payload")
-        array = np.frombuffer(payload, dtype=dtype, count=count, offset=position)
-        columns[name] = array.copy() if copy else array
+        columns[name] = np.frombuffer(payload, dtype=dtype, count=count, offset=position)
         position += nbytes
     if position != len(payload):
         raise ValueError("columnar payload has trailing bytes")
     return columns
+
+
+def unpack_columns(
+    blob: Union[bytes, memoryview],
+) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+    """Decode one blob into ``(meta, columns)``; columns as numpy views.
+
+    The arrays alias ``blob`` (read-only when ``blob`` is ``bytes``): no
+    per-element parsing and no copy.  Raises :class:`ValueError` on
+    corruption.
+    """
+    header, payload_offset = _parse_frame(blob)
+    arrays = _decode_columns(header, memoryview(blob)[payload_offset:])
+    meta = header.get("meta")
+    if not isinstance(meta, dict):
+        raise ValueError("columnar header is missing its meta object")
+    return meta, arrays
 
 
 def unpack_entry(
@@ -202,35 +213,5 @@ def unpack_entry(
     JSON era regardless of the on-disk dtype.  Raises :class:`ValueError`
     on corruption.
     """
-    header, payload_offset = _parse_frame(blob)
-    arrays = _decode_columns(header, memoryview(blob)[payload_offset:], copy=False)
-    meta = header.get("meta")
-    if not isinstance(meta, dict):
-        raise ValueError("columnar header is missing its meta object")
+    meta, arrays = unpack_columns(blob)
     return meta, {name: array.tolist() for name, array in arrays.items()}
-
-
-def read_entry(
-    path: Union[str, Path],
-) -> Tuple[Dict[str, object], Dict[str, List[int]]]:
-    """Read and decode one columnar file (``OSError``/``ValueError`` raise)."""
-    return unpack_entry(Path(path).read_bytes())
-
-
-def read_columns(path: Union[str, Path]) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
-    """Memory-map one columnar file and return zero-copy column views.
-
-    The returned arrays alias the page cache (``mmap.ACCESS_READ``) — no
-    per-element parsing and no copy, which is what makes warm reassembly of
-    large campaigns cheap.  The mapping lives as long as the arrays do
-    (numpy keeps the buffer alive).  Raises like :func:`read_entry`.
-    """
-    with open(path, "rb") as handle:
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    view = memoryview(mapped)
-    header, payload_offset = _parse_frame(view)
-    arrays = _decode_columns(header, view[payload_offset:], copy=False)
-    meta = header.get("meta")
-    if not isinstance(meta, dict):
-        raise ValueError("columnar header is missing its meta object")
-    return meta, arrays

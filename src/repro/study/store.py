@@ -36,7 +36,10 @@ The store is deliberately forgiving: unreadable, truncated or
 version-mismatched files are treated as cache misses (and overwritten by
 the next save), never as errors.  Saves are atomic (write to a temporary
 file, then :func:`os.replace`) so a killed run cannot leave a half-written
-entry behind.
+entry behind.  That also makes every save a new inode, which is what lets
+a process decode each campaign entry and analysis once
+(:class:`ReadMemo`): a memoized decode is served only while the file's
+inode, size and ``mtime_ns`` are the ones it was read with.
 """
 
 from __future__ import annotations
@@ -45,10 +48,12 @@ import contextlib
 import json
 import math
 import os
+import threading
 import time
 import uuid
+from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -58,7 +63,9 @@ from .scenario import SPEC_VERSION, Scenario
 
 __all__ = [
     "DEFAULT_STORE_DIR",
+    "READ_MEMO",
     "STUDY_LOG_NAME",
+    "ReadMemo",
     "ResultStore",
     "check_gc_age",
 ]
@@ -121,6 +128,90 @@ def _files(directory: Path, pattern: str) -> List[Path]:
     return list(directory.glob(pattern)) if directory.is_dir() else []
 
 
+#: How many decoded store files :data:`READ_MEMO` keeps: above the
+#: campaign entries plus analyses that ``query runs`` reads on a store of
+#: every study, so a repeated scan hits.
+READ_MEMO_SIZE = 1024
+
+
+def _file_version(stat: os.stat_result) -> Tuple[int, int, int]:
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+
+class ReadMemo:
+    """Decoded store files by path, each valid while its file is unchanged.
+
+    A hit needs one :func:`os.stat`: the memo keeps each file's inode, size
+    and ``mtime_ns`` as read (``fstat`` of the handle it decoded), and
+    serves the decoded value only while the path still shows all three.
+    Every store write is an atomic replace, which gives the path a new
+    inode, and a deleted file fails the stat, so a hit is always the
+    file's current content.  Callers hand out fresh copies or read-only
+    views of what :meth:`read` returns.  Thread-safe; the least recently
+    read files leave first beyond ``capacity``.
+    """
+
+    def __init__(self, capacity: int = READ_MEMO_SIZE) -> None:
+        self.capacity = capacity
+        self._values: "OrderedDict[str, Tuple[Tuple[int, int, int], object]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def read(self, path: str, decode: Callable[[bytes], object]) -> object:
+        """``decode`` of the bytes of ``path``, decoded once per file version.
+
+        Raises :class:`OSError` for an unreadable file and whatever
+        ``decode`` raises; neither is memoized.
+        """
+        try:
+            version = _file_version(os.stat(path))
+        except OSError:
+            with self._lock:
+                self._values.pop(path, None)
+            raise
+        with self._lock:
+            held = self._values.get(path)
+            if held is not None and held[0] == version:
+                self._values.move_to_end(path)
+                return held[1]
+        with open(path, "rb") as handle:
+            version = _file_version(os.fstat(handle.fileno()))
+            value = decode(handle.read())
+        with self._lock:
+            self._values[path] = (version, value)
+            self._values.move_to_end(path)
+            while len(self._values) > self.capacity:
+                self._values.popitem(last=False)
+        return value
+
+
+#: The process's one memo of decoded campaign entries and analyses.
+READ_MEMO = ReadMemo()
+
+
+def _decode_entry(blob: bytes) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+    """A campaign entry as ``(meta, columns)``, columns read-only views."""
+    return columnar.unpack_columns(blob)
+
+
+def _decode_analysis(blob: bytes) -> Dict[str, object]:
+    payload = json.loads(blob)
+    if not isinstance(payload, dict):
+        raise ValueError("analysis payload is not an object")
+    return payload
+
+
+def _fresh(value: object) -> object:
+    """A copy of decoded JSON data that shares no dict or list with it."""
+    if type(value) is dict:
+        return {key: _fresh(item) for key, item in value.items()}  # type: ignore[union-attr]
+    if type(value) is list:
+        return [_fresh(item) for item in value]  # type: ignore[union-attr]
+    return value
+
+
 class ResultStore:
     """A directory of ``<spec_hash>.rcol`` scenario results."""
 
@@ -158,29 +249,40 @@ class ResultStore:
         """Spec hashes currently stored (sorted)."""
         return sorted(path.stem for path in _files(self.root, f"*{columnar.COLUMNAR_SUFFIX}"))
 
+    def _entry(self, spec_hash: str):
+        """The memoized ``(meta, columns)`` of one current entry, or ``None``."""
+        try:
+            meta, columns = READ_MEMO.read(self._entry_file(spec_hash), _decode_entry)
+        except (OSError, ValueError):
+            return None
+        times = columns.get("execution_times")
+        if meta.get("version") != SPEC_VERSION or times is None or not times.size:
+            return None
+        return meta, columns
+
     def load(self, spec_hash: str) -> Optional[CampaignResult]:
         """The stored campaign for ``spec_hash``, or ``None`` (never raises).
 
         A corrupt, truncated, version-mismatched or empty entry is a miss.
+        The file is decoded once per process and version
+        (:data:`READ_MEMO`); each call builds a fresh result.
         """
+        entry = self._entry(spec_hash)
+        if entry is None:
+            return None
+        meta, columns = entry
         try:
-            with open(self._entry_file(spec_hash), "rb") as handle:
-                blob = handle.read()
-            meta, columns = columnar.unpack_entry(blob)
-            if meta["version"] != SPEC_VERSION:
-                return None
             return CampaignResult(
                 workload=str(meta["workload"]),
                 setup=str(meta["setup"]),
-                # unpack_entry yields plain Python ints: no per-element coercion.
-                execution_times=columns.get("execution_times", []),
+                execution_times=columns["execution_times"].tolist(),
                 master_seed=int(meta["master_seed"]),  # type: ignore[arg-type]
                 miss_summary={
                     str(key): float(value)  # type: ignore[arg-type]
                     for key, value in meta.get("miss_summary", {}).items()  # type: ignore[union-attr]
                 },
             )
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        except (KeyError, ValueError, TypeError, AttributeError):
             return None
 
     def load_columns(
@@ -188,23 +290,18 @@ class ResultStore:
     ) -> Optional[Tuple[Dict[str, object], Dict[str, np.ndarray]]]:
         """``(meta, columns)`` of one entry, columns as numpy arrays.
 
-        The array-native sibling of :meth:`load`: the columnar file is
-        memory-mapped and its blocks come back as zero-copy views — no
-        per-element parsing and no Python-int materialization, which is
-        what bulk readers (the run-table engine, reassembly, MBPTA fits)
-        want since they hand the data straight to numpy anyway.  Returns
-        ``None`` on any miss, like :meth:`load`.
+        The array-native sibling of :meth:`load`: the columns are read-only
+        views of the decoded file — no per-element parsing and no
+        Python-int materialization, which is what bulk readers (the
+        run-table engine) want since they hand the data straight to numpy
+        anyway.  ``meta`` is a fresh copy.  Returns ``None`` on any miss,
+        like :meth:`load`.
         """
-        try:
-            meta, columns = columnar.read_columns(self._entry_file(spec_hash))
-        except (OSError, ValueError):
+        entry = self._entry(spec_hash)
+        if entry is None:
             return None
-        if meta.get("version") != SPEC_VERSION:
-            return None
-        times = columns.get("execution_times")
-        if times is None or not times.size:
-            return None
-        return meta, columns
+        meta, columns = entry
+        return _fresh(meta), dict(columns)  # type: ignore[return-value]
 
     def save(self, scenario: Scenario, campaign: CampaignResult) -> Path:
         """Persist one executed scenario atomically; returns the entry path."""
@@ -238,19 +335,18 @@ class ResultStore:
     ) -> Optional[Dict[str, object]]:
         """The persisted analysis payload for the key pair, or ``None``.
 
-        The payload is returned as plain data; interpretation (and version
+        The payload is returned as plain data, a fresh copy of the file's
+        memoized decode (:data:`READ_MEMO`); interpretation (and version
         checking) belongs to :func:`repro.pwcet.analysis_from_payload`.
         Unreadable entries are misses, never errors.
         """
         try:
-            with open(self._analysis_file(spec_hash, analysis_hash), "rb") as handle:
-                blob = handle.read()
-            payload = json.loads(blob)
+            payload = READ_MEMO.read(
+                self._analysis_file(spec_hash, analysis_hash), _decode_analysis
+            )
         except (OSError, ValueError):
             return None
-        if not isinstance(payload, dict):
-            return None
-        return payload
+        return _fresh(payload)  # type: ignore[return-value]
 
     def save_analysis(
         self, spec_hash: str, analysis_hash: str, payload: Dict[str, object]
@@ -308,6 +404,11 @@ class ResultStore:
         path = self.shard_path_for(spec_hash, key)
         _replace_atomically(path, columnar.pack_entry(meta, columns))
         return path
+
+    def has_shard(self, spec_hash: str, key: str) -> bool:
+        """Whether a shard entry is published for the key pair: one stat,
+        no decode.  A corrupt entry counts; its reader finds it a miss."""
+        return os.path.isfile(self.shard_path_for(spec_hash, key))
 
     def load_shard(self, spec_hash: str, key: str) -> Optional[Dict[str, object]]:
         """The published shard payload for the key pair, or ``None``.

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from ..cache.trace import AccessKind, Trace
 from ..core.prng import SplitMix64
@@ -97,19 +99,15 @@ def relocate_trace(trace: Trace, code_shift: int = 0, data_shift: int = 0) -> Tr
     """The trace ``trace`` becomes when its segments move by the given shifts.
 
     Fetch addresses move by ``code_shift`` and load/store addresses by
-    ``data_shift``, wrapping at 32 bits as :meth:`Trace.append` does.  For a
+    ``data_shift``, wrapping at 32 bits as every :class:`Trace` does.  For a
     trace built at ``MemoryLayout()`` this is exactly the trace
     :func:`build_kernel_trace` builds at ``MemoryLayout().shifted(code_shift,
     data_shift, stack_shift)``: the generators place code at ``code_base``
     and every table and state record at ``data_base``, and none touches the
     stack segment, so the stack shift moves nothing.
     """
-    fetch = int(AccessKind.FETCH)
-    addresses = [
-        (address + (code_shift if kind == fetch else data_shift)) & 0xFFFFFFFF
-        for kind, address in zip(trace.kinds, trace.addresses)
-    ]
-    return Trace(trace.kinds, addresses, name=trace.name)
+    shifts = np.where(trace.kinds == AccessKind.FETCH, code_shift, data_shift)
+    return Trace(trace.kinds, trace.addresses + shifts, name=trace.name)
 
 
 #: Recognised data-access patterns for :class:`KernelSpec`.
@@ -203,48 +201,39 @@ def check_scale(scale: float) -> None:
 
 def _table_index_sequence(
     spec: KernelSpec, table_size: int, count: int, rng: SplitMix64
-) -> List[int]:
-    """Byte offsets into a table of ``table_size`` bytes for ``count`` accesses."""
+) -> np.ndarray:
+    """Byte offsets into a table of ``table_size`` bytes for ``count`` accesses.
+
+    The ``random`` and ``pointer_chase`` patterns draw the program input
+    from ``rng`` (all of a table's draws, in order, in one
+    :meth:`~repro.core.prng.SplitMix64.next_below_array` pass).
+    """
     if table_size <= 0:
-        return [0] * count
-    offsets: List[int] = []
+        return np.zeros(count, dtype=np.int64)
+    accesses = np.arange(count, dtype=np.int64)
     if spec.pattern == "sequential":
-        step = 4
-        position = 0
-        for _ in range(count):
-            offsets.append(position % table_size)
-            position += step
-    elif spec.pattern == "strided":
-        position = 0
-        for _ in range(count):
-            offsets.append(position % table_size)
-            position += spec.stride
-    elif spec.pattern == "blocked":
+        return accesses * 4 % table_size
+    if spec.pattern == "strided":
+        return accesses * spec.stride % table_size
+    if spec.pattern == "blocked":
+        # Four consecutive words, then the next block.
         block = max(spec.stride, 4)
-        position = 0
-        for i in range(count):
-            offsets.append((position + (i % 4) * 4) % table_size)
-            if i % 4 == 3:
-                position += block
-    elif spec.pattern == "random":
-        for _ in range(count):
-            offsets.append((rng.next_below(max(table_size // 4, 1))) * 4 % table_size)
-    elif spec.pattern == "pointer_chase":
+        return (accesses // 4 * block + accesses % 4 * 4) % table_size
+    if spec.pattern == "random":
+        words = rng.next_below_array(np.full(count, max(table_size // 4, 1)))
+        return words.astype(np.int64) * 4 % table_size
+    if spec.pattern == "pointer_chase":
         # A fixed pseudo-random cycle over the table's words (the classic
         # linked-list traversal): the permutation is part of the program
-        # input and therefore identical in every measurement run.
+        # input and therefore identical in every measurement run.  The
+        # Fisher-Yates swaps run in order over the table's words.
         words = max(table_size // 4, 1)
+        swaps = rng.next_below_array(np.arange(words, 1, -1)).tolist()
         order = list(range(words))
-        for i in range(words - 1, 0, -1):
-            j = rng.next_below(i + 1)
+        for i, j in zip(range(words - 1, 0, -1), swaps):
             order[i], order[j] = order[j], order[i]
-        position = 0
-        for _ in range(count):
-            offsets.append(order[position] * 4)
-            position = (position + 1) % words
-    else:  # pragma: no cover - guarded by KernelSpec validation
-        raise ValueError(f"unknown pattern {spec.pattern}")
-    return offsets
+        return np.array(order, dtype=np.int64)[accesses % words] * 4
+    raise ValueError(f"unknown pattern {spec.pattern}")  # pragma: no cover
 
 
 def build_kernel_trace(
@@ -257,88 +246,76 @@ def build_kernel_trace(
     The trace interleaves instruction fetches walking the loop body with the
     kernel's table and state accesses, mirroring how a compiled inner loop
     issues one data access every few instructions.
+
+    Every iteration issues the same sequence of kinds, so the trace is an
+    ``(iterations, accesses per iteration)`` matrix: the data accesses of
+    each iteration (its table loads, state loads, then state stores) are
+    one row of a data matrix, the fetches one row of a fetch matrix, and a
+    per-iteration template places both.  One data access follows every
+    ``fetch_gap``-th fetch; those that do not fit follow the last fetch.
     """
     layout = layout or MemoryLayout()
     spec = spec.scaled(scale) if scale != 1.0 else spec
     rng = SplitMix64(spec.input_seed)
-    trace = Trace(name=spec.name)
+    iterations = np.arange(spec.iterations, dtype=np.int64)[:, None]
 
     code_words = max(spec.code_bytes // 4, 1)
     executed_words = max(int(code_words * spec.code_fraction), 1)
 
-    # Pre-compute the per-iteration table offsets.
-    tables: List[Dict[str, object]] = []
+    # Table loads: table t issues its per-iteration share of the loads at
+    # consecutive offsets of its index sequence.
+    data_columns: List[np.ndarray] = []
     loads_left = spec.loads_per_iteration
     num_tables = max(len(spec.table_bytes), 1)
     per_table = max(spec.loads_per_iteration // num_tables, 1) if spec.table_bytes else 0
     table_base = layout.data_base
+    table_loads = 0
     for position, size in enumerate(spec.table_bytes):
         count = per_table if position < num_tables - 1 else max(loads_left, 0)
         count = min(count, loads_left) if loads_left else 0
         loads_left -= count
-        tables.append(
-            {
-                "base": table_base,
-                "size": size,
-                "offsets": _table_index_sequence(spec, size, count * spec.iterations, rng),
-                "cursor": 0,
-                "per_iteration": count,
-            }
-        )
+        offsets = _table_index_sequence(spec, size, count * spec.iterations, rng)
+        data_columns.append(table_base + offsets.reshape(spec.iterations, count))
+        table_loads += count
         table_base += size
 
+    # Data accesses that are not directed at tables hit the state record.
     state_base = table_base
     state_words = max(spec.state_bytes // 4, 1)
+    state_loads = max(spec.loads_per_iteration - table_loads, 0)
+    slots = np.arange(state_loads, dtype=np.int64)
+    data_columns.append(state_base + (iterations * 7 + slots * 3) % state_words * 4)
+    slots = np.arange(spec.stores_per_iteration, dtype=np.int64)
+    data_columns.append(state_base + (iterations * 5 + slots * 11) % state_words * 4)
+    data = np.concatenate(data_columns, axis=1)
+    n_data = data.shape[1]
+    data_kinds = np.full(n_data, AccessKind.LOAD, dtype=np.uint8)
+    data_kinds[n_data - spec.stores_per_iteration :] = AccessKind.STORE
 
-    # Data accesses that are not directed at tables hit the state record.
-    state_loads = max(spec.loads_per_iteration - sum(t["per_iteration"] for t in tables), 0)
+    # When only a fraction of the body executes per iteration (data
+    # dependent branches), rotate the executed window so the whole code
+    # footprint is still exercised across iterations.
+    steps = np.arange(executed_words, dtype=np.int64)
+    start_word = iterations * executed_words % code_words if executed_words < code_words else 0
+    fetches = layout.code_base + (start_word + steps) % code_words * 4
 
+    # Where each fetch and data access sits within its iteration.
     total_data_per_iteration = spec.loads_per_iteration + spec.stores_per_iteration
     fetch_gap = max(executed_words // max(total_data_per_iteration, 1), 1)
+    interleaved = min(n_data, executed_words // fetch_gap)
+    fetch_at = steps + np.minimum(steps // fetch_gap, n_data)
+    data_index = np.arange(n_data, dtype=np.int64)
+    data_at = np.where(
+        data_index < interleaved,
+        (data_index + 1) * fetch_gap + data_index,
+        executed_words + data_index,
+    )
 
-    for iteration in range(spec.iterations):
-        data_queue: List[tuple] = []
-        for table in tables:
-            per_iteration = table["per_iteration"]
-            offsets = table["offsets"]
-            cursor = table["cursor"]
-            for _ in range(per_iteration):
-                if cursor < len(offsets):
-                    offset = offsets[cursor]
-                else:  # pragma: no cover - defensive, offsets are pre-sized
-                    offset = 0
-                data_queue.append(("load", table["base"] + offset))
-                cursor += 1
-            table["cursor"] = cursor
-        for slot in range(state_loads):
-            word = (iteration * 7 + slot * 3) % state_words
-            data_queue.append(("load", state_base + word * 4))
-        for slot in range(spec.stores_per_iteration):
-            word = (iteration * 5 + slot * 11) % state_words
-            data_queue.append(("store", state_base + word * 4))
-
-        data_cursor = 0
-        # When only a fraction of the body executes per iteration (data
-        # dependent branches), rotate the executed window so the whole code
-        # footprint is still exercised across iterations.
-        start_word = (iteration * executed_words) % code_words if executed_words < code_words else 0
-        for step in range(executed_words):
-            word = (start_word + step) % code_words
-            trace.fetch(layout.code_base + word * 4)
-            if step % fetch_gap == fetch_gap - 1 and data_cursor < len(data_queue):
-                kind, address = data_queue[data_cursor]
-                if kind == "load":
-                    trace.load(address)
-                else:
-                    trace.store(address)
-                data_cursor += 1
-        # Drain any remaining data accesses at the end of the iteration.
-        while data_cursor < len(data_queue):
-            kind, address = data_queue[data_cursor]
-            if kind == "load":
-                trace.load(address)
-            else:
-                trace.store(address)
-            data_cursor += 1
-
-    return trace
+    width = executed_words + n_data
+    kinds = np.empty(width, dtype=np.uint8)
+    kinds[fetch_at] = AccessKind.FETCH
+    kinds[data_at] = data_kinds
+    addresses = np.empty((spec.iterations, width), dtype=np.int64)
+    addresses[:, fetch_at] = fetches
+    addresses[:, data_at] = data
+    return Trace(np.tile(kinds, spec.iterations), addresses.reshape(-1), name=spec.name)

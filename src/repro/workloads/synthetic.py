@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..cache.trace import Trace
+import numpy as np
+
+from ..cache.trace import AccessKind, Trace
 from .base import MemoryLayout
 
 __all__ = [
@@ -72,22 +74,31 @@ def synthetic_vector_trace(
         raise ValueError(f"element_stride must be positive, got {element_stride}")
 
     layout = layout or MemoryLayout()
-    trace = Trace(name=name or f"synthetic_{footprint_bytes // 1024}KB")
     code_words = max(code_bytes // 4, 1)
     elements = max(footprint_bytes // element_stride, 1)
 
-    code_cursor = 0
-    for _ in range(iterations):
-        for element in range(elements):
-            address = layout.data_base + element * element_stride
-            for _ in range(fetches_per_element):
-                trace.fetch(layout.code_base + (code_cursor % code_words) * 4)
-                code_cursor += 1
-            for word in range(loads_per_element):
-                trace.load(address + 4 * word)
-            if store_every and element % store_every == store_every - 1:
-                trace.store(address)
-    return trace
+    # One traversal as an (elements, accesses per element) matrix: the
+    # element's fetches, its loads, then its store, dropped from the
+    # elements that are not written.
+    columns = fetches_per_element + loads_per_element + 1
+    kinds = np.full((elements, columns), AccessKind.LOAD, dtype=np.uint8)
+    kinds[:, :fetches_per_element] = AccessKind.FETCH
+    kinds[:, -1] = AccessKind.STORE
+    element_base = layout.data_base + np.arange(elements, dtype=np.int64)[:, None] * element_stride
+    offsets = np.zeros(columns, dtype=np.int64)
+    offsets[fetches_per_element:-1] = 4 * np.arange(loads_per_element)
+    addresses = element_base + offsets
+    keep = np.ones((elements, columns), dtype=bool)
+    keep[:, -1] = (
+        np.arange(elements) % store_every == store_every - 1 if store_every else False
+    )
+    kinds = np.tile(kinds[keep], iterations)
+    addresses = np.tile(addresses[keep], iterations)
+    # The fetches walk the loop code continuously across elements and
+    # traversals.
+    fetches = kinds == AccessKind.FETCH
+    addresses[fetches] = layout.code_base + np.arange(np.count_nonzero(fetches)) % code_words * 4
+    return Trace(kinds, addresses, name=name or f"synthetic_{footprint_bytes // 1024}KB")
 
 
 def synthetic_footprint_trace(

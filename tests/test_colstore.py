@@ -21,8 +21,7 @@ from repro.study import columnar
 from repro.study.columnar import (
     COLUMNAR_SUFFIX,
     pack_entry,
-    read_columns,
-    read_entry,
+    unpack_columns,
     unpack_entry,
 )
 from repro.analysis.campaign import CampaignResult
@@ -140,15 +139,15 @@ class TestCodec:
         with pytest.raises(ValueError):
             unpack_entry(frame)
 
-    def test_read_columns_is_a_zero_copy_view(self, tmp_path):
-        path = tmp_path / f"entry{COLUMNAR_SUFFIX}"
-        path.write_bytes(pack_entry({"version": 1}, {"c": [9, 8, 70_000]}))
-        meta, arrays = read_columns(path)
+    def test_unpack_columns_is_a_zero_copy_view(self):
+        frame = pack_entry({"version": 1}, {"c": [9, 8, 70_000]})
+        meta, arrays = unpack_columns(frame)
         assert meta == {"version": 1}
         assert arrays["c"].tolist() == [9, 8, 70_000]
-        # A view over the mapped file, not a materialized copy.
+        # A read-only view over the blob, not a materialized copy.
         assert arrays["c"].base is not None
-        assert read_entry(path) == ({"version": 1}, {"c": [9, 8, 70_000]})
+        assert not arrays["c"].flags.writeable
+        assert unpack_entry(frame) == ({"version": 1}, {"c": [9, 8, 70_000]})
 
 
 # ---------------------------------------------------------------------------
@@ -458,3 +457,156 @@ class TestGarbageCollection:
         store.sweep(older_than=0.0, analyses_only=True)
         assert store.keys() == keys_before
         assert store.analysis_keys() == []
+
+
+# ---------------------------------------------------------------------------
+# The read memo: each store file decoded once per process and version
+# ---------------------------------------------------------------------------
+
+
+class TestReadMemo:
+    @staticmethod
+    def _counting(monkeypatch):
+        """Count the store's entry and analysis decodes from now on."""
+        from repro.study import store as store_module
+
+        counts = {"entries": 0, "analyses": 0}
+        for key, name in (("entries", "_decode_entry"), ("analyses", "_decode_analysis")):
+            original = getattr(store_module, name)
+
+            def counted(blob, key=key, original=original):
+                counts[key] += 1
+                return original(blob)
+
+            monkeypatch.setattr(store_module, name, counted)
+        return counts
+
+    def test_repeated_reads_decode_once(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        scenario = tiny_scenario()
+        store.save(scenario, campaign_for(scenario))
+        store.save_analysis(scenario.spec_hash(), "cfg", {"pwcet": {"1e-15": 9.5}})
+        counts = self._counting(monkeypatch)
+        for _ in range(3):
+            assert store.load(scenario.spec_hash()) == campaign_for(scenario)
+            assert store.load_columns(scenario.spec_hash()) is not None
+            assert store.load_analysis(scenario.spec_hash(), "cfg") == {"pwcet": {"1e-15": 9.5}}
+        # Another store instance over the same directory shares the memo.
+        assert ResultStore(tmp_path / "store").load(scenario.spec_hash()) is not None
+        assert counts == {"entries": 1, "analyses": 1}
+
+    def test_a_replaced_entry_or_analysis_is_read_anew(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        scenario = tiny_scenario()
+        spec_hash = scenario.spec_hash()
+        store.save(scenario, campaign_for(scenario))
+        store.save_analysis(spec_hash, "cfg", {"writer": "first"})
+        assert store.load(spec_hash) == campaign_for(scenario)
+        assert store.load_analysis(spec_hash, "cfg") == {"writer": "first"}
+        counts = self._counting(monkeypatch)
+        times = [5 * i for i in range(scenario.runs)]
+        store.save(scenario, campaign_for(scenario, times))
+        store.save_analysis(spec_hash, "cfg", {"writer": "second"})
+        assert store.load(spec_hash).execution_times == times
+        assert store.load_columns(spec_hash)[1]["execution_times"].tolist() == times
+        assert store.load_analysis(spec_hash, "cfg") == {"writer": "second"}
+        assert counts == {"entries": 1, "analyses": 1}
+
+    def test_a_deleted_entry_or_analysis_is_a_miss(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        scenario = tiny_scenario()
+        spec_hash = scenario.spec_hash()
+        store.save(scenario, campaign_for(scenario))
+        store.save_analysis(spec_hash, "cfg", {"writer": "first"})
+        assert store.load(spec_hash) is not None
+        assert store.load_analysis(spec_hash, "cfg") is not None
+        store.path_for(spec_hash).unlink()
+        store.analysis_path_for(spec_hash, "cfg").unlink()
+        assert store.load(spec_hash) is None
+        assert store.load_columns(spec_hash) is None
+        assert spec_hash not in store
+        assert store.load_analysis(spec_hash, "cfg") is None
+
+    def test_mutating_a_returned_value_does_not_change_the_next_read(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        scenario = tiny_scenario()
+        spec_hash = scenario.spec_hash()
+        payload = {"pwcet": {"1e-15": 9.5}, "config": {"probabilities": [1e-12]}}
+        store.save(scenario, campaign_for(scenario))
+        store.save_analysis(spec_hash, "cfg", payload)
+
+        campaign = store.load(spec_hash)
+        campaign.execution_times.append(1)
+        campaign.miss_summary["il1_miss_rate"] = 9.0
+        assert store.load(spec_hash) == campaign_for(scenario)
+
+        meta, columns = store.load_columns(spec_hash)
+        meta["spec"]["runs"] = -1
+        meta["miss_summary"].clear()
+        columns.pop("execution_times")
+        meta, columns = store.load_columns(spec_hash)
+        assert meta["spec"] == scenario.spec_dict()
+        assert meta["miss_summary"] == MISS_SUMMARY
+        times = columns["execution_times"]
+        assert not times.flags.writeable
+        with pytest.raises(ValueError):
+            times[0] = 0
+
+        analysis = store.load_analysis(spec_hash, "cfg")
+        analysis["pwcet"]["1e-15"] = 0.0
+        analysis["config"]["probabilities"].append(0.5)
+        assert store.load_analysis(spec_hash, "cfg") == payload
+
+    def test_the_memo_stays_within_its_bound(self, tmp_path):
+        from repro.study.store import ReadMemo
+
+        memo = ReadMemo(capacity=3)
+        decoded = []
+
+        def decode(blob):
+            decoded.append(blob)
+            return blob
+
+        paths = []
+        for index in range(10):
+            path = tmp_path / f"file{index}"
+            path.write_bytes(b"%d" % index)
+            paths.append(str(path))
+            assert memo.read(str(path), decode) == b"%d" % index
+            assert len(memo) <= 3
+        assert len(decoded) == 10
+        # The three most recent files are held; an older one is decoded again.
+        for path in paths[-3:]:
+            memo.read(path, decode)
+        assert len(decoded) == 10
+        memo.read(paths[0], decode)
+        assert len(decoded) == 11 and len(memo) == 3
+
+    def test_the_process_memo_is_bounded(self, tmp_path, monkeypatch):
+        from repro.study.store import READ_MEMO
+
+        monkeypatch.setattr(READ_MEMO, "capacity", 4)
+        store = ResultStore(tmp_path / "store")
+        for seed in range(6):
+            scenario = tiny_scenario(master_seed=seed)
+            store.save(scenario, campaign_for(scenario))
+            store.save_analysis(scenario.spec_hash(), "cfg", {"seed": seed})
+            assert store.load(scenario.spec_hash()) is not None
+            assert store.load_analysis(scenario.spec_hash(), "cfg") == {"seed": seed}
+        assert len(READ_MEMO) <= 4
+
+    def test_an_unreadable_file_is_not_memoized(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        scenario = tiny_scenario()
+        spec_hash = scenario.spec_hash()
+        store.root.mkdir(parents=True)
+        store.path_for(spec_hash).write_bytes(b"RCOL1\x00garbage")
+        store.analysis_root.mkdir()
+        store.analysis_path_for(spec_hash, "cfg").write_text("[1, 2]")
+        counts = self._counting(monkeypatch)
+        for _ in range(2):
+            assert store.load(spec_hash) is None
+            assert store.load_analysis(spec_hash, "cfg") is None
+        assert counts == {"entries": 2, "analyses": 2}
+        store.save(scenario, campaign_for(scenario))
+        assert store.load(spec_hash) == campaign_for(scenario)

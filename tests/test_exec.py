@@ -801,6 +801,58 @@ class TestCrashResume:
         )
 
 
+class TestShardDecodes:
+    """A queued drain stats shards until reassembly, which decodes each once."""
+
+    @staticmethod
+    def _count_loads(monkeypatch):
+        loads = []
+        original = ResultStore.load_shard
+
+        def counting(store, spec_hash, key):
+            loads.append(key)
+            return original(store, spec_hash, key)
+
+        monkeypatch.setattr(ResultStore, "load_shard", counting)
+        return loads
+
+    def test_a_cold_sharded_study_decodes_each_shard_once(self, tmp_path, monkeypatch):
+        from repro.__main__ import main
+
+        loads = self._count_loads(monkeypatch)
+        argv = [
+            "study", "run", "fig5", "--runs", "24", "--shard-size", "6",
+            "--store", str(tmp_path / "store"),
+        ]
+        assert main(argv) == 0
+        # fig5 plans two campaigns of 24 runs: four 6-lane shards each.
+        assert len(loads) == 8 and len(set(loads)) == 4
+
+    def test_a_resume_over_a_corrupt_shard_converges(self, tmp_path, monkeypatch):
+        scenario = _scenario()
+        spec_hash = scenario.spec_hash()
+        clean = ResultStore(tmp_path / "clean")
+        execute_scenarios([scenario], store=clean, shard_size=3)
+
+        store = ResultStore(tmp_path / "store")
+        shards, queue = _enqueue_all(scenario, store, shard_size=3)
+        assert run_worker(queue.root, store.root, max_shards=3).shards_done == 3
+        published = store.shard_path_for(spec_hash, shards[1].key)
+        published.write_bytes(published.read_bytes()[:-5])  # truncated
+        assert store.has_shard(spec_hash, shards[1].key)
+        assert store.load_shard(spec_hash, shards[1].key) is None
+
+        loads = self._count_loads(monkeypatch)
+        results = execute_scenarios([scenario], store=store, shard_size=3)
+        # The missing shard and the corrupt one execute; the corrupt one is
+        # decoded twice (before and after it is executed again).
+        assert results.report.shards_executed == 2
+        assert len(loads) == len(shards) + 1
+        assert next(iter(results)).campaign.execution_times == _serial_times(scenario)
+        assert store.path_for(spec_hash).read_bytes() == clean.path_for(spec_hash).read_bytes()
+        assert store.shard_keys(spec_hash) == []
+
+
 # ---------------------------------------------------------------------------
 # Overlapping drains of one spec (two server jobs, or study run beside one)
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def hierarchy_replay(config, trace, seed):
         AccessKind.LOAD: hierarchy.load,
         AccessKind.STORE: hierarchy.store,
     }
-    for kind, address in zip(trace.kinds, trace.addresses):
+    for kind, address in zip(trace.kinds.tolist(), trace.addresses.tolist()):
         replay[kind](address)
     il1, dl1, l2 = (hierarchy.stats()[level] for level in ("il1", "dl1", "l2"))
     return FastRunResult(
@@ -85,6 +85,16 @@ class TestCompiledTrace:
         assert len(compiled.unique_lines) == 2
         assert compiled.line_ids[0] == compiled.line_ids[1]
         assert compiled.footprint_bytes == 64
+
+    @pytest.mark.parametrize("line_size", [0, -32, 48])
+    def test_line_size_must_be_a_positive_power_of_two(self, line_size):
+        # 48 B lines would give unique_lines [0, 16, 80, 64] and ids
+        # [0, 1, 0, 1, 2, 3] here; 0 would make one line of every address.
+        trace = Trace()
+        for address in (0, 16, 40, 48, 80, 96):
+            trace.load(address)
+        with pytest.raises(ValueError, match=f"line_size must be a positive power of two, got {line_size}"):
+            CompiledTrace(trace, line_size=line_size)
 
     def test_kind_constants_match_access_kind(self):
         from repro.cache.fastsim import FETCH_KIND, LOAD_KIND, STORE_KIND

@@ -1,5 +1,6 @@
 """Tests for the workload generators (EEMBC stand-ins, synthetic kernel, layouts)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,13 +109,14 @@ class TestKernelTraceGeneration:
         spec = eembc_spec("tblook")
         a = build_kernel_trace(spec)
         b = build_kernel_trace(spec)
-        assert a.addresses == b.addresses and a.kinds == b.kinds
+        assert np.array_equal(a.addresses, b.addresses)
+        assert np.array_equal(a.kinds, b.kinds)
 
     def test_layout_shifts_addresses(self):
         spec = eembc_spec("a2time")
         base = build_kernel_trace(spec)
         shifted = build_kernel_trace(spec, layout=MemoryLayout().shifted(data_shift=0x400))
-        assert base.addresses != shifted.addresses
+        assert not np.array_equal(base.addresses, shifted.addresses)
         assert len(base) == len(shifted)
 
     def test_scale_changes_length(self):
@@ -150,8 +152,8 @@ class TestRelocation:
             layout = MemoryLayout().shifted(code, data, stack)
             rebuilt = eembc_trace(name, layout=layout, scale=scale)
             moved = relocate_trace(base, code, data)
-            assert moved.kinds == rebuilt.kinds
-            assert moved.addresses == rebuilt.addresses
+            assert np.array_equal(moved.kinds, rebuilt.kinds)
+            assert np.array_equal(moved.addresses, rebuilt.addresses)
             assert moved.name == rebuilt.name
 
 
