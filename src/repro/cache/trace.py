@@ -47,8 +47,13 @@ def check_line_size(line_size: int) -> int:
     return line_size
 
 
+def _unknown_kind(code: object) -> ValueError:
+    return ValueError(f"unknown access kind code {code!r}; AccessKind codes are 0, 1 and 2")
+
+
 class Trace:
-    """An ordered sequence of memory accesses."""
+    """An ordered sequence of memory accesses, each kind an :class:`AccessKind`
+    code (the engines would read any other code differently)."""
 
     def __init__(
         self,
@@ -56,13 +61,17 @@ class Trace:
         addresses: Sequence[int] | np.ndarray | None = None,
         name: str = "trace",
     ) -> None:
-        kinds = np.array([] if kinds is None else kinds, dtype=np.uint8)
+        codes = np.asarray([] if kinds is None else kinds)
+        kinds = codes.astype(np.uint8)
         addresses = np.array([] if addresses is None else addresses, dtype=np.int64)
         if kinds.shape != addresses.shape or kinds.ndim != 1:
             raise ValueError(
                 f"kinds and addresses must have the same length "
                 f"({kinds.size} != {addresses.size})"
             )
+        unknown = codes[(kinds != codes) | (kinds > AccessKind.STORE)]
+        if unknown.size:
+            raise _unknown_kind(unknown[0].item())
         addresses &= 0xFFFFFFFF
         self._kinds = kinds
         self._addresses = addresses
@@ -83,6 +92,8 @@ class Trace:
 
     def append(self, kind: AccessKind | int, address: int) -> None:
         """Append one access."""
+        if not 0 <= kind <= AccessKind.STORE:
+            raise _unknown_kind(kind)
         size = self._size
         if size == self._kinds.size:
             capacity = max(16, 2 * size)

@@ -15,13 +15,13 @@ launched ``python -m repro worker`` processes alike:
 * ``workers/<owner>.json`` — per-worker heartbeat telemetry
   (:mod:`repro.exec.telemetry`).
 
-Claiming is optimistic: a fresh claim uses ``open(path, "x")`` (atomic
-create), a stale-lease reclaim atomically replaces the lease file and then
-re-reads it to confirm ownership.  The rare double-claim race after a
-reclaim is harmless by construction — shard execution is deterministic and
-publication into the store is an idempotent atomic replace of identical
-bytes, so two workers executing the same shard waste time but never
-corrupt results.
+Claiming is optimistic: a fresh claim hard-links a written lease file into
+place (which fails if a lease exists), a stale-lease reclaim atomically
+replaces the lease file and then re-reads it to confirm ownership.  The
+rare double-claim race after a reclaim is harmless by construction — shard
+execution is deterministic and publication into the store is an
+idempotent atomic replace of identical bytes, so two workers executing the
+same shard waste time but never corrupt results.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
+
+from ..study.store import _replace_atomically
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
@@ -91,19 +93,10 @@ class Lease:
     def expired(self, now: Optional[float] = None) -> bool:
         return (time.time() if now is None else now) >= self.deadline
 
-    def owner_alive(self) -> bool:
-        """Best-effort liveness: only probeable for same-host owners.
-
-        Remote owners are assumed alive until their lease expires (there is
-        no cross-host signal); a same-host owner that is dead
-        (:func:`process_alive`) leaves a lease that is reclaimable without
-        waiting out the TTL.
-        """
-        return process_alive(self.host, self.pid)
-
     def active(self, now: Optional[float] = None) -> bool:
-        """True while the lease must be respected by other workers."""
-        return not self.expired(now) and self.owner_alive()
+        """True while the lease must be respected by other workers: until it
+        expires, or until its same-host owner is dead (:func:`process_alive`)."""
+        return not self.expired(now) and process_alive(self.host, self.pid)
 
 
 class FileQueue:
@@ -137,13 +130,8 @@ class FileQueue:
     def enqueue(self, task: Dict[str, object]) -> Path:
         """Persist one shard task atomically; enqueueing is idempotent
         (re-enqueueing a shard overwrites the identical task file)."""
-        spec_hash = str(task["spec_hash"])
-        key = str(task["key"])
-        self.task_root.mkdir(parents=True, exist_ok=True)
-        path = self.task_path(spec_hash, key)
-        temporary = path.with_suffix(f".{uuid.uuid4().hex[:8]}.tmp")
-        temporary.write_text(json.dumps(task, sort_keys=True))
-        os.replace(temporary, path)
+        path = self.task_path(str(task["spec_hash"]), str(task["key"]))
+        _replace_atomically(path, json.dumps(task, sort_keys=True).encode())
         return path
 
     def tasks(self, *spec_hashes: str) -> List[Path]:

@@ -7,8 +7,8 @@ renders these together with the queue and store occupancy — the system's
 first observability surface, and the hook multi-host schedulers will read.
 
 A worker writes its heartbeat on each state transition — start, claim,
-publish and exit — atomically (temp file + ``os.replace``), so a reader
-never sees a torn file.
+publish and exit — through the store's atomic writer (temp file +
+``os.replace``), so a reader never sees a torn file.
 
 :func:`read_heartbeats` — polled by ``exec status``, the analysis
 server's status endpoint and its event watcher — lists the ``workers/``
@@ -21,10 +21,10 @@ import json
 import os
 import socket
 import time
-import uuid
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..study.store import _replace_atomically
 from .queue import FileQueue, process_alive
 
 __all__ = [
@@ -116,10 +116,8 @@ class WorkerTelemetry:
     def _write(self) -> None:
         self.heartbeat.last_heartbeat = time.time()
         try:
-            self.queue.worker_root.mkdir(parents=True, exist_ok=True)
-            temporary = self.path.with_suffix(f".{uuid.uuid4().hex[:8]}.tmp")
-            temporary.write_text(json.dumps(self.heartbeat.as_dict(), sort_keys=True))
-            os.replace(temporary, self.path)
+            payload = json.dumps(self.heartbeat.as_dict(), sort_keys=True)
+            _replace_atomically(self.path, payload.encode())
         except OSError:
             # Telemetry must never take a worker down.
             pass

@@ -35,7 +35,7 @@ from ..pwcet.protocol import MBPTA_MIN_RUNS
 from .resultset import ResultSet
 from .runner import execute_scenarios
 from .scenario import Scenario, Sweep, expand
-from .store import ResultStore
+from .store import ResultStore, check_study_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.experiments import ExperimentSettings
@@ -149,11 +149,11 @@ def _registry() -> Dict[str, Study]:
 def register_study(study: Study, replace: bool = False) -> Study:
     """Register ``study`` under ``study.name``.
 
-    Re-registering a name raises unless ``replace=True``.
+    Re-registering a name raises unless ``replace=True``.  The name must
+    pass :func:`~repro.study.store.check_study_name`: it names the study's
+    marker directory in a store.
     """
-    if not study.name:
-        raise ValueError(f"study {study!r} must define a non-empty name")
-    if study.name in _registry() and not replace:
+    if check_study_name(study.name) in _registry() and not replace:
         raise ValueError(
             f"study {study.name!r} is already registered; pass replace=True to override"
         )

@@ -111,6 +111,12 @@ def execute_scenarios(
         pending.append(scenario)
         pending_hashes.add(spec_hash)
 
+    if store is not None and resolved:
+        # A drain killed between storing a campaign and clearing its shards
+        # leaves them behind; the campaign's next hit clears them.
+        for spec_hash in {key for key, _ in store.shard_keys()} & resolved.keys():
+            store.clear_shards(spec_hash)
+
     if pending:
         # Imported lazily: repro.exec imports study modules at top level, so
         # the study package must not import it during its own initialisation.

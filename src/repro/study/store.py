@@ -27,19 +27,24 @@ the JSON era.  A warm ``study run`` therefore resolves both the campaign
 *and* its EVT analysis from disk and performs zero fits.
 
 Key listings (:meth:`ResultStore.keys`, :meth:`analysis_keys`,
-:meth:`shard_keys`) and the GC candidate lists scan the entry
+:meth:`shard_keys`, :meth:`study_index`) and the GC candidate lists scan
 directories, so they always agree with the files: a killed save leaves
-either a listed entry or an unlisted ``*.tmp`` straggler.  The only
-bookkeeping file is ``studies.log``, the study provenance record.
+either a listed entry or an unlisted ``*.tmp`` straggler.  Study
+provenance is one empty marker file per (study, spec hash) pair,
+``studies/<study>/<spec_hash>``; there is no index file.
 
 The store is deliberately forgiving: unreadable, truncated or
 version-mismatched files are treated as cache misses (and overwritten by
-the next save), never as errors.  Saves are atomic (write to a temporary
-file, then :func:`os.replace`) so a killed run cannot leave a half-written
-entry behind.  That also makes every save a new inode, which is what lets
+the next save), never as errors.  Every file the store and its queue
+write goes through :func:`_replace_atomically` (a temporary file, then
+:func:`os.replace`), apart from the queue's lease link and the study
+markers' exclusive creates, so a killed run cannot leave a half-written
+file behind.  That also makes every save a new inode, which is what lets
 a process decode each campaign entry and analysis once
 (:class:`ReadMemo`): a memoized decode is served only while the file's
-inode, size and ``mtime_ns`` are the ones it was read with.
+inode, size and ``mtime_ns`` are the ones it was read with.  The
+guarantee covers killed processes and a full disk, not power loss:
+nothing calls ``fsync``.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import time
 import uuid
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -64,17 +69,22 @@ from .scenario import SPEC_VERSION, Scenario
 __all__ = [
     "DEFAULT_STORE_DIR",
     "READ_MEMO",
-    "STUDY_LOG_NAME",
     "ReadMemo",
     "ResultStore",
     "check_gc_age",
+    "check_study_name",
 ]
 
 #: Default store location, relative to the working directory.
 DEFAULT_STORE_DIR = os.path.join("results", "store")
 
-#: The append-only (study name, spec hash) provenance log at the store root.
-STUDY_LOG_NAME = "studies.log"
+
+def check_study_name(name: str) -> str:
+    """``name`` if it can name the study's marker directory ``studies/<name>``
+    (not empty, ``.`` or ``..``, no ``/`` or NUL), else ``ValueError``."""
+    if name in ("", ".", "..") or "/" in name or "\0" in name:
+        raise ValueError(f"study name must be one directory name, got {name!r}")
+    return name
 
 
 def check_gc_age(seconds: float) -> float:
@@ -113,19 +123,47 @@ def _as_int_column(value: object) -> Optional[np.ndarray]:
 def _replace_atomically(path: Path, data: bytes) -> None:
     """Write ``data`` to ``path`` through a writer-unique temporary file.
 
-    Two writers of one entry — workers that executed the same shard (a
-    lease-reclaim race), or two jobs persisting the same analysis — write
-    identical bytes; unique temporary names keep either one's replace from
-    tripping over the other's.
+    The one writer of store and queue files: entries, analyses, shards,
+    tasks and heartbeats.  Two writers of one entry — workers that executed
+    the same shard (a lease-reclaim race), or two jobs persisting the same
+    analysis — write identical bytes; unique temporary names keep either
+    one's replace from tripping over the other's.  Creates the directory;
+    a failed write (a full disk) removes its temporary file and leaves
+    ``path`` as it was.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f"{path.name}.{uuid.uuid4().hex[:8]}.tmp")
-    temporary.write_bytes(data)
+    try:
+        temporary.write_bytes(data)
+    except OSError:
+        with contextlib.suppress(OSError):
+            temporary.unlink()
+        raise
     os.replace(temporary, path)
 
 
 def _files(directory: Path, pattern: str) -> List[Path]:
     """The files in ``directory`` matching ``pattern``; none if it is absent."""
     return list(directory.glob(pattern)) if directory.is_dir() else []
+
+
+def _unlink(paths: Iterable[Path]) -> int:
+    """Remove ``paths``; returns how many were removed (one removed
+    concurrently, or otherwise unremovable, is skipped)."""
+    removed = 0
+    for path in paths:
+        with contextlib.suppress(OSError):
+            path.unlink()
+            removed += 1
+    return removed
+
+
+def _names(directory: Path) -> List[str]:
+    """The names in ``directory``; none if it is absent or not a directory."""
+    try:
+        return os.listdir(directory)
+    except OSError:
+        return []
 
 
 #: How many decoded store files :data:`READ_MEMO` keeps: above the
@@ -234,8 +272,9 @@ class ResultStore:
         return Path(self._entry_file(spec_hash))
 
     @property
-    def study_log_path(self) -> Path:
-        return self.root / STUDY_LOG_NAME
+    def study_root(self) -> Path:
+        """Directory of study provenance markers, ``<study>/<spec_hash>``."""
+        return self.root / "studies"
 
     def __contains__(self, spec_hash: str) -> bool:
         return self.load(spec_hash) is not None
@@ -313,7 +352,6 @@ class ResultStore:
             "master_seed": campaign.master_seed,
             "miss_summary": dict(campaign.miss_summary),
         }
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(scenario.spec_hash())
         columns = {"execution_times": campaign.execution_times}
         _replace_atomically(path, columnar.pack_entry(meta, columns))
@@ -352,7 +390,6 @@ class ResultStore:
         self, spec_hash: str, analysis_hash: str, payload: Dict[str, object]
     ) -> Path:
         """Persist one analysis payload atomically; returns the entry path."""
-        self.analysis_root.mkdir(parents=True, exist_ok=True)
         path = self.analysis_path_for(spec_hash, analysis_hash)
         _replace_atomically(path, json.dumps(payload, sort_keys=True).encode())
         return path
@@ -400,7 +437,6 @@ class ResultStore:
                 columns[name] = column
             else:
                 meta[name] = value
-        self.shard_root.mkdir(parents=True, exist_ok=True)
         path = self.shard_path_for(spec_hash, key)
         _replace_atomically(path, columnar.pack_entry(meta, columns))
         return path
@@ -459,57 +495,27 @@ class ResultStore:
     # ---------------------------------------------------- study provenance
 
     def record_study(self, study: str, spec_hashes: Iterable[str]) -> None:
-        """Append (study name, spec hash) provenance pairs (idempotent).
+        """Mark each spec hash as planned by ``study`` (idempotent).
 
-        ``studies.log`` is the append-only record the run table uses to
-        label rows with the study they belong to; pairs already present
-        are not rewritten, so repeated warm runs leave the log untouched.
-        The batch is one ``os.write`` of whole lines, preceded by a newline
-        when the log ends in a torn line (a kill or ENOSPC mid-append), so
-        a torn line never fuses with the pairs appended after it.
+        A mark is the empty file ``studies/<study>/<spec_hash>``, which the
+        run table reads to label rows with their study.  The study's
+        directory is listed once and only the missing marks are created,
+        each with an exclusive create, so a warm run creates and changes
+        no file.  ``study`` must pass :func:`check_study_name`.
         """
-        wanted = {(study, spec_hash) for spec_hash in spec_hashes}
-        if not wanted:
-            return
-        try:
-            text = self.study_log_path.read_text()
-        except OSError:
-            text = ""
-        existing: Set[Tuple[str, str]] = set()
-        for line in text.splitlines():
-            name, _, spec_hash = line.rpartition(" ")
-            if name and spec_hash:
-                existing.add((name, spec_hash))
-        fresh = sorted(wanted - existing)
-        if not fresh:
-            return
-        batch = "".join(f"{name} {spec_hash}\n" for name, spec_hash in fresh)
-        if text and not text.endswith("\n"):
-            batch = "\n" + batch
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            descriptor = os.open(
-                self.study_log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666
-            )
-            try:
-                os.write(descriptor, batch.encode())
-            finally:
-                os.close(descriptor)
-        except OSError:
-            pass  # provenance is advisory; never fail a run over it
+        directory = self.study_root / check_study_name(study)
+        for spec_hash in sorted(set(spec_hashes).difference(_names(directory))):
+            with contextlib.suppress(OSError):  # advisory: never fail a run over it
+                directory.mkdir(parents=True, exist_ok=True)
+                os.close(os.open(directory / spec_hash, os.O_CREAT | os.O_EXCL, 0o666))
 
     def study_index(self) -> Dict[str, List[str]]:
-        """Spec hash -> sorted study names recorded against it."""
-        index: Dict[str, Set[str]] = {}
-        try:
-            lines = self.study_log_path.read_text().splitlines()
-        except OSError:
-            return {}
-        for line in lines:
-            name, _, spec_hash = line.rpartition(" ")
-            if name and spec_hash:
-                index.setdefault(spec_hash, set()).add(name)
-        return {spec_hash: sorted(names) for spec_hash, names in index.items()}
+        """Spec hash -> sorted study names marked against it."""
+        index: Dict[str, List[str]] = {}
+        for study in sorted(_names(self.study_root)):
+            for spec_hash in _names(self.study_root / study):
+                index.setdefault(spec_hash, []).append(study)
+        return index
 
     # ------------------------------------------------------------------ GC
 
@@ -563,25 +569,19 @@ class ResultStore:
         campaign entry on the next run).  Unless ``analyses_only``, published
         shard entries and leftover queue files (tasks, leases, worker
         heartbeats abandoned by a killed campaign) are swept too.  Campaign
-        entries themselves are never touched — they are the results.
+        entries themselves are never touched — they are the results — and
+        neither are study markers, their provenance.
         Returns how many files were removed.
         """
-        removed = 0
-        for path in self.sweep_candidates(older_than, analyses_only=analyses_only):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue  # concurrently removed — fine
-        return removed
+        return _unlink(self.sweep_candidates(older_than, analyses_only=analyses_only))
 
     def clear_candidates(self) -> Tuple[List[Path], List[Path]]:
         """What :meth:`clear` would delete: ``(entries, bookkeeping)``.
 
         ``entries`` are the counted store entries (campaign results,
-        analyses, shard entries); ``bookkeeping`` are temp files, the study
-        log and queue files, removed but not counted.  Both sorted; nothing
-        is deleted.
+        analyses, shard entries); ``bookkeeping`` are temp files, study
+        markers (and an older store's ``studies.log``) and queue files,
+        removed but not counted.  Both sorted; nothing is deleted.
         """
         entries: List[Path] = []
         bookkeeping: List[Path] = []
@@ -594,26 +594,16 @@ class ResultStore:
         ):
             entries.extend(_files(directory, pattern))
             bookkeeping.extend(_files(directory, "*.tmp"))
-        if self.study_log_path.exists():
-            bookkeeping.append(self.study_log_path)
+        bookkeeping.extend(_files(self.study_root, "*/*"))
+        bookkeeping.extend(_files(self.root, "studies.log"))
         bookkeeping.extend(self._queue_files())
         return sorted(set(entries)), sorted(set(bookkeeping))
 
     def clear(self) -> int:
-        """Delete every stored result, analysis, shard entry, study log and
-        queue file; returns how many entries were removed (each store entry
-        counts as one; bookkeeping files are removed but not counted)."""
+        """Delete every stored result, analysis, shard entry, study marker
+        and queue file; returns how many entries were removed (each store
+        entry counts as one; bookkeeping files are removed but not counted)."""
         entries, bookkeeping = self.clear_candidates()
-        removed = 0
-        for path in entries:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue
-        for path in bookkeeping:
-            try:
-                path.unlink()
-            except OSError:
-                continue
+        removed = _unlink(entries)
+        _unlink(bookkeeping)
         return removed

@@ -438,8 +438,9 @@ class TestGarbageCollection:
         store = _populated_store(tmp_path)
         assert store.sweep(older_than=0.0) > 0
         # Campaign entries are the results — a sweep never touches them —
-        # and the provenance log stays.  Everything derived (analyses,
-        # shards, queue files, stray ``*.tmp``) must be gone.
+        # and the study markers, their provenance, stay.  Everything
+        # derived (analyses, shards, queue files, stray ``*.tmp``) must be
+        # gone.
         survivors = sorted(
             p.name for p in store.root.rglob("*") if p.is_file()
         )
@@ -447,9 +448,17 @@ class TestGarbageCollection:
         assert survivors == sorted(
             [
                 f"{scenario.spec_hash()}.rcol",
-                "studies.log",
+                scenario.spec_hash(),  # the marker studies/smoke/<spec_hash>
             ]
         )
+
+    def test_clear_removes_an_older_stores_study_log(self, tmp_path):
+        # Stores written before study markers kept provenance in one
+        # ``studies.log``; nothing reads it, and a clear removes it.
+        store = _populated_store(tmp_path)
+        (store.root / "studies.log").write_text(f"smoke {tiny_scenario().spec_hash()}\n")
+        store.clear()
+        assert [p for p in store.root.rglob("*") if p.is_file()] == []
 
     def test_analyses_only_sweep_keeps_campaign_entries(self, tmp_path):
         store = _populated_store(tmp_path)

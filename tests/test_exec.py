@@ -800,6 +800,20 @@ class TestCrashResume:
             == outcome.campaign.execution_times
         )
 
+    def test_a_hit_clears_the_shards_a_killed_drain_left(self, tmp_path):
+        # A drain killed after it stored a campaign and before it cleared the
+        # campaign's shards leaves them; the campaign's next hit, queued or
+        # inline, clears them, and leaves other campaigns' shards alone.
+        scenario, other = _scenario(), _scenario(master_seed=78)
+        store = ResultStore(tmp_path / "store")
+        shards, queue = _enqueue_all(scenario, store, shard_size=3)
+        run_worker(queue.root, store.root)
+        store.save(scenario, reassemble_campaign(scenario, shards, _published(scenario, store)))
+        _enqueue_all(other, store, shard_size=3)
+        run_worker(queue.root, store.root, max_shards=1)
+        assert execute_scenarios([scenario], store=store).report.full_cache_hit
+        assert store.shard_keys() == [(other.spec_hash(), shard_key(0, 3))]
+
 
 class TestShardDecodes:
     """A queued drain stats shards until reassembly, which decodes each once."""

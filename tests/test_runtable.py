@@ -125,18 +125,41 @@ class TestBuild:
         populate(store)
         assert build_run_table(store).probabilities() == ["1e-12", "1e-15"]
 
-    def test_torn_study_log_line_does_not_fuse_with_the_next_append(self, tmp_path):
+    def test_study_provenance_is_one_marker_file_per_pair(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         first, second = "a" * 64, "b" * 64
-        store.record_study("fig5", [first])
-        with open(store.study_log_path, "a") as handle:
-            handle.write("fig5 " + "c" * 20)  # a kill mid-append: no newline
+        store.record_study("fig5", [first, second])
         store.record_study("fig4a", [second])
-        assert store.study_index()[second] == ["fig4a"]
-        assert store.study_index()[first] == ["fig5"]
-        logged = store.study_log_path.read_bytes()
-        store.record_study("fig4a", [second])
-        assert store.study_log_path.read_bytes() == logged
+        assert store.study_index() == {first: ["fig5"], second: ["fig4a", "fig5"]}
+        markers = sorted(store.study_root.rglob("*"))
+        assert [path.relative_to(store.study_root).as_posix() for path in markers] == [
+            "fig4a", f"fig4a/{second}", "fig5", f"fig5/{first}", f"fig5/{second}",
+        ]
+        assert all(path.stat().st_size == 0 for path in markers if path.is_file())
+        assert not (store.root / "studies.log").exists()
+
+    def test_a_second_record_study_creates_and_changes_no_file(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.record_study("fig5", ["a" * 64, "b" * 64])
+
+        def state():
+            return {
+                path: (stat.st_ino, stat.st_mtime_ns)
+                for path in store.root.rglob("*")
+                for stat in [path.stat()]
+            }
+
+        before = state()
+        store.record_study("fig5", ["b" * 64, "a" * 64])
+        store.record_study("fig5", [])
+        assert state() == before
+
+    def test_study_names_that_are_not_one_directory_name_are_rejected(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        for name in ("", ".", "..", "../x", "a/b", "a\0b"):
+            with pytest.raises(ValueError, match="one directory name"):
+                store.record_study(name, ["a" * 64])
+        assert not (tmp_path / "x").exists() and not store.root.exists()
 
     def test_new_analysis_appears_in_the_next_build(self, tmp_path):
         store = ResultStore(tmp_path / "store")

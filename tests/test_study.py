@@ -722,6 +722,20 @@ class TestStudyRegistry:
         finally:
             unregister_study("tiny_custom")
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "a\0b"])
+    def test_a_name_that_is_not_one_directory_name_is_rejected(self, name):
+        # A study name names its marker directory in a store: "../x" would
+        # write outside studies/.
+        study = Study(
+            name=name,
+            description="bad name",
+            planner=lambda settings: [tiny_scenario()],
+            builder=lambda context: None,
+        )
+        with pytest.raises(ValueError, match="study name must be one directory name"):
+            register_study(study)
+        assert name not in available_studies()
+
 
 # ---------------------------------------------------------------------------
 # Golden equivalence (byte-identical --format text output)

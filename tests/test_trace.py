@@ -19,6 +19,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Trace(kinds=[0, 1], addresses=[0])
 
+    @pytest.mark.parametrize(
+        "kinds, code",
+        [([1, 7, 7], "7"), ([3], "3"), (np.array([-1, 0]), "-1"), ([300], "300"), ([1.5], "1.5")],
+    )
+    def test_unknown_kind_codes_are_rejected(self, kinds, code):
+        # The engines read an unknown code differently (the plan compiler
+        # as a load, the reference hierarchy as a store), so none gets in.
+        addresses = [0x100, 0x100, 0x2000][: len(kinds)]
+        with pytest.raises(ValueError, match=f"unknown access kind code {code};"):
+            Trace(kinds=kinds, addresses=addresses)
+
+    @pytest.mark.parametrize("code", [9, 3, -1])
+    def test_append_rejects_unknown_kind_codes(self, code):
+        trace = Trace()
+        with pytest.raises(ValueError, match=f"unknown access kind code {code};"):
+            trace.append(code, 0x40)
+        assert len(trace) == 0
+
     def test_addresses_are_masked_to_32_bits(self):
         trace = Trace()
         trace.load(0x1_0000_0040)
