@@ -13,7 +13,8 @@ ratio there, not here (shared CI boxes are noisy, so in-test assertions
 stay structural).
 
 ``test_warm_command`` times warm commands through ``main()`` and counts
-what each one rebuilds and which store files it decodes (``warm_command``
+what each one rebuilds, which store files it decodes, which analyses it
+parses and how many deep copies of stored data it makes (``warm_command``
 in ``BENCH_study.json``); CI asserts the counts, which are deterministic,
 and not the times.
 
@@ -47,6 +48,7 @@ from repro.study import (
     execute_scenarios,
     get_study,
 )
+from repro.study import resultset as resultset_module
 from repro.study import scenario as scenario_module
 from repro.study import store as store_module
 from repro.workloads.base import relocate_trace
@@ -401,14 +403,17 @@ WARM_REPEATS = 30
 @contextlib.contextmanager
 def _counting(monkeypatch):
     """Count HierarchyConfig builds, spec hashes computed, ArgumentParser
-    objects built and store files (campaign entries, analyses) decoded
-    while the block runs."""
+    objects built, store files (campaign entries, analyses) decoded,
+    analyses parsed and ``_fresh`` calls (deep copies of decoded store
+    data, each nested dict or list one call) while the block runs."""
     counts = {
         "hierarchy_configs": 0,
         "spec_hashes": 0,
         "argument_parsers": 0,
         "entries_decoded": 0,
         "analyses_decoded": 0,
+        "analyses_parsed": 0,
+        "fresh_copies": 0,
     }
 
     def counted(key, function):
@@ -436,6 +441,12 @@ def _counting(monkeypatch):
             "_decode_analysis",
             counted("analyses_decoded", store_module._decode_analysis),
         )
+        patch.setattr(
+            resultset_module,
+            "analysis_from_payload",
+            counted("analyses_parsed", resultset_module.analysis_from_payload),
+        )
+        patch.setattr(store_module, "_fresh", counted("fresh_copies", store_module._fresh))
         yield counts
 
 
@@ -472,7 +483,9 @@ def test_warm_command(tmp_path, monkeypatch, capsys):
                 f"{row['spec_hashes']} spec hashes, "
                 f"{row['argument_parsers']} argument parsers built, "
                 f"{row['entries_decoded']} entries and "
-                f"{row['analyses_decoded']} analyses decoded"
+                f"{row['analyses_decoded']} analyses decoded, "
+                f"{row['analyses_parsed']} analyses parsed, "
+                f"{row['fresh_copies']} fresh copies"
             )
     assert BENCH_JSON.is_file()
 

@@ -1228,9 +1228,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         path_parser.parsed_argv = argv
 
-    if args.command == "engines":
-        _print_engine_matrix()
-        return 0
     commands = {
         "study": _study_command,
         "worker": _worker_command,
@@ -1240,7 +1237,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "query": _query_command,
         "pwcet": _pwcet_command,
     }
-    return commands[args.command](parser, args)
+    try:
+        if args.command == "engines":
+            _print_engine_matrix()
+            code = 0
+        else:
+            code = commands[args.command](parser, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        if not _stdout_closed():
+            raise  # another pipe or socket: a real failure
+        # A closed stdout (`| head`) ends the output.  Point it at devnull,
+        # so the interpreter's exit flush of what is left stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+    return code
+
+
+def _stdout_closed() -> bool:
+    """Whether stdout is a pipe whose reader has gone: it polls as an error
+    (Linux) or a hang-up (macOS and the BSDs)."""
+    import select
+
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+        gone = select.POLLERR | select.POLLHUP
+        return any(events & gone for _, events in poller.poll(0))
+    except (AttributeError, OSError, ValueError):  # no poll, or no file descriptor
+        return False
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in tests

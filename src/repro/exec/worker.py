@@ -220,7 +220,9 @@ def run_worker(
     A shard that raises retires every queued task of its campaign before
     the error propagates, so a failing campaign cannot fail later drains;
     a rerun re-plans it and enqueues whatever is missing.  Interrupts
-    (``KeyboardInterrupt``, a kill) leave the tasks for a resume.
+    (``KeyboardInterrupt``, a kill) leave the tasks for a resume.  A
+    publish that fails with an :class:`OSError` (a full disk) releases its
+    lease and keeps its task before the error propagates.
 
     ``lease_ttl`` must be a positive, finite number of seconds: a lease
     with a TTL of zero or less is expired when written, so another worker
@@ -272,7 +274,13 @@ def run_worker(
                     for sibling in queue.tasks(task_hash):
                         queue.complete(sibling, owner)
                     raise
-                store.save_shard(task_hash, key, payload)
+                try:
+                    store.save_shard(task_hash, key, payload)
+                except OSError:
+                    # A failed publish (a full disk) frees the shard for a
+                    # retry now, not after the lease's TTL; the task stays.
+                    queue.release(task_path, owner)
+                    raise
                 queue.complete(task_path, owner)
                 stats.shards_done += 1
                 stats.runs_done += int(task["count"])

@@ -18,7 +18,8 @@ eligible scenario of the set in one
 fitting campaign by campaign.  When the result set was executed through a
 :class:`~repro.study.store.ResultStore`, analyses are resolved from /
 persisted to the store keyed by ``(spec_hash, analysis_config_hash)``, so
-a warm re-run performs zero EVT fits.
+a warm re-run performs zero EVT fits, and a warm run in a process that has
+read the file before parses nothing.
 """
 
 from __future__ import annotations
@@ -108,6 +109,12 @@ class ScenarioOutcome:
     @property
     def label(self) -> str:
         return self.scenario.display_label
+
+
+def _parse_analysis(payload: Dict[str, object]) -> Optional[MbptaResult]:
+    """A stored analysis without samples: the shared template that
+    :meth:`ResultSet._load_stored_analysis` copies per campaign."""
+    return analysis_from_payload(payload, ())
 
 
 class ResultSet:
@@ -238,8 +245,18 @@ class ResultSet:
     ) -> Optional[MbptaResult]:
         if self.store is None or not outcome.spec_hash or not self.use_stored_analyses:
             return None
-        payload = self.store.load_analysis(outcome.spec_hash, key)
-        return analysis_from_payload(payload, outcome.campaign.execution_times)
+        # Parsed once per file version, on the file's read-memo entry.  The
+        # fit, curve, assessment and config are frozen and shared; the
+        # samples and the two dicts are this result's own.
+        template = self.store.parsed_analysis(outcome.spec_hash, key, _parse_analysis)
+        if template is None:
+            return None
+        return replace(
+            template,
+            samples=list(outcome.campaign.execution_times),
+            pwcet=dict(template.pwcet),
+            pwcet_ci=dict(template.pwcet_ci),
+        )
 
     def compare_estimators(
         self,

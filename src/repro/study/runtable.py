@@ -10,9 +10,10 @@ miss rates, the pWCET quantiles, the admission verdict and the provenance
 hashes.  Campaign entries without a persisted analysis still get one row
 (with an empty ``estimator``), so the table always covers the whole store.
 
-Every build reads the store itself — the campaign entries as
-memory-mapped columns plus their analysis files — so the table always
-matches the entries on disk.
+Every build lists the store itself and reads each campaign entry and
+analysis file through the store's read memo, which serves a file's decode
+only while the file is unchanged, so the table always matches the entries
+on disk.
 
 Rows are plain dicts (JSON-able), exportable to CSV always and to Parquet
 when pandas + pyarrow happen to be installed (they are **not**
@@ -67,9 +68,9 @@ def _campaign_row(
 ) -> Dict[str, object]:
     """The analysis-independent part of a row, from one campaign entry.
 
-    ``times`` is the entry's execution-time column as a numpy array
-    (:meth:`ResultStore.load_columns` view): the cycle statistics reduce
-    over the mapped file directly, without materializing Python ints.
+    ``times`` is the entry's execution-time column, a read-only numpy view
+    of the decoded file: the cycle statistics reduce over it directly,
+    without materializing Python ints.
     ``int(times.sum())`` is an exact integer (numpy accumulates integer
     columns in a 64-bit integer), so ``mean_cycles`` is bit-identical to
     the JSON-era ``sum(list)/len(list)``.
@@ -136,8 +137,13 @@ def _rows_for_spec(
     analyses: Sequence[str],
     studies: Sequence[str],
 ) -> List[Dict[str, object]]:
-    """Every row for one spec hash (one per analysis; one bare row if none)."""
-    entry = store.load_columns(spec_hash)
+    """Every row for one spec hash (one per analysis; one bare row if none).
+
+    Reads the store's shared decodes (``_entry``/``_analysis``), not
+    ``load_columns``/``load_analysis``' copies: a row takes only scalars
+    and new dicts from them.
+    """
+    entry = store._entry(spec_hash)
     if entry is None:
         return []
     meta, columns = entry
@@ -150,7 +156,7 @@ def _rows_for_spec(
     base["study"] = ",".join(studies)
     rows: List[Dict[str, object]] = []
     for analysis_hash in analyses:
-        payload = store.load_analysis(spec_hash, analysis_hash)
+        payload = store._analysis(spec_hash, analysis_hash)
         if payload is None:
             continue
         row = dict(base)

@@ -176,6 +176,21 @@ def _file_version(stat: os.stat_result) -> Tuple[int, int, int]:
     return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
 
+#: A memo entry's ``parsed`` before its first :meth:`ReadMemo.parsed`.
+_UNPARSED = object()
+
+
+class _Held:
+    """One memoized file version: its decode and, once asked for, its parse."""
+
+    __slots__ = ("version", "value", "parsed")
+
+    def __init__(self, version: Tuple[int, int, int], value: object) -> None:
+        self.version = version
+        self.value = value
+        self.parsed: object = _UNPARSED
+
+
 class ReadMemo:
     """Decoded store files by path, each valid while its file is unchanged.
 
@@ -184,25 +199,23 @@ class ReadMemo:
     serves the decoded value only while the path still shows all three.
     Every store write is an atomic replace, which gives the path a new
     inode, and a deleted file fails the stat, so a hit is always the
-    file's current content.  Callers hand out fresh copies or read-only
-    views of what :meth:`read` returns.  Thread-safe; the least recently
-    read files leave first beyond ``capacity``.
+    file's current content.  An entry can also carry a parse of its
+    decode (:meth:`parsed`), which lives and leaves with it.  Callers
+    hand out fresh copies or read-only views of what :meth:`read` returns.
+    Thread-safe; the least recently read files leave first beyond
+    ``capacity``.
     """
 
     def __init__(self, capacity: int = READ_MEMO_SIZE) -> None:
         self.capacity = capacity
-        self._values: "OrderedDict[str, Tuple[Tuple[int, int, int], object]]" = OrderedDict()
+        self._values: "OrderedDict[str, _Held]" = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._values)
 
-    def read(self, path: str, decode: Callable[[bytes], object]) -> object:
-        """``decode`` of the bytes of ``path``, decoded once per file version.
-
-        Raises :class:`OSError` for an unreadable file and whatever
-        ``decode`` raises; neither is memoized.
-        """
+    def _held(self, path: str, decode: Callable[[bytes], object]) -> _Held:
+        """The current entry of ``path``, decoding the file on a miss."""
         try:
             version = _file_version(os.stat(path))
         except OSError:
@@ -211,18 +224,44 @@ class ReadMemo:
             raise
         with self._lock:
             held = self._values.get(path)
-            if held is not None and held[0] == version:
+            if held is not None and held.version == version:
                 self._values.move_to_end(path)
-                return held[1]
+                return held
         with open(path, "rb") as handle:
             version = _file_version(os.fstat(handle.fileno()))
-            value = decode(handle.read())
+            held = _Held(version, decode(handle.read()))
         with self._lock:
-            self._values[path] = (version, value)
+            self._values[path] = held
             self._values.move_to_end(path)
             while len(self._values) > self.capacity:
                 self._values.popitem(last=False)
-        return value
+        return held
+
+    def read(self, path: str, decode: Callable[[bytes], object]) -> object:
+        """``decode`` of the bytes of ``path``, decoded once per file version.
+
+        Raises :class:`OSError` for an unreadable file and whatever
+        ``decode`` raises; neither is memoized.
+        """
+        return self._held(path, decode).value
+
+    def parsed(
+        self,
+        path: str,
+        decode: Callable[[bytes], object],
+        parse: Callable[[object], object],
+    ) -> object:
+        """``parse`` of :meth:`read`'s value, parsed once per file version.
+
+        The parse is kept on the file's entry, so it shares the entry's
+        bound and validity.  Every caller of one path must pass the same
+        ``parse``, and treat its result as read-only: it is shared.
+        """
+        held = self._held(path, decode)
+        if held.parsed is _UNPARSED:
+            # Two threads may both parse; either result is the same.
+            held.parsed = parse(held.value)
+        return held.parsed
 
 
 #: The process's one memo of decoded campaign entries and analyses.
@@ -289,7 +328,9 @@ class ResultStore:
         return sorted(path.stem for path in _files(self.root, f"*{columnar.COLUMNAR_SUFFIX}"))
 
     def _entry(self, spec_hash: str):
-        """The memoized ``(meta, columns)`` of one current entry, or ``None``."""
+        """The memoized ``(meta, columns)`` of one current entry, or ``None``;
+        shared, so only package readers that copy scalars out of it (the
+        run table) may use it."""
         try:
             meta, columns = READ_MEMO.read(self._entry_file(spec_hash), _decode_entry)
         except (OSError, ValueError):
@@ -368,6 +409,18 @@ class ResultStore:
     def analysis_path_for(self, spec_hash: str, analysis_hash: str) -> Path:
         return Path(self._analysis_file(spec_hash, analysis_hash))
 
+    def _analysis(
+        self, spec_hash: str, analysis_hash: str
+    ) -> Optional[Dict[str, object]]:
+        """The memoized decode of one analysis file, or ``None``; shared,
+        so only package readers that copy scalars out of it may use it."""
+        try:
+            return READ_MEMO.read(  # type: ignore[return-value]
+                self._analysis_file(spec_hash, analysis_hash), _decode_analysis
+            )
+        except (OSError, ValueError):
+            return None
+
     def load_analysis(
         self, spec_hash: str, analysis_hash: str
     ) -> Optional[Dict[str, object]]:
@@ -378,13 +431,30 @@ class ResultStore:
         checking) belongs to :func:`repro.pwcet.analysis_from_payload`.
         Unreadable entries are misses, never errors.
         """
+        payload = self._analysis(spec_hash, analysis_hash)
+        return None if payload is None else _fresh(payload)  # type: ignore[return-value]
+
+    def parsed_analysis(
+        self,
+        spec_hash: str,
+        analysis_hash: str,
+        parse: Callable[[Dict[str, object]], object],
+    ) -> object:
+        """``parse`` of the persisted payload, or ``None`` on a miss.
+
+        Parsed once per file version and kept on the file's
+        :data:`READ_MEMO` entry (:meth:`ReadMemo.parsed`), so the result is
+        shared: the result set passes its one parse, a sample-less
+        :class:`~repro.pwcet.MbptaResult` it copies per campaign.
+        """
         try:
-            payload = READ_MEMO.read(
-                self._analysis_file(spec_hash, analysis_hash), _decode_analysis
+            return READ_MEMO.parsed(
+                self._analysis_file(spec_hash, analysis_hash),
+                _decode_analysis,
+                parse,  # type: ignore[arg-type]
             )
         except (OSError, ValueError):
             return None
-        return _fresh(payload)  # type: ignore[return-value]
 
     def save_analysis(
         self, spec_hash: str, analysis_hash: str, payload: Dict[str, object]

@@ -4,9 +4,14 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import build_parser, main
 from repro.analysis.report import CSV_HEADER
 from repro.engine import DEFAULT_ENGINE, available_engines
@@ -197,6 +202,39 @@ class TestWarmCommand:
             return [line for line in text.splitlines() if not line.startswith(("==", "--"))]
 
         assert result(warm) == result(cold)
+
+
+class TestClosedStdout:
+    """A reader that goes away (``| head``) ends the output, not the command."""
+
+    @pytest.mark.parametrize(
+        "argv", [["query", "runs"], ["study", "run", "table1"]], ids=["query", "study"]
+    )
+    def test_a_closed_stdout_exits_0_without_a_traceback(self, tmp_path, argv):
+        env = dict(os.environ)
+        source = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = source + os.pathsep + env.get("PYTHONPATH", "")
+        read, write = os.pipe()
+        os.close(read)  # gone before the child writes its first byte
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "repro", *argv, "--store", str(tmp_path / "store")],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
+            )
+        finally:
+            os.close(write)
+        assert child.returncode == 0, child.stderr
+        assert "Traceback" not in child.stderr
+        assert "Exception ignored" not in child.stderr
+
+    def test_a_broken_pipe_elsewhere_still_fails(self, tmp_path, monkeypatch):
+        # stdout (pytest's capture) is fine: the error is another pipe's.
+        def broken(parser, args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("repro.__main__._query_command", broken)
+        with pytest.raises(BrokenPipeError):
+            main(["query", "runs", "--store", str(tmp_path / "store")])
 
 
 class TestRun:

@@ -1,6 +1,9 @@
 """Analysis persistence: (spec_hash, analysis_config_hash)-keyed pWCET
 results, ResultSet memoization and the zero-EVT-fits warm path."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -19,6 +22,7 @@ from repro.study import (
     Scenario,
     WorkloadSpec,
     get_study,
+    run_study,
 )
 from repro.study.runner import execute_scenarios
 
@@ -229,3 +233,74 @@ class TestZeroEvtFitsOnWarmStore:
         warm = study.run(self.SETTINGS, store=store)
         assert warm.report.full_cache_hit
         assert counter.calls == 0
+
+
+class TestSharedParsedAnalyses:
+    """A warm result set binds each stored analysis from one parse per file
+    version, and shares nothing mutable between results."""
+
+    SETTINGS = ExperimentSettings(runs=24, scale=0.25)
+
+    def test_a_replaced_analysis_file_is_parsed_anew(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        cold = run_study("fig1", self.SETTINGS, store=store)
+        run_study("fig1", self.SETTINGS, store=store)  # warm: parsed and kept
+        [(spec_hash, analysis_hash)] = store.analysis_keys()
+        payload = store.load_analysis(spec_hash, analysis_hash)
+        payload["fit"]["location"] += 1000.0
+        payload["pwcet"] = {key: value + 1000.0 for key, value in payload["pwcet"].items()}
+        store.save_analysis(spec_hash, analysis_hash, payload)
+        warm = run_study("fig1", self.SETTINGS, store=store)
+        assert warm.report.full_cache_hit
+        assert warm.result.pwcet == {
+            probability: pytest.approx(value + 1000.0)
+            for probability, value in cold.result.pwcet.items()
+        }
+        assert warm.results.mbpta("a2time/rm").pwcet == {
+            float(key): value for key, value in payload["pwcet"].items()
+        }
+
+    def test_mutating_a_result_does_not_reach_the_next_result_set(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        execute_scenarios(tiny_scenarios(), store=store).mbpta("rm")  # fit, store
+        first = execute_scenarios(tiny_scenarios(), store=store).mbpta("rm")
+        pwcet, samples = dict(first.pwcet), list(first.samples)
+        first.pwcet[1e-15] = -1.0
+        first.pwcet.clear()
+        first.samples[0] = -1
+        first.samples.append(-1)
+        first.pwcet_ci[1e-15] = (0.0, 0.0)
+        second = execute_scenarios(tiny_scenarios(), store=store).mbpta("rm")
+        assert second.pwcet == pwcet
+        assert list(second.samples) == samples
+        assert second.pwcet_ci == {}
+        # The frozen parts come from one parse of the file.
+        assert second.fit is first.fit and second.assessment is first.assessment
+
+    def test_concurrent_warm_calls_bind_equal_results(self, tmp_path):
+        # As a server's concurrent jobs do (two at its default), but more
+        # threads than cores, switching often: every warm call races to
+        # decode and parse the same files.
+        execute_scenarios(tiny_scenarios(), store=ResultStore(tmp_path / "store")).mbpta("rm")
+
+        def warm(_):
+            results = execute_scenarios(tiny_scenarios(), store=ResultStore(tmp_path / "store"))
+            assert results.report.full_cache_hit
+            return {label: results.mbpta(label) for label in results.labels()}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                first, *others = pool.map(warm, range(6), timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(first) == {"rm", "hrp"} and len(others) == 5
+        for other in others:
+            assert set(other) == set(first)
+            for label, a in first.items():
+                b = other[label]
+                assert a is not b and a.pwcet is not b.pwcet and a.samples is not b.samples
+                assert (a.pwcet, list(a.samples), a.fit, a.curve, a.assessment, a.config) == (
+                    b.pwcet, list(b.samples), b.fit, b.curve, b.assessment, b.config
+                )

@@ -722,6 +722,26 @@ class TestStudyRegistry:
         finally:
             unregister_study("tiny_custom")
 
+    def test_a_replaced_study_plans_with_its_new_planner(self):
+        settings = ExperimentSettings(runs=24)
+        first, second = tiny_scenario(master_seed=1), tiny_scenario(master_seed=2)
+
+        def study(planned):
+            return Study(
+                name="tiny_replaced",
+                description="one tiny scenario",
+                planner=lambda settings: [planned],
+                builder=lambda context: None,
+            )
+
+        try:
+            register_study(study(first))
+            assert get_study("tiny_replaced").plan(settings) == [first]
+            register_study(study(second), replace=True)
+            assert get_study("tiny_replaced").plan(settings) == [second]
+        finally:
+            unregister_study("tiny_replaced")
+
     @pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "a\0b"])
     def test_a_name_that_is_not_one_directory_name_is_rejected(self, name):
         # A study name names its marker directory in a store: "../x" would

@@ -348,6 +348,10 @@ def test_a_full_disk_in_the_temp_write_leaves_the_store_old(driven, caller):
     }
     if caller in written:
         assert written[caller]() == []
+    if caller == "save_shard":
+        # The failed publish released its lease and kept every task.
+        assert list(failed.glob("queue/leases/*.lease")) == []
+        assert len(FileQueue(store.queue_root).tasks()) == 2 * RUNS // SHARD_SIZE
     assert point["rerun"] == 0, _log(workdir, name)
     assert _tree(workdir / name) == _tree(workdir / "reference")
 
