@@ -1,9 +1,10 @@
 """Generate the reference results quoted in EXPERIMENTS.md.
 
 Each artefact is a registered study run through ``run_study`` without a
-result store, so every campaign simulates inline; to spread the studies'
-campaigns over worker processes, run them through the store with
-``python -m repro study run all --jobs N`` (bit-exact for any N).
+result store: each call drains its campaigns in this process through a
+temporary store and keeps nothing.  To spread the studies' campaigns over
+worker processes and keep them, run ``python -m repro study run all
+--jobs N`` (bit-exact for any N).
 
     python results/run_all.py                  # numpy engine
     python results/run_all.py --engine reference   # the slow oracle

@@ -55,13 +55,14 @@ cache miss rates) or ``csv`` (``experiment,key,value`` rows) — with
 non-text formats the progress chatter moves to stderr so stdout stays
 machine-readable.
 
-``study run`` executes each campaign — a range of lanes, seeds or memory
-layouts — inline; ``--shard-size N`` or ``--jobs N`` (N != 1) routes every
-campaign through the sharded work-queue pipeline (:mod:`repro.exec`)
-instead: a study's campaigns are planned into lane-range shards, drained
-by one set of N worker processes, persisted shard by shard, and
-reassembled bit-exactly — a killed run loses at most its in-flight
-shards, and rerunning it executes only the missing ones.
+``study run`` executes every campaign — a range of lanes, seeds or memory
+layouts — through the sharded work-queue pipeline (:mod:`repro.exec`): a
+study's campaigns are planned into lane-range shards (one per campaign
+by default, ``--shard-size N`` lanes each with it), drained by one set of
+``--jobs`` workers (the command's own process at the default 1),
+persisted shard by shard, and reassembled bit-exactly — a killed run
+loses at most its in-flight shards, and rerunning it executes only the
+missing ones.
 ``python -m repro worker`` attaches an external worker process to the same
 queue, and ``python -m repro exec status`` shows queue occupancy plus
 per-worker heartbeat telemetry (``--format json`` emits the same snapshot
@@ -114,13 +115,13 @@ def _add_campaign_arguments(
         "-j",
         type=int,
         default=None,
-        help="worker processes per study (1 = inline, 0 = all CPUs; other "
-        "values drain a study's campaigns through the store's work queue, "
-        f"each campaign one shard of at most {DEFAULT_SHARD_SIZE} runs unless "
-        "the study has fewer campaigns than workers); results are bit-exact "
-        "for any value. Each worker runs whole campaigns, so studies with "
-        "many campaigns gain the most: on 2 CPUs a cold 'study run all' took "
-        "4.4 s with --jobs 2 and 6.5 s with --jobs 1",
+        help="workers per study draining its campaigns through the store's "
+        "work queue (1 = this process, 0 = all CPUs), each campaign one shard "
+        f"of at most {DEFAULT_SHARD_SIZE} runs unless the study has fewer "
+        "campaigns than workers; results are bit-exact for any value. Each "
+        "worker runs whole campaigns, so studies with many campaigns gain "
+        "the most: on 2 CPUs a cold 'study run all' took 3.0 s with --jobs 2 "
+        "and 3.9 s with --jobs 1",
     )
     parser.add_argument(
         "--engine",
@@ -171,16 +172,18 @@ def _add_study_run_arguments(study_run: argparse.ArgumentParser) -> None:
     study_run.add_argument(
         "--no-cache",
         action="store_true",
-        help="ignore stored results (fresh simulations are still stored)",
+        help="ignore stored results and published shards, simulating every "
+        "run again (fresh simulations are still stored)",
     )
     study_run.add_argument(
         "--shard-size",
         type=int,
         default=None,
         dest="shard_size",
-        help="execute campaigns through the sharded work-queue pipeline, "
-        "N runs per shard (bit-exact with serial execution; a rerun at any "
-        "N reuses the shards a killed run already published)",
+        help="N runs per shard (default: one shard per campaign of at most "
+        f"{DEFAULT_SHARD_SIZE} runs, split only when a study has fewer "
+        "campaigns than workers); bit-exact with serial execution for any N, "
+        "and a rerun at any N reuses the shards a killed run already published",
     )
 
 
@@ -269,8 +272,8 @@ def _add_serve_arguments(serve: argparse.ArgumentParser) -> None:
         "-j",
         type=int,
         default=1,
-        help="worker processes per job for its cold campaigns (1 = the job "
-        "thread drains the queue inline; external workers can always join). "
+        help="workers per job for its cold campaigns (1 = the job's thread "
+        "drains the queue itself; external workers can always join). "
         f"Each campaign is one shard of at most {DEFAULT_SHARD_SIZE} runs "
         "unless the job has fewer campaigns than workers, so each worker "
         "runs whole campaigns (see 'study run --help')",
@@ -280,7 +283,7 @@ def _add_serve_arguments(serve: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         dest="shard_size",
-        help="shard size for queued campaigns (default: equal shards of at "
+        help="shard size for the jobs' campaigns (default: equal shards of at "
         f"most {DEFAULT_SHARD_SIZE} runs, one per campaign unless a job has "
         "fewer campaigns than workers)",
     )
@@ -938,9 +941,7 @@ def _serve_command(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         host=args.host,
         port=args.port,
         jobs=args.jobs,
-        # None = "let the planner pick": the server's 0 sentinel routes every
-        # cold campaign through the queue with the heuristic shard size.
-        shard_size=0 if args.shard_size is None else args.shard_size,
+        shard_size=args.shard_size,
         concurrency=args.concurrency,
         gc_interval=args.gc_interval,
         gc_age=gc_age,

@@ -66,15 +66,15 @@ class ExperimentSettings:
 
     ``engine`` names a registered simulation backend (see
     :func:`repro.engine.available_engines`).  ``jobs`` selects how many
-    worker processes drain a study's campaigns: ``1`` (default) runs them
-    inline, ``0`` means one worker per CPU, and any other positive value is
-    taken literally.  Any value other than ``1`` drains the study's
-    campaigns through the result store's work queue (:mod:`repro.exec`),
-    whole campaigns per worker, so it needs a store (``study run --jobs
-    N``).  :meth:`repro.study.Study.run` passes both once to
-    :func:`~repro.study.runner.execute_scenarios`; no scenario carries
-    them.  Campaigns are bit-exact for every ``jobs`` value and every
-    bit-exact engine, so both knobs only affect wall-clock time.
+    workers drain a study's campaigns through the result store's work
+    queue (:mod:`repro.exec`), whole campaigns per worker: ``1`` (default)
+    is the calling process, ``0`` means one worker process per CPU, and
+    any other positive value is taken literally.  Without a store the
+    study drains through a temporary one.  :meth:`repro.study.Study.run`
+    passes both once to :func:`~repro.study.runner.execute_scenarios`; no
+    scenario carries them.  Campaigns are bit-exact for every ``jobs``
+    value and every bit-exact engine, so both knobs only affect
+    wall-clock time.
 
     ``estimator`` names a registered pWCET estimator (see
     :func:`repro.pwcet.available_estimators`).  Left empty, the MBPTA
@@ -82,11 +82,12 @@ class ExperimentSettings:
     With ``secondary_cutoff`` and ``cutoff`` it makes the one analysis
     config of a study run (:meth:`mbpta_config`).
 
-    ``shard_size`` (CLI ``--shard-size``) routes campaigns through the
-    sharded work-queue pipeline (:mod:`repro.exec`): each campaign is split
-    into lane-range shards persisted individually, so rerunning a killed
-    ``study run`` executes only the missing shards.  Sharded campaigns are
-    bit-exact with serial execution and require a result store.
+    ``shard_size`` (CLI ``--shard-size``) is the width in lanes of the
+    shards each campaign is split into; ``None`` (default) plans one shard
+    per campaign of at most one engine batch, split only when a study has
+    fewer campaigns than workers.  Shards are persisted individually, so
+    rerunning a killed ``study run`` executes only the missing ones, and
+    campaigns are bit-exact with serial execution for any width.
     """
 
     runs: int = 300

@@ -1,4 +1,4 @@
-"""Campaign execution: lane ranges drained inline or through a resumable queue.
+"""Campaign execution: lane ranges drained through a resumable queue.
 
 ``repro.exec`` runs every measurement campaign in the repository.  A
 campaign is a range of lanes — per-run seeds on the time-randomised
@@ -15,11 +15,11 @@ platforms, memory layouts on the deterministic baseline — layered as
   content-hash-keyed shard entries into the
   :class:`~repro.study.store.ResultStore`, with heartbeat telemetry
   (:mod:`repro.exec.telemetry`);
-* :mod:`repro.exec.executor` — the two drains (inline: one shard spanning
-  each campaign, in the calling process; queue: a call's shards through
-  the store's queue, drained by one set of workers) plus the
-  **reassembler** that merges shards in lane order, bit-exact with serial
-  execution for any shard size and worker count.
+* :mod:`repro.exec.executor` — the one drain (a call's shards through the
+  store's queue, or a temporary store's, drained by one set of workers,
+  in the calling process when there is one) plus the **reassembler** that
+  merges shards in lane order, bit-exact with serial execution for any
+  shard size and worker count.
 
 The queue is drained by the executor's worker processes and by separately
 launched ``python -m repro worker`` processes attached to the same

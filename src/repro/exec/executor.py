@@ -1,27 +1,24 @@
-"""Campaign execution: plan → execute → reassemble, inline or through the queue.
+"""Campaign execution: plan → queue → drain → reassemble.
 
 Every campaign is a range of lanes — per-run seeds of a seed campaign, or
 memory layouts of a layout campaign — and one lane executor,
 :class:`~repro.exec.worker.ShardRunner`, runs every range.  One call of
-:func:`execute_campaigns` drains its campaigns one of two ways:
+:func:`execute_campaigns` has one drain: the call's missing campaigns are
+planned into ``(spec_hash, lane-range)`` shards, the unpublished ones
+enqueued as self-contained tasks in the store's
+:class:`~repro.exec.queue.FileQueue`, and one set of ``min(jobs, tasks)``
+workers (this process, when there is one) drains them, with any attached
+``python -m repro worker``; each finished shard is published under the
+store's ``shards/``.  A campaign is one shard of at most
+``DEFAULT_SHARD_SIZE`` lanes unless the call has fewer campaigns than
+workers, so each worker runs whole campaigns.  A call without a store
+drains through a temporary one, removed when the call returns.
 
-* **inline** — with ``jobs == 1`` and no shard size, each campaign is one
-  shard spanning all its lanes, executed in the calling process; nothing
-  is written to the queue or the shard store;
-* **queue** — otherwise the call's missing campaigns are planned into
-  ``(spec_hash, lane-range)`` shards, the unpublished ones enqueued as
-  self-contained tasks in the store's :class:`~repro.exec.queue.FileQueue`,
-  and one set of ``min(jobs, tasks)`` workers (this process, when there is
-  one) drains them, with any attached ``python -m repro worker``; each
-  finished shard is published under the store's ``shards/``.  A campaign
-  is one shard of at most ``DEFAULT_SHARD_SIZE`` lanes unless the call
-  has fewer campaigns than workers, so each worker runs whole campaigns.
-
-Both drains feed one reassembler, which merges shard payloads in lane
-order into a :class:`CampaignResult` that is **bit-exact** with serial
-execution for any shard size and worker count — including its miss
-summary, which :func:`~repro.analysis.campaign.summarize_misses` builds
-from the per-run counters exactly as :func:`run_campaign` does.
+The reassembler merges shard payloads in lane order into a
+:class:`CampaignResult` that is **bit-exact** with serial execution for
+any shard size and worker count — including its miss summary, which
+:func:`~repro.analysis.campaign.summarize_misses` builds from the per-run
+counters exactly as :func:`run_campaign` does.
 
 Crash-resume falls out of the content addressing: a killed campaign leaves
 its published shards in the store and its unfinished tasks (plus at most
@@ -38,6 +35,7 @@ entry instead of simulating it again.
 from __future__ import annotations
 
 import contextlib
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -49,7 +47,7 @@ from ..study.scenario import Scenario, WorkloadSpec
 from ..study.store import ResultStore
 from .plan import Shard, plan_shards, resolve_jobs, resolve_shard_size
 from .queue import FileQueue
-from .worker import ShardRunner, run_worker, shard_task
+from .worker import run_worker, shard_task
 
 __all__ = [
     "ShardReport",
@@ -59,7 +57,7 @@ __all__ = [
 
 @dataclass
 class ShardReport:
-    """How one call's queued shards were resolved.
+    """How one call's shards were resolved.
 
     ``reused`` counts the shards already published when the campaigns were
     planned; ``executed`` counts the shards this drain's worker passes
@@ -80,10 +78,9 @@ def reassemble_campaign(
     """Merge the shard payloads ``load`` returns, in lane order, into one campaign.
 
     ``load`` maps a planned shard to its published payload, or ``None``
-    when it is missing; the queue drain reads the store, the inline drain
-    hands over the payload it just computed.  Raises
-    :class:`RuntimeError` naming the missing shards when the plan is
-    incomplete (e.g. a worker died and nobody resumed the campaign).
+    when it is missing.  Raises :class:`RuntimeError` naming the missing
+    shards when the plan is incomplete (e.g. a worker died and nobody
+    resumed the campaign).
     """
     ordered = sorted(shards, key=lambda shard: shard.start)
     cycles: List[int] = []
@@ -125,34 +122,26 @@ def execute_campaigns(
     use_cache: bool = True,
 ) -> ShardReport:
     """Execute campaigns on ``engine``, calling ``record`` as each one is
-    reassembled; returns the queued shards' accounting.
+    reassembled; returns the call's shard accounting.
 
-    With ``jobs == 1`` and no ``shard_size`` every campaign drains inline.
-    Otherwise the call drains ``store``'s queue once over all its
-    campaigns, with ``jobs`` workers (``0`` = one per CPU; a single worker
-    runs in this process); ``shard_size`` ``None`` or ``0`` plans one shard
-    per campaign unless the call has fewer campaigns than workers.  A
-    campaign's shards are cleared once ``record(scenario, campaign,
-    from_store)`` has stored its entry; ``from_store`` is true for a
-    campaign the drain found recorded in the store, before planning or
-    because another drain recorded it first (not with ``use_cache=False``,
-    a forced refresh).  Queued campaigns without a store raise
-    :class:`ValueError` before anything runs.  Campaigns run grouped by
-    workload, so a worker builds and compiles each trace once.
+    The call drains ``store``'s queue once over all its campaigns, with
+    ``jobs`` workers (``0`` = one per CPU; a single worker runs in this
+    process).  ``shard_size`` ``None`` plans one shard per campaign unless
+    the call has fewer campaigns than workers.  A campaign's shards are
+    cleared once ``record(scenario, campaign, from_store)`` has stored its
+    entry; ``from_store`` is true for a campaign the drain found recorded
+    in the store, before planning or because another drain recorded it
+    first.  ``use_cache=False`` (a forced refresh) reads no entry and
+    clears each campaign's published shards before planning, so every lane
+    is simulated again.  Without a ``store`` the call drains through a
+    temporary one, removed on return.  Campaigns run grouped by workload,
+    so a worker builds and compiles each trace once.
     """
-    if shard_size is None and jobs == 1:
-        runner = ShardRunner()
-        for scenario in _by_workload(scenarios):
-            (shard,) = plan_shards(scenario.spec_hash(), scenario.runs, scenario.runs)
-            payload = runner.execute(shard_task(scenario, shard, engine))
-            campaign = reassemble_campaign(scenario, [shard], lambda _: payload)
-            record(scenario, campaign, False)
-        return ShardReport()
     if store is None:
-        raise ValueError(
-            "queued execution (shard_size, or jobs != 1) requires a result store; "
-            "use 'python -m repro study run --jobs N' for worker processes"
-        )
+        with tempfile.TemporaryDirectory(prefix="repro-drain-") as root:
+            return execute_campaigns(
+                scenarios, ResultStore(root), record, engine, jobs, shard_size, use_cache
+            )
     workers = resolve_jobs(jobs)
 
     def recorded(scenario: Scenario) -> Optional[CampaignResult]:
@@ -175,7 +164,9 @@ def execute_campaigns(
     tasks = 0
     for scenario in missing:
         spec_hash = scenario.spec_hash()
-        size = resolve_shard_size(scenario.runs, split, shard_size or None)
+        size = resolve_shard_size(scenario.runs, split, shard_size)
+        if not use_cache:
+            store.clear_shards(spec_hash)
         published = {key for _, key in store.shard_keys(spec_hash)}
         shards = plan_shards(spec_hash, scenario.runs, size, published)
         _retire_off_plan_tasks(queue, shards)
@@ -301,12 +292,12 @@ def _await_foreign_shards(
     drain's worker, or an orphaned worker process of a killed coordinator —
     is left alone.  Those shards are waited out here: each either gets
     published by its owner or its lease dies (pid gone, or TTL expiry), at
-    which point an inline worker pass reclaims and executes it.  A retired
-    task whose shard entry has since vanished (e.g. an aggressive ``study
-    clean`` sweep) is re-enqueued, so the loop always makes progress toward
-    a full plan — unless another drain recorded the campaign and cleared
-    its shards, which ``recorded`` is asked about first whenever a shard is
-    missing.
+    which point a worker pass in this process reclaims and executes it.  A
+    retired task whose shard entry has since vanished (e.g. an aggressive
+    ``study clean`` sweep) is re-enqueued, so the loop always makes
+    progress toward a full plan — unless another drain recorded the
+    campaign and cleared its shards, which ``recorded`` is asked about
+    first whenever a shard is missing.
     """
     spec_hash = scenario.spec_hash()
     while True:

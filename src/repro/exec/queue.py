@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..study.store import _replace_atomically
+from ..study.store import _files, _replace_atomically
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
@@ -138,9 +138,7 @@ class FileQueue:
         """Pending task files in claim order: all of them, sorted; or only
         the ``spec_hashes`` campaigns' tasks, campaign by campaign in the
         order given (each campaign's in lane order)."""
-        if not self.task_root.is_dir():
-            return []
-        paths = sorted(self.task_root.glob("*.json"))
+        paths = sorted(_files(self.task_root, ".json"))
         if not spec_hashes:
             return paths
         rank = {spec_hash: index for index, spec_hash in enumerate(spec_hashes)}

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..study.store import _replace_atomically
+from ..study.store import _files, _replace_atomically
 from .queue import FileQueue, process_alive
 
 __all__ = [
@@ -125,10 +125,8 @@ class WorkerTelemetry:
 
 def read_heartbeats(queue: FileQueue) -> List[WorkerHeartbeat]:
     """Every readable worker heartbeat under the queue, sorted by owner."""
-    if not queue.worker_root.is_dir():
-        return []
     beats: List[WorkerHeartbeat] = []
-    for path in sorted(queue.worker_root.glob("*.json"), key=lambda path: path.stem):
+    for path in sorted(_files(queue.worker_root, ".json"), key=lambda path: path.stem):
         try:
             payload = json.loads(path.read_text())
             beats.append(

@@ -94,7 +94,7 @@ class ReproServer:
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         jobs: int = 1,
-        shard_size: int = 0,
+        shard_size: Optional[int] = None,
         concurrency: int = 2,
         gc_interval: float = DEFAULT_GC_INTERVAL,
         gc_age: float = DEFAULT_GC_AGE,

@@ -11,11 +11,10 @@ pipeline ``study run`` uses:
   :class:`~repro.study.store.ResultStore` first — concurrent clients
   submitting overlapping sweeps deduplicate by spec hash, and the second
   client's overlap costs zero simulations;
-* cold campaigns always go through the :mod:`repro.exec` file-backed work
-  queue (``shard_size=0`` = the planner's heuristic), so standalone
-  ``python -m repro worker`` processes attached to the store drain server
-  jobs, and a SIGKILLed worker's shards are reclaimed exactly as in the
-  CLI pipeline;
+* cold campaigns go through the :mod:`repro.exec` file-backed work queue,
+  as every campaign does, so standalone ``python -m repro worker``
+  processes attached to the store drain server jobs, and a SIGKILLed
+  worker's shards are reclaimed exactly as in the CLI pipeline;
 * pWCET analyses route through the result set's analysis cache keyed by
   ``(spec_hash, analysis_config_hash)`` — a warm job performs **zero** EVT
   fits and returns byte-identical analysis payloads to the CLI path.
@@ -264,16 +263,17 @@ class JobManager:
         store: ResultStore,
         bus: EventBus,
         jobs: int = 1,
-        shard_size: int = 0,
+        shard_size: Optional[int] = None,
         concurrency: int = 2,
     ) -> None:
         self.store = store
         self.bus = bus
         #: Worker processes of a job's cold campaigns (1 = the job thread
-        #: drains the queue inline; external workers may always join), for
+        #: drains the queue itself; external workers may always join), for
         #: every job that does not set its own ``jobs``.
         self.default_jobs = jobs
-        #: 0 = queue pipeline with the planner's heuristic shard size.
+        #: Shard size of every job that does not set its own (``None`` =
+        #: the planner's width).
         self.shard_size = shard_size
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()

@@ -61,10 +61,10 @@ class ExecutionReport:
     cache_hits: int = 0
     simulated: int = 0
     stored: int = 0
-    #: Queued-execution accounting (``repro.exec``); all zero when every
-    #: campaign drained inline.  ``shards_reused`` counts entries a
-    #: previous (killed) run already published, which the rerun did not
-    #: have to execute again.
+    #: Shard accounting of the call's drain (``repro.exec``); all zero
+    #: when every campaign came from the store.  ``shards_reused`` counts
+    #: entries a previous (killed) run already published, which the rerun
+    #: did not have to execute again.
     shards_planned: int = 0
     shards_reused: int = 0
     shards_executed: int = 0

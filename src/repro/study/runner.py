@@ -10,11 +10,11 @@ into a :class:`~repro.study.resultset.ResultSet` in three steps:
    simulated.
 3. **Execute and record** — the remaining campaigns go to one
    :func:`repro.exec.executor.execute_campaigns` call, which treats each one
-   as a lane range (seeds or memory layouts) and drains them inline or,
-   together, through the store's work queue; each reassembled campaign
-   (execution times plus the per-level miss summary) is written back to
-   the store, unless a queued drain found it already recorded by another
-   drain (a cache hit).
+   as a lane range (seeds or memory layouts) and drains them together
+   through the store's work queue (a temporary store's, without a store);
+   each reassembled campaign (execution times plus the per-level miss
+   summary) is written back to the store, unless the drain found it
+   already recorded by another drain (a cache hit).
 
 Every path is bit-exact with calling
 :func:`repro.analysis.campaign.run_campaign` (or ``run_layout_campaign``)
@@ -52,23 +52,22 @@ def execute_scenarios(
 
     ``store`` enables the on-disk cache: hits skip simulation entirely and
     fresh results are persisted.  ``use_cache=False`` keeps writing results
-    but ignores existing entries (a forced refresh), campaigns and
-    analyses alike.  ``mbpta`` is the one analysis config of the returned
-    result set (default: :class:`MbptaConfig`'s defaults).
+    but ignores existing entries (a forced refresh): campaigns, published
+    shards and analyses alike.  ``mbpta`` is the one analysis config of
+    the returned result set (default: :class:`MbptaConfig`'s defaults).
 
-    ``engine`` and ``jobs`` apply to every campaign of the call.  With
-    ``jobs == 1`` and no ``shard_size`` the campaigns run inline in this
-    process.  ``shard_size``, or ``jobs != 1``, sends the call's missing
-    campaigns through the store's work queue (:mod:`repro.exec`) instead:
-    they are planned into lane-range shards, published individually, and
-    drained by one set of ``jobs`` workers (``0`` = one per CPU), whole
-    campaigns per worker, which ``python -m repro worker`` processes may
-    join; a killed run loses at most its in-flight shards, and a rerun
-    executes only the missing ones, bit-exact either way.  ``shard_size``
-    ``0`` selects the planner's size (the analysis server's setting).
-    Queued execution without a ``store``, a duplicate display label, an
-    unknown engine or an unknown estimator raises :class:`ValueError`
-    before any simulation (the last three before the store is read).
+    ``engine`` and ``jobs`` apply to every campaign of the call.  The
+    call's missing campaigns go through the store's work queue
+    (:mod:`repro.exec`): they are planned into lane-range shards,
+    published individually, and drained by one set of ``jobs`` workers
+    (``0`` = one per CPU; one runs in this process), whole campaigns per
+    worker, which ``python -m repro worker`` processes may join.
+    ``shard_size`` ``None`` is the planner's width, at most one engine
+    batch per shard.  A killed run loses at most its in-flight shards, and
+    a rerun executes only the missing ones, bit-exact either way.  Without
+    a ``store`` the call drains through a temporary one and persists
+    nothing.  A duplicate display label, an unknown engine or an unknown
+    estimator raises :class:`ValueError` before the store is read.
     """
     counts = Counter(scenario.display_label for scenario in scenarios)
     for label, count in counts.items():

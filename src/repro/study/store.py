@@ -142,9 +142,24 @@ def _replace_atomically(path: Path, data: bytes) -> None:
     os.replace(temporary, path)
 
 
-def _files(directory: Path, pattern: str) -> List[Path]:
-    """The files in ``directory`` matching ``pattern``; none if it is absent."""
-    return list(directory.glob(pattern)) if directory.is_dir() else []
+def _names(directory: Path) -> List[str]:
+    """The names in ``directory``; none if it is absent or not a directory."""
+    try:
+        return os.listdir(directory)
+    except OSError:
+        return []
+
+
+def _files(directory: Path, suffix: str = "", prefix: str = "") -> List[Path]:
+    """The entries of ``directory`` named ``<prefix>*<suffix>``; none if it
+    is absent.  One ``os.listdir`` and two string tests per name, where a
+    ``Path.glob`` compiles a matcher for each distinct pattern (one per
+    spec hash for a campaign's shards)."""
+    return [
+        directory / name
+        for name in _names(directory)
+        if name.startswith(prefix) and name.endswith(suffix)
+    ]
 
 
 def _unlink(paths: Iterable[Path]) -> int:
@@ -156,14 +171,6 @@ def _unlink(paths: Iterable[Path]) -> int:
             path.unlink()
             removed += 1
     return removed
-
-
-def _names(directory: Path) -> List[str]:
-    """The names in ``directory``; none if it is absent or not a directory."""
-    try:
-        return os.listdir(directory)
-    except OSError:
-        return []
 
 
 #: How many decoded store files :data:`READ_MEMO` keeps: above the
@@ -325,7 +332,7 @@ class ResultStore:
 
     def keys(self) -> List[str]:
         """Spec hashes currently stored (sorted)."""
-        return sorted(path.stem for path in _files(self.root, f"*{columnar.COLUMNAR_SUFFIX}"))
+        return sorted(path.stem for path in _files(self.root, columnar.COLUMNAR_SUFFIX))
 
     def _entry(self, spec_hash: str):
         """The memoized ``(meta, columns)`` of one current entry, or ``None``;
@@ -467,7 +474,7 @@ class ResultStore:
     def analysis_keys(self) -> List[Tuple[str, str]]:
         """(spec_hash, analysis_hash) pairs currently stored (sorted)."""
         pairs = []
-        for path in _files(self.analysis_root, "*.json"):
+        for path in _files(self.analysis_root, ".json"):
             spec_hash, _, analysis_hash = path.stem.partition(".")
             if analysis_hash:
                 pairs.append((spec_hash, analysis_hash))
@@ -535,9 +542,10 @@ class ResultStore:
     def shard_keys(self, spec_hash: Optional[str] = None) -> List[Tuple[str, str]]:
         """(spec_hash, shard_key) pairs currently published (sorted)."""
         pairs = []
-        for path in _files(self.shard_root, f"*{columnar.COLUMNAR_SUFFIX}"):
+        prefix = f"{spec_hash}." if spec_hash else ""
+        for path in _files(self.shard_root, columnar.COLUMNAR_SUFFIX, prefix):
             entry_hash, _, key = path.stem.partition(".")
-            if key and (spec_hash is None or entry_hash == spec_hash):
+            if key:
                 pairs.append((entry_hash, key))
         return sorted(pairs)
 
@@ -550,16 +558,15 @@ class ResultStore:
         in-flight temporary files are left to their writers.
         """
         removed = 0
-        if not self.shard_root.is_dir():
-            return removed
-        prefix = f"{spec_hash}.*" if spec_hash else "*"
-        for path in self.shard_root.glob(f"{prefix}{columnar.COLUMNAR_SUFFIX}"):
-            with contextlib.suppress(FileNotFoundError):
-                path.unlink()
-                removed += 1
-        for path in self.shard_root.glob(f"{prefix}.tmp"):
-            with contextlib.suppress(OSError):
-                path.unlink()
+        prefix = f"{spec_hash}." if spec_hash else ""
+        for path in _files(self.shard_root, prefix=prefix):
+            if path.name.endswith(columnar.COLUMNAR_SUFFIX):
+                with contextlib.suppress(FileNotFoundError):
+                    path.unlink()
+                    removed += 1
+            elif path.name.endswith(".tmp"):
+                with contextlib.suppress(OSError):
+                    path.unlink()
         return removed
 
     # ---------------------------------------------------- study provenance
@@ -594,7 +601,7 @@ class ResultStore:
         return [
             path
             for name in ("tasks", "leases", "workers")
-            for path in _files(self.queue_root / name, "*")
+            for path in _files(self.queue_root / name)
             if path.is_file()
         ]
 
@@ -615,13 +622,13 @@ class ResultStore:
         ``*.tmp`` stragglers.  ``older_than`` must pass :func:`check_gc_age`.
         """
         cutoff = (time.time() if now is None else now) - check_gc_age(older_than)
-        paths = _files(self.analysis_root, "*.json") + _files(self.analysis_root, "*.tmp")
+        paths = _files(self.analysis_root, ".json") + _files(self.analysis_root, ".tmp")
         if not analyses_only:
-            paths += _files(self.shard_root, f"*{columnar.COLUMNAR_SUFFIX}")
-            paths += _files(self.shard_root, "*.tmp")
+            paths += _files(self.shard_root, columnar.COLUMNAR_SUFFIX)
+            paths += _files(self.shard_root, ".tmp")
             # Interrupted campaign-entry writers leave ``<hash>.rcol.*.tmp``
-            # beside the results; the glob is tmp-only, entries are safe.
-            paths += _files(self.root, "*.tmp")
+            # beside the results; the listing is tmp-only, entries are safe.
+            paths += _files(self.root, ".tmp")
             paths += self._queue_files()
         candidates: List[Path] = []
         for path in paths:
@@ -657,15 +664,18 @@ class ResultStore:
         bookkeeping: List[Path] = []
         if not self.root.is_dir():
             return entries, bookkeeping
-        for directory, pattern in (
-            (self.root, f"*{columnar.COLUMNAR_SUFFIX}"),
-            (self.analysis_root, "*.json"),
-            (self.shard_root, f"*{columnar.COLUMNAR_SUFFIX}"),
+        for directory, suffix in (
+            (self.root, columnar.COLUMNAR_SUFFIX),
+            (self.analysis_root, ".json"),
+            (self.shard_root, columnar.COLUMNAR_SUFFIX),
         ):
-            entries.extend(_files(directory, pattern))
-            bookkeeping.extend(_files(directory, "*.tmp"))
-        bookkeeping.extend(_files(self.study_root, "*/*"))
-        bookkeeping.extend(_files(self.root, "studies.log"))
+            entries.extend(_files(directory, suffix))
+            bookkeeping.extend(_files(directory, ".tmp"))
+        for study in _files(self.study_root):
+            bookkeeping.extend(_files(study))
+        legacy_log = self.root / "studies.log"
+        if legacy_log.exists():
+            bookkeeping.append(legacy_log)
         bookkeeping.extend(self._queue_files())
         return sorted(set(entries)), sorted(set(bookkeeping))
 

@@ -15,6 +15,7 @@ import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import time
 import weakref
 from dataclasses import replace
@@ -479,18 +480,18 @@ class TestShardedExecution:
         assert report.reused == report.planned == len(shards)
         assert campaign.execution_times == _serial_times(scenario)
 
-    def test_layout_campaign_through_queue_matches_inline(self, tmp_path):
+    def test_layout_campaign_through_queue_matches_serial(self, tmp_path):
         scenario = _layout_scenario()
-        inline = next(iter(execute_scenarios([scenario]))).campaign
-        assert len(set(inline.execution_times)) > 1  # layouts do vary
+        serial = _serial(scenario)
+        assert len(set(serial.execution_times)) > 1  # layouts do vary
         for shard_size in (1, 3, scenario.runs):
             for jobs in (1, 2):
                 store = ResultStore(tmp_path / f"store-{shard_size}-{jobs}")
                 campaign, _, report = _drain_one(
                     scenario, store, jobs=jobs, shard_size=shard_size
                 )
-                assert campaign.execution_times == inline.execution_times
-                assert campaign.workload == inline.workload
+                assert campaign.execution_times == serial.execution_times
+                assert campaign.workload == serial.workload
                 assert campaign.miss_summary == {}  # layouts keep no miss counters
                 assert report.executed == report.planned == -(-scenario.runs // shard_size)
         # A partial run resumes: only the missing layout ranges execute.
@@ -499,7 +500,7 @@ class TestShardedExecution:
         assert run_worker(queue.root, store.root, max_shards=1).shards_done == 1
         campaign, _, report = _drain_one(scenario, store, shard_size=2)
         assert (report.planned, report.reused, report.executed) == (len(shards), 1, 2)
-        assert campaign.execution_times == inline.execution_times
+        assert campaign.execution_times == serial.execution_times
 
     def test_reassemble_names_missing_shards(self, tmp_path):
         scenario = _scenario()
@@ -538,13 +539,13 @@ class TestShardedExecution:
 
     @pytest.mark.parametrize("shard_size", [1, 7, None])
     def test_shard_size_invariance(self, tmp_path, monkeypatch, shard_size):
-        # shard_size=None exercises the planner's default rule (the queue's
-        # shard size 0), narrowed to 5-lane shards so that 12 runs still
-        # split ([4, 4, 4]); size 7 yields an uneven [7, 5] split.
+        # shard_size=None exercises the planner's default rule, narrowed to
+        # 5-lane shards so that 12 runs still split ([4, 4, 4]); size 7
+        # yields an uneven [7, 5] split.
         monkeypatch.setattr(plan_module, "DEFAULT_SHARD_SIZE", 5)
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        campaign, _, report = _drain_one(scenario, store, shard_size=shard_size or 0)
+        campaign, _, report = _drain_one(scenario, store, shard_size=shard_size)
         assert report.planned > 1
         assert campaign.execution_times == _serial_times(scenario)
 
@@ -800,6 +801,45 @@ class TestCrashResume:
             == outcome.campaign.execution_times
         )
 
+    def test_interrupted_default_call_resumes(self, tmp_path, monkeypatch):
+        # A default call (one in-process worker, one shard per campaign) is
+        # interrupted once its first campaign's shard is published: the
+        # rerun reuses that shard and executes only the other campaign's.
+        scenarios = [replace(_scenario(master_seed=seed), label=f"seed {seed}") for seed in (1, 2)]
+        store = ResultStore(tmp_path / "store")
+
+        def interrupted(telemetry, runs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(WorkerTelemetry, "published", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            execute_scenarios(scenarios, store)
+        monkeypatch.undo()
+        assert len(store.shard_keys()) == 1
+        results = execute_scenarios(scenarios, store)
+        report = results.report
+        assert (report.shards_planned, report.shards_reused, report.shards_executed) == (
+            2, 1, 1
+        )
+        for scenario in scenarios:
+            campaign = results.campaign(scenario.display_label)
+            assert campaign.execution_times == _serial_times(scenario)
+        assert store.shard_keys() == []
+
+    def test_no_cache_rerun_simulates_every_lane(self, tmp_path):
+        # A forced refresh after a killed run reuses none of its published
+        # shards.
+        scenario = _scenario()
+        store = ResultStore(tmp_path / "store")
+        _, queue = _enqueue_all(scenario, store, shard_size=4)
+        assert run_worker(queue.root, store.root, max_shards=1).shards_done == 1
+        results = execute_scenarios([scenario], store, use_cache=False, shard_size=4)
+        report = results.report
+        assert (report.shards_planned, report.shards_reused, report.shards_executed) == (
+            3, 0, 3
+        )
+        assert next(iter(results)).campaign.execution_times == _serial_times(scenario)
+
     def test_a_hit_clears_the_shards_a_killed_drain_left(self, tmp_path):
         # A drain killed after it stored a campaign and before it cleared the
         # campaign's shards leaves them; the campaign's next hit, queued or
@@ -1045,19 +1085,35 @@ class TestFailingCampaign:
 # ---------------------------------------------------------------------------
 
 class TestRunnerIntegration:
-    def test_shard_size_requires_store(self):
-        with pytest.raises(ValueError, match="store"):
-            execute_scenarios([_scenario()], store=None, shard_size=4)
+    @staticmethod
+    def _assert_storeless_call_drains_through_a_temporary_store(tmp_path, monkeypatch, **options):
+        # Without a store, the call drains through a temporary store and
+        # removes it.
+        temp_root = tmp_path / "tmp"
+        temp_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+        scenarios = [_scenario(), _layout_scenario()]
+        results = execute_scenarios(scenarios, **options)
+        assert results.store is None
+        assert results.report.simulated == 2
+        for scenario in scenarios:
+            expected = _serial(scenario)
+            campaign = results.campaign(scenario.display_label)
+            assert campaign.execution_times == expected.execution_times
+            assert campaign.miss_summary == expected.miss_summary
+        assert list(temp_root.iterdir()) == []
 
-    def test_storeless_jobs_raise_before_any_simulation(self, monkeypatch):
-        built = []
-        original = WorkloadSpec.build_trace
-        monkeypatch.setattr(
-            WorkloadSpec, "build_trace", lambda spec: built.append(spec) or original(spec)
+    def test_storeless_jobs_call_drains_through_a_temporary_store(self, tmp_path, monkeypatch):
+        self._assert_storeless_call_drains_through_a_temporary_store(
+            tmp_path, monkeypatch, jobs=2
         )
-        with pytest.raises(ValueError, match="study run --jobs N"):
-            execute_scenarios([_scenario(), _layout_scenario()], jobs=2)
-        assert built == []
+
+    def test_storeless_shard_size_call_drains_through_a_temporary_store(
+        self, tmp_path, monkeypatch
+    ):
+        self._assert_storeless_call_drains_through_a_temporary_store(
+            tmp_path, monkeypatch, shard_size=4
+        )
 
     def test_call_drains_whole_campaigns_on_one_set_of_workers(self, tmp_path):
         # Four campaigns and two workers: one shard per campaign, and one
@@ -1080,14 +1136,16 @@ class TestRunnerIntegration:
         report = execute_scenarios(scenarios, store, jobs=4).report
         assert report.shards_planned == report.shards_executed == 4
 
-    def test_inline_drain_writes_no_queue_or_shard_files(self, tmp_path):
+    def test_default_call_runs_one_shard_per_campaign(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         scenarios = [_scenario(), _layout_scenario()]
         results = execute_scenarios(scenarios, store=store)
         report = results.report
         assert report.simulated == 2
-        assert (report.shards_planned, report.shards_reused, report.shards_executed) == (0, 0, 0)
-        assert not store.queue_root.exists() and not store.shard_root.exists()
+        assert (report.shards_planned, report.shards_reused, report.shards_executed) == (2, 0, 2)
+        queue = FileQueue(store.queue_root)
+        assert store.shard_keys() == [] and queue.tasks() == []
+        assert list(queue.lease_root.glob("*")) == []
         for scenario in scenarios:
             assert results.campaign(scenario.display_label).execution_times == (
                 _serial_times(scenario)
@@ -1103,12 +1161,13 @@ class TestRunnerIntegration:
         again = execute_scenarios([scenario], store=store, shard_size=4)
         assert again.report.full_cache_hit
 
-    def test_report_summary_mentions_shards_only_when_sharded(self, tmp_path):
+    def test_report_summary_names_the_shards_of_a_cold_call(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        sharded = execute_scenarios([_scenario()], store=store, shard_size=4)
-        assert "shards" in sharded.report.summary()
-        plain = execute_scenarios([_scenario(master_seed=99)], store=store)
-        assert "shards" not in plain.report.summary()
+        cold = execute_scenarios([_scenario()], store=store)
+        assert cold.report.summary().endswith("; 1 of 1 shards executed (0 reused)")
+        warm = execute_scenarios([_scenario()], store=store)
+        assert warm.report.full_cache_hit
+        assert "shards" not in warm.report.summary()
 
     def test_telemetry_rate_limit_always_writes_transitions(self, tmp_path):
         queue = FileQueue(tmp_path / "q")
