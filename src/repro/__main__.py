@@ -87,6 +87,12 @@ import sys
 import time
 from typing import TYPE_CHECKING, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
+# No command calls BLAS, but numpy's OpenBLAS starts a worker thread per
+# spare CPU when numpy loads, which only slows start-up.  One thread, unless
+# the caller chose; numpy is not loaded yet (DESIGN "Start-up").  Set here
+# and not in repro/__init__.py: a library leaves the environment alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 # The planner's default shard width (repro.exec.plan.DEFAULT_SHARD_SIZE) is
 # one engine batch.  repro.engine.base defines it without loading an engine,
 # so this import costs nothing; every other import of the package is made

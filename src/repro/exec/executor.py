@@ -78,9 +78,11 @@ def reassemble_campaign(
     """Merge the shard payloads ``load`` returns, in lane order, into one campaign.
 
     ``load`` maps a planned shard to its published payload, or ``None``
-    when it is missing.  Raises :class:`RuntimeError` naming the missing
-    shards when the plan is incomplete (e.g. a worker died and nobody
-    resumed the campaign).
+    when it is missing; a payload's columns are lists of Python ints, as
+    :meth:`~repro.study.store.ResultStore.load_shard` decodes them (one
+    ``tolist`` per column), and are merged as they are.  Raises
+    :class:`RuntimeError` naming the missing shards when the plan is
+    incomplete (e.g. a worker died and nobody resumed the campaign).
     """
     ordered = sorted(shards, key=lambda shard: shard.start)
     cycles: List[int] = []
@@ -92,9 +94,9 @@ def reassemble_campaign(
         if payload is None or len(payload.get("cycles", ())) != shard.count:
             missing.append(shard.key)
             continue
-        cycles.extend(int(value) for value in payload["cycles"])
+        cycles.extend(payload["cycles"])
         for name in counters:
-            counters[name].extend(int(value) for value in payload.get(name, ()))
+            counters[name].extend(payload.get(name, ()))
         workload = str(payload.get("workload", workload))
     if missing:
         raise RuntimeError(

@@ -14,7 +14,7 @@ subsystem symmetric with :mod:`repro.engine` and :mod:`repro.study`:
   :func:`repro.engine.register_engine`) with capability flags;
 * :mod:`repro.pwcet.estimators` — the built-in ``gumbel-pwm`` (default),
   ``gumbel-mle`` and the peaks-over-threshold ``exponential-excess``
-  estimators;
+  estimators, each fitting a whole batch at once;
 * :mod:`repro.pwcet.protocol` — :func:`apply_mbpta_batch` (a whole study's
   campaigns in one vectorized pass), plus bootstrap confidence intervals;
 * :mod:`repro.pwcet.compare` — :func:`compare_estimators` cross-views;
@@ -25,10 +25,12 @@ Every statistic has one implementation, over an ``(n_campaigns, n_runs)``
 matrix; the single-campaign names (:func:`apply_mbpta`,
 :func:`iid_assessment`, the three tests, :func:`block_maxima`,
 :func:`fit_gumbel`, :meth:`Estimator.fit`) are one-row views of their
-batch forms, and the test-suite holds the statistics to scipy's.
+batch forms.  The package needs numpy only: the test-suite holds the
+statistics, the maximum-likelihood fit included, to scipy's.
 
 The names below load on first use (:mod:`repro._lazy`), so a caller that
-needs only :class:`MbptaConfig` does not import the estimators.
+only builds an :class:`MbptaConfig` does not import the estimators (its
+analysis hash does: it reads the estimator's revision).
 """
 
 from __future__ import annotations

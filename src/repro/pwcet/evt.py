@@ -10,10 +10,10 @@ This module implements:
 
 * :func:`fit_gumbel_batch` — Gumbel parameter estimation by
   probability-weighted moments (the standard, robust choice for small
-  samples; vectorized across the rows of an ``(n_campaigns, n_runs)``
-  matrix) or maximum likelihood (scipy, row by row), on raw samples or
-  block maxima; :func:`fit_gumbel` is its one-row view, as
-  :func:`block_maxima` is of :func:`block_maxima_batch`;
+  samples) or maximum likelihood, both vectorized across the rows of an
+  ``(n_campaigns, n_runs)`` matrix, on raw samples or block maxima;
+  :func:`fit_gumbel` is its one-row view, as :func:`block_maxima` is of
+  :func:`block_maxima_batch`;
 * :class:`PWcetCurve` — the projected exceedance curve, offering per-run
   exceedance probabilities, quantiles (pWCET at a cutoff probability) and
   CCDF points for plotting figures like Figure 1 and Figure 5(c);
@@ -142,14 +142,12 @@ def fit_gumbel_batch(
     each row's block maxima when ``block_size`` > 1).
 
     ``method`` is ``"pwm"`` (probability-weighted moments, Hosking et al.;
-    the default) or ``"mle"`` (maximum likelihood through scipy).  The PWM
-    path vectorizes the sort and the two probability-weighted moments
-    across campaigns; scipy's optimiser has no batched form, so the MLE
-    path fits row by row.  Degenerate rows (all values identical — which
+    the default) or ``"mle"`` (maximum likelihood, :func:`_gumbel_mle`).
+    Both vectorize across campaigns, and a row's fit does not depend on the
+    rows batched with it.  Degenerate rows (all values identical — which
     does happen for fully deterministic setups) are given a tiny positive
-    scale so downstream projections remain defined, and a non-positive
-    fitted scale (nearly-degenerate data) falls back to the moment
-    estimate of the row's standard deviation.
+    scale so downstream projections remain defined; every other row has a
+    positive fitted scale under either method.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -160,7 +158,8 @@ def fit_gumbel_batch(
         raise ValueError(f"unknown fit method {method!r}; expected 'pwm' or 'mle'")
     values = block_maxima_batch(matrix, block_size) if block_size > 1 else matrix
     n_campaigns, n = values.shape
-    degenerate = values.max(axis=1) == values.min(axis=1)
+    lowest = values.min(axis=1)
+    degenerate = values.max(axis=1) == lowest
     if method == "pwm":
         ordered = np.sort(values, axis=1)
         b0 = np.mean(ordered, axis=1)
@@ -169,12 +168,11 @@ def fit_gumbel_batch(
         scale = (2.0 * b1 - b0) / math.log(2.0)
         location = b0 - EULER_MASCHERONI * scale
     else:
-        from scipy import stats
-
-        location = np.zeros(n_campaigns)
+        location = lowest.copy()
         scale = np.zeros(n_campaigns)
-        for row in np.flatnonzero(~degenerate):
-            location[row], scale[row] = stats.gumbel_r.fit(values[row])
+        rows = np.flatnonzero(~degenerate)
+        offset, scale[rows] = _gumbel_mle(values[rows] - lowest[rows, None])
+        location[rows] += offset
     fits: List[GumbelFit] = []
     for row in range(n_campaigns):
         if degenerate[row]:
@@ -188,18 +186,67 @@ def fit_gumbel_batch(
                 )
             )
             continue
-        row_scale = float(scale[row])
-        if row_scale <= 0:
-            row_scale = max(float(np.std(values[row])) * math.sqrt(6.0) / math.pi, 1e-9)
         fits.append(
             GumbelFit(
                 location=float(location[row]),
-                scale=row_scale,
+                scale=float(scale[row]),
                 method=method,
                 sample_size=n,
             )
         )
     return fits
+
+
+#: Relative and absolute tolerance of the MLE scale: ``gumbel_r.fit``'s
+#: ``root_scalar(rtol=1e-14, xtol=1e-14)``.
+_MLE_TOLERANCE = 1e-14
+#: Bound on the MLE solver's steps.  Rows take at most 6 on the studies'
+#: samples, and bisection alone would need about 50.
+_MLE_MAX_STEPS = 100
+
+
+def _gumbel_mle(excess: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Maximum-likelihood Gumbel ``(location, scale)`` of each row of
+    ``excess``: a non-degenerate sample less its minimum, so that each row
+    holds a 0 and a positive value; the location is relative to the minimum.
+
+    The scale β is the root of the likelihood equation ``gumbel_r.fit``
+    solves, ``g(β) = mean(x) - sum(x w) / sum(w) - β`` with weights
+    ``w = exp(-x / β)`` (relative to the row minimum, so the largest is 1).
+    ``g`` falls from ``g(0+) = mean(x) > 0`` to ``g(mean(x)) < 0``, with
+    ``g'(β) = -1 - var_w(x) / β**2``, where ``var_w`` is the weighted
+    variance, so ``(0, mean(x)]`` brackets one root.  Every row is solved at
+    once by Newton steps kept inside the row's bracket (a step that leaves
+    it bisects instead) until a step moves β by at most
+    ``1e-14 * (1 + β)``.  The location is ``-β log(mean(w))``.
+    """
+    mean = excess.mean(axis=1)
+    low = np.zeros_like(mean)
+    high = mean.copy()
+    # The moment estimate starts the search, unless it is out of the bracket.
+    scale = excess.std(axis=1) * (math.sqrt(6.0) / math.pi)
+    scale = np.where(scale < high, scale, 0.5 * high)
+    active = np.arange(len(mean))
+    for _ in range(_MLE_MAX_STEPS):
+        if not active.size:
+            break
+        values, beta = excess[active], scale[active]
+        weights = np.exp(-values / beta[:, None])
+        total = weights.sum(axis=1)
+        weighted = (values * weights).sum(axis=1) / total
+        spread = ((values - weighted[:, None]) ** 2 * weights).sum(axis=1) / total
+        slope = 1.0 + spread / beta**2
+        gap = mean[active] - weighted - beta
+        above = gap > 0
+        low[active] = np.where(above, beta, low[active])
+        high[active] = np.where(above, high[active], beta)
+        step = beta + gap / slope
+        outside = (step <= low[active]) | (step > high[active])
+        step = np.where(outside, 0.5 * (low[active] + high[active]), step)
+        scale[active] = step
+        active = active[np.abs(step - beta) > _MLE_TOLERANCE * (1.0 + step)]
+    location = -scale * np.log(np.exp(-excess / scale[:, None]).mean(axis=1))
+    return location, scale
 
 
 def projection_ccdf_points(

@@ -106,8 +106,13 @@ class MbptaConfig:
         return _ESTIMATOR_ALIASES.get(self.fit_method, self.fit_method)
 
     def analysis_config(self) -> Dict[str, object]:
-        """Canonical, analysis-determining form (the analysis-hash input)."""
-        return {
+        """Canonical, analysis-determining form (the analysis-hash input).
+
+        A registered estimator's :attr:`~repro.pwcet.registry.Estimator.revision`
+        is in it once above 0, so a revision re-keys that estimator's
+        analyses alone; an unregistered name raises :class:`ValueError`.
+        """
+        config: Dict[str, object] = {
             "version": ANALYSIS_VERSION,
             "estimator": self.estimator_name,
             "block_size": self.block_size,
@@ -115,6 +120,10 @@ class MbptaConfig:
             "exceedance_probabilities": list(self.exceedance_probabilities),
             "bootstrap": self.bootstrap,
         }
+        revision = get_estimator(self.estimator_name).revision
+        if revision:
+            config["estimator_revision"] = revision
+        return config
 
     def analysis_hash(self) -> str:
         """SHA-256 over the canonical analysis config.

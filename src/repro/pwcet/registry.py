@@ -14,13 +14,17 @@ Capability flags describe what callers may rely on:
     :meth:`Estimator.fit_batch` genuinely vectorises the fit across the
     rows of an ``(n_campaigns, n_runs)`` matrix, so assessing a whole study
     in one call is cheaper than one call per campaign; without it the
-    estimator fits row by row (``gumbel-mle``: scipy's optimiser has no
-    batched form).
+    estimator fits row by row.  Every built-in estimator sets it.
 ``needs_block_maxima``
     The estimator fits block maxima (grouping runs into blocks of
     ``MbptaConfig.block_size`` and discarding a trailing partial block); a
     peaks-over-threshold estimator clears this flag and consumes the raw
     sample, so it never discards runs.
+
+An estimator's :attr:`Estimator.revision` goes into its analyses' hash
+once it is above 0: a change that alters an estimator's stored numbers
+bumps it, so that estimator's stored analyses become misses and no other
+estimator's hash moves.
 
 To add an estimator: subclass :class:`Estimator`, implement
 :meth:`Estimator.fit_batch` returning one :class:`TailEstimate` per row,
@@ -82,6 +86,8 @@ class Estimator(ABC):
     supports_batch: bool = False
     #: Fits block maxima (and may discard a trailing partial block).
     needs_block_maxima: bool = True
+    #: Revision of the fitted numbers; in the analysis hash once above 0.
+    revision: int = 0
 
     @abstractmethod
     def fit_batch(

@@ -26,7 +26,12 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 import repro
-from repro.analysis.campaign import run_campaign, run_layout_campaign
+from repro.analysis.campaign import (
+    MISS_COUNTERS,
+    run_campaign,
+    run_layout_campaign,
+    summarize_misses,
+)
 from repro.engine import DEFAULT_ENGINE, NumpyEngine, available_engines
 from repro.exec import executor as executor_module
 from repro.exec import plan as plan_module
@@ -501,6 +506,31 @@ class TestShardedExecution:
         campaign, _, report = _drain_one(scenario, store, shard_size=2)
         assert (report.planned, report.reused, report.executed) == (len(shards), 1, 2)
         assert campaign.execution_times == serial.execution_times
+
+    def test_reassembly_keeps_store_decoded_python_ints(self, tmp_path, monkeypatch):
+        # The store decodes each shard column to a list of Python ints; the
+        # reassembled execution times and per-run miss counters are those
+        # ints, merged as they are, and equal to the serial campaign's.
+        scenario = _scenario()
+        store = ResultStore(tmp_path / "store")
+        shards, queue = _enqueue_all(scenario, store, shard_size=5)
+        assert run_worker(queue.root, store.root).shards_done == len(shards) == 3
+        merged = {}
+
+        def summarize(counters, runs):
+            merged.update(counters)
+            return summarize_misses(counters, runs)
+
+        monkeypatch.setattr(executor_module, "summarize_misses", summarize)
+        campaign = reassemble_campaign(scenario, shards, _published(scenario, store))
+        serial = _serial(scenario)
+        assert campaign.execution_times == serial.execution_times
+        assert campaign.miss_summary == serial.miss_summary != {}
+        assert {type(value) for value in campaign.execution_times} == {int}
+        assert set(merged) == set(MISS_COUNTERS)
+        for name, values in merged.items():
+            assert len(values) == scenario.runs, name
+            assert {type(value) for value in values} == {int}, name
 
     def test_reassemble_names_missing_shards(self, tmp_path):
         scenario = _scenario()

@@ -58,14 +58,17 @@ class TestDeclaredDependencies:
         assert "Table 1" in child.stdout
 
     def test_fig5_study_runs_without_scipy(self, tmp_path):
-        """A cold seed-campaign study imports no scipy: the admission tests'
-        critical value comes from the stdlib; only ``gumbel-mle`` needs it."""
+        """A cold seed-campaign study, and ``pwcet compare`` over its
+        campaigns with every estimator, import no scipy: the admission
+        tests' critical value comes from the stdlib and every fit, the
+        maximum-likelihood one included, from numpy."""
         script = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"
             "from repro.__main__ import main\n"
-            "sys.exit(main(['study', 'run', 'fig5', '--runs', '24', "
-            "'--store', sys.argv[1]]))\n"
+            "options = ['fig5', '--runs', '24', '--store', sys.argv[1]]\n"
+            "code = main(['study', 'run', *options])\n"
+            "sys.exit(code or main(['pwcet', 'compare', *options]))\n"
         )
         env = dict(os.environ)
         src_root = str(Path(repro.__file__).resolve().parent.parent)
@@ -77,6 +80,61 @@ class TestDeclaredDependencies:
         assert child.returncode == 0, child.stderr
         assert "pWCET estimates" in child.stdout
         assert "simulated 2 of 2 scenarios" in child.stdout
+        assert "pWCET estimator comparison" in child.stdout
+        assert "pWCET gumbel-mle" in child.stdout
+
+
+class TestStartUp:
+    """A repro process starts numpy with one OpenBLAS thread unless its
+    caller chose a count, and ``import repro`` leaves the environment alone
+    (fresh interpreters, without the caller's ``OPENBLAS_NUM_THREADS``)."""
+
+    @staticmethod
+    def _child(code: str, blas_threads=None):
+        """The ``result`` that ``code`` leaves in a fresh interpreter."""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        src_root = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        script = f"import json, os, sys\n{code}\nprint(json.dumps(result))\n"
+        child = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        return json.loads(child.stdout)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task"
+    )
+    def test_the_cli_starts_numpy_with_one_thread(self):
+        result = self._child(
+            "import repro.__main__\n"
+            "import numpy\n"
+            "result = [os.listdir('/proc/self/task'), os.environ['OPENBLAS_NUM_THREADS']]"
+        )
+        threads, variable = result
+        assert (len(threads), variable) == (1, "1")
+
+    def test_a_callers_blas_thread_count_is_kept(self):
+        result = self._child(
+            "import repro.__main__\n"
+            "import numpy\n"
+            "result = os.environ['OPENBLAS_NUM_THREADS']",
+            blas_threads="2",
+        )
+        assert result == "2"
+
+    def test_the_library_leaves_the_environment_alone(self):
+        result = self._child(
+            "before = dict(os.environ)\n"
+            "import repro, repro.study\n"
+            "repro.study.ResultStore  # loads numpy\n"
+            "result = ['numpy' in sys.modules, dict(os.environ) == before,\n"
+            "          'OPENBLAS_NUM_THREADS' in os.environ]"
+        )
+        assert result == [True, True, False]
 
 
 #: Loaded by no command that does not run an experiment.

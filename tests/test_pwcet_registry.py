@@ -49,7 +49,7 @@ class TestRegistry:
         capabilities = estimator_capabilities()
         assert capabilities["gumbel-pwm"]["supports_batch"]
         assert capabilities["gumbel-pwm"]["needs_block_maxima"]
-        assert not capabilities["gumbel-mle"]["supports_batch"]
+        assert capabilities["gumbel-mle"]["supports_batch"]
         assert not capabilities["exponential-excess"]["needs_block_maxima"]
 
     def test_register_requires_concrete_name(self):
