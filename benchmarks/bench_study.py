@@ -4,9 +4,10 @@
 result store instead of simulating it.
 
 ``test_store_roundtrip_breakdown`` measures the persistence tier itself:
-cold writes, warm reads and shard reassembly through the binary columnar
-format head-to-head against the JSON-era text encoding, plus the sim vs
-store-I/O vs analysis split of a warm ``study run``.  The measured
+publishing a campaign as one lane range and reading it back, and reading
+a campaign back from several ranges, through the binary columnar format
+head-to-head against the JSON-era text of the same payloads, plus the sim
+vs store-I/O vs analysis split of a warm ``study run``.  The measured
 breakdown is persisted to ``BENCH_study.json`` at the repo root (the
 ``BENCH_engine.json`` idiom) — CI asserts the JSON-vs-columnar round-trip
 ratio there, not here (shared CI boxes are noisy, so in-test assertions
@@ -34,12 +35,12 @@ import time
 from pathlib import Path
 
 from repro.__main__ import main
-from repro.analysis.campaign import CampaignResult
 from repro.analysis.experiments import ExperimentSettings
 from repro.cache.fastsim import CompiledTrace
 from repro.cache.hierarchy import HierarchyConfig
 from repro.engine import get_engine
 from repro.engine.plan import compile_plan
+from repro.exec import shard_key
 from repro.study import (
     HierarchySpec,
     ResultStore,
@@ -136,9 +137,12 @@ STORE_ENTRIES = 8
 STORE_RUNS = 65536
 SHARDS_PER_ENTRY = 4
 
+#: Per-run miss counters of every synthetic lane.
+STORE_COUNTS = {"memory_accesses": 65_536, "il1_misses": 306, "dl1_misses": 2_048, "l2_misses": 512}
+
 
 def _synthetic_entries():
-    """Deterministic (scenario, campaign) pairs — large enough that
+    """Deterministic (scenario, execution times) pairs — large enough that
     serialization, not hashing, dominates."""
     entries = []
     for index in range(STORE_ENTRIES):
@@ -150,85 +154,43 @@ def _synthetic_entries():
             label=f"entry_{index}",
         )
         times = [70_000 + (index * 37 + j * 11) % 50_000 for j in range(STORE_RUNS)]
-        campaign = CampaignResult(
-            workload="synthetic_20KB",
-            setup="rm",
-            execution_times=times,
-            master_seed=scenario.effective_seed,
-            miss_summary={
-                "memory_accesses": 65_536.0,
-                "il1_misses": 306.0,
-                "dl1_misses": 2_048.0,
-                "l2_misses": 512.0,
-                "il1_miss_rate": 306.0 / 65_536.0,
-                "dl1_miss_rate": 2_048.0 / 65_536.0,
-                "l2_miss_rate": 512.0 / 65_536.0,
-            },
-        )
-        entries.append((scenario, campaign))
+        entries.append((scenario, times))
     return entries
 
 
-def _json_entry_payload(scenario, campaign):
-    """The JSON-era store entry, as the pre-columnar store wrote it."""
+def _range_payload(scenario, times, start, count):
+    """The payload a worker publishes for lanes ``[start, start + count)``."""
     return {
         "version": 1,
+        "spec_hash": scenario.spec_hash(),
+        "key": shard_key(start, count),
+        "start": start,
+        "count": count,
         "spec": scenario.spec_dict(),
-        "workload": campaign.workload,
-        "setup": campaign.setup,
-        "master_seed": campaign.master_seed,
-        "execution_times": list(campaign.execution_times),
-        "miss_summary": dict(campaign.miss_summary),
-    }
-
-
-def _json_save(root, scenario, campaign):
-    """The JSON-era ``ResultStore.save``: build the payload, dump sorted-key
-    text, write via tmp + os.replace (same work the legacy store did)."""
-    path = root / f"{scenario.spec_hash()}.json"
-    temporary = path.with_suffix(".json.tmp")
-    temporary.write_text(
-        json.dumps(_json_entry_payload(scenario, campaign), sort_keys=True)
-    )
-    os.replace(temporary, path)
-
-
-def _json_load(root, name):
-    """The JSON-era ``ResultStore.load``: parse + per-element coercion."""
-    payload = json.loads((root / f"{name}.json").read_text())
-    if payload["version"] != 1:
-        return None
-    return {
-        "execution_times": [int(value) for value in payload["execution_times"]],
-        "miss_summary": {
-            str(key): float(value)
-            for key, value in payload.get("miss_summary", {}).items()
-        },
+        "setup": scenario.display_label,
+        "workload": "synthetic_20KB",
+        "engine": "numpy",
+        "cycles": times[start : start + count],
+        **{name: [value] * count for name, value in STORE_COUNTS.items()},
     }
 
 
 def _json_write(root, name, payload):
-    """Raw legacy shard write: sorted-key JSON text via tmp + os.replace."""
+    """The JSON-era write: sorted-key JSON text via tmp + os.replace."""
     path = root / f"{name}.json"
     temporary = path.with_suffix(".json.tmp")
     temporary.write_text(json.dumps(payload, sort_keys=True))
     os.replace(temporary, path)
 
 
-def _shard_payload(scenario, campaign, start, count):
-    times = campaign.execution_times[start : start + count]
+def _json_read(root, name):
+    """The JSON-era read: parse + per-element coercion of every column."""
+    payload = json.loads((root / f"{name}.json").read_text())
+    if payload["version"] != 1:
+        return None
     return {
-        "version": 1,
-        "spec_hash": scenario.spec_hash(),
-        "start": start,
-        "count": count,
-        "workload": campaign.workload,
-        "engine": "numpy",
-        "cycles": list(times),
-        "memory_accesses": [65_536] * count,
-        "il1_misses": [306] * count,
-        "dl1_misses": [2_048] * count,
-        "l2_misses": [512] * count,
+        column: [int(value) for value in payload[column]]
+        for column in ("cycles", *STORE_COUNTS)
     }
 
 
@@ -241,36 +203,35 @@ def test_store_roundtrip_breakdown(tmp_path, monkeypatch, capsys):
     store = ResultStore(tmp_path / "store")
     json_root = tmp_path / "json_store"
     json_root.mkdir()
+    whole = [
+        (scenario, _range_payload(scenario, times, 0, STORE_RUNS)) for scenario, times in entries
+    ]
 
-    # --- campaign entries: cold write + warm read, both codecs -------------
+    # --- a campaign as one range: publish + warm read, both codecs -------
     def columnar_write():
-        for scenario, campaign in entries:
-            store.save(scenario, campaign)
+        for scenario, payload in whole:
+            store.save_shard(scenario.spec_hash(), payload["key"], payload)
 
     def columnar_read():
-        # The store's native warm read: zero-copy column views, the
-        # form every bulk consumer (run table, MBPTA fits, reassembly)
-        # actually wants.  The JSON baseline cannot serve arrays without
-        # per-element parsing — that asymmetry is the tax being measured.
-        for scenario, _ in entries:
-            meta, columns = store.load_columns(scenario.spec_hash())
-            assert columns["execution_times"].size == STORE_RUNS
+        # The store's native warm read: zero-copy column views, the form
+        # the run table reads.  The JSON baseline cannot serve arrays
+        # without per-element parsing — that asymmetry is the tax measured.
+        for scenario, payload in whole:
+            _, times, _ = store._campaign(scenario.spec_hash(), [payload["key"]])
+            assert times.size == STORE_RUNS
 
     def columnar_read_lists():
-        # The compatibility read (`load`): materializes Python ints, for
-        # consumers that still want the JSON-era list contract.
-        for scenario, _ in entries:
-            assert store.load(scenario.spec_hash()) is not None
-
-    names = [scenario.spec_hash() for scenario, _ in entries]
+        # ``load``: the campaign with Python-int execution times.
+        for scenario, payload in whole:
+            assert store.load(scenario.spec_hash(), [payload["key"]]) is not None
 
     def json_write():
-        for scenario, campaign in entries:
-            _json_save(json_root, scenario, campaign)
+        for scenario, payload in whole:
+            _json_write(json_root, scenario.spec_hash(), payload)
 
     def json_read():
-        for name in names:
-            assert _json_load(json_root, name) is not None
+        for scenario, _ in whole:
+            assert _json_read(json_root, scenario.spec_hash()) is not None
 
     columnar = {
         "cold_write_seconds": _timed(columnar_write),
@@ -282,53 +243,59 @@ def test_store_roundtrip_breakdown(tmp_path, monkeypatch, capsys):
         "warm_read_seconds": _timed(json_read),
     }
 
-    # Bit-exactness across the codecs: both the compatibility read and the
-    # column view decode to the same Python ints the JSON era returned.
-    for scenario, campaign in entries:
-        stored = store.load(scenario.spec_hash())
-        assert stored.execution_times == list(campaign.execution_times)
-        _, columns = store.load_columns(scenario.spec_hash())
-        assert columns["execution_times"].tolist() == list(campaign.execution_times)
+    # Bit-exactness across the codecs: the campaign reads back as the
+    # Python ints the JSON era returned.
+    for (scenario, times), (_, payload) in zip(entries, whole):
+        stored = store.load(scenario.spec_hash(), [payload["key"]])
+        assert stored.execution_times == times
+        assert _json_read(json_root, scenario.spec_hash())["cycles"] == times
 
-    # --- shard publish + reassembly, both codecs ---------------------------
+    # --- a campaign from several ranges: publish + read, both codecs -----
     shard_count = STORE_RUNS // SHARDS_PER_ENTRY
-    shards = [
-        (scenario, key, _shard_payload(scenario, campaign, start, shard_count))
-        for scenario, campaign in entries[:4]
-        for key, start in (
-            (f"{i * shard_count}-{(i + 1) * shard_count - 1}", i * shard_count)
-            for i in range(SHARDS_PER_ENTRY)
+    campaigns = [
+        (
+            scenario,
+            times,
+            [
+                _range_payload(scenario, times, index * shard_count, shard_count)
+                for index in range(SHARDS_PER_ENTRY)
+            ],
         )
+        for scenario, times in entries[:4]
     ]
 
     def columnar_publish():
-        for scenario, key, payload in shards:
-            store.save_shard(scenario.spec_hash(), key, payload)
+        for scenario, _, payloads in campaigns:
+            for payload in payloads:
+                store.save_shard(scenario.spec_hash(), payload["key"], payload)
 
     def columnar_reassemble():
-        for scenario, key, payload in shards:
-            loaded = store.load_shard(scenario.spec_hash(), key)
-            assert len(loaded["cycles"]) == payload["count"]
+        for scenario, _, payloads in campaigns:
+            keys = [payload["key"] for payload in payloads]
+            assert store.load(scenario.spec_hash(), keys).runs == STORE_RUNS
 
     def json_publish():
-        for scenario, key, payload in shards:
-            _json_write(json_root, f"{scenario.spec_hash()}.{key}", payload)
+        for scenario, _, payloads in campaigns:
+            for payload in payloads:
+                _json_write(json_root, f"{scenario.spec_hash()}.{payload['key']}", payload)
 
     def json_reassemble():
-        for scenario, key, payload in shards:
-            loaded = json.loads(
-                (json_root / f"{scenario.spec_hash()}.{key}.json").read_text()
-            )
-            assert len([int(v) for v in loaded["cycles"]]) == payload["count"]
+        for scenario, _, payloads in campaigns:
+            cycles = []
+            for payload in payloads:
+                name = f"{scenario.spec_hash()}.{payload['key']}"
+                cycles.extend(_json_read(json_root, name)["cycles"])
+            assert len(cycles) == STORE_RUNS
 
     columnar["shard_publish_seconds"] = _timed(columnar_publish)
     columnar["reassembly_seconds"] = _timed(columnar_reassemble)
     legacy["shard_publish_seconds"] = _timed(json_publish)
     legacy["reassembly_seconds"] = _timed(json_reassemble)
 
-    # Shard round-trip is bit-exact too.
-    scenario, key, payload = shards[0]
-    assert store.load_shard(scenario.spec_hash(), key)["cycles"] == payload["cycles"]
+    # The campaign read from several ranges is bit-exact too.
+    scenario, times, payloads = campaigns[0]
+    keys = [payload["key"] for payload in payloads]
+    assert store.load(scenario.spec_hash(), keys).execution_times == times
 
     round_trip_ratio = (
         legacy["cold_write_seconds"] + legacy["warm_read_seconds"]
@@ -403,7 +370,7 @@ WARM_REPEATS = 30
 @contextlib.contextmanager
 def _counting(monkeypatch):
     """Count HierarchyConfig builds, spec hashes computed, ArgumentParser
-    objects built, store files (campaign entries, analyses) decoded,
+    objects built, store files (lane ranges, analyses) decoded,
     analyses parsed and ``_fresh`` calls (deep copies of decoded store
     data, each nested dict or list one call) while the block runs."""
     counts = {

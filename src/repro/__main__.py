@@ -59,10 +59,10 @@ machine-readable.
 layouts — through the sharded work-queue pipeline (:mod:`repro.exec`): a
 study's campaigns are planned into lane-range shards (one per campaign
 by default, ``--shard-size N`` lanes each with it), drained by one set of
-``--jobs`` workers (the command's own process at the default 1),
-persisted shard by shard, and reassembled bit-exactly — a killed run
-loses at most its in-flight shards, and rerunning it executes only the
-missing ones.
+``--jobs`` workers (the command's own process at the default 1), and
+persisted shard by shard as lane ranges, which are the stored results
+and read back bit-exactly — a killed run loses at most its in-flight
+shards, and rerunning it executes only the missing ones.
 ``python -m repro worker`` attaches an external worker process to the same
 queue, and ``python -m repro exec status`` shows queue occupancy plus
 per-worker heartbeat telemetry (``--format json`` emits the same snapshot
@@ -178,8 +178,8 @@ def _add_study_run_arguments(study_run: argparse.ArgumentParser) -> None:
     study_run.add_argument(
         "--no-cache",
         action="store_true",
-        help="ignore stored results and published shards, simulating every "
-        "run again (fresh simulations are still stored)",
+        help="clear the campaigns' published lane ranges and simulate every "
+        "run again (the fresh ranges are stored)",
     )
     study_run.add_argument(
         "--shard-size",
@@ -213,7 +213,7 @@ def _add_study_clean_arguments(study_clean: argparse.ArgumentParser) -> None:
         default=None,
         metavar="AGE",
         help="age-based sweep instead of a full wipe: remove derived entries "
-        "(analyses; plus shard/queue leftovers unless --analyses-only) older "
+        "(analyses; plus queue and temporary files unless --analyses-only) older "
         "than AGE (seconds, or a number with an s/m/h/d suffix, e.g. 7d)",
     )
     study_clean.add_argument(

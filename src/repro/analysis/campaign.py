@@ -77,8 +77,9 @@ def summarize_misses(counters: Dict[str, Sequence[int]], runs: int) -> Dict[str,
     """Average per-run miss counts and per-level miss rates of ``runs`` runs.
 
     ``counters`` maps each name of :data:`MISS_COUNTERS` to its per-run
-    values.  The integer sums are divided once, so any partition of the
-    runs into shards summarizes to the same floats.  Each
+    values (a list, or an integer column of a stored range).  The integer
+    sums are divided once, so any partition of the runs into shards
+    summarizes to the same floats.  Each
     ``<level>_miss_rate`` is that level's misses per *main-memory access*
     (``memory_accesses``: L2 misses and writebacks, or next-level accesses
     without an L2), not per access to the level, so an L1 rate can exceed
@@ -89,7 +90,7 @@ def summarize_misses(counters: Dict[str, Sequence[int]], runs: int) -> Dict[str,
     """
     if not all(len(counters.get(name, ())) == runs for name in MISS_COUNTERS):
         return {}
-    summary = {name: sum(counters[name]) / runs for name in MISS_COUNTERS}
+    summary = {name: int(np.sum(counters[name])) / runs for name in MISS_COUNTERS}
     accesses = summary["memory_accesses"]
     for level in ("il1", "dl1", "l2"):
         summary[f"{level}_miss_rate"] = (

@@ -1,35 +1,40 @@
-"""Campaign execution: plan → queue → drain → reassemble.
+"""Campaign execution: plan → queue → drain → read.
 
 Every campaign is a range of lanes — per-run seeds of a seed campaign, or
 memory layouts of a layout campaign — and one lane executor,
 :class:`~repro.exec.worker.ShardRunner`, runs every range.  One call of
-:func:`execute_campaigns` has one drain: the call's missing campaigns are
-planned into ``(spec_hash, lane-range)`` shards, the unpublished ones
-enqueued as self-contained tasks in the store's
-:class:`~repro.exec.queue.FileQueue`, and one set of ``min(jobs, tasks)``
-workers (this process, when there is one) drains them, with any attached
-``python -m repro worker``; each finished shard is published under the
-store's ``shards/``.  A campaign is one shard of at most
+:func:`execute_campaigns` lists the store's published ranges once and has
+one drain: a campaign whose planned ranges are all published is a store
+hit; the other campaigns are planned into ``(spec_hash, lane-range)``
+shards, the unpublished ones enqueued as self-contained tasks in the
+store's :class:`~repro.exec.queue.FileQueue`, and one set of
+``min(jobs, tasks)`` workers (this process, when there is one) drains
+them, with any attached ``python -m repro worker``; each finished shard is
+published under the store's ``shards/`` as a lane range, the store's one
+unit of lane data.  A campaign is one shard of at most
 ``DEFAULT_SHARD_SIZE`` lanes unless the call has fewer campaigns than
 workers, so each worker runs whole campaigns.  A call without a store
 drains through a temporary one, removed when the call returns.
 
-The reassembler merges shard payloads in lane order into a
-:class:`CampaignResult` that is **bit-exact** with serial execution for
-any shard size and worker count — including its miss summary, which
-:func:`~repro.analysis.campaign.summarize_misses` builds from the per-run
-counters exactly as :func:`run_campaign` does.
+Once its ranges are published, a campaign is read back from the store
+(:meth:`~repro.study.store.ResultStore.load`): cycles in lane order and a
+miss summary that :func:`~repro.analysis.campaign.summarize_misses`
+builds from the per-run counters exactly as :func:`run_campaign` does, so
+it is **bit-exact** with serial execution for any shard size and worker
+count.
 
 Crash-resume falls out of the content addressing: a killed campaign leaves
-its published shards in the store and its unfinished tasks (plus at most
-one stale lease per dead worker) in the queue.  A published shard is exact
-whatever plan made it, so a rerun plans around the published shards, at
+its published ranges in the store and its unfinished tasks (plus at most
+one stale lease per dead worker) in the queue.  A published range is exact
+whatever plan made it, so a rerun plans around the published ranges, at
 any shard size, and executes only the lanes they do not cover; a rerun
 under another shard size retires the old plan's queued tasks instead of
 executing them.  Two drains of one spec — overlapping server jobs, or
-``study run`` beside the server — share its shards the same way, and a
-drain that finds the campaign already recorded by the other returns that
-entry instead of simulating it again.
+``study run`` beside the server — share its ranges the same way: each
+executes the shards it claims, waits out the ones the other holds, and
+reads the campaign from all of them.  No drain removes a range, apart
+from a forced refresh (``use_cache=False``) and a range that reads as
+corrupt, which is executed anew.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.campaign import MISS_COUNTERS, CampaignResult, summarize_misses
+from ..analysis.campaign import CampaignResult
 from ..engine import DEFAULT_ENGINE
 from ..study.scenario import Scenario, WorkloadSpec
 from ..study.store import ResultStore
@@ -71,46 +76,25 @@ class ShardReport:
 
 
 def reassemble_campaign(
-    scenario: Scenario,
-    shards: Sequence[Shard],
-    load: Callable[[Shard], Optional[Dict[str, object]]],
+    scenario: Scenario, shards: Sequence[Shard], store: ResultStore
 ) -> CampaignResult:
-    """Merge the shard payloads ``load`` returns, in lane order, into one campaign.
+    """The campaign of the planned ``shards``, read from their published
+    ranges in lane order (:meth:`~repro.study.store.ResultStore.load`).
 
-    ``load`` maps a planned shard to its published payload, or ``None``
-    when it is missing; a payload's columns are lists of Python ints, as
-    :meth:`~repro.study.store.ResultStore.load_shard` decodes them (one
-    ``tolist`` per column), and are merged as they are.  Raises
-    :class:`RuntimeError` naming the missing shards when the plan is
-    incomplete (e.g. a worker died and nobody resumed the campaign).
+    Raises :class:`RuntimeError` naming the shards that are missing or do
+    not read when the plan is incomplete (e.g. a worker died and nobody
+    resumed the campaign).
     """
-    ordered = sorted(shards, key=lambda shard: shard.start)
-    cycles: List[int] = []
-    counters: Dict[str, List[int]] = {name: [] for name in MISS_COUNTERS}
-    workload = ""
-    missing: List[str] = []
-    for shard in ordered:
-        payload = load(shard)
-        if payload is None or len(payload.get("cycles", ())) != shard.count:
-            missing.append(shard.key)
-            continue
-        cycles.extend(payload["cycles"])
-        for name in counters:
-            counters[name].extend(payload.get(name, ()))
-        workload = str(payload.get("workload", workload))
-    if missing:
-        raise RuntimeError(
-            f"campaign {scenario.spec_hash()[:12]} is missing {len(missing)} of "
-            f"{len(ordered)} shard(s) ({', '.join(missing[:4])}"
-            f"{', ...' if len(missing) > 4 else ''}); rerun to execute "
-            "them, or 'python -m repro exec status' to inspect leases"
-        )
-    return CampaignResult(
-        workload=workload,
-        setup=scenario.display_label,
-        execution_times=cycles,
-        master_seed=scenario.effective_seed,
-        miss_summary=summarize_misses(counters, len(cycles)),
+    spec_hash = scenario.spec_hash()
+    campaign = store.load(spec_hash, [shard.key for shard in shards])
+    if campaign is not None:
+        return campaign
+    missing = [shard.key for shard in shards if store.load_shard(spec_hash, shard.key) is None]
+    raise RuntimeError(
+        f"campaign {spec_hash[:12]} is missing {len(missing)} of "
+        f"{len(shards)} shard(s) ({', '.join(missing[:4])}"
+        f"{', ...' if len(missing) > 4 else ''}); rerun to execute "
+        "them, or 'python -m repro exec status' to inspect leases"
     )
 
 
@@ -123,19 +107,19 @@ def execute_campaigns(
     shard_size: Optional[int] = None,
     use_cache: bool = True,
 ) -> ShardReport:
-    """Execute campaigns on ``engine``, calling ``record`` as each one is
-    reassembled; returns the call's shard accounting.
+    """Execute campaigns on ``engine``, calling ``record(scenario,
+    campaign, from_store)`` once per campaign; returns the call's shard
+    accounting.
 
-    The call drains ``store``'s queue once over all its campaigns, with
+    The store's ranges are listed once: a campaign whose planned ranges
+    are all published is recorded with ``from_store`` true.  The call
+    drains ``store``'s queue once over all the other campaigns, with
     ``jobs`` workers (``0`` = one per CPU; a single worker runs in this
-    process).  ``shard_size`` ``None`` plans one shard per campaign unless
-    the call has fewer campaigns than workers.  A campaign's shards are
-    cleared once ``record(scenario, campaign, from_store)`` has stored its
-    entry; ``from_store`` is true for a campaign the drain found recorded
-    in the store, before planning or because another drain recorded it
-    first.  ``use_cache=False`` (a forced refresh) reads no entry and
-    clears each campaign's published shards before planning, so every lane
-    is simulated again.  Without a ``store`` the call drains through a
+    process), and records each as it is read back.  ``shard_size``
+    ``None`` plans one shard per campaign unless the call has fewer
+    campaigns than workers.  ``use_cache=False`` (a forced refresh) clears
+    each campaign's published ranges before the listing, so every lane is
+    simulated again.  Without a ``store`` the call drains through a
     temporary one, removed on return.  Campaigns run grouped by workload,
     so a worker builds and compiles each trace once.
     """
@@ -145,13 +129,14 @@ def execute_campaigns(
                 scenarios, ResultStore(root), record, engine, jobs, shard_size, use_cache
             )
     workers = resolve_jobs(jobs)
-
-    def recorded(scenario: Scenario) -> Optional[CampaignResult]:
-        return store.load(scenario.spec_hash()) if use_cache else None
-
+    if not use_cache:
+        for scenario in scenarios:
+            store.clear_shards(scenario.spec_hash())
+    published = store.published()
     missing: List[Scenario] = []
     for scenario in _by_workload(scenarios):
-        campaign = recorded(scenario)
+        keys = published.get(scenario.spec_hash())
+        campaign = store.load(scenario.spec_hash(), keys) if keys else None
         if campaign is None:
             missing.append(scenario)
         else:
@@ -167,27 +152,21 @@ def execute_campaigns(
     for scenario in missing:
         spec_hash = scenario.spec_hash()
         size = resolve_shard_size(scenario.runs, split, shard_size)
-        if not use_cache:
-            store.clear_shards(spec_hash)
-        published = {key for _, key in store.shard_keys(spec_hash)}
-        shards = plan_shards(spec_hash, scenario.runs, size, published)
+        keys = set(published.get(spec_hash, ()))
+        shards = plan_shards(spec_hash, scenario.runs, size, keys)
         _retire_off_plan_tasks(queue, shards)
         for shard in shards:
-            if shard.key not in published:
+            if shard.key not in keys:
                 queue.enqueue(shard_task(scenario, shard, engine))
                 tasks += 1
         report.planned += len(shards)
-        report.reused += sum(shard.key in published for shard in shards)
+        report.reused += sum(shard.key in keys for shard in shards)
         plans.append((scenario, shards))
     if tasks:
         order = [scenario.spec_hash() for scenario in missing]
         report.executed = _drain(queue, store, min(workers, tasks), order)
     for scenario, shards in plans:
-        campaign, from_store = _collect(scenario, shards, engine, store, queue, recorded, report)
-        record(scenario, campaign, from_store)
-        # The recorded campaign entry supersedes its shards; drop them so
-        # the store does not keep one shard file per lane range forever.
-        store.clear_shards(scenario.spec_hash())
+        record(scenario, _collect(scenario, shards, engine, store, queue, report), False)
     return report
 
 
@@ -197,37 +176,27 @@ def _collect(
     engine: str,
     store: ResultStore,
     queue: FileQueue,
-    recorded: Callable[[Scenario], Optional[CampaignResult]],
     report: ShardReport,
-) -> Tuple[CampaignResult, bool]:
-    """The campaign of the planned ``shards`` and whether it came from the
-    store, once every shard is published (:func:`_await_foreign_shards`).
+) -> CampaignResult:
+    """The campaign of the planned ``shards``, once every one is published
+    (:func:`_await_foreign_shards`).
 
-    Until then shards are only stat-ed; each published shard is decoded
-    here, once.  One that reads as a miss (corrupt, truncated, or of the
-    wrong length) is removed and awaited again, so it is executed anew.
+    Until then shards are only stat-ed; then each is read once, through
+    the store's memo.  One that reads as a miss (corrupt, truncated, or of
+    the wrong length) is removed and awaited again, so it is executed anew.
     """
     spec_hash = scenario.spec_hash()
-    payloads: Dict[str, Optional[Dict[str, object]]] = {}
     while True:
-        campaign = _await_foreign_shards(
-            scenario, shards, engine, store, queue, recorded, report
-        )
-        if campaign is not None:
-            return campaign, True
-        for shard in shards:
-            if payloads.get(shard.key) is None:
-                payload = store.load_shard(spec_hash, shard.key)
-                whole = (
-                    payload is not None
-                    and len(payload.get("cycles", ())) == shard.count  # type: ignore[arg-type]
-                )
-                payloads[shard.key] = payload if whole else None
-        unreadable = [key for key, payload in payloads.items() if payload is None]
-        if not unreadable:
-            return reassemble_campaign(scenario, shards, lambda shard: payloads[shard.key]), False
-        # A shard another drain cleared after recording the campaign is
-        # gone already; the next await finds that entry.
+        _await_foreign_shards(scenario, shards, engine, store, queue, report)
+        try:
+            return reassemble_campaign(scenario, shards, store)
+        except RuntimeError:
+            unreadable = [
+                shard.key for shard in shards
+                if store.load_shard(spec_hash, shard.key) is None
+            ]
+            if not unreadable:
+                raise
         for key in unreadable:
             with contextlib.suppress(FileNotFoundError):
                 store.shard_path_for(spec_hash, key).unlink()
@@ -281,13 +250,11 @@ def _await_foreign_shards(
     engine: str,
     store: ResultStore,
     queue: FileQueue,
-    recorded: Callable[[Scenario], Optional[CampaignResult]],
     report: ShardReport,
     poll: float = 0.2,
-) -> Optional[CampaignResult]:
-    """Block until every planned shard is published (returns ``None``) or
-    another drain has recorded the campaign (returns that entry), adding
-    the shards its worker passes execute to ``report.executed``.
+) -> None:
+    """Block until every planned shard is published, adding the shards
+    this drain's worker passes execute to ``report.executed``.
 
     The worker loop only executes what it can claim; a shard leased by a
     live foreign owner — an attached ``python -m repro worker``, another
@@ -295,20 +262,15 @@ def _await_foreign_shards(
     is left alone.  Those shards are waited out here: each either gets
     published by its owner or its lease dies (pid gone, or TTL expiry), at
     which point a worker pass in this process reclaims and executes it.  A
-    retired task whose shard entry has since vanished (e.g. an aggressive
-    ``study clean`` sweep) is re-enqueued, so the loop always makes
-    progress toward a full plan — unless another drain recorded the
-    campaign and cleared its shards, which ``recorded`` is asked about
-    first whenever a shard is missing.
+    retired task whose range has since vanished (a forced refresh, or a
+    corrupt range removed) is re-enqueued, so the loop always makes
+    progress toward a full plan.
     """
     spec_hash = scenario.spec_hash()
     while True:
         missing = [shard for shard in shards if not store.has_shard(spec_hash, shard.key)]
         if not missing:
-            return None
-        campaign = recorded(scenario)
-        if campaign is not None:
-            return campaign
+            return
         claimable = waiting = False
         for shard in missing:
             task_path = queue.task_path(spec_hash, shard.key)

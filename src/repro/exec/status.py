@@ -1,11 +1,13 @@
 """The ``python -m repro exec status`` view: queue, shards, workers.
 
-Renders the observable state of a sharded campaign from its on-disk
+Renders the observable state of the store's work queue from its on-disk
 artifacts alone — pending tasks and active leases per spec hash from the
-queue, published shard entries from the store, and per-worker
-heartbeat/progress telemetry — so an operator can answer "is this campaign
-making progress, and who is working on it?" without attaching to any
-process.
+queue, the lane ranges those campaigns have published so far, and
+per-worker heartbeat/progress telemetry — so an operator can answer "is
+this campaign making progress, and who is working on it?" without
+attaching to any process.  It describes the queue, not the results: a
+campaign with no queued task is not listed, however many ranges it has
+published (``query runs`` lists the stored campaigns).
 
 The machine-readable form, :func:`exec_status_snapshot`, is the single
 source of both renderings: ``exec status --format json`` dumps it verbatim
@@ -42,29 +44,26 @@ def _worker_state(beat: WorkerHeartbeat) -> str:
 def exec_status_snapshot(store: ResultStore, now: float | None = None) -> Dict[str, object]:
     """The store's shard-queue state as plain data.
 
-    One ``specs`` entry per spec hash with pending/leased/published counts,
-    one ``workers`` entry per recorded heartbeat (including the engine the
-    worker last claimed for).  Totals are included so dashboards do not
-    re-aggregate.
+    One ``specs`` entry per spec hash that still has a queued task, with
+    its pending, leased and published counts, and one ``workers`` entry
+    per recorded heartbeat (including the engine the worker last claimed
+    for).  Totals are included so dashboards do not re-aggregate.
     """
     now = time.time() if now is None else now
     queue = FileQueue(store.queue_root)
 
     per_spec: Dict[str, Dict[str, int]] = {}
-
-    def bucket(spec_hash: str) -> Dict[str, int]:
-        return per_spec.setdefault(
-            spec_hash, {"pending": 0, "leased": 0, "published": 0}
-        )
-
     for task_path in queue.tasks():
-        entry = bucket(_spec_of(task_path.stem))
+        entry = per_spec.setdefault(
+            _spec_of(task_path.stem), {"pending": 0, "leased": 0, "published": 0}
+        )
         entry["pending"] += 1
         lease = queue.lease_for(task_path)
         if lease is not None and lease.active(now):
             entry["leased"] += 1
     for spec_hash, _key in store.shard_keys():
-        bucket(spec_hash)["published"] += 1
+        if spec_hash in per_spec:
+            per_spec[spec_hash]["published"] += 1
 
     workers: List[Dict[str, object]] = []
     for beat in read_heartbeats(queue):
@@ -116,7 +115,7 @@ def format_exec_status(store: ResultStore, now: float | None = None) -> str:
             format_table(["spec", "pending", "leased", "published"], rows)
         )
     else:
-        lines.append("no pending shards and no published shard entries")
+        lines.append("no queued shards")
 
     workers: List[Dict[str, object]] = snapshot["workers"]  # type: ignore[assignment]
     if workers:

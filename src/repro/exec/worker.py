@@ -2,9 +2,11 @@
 
 A worker is a claim loop over a :class:`~repro.exec.queue.FileQueue`: lease
 one shard, rebuild its simulation from the self-contained task payload
-(canonical scenario spec + engine name + lane range), run it through the
-engine registry, publish the per-lane results as a content-hash-keyed
-shard entry in the :class:`~repro.study.store.ResultStore`, retire the
+(canonical scenario spec + display label + engine name + lane range), run
+it through the engine registry, publish the per-lane results as a
+content-hash-keyed lane range in the
+:class:`~repro.study.store.ResultStore` (the store's one unit of lane
+data: a campaign is stored once its ranges cover its lanes), retire the
 task, and repeat until nothing is claimable.  A lane is a per-run seed of
 a seed campaign or a memory layout of a layout campaign; one
 :class:`ShardRunner` executes both.  The same loop drains the queue for
@@ -68,6 +70,7 @@ def shard_task(scenario: Scenario, shard: Shard, engine: str) -> Dict[str, objec
         "total": shard.total,
         "engine": engine,
         "spec": scenario.spec_dict(),
+        "setup": scenario.display_label,
     }
 
 
@@ -77,11 +80,13 @@ def _shard_payload(
     cycles: List[int],
     results: Sequence[FastRunResult] = (),
 ) -> Dict[str, object]:
-    """One shard's per-lane results as the published store entry.
+    """One shard's per-lane results as the published lane range.
 
-    Seed shards also carry the per-run miss counters the reassembler
-    summarizes into the campaign's miss summary; layout shards publish
-    cycles only, so layout campaigns keep an empty miss summary.
+    The header carries the task's canonical spec and the planning
+    scenario's display label.  Seed shards also carry the per-run miss
+    counters the store summarizes into the campaign's miss summary; layout
+    shards publish cycles only, so layout campaigns keep an empty miss
+    summary.
     """
     payload: Dict[str, object] = {
         "version": SPEC_VERSION,
@@ -89,6 +94,8 @@ def _shard_payload(
         "key": task["key"],
         "start": task["start"],
         "count": task["count"],
+        "spec": task["spec"],
+        "setup": task["setup"],
         "workload": workload,
         "engine": task["engine"],
         "cycles": cycles,
@@ -126,7 +133,7 @@ class ShardRunner:
         self._seeds: List[int] = []
 
     def execute(self, task: Dict[str, object]) -> Dict[str, object]:
-        """Run one task's lane range; returns the publishable shard entry."""
+        """Run one task's lane range; returns the publishable range payload."""
         spec_hash = str(task["spec_hash"])
         scenario = scenario_from_spec(task["spec"])  # type: ignore[arg-type]
         if scenario.spec_hash() != spec_hash:
@@ -211,7 +218,7 @@ def run_worker(
 
     The loop exits when no task is claimable (queue empty, or every
     remaining shard is leased by a live owner) or after ``max_shards``
-    executed shards.  Tasks whose shard entry already exists in the store
+    executed shards.  Tasks whose range is already published in the store
     are retired without re-execution, so a resumed queue converges even
     when several workers race over it.  ``spec_hashes`` limits the drain
     to those campaigns' tasks, claimed campaign by campaign in that order

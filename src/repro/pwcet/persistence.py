@@ -1,7 +1,7 @@
 """Serialisation of pWCET analyses for the result store.
 
 A persisted analysis is everything :func:`repro.pwcet.apply_mbpta` produces
-*except* the raw samples (those live in the scenario's campaign entry):
+*except* the raw samples (those live in the campaign's lane ranges):
 the admission-test outcomes, the fitted tail parameters, the projected
 pWCET values and the bootstrap intervals.  Keyed by
 ``(spec_hash, analysis_config_hash)`` in the

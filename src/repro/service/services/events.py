@@ -137,12 +137,13 @@ class StoreWatcher:
     """Derives shard-publish and worker-heartbeat events from disk state.
 
     External workers communicate only through the filesystem (published
-    shard entries, heartbeat files), so the server learns about their
+    lane ranges, heartbeat files), so the server learns about their
     progress the same way an operator running ``exec status`` would: by
-    watching the store.  Each poll diffs against the previous snapshot and
-    publishes one event per new shard entry and per advanced heartbeat,
-    routed to the jobs interested in the shard's spec hash (resolved
-    through ``jobs_for_spec``) plus the global channel.
+    watching the store.  The first poll takes a baseline: the ranges
+    already stored then publish no event.  Each later poll diffs against
+    the previous listing and publishes one event per new range and per
+    advanced heartbeat, routed to the jobs interested in the range's spec
+    hash (resolved through ``jobs_for_spec``) plus the global channel.
     """
 
     def __init__(
@@ -156,16 +157,16 @@ class StoreWatcher:
         self.bus = bus
         self.jobs_for_spec = jobs_for_spec
         self.interval = interval
-        self._seen_shards: Set[tuple] = set()
+        self._seen_shards: Optional[Set[tuple]] = None  # before the baseline
         self._beats: Dict[str, tuple] = {}
 
     def poll_once(self) -> int:
         """Diff the on-disk state once; returns how many events were published."""
         published = 0
-        for spec_hash, key in self.store.shard_keys():
-            if (spec_hash, key) in self._seen_shards:
-                continue
-            self._seen_shards.add((spec_hash, key))
+        shards = set(self.store.shard_keys())
+        new = [] if self._seen_shards is None else sorted(shards - self._seen_shards)
+        self._seen_shards = shards
+        for spec_hash, key in new:
             self.bus.publish(
                 "shard-published",
                 {"spec_hash": spec_hash, "shard": key},

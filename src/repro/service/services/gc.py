@@ -2,14 +2,14 @@
 
 The server's GC service periodically retires *derived* store entries.
 By default only pWCET analyses are swept — pure caches, rebuilt from the
-campaign entry on demand.  Shard entries and queue bookkeeping are only
-age-filtered by :meth:`~repro.study.store.ResultStore.sweep_candidates`,
-so an unattended loop could collect shards a still-running campaign has
-already published (discarding completed work mid-job); sweeping them is
-therefore an explicit request — ``POST /v1/gc`` with
+campaign's lane ranges on demand.  Queue bookkeeping and temporary files
+are only age-filtered by
+:meth:`~repro.study.store.ResultStore.sweep_candidates`, so an unattended
+loop could collect the tasks of a campaign still waiting for a worker;
+sweeping them is therefore an explicit request — ``POST /v1/gc`` with
 ``{"analyses_only": false}``, or ``study clean --older-than`` — made when
-the operator knows no campaign is mid-flight.  Campaign entries themselves
-are never swept: they are the primary artefacts warm jobs resolve from.
+the operator knows no campaign is mid-flight.  Published lane ranges are
+never swept: they are the results warm jobs resolve from.
 
 Sweep decisions are made by :meth:`repro.study.store.ResultStore.sweep_candidates`
 — the same single decision point behind ``python -m repro study clean

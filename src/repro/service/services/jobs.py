@@ -412,9 +412,9 @@ class JobManager:
         """Run the job's scenarios through the store + exec queue, in one
         drain on the job's engine and ``jobs`` (else the server's).
 
-        Concurrent jobs sharing a spec hash converge on the same shard
-        entries, and a job that reaches a spec another job has recorded
-        returns that entry instead of simulating it again (see
+        Concurrent jobs sharing a spec hash converge on the same published
+        lane ranges: a job reads the ranges another job has published
+        instead of simulating them again (see
         :func:`repro.exec.executor.execute_campaigns`).
         """
         options = job.options

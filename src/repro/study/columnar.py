@@ -28,11 +28,10 @@ typically 4--8x smaller than its JSON form and decodes via
 starts at a fixed, header-derived offset, so :func:`unpack_columns` views
 the columns zero-copy in the blob.
 
-The codec is forgiving: :func:`unpack_columns` and :func:`unpack_entry`
-raise :class:`ValueError` on *any* structural problem
-(bad magic, truncated frame, checksum mismatch, unknown dtype), and callers
-treat that as a cache miss — corrupt entries are overwritten by the next
-save, never propagated.
+The codec is forgiving: :func:`unpack_columns` raises :class:`ValueError`
+on *any* structural problem (bad magic, truncated frame, checksum
+mismatch, unknown dtype), and callers treat that as a cache miss —
+corrupt entries are overwritten by the next save, never propagated.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "COLUMNAR_SUFFIX",
     "pack_entry",
     "unpack_columns",
-    "unpack_entry",
 ]
 
 #: File extension of columnar store entries (``<key>.rcol``).
@@ -202,16 +200,3 @@ def unpack_columns(
         raise ValueError("columnar header is missing its meta object")
     return meta, arrays
 
-
-def unpack_entry(
-    blob: bytes,
-) -> Tuple[Dict[str, object], Dict[str, List[int]]]:
-    """Decode one blob into ``(meta, columns)``; columns as Python ints.
-
-    The inverse of :func:`pack_entry`: every column comes back as a list of
-    plain Python integers, so downstream consumers are bit-exact with the
-    JSON era regardless of the on-disk dtype.  Raises :class:`ValueError`
-    on corruption.
-    """
-    meta, arrays = unpack_columns(blob)
-    return meta, {name: array.tolist() for name, array in arrays.items()}

@@ -1,31 +1,29 @@
-"""Plan execution: deduplicate, resolve from the store, execute, record.
+"""Plan execution: deduplicate, then resolve or execute through the store.
 
 The runner turns a list of :class:`~repro.study.scenario.Scenario` objects
-into a :class:`~repro.study.resultset.ResultSet` in three steps:
+into a :class:`~repro.study.resultset.ResultSet` in two steps:
 
-1. **Deduplicate** — scenarios with the same spec hash are simulated once
+1. **Deduplicate** — scenarios with the same spec hash are resolved once
    and share their campaign.
-2. **Resolve** — with a :class:`~repro.study.store.ResultStore`, any
-   scenario whose spec hash is already stored is loaded instead of
-   simulated.
-3. **Execute and record** — the remaining campaigns go to one
-   :func:`repro.exec.executor.execute_campaigns` call, which treats each one
-   as a lane range (seeds or memory layouts) and drains them together
-   through the store's work queue (a temporary store's, without a store);
-   each reassembled campaign (execution times plus the per-level miss
-   summary) is written back to the store, unless the drain found it
-   already recorded by another drain (a cache hit).
+2. **Resolve or execute** — the unique campaigns go to one
+   :func:`repro.exec.executor.execute_campaigns` call, which lists the
+   store's published lane ranges once: a campaign whose ranges are all
+   published is a cache hit, and the others are planned as lane ranges
+   (seeds or memory layouts) and drained together through the store's
+   work queue (a temporary store's, without a store).  Each range a
+   worker publishes is the stored result itself; nothing is written
+   after the drain.
 
 Every path is bit-exact with calling
 :func:`repro.analysis.campaign.run_campaign` (or ``run_layout_campaign``)
-once per scenario: lanes are independent, and the reassembler merges them
+once per scenario: lanes are independent, and the store reads them back
 in lane order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..analysis.campaign import CampaignResult
 from ..engine import DEFAULT_ENGINE, get_engine
@@ -51,10 +49,11 @@ def execute_scenarios(
     """Execute a plan and return its :class:`ResultSet`.
 
     ``store`` enables the on-disk cache: hits skip simulation entirely and
-    fresh results are persisted.  ``use_cache=False`` keeps writing results
-    but ignores existing entries (a forced refresh): campaigns, published
-    shards and analyses alike.  ``mbpta`` is the one analysis config of
-    the returned result set (default: :class:`MbptaConfig`'s defaults).
+    fresh lane ranges are persisted as they are executed.
+    ``use_cache=False`` keeps writing results but ignores existing ones (a
+    forced refresh): published ranges and analyses alike.  ``mbpta`` is
+    the one analysis config of the returned result set (default:
+    :class:`MbptaConfig`'s defaults).
 
     ``engine`` and ``jobs`` apply to every campaign of the call.  The
     call's missing campaigns go through the store's work queue
@@ -83,10 +82,11 @@ def execute_scenarios(
     # ``planned`` counts unique specs: scenarios sharing a spec hash are one
     # unit of work (simulated or cache-resolved once), however many labels
     # they fan out to in the result set.
-    report = ExecutionReport()
+    unique: Dict[str, Scenario] = {}
+    for scenario in scenarios:
+        unique.setdefault(scenario.spec_hash(), scenario)
+    report = ExecutionReport(planned=len(unique))
     resolved: Dict[str, Tuple[CampaignResult, bool]] = {}  # (campaign, from store)
-    pending: List[Scenario] = []
-    pending_hashes = set()
 
     def record(scenario: Scenario, campaign: CampaignResult, from_store: bool) -> None:
         resolved[scenario.spec_hash()] = (campaign, from_store)
@@ -95,34 +95,15 @@ def execute_scenarios(
             return
         report.simulated += 1
         if store is not None:
-            store.save(scenario, campaign)
             report.stored += 1
 
-    for scenario in scenarios:
-        spec_hash = scenario.spec_hash()
-        if spec_hash in resolved or spec_hash in pending_hashes:
-            continue
-        report.planned += 1
-        stored = store.load(spec_hash) if store is not None and use_cache else None
-        if stored is not None:
-            record(scenario, stored, True)
-            continue
-        pending.append(scenario)
-        pending_hashes.add(spec_hash)
-
-    if store is not None and resolved:
-        # A drain killed between storing a campaign and clearing its shards
-        # leaves them behind; the campaign's next hit clears them.
-        for spec_hash in {key for key, _ in store.shard_keys()} & resolved.keys():
-            store.clear_shards(spec_hash)
-
-    if pending:
+    if unique:
         # Imported lazily: repro.exec imports study modules at top level, so
         # the study package must not import it during its own initialisation.
         from ..exec.executor import execute_campaigns
 
         shards = execute_campaigns(
-            pending,
+            list(unique.values()),
             store,
             record,
             engine=engine,

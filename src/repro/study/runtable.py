@@ -1,19 +1,21 @@
 """The canonical run table: one queryable row per stored analysis.
 
-The result store persists campaigns (``<spec_hash>.rcol``) and analyses
+The result store persists campaigns as published lane ranges
+(``shards/<spec_hash>.<start>x<count>.rcol``) and analyses
 (``analysis/<spec_hash>.<analysis_hash>.json``) as separate content-hashed
 entries — ideal for caching, hostile to questions.  "In which scenarios
 does hrp beat rm at 10^-15?" should not require re-running anything, nor
 hand-joining files.  This module assembles the store into **one canonical
 table**: a row per (study, scenario, seed group, estimator) carrying the
 miss rates, the pWCET quantiles, the admission verdict and the provenance
-hashes.  Campaign entries without a persisted analysis still get one row
+hashes.  Campaigns without a persisted analysis still get one row
 (with an empty ``estimator``), so the table always covers the whole store.
 
-Every build lists the store itself and reads each campaign entry and
-analysis file through the store's read memo, which serves a file's decode
-only while the file is unchanged, so the table always matches the entries
-on disk.
+Every build lists the store itself (``shards/`` once) and reads each range
+and analysis file through the store's read memo, which serves a file's
+decode only while the file is unchanged, so the table always matches the
+files on disk.  A spec hash whose ranges do not yet cover its campaign (a
+run still draining, or killed) has no row.
 
 Rows are plain dicts (JSON-able), exportable to CSV always and to Parquet
 when pandas + pyarrow happen to be installed (they are **not**
@@ -65,20 +67,19 @@ def _campaign_row(
     spec_hash: str,
     meta: Mapping[str, object],
     times,
+    summary: Mapping[str, float],
 ) -> Dict[str, object]:
-    """The analysis-independent part of a row, from one campaign entry.
+    """The analysis-independent part of a row, from one stored campaign.
 
-    ``times`` is the entry's execution-time column, a read-only numpy view
-    of the decoded file: the cycle statistics reduce over it directly,
-    without materializing Python ints.
+    ``meta`` is the header of the campaign's range at lane 0 (its spec and
+    label) and ``summary`` its miss summary.  ``times`` is the execution
+    times in lane order, read-only numpy data: the cycle statistics reduce
+    over it directly, without materializing Python ints.
     ``int(times.sum())`` is an exact integer (numpy accumulates integer
     columns in a 64-bit integer), so ``mean_cycles`` is bit-identical to
     the JSON-era ``sum(list)/len(list)``.
     """
     spec = meta["spec"]
-    summary = meta.get("miss_summary")
-    if not isinstance(summary, dict):
-        summary = {}
     return {
         "study": "",
         "workload": workload_label(spec["workload"]),  # type: ignore[index]
@@ -134,21 +135,21 @@ def _analysis_fields(payload: Mapping[str, object]) -> Dict[str, object]:
 def _rows_for_spec(
     store: ResultStore,
     spec_hash: str,
+    ranges: Sequence[str],
     analyses: Sequence[str],
     studies: Sequence[str],
 ) -> List[Dict[str, object]]:
     """Every row for one spec hash (one per analysis; one bare row if none).
 
-    Reads the store's shared decodes (``_entry``/``_analysis``), not
-    ``load_columns``/``load_analysis``' copies: a row takes only scalars
-    and new dicts from them.
+    Reads the store's shared decodes (``_campaign``/``_analysis``), not
+    ``load``/``load_analysis``' copies: a row takes only scalars and new
+    dicts from them.
     """
-    entry = store._entry(spec_hash)
-    if entry is None:
+    stored = store._campaign(spec_hash, ranges)
+    if stored is None:
         return []
-    meta, columns = entry
     try:
-        base = _campaign_row(spec_hash, meta, columns["execution_times"])
+        base = _campaign_row(spec_hash, *stored)
     except (KeyError, ValueError, TypeError):
         # Malformed meta (a hand-edited or damaged header): skip the entry
         # rather than fail the whole table build.
@@ -308,11 +309,12 @@ def build_run_table(store: ResultStore) -> RunTable:
         analyses_by_spec.setdefault(spec_hash, []).append(analysis_hash)
     study_index = store.study_index()
     rows: List[Dict[str, object]] = []
-    for spec_hash in store.keys():
+    for spec_hash, ranges in store.published().items():
         rows.extend(
             _rows_for_spec(
                 store,
                 spec_hash,
+                ranges,
                 analyses_by_spec.get(spec_hash, []),
                 study_index.get(spec_hash, []),
             )

@@ -1,21 +1,24 @@
-"""Content-hash-keyed on-disk store for executed scenarios.
+"""Content-hash-keyed on-disk store for executed campaigns.
 
-Every executed scenario lands in one file named by its spec hash
-(``results/store/<sha256>.rcol`` by default) holding the canonical spec,
-the campaign's per-run execution times and the per-level miss summary.
-Because the file name is the hash of everything that determines the
-simulation, a store lookup either returns the exact campaign the scenario
-would produce or nothing — there is no invalidation logic to get wrong.
-Re-running a study therefore only simulates scenarios whose spec hash is
-new.
+A campaign is stored as its **published lane ranges**: each executed range
+of lanes is one file ``shards/<spec_hash>.<start>x<count>.rcol`` (under
+``results/store/`` by default) holding the lanes' execution times, their
+per-run miss counters (seed campaigns only), and a header with the
+canonical spec and the planning scenario's display label.  A campaign of
+N runs is stored when its ranges cover lanes [0, N): it reads as their
+cycles in lane order, and its miss summary is
+:func:`~repro.analysis.campaign.summarize_misses` over their counter
+columns, bit-exact for any partition of the lanes.  The file name holds
+the hash of everything that determines the simulation, so there is no
+invalidation logic to get wrong.  Workers publish ranges as they finish
+(:mod:`repro.exec`): a killed run's ranges are results, and two drains of
+one spec share them.
 
-Entries use the **binary columnar format** of :mod:`repro.study.columnar`:
-the per-run arrays are typed little-endian blocks (narrowest sufficient
-dtype, checksummed header) instead of JSON text, which removes the
-``json.dumps``/``json.loads`` serialization tax from every save and every
-warm read.  Shard entries published by :mod:`repro.exec` workers use
-the same format.  A JSON-era entry (``<hash>.json``) is not read: the store
-is a cache, so it is a miss and the campaign re-simulates bit-exactly.
+Ranges use the **binary columnar format** of :mod:`repro.study.columnar`:
+typed little-endian columns (narrowest sufficient dtype, checksummed
+header) instead of JSON text.  Files of older layouts are not read: a
+JSON-era ``<hash>.json`` or a top-level ``<hash>.rcol`` campaign entry is
+a miss, and its campaign re-simulates bit-exactly (the store is a cache).
 
 pWCET analyses are persisted alongside, under
 ``analysis/<spec_hash>.<analysis_config_hash>.json``: the second key is
@@ -28,23 +31,22 @@ the JSON era.  A warm ``study run`` therefore resolves both the campaign
 
 Key listings (:meth:`ResultStore.keys`, :meth:`analysis_keys`,
 :meth:`shard_keys`, :meth:`study_index`) and the GC candidate lists scan
-directories, so they always agree with the files: a killed save leaves
-either a listed entry or an unlisted ``*.tmp`` straggler.  Study
+directories, so they always agree with the files: a killed publish leaves
+either a listed range or an unlisted ``*.tmp`` straggler.  Study
 provenance is one empty marker file per (study, spec hash) pair,
 ``studies/<study>/<spec_hash>``; there is no index file.
 
 The store is deliberately forgiving: unreadable, truncated or
-version-mismatched files are treated as cache misses (and overwritten by
-the next save), never as errors.  Every file the store and its queue
-write goes through :func:`_replace_atomically` (a temporary file, then
-:func:`os.replace`), apart from the queue's lease link and the study
-markers' exclusive creates, so a killed run cannot leave a half-written
-file behind.  That also makes every save a new inode, which is what lets
-a process decode each campaign entry and analysis once
-(:class:`ReadMemo`): a memoized decode is served only while the file's
-inode, size and ``mtime_ns`` are the ones it was read with.  The
-guarantee covers killed processes and a full disk, not power loss:
-nothing calls ``fsync``.
+version-mismatched files are treated as cache misses, never as errors.
+Every file the store and its queue write goes through
+:func:`_replace_atomically` (a temporary file, then :func:`os.replace`),
+apart from the queue's lease link and the study markers' exclusive
+creates, so a killed run cannot leave a half-written file behind.  That
+also makes every publish a new inode, which is what lets a process decode
+each range and analysis once (:class:`ReadMemo`): a memoized decode is
+served only while the file's inode, size and ``mtime_ns`` are the ones it
+was read with.  The guarantee covers killed processes and a full disk,
+not power loss: nothing calls ``fsync``.
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..analysis.campaign import CampaignResult
+from ..analysis.campaign import MISS_COUNTERS, CampaignResult, summarize_misses
+from ..exec.plan import plan_shards
 from . import columnar
-from .scenario import SPEC_VERSION, Scenario
+from .scenario import SPEC_VERSION
 
 __all__ = [
     "DEFAULT_STORE_DIR",
@@ -173,9 +176,9 @@ def _unlink(paths: Iterable[Path]) -> int:
     return removed
 
 
-#: How many decoded store files :data:`READ_MEMO` keeps: above the
-#: campaign entries plus analyses that ``query runs`` reads on a store of
-#: every study, so a repeated scan hits.
+#: How many decoded store files :data:`READ_MEMO` keeps: above the lane
+#: ranges plus analyses that ``query runs`` reads on a store of every
+#: study, so a repeated scan hits.
 READ_MEMO_SIZE = 1024
 
 
@@ -271,13 +274,48 @@ class ReadMemo:
         return held.parsed
 
 
-#: The process's one memo of decoded campaign entries and analyses.
+#: The process's one memo of decoded lane ranges and analyses.
 READ_MEMO = ReadMemo()
+
+#: A range's header meta, its columns (read-only views) and its miss summary.
+_Range = Tuple[Dict[str, object], Dict[str, np.ndarray], Dict[str, float]]
+
+#: The counter column of a range that publishes none (a layout range).
+_NO_COUNTS = np.zeros(0, dtype=np.uint8)
 
 
 def _decode_entry(blob: bytes) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
-    """A campaign entry as ``(meta, columns)``, columns read-only views."""
+    """A lane range file as ``(meta, columns)``, columns read-only views."""
     return columnar.unpack_columns(blob)
+
+
+def _parse_range(entry: Tuple[Dict[str, object], Dict[str, np.ndarray]]) -> _Range:
+    """A decoded range as ``(meta, columns, summary)``, kept on its memo entry.
+
+    ``summary`` is :func:`summarize_misses` of the range's own counters,
+    so it is the campaign's when the range holds all its lanes.  Raises
+    :class:`ValueError` unless the header is one this version publishes:
+    the canonical spec, the workload and label, and a ``cycles`` column of
+    ``count`` lanes.
+    """
+    meta, columns = entry
+    spec = meta.get("spec")
+    cycles = columns.get("cycles")
+    if not (
+        meta.get("version") == SPEC_VERSION
+        and isinstance(spec, dict)
+        and type(spec.get("runs")) is int
+        and spec["runs"] >= 1
+        and type(spec.get("seed")) is int
+        and isinstance(meta.get("workload"), str)
+        and isinstance(meta.get("setup"), str)
+        and type(meta.get("start")) is int
+        and cycles is not None
+        and cycles.size
+        and cycles.size == meta.get("count")
+    ):
+        raise ValueError("not a lane range of this version")
+    return meta, columns, summarize_misses(columns, cycles.size)
 
 
 def _decode_analysis(blob: bytes) -> Dict[str, object]:
@@ -297,25 +335,22 @@ def _fresh(value: object) -> object:
 
 
 class ResultStore:
-    """A directory of ``<spec_hash>.rcol`` scenario results."""
+    """A directory of published lane ranges and pWCET analyses."""
 
     def __init__(self, root: Union[str, Path] = DEFAULT_STORE_DIR) -> None:
         self.root = Path(root)
         # Warm reads open these prefixes plus a key: a small entry's read
         # took 19.5 us through a Path and 12.5 us through a string.
-        self._entry_prefix = os.path.join(self.root, "")
+        self._shard_prefix = os.path.join(self.shard_root, "")
         self._analysis_prefix = os.path.join(self.analysis_root, "")
 
     # ----------------------------------------------------------- locations
 
-    def _entry_file(self, spec_hash: str) -> str:
-        return f"{self._entry_prefix}{spec_hash}{columnar.COLUMNAR_SUFFIX}"
+    def _shard_file(self, spec_hash: str, key: str) -> str:
+        return f"{self._shard_prefix}{spec_hash}.{key}{columnar.COLUMNAR_SUFFIX}"
 
     def _analysis_file(self, spec_hash: str, analysis_hash: str) -> str:
         return f"{self._analysis_prefix}{spec_hash}.{analysis_hash}.json"
-
-    def path_for(self, spec_hash: str) -> Path:
-        return Path(self._entry_file(spec_hash))
 
     @property
     def study_root(self) -> Path:
@@ -331,86 +366,81 @@ class ResultStore:
     # ------------------------------------------------------------ campaigns
 
     def keys(self) -> List[str]:
-        """Spec hashes currently stored (sorted)."""
-        return sorted(path.stem for path in _files(self.root, columnar.COLUMNAR_SUFFIX))
+        """Spec hashes whose published ranges hold a whole campaign (sorted)."""
+        return sorted(
+            spec_hash
+            for spec_hash, keys in self.published().items()
+            if self._campaign(spec_hash, keys) is not None
+        )
 
-    def _entry(self, spec_hash: str):
-        """The memoized ``(meta, columns)`` of one current entry, or ``None``;
-        shared, so only package readers that copy scalars out of it (the
-        run table) may use it."""
-        try:
-            meta, columns = READ_MEMO.read(self._entry_file(spec_hash), _decode_entry)
-        except (OSError, ValueError):
-            return None
-        times = columns.get("execution_times")
-        if meta.get("version") != SPEC_VERSION or times is None or not times.size:
-            return None
-        return meta, columns
+    def _campaign(
+        self, spec_hash: str, keys: Iterable[str]
+    ) -> Optional[Tuple[Dict[str, object], np.ndarray, Dict[str, float]]]:
+        """``(meta, times, summary)`` of the campaign the range ``keys`` of
+        ``spec_hash`` hold, or ``None``.
 
-    def load(self, spec_hash: str) -> Optional[CampaignResult]:
+        The ranges that read are planned as one campaign of their spec's
+        runs (:func:`~repro.exec.plan.plan_shards` keeps published ranges
+        in lane order), and the campaign is stored when the plan is all
+        theirs.  ``meta`` is the header of the range at lane 0.  Shared
+        memo data, so only package readers that copy scalars out of it
+        (the run table) may use it.
+        """
+        ranges: Dict[str, _Range] = {}
+        for key in keys:
+            parsed = self._range(spec_hash, key)
+            if parsed is not None:
+                ranges[key] = parsed
+        if not ranges:
+            return None
+        parts = list(ranges.values())
+        meta = parts[0][0]
+        runs = meta["spec"]["runs"]  # type: ignore[index]
+        if not (len(parts) == 1 and meta["start"] == 0 and meta["count"] == runs):
+            plan = plan_shards(spec_hash, runs, runs, ranges)  # type: ignore[arg-type]
+            if not all(shard.key in ranges for shard in plan):
+                return None
+            parts = [ranges[shard.key] for shard in plan]
+        if len(parts) == 1:
+            meta, columns, summary = parts[0]
+            return meta, columns["cycles"], summary
+        columns = {
+            name: np.concatenate([part[1].get(name, _NO_COUNTS) for part in parts])
+            for name in ("cycles",) + MISS_COUNTERS
+        }
+        return parts[0][0], columns["cycles"], summarize_misses(columns, runs)  # type: ignore[arg-type]
+
+    def load(
+        self, spec_hash: str, keys: Optional[Iterable[str]] = None
+    ) -> Optional[CampaignResult]:
         """The stored campaign for ``spec_hash``, or ``None`` (never raises).
 
-        A corrupt, truncated, version-mismatched or empty entry is a miss.
-        The file is decoded once per process and version
-        (:data:`READ_MEMO`); each call builds a fresh result.
+        ``keys`` are the spec's published range keys (default: listed
+        now).  A campaign whose ranges leave a lane uncovered, or whose
+        covering ranges include one that is corrupt, truncated, of another
+        version or of the wrong length, is a miss.  Each range is decoded
+        once per process and version (:data:`READ_MEMO`); each call builds
+        a fresh result.
         """
-        entry = self._entry(spec_hash)
-        if entry is None:
+        if keys is None:
+            keys = [key for _, key in self.shard_keys(spec_hash)]
+        stored = self._campaign(spec_hash, keys)
+        if stored is None:
             return None
-        meta, columns = entry
-        try:
-            return CampaignResult(
-                workload=str(meta["workload"]),
-                setup=str(meta["setup"]),
-                execution_times=columns["execution_times"].tolist(),
-                master_seed=int(meta["master_seed"]),  # type: ignore[arg-type]
-                miss_summary={
-                    str(key): float(value)  # type: ignore[arg-type]
-                    for key, value in meta.get("miss_summary", {}).items()  # type: ignore[union-attr]
-                },
-            )
-        except (KeyError, ValueError, TypeError, AttributeError):
-            return None
-
-    def load_columns(
-        self, spec_hash: str
-    ) -> Optional[Tuple[Dict[str, object], Dict[str, np.ndarray]]]:
-        """``(meta, columns)`` of one entry, columns as numpy arrays.
-
-        The array-native sibling of :meth:`load`: the columns are read-only
-        views of the decoded file — no per-element parsing and no
-        Python-int materialization, which is what bulk readers (the
-        run-table engine) want since they hand the data straight to numpy
-        anyway.  ``meta`` is a fresh copy.  Returns ``None`` on any miss,
-        like :meth:`load`.
-        """
-        entry = self._entry(spec_hash)
-        if entry is None:
-            return None
-        meta, columns = entry
-        return _fresh(meta), dict(columns)  # type: ignore[return-value]
-
-    def save(self, scenario: Scenario, campaign: CampaignResult) -> Path:
-        """Persist one executed scenario atomically; returns the entry path."""
-        meta = {
-            "version": SPEC_VERSION,
-            "spec": scenario.spec_dict(),
-            "workload": campaign.workload,
-            "setup": campaign.setup,
-            "master_seed": campaign.master_seed,
-            "miss_summary": dict(campaign.miss_summary),
-        }
-        path = self.path_for(scenario.spec_hash())
-        columns = {"execution_times": campaign.execution_times}
-        _replace_atomically(path, columnar.pack_entry(meta, columns))
-        return path
+        meta, times, summary = stored
+        return CampaignResult(
+            workload=meta["workload"],  # type: ignore[arg-type]
+            setup=meta["setup"],  # type: ignore[arg-type]
+            execution_times=times.tolist(),
+            master_seed=meta["spec"]["seed"],  # type: ignore[index]
+            miss_summary=dict(summary),
+        )
 
     # ------------------------------------------------------- pWCET analyses
 
     @property
     def analysis_root(self) -> Path:
-        """Directory of persisted pWCET analyses (a store subdirectory, so
-        campaign entries and :meth:`keys` are unaffected)."""
+        """Directory of persisted pWCET analyses."""
         return self.root / "analysis"
 
     def analysis_path_for(self, spec_hash: str, analysis_hash: str) -> Path:
@@ -480,13 +510,12 @@ class ResultStore:
                 pairs.append((spec_hash, analysis_hash))
         return sorted(pairs)
 
-    # ------------------------------------------------------- shard entries
+    # --------------------------------------------------------- lane ranges
 
     @property
     def shard_root(self) -> Path:
-        """Directory of published shard entries (:mod:`repro.exec`), keyed
-        ``<spec_hash>.<shard_key>.rcol``.  A subdirectory, so campaign
-        entries and :meth:`keys` are unaffected."""
+        """Directory of published lane ranges (:mod:`repro.exec` shards),
+        keyed ``<spec_hash>.<shard_key>.rcol``."""
         return self.root / "shards"
 
     @property
@@ -495,16 +524,16 @@ class ResultStore:
         return self.root / "queue"
 
     def shard_path_for(self, spec_hash: str, key: str) -> Path:
-        return self.shard_root / f"{spec_hash}.{key}{columnar.COLUMNAR_SUFFIX}"
+        return Path(self._shard_file(spec_hash, key))
 
     def save_shard(self, spec_hash: str, key: str, payload: Dict[str, object]) -> Path:
-        """Publish one executed shard atomically; returns the entry path.
+        """Publish one executed lane range atomically; returns its path.
 
         The per-run counter lists become typed columns; everything else
-        (version, slice bookkeeping, workload, engine) is header metadata.
-        Publication is idempotent — two workers racing on a reclaimed lease
-        both write the same deterministic payload, and :func:`os.replace`
-        makes the last write win without torn files.
+        (version, spec, label, slice bookkeeping, workload, engine) is
+        header metadata.  Publication is idempotent — two workers racing
+        on a reclaimed lease both write the same deterministic payload,
+        and :func:`os.replace` makes the last write win without torn files.
         """
         meta: Dict[str, object] = {}
         columns: Dict[str, object] = {}
@@ -519,44 +548,60 @@ class ResultStore:
         return path
 
     def has_shard(self, spec_hash: str, key: str) -> bool:
-        """Whether a shard entry is published for the key pair: one stat,
-        no decode.  A corrupt entry counts; its reader finds it a miss."""
-        return os.path.isfile(self.shard_path_for(spec_hash, key))
+        """Whether a range is published for the key pair: one stat, no
+        decode.  A corrupt range counts; its reader finds it a miss."""
+        return os.path.isfile(self._shard_file(spec_hash, key))
 
-    def load_shard(self, spec_hash: str, key: str) -> Optional[Dict[str, object]]:
-        """The published shard payload for the key pair, or ``None``.
-
-        Unreadable, truncated or version-mismatched entries are misses,
-        never errors — the shard simply gets re-executed.
-        """
+    def _range(self, spec_hash: str, key: str) -> Optional[_Range]:
+        """The memoized parse of one published range, or ``None`` when it
+        does not read as the range its name says (:func:`_parse_range`)."""
         try:
-            meta, columns = columnar.unpack_entry(
-                self.shard_path_for(spec_hash, key).read_bytes()
+            parsed = READ_MEMO.parsed(
+                self._shard_file(spec_hash, key), _decode_entry, _parse_range
             )
         except (OSError, ValueError):
             return None
-        if meta.get("version") != SPEC_VERSION:
+        meta = parsed[0]  # type: ignore[index]
+        if meta.get("spec_hash") != spec_hash or meta.get("key") != key:
             return None
-        return {**meta, **columns}
+        return parsed  # type: ignore[return-value]
+
+    def load_shard(self, spec_hash: str, key: str) -> Optional[Dict[str, object]]:
+        """One published range's header fields and columns (lists of Python
+        ints), a fresh copy; ``None`` if it does not read (:meth:`_range`)."""
+        parsed = self._range(spec_hash, key)
+        if parsed is None:
+            return None
+        meta, columns, _ = parsed
+        return {
+            **_fresh(meta),  # type: ignore[dict-item]
+            **{name: column.tolist() for name, column in columns.items()},
+        }
 
     def shard_keys(self, spec_hash: Optional[str] = None) -> List[Tuple[str, str]]:
         """(spec_hash, shard_key) pairs currently published (sorted)."""
-        pairs = []
         prefix = f"{spec_hash}." if spec_hash else ""
-        for path in _files(self.shard_root, columnar.COLUMNAR_SUFFIX, prefix):
-            entry_hash, _, key = path.stem.partition(".")
-            if key:
-                pairs.append((entry_hash, key))
+        suffix = columnar.COLUMNAR_SUFFIX
+        pairs = []
+        for name in _names(self.shard_root):
+            if name.startswith(prefix) and name.endswith(suffix):
+                entry_hash, _, key = name[: -len(suffix)].partition(".")
+                if key:
+                    pairs.append((entry_hash, key))
         return sorted(pairs)
 
-    def clear_shards(self, spec_hash: Optional[str] = None) -> int:
-        """Delete published shard entries and leftover temporary files (all,
-        or one spec hash's); returns how many entries were removed.
+    def published(self) -> Dict[str, List[str]]:
+        """Published range keys by spec hash, from one listing of ``shards/``."""
+        ranges: Dict[str, List[str]] = {}
+        for spec_hash, key in self.shard_keys():
+            ranges.setdefault(spec_hash, []).append(key)
+        return ranges
 
-        Two drains that recorded one campaign both clear its shards, so an
-        entry the other drain removed first is skipped; another spec's
-        in-flight temporary files are left to their writers.
-        """
+    def clear_shards(self, spec_hash: Optional[str] = None) -> int:
+        """Delete published ranges and leftover temporary files (all, or
+        one spec hash's: a forced refresh); returns how many ranges were
+        removed.  Another spec's in-flight temporary files are left to
+        their writers."""
         removed = 0
         prefix = f"{spec_hash}." if spec_hash else ""
         for path in _files(self.shard_root, prefix=prefix):
@@ -618,16 +663,15 @@ class ResultStore:
         deletes exactly this list, ``study clean --dry-run`` prints it, and
         the analysis server's background GC service logs it — so what the
         GC *would* do is testable without side effects.  Candidates come
-        from directory scans: analyses, shard entries, queue files and
-        ``*.tmp`` stragglers.  ``older_than`` must pass :func:`check_gc_age`.
+        from directory scans: analyses, queue files and ``*.tmp``
+        stragglers.  ``older_than`` must pass :func:`check_gc_age`.
         """
         cutoff = (time.time() if now is None else now) - check_gc_age(older_than)
         paths = _files(self.analysis_root, ".json") + _files(self.analysis_root, ".tmp")
         if not analyses_only:
-            paths += _files(self.shard_root, columnar.COLUMNAR_SUFFIX)
+            # Interrupted writers leave ``*.tmp`` beside the ranges (and an
+            # older store's writers beside its top-level entries).
             paths += _files(self.shard_root, ".tmp")
-            # Interrupted campaign-entry writers leave ``<hash>.rcol.*.tmp``
-            # beside the results; the listing is tmp-only, entries are safe.
             paths += _files(self.root, ".tmp")
             paths += self._queue_files()
         candidates: List[Path] = []
@@ -643,34 +687,35 @@ class ResultStore:
         """Garbage-collect derived entries older than ``older_than`` seconds.
 
         Analyses are always eligible (they are pure caches, rebuilt from the
-        campaign entry on the next run).  Unless ``analyses_only``, published
-        shard entries and leftover queue files (tasks, leases, worker
-        heartbeats abandoned by a killed campaign) are swept too.  Campaign
-        entries themselves are never touched — they are the results — and
-        neither are study markers, their provenance.
-        Returns how many files were removed.
+        campaign's ranges on the next run).  Unless ``analyses_only``,
+        leftover queue files (tasks, leases, worker heartbeats abandoned by
+        a killed campaign) and temporary files are swept too.  Published
+        ranges are never touched — they are the results — and neither are
+        study markers, their provenance.  Returns how many files were
+        removed.
         """
         return _unlink(self.sweep_candidates(older_than, analyses_only=analyses_only))
 
     def clear_candidates(self) -> Tuple[List[Path], List[Path]]:
         """What :meth:`clear` would delete: ``(entries, bookkeeping)``.
 
-        ``entries`` are the counted store entries (campaign results,
-        analyses, shard entries); ``bookkeeping`` are temp files, study
-        markers (and an older store's ``studies.log``) and queue files,
-        removed but not counted.  Both sorted; nothing is deleted.
+        ``entries`` are the counted store entries (published ranges and
+        analyses); ``bookkeeping`` are temp files, study markers, an older
+        store's ``studies.log`` and top-level campaign entries, and queue
+        files, removed but not counted.  Both sorted; nothing is deleted.
         """
         entries: List[Path] = []
         bookkeeping: List[Path] = []
         if not self.root.is_dir():
             return entries, bookkeeping
         for directory, suffix in (
-            (self.root, columnar.COLUMNAR_SUFFIX),
-            (self.analysis_root, ".json"),
             (self.shard_root, columnar.COLUMNAR_SUFFIX),
+            (self.analysis_root, ".json"),
         ):
             entries.extend(_files(directory, suffix))
             bookkeeping.extend(_files(directory, ".tmp"))
+        bookkeeping.extend(_files(self.root, columnar.COLUMNAR_SUFFIX))
+        bookkeeping.extend(_files(self.root, ".tmp"))
         for study in _files(self.study_root):
             bookkeeping.extend(_files(study))
         legacy_log = self.root / "studies.log"
@@ -680,9 +725,10 @@ class ResultStore:
         return sorted(set(entries)), sorted(set(bookkeeping))
 
     def clear(self) -> int:
-        """Delete every stored result, analysis, shard entry, study marker
-        and queue file; returns how many entries were removed (each store
-        entry counts as one; bookkeeping files are removed but not counted)."""
+        """Delete every published range, analysis, study marker and queue
+        file; returns how many entries were removed (each range and
+        analysis counts as one; bookkeeping files are removed but not
+        counted)."""
         entries, bookkeeping = self.clear_candidates()
         removed = _unlink(entries)
         _unlink(bookkeeping)

@@ -8,7 +8,32 @@ from repro.cache.cache import CacheConfig
 from repro.cache.hierarchy import HierarchyConfig, MemoryTimings
 from repro.cache.trace import Trace
 from repro.core.placement import PlacementGeometry
+from repro.exec.plan import shard_key
+from repro.study.scenario import SPEC_VERSION
 from repro.workloads.base import KernelSpec, build_kernel_trace
+
+
+def publish_range(store, scenario, times, start=0, counters=None, setup=None):
+    """Publish lanes ``[start, start + len(times))`` of ``scenario`` in
+    ``store`` as a worker would: ``times`` are their cycles, ``counters``
+    (counter name -> per-lane values) their miss counters, and ``setup``
+    the label (default: the scenario's display label).  Returns the
+    range's path."""
+    key = shard_key(start, len(times))
+    payload = {
+        "version": SPEC_VERSION,
+        "spec_hash": scenario.spec_hash(),
+        "key": key,
+        "start": start,
+        "count": len(times),
+        "spec": scenario.spec_dict(),
+        "setup": scenario.display_label if setup is None else setup,
+        "workload": "synthetic_4KB",
+        "engine": "numpy",
+        "cycles": list(times),
+        **(counters or {}),
+    }
+    return store.save_shard(scenario.spec_hash(), key, payload)
 
 
 @pytest.fixture

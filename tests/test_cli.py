@@ -412,7 +412,7 @@ class TestShardedExecution:
         )
         store = ResultStore(tmp_path / "store")
         queue = FileQueue(store.queue_root)
-        for shard in plan_shards(scenario.spec_hash(), scenario.runs, 4):
+        for shard in plan_shards(scenario.spec_hash(), scenario.runs, 2):
             queue.enqueue(shard_task(scenario, shard, DEFAULT_ENGINE))
         assert main(
             ["worker", "--store", str(store.root), "--worker-id", "cli-test",
@@ -420,10 +420,13 @@ class TestShardedExecution:
         ) == 0
         assert "2 shard(s) executed" in capsys.readouterr().out
         assert len(store.shard_keys(scenario.spec_hash())) == 2
+        # Two of the campaign's four shards are still queued: status lists
+        # the campaign with what it has published so far.
         assert main(["exec", "status", "--store", str(store.root)]) == 0
         status = capsys.readouterr().out
         assert "cli-test" in status
         assert "published" in status
+        assert scenario.spec_hash()[:12] in status
 
     @pytest.mark.parametrize("ttl", ["0", "-5", "nan", "inf"])
     def test_worker_rejects_an_unusable_lease_ttl(self, tmp_path, capsys, ttl):
@@ -471,7 +474,7 @@ class TestShardedExecution:
         assert main(["study", "clean", "--older-than", "7d", "--store", store_dir]) == 0
         assert "swept 1" in capsys.readouterr().out
         assert store.load_analysis("aaa", "cfg") is None
-        assert store.load_shard("aaa", "00000000x000004") is not None
+        assert store.has_shard("aaa", "00000000x000004")  # ranges are results
 
     def test_clean_rejects_bad_age(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -615,10 +618,11 @@ class TestCleanDryRun:
              "--store", store_dir]
         ) == 0
         out = capsys.readouterr().out
-        assert "dry run: would sweep 2 derived entries" in out
-        assert "aaa" in out and "bbb" in out
+        # A published range is a result, never a sweep candidate.
+        assert "dry run: would sweep 1 derived entries" in out
+        assert "aaa" in out and "bbb" not in out
         assert store.load_analysis("aaa", "cfg") is not None
-        assert store.load_shard("bbb", "00000000x000004") is not None
+        assert store.has_shard("bbb", "00000000x000004")
 
     def test_dry_run_analyses_only_scopes_the_plan(self, tmp_path, capsys):
         from repro.study.store import ResultStore

@@ -1,12 +1,14 @@
 """The columnar result-store tier (repro.study.columnar + store format).
 
 The codec itself is a pure function pinned by round-trip tests; what these
-tests certify is the *storage contract*: columnar entries round-trip
-bit-exact with the JSON era, JSON-era files are neither read nor listed
-(the store is a cache; those campaigns re-simulate), corrupt or truncated
-payloads read as misses and self-heal on the next save, key listings and
-sweep candidates come from the entry files themselves (no index file is
-written), and ``clear`` leaves no orphaned files behind.
+tests certify is the *storage contract*: a campaign stored as published
+lane ranges round-trips bit-exact with the JSON era, files of older
+layouts (JSON-era entries, top-level campaign entries) are neither read
+nor listed (the store is a cache; those campaigns re-simulate), corrupt or
+truncated ranges read as misses and self-heal on the next publish, key
+listings and sweep candidates come from the files themselves (no index
+file is written), a sweep never removes a range, and ``clear`` leaves no
+orphaned files behind.
 """
 
 import json
@@ -15,16 +17,19 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import publish_range
 
 from repro.study import ResultStore, Scenario, WorkloadSpec, HierarchySpec
 from repro.study import columnar
-from repro.study.columnar import (
-    COLUMNAR_SUFFIX,
-    pack_entry,
-    unpack_columns,
-    unpack_entry,
-)
+from repro.study.columnar import COLUMNAR_SUFFIX, pack_entry, unpack_columns
 from repro.analysis.campaign import CampaignResult
+from repro.exec import shard_key
+
+
+def unpack_entry(frame):
+    """``unpack_columns`` with every column as a list of Python ints."""
+    meta, arrays = unpack_columns(frame)
+    return meta, {name: array.tolist() for name, array in arrays.items()}
 
 
 def tiny_scenario(**overrides) -> Scenario:
@@ -38,18 +43,43 @@ def tiny_scenario(**overrides) -> Scenario:
     return Scenario(**defaults)
 
 
-MISS_SUMMARY = {"il1_miss_rate": 0.25, "dl1_miss_rate": 0.5, "l2_miss_rate": 0.125}
+#: Per-run miss counters of every lane, and the summary they make.
+COUNTS = {"il1_misses": 2, "dl1_misses": 4, "l2_misses": 1, "memory_accesses": 8}
+MISS_SUMMARY = {
+    "il1_misses": 2.0,
+    "dl1_misses": 4.0,
+    "l2_misses": 1.0,
+    "memory_accesses": 8.0,
+    "il1_miss_rate": 0.25,
+    "dl1_miss_rate": 0.5,
+    "l2_miss_rate": 0.125,
+}
+
+
+def default_times(scenario):
+    return [1000 + 7 * i for i in range(scenario.runs)]
 
 
 def campaign_for(scenario, times=None):
-    times = times if times is not None else [1000 + 7 * i for i in range(scenario.runs)]
     return CampaignResult(
         workload="synthetic_4KB",
-        setup="rm",
-        execution_times=times,
+        setup=scenario.display_label,
+        execution_times=times if times is not None else default_times(scenario),
         master_seed=scenario.effective_seed,
         miss_summary=MISS_SUMMARY,
     )
+
+
+def publish(store, scenario, times=None):
+    """Store ``scenario``'s campaign as one published range; its path."""
+    times = times if times is not None else default_times(scenario)
+    counters = {name: [count] * len(times) for name, count in COUNTS.items()}
+    return publish_range(store, scenario, times, counters=counters)
+
+
+def range_path(store, scenario):
+    """The path of ``scenario``'s one published range."""
+    return store.shard_path_for(scenario.spec_hash(), shard_key(0, scenario.runs))
 
 
 def json_era_payload(scenario, campaign):
@@ -160,7 +190,7 @@ class TestStoreEntries:
         store = ResultStore(tmp_path / "store")
         scenario = tiny_scenario()
         campaign = campaign_for(scenario)
-        path = store.save(scenario, campaign)
+        path = publish(store, scenario)
         assert path.suffix == COLUMNAR_SUFFIX
         stored = store.load(scenario.spec_hash())
         assert stored == campaign
@@ -171,31 +201,39 @@ class TestStoreEntries:
         store = ResultStore(tmp_path / "store")
         scenario = tiny_scenario()
         campaign = campaign_for(scenario)
-        store.save(scenario, campaign)
+        publish(store, scenario)
         spec_hash = scenario.spec_hash()
 
-        store.path_for(spec_hash).write_text("not a columnar frame")
+        range_path(store, scenario).write_text("not a columnar frame")
         assert store.load(spec_hash) is None  # miss, never an error
+        assert store.keys() == []
 
-        store.save(scenario, campaign)  # the next save heals it
+        publish(store, scenario)  # the next publish heals it
         assert store.load(spec_hash).execution_times == campaign.execution_times
 
     def test_json_era_entry_is_a_miss_and_unlisted(self, tmp_path):
-        # Stores are caches: a valid pre-columnar entry is neither read,
-        # listed nor migrated, so its campaign re-simulates bit-exactly.
+        # Stores are caches: a valid pre-columnar entry, and a top-level
+        # campaign entry of the layout before lane ranges, are neither read,
+        # listed nor migrated, so their campaign re-simulates bit-exactly.
         store = ResultStore(tmp_path / "store")
         scenario = tiny_scenario()
         spec_hash = scenario.spec_hash()
         store.shard_root.mkdir(parents=True)
+        campaign = campaign_for(scenario)
         (store.root / f"{spec_hash}.json").write_text(
-            json.dumps(json_era_payload(scenario, campaign_for(scenario)))
+            json.dumps(json_era_payload(scenario, campaign))
+        )
+        (store.root / f"{spec_hash}{COLUMNAR_SUFFIX}").write_bytes(
+            pack_entry(
+                {"version": 1, "spec": scenario.spec_dict(), "setup": "rm"},
+                {"execution_times": campaign.execution_times},
+            )
         )
         (store.shard_root / f"{spec_hash}.0-2.json").write_text(json.dumps(SHARD_PAYLOAD))
         assert store.load(spec_hash) is None
-        assert store.load_columns(spec_hash) is None
         assert store.load_shard(spec_hash, "0-2") is None
         assert store.keys() == [] and store.shard_keys() == []
-        assert not store.path_for(spec_hash).exists()
+        assert spec_hash not in store
 
     def test_nested_save_of_one_analysis_does_not_break_the_outer_save(
         self, tmp_path, monkeypatch
@@ -222,20 +260,26 @@ class TestStoreEntries:
 
 
 class TestLoadColumns:
+    """The array form a stored campaign reads as (the run table's)."""
+
     def test_columnar_entry_returns_array_views(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         scenario = tiny_scenario()
         campaign = campaign_for(scenario)
-        store.save(scenario, campaign)
-        meta, columns = store.load_columns(scenario.spec_hash())
+        publish(store, scenario)
+        spec_hash = scenario.spec_hash()
+        meta, times, summary = store._campaign(spec_hash, store.published()[spec_hash])
         assert meta["spec"] == scenario.spec_dict()
-        assert meta["miss_summary"] == MISS_SUMMARY
-        times = columns["execution_times"]
+        assert meta["setup"] == scenario.display_label
+        assert summary == MISS_SUMMARY
         assert isinstance(times, np.ndarray)
+        assert not times.flags.writeable  # a view of the decoded file
         assert times.tolist() == campaign.execution_times
 
     def test_missing_key_is_none(self, tmp_path):
-        assert ResultStore(tmp_path / "store").load_columns("0" * 64) is None
+        store = ResultStore(tmp_path / "store")
+        assert store.load("0" * 64) is None
+        assert store._campaign("0" * 64, []) is None
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +290,11 @@ class TestLoadColumns:
 SHARD_PAYLOAD = {
     "version": 1,
     "spec_hash": "abc",
+    "key": "0-2",
     "start": 0,
     "count": 3,
+    "spec": {"runs": 3, "seed": 0},
+    "setup": "rm",
     "workload": "synthetic_4KB",
     "engine": "numpy",
     "cycles": [1000, 70_000, 1002],
@@ -311,20 +358,23 @@ class TestManifest:
         hashes = []
         for i in range(count):
             scenario = tiny_scenario(master_seed=100 + i)
-            store.save(scenario, campaign_for(scenario))
+            publish(store, scenario)
             hashes.append(scenario.spec_hash())
         return store, sorted(hashes)
 
     def test_keys_are_sorted_without_an_index_file(self, tmp_path):
         store, hashes = self._saved(tmp_path)
         assert store.keys() == hashes
-        assert sorted(path.name for path in store.root.iterdir()) == [
-            f"{spec_hash}{COLUMNAR_SUFFIX}" for spec_hash in hashes
+        assert [path.name for path in store.root.iterdir()] == ["shards"]
+        key = shard_key(0, tiny_scenario().runs)
+        assert sorted(path.name for path in store.shard_root.iterdir()) == [
+            f"{spec_hash}.{key}{COLUMNAR_SUFFIX}" for spec_hash in hashes
         ]
 
     def test_files_of_a_killed_save_are_listed_and_swept(self, tmp_path):
-        # A save killed right after its atomic replace leaves the entry
-        # file and nothing else; every listing must still report it.
+        # A publish killed right after its atomic replace leaves the range
+        # file and nothing else; every listing must still report it.  A
+        # sweep takes the analysis and never the range.
         from repro.study import build_run_table
         from repro.study.store import _replace_atomically
 
@@ -332,29 +382,26 @@ class TestManifest:
         donor = ResultStore(tmp_path / "donor")
         scenario = tiny_scenario(master_seed=200)
         spec_hash = scenario.spec_hash()
-        donor.save(scenario, campaign_for(scenario))
+        publish(donor, scenario)
         donor.save_analysis(spec_hash, "deadbeef", {"version": 1})
-        donor.save_shard(spec_hash, "0-2", SHARD_PAYLOAD)
         store.analysis_root.mkdir()
-        store.shard_root.mkdir()
         for target, source in (
-            (store.path_for(spec_hash), donor.path_for(spec_hash)),
+            (range_path(store, scenario), range_path(donor, scenario)),
             (
                 store.analysis_path_for(spec_hash, "deadbeef"),
                 donor.analysis_path_for(spec_hash, "deadbeef"),
             ),
-            (store.shard_path_for(spec_hash, "0-2"), donor.shard_path_for(spec_hash, "0-2")),
         ):
             _replace_atomically(target, source.read_bytes())
 
+        key = shard_key(0, scenario.runs)
         assert store.keys() == sorted(hashes + [spec_hash])
         assert store.analysis_keys() == [(spec_hash, "deadbeef")]
-        assert store.shard_keys() == [(spec_hash, "0-2")]
+        assert (spec_hash, key) in store.shard_keys()
         assert spec_hash in {row["spec_hash"] for row in build_run_table(store).rows}
-        assert {
-            store.analysis_path_for(spec_hash, "deadbeef"),
-            store.shard_path_for(spec_hash, "0-2"),
-        } <= set(store.sweep_candidates(0.0))
+        candidates = set(store.sweep_candidates(0.0))
+        assert store.analysis_path_for(spec_hash, "deadbeef") in candidates
+        assert range_path(store, scenario) not in candidates
 
     def test_no_index_file_is_written(self, tmp_path):
         from repro.exec import FileQueue, WorkerTelemetry
@@ -411,9 +458,8 @@ def _populated_store(tmp_path):
     """A store exercising every artifact kind the format knows about."""
     store = ResultStore(tmp_path / "store")
     scenario = tiny_scenario()
-    store.save(scenario, campaign_for(scenario))
+    publish(store, scenario)
     store.save_analysis(scenario.spec_hash(), "deadbeef", {"version": 1})
-    store.save_shard(scenario.spec_hash(), "0-2", SHARD_PAYLOAD)
     store.record_study("smoke", [scenario.spec_hash()])
     # Stray tmp files from interrupted writers, queue artifacts.
     (store.root / "orphan.rcol.tmp").write_bytes(b"")
@@ -437,27 +483,30 @@ class TestGarbageCollection:
     def test_sweep_covers_tmp_and_runtable_artifacts(self, tmp_path):
         store = _populated_store(tmp_path)
         assert store.sweep(older_than=0.0) > 0
-        # Campaign entries are the results — a sweep never touches them —
+        # Published ranges are the results — a sweep never touches them —
         # and the study markers, their provenance, stay.  Everything
-        # derived (analyses, shards, queue files, stray ``*.tmp``) must be
-        # gone.
+        # derived (analyses, queue files, stray ``*.tmp``) must be gone.
         survivors = sorted(
             p.name for p in store.root.rglob("*") if p.is_file()
         )
         scenario = tiny_scenario()
         assert survivors == sorted(
             [
-                f"{scenario.spec_hash()}.rcol",
+                range_path(store, scenario).name,
                 scenario.spec_hash(),  # the marker studies/smoke/<spec_hash>
             ]
         )
 
     def test_clear_removes_an_older_stores_study_log(self, tmp_path):
         # Stores written before study markers kept provenance in one
-        # ``studies.log``; nothing reads it, and a clear removes it.
+        # ``studies.log``, and stores written before lane ranges kept each
+        # campaign in a top-level ``<spec_hash>.rcol``; nothing reads
+        # either, and a clear removes both (as bookkeeping, not counted).
         store = _populated_store(tmp_path)
-        (store.root / "studies.log").write_text(f"smoke {tiny_scenario().spec_hash()}\n")
-        store.clear()
+        spec_hash = tiny_scenario().spec_hash()
+        (store.root / "studies.log").write_text(f"smoke {spec_hash}\n")
+        (store.root / f"{spec_hash}{COLUMNAR_SUFFIX}").write_bytes(b"RCOL1\x00")
+        assert store.clear() == 2  # the range and the analysis
         assert [p for p in store.root.rglob("*") if p.is_file()] == []
 
     def test_analyses_only_sweep_keeps_campaign_entries(self, tmp_path):
@@ -493,12 +542,14 @@ class TestReadMemo:
     def test_repeated_reads_decode_once(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "store")
         scenario = tiny_scenario()
-        store.save(scenario, campaign_for(scenario))
+        publish(store, scenario)
         store.save_analysis(scenario.spec_hash(), "cfg", {"pwcet": {"1e-15": 9.5}})
         counts = self._counting(monkeypatch)
+        key = shard_key(0, scenario.runs)
         for _ in range(3):
             assert store.load(scenario.spec_hash()) == campaign_for(scenario)
-            assert store.load_columns(scenario.spec_hash()) is not None
+            assert store.load_shard(scenario.spec_hash(), key) is not None
+            assert store.keys() == [scenario.spec_hash()]
             assert store.load_analysis(scenario.spec_hash(), "cfg") == {"pwcet": {"1e-15": 9.5}}
         # Another store instance over the same directory shares the memo.
         assert ResultStore(tmp_path / "store").load(scenario.spec_hash()) is not None
@@ -508,16 +559,16 @@ class TestReadMemo:
         store = ResultStore(tmp_path / "store")
         scenario = tiny_scenario()
         spec_hash = scenario.spec_hash()
-        store.save(scenario, campaign_for(scenario))
+        publish(store, scenario)
         store.save_analysis(spec_hash, "cfg", {"writer": "first"})
         assert store.load(spec_hash) == campaign_for(scenario)
         assert store.load_analysis(spec_hash, "cfg") == {"writer": "first"}
         counts = self._counting(monkeypatch)
         times = [5 * i for i in range(scenario.runs)]
-        store.save(scenario, campaign_for(scenario, times))
+        publish(store, scenario, times)
         store.save_analysis(spec_hash, "cfg", {"writer": "second"})
         assert store.load(spec_hash).execution_times == times
-        assert store.load_columns(spec_hash)[1]["execution_times"].tolist() == times
+        assert store.load_shard(spec_hash, shard_key(0, scenario.runs))["cycles"] == times
         assert store.load_analysis(spec_hash, "cfg") == {"writer": "second"}
         assert counts == {"entries": 1, "analyses": 1}
 
@@ -525,14 +576,18 @@ class TestReadMemo:
         store = ResultStore(tmp_path / "store")
         scenario = tiny_scenario()
         spec_hash = scenario.spec_hash()
-        store.save(scenario, campaign_for(scenario))
+        publish(store, scenario)
         store.save_analysis(spec_hash, "cfg", {"writer": "first"})
         assert store.load(spec_hash) is not None
         assert store.load_analysis(spec_hash, "cfg") is not None
-        store.path_for(spec_hash).unlink()
+        key = shard_key(0, scenario.runs)
+        # Read with the key listed before the range went away.
+        assert store.load(spec_hash, [key]) is not None
+        range_path(store, scenario).unlink()
         store.analysis_path_for(spec_hash, "cfg").unlink()
         assert store.load(spec_hash) is None
-        assert store.load_columns(spec_hash) is None
+        assert store.load(spec_hash, [key]) is None
+        assert store.load_shard(spec_hash, key) is None
         assert spec_hash not in store
         assert store.load_analysis(spec_hash, "cfg") is None
 
@@ -541,7 +596,7 @@ class TestReadMemo:
         scenario = tiny_scenario()
         spec_hash = scenario.spec_hash()
         payload = {"pwcet": {"1e-15": 9.5}, "config": {"probabilities": [1e-12]}}
-        store.save(scenario, campaign_for(scenario))
+        publish(store, scenario)
         store.save_analysis(spec_hash, "cfg", payload)
 
         campaign = store.load(spec_hash)
@@ -549,14 +604,14 @@ class TestReadMemo:
         campaign.miss_summary["il1_miss_rate"] = 9.0
         assert store.load(spec_hash) == campaign_for(scenario)
 
-        meta, columns = store.load_columns(spec_hash)
-        meta["spec"]["runs"] = -1
-        meta["miss_summary"].clear()
-        columns.pop("execution_times")
-        meta, columns = store.load_columns(spec_hash)
-        assert meta["spec"] == scenario.spec_dict()
-        assert meta["miss_summary"] == MISS_SUMMARY
-        times = columns["execution_times"]
+        key = shard_key(0, scenario.runs)
+        loaded = store.load_shard(spec_hash, key)
+        loaded["spec"]["runs"] = -1
+        loaded["cycles"].clear()
+        loaded = store.load_shard(spec_hash, key)
+        assert loaded["spec"] == scenario.spec_dict()
+        assert loaded["cycles"] == default_times(scenario)
+        _, times, _ = store._campaign(spec_hash, [key])
         assert not times.flags.writeable
         with pytest.raises(ValueError):
             times[0] = 0
@@ -598,7 +653,7 @@ class TestReadMemo:
         store = ResultStore(tmp_path / "store")
         for seed in range(6):
             scenario = tiny_scenario(master_seed=seed)
-            store.save(scenario, campaign_for(scenario))
+            publish(store, scenario)
             store.save_analysis(scenario.spec_hash(), "cfg", {"seed": seed})
             assert store.load(scenario.spec_hash()) is not None
             assert store.load_analysis(scenario.spec_hash(), "cfg") == {"seed": seed}
@@ -608,8 +663,8 @@ class TestReadMemo:
         store = ResultStore(tmp_path / "store")
         scenario = tiny_scenario()
         spec_hash = scenario.spec_hash()
-        store.root.mkdir(parents=True)
-        store.path_for(spec_hash).write_bytes(b"RCOL1\x00garbage")
+        store.shard_root.mkdir(parents=True)
+        range_path(store, scenario).write_bytes(b"RCOL1\x00garbage")
         store.analysis_root.mkdir()
         store.analysis_path_for(spec_hash, "cfg").write_text("[1, 2]")
         counts = self._counting(monkeypatch)
@@ -617,5 +672,5 @@ class TestReadMemo:
             assert store.load(spec_hash) is None
             assert store.load_analysis(spec_hash, "cfg") is None
         assert counts == {"entries": 2, "analyses": 2}
-        store.save(scenario, campaign_for(scenario))
+        publish(store, scenario)
         assert store.load(spec_hash) == campaign_for(scenario)

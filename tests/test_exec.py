@@ -1,9 +1,9 @@
 """The repro.exec subsystem: planner, queue/leases, workers, reassembly.
 
 The invariant under test everywhere: any campaign kind (seeds or layouts),
-shard size, worker count and interruption pattern reassembles to a
-campaign **bit-exact** with serial execution — including after SIGKILLing
-a worker mid-shard and resuming.
+shard size, worker count and interruption pattern reads back from its
+published lane ranges as a campaign **bit-exact** with serial execution —
+including after SIGKILLing a worker mid-shard and resuming.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 import repro
-from repro.analysis.campaign import (
-    MISS_COUNTERS,
-    run_campaign,
-    run_layout_campaign,
-    summarize_misses,
-)
+from repro.analysis.campaign import MISS_COUNTERS, run_campaign, run_layout_campaign
 from repro.engine import DEFAULT_ENGINE, NumpyEngine, available_engines
 from repro.exec import executor as executor_module
 from repro.exec import plan as plan_module
@@ -51,7 +46,7 @@ from repro.exec import (
     shard_key,
     shard_task,
 )
-from repro.exec.status import format_exec_status
+from repro.exec.status import exec_status_snapshot, format_exec_status
 from repro.exec.telemetry import WorkerHeartbeat, WorkerTelemetry
 from repro.platform.leon3 import Leon3Parameters
 from repro.study.runner import execute_scenarios
@@ -118,9 +113,7 @@ def _enqueue_all(scenario, store, shard_size):
 
 def _drain(scenarios, store, **options):
     """Drain ``scenarios`` in one :func:`execute_campaigns` call; returns
-    ``{spec hash: (campaign, from_store)}`` and the shard report.  Nothing
-    is saved, so a campaign's entry is in the store only if another drain
-    recorded it."""
+    ``{spec hash: (campaign, from_store)}`` and the shard report."""
     recorded = {}
 
     def record(scenario, campaign, from_store):
@@ -135,9 +128,20 @@ def _drain_one(scenario, store, **options):
     return (*recorded[scenario.spec_hash()], report)
 
 
-def _published(scenario, store):
-    """The reassembler's shard loader for ``scenario``'s entries in ``store``."""
-    return lambda shard: store.load_shard(scenario.spec_hash(), shard.key)
+def _range(spec_hash, start=0, cycles=(1, 2, 3)):
+    """A complete range payload of lanes ``[start, start + len(cycles))``."""
+    return {
+        "version": 1,
+        "spec_hash": spec_hash,
+        "key": shard_key(start, len(cycles)),
+        "start": start,
+        "count": len(cycles),
+        "spec": {"runs": 3, "seed": 0},
+        "setup": "s",
+        "workload": "w",
+        "engine": DEFAULT_ENGINE,
+        "cycles": list(cycles),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +379,8 @@ class TestSpecRoundTrip:
 class TestStoreShardEntries:
     def test_save_load_keys_clear(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        payload = {"version": 1, "cycles": [1, 2, 3]}
-        store.save_shard("aaa", shard_key(0, 3), payload)
-        store.save_shard("bbb", shard_key(0, 3), payload)
+        store.save_shard("aaa", shard_key(0, 3), _range("aaa"))
+        store.save_shard("bbb", shard_key(0, 3), _range("bbb"))
         assert store.load_shard("aaa", shard_key(0, 3))["cycles"] == [1, 2, 3]
         assert store.load_shard("aaa", shard_key(3, 3)) is None
         assert store.shard_keys() == [
@@ -390,22 +393,31 @@ class TestStoreShardEntries:
         assert store.clear_shards() == 1
 
     def test_shard_entries_do_not_pollute_campaign_keys(self, tmp_path):
+        # A spec hash lists as a campaign only once its ranges cover every
+        # lane: lanes 0-2 of a 6-run campaign are not one.
+        scenario = _scenario(runs=6)
         store = ResultStore(tmp_path / "store")
-        store.save_shard("aaa", shard_key(0, 3), {"version": 1})
-        assert store.keys() == []
+        shards, queue = _enqueue_all(scenario, store, shard_size=3)
+        assert run_worker(queue.root, store.root, max_shards=1).shards_done == 1
+        assert store.keys() == [] and store.load(scenario.spec_hash()) is None
+        assert run_worker(queue.root, store.root).shards_done == 1
+        assert store.keys() == [scenario.spec_hash()]
 
     def test_corrupt_or_mismatched_shard_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        path = store.save_shard("aaa", shard_key(0, 3), {"version": 1})
+        path = store.save_shard("aaa", shard_key(0, 3), _range("aaa"))
+        assert store.load_shard("aaa", shard_key(0, 3)) is not None
         path.write_text("{truncated")
         assert store.load_shard("aaa", shard_key(0, 3)) is None
-        store.save_shard("aaa", shard_key(0, 3), {"version": 999})
+        store.save_shard("aaa", shard_key(0, 3), dict(_range("aaa"), version=999))
         assert store.load_shard("aaa", shard_key(0, 3)) is None
+        store.save_shard("aaa", shard_key(0, 3), dict(_range("aaa"), count=4))
+        assert store.load_shard("aaa", shard_key(0, 3)) is None  # wrong length
 
     def test_sweep_age_based(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.save_analysis("aaa", "cfg", {"v": 1})
-        store.save_shard("aaa", shard_key(0, 3), {"version": 1})
+        store.save_shard("aaa", shard_key(0, 3), _range("aaa"))
         # Nothing is old enough yet.
         assert store.sweep(older_than=3600.0) == 0
         # Age the analysis file only.
@@ -419,7 +431,7 @@ class TestStoreShardEntries:
     def test_sweep_analyses_only_leaves_shards_and_queue(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.save_analysis("aaa", "cfg", {"v": 1})
-        store.save_shard("aaa", shard_key(0, 3), {"version": 1})
+        store.save_shard("aaa", shard_key(0, 3), _range("aaa"))
         queue = FileQueue(store.queue_root)
         queue.enqueue(_task("aaa"))
         old = time.time() - 7200
@@ -429,14 +441,15 @@ class TestStoreShardEntries:
         assert store.sweep(older_than=3600.0, analyses_only=True) == 1
         assert store.load_shard("aaa", shard_key(0, 3)) is not None
         assert queue.pending() == 1
-        # The full sweep also collects shard and queue leftovers.
-        assert store.sweep(older_than=3600.0) == 2
-        assert store.shard_keys() == []
+        # The full sweep also collects queue leftovers; a published range
+        # is a result and stays.
+        assert store.sweep(older_than=3600.0) == 1
+        assert store.shard_keys() == [("aaa", shard_key(0, 3))]
         assert queue.pending() == 0
 
     def test_clear_includes_shards_and_queue(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        store.save_shard("aaa", shard_key(0, 3), {"version": 1})
+        store.save_shard("aaa", shard_key(0, 3), _range("aaa"))
         FileQueue(store.queue_root).enqueue(_task("aaa"))
         store.clear()
         assert store.shard_keys() == []
@@ -475,14 +488,15 @@ class TestShardedExecution:
         assert sharded.miss_summary == _serial(scenario).miss_summary
 
     def test_resume_reuses_published_shards(self, tmp_path):
-        # A killed run published every shard but recorded no campaign.
+        # A killed run published every shard: the campaign is stored, and
+        # the rerun is a store hit that plans nothing.
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
         shards, queue = _enqueue_all(scenario, store, shard_size=4)
         assert run_worker(queue.root, store.root).shards_done == len(shards)
-        campaign, _, report = _drain_one(scenario, store, shard_size=4)
-        assert report.executed == 0
-        assert report.reused == report.planned == len(shards)
+        campaign, from_store, report = _drain_one(scenario, store, shard_size=4)
+        assert from_store
+        assert (report.planned, report.reused, report.executed) == (0, 0, 0)
         assert campaign.execution_times == _serial_times(scenario)
 
     def test_layout_campaign_through_queue_matches_serial(self, tmp_path):
@@ -507,37 +521,28 @@ class TestShardedExecution:
         assert (report.planned, report.reused, report.executed) == (len(shards), 1, 2)
         assert campaign.execution_times == serial.execution_times
 
-    def test_reassembly_keeps_store_decoded_python_ints(self, tmp_path, monkeypatch):
-        # The store decodes each shard column to a list of Python ints; the
-        # reassembled execution times and per-run miss counters are those
-        # ints, merged as they are, and equal to the serial campaign's.
+    def test_reassembly_keeps_store_decoded_python_ints(self, tmp_path):
+        # The store reads the ranges' typed columns back in lane order: the
+        # execution times are Python ints and the miss summary, built from
+        # the counter columns, equals the serial campaign's float for float.
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
         shards, queue = _enqueue_all(scenario, store, shard_size=5)
         assert run_worker(queue.root, store.root).shards_done == len(shards) == 3
-        merged = {}
-
-        def summarize(counters, runs):
-            merged.update(counters)
-            return summarize_misses(counters, runs)
-
-        monkeypatch.setattr(executor_module, "summarize_misses", summarize)
-        campaign = reassemble_campaign(scenario, shards, _published(scenario, store))
+        campaign = reassemble_campaign(scenario, shards, store)
         serial = _serial(scenario)
         assert campaign.execution_times == serial.execution_times
         assert campaign.miss_summary == serial.miss_summary != {}
         assert {type(value) for value in campaign.execution_times} == {int}
-        assert set(merged) == set(MISS_COUNTERS)
-        for name, values in merged.items():
-            assert len(values) == scenario.runs, name
-            assert {type(value) for value in values} == {int}, name
+        assert {type(value) for value in campaign.miss_summary.values()} == {float}
+        assert set(MISS_COUNTERS) <= set(campaign.miss_summary)
 
     def test_reassemble_names_missing_shards(self, tmp_path):
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
         shards = plan_shards(scenario.spec_hash(), scenario.runs, 4)
         with pytest.raises(RuntimeError, match=shards[0].key):
-            reassemble_campaign(scenario, shards, _published(scenario, store))
+            reassemble_campaign(scenario, shards, store)
 
     @pytest.mark.parametrize("ttl", [0.0, -5.0, float("nan"), float("inf")])
     def test_worker_rejects_an_unusable_lease_ttl(self, tmp_path, ttl):
@@ -566,6 +571,24 @@ class TestShardedExecution:
         text = format_exec_status(store)
         assert "finished" in text
         assert "runs/s" in text
+
+    def test_exec_status_lists_only_campaigns_with_queued_tasks(self, tmp_path):
+        # Status describes the queue: a stored campaign is not listed, and
+        # a campaign with queued tasks shows what it has published so far.
+        finished, queued = _scenario(master_seed=1), _scenario(master_seed=2)
+        store = ResultStore(tmp_path / "store")
+        execute_scenarios([finished], store, shard_size=4)
+        snapshot = exec_status_snapshot(store)
+        assert snapshot["specs"] == {}
+        assert set(snapshot["totals"]) == {"pending", "leased", "published", "workers"}
+        assert (snapshot["totals"]["pending"], snapshot["totals"]["published"]) == (0, 0)
+        assert "no queued shards" in format_exec_status(store)
+        _, queue = _enqueue_all(queued, store, shard_size=4)
+        assert run_worker(queue.root, store.root, max_shards=1).shards_done == 1
+        snapshot = exec_status_snapshot(store)
+        counts = {"pending": 2, "leased": 0, "published": 1}
+        assert snapshot["specs"] == {queued.spec_hash(): counts}
+        assert {key: snapshot["totals"][key] for key in counts} == counts
 
     @pytest.mark.parametrize("shard_size", [1, 7, None])
     def test_shard_size_invariance(self, tmp_path, monkeypatch, shard_size):
@@ -619,7 +642,8 @@ class TestShardedExecutionProperty:
             # seeds, none for layouts.
             assert campaign.miss_summary == serial.miss_summary
             assert (campaign.miss_summary == {}) == (scenario.campaign == "layouts")
-        assert store.shard_keys() == []  # each recorded campaign drops its shards
+            # The published ranges are the stored campaign.
+            assert store.load(scenario.spec_hash()) == campaign
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +756,7 @@ class TestCrashResume:
         # TTL wait) and the reassembled campaign is bit-exact with serial.
         stats = run_worker(queue.root, store.root, lease_ttl=3600.0)
         assert stats.shards_done == len(shards)
-        campaign = reassemble_campaign(scenario, shards, _published(scenario, store))
+        campaign = reassemble_campaign(scenario, shards, store)
         assert campaign.execution_times == _serial_times(scenario)
 
     def test_executor_waits_out_live_foreign_lease(self, tmp_path):
@@ -819,9 +843,9 @@ class TestCrashResume:
         assert results.report.shards_executed == 2
         outcome = next(iter(results))
         assert outcome.campaign.execution_times == _serial_times(scenario)
-        # The final campaign entry supersedes its shards.
-        assert store.shard_keys(scenario.spec_hash()) == []
-        assert store.load(scenario.spec_hash()) is not None
+        # The four published ranges are the stored campaign.
+        assert len(store.shard_keys(scenario.spec_hash())) == 4
+        assert store.load(scenario.spec_hash()) == outcome.campaign
         # A second rerun is a pure store hit: nothing planned or executed.
         again = execute_scenarios([scenario], store=store, shard_size=3)
         assert again.report.full_cache_hit
@@ -833,8 +857,9 @@ class TestCrashResume:
 
     def test_interrupted_default_call_resumes(self, tmp_path, monkeypatch):
         # A default call (one in-process worker, one shard per campaign) is
-        # interrupted once its first campaign's shard is published: the
-        # rerun reuses that shard and executes only the other campaign's.
+        # interrupted once its first campaign's shard is published: that
+        # campaign is stored, so the rerun reads it from the store and
+        # executes only the other campaign's shard.
         scenarios = [replace(_scenario(master_seed=seed), label=f"seed {seed}") for seed in (1, 2)]
         store = ResultStore(tmp_path / "store")
 
@@ -848,13 +873,14 @@ class TestCrashResume:
         assert len(store.shard_keys()) == 1
         results = execute_scenarios(scenarios, store)
         report = results.report
+        assert (report.simulated, report.cache_hits) == (1, 1)
         assert (report.shards_planned, report.shards_reused, report.shards_executed) == (
-            2, 1, 1
+            1, 0, 1
         )
         for scenario in scenarios:
             campaign = results.campaign(scenario.display_label)
             assert campaign.execution_times == _serial_times(scenario)
-        assert store.shard_keys() == []
+        assert len(store.shard_keys()) == 2  # one range per campaign
 
     def test_no_cache_rerun_simulates_every_lane(self, tmp_path):
         # A forced refresh after a killed run reuses none of its published
@@ -870,47 +896,79 @@ class TestCrashResume:
         )
         assert next(iter(results)).campaign.execution_times == _serial_times(scenario)
 
-    def test_a_hit_clears_the_shards_a_killed_drain_left(self, tmp_path):
-        # A drain killed after it stored a campaign and before it cleared the
-        # campaign's shards leaves them; the campaign's next hit, queued or
-        # inline, clears them, and leaves other campaigns' shards alone.
-        scenario, other = _scenario(), _scenario(master_seed=78)
+    def test_ranges_of_two_shard_sizes_load_bit_exact_with_their_label(self, tmp_path):
+        # A killed 6-lane run published lanes 0-11; the rerun at 8 lanes
+        # published 12-19 and 20-23.  The four ranges are one stored
+        # campaign: cycles, miss summary and label as a serial run's.
+        scenario = replace(_scenario(runs=24), label="two sizes")
         store = ResultStore(tmp_path / "store")
-        shards, queue = _enqueue_all(scenario, store, shard_size=3)
-        run_worker(queue.root, store.root)
-        store.save(scenario, reassemble_campaign(scenario, shards, _published(scenario, store)))
-        _enqueue_all(other, store, shard_size=3)
-        run_worker(queue.root, store.root, max_shards=1)
+        _, queue = _enqueue_all(scenario, store, shard_size=6)
+        assert run_worker(queue.root, store.root, max_shards=2).shards_done == 2
+        _drain_one(scenario, store, shard_size=8)
+        keys = [key for _, key in store.shard_keys(scenario.spec_hash())]
+        assert keys == [shard_key(0, 6), shard_key(6, 6), shard_key(12, 8), shard_key(20, 4)]
+        stored = ResultStore(store.root).load(scenario.spec_hash())
+        serial = _serial(scenario)
+        assert stored.execution_times == serial.execution_times
+        assert stored.miss_summary == serial.miss_summary
+        assert stored.setup == "two sizes"
+        assert store.keys() == [scenario.spec_hash()]
+
+    def test_a_corrupt_range_on_the_warm_path_is_simulated_again(self, tmp_path):
+        # A stored campaign one of whose ranges is truncated: the next call
+        # removes that range, executes its lanes again and reads the
+        # campaign bit-exact; the other ranges are reused.
+        scenario = _scenario()
+        spec_hash = scenario.spec_hash()
+        store = ResultStore(tmp_path / "store")
+        execute_scenarios([scenario], store=store, shard_size=4)
+        before = {key: store.shard_path_for(spec_hash, key).read_bytes()
+                  for _, key in store.shard_keys(spec_hash)}
+        damaged = store.shard_path_for(spec_hash, shard_key(4, 4))
+        damaged.write_bytes(damaged.read_bytes()[:-5])
+        results = execute_scenarios([scenario], store=store, shard_size=4)
+        report = results.report
+        assert (report.simulated, report.cache_hits, report.shards_executed) == (1, 0, 1)
+        assert next(iter(results)).campaign.execution_times == _serial_times(scenario)
+        after = {key: store.shard_path_for(spec_hash, key).read_bytes()
+                 for _, key in store.shard_keys(spec_hash)}
+        assert after == before
         assert execute_scenarios([scenario], store=store).report.full_cache_hit
-        assert store.shard_keys() == [(other.spec_hash(), shard_key(0, 3))]
 
 
 class TestShardDecodes:
-    """A queued drain stats shards until reassembly, which decodes each once."""
+    """A queued drain stats shards until it reads the campaign, which
+    decodes each published range once."""
 
     @staticmethod
-    def _count_loads(monkeypatch):
-        loads = []
-        original = ResultStore.load_shard
+    def _count_decodes(monkeypatch):
+        """Count the store's successful range decodes from now on."""
+        from repro.study import store as store_module
 
-        def counting(store, spec_hash, key):
-            loads.append(key)
-            return original(store, spec_hash, key)
+        decodes = []
+        original = store_module._decode_entry
 
-        monkeypatch.setattr(ResultStore, "load_shard", counting)
-        return loads
+        def counting(blob):
+            decoded = original(blob)
+            decodes.append(blob)
+            return decoded
+
+        monkeypatch.setattr(store_module, "_decode_entry", counting)
+        return decodes
 
     def test_a_cold_sharded_study_decodes_each_shard_once(self, tmp_path, monkeypatch):
         from repro.__main__ import main
 
-        loads = self._count_loads(monkeypatch)
+        decodes = self._count_decodes(monkeypatch)
         argv = [
             "study", "run", "fig5", "--runs", "24", "--shard-size", "6",
             "--store", str(tmp_path / "store"),
         ]
         assert main(argv) == 0
         # fig5 plans two campaigns of 24 runs: four 6-lane shards each.
-        assert len(loads) == 8 and len(set(loads)) == 4
+        assert len(decodes) == len(set(decodes)) == 8
+        assert main(argv) == 0  # warm, in the same process: no decode
+        assert len(decodes) == 8
 
     def test_a_resume_over_a_corrupt_shard_converges(self, tmp_path, monkeypatch):
         scenario = _scenario()
@@ -926,15 +984,18 @@ class TestShardDecodes:
         assert store.has_shard(spec_hash, shards[1].key)
         assert store.load_shard(spec_hash, shards[1].key) is None
 
-        loads = self._count_loads(monkeypatch)
+        decodes = self._count_decodes(monkeypatch)
         results = execute_scenarios([scenario], store=store, shard_size=3)
-        # The missing shard and the corrupt one execute; the corrupt one is
-        # decoded twice (before and after it is executed again).
+        # The missing shard and the corrupt one execute; each of the four
+        # ranges that read is decoded once.
         assert results.report.shards_executed == 2
-        assert len(loads) == len(shards) + 1
+        assert len(decodes) == len(shards)
         assert next(iter(results)).campaign.execution_times == _serial_times(scenario)
-        assert store.path_for(spec_hash).read_bytes() == clean.path_for(spec_hash).read_bytes()
-        assert store.shard_keys(spec_hash) == []
+        for shard in shards:
+            assert (
+                store.shard_path_for(spec_hash, shard.key).read_bytes()
+                == clean.shard_path_for(spec_hash, shard.key).read_bytes()
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -942,92 +1003,46 @@ class TestShardDecodes:
 # ---------------------------------------------------------------------------
 
 class TestOverlappingDrains:
-    """A drain that meets a campaign another drain recorded returns that
-    entry; it never re-enqueues the shards the other drain cleared."""
+    """Two drains of one spec share its published ranges; neither clears one."""
 
-    @staticmethod
-    def _count_executed(monkeypatch):
-        """Record the key of every shard ShardRunner executes from now on."""
-        executed = []
-        original = ShardRunner.execute
-
-        def counting(runner, task):
-            executed.append(task["key"])
-            return original(runner, task)
-
-        monkeypatch.setattr(ShardRunner, "execute", counting)
-        return executed
-
-    @classmethod
-    def _another_drain_records_while_waiting(cls, scenario, store, monkeypatch):
-        """Lease the first of the campaign's three shards to a live foreign
-        owner that, while the drain waits on it, publishes the shard,
-        records the campaign and clears its shards.  Returns the keys of
-        the shards the drain itself executes."""
+    def test_a_drain_reads_the_range_a_foreign_drain_published(self, tmp_path, monkeypatch):
+        # The first of the campaign's three shards is leased to a live
+        # foreign owner that publishes it while this drain waits.  The
+        # drain executes only the other two, reads the foreign range, and
+        # reports the campaign as simulated.
+        scenario = _scenario()
         spec_hash = scenario.spec_hash()
+        store = ResultStore(tmp_path / "store")
         shards, queue = _enqueue_all(scenario, store, shard_size=4)
         foreign = queue.task_path(spec_hash, shards[0].key)
         assert queue.try_claim(foreign, "other-job", ttl=600)
-        # The other job's execute and save are not counted below.
-        other_job_execute, other_job_save = ShardRunner.execute, ResultStore.save
-        executed = cls._count_executed(monkeypatch)
+        other_job_execute = ShardRunner.execute
+        executed = []
+
+        def counting(runner, task):
+            executed.append(task["key"])
+            return other_job_execute(runner, task)
+
+        monkeypatch.setattr(ShardRunner, "execute", counting)
 
         def other_job_finishes(seconds):
             task = shard_task(scenario, shards[0], DEFAULT_ENGINE)
             store.save_shard(spec_hash, shards[0].key, other_job_execute(ShardRunner(), task))
-            campaign = reassemble_campaign(scenario, shards, _published(scenario, store))
-            other_job_save(store, scenario, campaign)
-            store.clear_shards(spec_hash)
             queue.complete(foreign, "other-job")
             fake_time.sleep = time.sleep
 
         fake_time = SimpleNamespace(sleep=other_job_finishes)
         monkeypatch.setattr(executor_module, "time", fake_time)
-        return shards, queue, executed
-
-    def test_wait_returns_the_campaign_another_drain_recorded(
-        self, tmp_path, monkeypatch
-    ):
-        scenario = _scenario()
-        store = ResultStore(tmp_path / "store")
-        shards, queue, executed = self._another_drain_records_while_waiting(
-            scenario, store, monkeypatch
-        )
-        campaign, from_store, report = _drain_one(scenario, store, shard_size=4)
-        assert sorted(executed) == sorted(shard.key for shard in shards[1:])
-        assert campaign.execution_times == _serial_times(scenario)
-        assert from_store
-        assert (report.planned, report.reused, report.executed) == (3, 0, 2)
-        assert queue.pending() == 0
-
-    def test_campaign_another_drain_recorded_is_a_cache_hit(self, tmp_path, monkeypatch):
-        # The study runner counts the returned campaign as a store hit and
-        # does not save the entry the other drain recorded a second time.
-        scenario = _scenario()
-        store = ResultStore(tmp_path / "store")
-        self._another_drain_records_while_waiting(scenario, store, monkeypatch)
-        saves = []
-        monkeypatch.setattr(ResultStore, "save", lambda *args: saves.append(args))
         results = execute_scenarios([scenario], store, shard_size=4)
         report = results.report
-        assert (report.simulated, report.cache_hits, report.stored) == (0, 1, 0)
-        assert report.shards_executed == 2
-        assert saves == []
+        assert sorted(executed) == sorted(shard.key for shard in shards[1:])
+        assert (report.simulated, report.cache_hits) == (1, 0)
+        assert (report.shards_planned, report.shards_reused, report.shards_executed) == (3, 0, 2)
         outcome = next(iter(results))
-        assert outcome.from_cache
+        assert not outcome.from_cache
         assert outcome.campaign.execution_times == _serial_times(scenario)
-
-    def test_recorded_campaign_is_returned_before_anything_is_enqueued(
-        self, tmp_path, monkeypatch
-    ):
-        scenario = _scenario()
-        store = ResultStore(tmp_path / "store")
-        execute_scenarios([scenario], store, shard_size=4)
-        executed = self._count_executed(monkeypatch)
-        campaign, from_store, _ = _drain_one(scenario, store, shard_size=4)
-        assert executed == [] and from_store
-        assert campaign.execution_times == _serial_times(scenario)
-        assert FileQueue(store.queue_root).pending() == 0
+        assert queue.pending() == 0
+        assert [key for _, key in store.shard_keys()] == [shard.key for shard in shards]
 
 
 # ---------------------------------------------------------------------------
@@ -1103,8 +1118,9 @@ class TestFailingCampaign:
         monkeypatch.undo()
         results = execute_scenarios([first, failed, last], store, shard_size=3)
         report = results.report
+        assert report.cache_hits == 1  # a's ranges are its stored campaign
         assert (report.shards_planned, report.shards_reused, report.shards_executed) == (
-            12, 4, 8
+            8, 0, 8
         )
         for scenario in (first, failed, last):
             self._assert_matches_serial(results.campaign(scenario.display_label), scenario)
@@ -1174,7 +1190,7 @@ class TestRunnerIntegration:
         assert report.simulated == 2
         assert (report.shards_planned, report.shards_reused, report.shards_executed) == (2, 0, 2)
         queue = FileQueue(store.queue_root)
-        assert store.shard_keys() == [] and queue.tasks() == []
+        assert len(store.shard_keys()) == 2 and queue.tasks() == []
         assert list(queue.lease_root.glob("*")) == []
         for scenario in scenarios:
             assert results.campaign(scenario.display_label).execution_times == (
@@ -1187,7 +1203,7 @@ class TestRunnerIntegration:
         results = execute_scenarios([scenario], store=store, shard_size=4)
         assert results.report.shards_planned == results.report.shards_executed == 2
         assert next(iter(results)).campaign.execution_times == _serial_times(scenario)
-        assert store.shard_keys(scenario.spec_hash()) == []  # superseded by the entry
+        assert len(store.shard_keys(scenario.spec_hash())) == 2  # the stored campaign
         again = execute_scenarios([scenario], store=store, shard_size=4)
         assert again.report.full_cache_hit
 

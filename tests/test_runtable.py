@@ -1,7 +1,8 @@
 """The run-table query engine (repro.study.runtable + ``repro query``).
 
 The store is the source of truth; what these tests certify is the *join*:
-every campaign entry becomes a row (one per analysis, a bare row without),
+every stored campaign (its published lane ranges) becomes a row (one per
+analysis, a bare row without),
 study provenance labels rows, every build reads the store afresh (a new
 analysis shows up in the next build), filters and restricted ``where``
 predicates behave, exports stay consistent with the shared formatter, and
@@ -11,9 +12,9 @@ the ``repro query`` CLI is a thin shell over all of it.
 import json
 
 import pytest
+from conftest import publish_range
 
 from repro.__main__ import main
-from repro.analysis.campaign import CampaignResult
 from repro.study import (
     HierarchySpec,
     ResultStore,
@@ -59,14 +60,14 @@ def populate(store, setups=("rm", "hrp"), with_analyses=True):
     for index, setup in enumerate(setups):
         scenario = scenario_for(setup=setup, seed=100 + index)
         times = [1000 + 13 * i + 100 * index for i in range(scenario.runs)]
-        campaign = CampaignResult(
-            workload="synthetic_4KB",
-            setup=setup,
-            execution_times=times,
-            master_seed=scenario.effective_seed,
-            miss_summary={"il1_miss_rate": 0.1 * (index + 1)},
-        )
-        store.save(scenario, campaign)
+        # IL1 misses per main-memory access: 0.1 * (index + 1).
+        counters = {
+            "il1_misses": [index + 1] * scenario.runs,
+            "dl1_misses": [0] * scenario.runs,
+            "l2_misses": [0] * scenario.runs,
+            "memory_accesses": [10] * scenario.runs,
+        }
+        publish_range(store, scenario, times, counters=counters, setup=setup)
         spec_hash = scenario.spec_hash()
         if with_analyses:
             store.save_analysis(
@@ -184,12 +185,12 @@ class TestBuild:
         )
         scenarios = [scenario_for(), scenario_for(setup="modulo"), custom]
         for scenario in scenarios:
-            store.save(scenario, CampaignResult("w", "s", [1000] * 24, 0))
+            publish_range(store, scenario, [1000] * 24)
         gone = scenario_for(setup="hrp")
         meta = gone.spec_dict()
         meta["hierarchy"]["setup"] = "xor"
         monkeypatch.setattr(type(gone), "spec_dict", lambda self: meta)
-        store.save(gone, CampaignResult("w", "s", [1000] * 24, 0))
+        publish_range(store, gone, [1000] * 24, setup="s")
         monkeypatch.undo()
 
         def no_rebuild(self):

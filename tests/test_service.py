@@ -39,7 +39,7 @@ from repro.exec.status import exec_status_snapshot
 from repro.pwcet import MbptaConfig
 from repro.service.api.server import ReproServer
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.services.events import EventBus, GLOBAL_CHANNEL
+from repro.service.services.events import EventBus, GLOBAL_CHANNEL, StoreWatcher
 from repro.service.services import jobs as jobs_module
 from repro.service.services.gc import GcService
 from repro.service.services.jobs import BadRequest, JobManager, parse_job_request
@@ -381,6 +381,35 @@ class TestEventBus:
             bus.publish("e", {"i": index})
         kept = [e.data["i"] for e in bus.history(GLOBAL_CHANNEL)]
         assert kept == [7, 8, 9]
+
+
+class TestStoreWatcher:
+    def test_ranges_stored_before_the_first_poll_publish_no_event(self, tmp_path):
+        # The first poll is the baseline: a pre-populated store publishes
+        # no shard event, and each range published after it publishes one.
+        from repro.study.runner import execute_scenarios
+
+        store = ResultStore(tmp_path / "store")
+        stored, fresh = _scenario(runs=8, master_seed=1), _scenario(runs=8, master_seed=2)
+        execute_scenarios([stored], store, shard_size=4)
+        bus = EventBus()
+        watcher = StoreWatcher(store, bus, lambda spec_hash: ["job"])
+
+        def published():
+            return [
+                (event.data["spec_hash"], event.data["shard"])
+                for event in bus.history(GLOBAL_CHANNEL)
+                if event.kind == "shard-published"
+            ]
+
+        watcher.poll_once()
+        assert published() == [] and len(store.shard_keys()) == 2
+        execute_scenarios([fresh], store, shard_size=4)
+        watcher.poll_once()
+        assert published() == store.shard_keys(fresh.spec_hash())
+        watcher.poll_once()
+        assert len(published()) == 2
+        assert [event.kind for event in bus.history("job")].count("shard-published") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -920,22 +949,26 @@ class TestStatusAndGc:
         store = ResultStore(tmp_path / "store")
         store.save_analysis("aaa", "cfg", {"v": 1})
         store.save_shard("bbb", "00000000x000004", {"version": 1})
+        (store.shard_root / "bbb.00000000x000008.rcol.0123abcd.tmp").write_bytes(b"")
         service = GcService(store, EventBus(), older_than=0.0)
-        # The service defaults to analyses-only (published shards may belong
-        # to a campaign still running; age alone cannot tell).
+        # The service defaults to analyses-only (queue files and temporary
+        # files may belong to a campaign still running; age alone cannot
+        # tell).
         assert service.plan() == [
             str(path.relative_to(store.root))
             for path in store.sweep_candidates(0.0, analyses_only=True)
         ]
         assert service.sweep_once() == 1
-        assert store.load_shard("bbb", "00000000x000004") is not None
-        # Sweeping shards and queue bookkeeping is an explicit request.
+        assert store.has_shard("bbb", "00000000x000004")
+        # Sweeping queue bookkeeping and temporary files is an explicit
+        # request; a published range is a result and is never swept.
         assert service.plan(analyses_only=False) == [
             str(path.relative_to(store.root))
             for path in store.sweep_candidates(0.0, analyses_only=False)
         ]
         assert service.sweep_once(analyses_only=False) == 1
         assert service.plan(analyses_only=False) == []
+        assert store.has_shard("bbb", "00000000x000004")
 
     def test_background_gc_never_sweeps_published_shards(
         self, tmp_path, start_server
@@ -953,7 +986,7 @@ class TestStatusAndGc:
         else:
             pytest.fail("background GC never swept")
         assert store.load_analysis("aaa", "cfg") is None
-        assert store.load_shard("bbb", "00000000x000004") is not None
+        assert store.has_shard("bbb", "00000000x000004")
 
     def test_gc_rejects_non_numeric_older_than(self, tmp_path, start_server):
         _, client = start_server(ResultStore(tmp_path / "store"))

@@ -506,9 +506,10 @@ class TestResultStore:
         store = ResultStore(tmp_path / "store")
         scenario = tiny_scenario()
         execute_scenarios([scenario], store=store)
-        store.path_for(scenario.spec_hash()).write_text("{not json")
+        ((_, key),) = store.shard_keys(scenario.spec_hash())
+        store.shard_path_for(scenario.spec_hash(), key).write_text("{not json")
         assert store.load(scenario.spec_hash()) is None
-        # ... and the runner transparently re-simulates and heals the entry.
+        # ... and the runner transparently re-simulates and heals the range.
         results = execute_scenarios([scenario], store=store)
         assert results.report.cache_hits == 0
         assert store.load(scenario.spec_hash()) is not None

@@ -2,7 +2,7 @@
 
 Every file write of the result store and its work queue is one of four
 primitives: ``os.replace`` (in ``_replace_atomically``, the one writer of
-entries, analyses, shards, tasks and heartbeats, and in a stale-lease
+lane ranges, analyses, tasks and heartbeats, and in a stale-lease
 reclaim), the lease's ``os.link``, a study marker's exclusive ``os.open``,
 and ``os.unlink``.  Run as a script, this module is a driver that wraps
 those OS calls from outside the package and SIGKILLs itself just before
@@ -57,14 +57,12 @@ WRITE_POINTS: Tuple[Tuple[str, str], ...] = (
     ("replace", "save_shard"),
     ("unlink", "complete"),
     ("unlink", "release"),
-    ("replace", "save"),
-    ("unlink", "clear_shards"),
     ("create", "record_study"),
     ("replace", "save_analysis"),
 )
 
 #: The callers of ``_replace_atomically``, each failed once with ENOSPC.
-ATOMIC_WRITERS = ("enqueue", "_write", "save_shard", "save", "save_analysis")
+ATOMIC_WRITERS = ("enqueue", "_write", "save_shard", "save_analysis")
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +243,8 @@ def _tree(root: Path) -> Dict[str, bytes]:
 
 
 def _listing_problems(root: Path) -> List[str]:
-    """What a listing names that does not load."""
+    """What a listing names that does not load: every spec hash ``keys``
+    lists and every marker must load as a whole campaign."""
     store = ResultStore(root)
     queue = FileQueue(store.queue_root)
     problems = [f"entry {key}" for key in store.keys() if store.load(key) is None]
@@ -253,7 +252,7 @@ def _listing_problems(root: Path) -> List[str]:
                  if store.load_analysis(*pair) is None]
     problems += [f"shard {pair}" for pair in store.shard_keys()
                  if store.load_shard(*pair) is None]
-    # A marker is created after its study's entries are stored.
+    # A marker is created after its study's ranges are all published.
     problems += [f"marker {studies} {key}" for key, studies in store.study_index().items()
                  if store.load(key) is None]
     problems += [f"task {path.name}" for path in queue.tasks() if queue.read_task(path) is None]
@@ -343,7 +342,6 @@ def test_a_full_disk_in_the_temp_write_leaves_the_store_old(driven, caller):
     written = {
         "enqueue": lambda: FileQueue(store.queue_root).tasks(),
         "save_shard": store.shard_keys,
-        "save": store.keys,
         "save_analysis": store.analysis_keys,
     }
     if caller in written:
