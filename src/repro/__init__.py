@@ -96,6 +96,7 @@ _EXPORTS = {
     "available_studies": "study",
     "get_study": "study",
     "register_study": "study",
+    "run_studies": "study",
     "run_study": "study",
     # workloads
     "MemoryLayout": "workloads",

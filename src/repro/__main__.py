@@ -8,7 +8,7 @@ Usage::
     python -m repro study run fig5 --engine reference  # the slow oracle
     python -m repro study run fig4a --format json      # machine-readable output
     python -m repro study run all --format csv > results.csv
-    python -m repro study run all --jobs 2      # 2 worker processes per study, bit-exact
+    python -m repro study run all --jobs 2      # 2 worker processes in all, bit-exact
     python -m repro study compare fig5 fig5     # diff two executed studies
     python -m repro study clean                 # drop the result store
 
@@ -56,9 +56,10 @@ non-text formats the progress chatter moves to stderr so stdout stays
 machine-readable.
 
 ``study run`` executes every campaign — a range of lanes, seeds or memory
-layouts — through the sharded work-queue pipeline (:mod:`repro.exec`): a
-study's campaigns are planned into lane-range shards (one per campaign
-by default, ``--shard-size N`` lanes each with it), drained by one set of
+layouts — through the sharded work-queue pipeline (:mod:`repro.exec`),
+one drain per command: the union of its studies' campaigns (each shared
+campaign once) is planned into lane-range shards (one per campaign by
+default, ``--shard-size N`` lanes each with it), drained by one set of
 ``--jobs`` workers (the command's own process at the default 1), and
 persisted shard by shard as lane ranges, which are the stored results
 and read back bit-exactly — a killed run loses at most its in-flight
@@ -121,13 +122,13 @@ def _add_campaign_arguments(
         "-j",
         type=int,
         default=None,
-        help="workers per study draining its campaigns through the store's "
-        "work queue (1 = this process, 0 = all CPUs), each campaign one shard "
-        f"of at most {DEFAULT_SHARD_SIZE} runs unless the study has fewer "
-        "campaigns than workers; results are bit-exact for any value. Each "
-        "worker runs whole campaigns, so studies with many campaigns gain "
-        "the most: on 2 CPUs a cold 'study run all' took 3.0 s with --jobs 2 "
-        "and 3.9 s with --jobs 1",
+        help="workers per command draining all its studies' campaigns through "
+        "the store's work queue (1 = this process, 0 = all CPUs), each "
+        f"campaign one shard of at most {DEFAULT_SHARD_SIZE} runs unless the "
+        "command has fewer campaigns than workers; results are bit-exact for "
+        "any value. Each worker runs whole campaigns, so commands with many "
+        "campaigns gain the most: on 2 CPUs a cold 'study run all' took 3.2 s "
+        "with --jobs 2 and 5.3 s with --jobs 1",
     )
     parser.add_argument(
         "--engine",
@@ -187,7 +188,7 @@ def _add_study_run_arguments(study_run: argparse.ArgumentParser) -> None:
         default=None,
         dest="shard_size",
         help="N runs per shard (default: one shard per campaign of at most "
-        f"{DEFAULT_SHARD_SIZE} runs, split only when a study has fewer "
+        f"{DEFAULT_SHARD_SIZE} runs, split only when the command has fewer "
         "campaigns than workers); bit-exact with serial execution for any N, "
         "and a rerun at any N reuses the shards a killed run already published",
     )
@@ -687,32 +688,41 @@ def _validate_run_request(targets, settings: ExperimentSettings) -> Optional[str
     return None
 
 
-def _run_one(
-    identifier: str,
+def _run_studies(
+    targets: Sequence[str],
     settings: ExperimentSettings,
-    output_format: str,
     store: ResultStore,
+    output_format: str = "text",
+    show: bool = False,
     use_cache: bool = True,
-) -> None:
+) -> list:
+    """Run ``targets`` through one drain (:func:`repro.study.run_studies`),
+    then report each study in order: its banner and cache line (on stderr
+    unless ``output_format`` is text) and, with ``show``, its result in
+    ``output_format`` and the time since the command started."""
     from .analysis.report import render_result
-    from .study.registry import get_study
+    from .study.registry import run_studies
 
-    study = get_study(identifier)
     chatter = sys.stdout if output_format == "text" else sys.stderr
-    print(f"== {identifier}: {study.description}", file=chatter)
     start = time.time()
-    outcome = study.run(settings, store=store, use_cache=use_cache)
-    # The paper-style text ignores the per-scenario extras; only JSON and
-    # CSV pay for them.
-    extras = {}
-    if output_format != "text":
-        extras = dict(
-            miss_rates=outcome.results.miss_rates(),
-            analysis=outcome.results.analysis_summaries(settings.estimator),
-        )
-    print(render_result(identifier, outcome.result, output_format, **extras))
-    print(f"-- {identifier}: {outcome.report.summary()}", file=chatter)
-    print(f"-- {identifier} finished in {time.time() - start:.1f}s\n", file=chatter)
+    outcomes = run_studies(targets, settings, store=store, use_cache=use_cache)
+    for outcome in outcomes:
+        name = outcome.study.name
+        print(f"== {name}: {outcome.study.description}", file=chatter)
+        if show:
+            # The paper-style text ignores the per-scenario extras; only
+            # JSON and CSV pay for them.
+            extras = {}
+            if output_format != "text":
+                extras = dict(
+                    miss_rates=outcome.results.miss_rates(),
+                    analysis=outcome.results.analysis_summaries(settings.estimator),
+                )
+            print(render_result(name, outcome.result, output_format, **extras))
+        print(f"-- {name}: {outcome.report.summary()}", file=chatter)
+        if show:
+            print(f"-- {name} finished in {time.time() - start:.1f}s\n", file=chatter)
+    return outcomes
 
 
 def _resolve_targets(requested: str) -> list:
@@ -738,7 +748,6 @@ def _pwcet_command(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     # pwcet_command == "compare"
     from .analysis.report import CSV_HEADER, render_result
     from .pwcet import MbptaConfig
-    from .study.registry import get_study
     from .study.store import ResultStore
 
     if args.bootstrap < 0:
@@ -746,12 +755,9 @@ def _pwcet_command(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     settings = _validated_settings(parser, args, [args.experiment])
     if settings is None:
         return 2
-    store = ResultStore(args.store)
-    study = get_study(args.experiment)
-    chatter = sys.stdout if args.output_format == "text" else sys.stderr
-    print(f"== {args.experiment}: {study.description}", file=chatter)
-    outcome = study.run(settings, store=store)
-    print(f"-- {args.experiment}: {outcome.report.summary()}", file=chatter)
+    [outcome] = _run_studies(
+        [args.experiment], settings, ResultStore(args.store), args.output_format
+    )
     # --estimators picks the comparison columns; a bare --estimator narrows
     # the comparison to that single estimator instead of being ignored.
     estimators = args.estimators
@@ -1193,14 +1199,9 @@ def _study_command(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             return 2
         if args.output_format == "csv":
             print(CSV_HEADER)
-        for identifier in targets:
-            _run_one(
-                identifier,
-                settings,
-                args.output_format,
-                store=store,
-                use_cache=not args.no_cache,
-            )
+        _run_studies(
+            targets, settings, store, args.output_format, True, not args.no_cache
+        )
         return 0
 
     # study_command == "compare"
@@ -1208,13 +1209,9 @@ def _study_command(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     settings = _validated_settings(parser, args, targets)
     if settings is None:
         return 2
-    outcomes = {}
-    for identifier in targets:
-        print(f"== {identifier}: {get_study(identifier).description}")
-        outcomes[identifier] = get_study(identifier).run(settings, store=store)
-        print(f"-- {identifier}: {outcomes[identifier].report.summary()}")
-    comparison = outcomes[args.study_a].results.compare(
-        outcomes[args.study_b].results,
+    outcome_a, outcome_b = _run_studies(targets, settings, store)
+    comparison = outcome_a.results.compare(
+        outcome_b.results,
         title=f"study compare: A = {args.study_a}, B = {args.study_b}",
     )
     print(comparison)

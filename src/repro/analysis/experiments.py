@@ -66,15 +66,16 @@ class ExperimentSettings:
 
     ``engine`` names a registered simulation backend (see
     :func:`repro.engine.available_engines`).  ``jobs`` selects how many
-    workers drain a study's campaigns through the result store's work
-    queue (:mod:`repro.exec`), whole campaigns per worker: ``1`` (default)
-    is the calling process, ``0`` means one worker process per CPU, and
-    any other positive value is taken literally.  Without a store the
-    study drains through a temporary one.  :meth:`repro.study.Study.run`
-    passes both once to :func:`~repro.study.runner.execute_scenarios`; no
-    scenario carries them.  Campaigns are bit-exact for every ``jobs``
-    value and every bit-exact engine, so both knobs only affect
-    wall-clock time.
+    workers drain the campaigns of one :func:`repro.study.run_studies`
+    call — every study of a command, shared campaigns once — through the
+    result store's work queue (:mod:`repro.exec`), whole campaigns per
+    worker: ``1`` (default) is the calling process, ``0`` means one worker
+    process per CPU, and any other positive value is taken literally.
+    Without a store the call drains through a temporary one.
+    :func:`~repro.study.run_studies` passes both once to
+    :func:`~repro.study.runner.execute_plans`; no scenario carries them.
+    Campaigns are bit-exact for every ``jobs`` value and every bit-exact
+    engine, so both knobs only affect wall-clock time.
 
     ``estimator`` names a registered pWCET estimator (see
     :func:`repro.pwcet.available_estimators`).  Left empty, the MBPTA
@@ -84,7 +85,7 @@ class ExperimentSettings:
 
     ``shard_size`` (CLI ``--shard-size``) is the width in lanes of the
     shards each campaign is split into; ``None`` (default) plans one shard
-    per campaign of at most one engine batch, split only when a study has
+    per campaign of at most one engine batch, split only when a call has
     fewer campaigns than workers.  Shards are persisted individually, so
     rerunning a killed ``study run`` executes only the missing ones, and
     campaigns are bit-exact with serial execution for any width.

@@ -3,7 +3,7 @@
 ``repro.exec`` runs every measurement campaign in the repository.  A
 campaign is a range of lanes — per-run seeds on the time-randomised
 platforms, memory layouts on the deterministic baseline — layered as
-**planner → queue → workers → reassembler**:
+**planner → queue → workers → drain**:
 
 * :mod:`repro.exec.plan` — split a campaign into deterministic
   ``(spec_hash, lane-range)`` **shards**;
@@ -15,11 +15,12 @@ platforms, memory layouts on the deterministic baseline — layered as
   content-hash-keyed shard entries into the
   :class:`~repro.study.store.ResultStore`, with heartbeat telemetry
   (:mod:`repro.exec.telemetry`);
-* :mod:`repro.exec.executor` — the one drain (a call's shards through the
-  store's queue, or a temporary store's, drained by one set of workers,
-  in the calling process when there is one) plus the **reassembler** that
-  merges shards in lane order, bit-exact with serial execution for any
-  shard size and worker count.
+* :mod:`repro.exec.executor` — the one **drain**: one loop sends a
+  call's shards through the store's queue (or a temporary store's) to one
+  set of workers, in the calling process when there is one, then reads
+  each campaign once its ranges are all published (the store concatenates
+  them in lane order, bit-exact with serial execution for any shard size
+  and worker count; there is no separate reassembler).
 
 The queue is drained by the executor's worker processes and by separately
 launched ``python -m repro worker`` processes attached to the same
@@ -53,7 +54,6 @@ _EXPORTS = {
     "render_exec_status": "status",
     "plan_shards": "plan",
     "read_heartbeats": "telemetry",
-    "reassemble_campaign": "executor",
     "resolve_jobs": "plan",
     "resolve_shard_size": "plan",
     "run_worker": "worker",

@@ -6,22 +6,21 @@ memory layouts of a layout campaign — and one lane executor,
 :func:`execute_campaigns` lists the store's published ranges once and has
 one drain: a campaign whose planned ranges are all published is a store
 hit; the other campaigns are planned into ``(spec_hash, lane-range)``
-shards, the unpublished ones enqueued as self-contained tasks in the
-store's :class:`~repro.exec.queue.FileQueue`, and one set of
-``min(jobs, tasks)`` workers (this process, when there is one) drains
-them, with any attached ``python -m repro worker``; each finished shard is
-published under the store's ``shards/`` as a lane range, the store's one
-unit of lane data.  A campaign is one shard of at most
+shards, and one loop enqueues the unpublished ones as self-contained tasks
+in the store's :class:`~repro.exec.queue.FileQueue`, has one set of
+``min(jobs, tasks)`` workers (this process, when there is one) drain
+them, with any attached ``python -m repro worker``, and reads each
+campaign back once all its planned ranges are published.  Each finished
+shard is published under the store's ``shards/`` as a lane range, the
+store's one unit of lane data.  A campaign is one shard of at most
 ``DEFAULT_SHARD_SIZE`` lanes unless the call has fewer campaigns than
 workers, so each worker runs whole campaigns.  A call without a store
-drains through a temporary one, removed when the call returns.
-
-Once its ranges are published, a campaign is read back from the store
-(:meth:`~repro.study.store.ResultStore.load`): cycles in lane order and a
-miss summary that :func:`~repro.analysis.campaign.summarize_misses`
-builds from the per-run counters exactly as :func:`run_campaign` does, so
-it is **bit-exact** with serial execution for any shard size and worker
-count.
+drains through a temporary one, removed when the call returns.  The
+store reads a campaign (:meth:`~repro.study.store.ResultStore.load`) as
+cycles in lane order and a miss summary that
+:func:`~repro.analysis.campaign.summarize_misses` builds from the per-run
+counters exactly as :func:`run_campaign` does, so it is **bit-exact** with
+serial execution for any shard size and worker count.
 
 Crash-resume falls out of the content addressing: a killed campaign leaves
 its published ranges in the store and its unfinished tasks (plus at most
@@ -44,7 +43,7 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.campaign import CampaignResult
 from ..engine import DEFAULT_ENGINE
@@ -54,20 +53,17 @@ from .plan import Shard, plan_shards, resolve_jobs, resolve_shard_size
 from .queue import FileQueue
 from .worker import run_worker, shard_task
 
-__all__ = [
-    "ShardReport",
-    "execute_campaigns",
-    "reassemble_campaign",
-]
+__all__ = ["ShardReport", "execute_campaigns"]
+
 
 @dataclass
 class ShardReport:
-    """How one call's shards were resolved.
+    """How a call resolved one campaign's shards.
 
-    ``reused`` counts the shards already published when the campaigns were
-    planned; ``executed`` counts the shards this drain's worker passes
-    executed (each :func:`run_worker` call's ``shards_done``), so shards
-    another drain executes are not counted twice.
+    ``reused`` counts the shards already published when the campaign was
+    planned; ``executed`` counts the shards the call's worker passes
+    executed (each :func:`run_worker` pass counts its shards per
+    campaign), so shards another drain executes are not counted twice.
     """
 
     planned: int = 0
@@ -75,64 +71,49 @@ class ShardReport:
     executed: int = 0
 
 
-def reassemble_campaign(
-    scenario: Scenario, shards: Sequence[Shard], store: ResultStore
-) -> CampaignResult:
-    """The campaign of the planned ``shards``, read from their published
-    ranges in lane order (:meth:`~repro.study.store.ResultStore.load`).
+#: A campaign as a call resolved it, by spec hash: with its shard report
+#: when the call simulated it, with ``None`` when the store held it.
+Resolved = Dict[str, Tuple[CampaignResult, Optional[ShardReport]]]
 
-    Raises :class:`RuntimeError` naming the shards that are missing or do
-    not read when the plan is incomplete (e.g. a worker died and nobody
-    resumed the campaign).
-    """
-    spec_hash = scenario.spec_hash()
-    campaign = store.load(spec_hash, [shard.key for shard in shards])
-    if campaign is not None:
-        return campaign
-    missing = [shard.key for shard in shards if store.load_shard(spec_hash, shard.key) is None]
-    raise RuntimeError(
-        f"campaign {spec_hash[:12]} is missing {len(missing)} of "
-        f"{len(shards)} shard(s) ({', '.join(missing[:4])}"
-        f"{', ...' if len(missing) > 4 else ''}); rerun to execute "
-        "them, or 'python -m repro exec status' to inspect leases"
-    )
+#: A campaign to simulate, by spec hash: its planning scenario, its planned
+#: shards and its shard report.
+_Plans = Dict[str, Tuple[Scenario, List[Shard], ShardReport]]
 
 
 def execute_campaigns(
     scenarios: Sequence[Scenario],
     store: Optional[ResultStore],
-    record: Callable[[Scenario, CampaignResult, bool], None],
     engine: str = DEFAULT_ENGINE,
     jobs: int = 1,
     shard_size: Optional[int] = None,
     use_cache: bool = True,
-) -> ShardReport:
-    """Execute campaigns on ``engine``, calling ``record(scenario,
-    campaign, from_store)`` once per campaign; returns the call's shard
-    accounting.
+) -> Resolved:
+    """Execute campaigns on ``engine``; returns every campaign of
+    ``scenarios`` by spec hash, with the shard report of each one the
+    call simulated.
 
     The store's ranges are listed once: a campaign whose planned ranges
-    are all published is recorded with ``from_store`` true.  The call
-    drains ``store``'s queue once over all the other campaigns, with
-    ``jobs`` workers (``0`` = one per CPU; a single worker runs in this
-    process), and records each as it is read back.  ``shard_size``
-    ``None`` plans one shard per campaign unless the call has fewer
-    campaigns than workers.  ``use_cache=False`` (a forced refresh) clears
-    each campaign's published ranges before the listing, so every lane is
-    simulated again.  Without a ``store`` the call drains through a
-    temporary one, removed on return.  Campaigns run grouped by workload,
-    so a worker builds and compiles each trace once.
+    are all published is a store hit.  The call drains ``store``'s queue
+    over all the other campaigns, with ``jobs`` workers (``0`` = one per
+    CPU; a single worker runs in this process), and reads each back.
+    ``shard_size`` ``None`` plans one shard per campaign unless the call
+    has fewer campaigns than workers.  ``use_cache=False`` (a forced
+    refresh) clears each campaign's published ranges before the listing,
+    so every lane is simulated again.  Without a ``store`` the call drains
+    through a temporary one, removed on return.  Campaigns run grouped by
+    workload, so a worker builds and compiles each trace once.
     """
     if store is None:
         with tempfile.TemporaryDirectory(prefix="repro-drain-") as root:
             return execute_campaigns(
-                scenarios, ResultStore(root), record, engine, jobs, shard_size, use_cache
+                scenarios, ResultStore(root), engine, jobs, shard_size, use_cache
             )
     workers = resolve_jobs(jobs)
     if not use_cache:
         for scenario in scenarios:
             store.clear_shards(scenario.spec_hash())
     published = store.published()
+    resolved: Resolved = {}
     missing: List[Scenario] = []
     for scenario in _by_workload(scenarios):
         keys = published.get(scenario.spec_hash())
@@ -140,15 +121,13 @@ def execute_campaigns(
         if campaign is None:
             missing.append(scenario)
         else:
-            record(scenario, campaign, True)
+            resolved[scenario.spec_hash()] = (campaign, None)
     if not missing:
-        return ShardReport()
+        return resolved
     queue = FileQueue(store.queue_root)
-    report = ShardReport()
     # Whole campaigns per worker: lanes split only to give every worker one.
     split = -(-workers // len(missing))
-    plans: List[Tuple[Scenario, List[Shard]]] = []
-    tasks = 0
+    plans: _Plans = {}
     for scenario in missing:
         spec_hash = scenario.spec_hash()
         size = resolve_shard_size(scenario.runs, split, shard_size)
@@ -157,49 +136,13 @@ def execute_campaigns(
         _retire_off_plan_tasks(queue, shards)
         for shard in shards:
             if shard.key not in keys:
+                # Overwrites a killed run's task: this call's engine and label.
                 queue.enqueue(shard_task(scenario, shard, engine))
-                tasks += 1
-        report.planned += len(shards)
-        report.reused += sum(shard.key in keys for shard in shards)
-        plans.append((scenario, shards))
-    if tasks:
-        order = [scenario.spec_hash() for scenario in missing]
-        report.executed = _drain(queue, store, min(workers, tasks), order)
-    for scenario, shards in plans:
-        record(scenario, _collect(scenario, shards, engine, store, queue, report), False)
-    return report
-
-
-def _collect(
-    scenario: Scenario,
-    shards: Sequence[Shard],
-    engine: str,
-    store: ResultStore,
-    queue: FileQueue,
-    report: ShardReport,
-) -> CampaignResult:
-    """The campaign of the planned ``shards``, once every one is published
-    (:func:`_await_foreign_shards`).
-
-    Until then shards are only stat-ed; then each is read once, through
-    the store's memo.  One that reads as a miss (corrupt, truncated, or of
-    the wrong length) is removed and awaited again, so it is executed anew.
-    """
-    spec_hash = scenario.spec_hash()
-    while True:
-        _await_foreign_shards(scenario, shards, engine, store, queue, report)
-        try:
-            return reassemble_campaign(scenario, shards, store)
-        except RuntimeError:
-            unreadable = [
-                shard.key for shard in shards
-                if store.load_shard(spec_hash, shard.key) is None
-            ]
-            if not unreadable:
-                raise
-        for key in unreadable:
-            with contextlib.suppress(FileNotFoundError):
-                store.shard_path_for(spec_hash, key).unlink()
+        reused = sum(shard.key in keys for shard in shards)
+        plans[spec_hash] = (scenario, shards, ShardReport(len(shards), reused))
+    for spec_hash, campaign in _drain(plans, engine, store, queue, workers).items():
+        resolved[spec_hash] = (campaign, plans[spec_hash][2])
+    return resolved
 
 
 def _by_workload(scenarios: Sequence[Scenario]) -> List[Scenario]:
@@ -210,18 +153,92 @@ def _by_workload(scenarios: Sequence[Scenario]) -> List[Scenario]:
     return [scenario for group in groups.values() for scenario in group]
 
 
-def _drain(queue: FileQueue, store: ResultStore, workers: int, order: Sequence[str]) -> int:
-    """Run ``workers`` worker passes over the tasks of the ``order``
-    campaigns (in this process when there is one, else in a pool opened
-    for this drain); returns the shards they executed."""
-    if workers == 1:
-        return run_worker(queue.root, store.root, spec_hashes=order).shards_done
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(run_worker, str(queue.root), str(store.root), spec_hashes=order)
-            for _ in range(workers)
+def _drain(
+    plans: _Plans,
+    engine: str,
+    store: ResultStore,
+    queue: FileQueue,
+    workers: int,
+    poll: float = 0.2,
+) -> Dict[str, CampaignResult]:
+    """Every planned campaign, read once all its planned ranges are
+    published: the call's one loop.
+
+    Until then the ranges are only stat-ed.  A missing range whose task is
+    gone (retired, then the range removed) is enqueued again.  The ranges
+    whose tasks are unleased or under a dead lease go to one set of at
+    most ``workers`` worker passes (:func:`_run_workers`); the ranges a
+    live foreign owner leases (an attached worker, another drain's, or an
+    orphan of a killed coordinator) are waited out.  Then each campaign is
+    read once through the read memo
+    (:meth:`~repro.study.store.ResultStore.load`); a range that does not
+    read is removed, so the next pass executes it anew.
+    """
+    campaigns: Dict[str, CampaignResult] = {}
+    while len(campaigns) < len(plans):
+        pending = [
+            (spec_hash, *plan) for spec_hash, plan in plans.items() if spec_hash not in campaigns
         ]
-        return sum(future.result().shards_done for future in futures)
+        claimable: Dict[str, ShardReport] = {}
+        tasks = 0
+        waiting = False
+        for spec_hash, scenario, shards, report in pending:
+            for shard in shards:
+                if store.has_shard(spec_hash, shard.key):
+                    continue
+                task_path = queue.task_path(spec_hash, shard.key)
+                if not task_path.exists():
+                    queue.enqueue(shard_task(scenario, shard, engine))
+                lease = queue.lease_for(task_path)
+                if lease is not None and lease.active():
+                    waiting = True
+                else:
+                    claimable[spec_hash] = report
+                    tasks += 1
+        if claimable:
+            _run_workers(queue, store, min(workers, tasks), claimable)
+            continue
+        if waiting:
+            time.sleep(poll)
+            continue
+        for spec_hash, _, shards, _ in pending:
+            keys = [shard.key for shard in shards]
+            campaign = store.load(spec_hash, keys)
+            if campaign is not None:
+                campaigns[spec_hash] = campaign
+                continue
+            unreadable = [key for key in keys if store.load_shard(spec_hash, key) is None]
+            if not unreadable:
+                raise RuntimeError(
+                    f"campaign {spec_hash[:12]}: its published ranges read but "
+                    "do not make up the campaign"
+                )
+            for key in unreadable:
+                with contextlib.suppress(FileNotFoundError):
+                    store.shard_path_for(spec_hash, key).unlink()
+    return campaigns
+
+
+def _run_workers(
+    queue: FileQueue, store: ResultStore, workers: int, reports: Dict[str, ShardReport]
+) -> None:
+    """Run ``workers`` worker passes over the tasks of the ``reports``'
+    campaigns, in their order (in this process when there is one, else in
+    a pool opened for these passes), adding what each pass executes to its
+    campaign's report."""
+    order = list(reports)
+    if workers == 1:
+        passes = [run_worker(queue.root, store.root, spec_hashes=order)]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(run_worker, str(queue.root), str(store.root), spec_hashes=order)
+                for _ in range(workers)
+            ]
+            passes = [future.result() for future in futures]
+    for stats in passes:
+        for spec_hash, count in stats.executed.items():
+            reports[spec_hash].executed += count
 
 
 def _retire_off_plan_tasks(queue: FileQueue, shards: Sequence[Shard]) -> None:
@@ -242,50 +259,3 @@ def _retire_off_plan_tasks(queue: FileQueue, shards: Sequence[Shard]) -> None:
         if lease is None or not lease.active():
             # Retire as the dead owner, so its stale lease goes too.
             queue.complete(task_path, lease.owner if lease else "")
-
-
-def _await_foreign_shards(
-    scenario: Scenario,
-    shards: Sequence[Shard],
-    engine: str,
-    store: ResultStore,
-    queue: FileQueue,
-    report: ShardReport,
-    poll: float = 0.2,
-) -> None:
-    """Block until every planned shard is published, adding the shards
-    this drain's worker passes execute to ``report.executed``.
-
-    The worker loop only executes what it can claim; a shard leased by a
-    live foreign owner — an attached ``python -m repro worker``, another
-    drain's worker, or an orphaned worker process of a killed coordinator —
-    is left alone.  Those shards are waited out here: each either gets
-    published by its owner or its lease dies (pid gone, or TTL expiry), at
-    which point a worker pass in this process reclaims and executes it.  A
-    retired task whose range has since vanished (a forced refresh, or a
-    corrupt range removed) is re-enqueued, so the loop always makes
-    progress toward a full plan.
-    """
-    spec_hash = scenario.spec_hash()
-    while True:
-        missing = [shard for shard in shards if not store.has_shard(spec_hash, shard.key)]
-        if not missing:
-            return
-        claimable = waiting = False
-        for shard in missing:
-            task_path = queue.task_path(spec_hash, shard.key)
-            if not task_path.exists():
-                queue.enqueue(shard_task(scenario, shard, engine))
-                claimable = True
-                continue
-            lease = queue.lease_for(task_path)
-            if lease is None or not lease.active():
-                claimable = True
-            else:
-                waiting = True
-        if claimable:
-            report.executed += run_worker(
-                queue.root, store.root, spec_hashes=[spec_hash]
-            ).shards_done
-        elif waiting:
-            time.sleep(poll)

@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -194,9 +195,14 @@ class WorkerStats:
 
     owner: str
     shards_claimed: int = 0
-    shards_done: int = 0
     shards_skipped: int = 0
     runs_done: int = 0
+    #: Shards executed and published, by spec hash.
+    executed: Counter = field(default_factory=Counter)
+
+    @property
+    def shards_done(self) -> int:
+        return sum(self.executed.values())
 
     def summary(self) -> str:
         return (
@@ -289,7 +295,7 @@ def run_worker(
                     queue.release(task_path, owner)
                     raise
                 queue.complete(task_path, owner)
-                stats.shards_done += 1
+                stats.executed[task_hash] += 1
                 stats.runs_done += int(task["count"])
                 telemetry.published(runs=int(task["count"]))
                 break  # re-list: fresh ordering and max_shards accounting

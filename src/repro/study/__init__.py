@@ -16,11 +16,11 @@ hierarchy x MBPTA protocol} — is expressed here as data instead of code:
   MBPTA config, with generic ``table()``/``ccdf()``/``compare()`` views.
 
 The nine paper experiments are registered as built-in studies
-(:mod:`repro.study.library`) and run with :func:`run_study` or the CLI
-surface ``python -m repro study {list,run,compare,clean}``.  The registry
-loads them before its first lookup, so reading a store or querying the
-run table never imports the study library.  The names below load on
-first use (:mod:`repro._lazy`).
+(:mod:`repro.study.library`) and run with :func:`run_studies` (one drain
+for several) or ``python -m repro study {list,run,compare,clean}``.  The
+registry loads them before its first lookup, so reading a store or
+querying the run table never imports the study library.  The names below
+load on first use (:mod:`repro._lazy`).
 """
 
 from __future__ import annotations
@@ -44,10 +44,12 @@ _EXPORTS = {
     "WorkloadSpec": "scenario",
     "available_studies": "registry",
     "build_run_table": "runtable",
+    "execute_plans": "runner",
     "execute_scenarios": "runner",
     "expand": "scenario",
     "get_study": "registry",
     "register_study": "registry",
+    "run_studies": "registry",
     "run_study": "registry",
     "unregister_study": "registry",
 }

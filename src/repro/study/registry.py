@@ -9,8 +9,8 @@ keyword parameters) to scenarios, and a **builder** maps the executed
 goldens pin).
 
 Studies are selected by name through the registry; the CLI's
-``python -m repro study`` surface and :func:`run_study` both resolve names
-with :func:`get_study`.
+``python -m repro study`` surface and :func:`run_studies` (one drain for
+all the named studies) resolve names with :func:`get_study`.
 
 To add a study::
 
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from ..pwcet.protocol import MBPTA_MIN_RUNS
 from .resultset import ResultSet
-from .runner import execute_scenarios
+from .runner import execute_plans
 from .scenario import Scenario, Sweep, expand
 from .store import ResultStore, check_study_name
 
@@ -48,6 +48,7 @@ __all__ = [
     "unregister_study",
     "get_study",
     "available_studies",
+    "run_studies",
     "run_study",
 ]
 
@@ -91,36 +92,6 @@ class Study:
     def plan(self, settings: "ExperimentSettings", **params) -> List[Scenario]:
         """The study's scenario list for ``settings`` (sweeps expanded)."""
         return expand(self.planner(settings, **params))
-
-    def run(
-        self,
-        settings: "ExperimentSettings",
-        store: Optional[ResultStore] = None,
-        use_cache: bool = True,
-        **params,
-    ) -> StudyOutcome:
-        """Plan, execute (through the store when given) and build: every
-        campaign runs on ``settings.engine`` with ``settings.jobs`` workers
-        and is analysed under ``settings.mbpta_config()``."""
-        scenarios = self.plan(settings, **params)
-        results = execute_scenarios(
-            scenarios,
-            store=store,
-            use_cache=use_cache,
-            engine=settings.engine,
-            jobs=settings.jobs,
-            shard_size=settings.shard_size,
-            mbpta=settings.mbpta_config(),
-        )
-        if store is not None:
-            # Provenance for the run table: which study produced which entry.
-            store.record_study(
-                self.name, [scenario.spec_hash() for scenario in scenarios]
-            )
-        context = StudyContext(settings=settings, results=results, params=dict(params))
-        return StudyOutcome(
-            study=self, settings=settings, result=self.builder(context), results=results
-        )
 
 
 _REGISTRY: Dict[str, Study] = {}
@@ -185,6 +156,53 @@ def get_study(name: str) -> Study:
         ) from None
 
 
+def run_studies(
+    names: Sequence[str],
+    settings: Optional["ExperimentSettings"] = None,
+    store: Optional[ResultStore] = None,
+    use_cache: bool = True,
+    **params,
+) -> List[StudyOutcome]:
+    """Run registered studies by name through one drain; one outcome per
+    name, in order (the main programmatic entry point).
+
+    Every study is planned, then their campaigns are resolved in one
+    :func:`~repro.study.runner.execute_plans` call (on ``settings.engine``
+    with ``settings.jobs`` workers, analysed under
+    ``settings.mbpta_config()``), then each study's provenance markers are
+    written and its builder runs.  ``params`` go to every study.  Without
+    ``store`` the call simulates and persists nothing; with one, it
+    resolves previously executed scenarios from disk and persists fresh
+    ones.
+    """
+    from ..analysis.experiments import ExperimentSettings
+
+    settings = settings if settings is not None else ExperimentSettings()
+    studies = [get_study(name) for name in names]
+    plans = [study.plan(settings, **params) for study in studies]
+    result_sets = execute_plans(
+        plans,
+        store=store,
+        use_cache=use_cache,
+        engine=settings.engine,
+        jobs=settings.jobs,
+        shard_size=settings.shard_size,
+        mbpta=settings.mbpta_config(),
+    )
+    outcomes = []
+    for study, results in zip(studies, result_sets):
+        if store is not None:
+            # Provenance for the run table: which study produced which entry.
+            store.record_study(study.name, [outcome.spec_hash for outcome in results])
+        context = StudyContext(settings=settings, results=results, params=dict(params))
+        outcomes.append(
+            StudyOutcome(
+                study=study, settings=settings, result=study.builder(context), results=results
+            )
+        )
+    return outcomes
+
+
 def run_study(
     name: str,
     settings: Optional["ExperimentSettings"] = None,
@@ -192,18 +210,7 @@ def run_study(
     use_cache: bool = True,
     **params,
 ) -> StudyOutcome:
-    """Run a registered study by name (the main programmatic entry point).
-
-    Without ``store`` the study always simulates and persists nothing; pass
-    a :class:`ResultStore` to resolve previously executed scenarios from
-    disk and persist fresh ones.  ``run_study(name, settings,
-    **params).result`` is the experiment's result object.
-    """
-    from ..analysis.experiments import ExperimentSettings
-
-    return get_study(name).run(
-        settings if settings is not None else ExperimentSettings(),
-        store=store,
-        use_cache=use_cache,
-        **params,
-    )
+    """Run one registered study: ``run_studies([name], ...)[0]``, whose
+    ``.result`` is the experiment's result object."""
+    [outcome] = run_studies([name], settings, store, use_cache, **params)
+    return outcome

@@ -35,11 +35,11 @@ from repro.exec import (
     FileQueue,
     Lease,
     Shard,
+    ShardReport,
     ShardRunner,
     execute_campaigns,
     plan_shards,
     read_heartbeats,
-    reassemble_campaign,
     resolve_jobs,
     resolve_shard_size,
     run_worker,
@@ -113,13 +113,20 @@ def _enqueue_all(scenario, store, shard_size):
 
 def _drain(scenarios, store, **options):
     """Drain ``scenarios`` in one :func:`execute_campaigns` call; returns
-    ``{spec hash: (campaign, from_store)}`` and the shard report."""
-    recorded = {}
-
-    def record(scenario, campaign, from_store):
-        recorded[scenario.spec_hash()] = (campaign, from_store)
-
-    return recorded, execute_campaigns(scenarios, store, record, **options)
+    ``{spec hash: (campaign, from_store)}`` and the call's shard report,
+    summed over its campaigns."""
+    resolved = execute_campaigns(scenarios, store, **options)
+    total = ShardReport()
+    for _, shards in resolved.values():
+        if shards is not None:
+            total.planned += shards.planned
+            total.reused += shards.reused
+            total.executed += shards.executed
+    recorded = {
+        spec_hash: (campaign, shards is None)
+        for spec_hash, (campaign, shards) in resolved.items()
+    }
+    return recorded, total
 
 
 def _drain_one(scenario, store, **options):
@@ -529,20 +536,13 @@ class TestShardedExecution:
         store = ResultStore(tmp_path / "store")
         shards, queue = _enqueue_all(scenario, store, shard_size=5)
         assert run_worker(queue.root, store.root).shards_done == len(shards) == 3
-        campaign = reassemble_campaign(scenario, shards, store)
+        campaign = store.load(scenario.spec_hash(), [shard.key for shard in shards])
         serial = _serial(scenario)
         assert campaign.execution_times == serial.execution_times
         assert campaign.miss_summary == serial.miss_summary != {}
         assert {type(value) for value in campaign.execution_times} == {int}
         assert {type(value) for value in campaign.miss_summary.values()} == {float}
         assert set(MISS_COUNTERS) <= set(campaign.miss_summary)
-
-    def test_reassemble_names_missing_shards(self, tmp_path):
-        scenario = _scenario()
-        store = ResultStore(tmp_path / "store")
-        shards = plan_shards(scenario.spec_hash(), scenario.runs, 4)
-        with pytest.raises(RuntimeError, match=shards[0].key):
-            reassemble_campaign(scenario, shards, store)
 
     @pytest.mark.parametrize("ttl", [0.0, -5.0, float("nan"), float("inf")])
     def test_worker_rejects_an_unusable_lease_ttl(self, tmp_path, ttl):
@@ -756,7 +756,7 @@ class TestCrashResume:
         # TTL wait) and the reassembled campaign is bit-exact with serial.
         stats = run_worker(queue.root, store.root, lease_ttl=3600.0)
         assert stats.shards_done == len(shards)
-        campaign = reassemble_campaign(scenario, shards, store)
+        campaign = store.load(scenario.spec_hash(), [shard.key for shard in shards])
         assert campaign.execution_times == _serial_times(scenario)
 
     def test_executor_waits_out_live_foreign_lease(self, tmp_path):
@@ -934,6 +934,31 @@ class TestCrashResume:
                  for _, key in store.shard_keys(spec_hash)}
         assert after == before
         assert execute_scenarios([scenario], store=store).report.full_cache_hit
+
+    def test_a_rerun_replaces_a_killed_runs_task_with_its_own(self, tmp_path):
+        # A killed run queued the shard under another engine and label; the
+        # rerun executes it with its own, and the range's header says so.
+        scenario = replace(_scenario(), label="rerun")
+        store = ResultStore(tmp_path / "store")
+        [shard] = plan_shards(scenario.spec_hash(), scenario.runs, scenario.runs)
+        killed = shard_task(replace(scenario, label="killed"), shard, "reference")
+        FileQueue(store.queue_root).enqueue(killed)
+        campaign, _, _ = _drain_one(scenario, store)
+        header = store.load_shard(scenario.spec_hash(), shard.key)
+        assert (header["engine"], header["setup"]) == (DEFAULT_ENGINE, "rerun")
+        assert campaign.setup == "rerun"
+
+    def test_ranges_that_read_but_make_no_campaign_raise(self, tmp_path):
+        # A range whose header claims another run count reads on its own,
+        # but no campaign of the planned runs is made of it: the drain
+        # raises rather than read it forever.
+        scenario = _scenario()
+        spec_hash = scenario.spec_hash()
+        store = ResultStore(tmp_path / "store")
+        store.save_shard(spec_hash, shard_key(0, 12), _range(spec_hash, cycles=range(12)))
+        assert store.load_shard(spec_hash, shard_key(0, 12)) is not None
+        with pytest.raises(RuntimeError, match="do not make up the campaign"):
+            _drain_one(scenario, store)
 
 
 class TestShardDecodes:

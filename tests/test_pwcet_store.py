@@ -21,7 +21,6 @@ from repro.study import (
     ResultStore,
     Scenario,
     WorkloadSpec,
-    get_study,
     run_study,
 )
 from repro.study.runner import execute_scenarios
@@ -175,11 +174,10 @@ class TestZeroEvtFitsOnWarmStore:
 
     def test_second_fig5_run_fits_nothing(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "store")
-        study = get_study("fig5")
-        study.run(self.SETTINGS, store=store)
+        run_study("fig5", self.SETTINGS, store=store)
         assert store.analysis_keys()
         counter = _FitCounter(monkeypatch)
-        warm = study.run(self.SETTINGS, store=store)
+        warm = run_study("fig5", self.SETTINGS, store=store)
         assert warm.report.full_cache_hit
         assert counter.calls == 0
 
@@ -227,10 +225,9 @@ class TestZeroEvtFitsOnWarmStore:
     @pytest.mark.slow
     def test_second_table2_run_fits_nothing(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "store")
-        study = get_study("table2")
-        study.run(self.SETTINGS, store=store)
+        run_study("table2", self.SETTINGS, store=store)
         counter = _FitCounter(monkeypatch)
-        warm = study.run(self.SETTINGS, store=store)
+        warm = run_study("table2", self.SETTINGS, store=store)
         assert warm.report.full_cache_hit
         assert counter.calls == 0
 

@@ -934,6 +934,140 @@ class TestStudyCli:
         assert "Table 1" in capsys.readouterr().out
 
 
+class TestOneDrainPerCommand:
+    """A command resolves all its studies' campaigns in one drain, and each
+    study's cache line reads as if the studies had run one after another."""
+
+    SETTINGS = ExperimentSettings(runs=24, scale=0.25)
+    SMALL = ("--runs", "24", "--scale", "0.25")
+
+    #: Each study's cache line for a cold ``study run all`` at SMALL: a
+    #: campaign counts as simulated in the first study that plans it.
+    COLD_ALL = {
+        "ablation_repl": "simulated 4 of 4 scenarios (0 from the result store, "
+        "4 new results stored); 4 of 4 shards executed (0 reused)",
+        "ablation_seg": "simulated 8 of 8 scenarios (0 from the result store, "
+        "8 new results stored); 8 of 8 shards executed (0 reused)",
+        "avg_perf": "simulated 22 of 22 scenarios (0 from the result store, "
+        "22 new results stored); 22 of 22 shards executed (0 reused)",
+        "fig1": "resolved 1/1 scenarios from the result store (full cache hit)",
+        "fig4a": "simulated 11 of 22 scenarios (11 from the result store, "
+        "11 new results stored); 11 of 11 shards executed (0 reused)",
+        "fig4b": "simulated 11 of 22 scenarios (11 from the result store, "
+        "11 new results stored); 11 of 11 shards executed (0 reused)",
+        "fig5": "simulated 2 of 2 scenarios (0 from the result store, "
+        "2 new results stored); 2 of 2 shards executed (0 reused)",
+        "table1": "no measurement campaigns (analytical study)",
+        "table2": "resolved 11/11 scenarios from the result store (full cache hit)",
+    }
+
+    @staticmethod
+    def _count_drains(monkeypatch):
+        """The campaign count of every ``execute_campaigns`` call from now on."""
+        from repro.exec import executor
+
+        drains = []
+        original = executor.execute_campaigns
+
+        def counting(scenarios, *args, **kwargs):
+            drains.append(len(scenarios))
+            return original(scenarios, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "execute_campaigns", counting)
+        return drains
+
+    @staticmethod
+    def _cache_lines(output):
+        """Study name -> its ``-- <study>:`` cache line."""
+        lines = {}
+        for line in output.splitlines():
+            name, colon, summary = line[3:].partition(": ")
+            if line.startswith("-- ") and colon:
+                lines[name] = summary
+        return lines
+
+    @staticmethod
+    def _store_bytes(root):
+        """Every store file outside ``queue/``, relative path -> bytes."""
+        return {
+            str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(Path(root).rglob("*"))
+            if path.is_file() and path.relative_to(root).parts[0] != "queue"
+        }
+
+    def test_a_cold_study_run_all_drains_once(self, tmp_path, monkeypatch, capsys):
+        drains = self._count_drains(monkeypatch)
+        store = tmp_path / "store"
+        argv = ["study", "run", "all", *self.SMALL, "--store", str(store)]
+        assert main(argv) == 0
+        assert drains == [58]  # the union of every study's campaigns
+        assert len(list((store / "queue" / "workers").iterdir())) == 1
+        assert self._cache_lines(capsys.readouterr().out) == self.COLD_ALL
+        assert main(argv) == 0  # warm: one call, every campaign a store hit
+        assert drains == [58, 58]
+        lines = self._cache_lines(capsys.readouterr().out)
+        assert all(
+            line.endswith("(full cache hit)")
+            for name, line in lines.items()
+            if name != "table1"
+        )
+
+    def test_study_compare_drains_once(self, tmp_path, monkeypatch, capsys):
+        drains = self._count_drains(monkeypatch)
+        argv = ["study", "compare", "table2", "fig4a", *self.SMALL,
+                "--store", str(tmp_path / "store")]
+        assert main(argv) == 0
+        assert drains == [22]
+        lines = self._cache_lines(capsys.readouterr().out)
+        assert lines == {
+            "table2": "simulated 11 of 11 scenarios (0 from the result store, "
+            "11 new results stored); 11 of 11 shards executed (0 reused)",
+            "fig4a": self.COLD_ALL["fig4a"],
+        }
+
+    @pytest.mark.parametrize("names", [("table2", "fig4a"), ("fig4a", "table2")])
+    def test_a_refresh_simulates_each_shared_campaign_once(
+        self, tmp_path, monkeypatch, names
+    ):
+        # On a warm store, --no-cache simulates each of the 22 unique
+        # campaigns once; the later study reports the 11 campaigns the
+        # earlier one refreshed as store hits.
+        from repro.exec.worker import ShardRunner
+        from repro.study import run_studies
+
+        store = ResultStore(tmp_path / "store")
+        run_studies(names, self.SETTINGS, store=store)
+        executed = []
+        execute = ShardRunner.execute
+
+        def counting(runner, task):
+            executed.append(task["spec_hash"])
+            return execute(runner, task)
+
+        monkeypatch.setattr(ShardRunner, "execute", counting)
+        first, later = run_studies(names, self.SETTINGS, store=store, use_cache=False)
+        assert len(executed) == len(set(executed)) == 22
+        planned = first.report.planned
+        assert (first.report.simulated, first.report.cache_hits) == (planned, 0)
+        assert later.report.cache_hits == 11
+        assert later.report.simulated == later.report.planned - 11
+        assert first.report.shards_executed + later.report.shards_executed == 22
+
+    def test_run_studies_matches_one_run_study_per_study(self, tmp_path):
+        from repro.study import run_studies
+
+        names = ("table2", "fig4a")
+        apart = ResultStore(tmp_path / "apart")
+        together = ResultStore(tmp_path / "together")
+        alone = [run_study(name, self.SETTINGS, store=apart) for name in names]
+        joint = run_studies(names, self.SETTINGS, store=together)
+        for single, shared in zip(alone, joint):
+            assert shared.study.name == single.study.name
+            assert shared.result.format() == single.result.format()
+            assert shared.report == single.report
+        assert self._store_bytes(together.root) == self._store_bytes(apart.root)
+
+
 class TestMissRateEnrichment:
     def test_json_round_trips_with_miss_rates(self, tmp_path, capsys):
         argv = [
