@@ -8,9 +8,8 @@ settings, each on a fresh result store:
 * the 8 campaigns of the ``ablation_seg`` study, in one call, as ``study
   run`` executes them.
 
-Every call drains through the store's work queue, where one set of
-``jobs`` workers (at ``jobs=1``, the calling process) drains the call's
-campaigns together.  A campaign is one shard of at most
+Every call is one drain: its campaigns run together on ``jobs`` workers
+(at ``jobs=1``, the calling process; otherwise one process pool).  A campaign is one shard of at most
 ``DEFAULT_SHARD_SIZE`` (1,024) runs, so each worker runs whole campaigns;
 only a call with fewer campaigns than workers splits its campaigns into
 equal shards, one per worker.  Every campaign at every ``jobs`` value is
@@ -137,7 +136,7 @@ def main() -> None:
     print(format_table(["call", "jobs", "seconds", "speedup", "bit-exact"], rows,
                        title="Call wall clock by jobs"))
     if any(row[4] == "NO" for row in rows):
-        raise SystemExit("a queued campaign diverged from its serial run")
+        raise SystemExit("a sharded campaign diverged from its serial run")
 
 
 if __name__ == "__main__":

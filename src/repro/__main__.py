@@ -22,8 +22,7 @@ Usage::
     python -m repro pwcet compare fig5 --runs 24  # all estimators side by side
 
     python -m repro study run fig5 --shard-size 8 --jobs 2   # sharded pipeline
-    python -m repro worker                      # attach an external worker
-    python -m repro exec status                 # queue + worker telemetry
+    python -m repro exec status                 # partly published campaigns
     python -m repro exec status --format json   # machine-readable snapshot
     python -m repro study clean --analyses-only --older-than 7d
     python -m repro study clean --older-than 1h --dry-run    # plan, don't delete
@@ -56,33 +55,30 @@ non-text formats the progress chatter moves to stderr so stdout stays
 machine-readable.
 
 ``study run`` executes every campaign — a range of lanes, seeds or memory
-layouts — through the sharded work-queue pipeline (:mod:`repro.exec`),
-one drain per command: the union of its studies' campaigns (each shared
-campaign once) is planned into lane-range shards (one per campaign by
-default, ``--shard-size N`` lanes each with it), drained by one set of
-``--jobs`` workers (the command's own process at the default 1), and
+layouts — through the sharded pipeline (:mod:`repro.exec`), one drain per
+command: the union of its studies' campaigns (each shared campaign once)
+is planned into lane-range shards (one per campaign by default,
+``--shard-size N`` lanes each with it), run by ``--jobs`` workers (the
+command's own process at the default 1, else one process pool), and
 persisted shard by shard as lane ranges, which are the stored results
 and read back bit-exactly — a killed run loses at most its in-flight
 shards, and rerunning it executes only the missing ones.
-``python -m repro worker`` attaches an external worker process to the same
-queue, and ``python -m repro exec status`` shows queue occupancy plus
-per-worker heartbeat telemetry (``--format json`` emits the same snapshot
-machine-readably).
+``python -m repro exec status`` lists the campaigns whose published
+ranges do not yet cover their runs (``--format json`` emits the same
+snapshot machine-readably).
 
 ``serve`` runs the analysis server (:mod:`repro.service`): clients submit
-scenario specs over HTTP, jobs execute through the same store + work-queue
-pipeline (external ``worker`` processes can drain them), and overlapping
-submissions deduplicate by spec hash.  ``submit`` plans an experiment
-locally and sends it to a running server, waiting for (and rendering) the
-result — repeated submissions are answered from the store with zero
-simulations and zero EVT fits.
+scenario specs over HTTP, jobs execute through the same store and drain,
+and overlapping submissions deduplicate by spec hash.  ``submit`` plans an
+experiment locally and sends it to a running server, waiting for (and
+rendering) the result — repeated submissions are answered from the store
+with zero simulations and zero EVT fits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -122,8 +118,8 @@ def _add_campaign_arguments(
         "-j",
         type=int,
         default=None,
-        help="workers per command draining all its studies' campaigns through "
-        "the store's work queue (1 = this process, 0 = all CPUs), each "
+        help="workers per command running all its studies' campaigns "
+        "(1 = this process, 0 = all CPUs, else one process pool), each "
         f"campaign one shard of at most {DEFAULT_SHARD_SIZE} runs unless the "
         "command has fewer campaigns than workers; results are bit-exact for "
         "any value. Each worker runs whole campaigns, so commands with many "
@@ -214,7 +210,7 @@ def _add_study_clean_arguments(study_clean: argparse.ArgumentParser) -> None:
         default=None,
         metavar="AGE",
         help="age-based sweep instead of a full wipe: remove derived entries "
-        "(analyses; plus queue and temporary files unless --analyses-only) older "
+        "(analyses; plus temporary files unless --analyses-only) older "
         "than AGE (seconds, or a number with an s/m/h/d suffix, e.g. 7d)",
     )
     study_clean.add_argument(
@@ -222,34 +218,6 @@ def _add_study_clean_arguments(study_clean: argparse.ArgumentParser) -> None:
         action="store_true",
         help="list what would be removed without deleting anything "
         "(the same decision logic the server's GC service runs)",
-    )
-
-
-def _add_worker_arguments(worker: argparse.ArgumentParser) -> None:
-    _add_store_argument(worker)
-    worker.add_argument(
-        "--worker-id",
-        default=None,
-        help="stable owner id for leases/telemetry (default: host-pid-nonce)",
-    )
-    worker.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        help="seconds before an unrefreshed shard lease may be reclaimed",
-    )
-    worker.add_argument(
-        "--max-shards",
-        type=int,
-        default=None,
-        help="exit after executing this many shards (default: drain the queue)",
-    )
-    worker.add_argument(
-        "--throttle",
-        type=float,
-        default=None,
-        help="sleep this many seconds between claiming and executing a shard "
-        "(load shaping; also honours REPRO_EXEC_THROTTLE)",
     )
 
 
@@ -280,7 +248,7 @@ def _add_serve_arguments(serve: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         help="workers per job for its cold campaigns (1 = the job's thread "
-        "drains the queue itself; external workers can always join). "
+        "runs them itself, else one process pool per job). "
         f"Each campaign is one shard of at most {DEFAULT_SHARD_SIZE} runs "
         "unless the job has fewer campaigns than workers, so each worker "
         "runs whole campaigns (see 'study run --help')",
@@ -360,7 +328,7 @@ def _add_submit_arguments(submit: argparse.ArgumentParser) -> None:
         "--follow",
         action="store_true",
         help="render the server's SSE progress stream (scenario resolution, "
-        "shard publishes, worker heartbeats) while waiting for the job",
+        "shard publishes) while waiting for the job",
     )
 
 
@@ -475,15 +443,11 @@ _COMMANDS: Dict[str, Tuple[str, _Takes]] = {
             ),
         },
     ),
-    "worker": (
-        "attach one shard worker to a store's work queue (repro.exec)",
-        _add_worker_arguments,
-    ),
     "exec": (
         "sharded-execution introspection (repro.exec)",
         {
             "status": (
-                "show queue occupancy and worker heartbeat telemetry",
+                "list the campaigns whose published ranges do not yet cover their runs",
                 _add_exec_status_arguments,
             ),
         },
@@ -973,13 +937,6 @@ def _render_job_event(event: Dict[str, object]) -> None:
         print(f"scenario {event['label']}: {event['source']}")
     elif kind == "shard-published":
         print(f"shard {event['shard']} published (spec {str(event['spec_hash'])[:12]})")
-    elif kind == "worker-heartbeat":
-        state = "finished" if event.get("finished") else "running"
-        print(
-            f"worker {event['owner']} [{event.get('engine', '?')}] {state}: "
-            f"{event['shards_done']}/{event['shards_claimed']} shard(s), "
-            f"{event['runs_done']} run(s)"
-        )
     elif kind == "job-completed":
         print(f"completed: {event.get('summary', '')}")
     elif kind == "job-failed":
@@ -1083,37 +1040,6 @@ def _submit_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     else:
         _render_submitted_job(finished)
     return 1 if finished["state"] == "failed" else 0
-
-
-def _worker_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    """The ``python -m repro worker`` surface (repro.exec)."""
-    from .exec.worker import run_worker
-    from .study.store import ResultStore
-
-    if args.max_shards is not None and args.max_shards < 1:
-        parser.error(f"--max-shards must be >= 1, got {args.max_shards}")
-    if args.lease_ttl is not None and not (
-        math.isfinite(args.lease_ttl) and args.lease_ttl > 0
-    ):
-        parser.error(
-            f"--lease-ttl must be a positive, finite number of seconds, got {args.lease_ttl}"
-        )
-    if not os.path.isdir(args.store):
-        # A mistyped store would drain nothing and exit 0 after creating it.
-        parser.error(f"--store {args.store} is not a directory")
-    store = ResultStore(args.store)
-    kwargs = {}
-    if args.worker_id is not None:
-        kwargs["worker_id"] = args.worker_id
-    if args.lease_ttl is not None:
-        kwargs["lease_ttl"] = args.lease_ttl
-    if args.max_shards is not None:
-        kwargs["max_shards"] = args.max_shards
-    if args.throttle is not None:
-        kwargs["throttle"] = args.throttle
-    stats = run_worker(store.queue_root, store.root, **kwargs)
-    print(stats.summary())
-    return 0
 
 
 def _exec_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -1234,7 +1160,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     commands = {
         "study": _study_command,
-        "worker": _worker_command,
         "exec": _exec_command,
         "serve": _serve_command,
         "submit": _submit_command,

@@ -117,8 +117,8 @@ def run_campaign(
     :func:`repro.engine.available_engines`); every bit-exact engine returns
     identical campaigns, so the knob only trades wall-clock time.  This is
     the serial primitive; :func:`repro.study.execute_scenarios` runs the
-    same campaign as lane-range shards through a work queue, in its own
-    process or across worker processes, with bit-identical results.
+    same campaign as lane-range shards, in its own process or across
+    worker processes, with bit-identical results.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")

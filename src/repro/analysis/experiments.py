@@ -66,11 +66,11 @@ class ExperimentSettings:
 
     ``engine`` names a registered simulation backend (see
     :func:`repro.engine.available_engines`).  ``jobs`` selects how many
-    workers drain the campaigns of one :func:`repro.study.run_studies`
-    call — every study of a command, shared campaigns once — through the
-    result store's work queue (:mod:`repro.exec`), whole campaigns per
-    worker: ``1`` (default) is the calling process, ``0`` means one worker
-    process per CPU, and any other positive value is taken literally.
+    workers run the campaigns of one :func:`repro.study.run_studies` call
+    — every study of a command, shared campaigns once — in one
+    :mod:`repro.exec` drain, whole campaigns per worker: ``1`` (default)
+    is the calling process, ``0`` means one worker process per CPU, and
+    any other positive value is taken literally.
     Without a store the call drains through a temporary one.
     :func:`~repro.study.run_studies` passes both once to
     :func:`~repro.study.runner.execute_plans`; no scenario carries them.

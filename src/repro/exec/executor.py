@@ -1,4 +1,4 @@
-"""Campaign execution: plan → queue → drain → read.
+"""Campaign execution: plan → run → read.
 
 Every campaign is a range of lanes — per-run seeds of a seed campaign, or
 memory layouts of a layout campaign — and one lane executor,
@@ -6,52 +6,46 @@ memory layouts of a layout campaign — and one lane executor,
 :func:`execute_campaigns` lists the store's published ranges once and has
 one drain: a campaign whose planned ranges are all published is a store
 hit; the other campaigns are planned into ``(spec_hash, lane-range)``
-shards, and one loop enqueues the unpublished ones as self-contained tasks
-in the store's :class:`~repro.exec.queue.FileQueue`, has one set of
-``min(jobs, tasks)`` workers (this process, when there is one) drain
-them, with any attached ``python -m repro worker``, and reads each
-campaign back once all its planned ranges are published.  Each finished
-shard is published under the store's ``shards/`` as a lane range, the
-store's one unit of lane data.  A campaign is one shard of at most
-``DEFAULT_SHARD_SIZE`` lanes unless the call has fewer campaigns than
+shards around their published ranges, and the unpublished shards run in
+workload order, in the calling process at one worker or on one process
+pool of at most ``jobs`` workers.  Each finished shard is published under
+the store's ``shards/`` as a lane range, the store's one unit of lane
+data, and each campaign is read back once.  A campaign is one shard of at
+most ``DEFAULT_SHARD_SIZE`` lanes unless the call has fewer campaigns than
 workers, so each worker runs whole campaigns.  A call without a store
-drains through a temporary one, removed when the call returns.  The
-store reads a campaign (:meth:`~repro.study.store.ResultStore.load`) as
-cycles in lane order and a miss summary that
+drains through a temporary one, removed when the call returns.  The store
+reads a campaign (:meth:`~repro.study.store.ResultStore.load`) as cycles
+in lane order and a miss summary that
 :func:`~repro.analysis.campaign.summarize_misses` builds from the per-run
 counters exactly as :func:`run_campaign` does, so it is **bit-exact** with
 serial execution for any shard size and worker count.
 
-Crash-resume falls out of the content addressing: a killed campaign leaves
-its published ranges in the store and its unfinished tasks (plus at most
-one stale lease per dead worker) in the queue.  A published range is exact
-whatever plan made it, so a rerun plans around the published ranges, at
-any shard size, and executes only the lanes they do not cover; a rerun
-under another shard size retires the old plan's queued tasks instead of
-executing them.  Two drains of one spec — overlapping server jobs, or
-``study run`` beside the server — share its ranges the same way: each
-executes the shards it claims, waits out the ones the other holds, and
-reads the campaign from all of them.  No drain removes a range, apart
-from a forced refresh (``use_cache=False``) and a range that reads as
-corrupt, which is executed anew.
+The published ranges are the only coordination.  A killed run leaves its
+published ranges in the store; a published range is exact whatever plan
+made it, so a rerun plans around them, at any shard size, and executes
+only the lanes they do not cover.  Two drains of one spec in different
+processes may both execute a range that neither had published when it
+planned: both publish the same bytes with an atomic replace, so that
+costs CPU time, never a result.  (The server keeps its own jobs apart: a
+job waits while another job simulates one of its spec hashes.)  No drain
+removes a range, apart from a forced refresh (``use_cache=False``) and a
+range that reads as corrupt, which is executed anew.
 """
 
 from __future__ import annotations
 
 import contextlib
 import tempfile
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..analysis.campaign import CampaignResult
 from ..engine import DEFAULT_ENGINE
 from ..study.scenario import Scenario, WorkloadSpec
 from ..study.store import ResultStore
 from .plan import Shard, plan_shards, resolve_jobs, resolve_shard_size
-from .queue import FileQueue
-from .worker import run_worker, shard_task
+from .worker import ShardRunner, publish_in_worker, publish_shard, shard_task
 
 __all__ = ["ShardReport", "execute_campaigns"]
 
@@ -61,9 +55,8 @@ class ShardReport:
     """How a call resolved one campaign's shards.
 
     ``reused`` counts the shards already published when the campaign was
-    planned; ``executed`` counts the shards the call's worker passes
-    executed (each :func:`run_worker` pass counts its shards per
-    campaign), so shards another drain executes are not counted twice.
+    planned; ``executed`` counts the shards the call executed and
+    published.
     """
 
     planned: int = 0
@@ -79,6 +72,9 @@ Resolved = Dict[str, Tuple[CampaignResult, Optional[ShardReport]]]
 #: shards and its shard report.
 _Plans = Dict[str, Tuple[Scenario, List[Shard], ShardReport]]
 
+#: Called with ``(spec_hash, shard key)`` after each range the call publishes.
+OnPublish = Callable[[str, str], None]
+
 
 def execute_campaigns(
     scenarios: Sequence[Scenario],
@@ -87,31 +83,35 @@ def execute_campaigns(
     jobs: int = 1,
     shard_size: Optional[int] = None,
     use_cache: bool = True,
+    on_publish: Optional[OnPublish] = None,
 ) -> Resolved:
     """Execute campaigns on ``engine``; returns every campaign of
     ``scenarios`` by spec hash, with the shard report of each one the
     call simulated.
 
     The store's ranges are listed once: a campaign whose planned ranges
-    are all published is a store hit.  The call drains ``store``'s queue
-    over all the other campaigns, with ``jobs`` workers (``0`` = one per
-    CPU; a single worker runs in this process), and reads each back.
+    are all published is a store hit.  The call runs the other campaigns'
+    unpublished shards with ``jobs`` workers (``0`` = one per CPU; a
+    single worker runs in this process), calling ``on_publish`` after
+    each range it publishes, and reads each campaign back.
     ``shard_size`` ``None`` plans one shard per campaign unless the call
     has fewer campaigns than workers.  ``use_cache=False`` (a forced
-    refresh) clears each campaign's published ranges before the listing,
-    so every lane is simulated again.  Without a ``store`` the call drains
-    through a temporary one, removed on return.  Campaigns run grouped by
-    workload, so a worker builds and compiles each trace once.
+    refresh) clears each campaign's published ranges and stored analyses
+    before the listing, so every lane is simulated and every analysis
+    fitted again.  Without a ``store`` the call drains through a
+    temporary one, removed on return.  Campaigns run grouped by workload,
+    so a worker builds and compiles each trace once.
     """
     if store is None:
         with tempfile.TemporaryDirectory(prefix="repro-drain-") as root:
             return execute_campaigns(
-                scenarios, ResultStore(root), engine, jobs, shard_size, use_cache
+                scenarios, ResultStore(root), engine, jobs, shard_size, use_cache, on_publish
             )
     workers = resolve_jobs(jobs)
     if not use_cache:
         for scenario in scenarios:
             store.clear_shards(scenario.spec_hash())
+            store.clear_analyses(scenario.spec_hash())
     published = store.published()
     resolved: Resolved = {}
     missing: List[Scenario] = []
@@ -124,7 +124,6 @@ def execute_campaigns(
             resolved[scenario.spec_hash()] = (campaign, None)
     if not missing:
         return resolved
-    queue = FileQueue(store.queue_root)
     # Whole campaigns per worker: lanes split only to give every worker one.
     split = -(-workers // len(missing))
     plans: _Plans = {}
@@ -133,14 +132,9 @@ def execute_campaigns(
         size = resolve_shard_size(scenario.runs, split, shard_size)
         keys = set(published.get(spec_hash, ()))
         shards = plan_shards(spec_hash, scenario.runs, size, keys)
-        _retire_off_plan_tasks(queue, shards)
-        for shard in shards:
-            if shard.key not in keys:
-                # Overwrites a killed run's task: this call's engine and label.
-                queue.enqueue(shard_task(scenario, shard, engine))
         reused = sum(shard.key in keys for shard in shards)
         plans[spec_hash] = (scenario, shards, ShardReport(len(shards), reused))
-    for spec_hash, campaign in _drain(plans, engine, store, queue, workers).items():
+    for spec_hash, campaign in _drain(plans, engine, store, workers, on_publish).items():
         resolved[spec_hash] = (campaign, plans[spec_hash][2])
     return resolved
 
@@ -157,20 +151,14 @@ def _drain(
     plans: _Plans,
     engine: str,
     store: ResultStore,
-    queue: FileQueue,
     workers: int,
-    poll: float = 0.2,
+    on_publish: Optional[OnPublish],
 ) -> Dict[str, CampaignResult]:
     """Every planned campaign, read once all its planned ranges are
     published: the call's one loop.
 
-    Until then the ranges are only stat-ed.  A missing range whose task is
-    gone (retired, then the range removed) is enqueued again.  The ranges
-    whose tasks are unleased or under a dead lease go to one set of at
-    most ``workers`` worker passes (:func:`_run_workers`); the ranges a
-    live foreign owner leases (an attached worker, another drain's, or an
-    orphan of a killed coordinator) are waited out.  Then each campaign is
-    read once through the read memo
+    Each pass runs the planned shards whose ranges are not published
+    (:func:`_run`), then reads each campaign once through the read memo
     (:meth:`~repro.study.store.ResultStore.load`); a range that does not
     read is removed, so the next pass executes it anew.
     """
@@ -179,28 +167,17 @@ def _drain(
         pending = [
             (spec_hash, *plan) for spec_hash, plan in plans.items() if spec_hash not in campaigns
         ]
-        claimable: Dict[str, ShardReport] = {}
-        tasks = 0
-        waiting = False
-        for spec_hash, scenario, shards, report in pending:
-            for shard in shards:
-                if store.has_shard(spec_hash, shard.key):
-                    continue
-                task_path = queue.task_path(spec_hash, shard.key)
-                if not task_path.exists():
-                    queue.enqueue(shard_task(scenario, shard, engine))
-                lease = queue.lease_for(task_path)
-                if lease is not None and lease.active():
-                    waiting = True
-                else:
-                    claimable[spec_hash] = report
-                    tasks += 1
-        if claimable:
-            _run_workers(queue, store, min(workers, tasks), claimable)
-            continue
-        if waiting:
-            time.sleep(poll)
-            continue
+        tasks = [
+            shard_task(scenario, shard, engine)
+            for spec_hash, scenario, shards, _ in pending
+            for shard in shards
+            if not store.has_shard(spec_hash, shard.key)
+        ]
+        for task in _run(tasks, store, workers):
+            spec_hash = str(task["spec_hash"])
+            plans[spec_hash][2].executed += 1
+            if on_publish is not None:
+                on_publish(spec_hash, str(task["key"]))
         for spec_hash, _, shards, _ in pending:
             keys = [shard.key for shard in shards]
             campaign = store.load(spec_hash, keys)
@@ -219,43 +196,27 @@ def _drain(
     return campaigns
 
 
-def _run_workers(
-    queue: FileQueue, store: ResultStore, workers: int, reports: Dict[str, ShardReport]
-) -> None:
-    """Run ``workers`` worker passes over the tasks of the ``reports``'
-    campaigns, in their order (in this process when there is one, else in
-    a pool opened for these passes), adding what each pass executes to its
-    campaign's report."""
-    order = list(reports)
-    if workers == 1:
-        passes = [run_worker(queue.root, store.root, spec_hashes=order)]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_worker, str(queue.root), str(store.root), spec_hashes=order)
-                for _ in range(workers)
-            ]
-            passes = [future.result() for future in futures]
-    for stats in passes:
-        for spec_hash, count in stats.executed.items():
-            reports[spec_hash].executed += count
+def _run(
+    tasks: List[Dict[str, object]], store: ResultStore, workers: int
+) -> Iterator[Dict[str, object]]:
+    """Run and publish ``tasks`` in order, on ``min(workers, tasks)``
+    workers (this process when there is one, else one process pool);
+    yields each task once its range is published.
 
-
-def _retire_off_plan_tasks(queue: FileQueue, shards: Sequence[Shard]) -> None:
-    """Retire the campaign's queued tasks that ``shards`` does not plan.
-
-    A killed run under another shard size leaves tasks this plan does not
-    hold (its lanes are published or planned anew), and the worker loop
-    drains every task of the spec hash; without this, a resume would
-    simulate those lanes twice.  A task leased by a live owner is left to
-    it.
+    A task that raises stops the run: tasks not yet started are dropped,
+    and the ranges published before it stay.
     """
-    spec_hash = shards[0].spec_hash
-    planned = {queue.task_path(spec_hash, shard.key) for shard in shards}
-    for task_path in queue.tasks(spec_hash):
-        if task_path in planned:
-            continue
-        lease = queue.lease_for(task_path)
-        if lease is None or not lease.active():
-            # Retire as the dead owner, so its stale lease goes too.
-            queue.complete(task_path, lease.owner if lease else "")
+    if min(workers, len(tasks)) <= 1:
+        runner = ShardRunner()
+        for task in tasks:
+            publish_shard(runner, store, task)
+            yield task
+        return
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+    try:
+        futures = [pool.submit(publish_in_worker, str(store.root), task) for task in tasks]
+        for task, future in zip(tasks, futures):
+            future.result()
+            yield task
+    finally:
+        pool.shutdown(cancel_futures=True)

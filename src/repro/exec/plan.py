@@ -79,7 +79,7 @@ def resolve_shard_size(
 
 
 def shard_key(start: int, count: int) -> str:
-    """The canonical slice identifier used in queue and store file names."""
+    """The canonical slice identifier used in range file names."""
     return f"{start:08d}x{count:06d}"
 
 

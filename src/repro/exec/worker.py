@@ -1,40 +1,31 @@
-"""Shard workers: claim, execute, publish.
+"""The lane executor: run a shard task, publish its lane range.
 
-A worker is a claim loop over a :class:`~repro.exec.queue.FileQueue`: lease
-one shard, rebuild its simulation from the self-contained task payload
-(canonical scenario spec + display label + engine name + lane range), run
-it through the engine registry, publish the per-lane results as a
-content-hash-keyed lane range in the
+A shard task is self-contained JSON (:func:`shard_task`): the canonical
+scenario spec, the planning scenario's display label, the engine name and
+the lane range.  :class:`ShardRunner` rebuilds the simulation from it,
+runs the range through the engine registry and returns the per-lane
+results as the range payload that :func:`publish_shard` stores in the
 :class:`~repro.study.store.ResultStore` (the store's one unit of lane
-data: a campaign is stored once its ranges cover its lanes), retire the
-task, and repeat until nothing is claimable.  A lane is a per-run seed of
-a seed campaign or a memory layout of a layout campaign; one
-:class:`ShardRunner` executes both.  The same loop drains the queue for
-the executor's worker processes (:mod:`repro.exec.executor`) and for
-separately launched ``python -m repro worker --store DIR`` processes, so
-extra workers (or, with a shared filesystem, extra hosts) can be attached
-to a campaign that another process planned.
+data: a campaign is stored once its ranges cover its lanes).  A lane is a
+per-run seed of a seed campaign or a memory layout of a layout campaign;
+one :class:`ShardRunner` executes both.  The executor
+(:mod:`repro.exec.executor`) runs the tasks in its own process or on a
+pool whose every worker keeps one runner (:func:`publish_in_worker`).
 
-Workers resolve engines **by registry name**; external workers therefore
-see the built-in engines (plus whatever their interpreter registered at
-import time).  Shard execution is deterministic and publishing is an
-atomic, idempotent replace, so a shard accidentally executed twice (e.g.
-after a lease-reclaim race) lands as identical bytes.
+Engines resolve **by registry name**.  Shard execution is deterministic
+and publishing is an atomic replace, so a range two processes both
+execute lands as identical bytes.
 
-``REPRO_EXEC_THROTTLE`` (seconds, float) inserts a sleep between claiming
-and executing each shard — a load-shaping knob that also makes
-kill-mid-shard scenarios deterministic to test.
+``REPRO_EXEC_THROTTLE`` (seconds, float) inserts a sleep before each
+shard runs — a load-shaping knob that also makes kill-mid-run scenarios
+deterministic to test.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
-from collections import Counter
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..analysis.campaign import run_layout_campaign
 from ..cache.fastsim import CompiledTrace, FastRunResult
@@ -45,23 +36,16 @@ from ..study.scenario import SPEC_VERSION, Scenario, WorkloadSpec, scenario_from
 from ..study.store import ResultStore
 from ..workloads.base import random_layouts
 from .plan import Shard
-from .queue import DEFAULT_LEASE_TTL, FileQueue, default_owner_id
-from .telemetry import WorkerTelemetry
 
-__all__ = [
-    "ShardRunner",
-    "WorkerStats",
-    "run_worker",
-    "shard_task",
-]
+__all__ = ["ShardRunner", "publish_in_worker", "publish_shard", "shard_task"]
 
-#: Environment knob: seconds to sleep between claiming and executing each
-#: shard (load shaping / deterministic kill-testing).
+#: Environment knob: seconds to sleep before each shard runs (load
+#: shaping / deterministic kill-testing).
 THROTTLE_ENV = "REPRO_EXEC_THROTTLE"
 
 
 def shard_task(scenario: Scenario, shard: Shard, engine: str) -> Dict[str, object]:
-    """The self-contained JSON task a worker needs to execute ``shard``."""
+    """The self-contained JSON task :class:`ShardRunner` executes for ``shard``."""
     return {
         "version": SPEC_VERSION,
         "spec_hash": shard.spec_hash,
@@ -114,15 +98,15 @@ def _shard_payload(
 class ShardRunner:
     """Executes shard tasks: lane ranges of seed or layout campaigns.
 
-    A drain sees one campaign's shards back to back, and a call's campaigns
-    grouped by workload (the order its workers claim them in), so the
-    runner keeps only what the next shard can reuse: the current workload's
-    trace and compiled traces, plus the current seed campaign's simulator
-    and seed list.  A layout shard relocates the same cached trace per lane
+    A drain runs one campaign's shards back to back, and a call's campaigns
+    grouped by workload, so the runner keeps only what the next shard can
+    reuse: the current workload's trace and compiled traces, plus the
+    current seed campaign's simulator and seed list.  A layout shard
+    relocates the same cached trace per lane
     (:func:`~repro.analysis.campaign.run_layout_campaign` on its slice).
     The previous campaign's simulator is dropped before the next one is
-    built, so a long-lived worker holds one simulator however many
-    campaigns it drains.
+    built, so a pool worker holds one simulator however many campaigns it
+    runs.
     """
 
     def __init__(self) -> None:
@@ -189,118 +173,22 @@ class ShardRunner:
         return get_engine(engine).simulator(config, self._compiled[line_size])
 
 
-@dataclass
-class WorkerStats:
-    """What one ``run_worker`` invocation accomplished."""
-
-    owner: str
-    shards_claimed: int = 0
-    shards_skipped: int = 0
-    runs_done: int = 0
-    #: Shards executed and published, by spec hash.
-    executed: Counter = field(default_factory=Counter)
-
-    @property
-    def shards_done(self) -> int:
-        return sum(self.executed.values())
-
-    def summary(self) -> str:
-        return (
-            f"worker {self.owner}: {self.shards_done} shard(s) executed, "
-            f"{self.runs_done} run(s), {self.shards_skipped} already published"
-        )
+def publish_shard(runner: ShardRunner, store: ResultStore, task: Dict[str, object]) -> None:
+    """Run ``task`` on ``runner`` and publish its lane range in ``store``,
+    after the ``REPRO_EXEC_THROTTLE`` sleep if one is set."""
+    throttle = float(os.environ.get(THROTTLE_ENV, "0") or 0)
+    if throttle > 0:
+        time.sleep(throttle)
+    store.save_shard(str(task["spec_hash"]), str(task["key"]), runner.execute(task))
 
 
-def run_worker(
-    queue_dir: Union[str, Path],
-    store_dir: Union[str, Path],
-    worker_id: Optional[str] = None,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
-    max_shards: Optional[int] = None,
-    throttle: Optional[float] = None,
-    spec_hashes: Sequence[str] = (),
-) -> WorkerStats:
-    """Drain claimable shards from a queue; returns this worker's stats.
+#: A pool worker's runner, kept across the tasks it runs (one per process).
+_RUNNER: Optional[ShardRunner] = None
 
-    The loop exits when no task is claimable (queue empty, or every
-    remaining shard is leased by a live owner) or after ``max_shards``
-    executed shards.  Tasks whose range is already published in the store
-    are retired without re-execution, so a resumed queue converges even
-    when several workers race over it.  ``spec_hashes`` limits the drain
-    to those campaigns' tasks, claimed campaign by campaign in that order
-    (a coordinator drains only its own call's campaigns).
 
-    A shard that raises retires every queued task of its campaign before
-    the error propagates, so a failing campaign cannot fail later drains;
-    a rerun re-plans it and enqueues whatever is missing.  Interrupts
-    (``KeyboardInterrupt``, a kill) leave the tasks for a resume.  A
-    publish that fails with an :class:`OSError` (a full disk) releases its
-    lease and keeps its task before the error propagates.
-
-    ``lease_ttl`` must be a positive, finite number of seconds: a lease
-    with a TTL of zero or less is expired when written, so another worker
-    takes a live owner's shard over and runs it twice, and a NaN lease
-    never expires, so a dead owner's shard is never reclaimed.
-    """
-    if not (math.isfinite(lease_ttl) and lease_ttl > 0):
-        raise ValueError(
-            f"lease_ttl must be a positive, finite number of seconds, got {lease_ttl!r}"
-        )
-    queue = FileQueue(queue_dir)
-    store = ResultStore(store_dir)
-    owner = worker_id or default_owner_id()
-    if throttle is None:
-        throttle = float(os.environ.get(THROTTLE_ENV, "0") or 0)
-    runner = ShardRunner()
-    telemetry = WorkerTelemetry(queue, owner)
-    stats = WorkerStats(owner=owner)
-    try:
-        while max_shards is None or stats.shards_done < max_shards:
-            claimed = False
-            for task_path in queue.tasks(*spec_hashes):
-                task = queue.read_task(task_path)
-                if task is None:
-                    continue
-                task_hash, key = str(task["spec_hash"]), str(task["key"])
-                if store.has_shard(task_hash, key):
-                    # Published by another worker (or a previous life of
-                    # this queue); just retire the task.
-                    queue.complete(task_path, owner)
-                    stats.shards_skipped += 1
-                    continue
-                if not queue.try_claim(task_path, owner, ttl=lease_ttl):
-                    continue
-                if store.has_shard(task_hash, key):
-                    # Published and released between the check above and
-                    # this claim (two drains over one queue).
-                    queue.complete(task_path, owner)
-                    stats.shards_skipped += 1
-                    continue
-                claimed = True
-                stats.shards_claimed += 1
-                telemetry.claimed(engine=str(task["engine"]))
-                if throttle > 0:
-                    time.sleep(throttle)
-                try:
-                    payload = runner.execute(task)
-                except Exception:
-                    for sibling in queue.tasks(task_hash):
-                        queue.complete(sibling, owner)
-                    raise
-                try:
-                    store.save_shard(task_hash, key, payload)
-                except OSError:
-                    # A failed publish (a full disk) frees the shard for a
-                    # retry now, not after the lease's TTL; the task stays.
-                    queue.release(task_path, owner)
-                    raise
-                queue.complete(task_path, owner)
-                stats.executed[task_hash] += 1
-                stats.runs_done += int(task["count"])
-                telemetry.published(runs=int(task["count"]))
-                break  # re-list: fresh ordering and max_shards accounting
-            if not claimed:
-                break
-    finally:
-        telemetry.finish()
-    return stats
+def publish_in_worker(store_root: str, task: Dict[str, object]) -> None:
+    """:func:`publish_shard` on this pool worker's runner."""
+    global _RUNNER
+    if _RUNNER is None:
+        _RUNNER = ShardRunner()
+    publish_shard(_RUNNER, ResultStore(store_root), task)

@@ -5,18 +5,16 @@ into a long-running server, layered **api → services → exec/study**:
 
 * :mod:`repro.service.api` — the stdlib-asyncio HTTP front end
   (:class:`~repro.service.api.server.ReproServer`): job submission and
-  polling, SSE progress streams, queue/worker status, registry endpoints;
+  polling, SSE progress streams, execution status, registry endpoints;
 * :mod:`repro.service.services` — the server's working parts:
 
   - the **job manager** (:class:`~repro.service.services.jobs.JobManager`)
     validates scenario specs, deduplicates by spec hash and executes jobs
-    through the same store + exec-queue pipeline the CLI uses, so
-    concurrent clients submitting overlapping sweeps share work (the
-    overlap resolves warm: zero simulations, zero EVT fits) and standalone
-    ``python -m repro worker`` processes can drain server jobs;
+    through the same store + exec pipeline the CLI uses, so concurrent
+    clients submitting overlapping sweeps share work (the overlap
+    resolves warm: zero simulations, zero EVT fits);
   - the **event bus** (:class:`~repro.service.services.events.EventBus`)
-    bridges job threads and external workers' on-disk footprint to SSE
-    subscribers;
+    bridges job threads to SSE subscribers;
   - the **GC service** (:class:`~repro.service.services.gc.GcService`)
     periodically sweeps derived store entries, sharing its decision logic
     with ``python -m repro study clean --dry-run``;

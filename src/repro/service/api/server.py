@@ -10,7 +10,7 @@ request/response bodies, plus one streaming endpoint
 Routes::
 
     GET  /                    service banner + route list
-    GET  /v1/status           service + queue/worker state
+    GET  /v1/status           service state + partly published campaigns
     GET  /v1/engines          engine capability matrix
     GET  /v1/estimators       EVT estimator registry
     POST /v1/jobs             submit a scenario spec or sweep -> 202 + job id
@@ -35,7 +35,7 @@ from ...engine import engine_capabilities
 from ...exec.status import exec_status_snapshot
 from ...pwcet import estimator_capabilities
 from ...study.store import ResultStore, check_gc_age
-from ..services.events import EventBus, StoreWatcher
+from ..services.events import EventBus
 from ..services.gc import DEFAULT_GC_AGE, DEFAULT_GC_INTERVAL, GcService
 from ..services.jobs import BadRequest, JobManager
 
@@ -98,7 +98,6 @@ class ReproServer:
         concurrency: int = 2,
         gc_interval: float = DEFAULT_GC_INTERVAL,
         gc_age: float = DEFAULT_GC_AGE,
-        watch_interval: float = 0.25,
     ) -> None:
         # The registries fill on first use; fill them here, before the
         # server's threads start, so no request or job thread imports the
@@ -111,9 +110,6 @@ class ReproServer:
         self.bus = EventBus()
         self.manager = JobManager(
             store, self.bus, jobs=jobs, shard_size=shard_size, concurrency=concurrency
-        )
-        self.watcher = StoreWatcher(
-            store, self.bus, self.manager.channels_for_spec, interval=watch_interval
         )
         self.gc = GcService(store, self.bus, interval=gc_interval, older_than=gc_age)
         self.started_at = time.time()
@@ -160,18 +156,14 @@ class ReproServer:
                 f"(store: {self.store.root})",
                 flush=True,
             )
-        background = [
-            asyncio.ensure_future(self.watcher.run(self._stop)),
-            asyncio.ensure_future(self.gc.run(self._stop)),
-        ]
+        gc_task = asyncio.ensure_future(self.gc.run(self._stop))
         try:
             await self._stop.wait()
         finally:
             server.close()
             await server.wait_closed()
-            for task in background:
-                task.cancel()
-            await asyncio.gather(*background, return_exceptions=True)
+            gc_task.cancel()
+            await asyncio.gather(gc_task, return_exceptions=True)
             # Waits out running jobs so their results land in the store.
             await loop.run_in_executor(None, self.manager.shutdown)
             self.ready.clear()
@@ -340,8 +332,8 @@ class ReproServer:
 
     async def _handle_status(self, writer: asyncio.StreamWriter, body: bytes) -> None:
         loop = asyncio.get_running_loop()
-        # The exec snapshot stats queue/store directories; off-loop to keep
-        # the server responsive while a large store is scanned.
+        # The exec snapshot reads range headers; off-loop to keep the
+        # server responsive while a large store is scanned.
         exec_snapshot = await loop.run_in_executor(
             None, exec_status_snapshot, self.store
         )

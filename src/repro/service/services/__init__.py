@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .events import GLOBAL_CHANNEL, Event, EventBus, StoreWatcher
+from .events import GLOBAL_CHANNEL, Event, EventBus
 from .gc import DEFAULT_GC_AGE, DEFAULT_GC_INTERVAL, GcService
 from .jobs import BadRequest, Job, JobManager, JobOptions, parse_job_request
 
@@ -17,6 +17,5 @@ __all__ = [
     "Job",
     "JobManager",
     "JobOptions",
-    "StoreWatcher",
     "parse_job_request",
 ]

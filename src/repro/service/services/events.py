@@ -14,10 +14,8 @@ bounded replay history so a client that connects to
 story: the handler replays history first, then switches to the live queue,
 deduplicating by the bus-wide monotonic sequence number.
 
-Producers: the job manager (job lifecycle events), the store watcher
-(:class:`StoreWatcher` — shard-publish and worker-heartbeat events derived
-by diffing the on-disk queue/store state, which is the only footprint
-external ``python -m repro worker`` processes leave) and the GC service
+Producers: the job manager (job lifecycle events, and one shard-publish
+event per lane range a job's own drain publishes) and the GC service
 (sweep events).
 """
 
@@ -30,11 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional, Set
 
-from ...exec.queue import FileQueue
-from ...exec.telemetry import read_heartbeats
-from ...study.store import ResultStore
-
-__all__ = ["Event", "EventBus", "StoreWatcher", "GLOBAL_CHANNEL"]
+__all__ = ["Event", "EventBus", "GLOBAL_CHANNEL"]
 
 #: The channel every event is mirrored to (subscribe for a firehose view).
 GLOBAL_CHANNEL = "*"
@@ -131,84 +125,3 @@ class EventBus:
         """The channel's replayable history, oldest first."""
         with self._lock:
             return list(self._history.get(channel, ()))
-
-
-class StoreWatcher:
-    """Derives shard-publish and worker-heartbeat events from disk state.
-
-    External workers communicate only through the filesystem (published
-    lane ranges, heartbeat files), so the server learns about their
-    progress the same way an operator running ``exec status`` would: by
-    watching the store.  The first poll takes a baseline: the ranges
-    already stored then publish no event.  Each later poll diffs against
-    the previous listing and publishes one event per new range and per
-    advanced heartbeat, routed to the jobs interested in the range's spec
-    hash (resolved through ``jobs_for_spec``) plus the global channel.
-    """
-
-    def __init__(
-        self,
-        store: ResultStore,
-        bus: EventBus,
-        jobs_for_spec,
-        interval: float = 0.25,
-    ) -> None:
-        self.store = store
-        self.bus = bus
-        self.jobs_for_spec = jobs_for_spec
-        self.interval = interval
-        self._seen_shards: Optional[Set[tuple]] = None  # before the baseline
-        self._beats: Dict[str, tuple] = {}
-
-    def poll_once(self) -> int:
-        """Diff the on-disk state once; returns how many events were published."""
-        published = 0
-        shards = set(self.store.shard_keys())
-        new = [] if self._seen_shards is None else sorted(shards - self._seen_shards)
-        self._seen_shards = shards
-        for spec_hash, key in new:
-            self.bus.publish(
-                "shard-published",
-                {"spec_hash": spec_hash, "shard": key},
-                channels=self.jobs_for_spec(spec_hash),
-            )
-            published += 1
-        queue = FileQueue(self.store.queue_root)
-        for beat in read_heartbeats(queue):
-            fingerprint = (
-                beat.last_heartbeat,
-                beat.shards_claimed,
-                beat.shards_done,
-                beat.finished,
-            )
-            if self._beats.get(beat.owner) == fingerprint:
-                continue
-            self._beats[beat.owner] = fingerprint
-            self.bus.publish(
-                "worker-heartbeat",
-                {
-                    "owner": beat.owner,
-                    "pid": beat.pid,
-                    "engine": beat.engine,
-                    "shards_claimed": beat.shards_claimed,
-                    "shards_done": beat.shards_done,
-                    "runs_done": beat.runs_done,
-                    "finished": beat.finished,
-                },
-                channels=self.jobs_for_spec(None),
-            )
-            published += 1
-        return published
-
-    async def run(self, stop: asyncio.Event) -> None:
-        """Poll until ``stop`` is set (the server's background task)."""
-        loop = asyncio.get_running_loop()
-        while not stop.is_set():
-            # poll_once scans the store and queue directories on disk; run
-            # it off-loop so a large store never stalls HTTP handling (or
-            # the SSE streams) between polls.
-            await loop.run_in_executor(None, self.poll_once)
-            try:
-                await asyncio.wait_for(stop.wait(), timeout=self.interval)
-            except asyncio.TimeoutError:
-                continue

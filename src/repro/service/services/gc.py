@@ -2,10 +2,9 @@
 
 The server's GC service periodically retires *derived* store entries.
 By default only pWCET analyses are swept — pure caches, rebuilt from the
-campaign's lane ranges on demand.  Queue bookkeeping and temporary files
-are only age-filtered by
-:meth:`~repro.study.store.ResultStore.sweep_candidates`, so an unattended
-loop could collect the tasks of a campaign still waiting for a worker;
+campaign's lane ranges on demand.  Temporary files are only age-filtered
+by :meth:`~repro.study.store.ResultStore.sweep_candidates`, so an
+unattended loop could collect one a running publish still writes;
 sweeping them is therefore an explicit request — ``POST /v1/gc`` with
 ``{"analyses_only": false}``, or ``study clean --older-than`` — made when
 the operator knows no campaign is mid-flight.  Published lane ranges are

@@ -10,11 +10,12 @@ pipeline ``study run`` uses:
 * campaigns resolve from the shared content-hash
   :class:`~repro.study.store.ResultStore` first — concurrent clients
   submitting overlapping sweeps deduplicate by spec hash, and the second
-  client's overlap costs zero simulations;
-* cold campaigns go through the :mod:`repro.exec` file-backed work queue,
-  as every campaign does, so standalone ``python -m repro worker``
-  processes attached to the store drain server jobs, and a SIGKILLed
-  worker's shards are reclaimed exactly as in the CLI pipeline;
+  client's overlap costs zero simulations: a job waits while another job
+  simulates one of its spec hashes, then reads it from the store;
+* cold campaigns go through the :mod:`repro.exec` drain, as every
+  campaign does, so a job resumes from the lane ranges a killed process
+  published, and each range the job's drain publishes is one
+  ``shard-published`` event;
 * pWCET analyses route through the result set's analysis cache keyed by
   ``(spec_hash, analysis_config_hash)`` — a warm job performs **zero** EVT
   fits and returns byte-identical analysis payloads to the CLI path.
@@ -31,7 +32,7 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from ...engine import DEFAULT_ENGINE, get_engine
 from ...pwcet import MBPTA_MIN_RUNS, MbptaConfig, analysis_payload, get_estimator
@@ -269,14 +270,18 @@ class JobManager:
         self.store = store
         self.bus = bus
         #: Worker processes of a job's cold campaigns (1 = the job thread
-        #: drains the queue itself; external workers may always join), for
-        #: every job that does not set its own ``jobs``.
+        #: runs them itself), for every job that does not set its own
+        #: ``jobs``.
         self.default_jobs = jobs
         #: Shard size of every job that does not set its own (``None`` =
         #: the planner's width).
         self.shard_size = shard_size
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()
+        #: Spec hashes of the jobs now in their drain, guarded by
+        #: ``_simulated``: a job waits until none of its own is among them.
+        self._simulating: Set[str] = set()
+        self._simulated = threading.Condition()
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, concurrency), thread_name_prefix="repro-job"
         )
@@ -312,23 +317,6 @@ class JobManager:
         """Every known job, oldest first."""
         with self._lock:
             return list(self._jobs.values())
-
-    # ------------------------------------------------------------ watching
-
-    def channels_for_spec(self, spec_hash: Optional[str]) -> List[str]:
-        """Job channels interested in a spec hash (all active jobs if None).
-
-        This is the store watcher's routing callback: shard-publish events
-        go to the jobs containing the shard's spec, heartbeat events to
-        every active job.
-        """
-        with self._lock:
-            return [
-                job.job_id
-                for job in self._jobs.values()
-                if not job.finished
-                and (spec_hash is None or spec_hash in job.spec_hashes)
-            ]
 
     def status_snapshot(self) -> Dict[str, object]:
         """Job counts by state (embedded in ``GET /v1/status``)."""
@@ -409,22 +397,41 @@ class JobManager:
             )
 
     def _execute_scenarios(self, job: Job) -> ResultSet:
-        """Run the job's scenarios through the store + exec queue, in one
-        drain on the job's engine and ``jobs`` (else the server's).
+        """Run the job's scenarios through the store and one :mod:`repro.exec`
+        drain, on the job's engine and ``jobs`` (else the server's).
 
-        Concurrent jobs sharing a spec hash converge on the same published
-        lane ranges: a job reads the ranges another job has published
-        instead of simulating them again (see
-        :func:`repro.exec.executor.execute_campaigns`).
+        Concurrent jobs sharing a spec hash run one after the other: a job
+        waits while another job's drain holds one of its spec hashes, then
+        reads what that drain published instead of simulating it again.
+        Each range the job's drain publishes is a ``shard-published`` event
+        on the job's channel.
         """
         options = job.options
         shard_size = options.shard_size
-        return execute_scenarios(
-            job.scenarios,
-            store=self.store,
-            use_cache=True,
-            engine=options.engine or DEFAULT_ENGINE,
-            jobs=self.default_jobs if options.jobs is None else options.jobs,
-            shard_size=self.shard_size if shard_size is None else shard_size,
-            mbpta=options.mbpta_config(),
-        )
+        spec_hashes = set(job.spec_hashes)
+
+        def published(spec_hash: str, key: str) -> None:
+            self.bus.publish(
+                "shard-published",
+                {"job_id": job.job_id, "spec_hash": spec_hash, "shard": key},
+                channels=[job.job_id],
+            )
+
+        with self._simulated:
+            self._simulated.wait_for(lambda: not spec_hashes & self._simulating)
+            self._simulating |= spec_hashes
+        try:
+            return execute_scenarios(
+                job.scenarios,
+                store=self.store,
+                use_cache=True,
+                engine=options.engine or DEFAULT_ENGINE,
+                jobs=self.default_jobs if options.jobs is None else options.jobs,
+                shard_size=self.shard_size if shard_size is None else shard_size,
+                mbpta=options.mbpta_config(),
+                on_publish=published,
+            )
+        finally:
+            with self._simulated:
+                self._simulating -= spec_hashes
+                self._simulated.notify_all()

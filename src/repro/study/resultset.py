@@ -122,8 +122,8 @@ class ResultSet:
     MBPTA config.
 
     ``outcomes`` carry distinct labels (``execute_scenarios`` checks them).
-    ``store`` (with ``use_stored_analyses``) resolves analyses from and
-    persists them to the result store the plan executed through.
+    ``store`` resolves analyses from and persists them to the result store
+    the plan executed through.
     """
 
     def __init__(
@@ -132,14 +132,12 @@ class ResultSet:
         report: Optional[ExecutionReport] = None,
         config: Optional[MbptaConfig] = None,
         store: Optional[ResultStore] = None,
-        use_stored_analyses: bool = True,
     ) -> None:
         self._outcomes = {outcome.label: outcome for outcome in outcomes}
         self.report = report or ExecutionReport(planned=len(self._outcomes))
         #: The analysis config of every scenario in the set.
         self.config = config or MbptaConfig()
         self.store = store
-        self.use_stored_analyses = use_stored_analyses
         #: Analyses memoized per (label, analysis hash): several estimators
         #: can coexist on one scenario.
         self._analyses: Dict[Tuple[str, str], MbptaResult] = {}
@@ -243,7 +241,7 @@ class ResultSet:
     def _load_stored_analysis(
         self, outcome: ScenarioOutcome, key: str
     ) -> Optional[MbptaResult]:
-        if self.store is None or not outcome.spec_hash or not self.use_stored_analyses:
+        if self.store is None or not outcome.spec_hash:
             return None
         # Parsed once per file version, on the file's read-memo entry.  The
         # fit, curve, assessment and config are frozen and shared; the

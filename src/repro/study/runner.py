@@ -10,10 +10,9 @@ The runner turns plans — lists of
    :func:`repro.exec.executor.execute_campaigns` call, which lists the
    store's published lane ranges once: a campaign whose ranges are all
    published is a cache hit, and the others are planned as lane ranges
-   (seeds or memory layouts) and drained together through the store's
-   work queue (a temporary store's, without a store).  Each range a
-   worker publishes is the stored result itself; nothing is written
-   after the drain.
+   (seeds or memory layouts) and run together in one drain, through a
+   temporary store without a store.  Each range the drain publishes is
+   the stored result itself; nothing is written after the drain.
 
 Every path is bit-exact with calling
 :func:`repro.analysis.campaign.run_campaign` (or ``run_layout_campaign``)
@@ -24,7 +23,7 @@ in lane order.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..engine import DEFAULT_ENGINE, get_engine
 from ..pwcet.protocol import MbptaConfig
@@ -45,6 +44,7 @@ def execute_plans(
     jobs: int = 1,
     shard_size: Optional[int] = None,
     mbpta: Optional[MbptaConfig] = None,
+    on_publish: Optional[Callable[[str, str], None]] = None,
 ) -> List[ResultSet]:
     """Execute plans in one drain; returns one :class:`ResultSet` per plan.
 
@@ -52,11 +52,13 @@ def execute_plans(
     fresh lane ranges are persisted as they are executed (without one, the
     call drains through a temporary store and persists nothing).
     ``use_cache=False`` keeps writing results but ignores existing ones (a
-    forced refresh): published ranges and analyses alike.  ``mbpta`` is
+    forced refresh): the drain clears each campaign's published ranges and
+    stored analyses, so each is simulated and fitted once for all plans.  ``mbpta`` is
     the one analysis config of every result set.  ``engine``, ``jobs``
     (``0`` = one per CPU) and ``shard_size`` (``None``: the planner's
     width) apply to the one :mod:`repro.exec` drain of all the plans'
-    missing campaigns, each once.  A duplicate display label within a
+    missing campaigns, each once; ``on_publish(spec_hash, key)`` is called
+    after each lane range the drain publishes.  A duplicate display label within a
     plan, an unknown engine or an unknown estimator raises
     :class:`ValueError` before the store is read.  Each report reads as if
     the plans had run in turn: a campaign the call simulated counts as
@@ -93,6 +95,7 @@ def execute_plans(
             jobs=jobs,
             shard_size=shard_size,
             use_cache=use_cache,
+            on_publish=on_publish,
         )
     # Each simulated campaign's shard report, taken by its campaign's first plan.
     unreported = {h: shards for h, (_, shards) in resolved.items() if shards is not None}
@@ -124,15 +127,7 @@ def execute_plans(
             )
             for scenario, spec_hash in zip(scenarios, spec_hashes)
         ]
-        results.append(
-            ResultSet(
-                outcomes,
-                report=report,
-                config=config,
-                store=store,
-                use_stored_analyses=use_cache,
-            )
-        )
+        results.append(ResultSet(outcomes, report=report, config=config, store=store))
     return results
 
 
@@ -143,7 +138,7 @@ def execute_scenarios(
     **options,
 ) -> ResultSet:
     """Execute one plan: :func:`execute_plans` with ``[scenarios]``, whose
-    keyword options (``engine``, ``jobs``, ``shard_size``, ``mbpta``) it
-    takes."""
+    keyword options (``engine``, ``jobs``, ``shard_size``, ``mbpta``,
+    ``on_publish``) it takes."""
     [results] = execute_plans([scenarios], store, use_cache, **options)
     return results

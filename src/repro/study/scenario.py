@@ -14,7 +14,7 @@ presentation-only ``label`` is **excluded** from the hash, and so are the
 cache parameters a hierarchy without an L2 never reads.
 
 A scenario names no engine, worker count or analysis config: engines are
-bit-exact and queued campaigns reassemble in lane order, and MBPTA is
+bit-exact and sharded campaigns read back in lane order, and MBPTA is
 post-processing of the stored execution times, so each call of
 :func:`~repro.study.runner.execute_scenarios` takes all three once.
 
@@ -405,8 +405,8 @@ def _spec_hash(
 #
 # The canonical spec dicts produced by the spec_dict() methods round-trip:
 # a scenario rebuilt from its own spec dict hashes identically.  This is
-# what makes shard tasks (repro.exec) self-contained — a worker in another
-# process, on another host, rebuilds the exact simulation from JSON alone.
+# what makes shard tasks (repro.exec) self-contained — a pool worker in
+# another process rebuilds the exact simulation from JSON alone.
 #
 # Numeric and boolean fields are checked, not coerced: int() of 100.9 or
 # bool() of "false" would simulate another scenario than the one sent.  The

@@ -10,7 +10,7 @@ cycles in lane order, and its miss summary is
 :func:`~repro.analysis.campaign.summarize_misses` over their counter
 columns, bit-exact for any partition of the lanes.  The file name holds
 the hash of everything that determines the simulation, so there is no
-invalidation logic to get wrong.  Workers publish ranges as they finish
+invalidation logic to get wrong.  A drain publishes ranges as they finish
 (:mod:`repro.exec`): a killed run's ranges are results, and two drains of
 one spec share them.
 
@@ -38,15 +38,14 @@ provenance is one empty marker file per (study, spec hash) pair,
 
 The store is deliberately forgiving: unreadable, truncated or
 version-mismatched files are treated as cache misses, never as errors.
-Every file the store and its queue write goes through
-:func:`_replace_atomically` (a temporary file, then :func:`os.replace`),
-apart from the queue's lease link and the study markers' exclusive
-creates, so a killed run cannot leave a half-written file behind.  That
-also makes every publish a new inode, which is what lets a process decode
-each range and analysis once (:class:`ReadMemo`): a memoized decode is
-served only while the file's inode, size and ``mtime_ns`` are the ones it
-was read with.  The guarantee covers killed processes and a full disk,
-not power loss: nothing calls ``fsync``.
+Every file the store writes goes through :func:`_replace_atomically` (a
+temporary file, then :func:`os.replace`), apart from the study markers'
+exclusive creates, so a killed run cannot leave a half-written file
+behind.  That also makes every publish a new inode, which is what lets a
+process decode each range and analysis once (:class:`ReadMemo`): a
+memoized decode is served only while the file's inode, size and
+``mtime_ns`` are the ones it was read with.  The guarantee covers killed
+processes and a full disk, not power loss: nothing calls ``fsync``.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ def check_gc_age(seconds: float) -> float:
     """``seconds`` if it is a usable GC age, else ``ValueError``.
 
     An age must be finite and >= 0: a negative or NaN age would make every
-    file old enough to sweep, a running campaign's shards, tasks and leases
+    file old enough to sweep, a running publish's temporary files
     included.
     """
     if not 0 <= seconds < math.inf:
@@ -126,13 +125,12 @@ def _as_int_column(value: object) -> Optional[np.ndarray]:
 def _replace_atomically(path: Path, data: bytes) -> None:
     """Write ``data`` to ``path`` through a writer-unique temporary file.
 
-    The one writer of store and queue files: entries, analyses, shards,
-    tasks and heartbeats.  Two writers of one entry — workers that executed
-    the same shard (a lease-reclaim race), or two jobs persisting the same
-    analysis — write identical bytes; unique temporary names keep either
-    one's replace from tripping over the other's.  Creates the directory;
-    a failed write (a full disk) removes its temporary file and leaves
-    ``path`` as it was.
+    The one writer of store files: lane ranges and analyses.  Two writers
+    of one file — drains in two processes that both executed a range, or
+    two jobs persisting the same analysis — write identical bytes; unique
+    temporary names keep either one's replace from tripping over the
+    other's.  Creates the directory; a failed write (a full disk) removes
+    its temporary file and leaves ``path`` as it was.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f"{path.name}.{uuid.uuid4().hex[:8]}.tmp")
@@ -501,6 +499,11 @@ class ResultStore:
         _replace_atomically(path, json.dumps(payload, sort_keys=True).encode())
         return path
 
+    def clear_analyses(self, spec_hash: str) -> int:
+        """Delete one spec hash's stored analyses, under every config (a
+        forced refresh); returns how many were removed."""
+        return _unlink(_files(self.analysis_root, ".json", prefix=f"{spec_hash}."))
+
     def analysis_keys(self) -> List[Tuple[str, str]]:
         """(spec_hash, analysis_hash) pairs currently stored (sorted)."""
         pairs = []
@@ -518,11 +521,6 @@ class ResultStore:
         keyed ``<spec_hash>.<shard_key>.rcol``."""
         return self.root / "shards"
 
-    @property
-    def queue_root(self) -> Path:
-        """Directory of the store's shard work queue (:class:`repro.exec.FileQueue`)."""
-        return self.root / "queue"
-
     def shard_path_for(self, spec_hash: str, key: str) -> Path:
         return Path(self._shard_file(spec_hash, key))
 
@@ -531,9 +529,9 @@ class ResultStore:
 
         The per-run counter lists become typed columns; everything else
         (version, spec, label, slice bookkeeping, workload, engine) is
-        header metadata.  Publication is idempotent — two workers racing
-        on a reclaimed lease both write the same deterministic payload,
-        and :func:`os.replace` makes the last write win without torn files.
+        header metadata.  Publication is idempotent — two drains that both
+        executed the range write the same deterministic payload, and
+        :func:`os.replace` makes the last write win without torn files.
         """
         meta: Dict[str, object] = {}
         columns: Dict[str, object] = {}
@@ -641,15 +639,6 @@ class ResultStore:
 
     # ------------------------------------------------------------------ GC
 
-    def _queue_files(self) -> List[Path]:
-        """Every task, lease and heartbeat file under the store's queue."""
-        return [
-            path
-            for name in ("tasks", "leases", "workers")
-            for path in _files(self.queue_root / name)
-            if path.is_file()
-        ]
-
     def sweep_candidates(
         self,
         older_than: float,
@@ -663,8 +652,8 @@ class ResultStore:
         deletes exactly this list, ``study clean --dry-run`` prints it, and
         the analysis server's background GC service logs it — so what the
         GC *would* do is testable without side effects.  Candidates come
-        from directory scans: analyses, queue files and ``*.tmp``
-        stragglers.  ``older_than`` must pass :func:`check_gc_age`.
+        from directory scans: analyses and ``*.tmp`` stragglers.
+        ``older_than`` must pass :func:`check_gc_age`.
         """
         cutoff = (time.time() if now is None else now) - check_gc_age(older_than)
         paths = _files(self.analysis_root, ".json") + _files(self.analysis_root, ".tmp")
@@ -673,7 +662,6 @@ class ResultStore:
             # older store's writers beside its top-level entries).
             paths += _files(self.shard_root, ".tmp")
             paths += _files(self.root, ".tmp")
-            paths += self._queue_files()
         candidates: List[Path] = []
         for path in paths:
             try:
@@ -688,8 +676,7 @@ class ResultStore:
 
         Analyses are always eligible (they are pure caches, rebuilt from the
         campaign's ranges on the next run).  Unless ``analyses_only``,
-        leftover queue files (tasks, leases, worker heartbeats abandoned by
-        a killed campaign) and temporary files are swept too.  Published
+        temporary files left by killed writers are swept too.  Published
         ranges are never touched — they are the results — and neither are
         study markers, their provenance.  Returns how many files were
         removed.
@@ -700,9 +687,10 @@ class ResultStore:
         """What :meth:`clear` would delete: ``(entries, bookkeeping)``.
 
         ``entries`` are the counted store entries (published ranges and
-        analyses); ``bookkeeping`` are temp files, study markers, an older
-        store's ``studies.log`` and top-level campaign entries, and queue
-        files, removed but not counted.  Both sorted; nothing is deleted.
+        analyses); ``bookkeeping`` are temp files, study markers, and an
+        older store's ``studies.log``, top-level campaign entries and
+        ``queue/`` task, lease and heartbeat files, removed but not
+        counted.  Both sorted; nothing is deleted.
         """
         entries: List[Path] = []
         bookkeeping: List[Path] = []
@@ -721,13 +709,14 @@ class ResultStore:
         legacy_log = self.root / "studies.log"
         if legacy_log.exists():
             bookkeeping.append(legacy_log)
-        bookkeeping.extend(self._queue_files())
+        for name in ("tasks", "leases", "workers"):
+            bookkeeping.extend(_files(self.root / "queue" / name))
         return sorted(set(entries)), sorted(set(bookkeeping))
 
     def clear(self) -> int:
-        """Delete every published range, analysis, study marker and queue
-        file; returns how many entries were removed (each range and
-        analysis counts as one; bookkeeping files are removed but not
+        """Delete every published range, analysis, study marker and older
+        bookkeeping file; returns how many entries were removed (each range
+        and analysis counts as one; bookkeeping files are removed but not
         counted)."""
         entries, bookkeeping = self.clear_candidates()
         removed = _unlink(entries)

@@ -32,10 +32,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    @pytest.mark.parametrize("argv", [["run", "fig1"], ["list"]])
+    @pytest.mark.parametrize(
+        "argv", [["run", "fig1"], ["list"], ["worker", "--store", "store"]]
+    )
     def test_removed_top_level_commands_are_invalid_choices(self, argv, capsys):
         # `study run` and `study list` are the only way to run or list
-        # the experiments.
+        # the experiments, and a command's own drain runs its campaigns
+        # (there is no queue for a separate worker to drain).
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -123,7 +126,6 @@ class TestPrunedParser:
         (["study", "run", "fig5", "--jobs", "-1"],
          "jobs must be >= 0 (0 = one worker per CPU), got -1"),
         (["serve", "--port", "-1"], "--port must be >= 0, got -1"),
-        (["worker", "--max-shards", "0"], "--max-shards must be >= 1, got 0"),
         (["study", "clean", "--older-than", "soon"],
          "invalid age 'soon'; expected seconds or a number with an s/m/h/d "
          "suffix (e.g. 90, 45m, 7d)"),
@@ -399,55 +401,6 @@ class TestShardedExecution:
                  "--store", str(tmp_path / "s"), "--shard-size", "0"]
             )
 
-    def test_worker_drains_queue_and_exec_status_reports(self, tmp_path, capsys):
-        from repro.exec import FileQueue, plan_shards, shard_task
-        from repro.study.scenario import HierarchySpec, Scenario, WorkloadSpec
-        from repro.study.store import ResultStore
-
-        scenario = Scenario(
-            workload=WorkloadSpec.synthetic(4 * 1024, 2),
-            hierarchy=HierarchySpec(setup="rm", with_l2=False),
-            runs=8,
-            master_seed=5,
-        )
-        store = ResultStore(tmp_path / "store")
-        queue = FileQueue(store.queue_root)
-        for shard in plan_shards(scenario.spec_hash(), scenario.runs, 2):
-            queue.enqueue(shard_task(scenario, shard, DEFAULT_ENGINE))
-        assert main(
-            ["worker", "--store", str(store.root), "--worker-id", "cli-test",
-             "--max-shards", "2"]
-        ) == 0
-        assert "2 shard(s) executed" in capsys.readouterr().out
-        assert len(store.shard_keys(scenario.spec_hash())) == 2
-        # Two of the campaign's four shards are still queued: status lists
-        # the campaign with what it has published so far.
-        assert main(["exec", "status", "--store", str(store.root)]) == 0
-        status = capsys.readouterr().out
-        assert "cli-test" in status
-        assert "published" in status
-        assert scenario.spec_hash()[:12] in status
-
-    @pytest.mark.parametrize("ttl", ["0", "-5", "nan", "inf"])
-    def test_worker_rejects_an_unusable_lease_ttl(self, tmp_path, capsys, ttl):
-        # A TTL <= 0 writes leases already expired (a live owner's shard is
-        # taken over and runs twice); a NaN or infinite one never expires.
-        store = tmp_path / "store"
-        with pytest.raises(SystemExit) as excinfo:
-            main(["worker", "--store", str(store), "--lease-ttl", ttl])
-        assert excinfo.value.code == 2
-        assert "--lease-ttl must be a positive, finite number" in capsys.readouterr().err
-        assert not store.exists()
-
-    def test_worker_rejects_a_missing_store(self, tmp_path, capsys):
-        # A mistyped store would drain nothing and report success.
-        store = tmp_path / "no-such-store"
-        with pytest.raises(SystemExit) as excinfo:
-            main(["worker", "--store", str(store)])
-        assert excinfo.value.code == 2
-        assert f"--store {store} is not a directory" in capsys.readouterr().err
-        assert not store.exists()
-
     def test_clean_analyses_only_preserves_campaigns(self, tmp_path, capsys):
         from repro.study.store import ResultStore
 
@@ -551,8 +504,10 @@ class TestOutputFormats:
 
 
 class TestExecStatusFormats:
-    def _seed_queue(self, tmp_path):
-        from repro.exec import FileQueue, plan_shards, shard_task
+    def _seed_partial(self, tmp_path):
+        """A store holding one of a campaign's two 4-lane ranges, as a run
+        killed between them leaves it."""
+        from repro.exec import ShardRunner, plan_shards, publish_shard, shard_task
         from repro.study.scenario import HierarchySpec, Scenario, WorkloadSpec
         from repro.study.store import ResultStore
 
@@ -563,9 +518,8 @@ class TestExecStatusFormats:
             master_seed=5,
         )
         store = ResultStore(tmp_path / "store")
-        queue = FileQueue(store.queue_root)
-        for shard in plan_shards(scenario.spec_hash(), scenario.runs, 4):
-            queue.enqueue(shard_task(scenario, shard, DEFAULT_ENGINE))
+        shard = plan_shards(scenario.spec_hash(), scenario.runs, 4)[0]
+        publish_shard(ShardRunner(), store, shard_task(scenario, shard, DEFAULT_ENGINE))
         return scenario, store
 
     def test_json_format_is_parseable_and_matches_snapshot(
@@ -573,36 +527,25 @@ class TestExecStatusFormats:
     ):
         from repro.exec.status import exec_status_snapshot
 
-        scenario, store = self._seed_queue(tmp_path)
-        assert main(
-            ["worker", "--store", str(store.root), "--worker-id", "cli-json"]
-        ) == 0
-        capsys.readouterr()
+        scenario, store = self._seed_partial(tmp_path)
         assert main(
             ["exec", "status", "--store", str(store.root), "--format", "json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        local = exec_status_snapshot(store)
-        assert payload["queue_root"] == local["queue_root"]
-        assert payload["totals"] == local["totals"]
-        assert payload["specs"] == local["specs"]
-        # Worker telemetry carries the engine name (the heartbeat ages
-        # differ between the two calls, so compare fields).  The scenario
-        # names no engine, so this pins the default end to end.
-        [worker] = payload["workers"]
-        assert worker["owner"] == "cli-json"
-        assert worker["engine"] == "numpy"
+        assert payload == exec_status_snapshot(store)
+        # The range header carries the engine name.  The scenario names no
+        # engine, so this pins the default end to end.
+        entry = payload["specs"][scenario.spec_hash()]
+        assert (entry["engine"], entry["published"], entry["runs"]) == ("numpy", 4, 8)
+        assert payload["totals"] == {"ranges": 1, "published": 4, "runs": 8}
 
     def test_text_format_shows_the_engine_column(self, tmp_path, capsys):
-        scenario, store = self._seed_queue(tmp_path)
-        assert main(
-            ["worker", "--store", str(store.root), "--worker-id", "cli-text"]
-        ) == 0
-        capsys.readouterr()
+        scenario, store = self._seed_partial(tmp_path)
         assert main(["exec", "status", "--store", str(store.root)]) == 0
         out = capsys.readouterr().out
         assert "engine" in out
         assert "numpy" in out
+        assert scenario.spec_hash()[:12] in out and "4/8" in out
 
 
 class TestCleanDryRun:
@@ -655,3 +598,27 @@ class TestCleanDryRun:
         # Nothing was deleted by the dry run; the real clear agrees on 2.
         assert main(["study", "clean", "--store", store_dir]) == 0
         assert "removed 2 stored result(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("directory", ["tasks", "leases", "workers"])
+    def test_clean_removes_an_older_stores_queue_files(self, tmp_path, capsys, directory):
+        # An older store's work queue is bookkeeping: a full clean lists and
+        # removes it without counting it; an age sweep does not list it.
+        from repro.study.store import ResultStore
+
+        store_dir = str(tmp_path / "store")
+        store = ResultStore(store_dir)
+        store.save_shard("bbb", "00000000x000004", {"version": 1})
+        leftover = store.root / "queue" / directory / "bbb.00000000x000004.json"
+        leftover.parent.mkdir(parents=True)
+        leftover.write_text("{}")
+        assert main(["study", "clean", "--older-than", "0s", "--dry-run",
+                     "--store", store_dir]) == 0
+        relative = str(leftover.relative_to(store.root))
+        assert relative not in capsys.readouterr().out
+        assert main(["study", "clean", "--dry-run", "--store", store_dir]) == 0
+        out = capsys.readouterr().out
+        assert "would remove 1 stored result(s) (plus 1 bookkeeping file(s))" in out
+        assert relative in out
+        assert main(["study", "clean", "--store", store_dir]) == 0
+        assert "removed 1 stored result(s)" in capsys.readouterr().out
+        assert [path for path in store.root.rglob("*") if path.is_file()] == []

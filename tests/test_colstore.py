@@ -404,13 +404,11 @@ class TestManifest:
         assert range_path(store, scenario) not in candidates
 
     def test_no_index_file_is_written(self, tmp_path):
-        from repro.exec import FileQueue, WorkerTelemetry
         from repro.study import build_run_table
 
         store, (spec_hash,) = self._saved(tmp_path, count=1)
         store.save_analysis(spec_hash, "deadbeef", {"version": 1})
         store.save_shard(spec_hash, "0-2", SHARD_PAYLOAD)
-        WorkerTelemetry(FileQueue(store.queue_root), "worker-a")
         store.keys()
         store.analysis_keys()
         store.shard_keys()
@@ -461,12 +459,12 @@ def _populated_store(tmp_path):
     publish(store, scenario)
     store.save_analysis(scenario.spec_hash(), "deadbeef", {"version": 1})
     store.record_study("smoke", [scenario.spec_hash()])
-    # Stray tmp files from interrupted writers, queue artifacts.
+    # Stray tmp files from interrupted writers, an older store's queue files.
     (store.root / "orphan.rcol.tmp").write_bytes(b"")
     (store.analysis_root / "orphan.json.tmp").write_text("")
     (store.shard_root / "orphan.rcol.tmp").write_bytes(b"")
     for sub in ("tasks", "leases", "workers"):
-        directory = store.queue_root / sub
+        directory = store.root / "queue" / sub
         directory.mkdir(parents=True, exist_ok=True)
         (directory / "w1.json").write_text("{}")
     return store
@@ -485,15 +483,22 @@ class TestGarbageCollection:
         assert store.sweep(older_than=0.0) > 0
         # Published ranges are the results — a sweep never touches them —
         # and the study markers, their provenance, stay.  Everything
-        # derived (analyses, queue files, stray ``*.tmp``) must be gone.
+        # derived (analyses, stray ``*.tmp``) must be gone.  An older
+        # store's queue files are not derived entries: `study clean`
+        # removes them, an age sweep does not list them.
         survivors = sorted(
-            p.name for p in store.root.rglob("*") if p.is_file()
+            p.relative_to(store.root).as_posix()
+            for p in store.root.rglob("*")
+            if p.is_file()
         )
         scenario = tiny_scenario()
         assert survivors == sorted(
             [
-                range_path(store, scenario).name,
-                scenario.spec_hash(),  # the marker studies/smoke/<spec_hash>
+                range_path(store, scenario).relative_to(store.root).as_posix(),
+                f"studies/smoke/{scenario.spec_hash()}",
+                "queue/leases/w1.json",
+                "queue/tasks/w1.json",
+                "queue/workers/w1.json",
             ]
         )
 

@@ -4,7 +4,7 @@ The production ``numpy`` engine is checked against the ``reference``
 oracle: random traces and configurations are replayed through **all
 registered engines** (so a future backend is automatically covered the
 moment it registers) and every counter must match, run by run — including
-through the campaign layer and the exec queue's worker processes.
+through the campaign layer and the exec drain's worker processes.
 """
 
 import random
@@ -450,7 +450,7 @@ class TestCampaignLevelEquivalence:
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_numpy_engine_bit_exact_under_process_pool(self, jobs, tmp_path):
-        """engine='numpy' composes with jobs>1: queue shards per worker process."""
+        """engine='numpy' composes with jobs>1: shards per worker process."""
         scenario = Scenario(
             workload=WorkloadSpec.eembc("rspeed", scale=0.1),
             hierarchy=HierarchySpec.named("hrp"),

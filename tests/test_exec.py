@@ -1,18 +1,16 @@
-"""The repro.exec subsystem: planner, queue/leases, workers, reassembly.
+"""The repro.exec subsystem: planner, lane executor, drain, status.
 
 The invariant under test everywhere: any campaign kind (seeds or layouts),
 shard size, worker count and interruption pattern reads back from its
 published lane ranges as a campaign **bit-exact** with serial execution —
-including after SIGKILLing a worker mid-shard and resuming.
+including after SIGKILLing a run between shards and resuming.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import os
 import signal
-import socket
 import subprocess
 import sys
 import tempfile
@@ -20,35 +18,33 @@ import time
 import weakref
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 import repro
 from repro.analysis.campaign import MISS_COUNTERS, run_campaign, run_layout_campaign
+from repro.analysis.experiments import ExperimentSettings
 from repro.engine import DEFAULT_ENGINE, NumpyEngine, available_engines
 from repro.exec import executor as executor_module
 from repro.exec import plan as plan_module
+from repro.exec import worker as worker_module
 from repro.exec import (
     DEFAULT_SHARD_SIZE,
-    FileQueue,
-    Lease,
     Shard,
     ShardReport,
     ShardRunner,
     execute_campaigns,
     plan_shards,
-    read_heartbeats,
+    publish_shard,
     resolve_jobs,
     resolve_shard_size,
-    run_worker,
     shard_key,
     shard_task,
 )
 from repro.exec.status import exec_status_snapshot, format_exec_status
-from repro.exec.telemetry import WorkerHeartbeat, WorkerTelemetry
 from repro.platform.leon3 import Leon3Parameters
+from repro.study import get_study, run_study
 from repro.study.runner import execute_scenarios
 from repro.study.scenario import (
     HierarchySpec,
@@ -102,13 +98,15 @@ def _serial_times(scenario: Scenario) -> list:
     return _serial(scenario).execution_times
 
 
-def _enqueue_all(scenario, store, shard_size):
-    """Plan ``scenario`` and enqueue every shard, as a coordinator would."""
+def _publish_first(scenario, store, shard_size, count=None):
+    """Publish the first ``count`` shards (all by default) of ``scenario``'s
+    ``shard_size``-lane plan, as a run killed after them leaves the store;
+    returns the whole plan."""
     shards = plan_shards(scenario.spec_hash(), scenario.runs, shard_size)
-    queue = FileQueue(store.queue_root)
-    for shard in shards:
-        queue.enqueue(shard_task(scenario, shard, DEFAULT_ENGINE))
-    return shards, queue
+    runner = ShardRunner()
+    for shard in shards[:count]:
+        publish_shard(runner, store, shard_task(scenario, shard, DEFAULT_ENGINE))
+    return shards
 
 
 def _drain(scenarios, store, **options):
@@ -127,6 +125,19 @@ def _drain(scenarios, store, **options):
         for spec_hash, (campaign, shards) in resolved.items()
     }
     return recorded, total
+
+
+def _count_pools(monkeypatch):
+    """The ``max_workers`` of every process pool the executor opens from now on."""
+    pools = []
+
+    class CountingPool(executor_module.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", CountingPool)
+    return pools
 
 
 def _drain_one(scenario, store, **options):
@@ -244,102 +255,6 @@ class TestPlan:
 
 
 # ---------------------------------------------------------------------------
-# Queue and leases
-# ---------------------------------------------------------------------------
-
-def _task(spec_hash: str = "deadbeef", start: int = 0, count: int = 4) -> dict:
-    return {
-        "spec_hash": spec_hash,
-        "key": shard_key(start, count),
-        "start": start,
-        "count": count,
-    }
-
-
-class TestFileQueue:
-    def test_enqueue_is_idempotent(self, tmp_path):
-        queue = FileQueue(tmp_path / "q")
-        queue.enqueue(_task())
-        queue.enqueue(_task())
-        assert queue.pending() == 1
-
-    def test_tasks_sorted_for_deterministic_claim_order(self, tmp_path):
-        queue = FileQueue(tmp_path / "q")
-        for start in (8, 0, 4):
-            queue.enqueue(_task(start=start))
-        assert [queue.read_task(p)["start"] for p in queue.tasks()] == [0, 4, 8]
-
-    def test_fresh_claim_is_exclusive(self, tmp_path):
-        queue = FileQueue(tmp_path / "q")
-        path = queue.enqueue(_task())
-        assert queue.try_claim(path, "alice")
-        assert not queue.try_claim(path, "bob")
-        lease = queue.lease_for(path)
-        assert lease.owner == "alice" and lease.active()
-
-    def test_expired_lease_is_reclaimed(self, tmp_path):
-        queue = FileQueue(tmp_path / "q")
-        path = queue.enqueue(_task())
-        assert queue.try_claim(path, "alice", ttl=0.0)
-        # alice's lease deadline has passed; bob may take over.
-        assert queue.try_claim(path, "bob")
-        assert queue.lease_for(path).owner == "bob"
-
-    def test_dead_pid_lease_is_reclaimed_without_waiting_out_ttl(self, tmp_path):
-        queue = FileQueue(tmp_path / "q")
-        path = queue.enqueue(_task())
-        assert queue.try_claim(path, "ghost", ttl=3600.0)
-        # Rewrite the lease as if it were held by a dead process on this
-        # host: pid of a short-lived child that has already been reaped.
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
-        lease_path = queue.lease_path(path)
-        payload = json.loads(lease_path.read_text())
-        payload["pid"] = child.pid
-        lease_path.write_text(json.dumps(payload))
-        assert not queue.lease_for(path).active()
-        assert queue.try_claim(path, "bob")
-
-    @pytest.mark.skipif(
-        not Path("/proc/self/stat").exists(), reason="zombies are read from /proc"
-    )
-    def test_unreaped_dead_pid_is_not_alive(self):
-        # A killed worker whose parent died too stays a zombie until init
-        # reaps it; meanwhile its lease and heartbeat must read as dead, or
-        # a resume leaves the lease's task queued and later executes it.
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        stat = Path(f"/proc/{child.pid}/stat")
-        try:
-            deadline = time.time() + 30
-            while stat.read_text().rpartition(")")[2].split()[0] != "Z":
-                assert time.time() < deadline, "the child never exited"
-                time.sleep(0.01)
-            host = socket.gethostname()
-            assert not Lease("killed", host, child.pid, time.time() + 3600).active()
-            assert not WorkerHeartbeat("killed", host, child.pid, 0.0, 0.0).alive()
-            assert Lease("live", host, os.getpid(), time.time() + 3600).active()
-        finally:
-            child.wait()
-
-    def test_release_only_drops_own_lease(self, tmp_path):
-        queue = FileQueue(tmp_path / "q")
-        path = queue.enqueue(_task())
-        queue.try_claim(path, "alice")
-        queue.release(path, "bob")  # not bob's to release
-        assert queue.lease_for(path).owner == "alice"
-        queue.release(path, "alice")
-        assert queue.lease_for(path) is None
-
-    def test_complete_retires_task_and_lease(self, tmp_path):
-        queue = FileQueue(tmp_path / "q")
-        path = queue.enqueue(_task())
-        queue.try_claim(path, "alice")
-        queue.complete(path, "alice")
-        assert queue.pending() == 0
-        assert queue.lease_for(path) is None
-
-
-# ---------------------------------------------------------------------------
 # Spec round-trip (what makes shard tasks self-contained)
 # ---------------------------------------------------------------------------
 
@@ -404,10 +319,9 @@ class TestStoreShardEntries:
         # lane: lanes 0-2 of a 6-run campaign are not one.
         scenario = _scenario(runs=6)
         store = ResultStore(tmp_path / "store")
-        shards, queue = _enqueue_all(scenario, store, shard_size=3)
-        assert run_worker(queue.root, store.root, max_shards=1).shards_done == 1
+        _publish_first(scenario, store, shard_size=3, count=1)
         assert store.keys() == [] and store.load(scenario.spec_hash()) is None
-        assert run_worker(queue.root, store.root).shards_done == 1
+        _publish_first(scenario, store, shard_size=3)
         assert store.keys() == [scenario.spec_hash()]
 
     def test_corrupt_or_mismatched_shard_is_a_miss(self, tmp_path):
@@ -435,32 +349,47 @@ class TestStoreShardEntries:
         assert store.load_analysis("aaa", "cfg") is None
         assert store.load_shard("aaa", shard_key(0, 3)) is not None
 
+    @staticmethod
+    def _old_queue_files(store):
+        """An older store's leftover ``queue/`` task, lease and heartbeat."""
+        paths = [
+            store.root / "queue" / "tasks" / f"aaa.{shard_key(0, 3)}.json",
+            store.root / "queue" / "leases" / f"aaa.{shard_key(0, 3)}.lease",
+            store.root / "queue" / "workers" / "host-1-0123abcd.json",
+        ]
+        for path in paths:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("{}")
+        return paths
+
     def test_sweep_analyses_only_leaves_shards_and_queue(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.save_analysis("aaa", "cfg", {"v": 1})
         store.save_shard("aaa", shard_key(0, 3), _range("aaa"))
-        queue = FileQueue(store.queue_root)
-        queue.enqueue(_task("aaa"))
+        queue_files = self._old_queue_files(store)
         old = time.time() - 7200
-        for root in (store.analysis_root, store.shard_root, queue.task_root):
-            for path in root.iterdir():
-                os.utime(path, (old, old))
+        for path in [*store.analysis_root.iterdir(), *store.shard_root.iterdir(), *queue_files]:
+            os.utime(path, (old, old))
         assert store.sweep(older_than=3600.0, analyses_only=True) == 1
         assert store.load_shard("aaa", shard_key(0, 3)) is not None
-        assert queue.pending() == 1
-        # The full sweep also collects queue leftovers; a published range
-        # is a result and stays.
-        assert store.sweep(older_than=3600.0) == 1
+        # The full sweep lists no published range (a result) and no queue
+        # file (an older store's bookkeeping, which `study clean` removes).
+        assert store.sweep_candidates(older_than=3600.0) == []
+        assert store.sweep(older_than=3600.0) == 0
         assert store.shard_keys() == [("aaa", shard_key(0, 3))]
-        assert queue.pending() == 0
+        assert all(path.exists() for path in queue_files)
 
     def test_clear_includes_shards_and_queue(self, tmp_path):
+        # An older store's queue files are bookkeeping: removed, not counted.
         store = ResultStore(tmp_path / "store")
         store.save_shard("aaa", shard_key(0, 3), _range("aaa"))
-        FileQueue(store.queue_root).enqueue(_task("aaa"))
-        store.clear()
+        queue_files = self._old_queue_files(store)
+        entries, bookkeeping = store.clear_candidates()
+        assert entries == [store.shard_path_for("aaa", shard_key(0, 3))]
+        assert bookkeeping == sorted(queue_files)
+        assert store.clear() == 1
         assert store.shard_keys() == []
-        assert FileQueue(store.queue_root).pending() == 0
+        assert not any(path.exists() for path in queue_files)
 
 
 # ---------------------------------------------------------------------------
@@ -499,14 +428,13 @@ class TestShardedExecution:
         # the rerun is a store hit that plans nothing.
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        shards, queue = _enqueue_all(scenario, store, shard_size=4)
-        assert run_worker(queue.root, store.root).shards_done == len(shards)
+        _publish_first(scenario, store, shard_size=4)
         campaign, from_store, report = _drain_one(scenario, store, shard_size=4)
         assert from_store
         assert (report.planned, report.reused, report.executed) == (0, 0, 0)
         assert campaign.execution_times == _serial_times(scenario)
 
-    def test_layout_campaign_through_queue_matches_serial(self, tmp_path):
+    def test_layout_campaign_drain_matches_serial(self, tmp_path):
         scenario = _layout_scenario()
         serial = _serial(scenario)
         assert len(set(serial.execution_times)) > 1  # layouts do vary
@@ -522,8 +450,7 @@ class TestShardedExecution:
                 assert report.executed == report.planned == -(-scenario.runs // shard_size)
         # A partial run resumes: only the missing layout ranges execute.
         store = ResultStore(tmp_path / "resumed")
-        shards, queue = _enqueue_all(scenario, store, shard_size=2)
-        assert run_worker(queue.root, store.root, max_shards=1).shards_done == 1
+        shards = _publish_first(scenario, store, shard_size=2, count=1)
         campaign, _, report = _drain_one(scenario, store, shard_size=2)
         assert (report.planned, report.reused, report.executed) == (len(shards), 1, 2)
         assert campaign.execution_times == serial.execution_times
@@ -534,8 +461,8 @@ class TestShardedExecution:
         # the counter columns, equals the serial campaign's float for float.
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        shards, queue = _enqueue_all(scenario, store, shard_size=5)
-        assert run_worker(queue.root, store.root).shards_done == len(shards) == 3
+        shards = _publish_first(scenario, store, shard_size=5)
+        assert len(shards) == 3
         campaign = store.load(scenario.spec_hash(), [shard.key for shard in shards])
         serial = _serial(scenario)
         assert campaign.execution_times == serial.execution_times
@@ -544,51 +471,73 @@ class TestShardedExecution:
         assert {type(value) for value in campaign.miss_summary.values()} == {float}
         assert set(MISS_COUNTERS) <= set(campaign.miss_summary)
 
-    @pytest.mark.parametrize("ttl", [0.0, -5.0, float("nan"), float("inf")])
-    def test_worker_rejects_an_unusable_lease_ttl(self, tmp_path, ttl):
-        scenario = _scenario()
+    def test_exec_status_renders_published_lanes_and_engine(self, tmp_path):
+        scenario = replace(_scenario(), label="partial")
         store = ResultStore(tmp_path / "store")
-        _, queue = _enqueue_all(scenario, store, shard_size=4)
-        with pytest.raises(ValueError, match="lease_ttl must be a positive, finite"):
-            run_worker(queue.root, store.root, lease_ttl=ttl)
-        assert not queue.lease_root.exists()  # nothing was claimed
-        assert read_heartbeats(queue) == []
-
-    def test_worker_heartbeats_recorded(self, tmp_path):
-        scenario = _scenario()
-        store = ResultStore(tmp_path / "store")
-        _drain_one(scenario, store, shard_size=4)
-        beats = read_heartbeats(FileQueue(store.queue_root))
-        assert len(beats) == 1
-        assert beats[0].finished
-        assert beats[0].shards_done == 3
-        assert beats[0].runs_done == scenario.runs
-
-    def test_exec_status_renders_queue_and_workers(self, tmp_path):
-        scenario = _scenario()
-        store = ResultStore(tmp_path / "store")
-        _drain_one(scenario, store, shard_size=4)
+        _publish_first(scenario, store, shard_size=4, count=2)
         text = format_exec_status(store)
-        assert "finished" in text
-        assert "runs/s" in text
+        assert scenario.spec_hash()[:12] in text
+        assert "partial" in text and DEFAULT_ENGINE in text
+        assert "8/12" in text  # lanes published of the campaign's runs
 
-    def test_exec_status_lists_only_campaigns_with_queued_tasks(self, tmp_path):
-        # Status describes the queue: a stored campaign is not listed, and
-        # a campaign with queued tasks shows what it has published so far.
-        finished, queued = _scenario(master_seed=1), _scenario(master_seed=2)
+    def test_exec_status_lists_only_partly_published_campaigns(self, tmp_path):
+        # Status reads ranges alone: a stored campaign is not listed, and a
+        # partly published one shows the lanes it has published.
+        finished, partial = _scenario(master_seed=1), _scenario(master_seed=2)
         store = ResultStore(tmp_path / "store")
         execute_scenarios([finished], store, shard_size=4)
         snapshot = exec_status_snapshot(store)
         assert snapshot["specs"] == {}
-        assert set(snapshot["totals"]) == {"pending", "leased", "published", "workers"}
-        assert (snapshot["totals"]["pending"], snapshot["totals"]["published"]) == (0, 0)
-        assert "no queued shards" in format_exec_status(store)
-        _, queue = _enqueue_all(queued, store, shard_size=4)
-        assert run_worker(queue.root, store.root, max_shards=1).shards_done == 1
+        assert snapshot["totals"] == {"ranges": 0, "published": 0, "runs": 0}
+        assert "no partly published campaigns" in format_exec_status(store)
+        _publish_first(partial, store, shard_size=4, count=1)
         snapshot = exec_status_snapshot(store)
-        counts = {"pending": 2, "leased": 0, "published": 1}
-        assert snapshot["specs"] == {queued.spec_hash(): counts}
-        assert {key: snapshot["totals"][key] for key in counts} == counts
+        assert snapshot["specs"] == {
+            partial.spec_hash(): {
+                "workload": "synthetic_4KB",
+                "setup": partial.display_label,
+                "engine": DEFAULT_ENGINE,
+                "runs": 12,
+                "ranges": 1,
+                "published": 4,
+            }
+        }
+        assert snapshot["totals"] == {"ranges": 1, "published": 4, "runs": 12}
+        assert not (store.root / "queue").exists()
+
+    @pytest.mark.parametrize(
+        "ranges, published",
+        [
+            ([], None),
+            ([(0, 3)], 3),
+            ([(0, 3), (3, 3)], 6),
+            ([(3, 3), (9, 3)], 6),
+            ([(0, 3), (3, 3), (6, 3), (9, 3)], None),
+            # A killed 6-lane run and an 8-lane one overlap: the plan keeps
+            # lanes 0-5 and needs a range starting at lane 6.
+            ([(0, 6), (4, 8)], 6),
+        ],
+        ids=["none", "first", "two", "apart", "all", "overlapping"],
+    )
+    def test_exec_status_counts_the_lanes_a_rerun_reuses(self, tmp_path, ranges, published):
+        # A campaign is listed exactly while its ranges do not make it up,
+        # with the lanes the store's plan keeps (None: not listed).
+        scenario = _scenario()
+        store = ResultStore(tmp_path / "store")
+        runner = ShardRunner()
+        for start, count in ranges:
+            shard = Shard(scenario.spec_hash(), 0, 1, start, count)
+            publish_shard(runner, store, shard_task(scenario, shard, DEFAULT_ENGINE))
+        specs = exec_status_snapshot(store)["specs"]
+        if published is None:
+            assert specs == {}
+            assert (store.load(scenario.spec_hash()) is None) == (not ranges)
+        else:
+            entry = specs[scenario.spec_hash()]
+            assert (entry["published"], entry["ranges"], entry["runs"]) == (
+                published, len(ranges), scenario.runs
+            )
+            assert store.load(scenario.spec_hash()) is None
 
     @pytest.mark.parametrize("shard_size", [1, 7, None])
     def test_shard_size_invariance(self, tmp_path, monkeypatch, shard_size):
@@ -708,89 +657,130 @@ class TestShardRunner:
             with pytest.raises(ValueError, match="outside"):
                 ShardRunner().execute(shard_task(scenario, shard, DEFAULT_ENGINE))
 
+    @pytest.mark.parametrize("throttle, slept", [("", []), ("0", []), ("0.25", [0.25])])
+    def test_throttle_sleeps_before_each_shard_runs(
+        self, tmp_path, monkeypatch, throttle, slept
+    ):
+        # REPRO_EXEC_THROTTLE is a sleep before the shard runs, so a kill
+        # during it leaves the range unpublished.
+        events = []
+        monkeypatch.setenv("REPRO_EXEC_THROTTLE", throttle)
+        monkeypatch.setattr(worker_module.time, "sleep", events.append)
+        execute = ShardRunner.execute
+
+        def recording(runner, task):
+            events.append("execute")
+            return execute(runner, task)
+
+        monkeypatch.setattr(ShardRunner, "execute", recording)
+        scenario = _scenario()
+        store = ResultStore(tmp_path / "store")
+        [shard] = plan_shards(scenario.spec_hash(), scenario.runs, scenario.runs)
+        publish_shard(ShardRunner(), store, shard_task(scenario, shard, DEFAULT_ENGINE))
+        assert events == [*slept, "execute"]
+        assert store.load(scenario.spec_hash()).execution_times == _serial_times(scenario)
+
+    def test_a_pool_worker_keeps_one_runner_across_its_tasks(self, tmp_path, monkeypatch):
+        # publish_in_worker runs every task of a pool worker on one runner,
+        # so a workload's trace is built once per worker.
+        builds = []
+        original = eembc_module.build_kernel_trace
+
+        def counting(*args, **kwargs):
+            builds.append(args[0].name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(eembc_module, "build_kernel_trace", counting)
+        monkeypatch.setattr(worker_module, "_RUNNER", None)
+        scenario = _layout_scenario()
+        store = ResultStore(tmp_path / "store")
+        for shard in plan_shards(scenario.spec_hash(), scenario.runs, 2):
+            worker_module.publish_in_worker(
+                str(store.root), shard_task(scenario, shard, DEFAULT_ENGINE)
+            )
+        assert builds == ["matrix"]
+        assert store.load(scenario.spec_hash()).execution_times == _serial_times(scenario)
+
 
 # ---------------------------------------------------------------------------
-# Crash-resume: SIGKILL an external worker mid-shard
+# Crash-resume: SIGKILL a run between shards, resume from its ranges
 # ---------------------------------------------------------------------------
 
 class TestCrashResume:
     def test_sigkilled_worker_leaves_resumable_state(self, tmp_path):
-        scenario = _scenario()
+        # A throttled `study run` process (a sleep before each shard runs)
+        # is SIGKILLed once some of its ranges are published.  The rerun
+        # executes only the unpublished shards and every campaign matches
+        # its serial run bit for bit.
+        settings = ExperimentSettings(runs=24, scale=0.25, shard_size=6)
+        scenarios = get_study("fig5").plan(settings)
         store = ResultStore(tmp_path / "store")
-        shards, queue = _enqueue_all(scenario, store, shard_size=4)
-
-        # External worker, throttled so the kill lands between claiming the
-        # first shard and executing it (deterministic kill-mid-shard).
-        env = dict(os.environ)
+        env = dict(os.environ, REPRO_EXEC_THROTTLE="0.5")
         src_root = str(Path(repro.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-        env["REPRO_EXEC_THROTTLE"] = "30"
-        worker = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--store", str(store.root)],
+        run = subprocess.Popen(
+            [sys.executable, "-m", "repro", "study", "run", "fig5", "--runs", "24",
+             "--scale", "0.25", "--shard-size", "6", "--store", str(store.root)],
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
         try:
-            deadline = time.time() + 30
-            lease_paths = [queue.lease_path(p) for p in queue.tasks()]
-            while time.time() < deadline:
-                if any(p.exists() for p in lease_paths):
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail("worker never claimed a shard")
+            deadline = time.time() + 60
+            while len(store.shard_keys()) < 2:
+                assert run.poll() is None, "the run finished before it was killed"
+                assert time.time() < deadline, "the run never published two ranges"
+                time.sleep(0.02)
         finally:
-            worker.send_signal(signal.SIGKILL)
-            worker.wait()
+            run.send_signal(signal.SIGKILL)
+            run.wait()
+        published = len(store.shard_keys())
+        assert 2 <= published < 8  # fig5 plans 2 campaigns of 4 shards
+        assert list(store.root.rglob("*.tmp")) == []  # the kill landed between writes
+        report = run_study("fig5", settings, store=store).report
+        assert (report.shards_planned, report.shards_reused) == (8, published)
+        assert report.shards_executed == 8 - published
+        for scenario in scenarios:
+            campaign, serial = store.load(scenario.spec_hash()), _serial(scenario)
+            assert campaign.execution_times == serial.execution_times
+            assert campaign.miss_summary == serial.miss_summary
+        assert not (store.root / "queue").exists()
 
-        # Killed mid-shard: nothing published, the claimed task still
-        # pending, its lease held by a now-dead pid.
-        assert store.shard_keys(scenario.spec_hash()) == []
-        assert queue.pending() == len(shards)
-        held = [p for p in queue.tasks() if queue.lease_for(p) is not None]
-        assert held
-        assert not queue.lease_for(held[0]).active()  # dead-pid detection
-
-        # Resume in-process: the dead lease is reclaimed immediately (no
-        # TTL wait) and the reassembled campaign is bit-exact with serial.
-        stats = run_worker(queue.root, store.root, lease_ttl=3600.0)
-        assert stats.shards_done == len(shards)
-        campaign = store.load(scenario.spec_hash(), [shard.key for shard in shards])
-        assert campaign.execution_times == _serial_times(scenario)
-
-    def test_executor_waits_out_live_foreign_lease(self, tmp_path):
-        # A shard leased by a live foreign owner (an attached worker, or an
-        # orphaned pool worker of a killed coordinator) must not be stolen:
-        # the executor waits until the lease dies, then reclaims and
-        # executes the shard itself instead of failing reassembly.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "published", [(0,), (1, 2), (3,), (0, 2)], ids=["first", "middle", "last", "apart"]
+    )
+    def test_resume_executes_only_the_unpublished_shards(self, tmp_path, jobs, published):
+        # A killed run published some of the four 3-lane shards, in any
+        # order (a pool finishes shards out of order).  The rerun, in this
+        # process or on a pool, publishes exactly the others, in lane order,
+        # and reads the campaign bit-exact.
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        queue = FileQueue(store.queue_root)
-        shards = plan_shards(scenario.spec_hash(), scenario.runs, 4)
-        path = queue.enqueue(shard_task(scenario, shards[0], DEFAULT_ENGINE))
-        # Live pid (this process), short deadline: active for ~1 second.
-        assert queue.try_claim(path, "foreign-worker", ttl=1.0)
-        campaign, _, report = _drain_one(scenario, store, shard_size=4)
-        assert report.executed == report.planned == len(shards)
+        shards = plan_shards(scenario.spec_hash(), scenario.runs, 3)
+        runner = ShardRunner()
+        for index in published:
+            publish_shard(runner, store, shard_task(scenario, shards[index], DEFAULT_ENGINE))
+        keys = []
+        campaign, from_store, report = _drain_one(
+            scenario, store, jobs=jobs, shard_size=3, on_publish=lambda _, key: keys.append(key)
+        )
+        assert keys == [shard.key for index, shard in enumerate(shards) if index not in published]
+        assert (report.planned, report.reused, report.executed) == (
+            4, len(published), 4 - len(published)
+        )
+        assert not from_store
         assert campaign.execution_times == _serial_times(scenario)
 
     def test_resume_under_another_plan_executes_only_its_own(
         self, tmp_path, monkeypatch
     ):
-        # A killed 3-lane run left one published shard (lanes 0-2), a task
-        # under a dead (expired) lease, an unleased task and one a live
-        # drain holds.  A rerun at 4 lanes reuses the published shard, plans
-        # lanes 3-11 around it and executes that plan only: it retires the
-        # dead and unleased old tasks and leaves the live one to its owner.
+        # A killed 3-lane run published one shard (lanes 0-2).  A rerun at
+        # 4 lanes reuses it, plans lanes 3-11 around it and executes that
+        # plan only: none of the old plan's other shards.
         scenario = _scenario()
-        spec_hash = scenario.spec_hash()
         store = ResultStore(tmp_path / "store")
-        old, queue = _enqueue_all(scenario, store, shard_size=3)
-        assert run_worker(queue.root, store.root, max_shards=1).shards_done == 1
-        assert queue.try_claim(queue.task_path(spec_hash, old[1].key), "dead", ttl=-1.0)
-        live = queue.task_path(spec_hash, old[3].key)
-        assert queue.try_claim(live, "other-drain", ttl=600.0)
+        _publish_first(scenario, store, shard_size=3, count=1)
         published = []
         save_shard = ResultStore.save_shard
 
@@ -803,16 +793,13 @@ class TestCrashResume:
         assert sorted(published) == [shard_key(3, 4), shard_key(7, 4), shard_key(11, 1)]
         assert (report.planned, report.reused, report.executed) == (4, 1, 3)
         assert campaign.execution_times == _serial_times(scenario)
-        assert queue.tasks() == [live]
-        assert list(queue.lease_root.glob("*.lease")) == [queue.lease_path(live)]
 
     def test_resume_at_another_size_reuses_published_lanes(self, tmp_path, monkeypatch):
         # A killed 6-lane run published 2 of its 4 shards (lanes 0-11).  The
         # resume at 8 lanes keeps them and executes lanes 12-23 only.
         scenario = _scenario(runs=24)
         store = ResultStore(tmp_path / "store")
-        _, queue = _enqueue_all(scenario, store, shard_size=6)
-        assert run_worker(queue.root, store.root, max_shards=2).shards_done == 2
+        _publish_first(scenario, store, shard_size=6, count=2)
         executed = []
         execute = ShardRunner.execute
 
@@ -829,11 +816,9 @@ class TestCrashResume:
     def test_study_resume_executes_only_missing_shards(self, tmp_path):
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        shards, queue = _enqueue_all(scenario, store, shard_size=3)
 
-        # "Killed" first attempt: the worker exits after two of four shards.
-        stats = run_worker(queue.root, store.root, max_shards=2)
-        assert stats.shards_done == 2
+        # "Killed" first attempt: it published two of its four shards.
+        _publish_first(scenario, store, shard_size=3, count=2)
         assert len(store.shard_keys(scenario.spec_hash())) == 2
 
         # Rerun through the study runner: published shards are reused.
@@ -856,17 +841,18 @@ class TestCrashResume:
         )
 
     def test_interrupted_default_call_resumes(self, tmp_path, monkeypatch):
-        # A default call (one in-process worker, one shard per campaign) is
+        # A default call (in this process, one shard per campaign) is
         # interrupted once its first campaign's shard is published: that
         # campaign is stored, so the rerun reads it from the store and
         # executes only the other campaign's shard.
         scenarios = [replace(_scenario(master_seed=seed), label=f"seed {seed}") for seed in (1, 2)]
         store = ResultStore(tmp_path / "store")
 
-        def interrupted(telemetry, runs):
+        def interrupted(runner, store, task):
+            publish_shard(runner, store, task)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(WorkerTelemetry, "published", interrupted)
+        monkeypatch.setattr(executor_module, "publish_shard", interrupted)
         with pytest.raises(KeyboardInterrupt):
             execute_scenarios(scenarios, store)
         monkeypatch.undo()
@@ -887,8 +873,7 @@ class TestCrashResume:
         # shards.
         scenario = _scenario()
         store = ResultStore(tmp_path / "store")
-        _, queue = _enqueue_all(scenario, store, shard_size=4)
-        assert run_worker(queue.root, store.root, max_shards=1).shards_done == 1
+        _publish_first(scenario, store, shard_size=4, count=1)
         results = execute_scenarios([scenario], store, use_cache=False, shard_size=4)
         report = results.report
         assert (report.shards_planned, report.shards_reused, report.shards_executed) == (
@@ -902,8 +887,7 @@ class TestCrashResume:
         # campaign: cycles, miss summary and label as a serial run's.
         scenario = replace(_scenario(runs=24), label="two sizes")
         store = ResultStore(tmp_path / "store")
-        _, queue = _enqueue_all(scenario, store, shard_size=6)
-        assert run_worker(queue.root, store.root, max_shards=2).shards_done == 2
+        _publish_first(scenario, store, shard_size=6, count=2)
         _drain_one(scenario, store, shard_size=8)
         keys = [key for _, key in store.shard_keys(scenario.spec_hash())]
         assert keys == [shard_key(0, 6), shard_key(6, 6), shard_key(12, 8), shard_key(20, 4)]
@@ -935,19 +919,6 @@ class TestCrashResume:
         assert after == before
         assert execute_scenarios([scenario], store=store).report.full_cache_hit
 
-    def test_a_rerun_replaces_a_killed_runs_task_with_its_own(self, tmp_path):
-        # A killed run queued the shard under another engine and label; the
-        # rerun executes it with its own, and the range's header says so.
-        scenario = replace(_scenario(), label="rerun")
-        store = ResultStore(tmp_path / "store")
-        [shard] = plan_shards(scenario.spec_hash(), scenario.runs, scenario.runs)
-        killed = shard_task(replace(scenario, label="killed"), shard, "reference")
-        FileQueue(store.queue_root).enqueue(killed)
-        campaign, _, _ = _drain_one(scenario, store)
-        header = store.load_shard(scenario.spec_hash(), shard.key)
-        assert (header["engine"], header["setup"]) == (DEFAULT_ENGINE, "rerun")
-        assert campaign.setup == "rerun"
-
     def test_ranges_that_read_but_make_no_campaign_raise(self, tmp_path):
         # A range whose header claims another run count reads on its own,
         # but no campaign of the planned runs is made of it: the drain
@@ -962,8 +933,8 @@ class TestCrashResume:
 
 
 class TestShardDecodes:
-    """A queued drain stats shards until it reads the campaign, which
-    decodes each published range once."""
+    """A drain stats shards until it reads the campaign, which decodes each
+    published range once."""
 
     @staticmethod
     def _count_decodes(monkeypatch):
@@ -1002,8 +973,7 @@ class TestShardDecodes:
         execute_scenarios([scenario], store=clean, shard_size=3)
 
         store = ResultStore(tmp_path / "store")
-        shards, queue = _enqueue_all(scenario, store, shard_size=3)
-        assert run_worker(queue.root, store.root, max_shards=3).shards_done == 3
+        shards = _publish_first(scenario, store, shard_size=3, count=3)
         published = store.shard_path_for(spec_hash, shards[1].key)
         published.write_bytes(published.read_bytes()[:-5])  # truncated
         assert store.has_shard(spec_hash, shards[1].key)
@@ -1024,49 +994,45 @@ class TestShardDecodes:
 
 
 # ---------------------------------------------------------------------------
-# Overlapping drains of one spec (two server jobs, or study run beside one)
+# Overlapping drains of one spec (study run beside a server, or two study runs)
 # ---------------------------------------------------------------------------
 
 class TestOverlappingDrains:
-    """Two drains of one spec share its published ranges; neither clears one."""
+    """Two drains of one spec in two processes coordinate through nothing
+    but the published ranges: a range both execute lands as one file of
+    identical bytes."""
 
     def test_a_drain_reads_the_range_a_foreign_drain_published(self, tmp_path, monkeypatch):
-        # The first of the campaign's three shards is leased to a live
-        # foreign owner that publishes it while this drain waits.  The
-        # drain executes only the other two, reads the foreign range, and
-        # reports the campaign as simulated.
+        # A foreign drain publishes lanes 0-3 after this drain planned.
+        # This drain executes that shard too (CPU time, not a result, is
+        # duplicated): the range keeps the foreign bytes, and the campaign
+        # reads bit-exact.
         scenario = _scenario()
         spec_hash = scenario.spec_hash()
         store = ResultStore(tmp_path / "store")
-        shards, queue = _enqueue_all(scenario, store, shard_size=4)
-        foreign = queue.task_path(spec_hash, shards[0].key)
-        assert queue.try_claim(foreign, "other-job", ttl=600)
-        other_job_execute = ShardRunner.execute
-        executed = []
+        shards = plan_shards(spec_hash, scenario.runs, 4)
+        foreign = store.shard_path_for(spec_hash, shards[0].key)
+        original = ShardRunner.execute
+        executed, published = [], []
 
-        def counting(runner, task):
+        def foreign_drain_publishes_first(runner, task):
+            if not published:
+                foreign_task = shard_task(scenario, shards[0], DEFAULT_ENGINE)
+                store.save_shard(spec_hash, shards[0].key, original(ShardRunner(), foreign_task))
+                published.append(foreign.read_bytes())
             executed.append(task["key"])
-            return other_job_execute(runner, task)
+            return original(runner, task)
 
-        monkeypatch.setattr(ShardRunner, "execute", counting)
-
-        def other_job_finishes(seconds):
-            task = shard_task(scenario, shards[0], DEFAULT_ENGINE)
-            store.save_shard(spec_hash, shards[0].key, other_job_execute(ShardRunner(), task))
-            queue.complete(foreign, "other-job")
-            fake_time.sleep = time.sleep
-
-        fake_time = SimpleNamespace(sleep=other_job_finishes)
-        monkeypatch.setattr(executor_module, "time", fake_time)
+        monkeypatch.setattr(ShardRunner, "execute", foreign_drain_publishes_first)
         results = execute_scenarios([scenario], store, shard_size=4)
         report = results.report
-        assert sorted(executed) == sorted(shard.key for shard in shards[1:])
+        assert executed == [shard.key for shard in shards]
         assert (report.simulated, report.cache_hits) == (1, 0)
-        assert (report.shards_planned, report.shards_reused, report.shards_executed) == (3, 0, 2)
+        assert (report.shards_planned, report.shards_reused, report.shards_executed) == (3, 0, 3)
+        assert foreign.read_bytes() == published[0]
         outcome = next(iter(results))
         assert not outcome.from_cache
         assert outcome.campaign.execution_times == _serial_times(scenario)
-        assert queue.pending() == 0
         assert [key for _, key in store.shard_keys()] == [shard.key for shard in shards]
 
 
@@ -1075,8 +1041,9 @@ class TestOverlappingDrains:
 # ---------------------------------------------------------------------------
 
 class TestFailingCampaign:
-    """A shard that raises retires its campaign's queued tasks, and a
-    coordinator drains only its own campaign's tasks."""
+    """A shard that raises stops its call: the ranges published before it
+    stay, nothing of the failed campaign is published, and the next drain
+    plans around what is there."""
 
     @staticmethod
     def _fail_campaign(scenario, monkeypatch):
@@ -1101,45 +1068,56 @@ class TestFailingCampaign:
     ):
         failed, good = _scenario(master_seed=1), _scenario(master_seed=2)
         store = ResultStore(tmp_path / "store")
-        queue = FileQueue(store.queue_root)
         self._fail_campaign(failed, monkeypatch)
         with pytest.raises(ValueError, match="shard failed"):
             _drain_one(failed, store, shard_size=3)
+        assert list(store.root.rglob("*")) == []
         campaign, from_store, _ = _drain_one(good, store, shard_size=3)
         assert not from_store
         self._assert_matches_serial(campaign, good)
-        assert queue.pending() == 0
-        assert list(queue.lease_root.glob("*.lease")) == []
+        assert store.shard_keys(failed.spec_hash()) == []
 
-    def test_drain_leaves_another_campaigns_tasks_queued(self, tmp_path, monkeypatch):
-        pending, good = _scenario(master_seed=1), _scenario(master_seed=2)
-        store = ResultStore(tmp_path / "store")
-        shards, queue = _enqueue_all(pending, store, shard_size=3)
-        self._fail_campaign(pending, monkeypatch)
-        campaign, _, _ = _drain_one(good, store, shard_size=3)
-        self._assert_matches_serial(campaign, good)
-        assert queue.tasks() == [
-            queue.task_path(pending.spec_hash(), shard.key) for shard in shards
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_a_rerun_after_a_failure_executes_only_the_unpublished_shards(
+        self, tmp_path, monkeypatch, jobs, failing
+    ):
+        # Whichever campaign fails, in this process or on a pool, nothing
+        # of it is published and no temporary file is left; the rerun
+        # executes exactly the shards the failed call did not publish.
+        scenarios = [
+            replace(_scenario(master_seed=seed), label=f"seed {seed}") for seed in (1, 2, 3)
         ]
+        store = ResultStore(tmp_path / "store")
+        self._fail_campaign(scenarios[failing], monkeypatch)
+        with pytest.raises(ValueError, match="shard failed"):
+            _drain(scenarios, store, jobs=jobs, shard_size=6)
+        assert store.shard_keys(scenarios[failing].spec_hash()) == []
+        assert list(store.root.rglob("*.tmp")) == []
+        published = len(store.shard_keys())
+        if jobs == 1:
+            assert published == 2 * failing  # the campaigns before it, whole
+        monkeypatch.undo()
+        results = execute_scenarios(scenarios, store, jobs=jobs, shard_size=6)
+        assert results.report.shards_executed == 6 - published
+        for scenario in scenarios:
+            self._assert_matches_serial(results.campaign(scenario.display_label), scenario)
 
-    def test_failure_inside_a_call_retires_only_its_campaign(
+    def test_failure_inside_a_call_keeps_the_ranges_published_before_it(
         self, tmp_path, monkeypatch
     ):
-        # One worker drains a, then fails on b's first shard: b's tasks are
-        # retired, a's shards stay published and c's tasks stay queued.  A
-        # rerun reuses a's shards and executes b's and c's.
+        # One worker runs a, then fails on b's first shard: a's shards stay
+        # published, and neither b nor c publishes anything.  A rerun reads
+        # a from the store and executes b's and c's shards.
         first, failed, last = (
             replace(_scenario(master_seed=seed), label=f"seed {seed}") for seed in (1, 2, 3)
         )
         store = ResultStore(tmp_path / "store")
-        queue = FileQueue(store.queue_root)
         self._fail_campaign(failed, monkeypatch)
         with pytest.raises(ValueError, match="shard failed"):
             _drain([first, failed, last], store, shard_size=3)
-        assert queue.tasks(failed.spec_hash()) == []
         assert len(store.shard_keys(first.spec_hash())) == 4
-        assert len(queue.tasks(last.spec_hash())) == 4
-        assert list(queue.lease_root.glob("*.lease")) == []
+        assert store.shard_keys(failed.spec_hash()) == store.shard_keys(last.spec_hash()) == []
         monkeypatch.undo()
         results = execute_scenarios([first, failed, last], store, shard_size=3)
         report = results.report
@@ -1186,16 +1164,16 @@ class TestRunnerIntegration:
             tmp_path, monkeypatch, shard_size=4
         )
 
-    def test_call_drains_whole_campaigns_on_one_set_of_workers(self, tmp_path):
+    def test_call_drains_whole_campaigns_on_one_set_of_workers(self, tmp_path, monkeypatch):
         # Four campaigns and two workers: one shard per campaign, and one
-        # worker process (one heartbeat) per worker for the whole call.
+        # process pool of two workers for the whole call.
+        pools = _count_pools(monkeypatch)
         store = ResultStore(tmp_path / "store")
         scenarios = [replace(_scenario(master_seed=seed), label=f"seed {seed}") for seed in range(4)]
         results = execute_scenarios(scenarios, store, jobs=2)
         report = results.report
         assert report.shards_planned == report.shards_executed == 4
-        assert len(list(FileQueue(store.queue_root).worker_root.iterdir())) == 2
-        assert len(read_heartbeats(FileQueue(store.queue_root))) == 2
+        assert pools == [2]
         for scenario in scenarios:
             assert results.campaign(scenario.display_label).execution_times == (
                 _serial_times(scenario)
@@ -1214,15 +1192,14 @@ class TestRunnerIntegration:
         report = results.report
         assert report.simulated == 2
         assert (report.shards_planned, report.shards_reused, report.shards_executed) == (2, 0, 2)
-        queue = FileQueue(store.queue_root)
-        assert len(store.shard_keys()) == 2 and queue.tasks() == []
-        assert list(queue.lease_root.glob("*")) == []
+        assert len(store.shard_keys()) == 2
+        assert sorted(path.name for path in store.root.iterdir()) == ["shards"]
         for scenario in scenarios:
             assert results.campaign(scenario.display_label).execution_times == (
                 _serial_times(scenario)
             )
 
-    def test_layout_campaign_with_shard_size_goes_through_the_queue(self, tmp_path):
+    def test_layout_campaign_with_shard_size_runs_each_shard(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         scenario = _layout_scenario()
         results = execute_scenarios([scenario], store=store, shard_size=4)
@@ -1232,6 +1209,28 @@ class TestRunnerIntegration:
         again = execute_scenarios([scenario], store=store, shard_size=4)
         assert again.report.full_cache_hit
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("shard_size", [None, 1, 5, 12])
+    def test_on_publish_reports_each_range_the_call_publishes(
+        self, tmp_path, jobs, shard_size
+    ):
+        # Seed and layout campaigns, any width, in this process or on a
+        # pool: one call per published range, none on a warm call.
+        scenarios = [_scenario(master_seed=1), _layout_scenario(master_seed=2)]
+        store = ResultStore(tmp_path / "store")
+        published = []
+        _, report = _drain(
+            scenarios, store, jobs=jobs, shard_size=shard_size,
+            on_publish=lambda *pair: published.append(pair),
+        )
+        assert sorted(published) == store.shard_keys()
+        assert len(published) == report.executed == report.planned
+        _, warm = _drain(
+            scenarios, store, jobs=jobs, shard_size=shard_size,
+            on_publish=lambda *pair: published.append(pair),
+        )
+        assert (warm.planned, len(published)) == (0, report.executed)
+
     def test_report_summary_names_the_shards_of_a_cold_call(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         cold = execute_scenarios([_scenario()], store=store)
@@ -1239,29 +1238,3 @@ class TestRunnerIntegration:
         warm = execute_scenarios([_scenario()], store=store)
         assert warm.report.full_cache_hit
         assert "shards" not in warm.report.summary()
-
-    def test_telemetry_rate_limit_always_writes_transitions(self, tmp_path):
-        queue = FileQueue(tmp_path / "q")
-        telemetry = WorkerTelemetry(queue, "owner-1")
-        telemetry.claimed()
-        telemetry.published(runs=5)
-        telemetry.finish()
-        (beat,) = read_heartbeats(queue)
-        assert beat.shards_claimed == 1
-        assert beat.shards_done == 1
-        assert beat.runs_done == 5
-        assert beat.finished
-
-    def test_age_sweep_keeps_a_live_workers_heartbeat_listed(self, tmp_path):
-        # A sweep must not hide a live worker whose heartbeat is fresh, even
-        # when every other file of its queue directory is old.
-        store = ResultStore(tmp_path / "store")
-        queue = FileQueue(store.queue_root)
-        worker_a = WorkerTelemetry(queue, "worker-a")
-        two_hours_ago = time.time() - 7200
-        for path in queue.worker_root.iterdir():
-            os.utime(path, (two_hours_ago, two_hours_ago))
-        worker_a.claimed()  # every state transition rewrites the heartbeat
-        store.sweep(older_than=3600)
-        WorkerTelemetry(queue, "worker-b")
-        assert [beat.owner for beat in read_heartbeats(queue)] == ["worker-a", "worker-b"]

@@ -1,9 +1,8 @@
-"""Campaigns drained by worker processes must be bit-exact with serial ones.
+"""Campaigns run by worker processes must be bit-exact with serial ones.
 
-``jobs != 1`` sends a call's campaigns through the store's work queue,
-where the executor's worker processes drain their lane-range shards; the
-reassembled campaign must equal the serial primitives' for seed and layout
-campaigns.
+``jobs != 1`` runs a call's lane-range shards on one process pool, whose
+workers publish them to the store; the campaign read back must equal the
+serial primitives' for seed and layout campaigns.
 """
 
 from dataclasses import replace
@@ -82,7 +81,7 @@ class TestParallelSeedCampaign:
         assert parallel.master_seed == serial.master_seed
 
     def test_keep_run_results_matches_serial(self, tmp_path):
-        # The queue's per-run miss counters reassemble to the serial
+        # The ranges' per-run miss counters read back as the serial
         # campaign's miss summary, float for float.
         scenario = _seed_scenario(runs=6, master_seed=4)
         parallel, _ = _executed(scenario, tmp_path, jobs=2)

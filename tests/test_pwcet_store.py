@@ -166,6 +166,22 @@ class TestResultSetMemoization:
         fresh.mbpta("rm")
         assert counter.calls > 0
 
+    @pytest.mark.parametrize("refreshed", ["rm", "hrp"])
+    def test_a_refresh_clears_only_its_campaigns_analyses(self, tmp_path, refreshed):
+        # A forced refresh removes the refreshed campaign's analyses under
+        # every config with its ranges (the fits are caches of the lanes it
+        # replaces) and leaves every other campaign's analyses alone.
+        store = ResultStore(tmp_path / "store")
+        scenarios = {scenario.label: scenario for scenario in tiny_scenarios()}
+        execute_scenarios(list(scenarios.values()), store=store).compare_estimators()
+        kept = [pair for pair in store.analysis_keys()
+                if pair[0] != scenarios[refreshed].spec_hash()]
+        assert len(store.analysis_keys()) == 2 * len(kept) > 0
+        fresh = execute_scenarios([scenarios[refreshed]], store=store, use_cache=False)
+        assert store.analysis_keys() == kept
+        fresh.mbpta(refreshed)  # fitted again, and stored again
+        assert len(store.analysis_keys()) == len(kept) + 1
+
 
 class TestZeroEvtFitsOnWarmStore:
     """Acceptance criterion: a second ``study run`` performs zero EVT fits."""

@@ -2,15 +2,15 @@
 
 The invariants under test:
 
-* the server executes jobs through the exact store + exec-queue pipeline
-  the CLI uses, so **responses are byte-identical to the CLI path** for
-  the same specs (analysis payloads compare equal as canonical JSON);
+* the server executes jobs through the exact store + exec pipeline the
+  CLI uses, so **responses are byte-identical to the CLI path** for the
+  same specs (analysis payloads compare equal as canonical JSON);
 * concurrent clients submitting overlapping sweeps deduplicate by spec
   hash — the overlap resolves warm with **zero simulations and zero EVT
   fits**;
-* a SIGKILLed external worker does not lose a job: its dead lease is
-  reclaimed and the job completes (the exec queue's crash story, observed
-  end to end through the API).
+* a SIGKILLed ``study run`` on the server's store does not cost a job its
+  work: the job resumes from the ranges the killed run published (the
+  exec crash story, observed end to end through the API).
 """
 
 from __future__ import annotations
@@ -32,14 +32,15 @@ import pytest
 import repro
 import repro.pwcet.registry as pwcet_registry
 from repro.__main__ import main
+from repro.analysis.campaign import run_campaign
 from repro.analysis.experiments import ExperimentSettings
 from repro.engine import DEFAULT_ENGINE
-from repro.exec import FileQueue, ShardRunner, plan_shards, read_heartbeats, shard_task
+from repro.exec import ShardRunner, plan_shards, publish_shard, shard_task
 from repro.exec.status import exec_status_snapshot
 from repro.pwcet import MbptaConfig
 from repro.service.api.server import ReproServer
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.services.events import EventBus, GLOBAL_CHANNEL, StoreWatcher
+from repro.service.services.events import EventBus, GLOBAL_CHANNEL
 from repro.service.services import jobs as jobs_module
 from repro.service.services.gc import GcService
 from repro.service.services.jobs import BadRequest, JobManager, parse_job_request
@@ -171,7 +172,6 @@ def start_server():
 
     def start(store: ResultStore, **kwargs) -> tuple:
         kwargs.setdefault("gc_interval", 0)
-        kwargs.setdefault("watch_interval", 0.05)
         server = ReproServer(store, port=0, **kwargs)
         thread = threading.Thread(
             target=server.run, kwargs={"quiet": True}, daemon=True
@@ -383,41 +383,12 @@ class TestEventBus:
         assert kept == [7, 8, 9]
 
 
-class TestStoreWatcher:
-    def test_ranges_stored_before_the_first_poll_publish_no_event(self, tmp_path):
-        # The first poll is the baseline: a pre-populated store publishes
-        # no shard event, and each range published after it publishes one.
-        from repro.study.runner import execute_scenarios
-
-        store = ResultStore(tmp_path / "store")
-        stored, fresh = _scenario(runs=8, master_seed=1), _scenario(runs=8, master_seed=2)
-        execute_scenarios([stored], store, shard_size=4)
-        bus = EventBus()
-        watcher = StoreWatcher(store, bus, lambda spec_hash: ["job"])
-
-        def published():
-            return [
-                (event.data["spec_hash"], event.data["shard"])
-                for event in bus.history(GLOBAL_CHANNEL)
-                if event.kind == "shard-published"
-            ]
-
-        watcher.poll_once()
-        assert published() == [] and len(store.shard_keys()) == 2
-        execute_scenarios([fresh], store, shard_size=4)
-        watcher.poll_once()
-        assert published() == store.shard_keys(fresh.spec_hash())
-        watcher.poll_once()
-        assert len(published()) == 2
-        assert [event.kind for event in bus.history("job")].count("shard-published") == 2
-
-
 # ---------------------------------------------------------------------------
 # Job lifecycle over HTTP
 # ---------------------------------------------------------------------------
 
 class TestJobLifecycle:
-    def test_job_executes_through_queue_and_returns_analyses(
+    def test_job_executes_through_the_drain_and_returns_analyses(
         self, tmp_path, start_server
     ):
         store = ResultStore(tmp_path / "store")
@@ -430,7 +401,7 @@ class TestJobLifecycle:
         finished = client.wait(submitted["job_id"], timeout=120)
         assert finished["state"] == "done"
         assert finished["report"]["simulated"] == 2
-        # Jobs always route through the exec queue (shards were planned).
+        # Jobs always route through the exec drain (shards were planned).
         assert finished["report"]["shards_planned"] > 0
         results = finished["results"]
         assert [r["spec_hash"] for r in results] == [
@@ -636,6 +607,31 @@ class TestJobLifecycle:
         seqs = [e["seq"] for e in client.events(submitted["job_id"])]
         assert seqs == sorted(seqs)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("shard_size", [4, 8])
+    def test_sse_stream_carries_one_event_per_published_range(
+        self, tmp_path, start_server, jobs, shard_size
+    ):
+        # The job's own drain reports each range it publishes, in its job
+        # thread or from its pool, before the job completes; a warm
+        # resubmission publishes none.
+        store = ResultStore(tmp_path / "store")
+        _, client = start_server(store)
+        scenario = _scenario(runs=8)
+        payload = {"spec": _spec(scenario), "shard_size": shard_size, "jobs": jobs}
+        for ranges in (store.shard_keys, list):
+            job_id = client.submit(payload)["job_id"]
+            client.wait(job_id, timeout=60)
+            events = list(client.events(job_id))
+            published = [
+                (event["spec_hash"], event["shard"])
+                for event in events
+                if event["event"] == "shard-published"
+            ]
+            assert published == ranges()
+            assert events[-1]["event"] == "job-completed"
+        assert len(store.shard_keys()) == 8 // shard_size
+
 
 # ---------------------------------------------------------------------------
 # Warm overlap: the tentpole's dedupe guarantee
@@ -823,114 +819,151 @@ class TestColdOverlap:
         ]
         assert all(payload == unsourced[0] for payload in unsourced)
 
+    @pytest.mark.parametrize(
+        "seeds", [((1,), (2,)), ((1, 2), (2, 3)), ((1, 2), (1, 2))],
+        ids=["disjoint", "partial", "identical"],
+    )
+    def test_jobs_wait_only_for_the_spec_hashes_they_share(self, tmp_path, monkeypatch, seeds):
+        """Two cold jobs at once: every planned shard of their union runs
+        exactly once, whatever they share, and a campaign counts as
+        simulated in exactly one of them."""
+        executed = []
+        original = ShardRunner.execute
+
+        def counting(runner, task):
+            executed.append((task["spec_hash"], task["key"]))
+            return original(runner, task)
+
+        monkeypatch.setattr(ShardRunner, "execute", counting)
+        manager = JobManager(ResultStore(tmp_path / "store"), EventBus(), shard_size=8,
+                             concurrency=2)
+        scenarios = {seed: _scenario(runs=16, master_seed=seed) for pair in seeds for seed in pair}
+        try:
+            jobs = [
+                manager.submit({"specs": [_spec(scenarios[seed]) for seed in pair]})
+                for pair in seeds
+            ]
+            deadline = time.time() + 120
+            while not all(job.finished for job in jobs) and time.time() < deadline:
+                time.sleep(0.05)
+        finally:
+            manager.shutdown()
+        assert [job.state for job in jobs] == ["done", "done"]
+        planned = [
+            (scenario.spec_hash(), shard.key)
+            for scenario in scenarios.values()
+            for shard in plan_shards(scenario.spec_hash(), scenario.runs, 8)
+        ]
+        assert sorted(executed) == sorted(planned)
+        simulated = [
+            entry["spec_hash"]
+            for job in jobs
+            for entry in job.results
+            if entry["source"] == "simulated"
+        ]
+        assert sorted(simulated) == sorted(scenario.spec_hash() for scenario in scenarios.values())
+
 
 
 # ---------------------------------------------------------------------------
-# Crash resilience: SIGKILLed external worker, job still completes
+# Crash resilience: a SIGKILLed run's published ranges serve a job
 # ---------------------------------------------------------------------------
 
 class TestCrashResilience:
     def test_job_survives_sigkilled_external_worker(
         self, tmp_path, start_server, monkeypatch
     ):
-        """E2E: kill a worker mid-shard, the job completes via lease reclaim.
+        """E2E: a job resumes from a SIGKILLed ``study run``'s ranges.
 
-        An external worker claims a shard of the job's campaign and dies
-        (SIGKILL) holding the lease.  The server's own execution reclaims
-        the dead-pid lease and finishes; a repeat submission then resolves
-        fully warm with zero EVT fits.
+        A throttled ``study run`` process on the server's store is killed
+        once some of its ranges are published.  A job for the same specs
+        executes only the unpublished shards and its campaigns match their
+        serial runs bit for bit; a repeat submission then resolves fully
+        warm with zero EVT fits.
         """
-        scenario = _scenario(runs=24)
+        settings = ExperimentSettings(runs=24, scale=0.25, shard_size=6)
+        scenarios = get_study("fig5").plan(settings)
         store = ResultStore(tmp_path / "store")
-        queue = FileQueue(store.queue_root)
-        # Pre-enqueue the job's own shard plan so the external worker has
-        # the real tasks to claim before the server even starts.
-        shards = plan_shards(scenario.spec_hash(), scenario.runs, 4)
-        for shard in shards:
-            queue.enqueue(shard_task(scenario, shard, DEFAULT_ENGINE))
-
-        env = dict(os.environ)
+        env = dict(os.environ, REPRO_EXEC_THROTTLE="0.5")
         src_root = str(Path(repro.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-        env["REPRO_EXEC_THROTTLE"] = "30"  # kill lands between claim and run
-        worker = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--store", str(store.root)],
+        run = subprocess.Popen(
+            [sys.executable, "-m", "repro", "study", "run", "fig5", "--runs", "24",
+             "--scale", "0.25", "--shard-size", "6", "--store", str(store.root)],
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
         try:
-            deadline = time.time() + 30
-            lease_paths = [queue.lease_path(p) for p in queue.tasks()]
-            while time.time() < deadline:
-                if any(p.exists() for p in lease_paths):
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail("worker never claimed a shard")
+            deadline = time.time() + 60
+            while len(store.shard_keys()) < 2:
+                assert run.poll() is None, "the run finished before it was killed"
+                assert time.time() < deadline, "the run never published two ranges"
+                time.sleep(0.02)
         finally:
-            worker.send_signal(signal.SIGKILL)
-            worker.wait()
-        held = [p for p in queue.tasks() if queue.lease_for(p) is not None]
-        assert held and not queue.lease_for(held[0]).active()  # dead pid
+            run.send_signal(signal.SIGKILL)
+            run.wait()
+        published = len(store.shard_keys())
+        assert 2 <= published < 8  # fig5 plans 2 campaigns of 4 shards
 
         _, client = start_server(store)
-        submitted = client.submit(
-            {"spec": _spec(scenario), "shard_size": 4, "cutoffs": list(CUTOFFS)}
-        )
-        finished = client.wait(submitted["job_id"], timeout=120)
+        specs = [scenario.spec_dict() for scenario in scenarios]
+        payload = {"specs": specs, "shard_size": 6, "cutoffs": list(CUTOFFS)}
+        finished = client.wait(client.submit(payload)["job_id"], timeout=120)
         assert finished["state"] == "done"
-        assert finished["results"][0]["source"] == "simulated"
-        baseline = finished["results"][0]
+        report = finished["report"]
+        assert (report["shards_planned"], report["shards_reused"]) == (8, published)
+        assert report["shards_executed"] == 8 - published
+        for scenario, entry in zip(scenarios, finished["results"]):
+            serial = run_campaign(
+                scenario.workload.build_trace(),
+                scenario.hierarchy.config(),
+                runs=scenario.runs,
+                master_seed=scenario.effective_seed,
+            )
+            assert store.load(scenario.spec_hash()).execution_times == serial.execution_times
+            assert entry["mean"] == serial.mean
+            assert entry["miss_summary"] == serial.miss_summary
+        baseline = finished["results"]
 
         counter = _FitCounter(monkeypatch)
         warm = client.wait(
-            client.submit(
-                {"spec": _spec(scenario), "cutoffs": list(CUTOFFS)}
-            )["job_id"],
+            client.submit({"specs": specs, "cutoffs": list(CUTOFFS)})["job_id"],
             timeout=60,
         )
         assert warm["state"] == "done"
         assert warm["report"]["full_cache_hit"] is True
         assert counter.calls == 0
-        for key in ("mean", "high_water_mark", "runs", "analysis"):
-            assert warm["results"][0][key] == baseline[key]
+        for entry, cold in zip(warm["results"], baseline):
+            for key in ("mean", "high_water_mark", "runs", "analysis"):
+                assert entry[key] == cold[key]
 
 
 # ---------------------------------------------------------------------------
-# Status, heartbeat telemetry, GC
+# Status and GC
 # ---------------------------------------------------------------------------
 
 class TestStatusAndGc:
     def test_status_embeds_the_exec_snapshot_and_job_counts(
         self, tmp_path, start_server
     ):
+        # A killed run left half of one campaign's lanes published.
         store = ResultStore(tmp_path / "store")
+        partial = _scenario(runs=8, master_seed=1)
+        [shard, _] = plan_shards(partial.spec_hash(), partial.runs, 4)
+        publish_shard(ShardRunner(), store, shard_task(partial, shard, DEFAULT_ENGINE))
         _, client = start_server(store)
         submitted = client.submit({"spec": _spec(_scenario(runs=8))})
         client.wait(submitted["job_id"], timeout=60)
         status = client.status()
         assert status["service"]["jobs"]["done"] == 1
         assert status["service"]["uptime_seconds"] >= 0
-        # The exec section is format_exec_status's own snapshot, verbatim
-        # in shape (heartbeat ages move between calls, so compare keys).
-        local = exec_status_snapshot(store)
-        assert set(status["exec"]) == set(local)
-        assert status["exec"]["queue_root"] == local["queue_root"]
-        # The in-process queue drain left heartbeat telemetry with the
-        # engine recorded; the scenario names none, so it is the default.
-        workers = status["exec"]["workers"]
-        assert workers and all(w["engine"] == "numpy" for w in workers)
-
-    def test_worker_heartbeats_surface_engine_over_http(
-        self, tmp_path, start_server
-    ):
-        store = ResultStore(tmp_path / "store")
-        _, client = start_server(store)
-        submitted = client.submit({"spec": _spec(_scenario(runs=8))})
-        client.wait(submitted["job_id"], timeout=60)
-        beats = read_heartbeats(FileQueue(store.queue_root))
-        assert beats and beats[0].engine == "numpy"
+        # The exec section is exec_status_snapshot verbatim: the partly
+        # published campaign with its engine, and not the job's stored one.
+        assert status["exec"] == exec_status_snapshot(store)
+        assert set(status["exec"]["specs"]) == {partial.spec_hash()}
+        assert status["exec"]["specs"][partial.spec_hash()]["engine"] == "numpy"
+        assert status["exec"]["totals"]["published"] == 4
 
     def test_gc_endpoint_plans_then_sweeps(self, tmp_path, start_server):
         store = ResultStore(tmp_path / "store")
@@ -951,17 +984,16 @@ class TestStatusAndGc:
         store.save_shard("bbb", "00000000x000004", {"version": 1})
         (store.shard_root / "bbb.00000000x000008.rcol.0123abcd.tmp").write_bytes(b"")
         service = GcService(store, EventBus(), older_than=0.0)
-        # The service defaults to analyses-only (queue files and temporary
-        # files may belong to a campaign still running; age alone cannot
-        # tell).
+        # The service defaults to analyses-only (temporary files may belong
+        # to a publish still running; age alone cannot tell).
         assert service.plan() == [
             str(path.relative_to(store.root))
             for path in store.sweep_candidates(0.0, analyses_only=True)
         ]
         assert service.sweep_once() == 1
         assert store.has_shard("bbb", "00000000x000004")
-        # Sweeping queue bookkeeping and temporary files is an explicit
-        # request; a published range is a result and is never swept.
+        # Sweeping temporary files is an explicit request; a published
+        # range is a result and is never swept.
         assert service.plan(analyses_only=False) == [
             str(path.relative_to(store.root))
             for path in store.sweep_candidates(0.0, analyses_only=False)
@@ -1030,14 +1062,11 @@ class TestStatusAndGc:
         self, tmp_path, start_server, older_than
     ):
         """A negative or NaN age would make every file old enough to sweep,
-        a running campaign's shards, tasks and leases included."""
+        a running publish's temporary file included."""
         store = ResultStore(tmp_path / "store")
-        scenario = _scenario(runs=8)
         store.save_analysis("aaa", "cfg", {"v": 1})
         store.save_shard("bbb", "00000000x000004", {"version": 1})
-        queue = FileQueue(store.queue_root)
-        [shard] = plan_shards(scenario.spec_hash(), scenario.runs, 8)
-        assert queue.try_claim(queue.enqueue(shard_task(scenario, shard, DEFAULT_ENGINE)), "gc-test")
+        (store.shard_root / "bbb.00000000x000008.rcol.0123abcd.tmp").write_bytes(b"")
         planted = [path for path in store.root.rglob("*") if path.is_file()]
         _, client = start_server(store)
         for dry_run in (True, False):

@@ -988,11 +988,11 @@ class TestOneDrainPerCommand:
 
     @staticmethod
     def _store_bytes(root):
-        """Every store file outside ``queue/``, relative path -> bytes."""
+        """Every store file, relative path -> bytes."""
         return {
             str(path.relative_to(root)): path.read_bytes()
             for path in sorted(Path(root).rglob("*"))
-            if path.is_file() and path.relative_to(root).parts[0] != "queue"
+            if path.is_file()
         }
 
     def test_a_cold_study_run_all_drains_once(self, tmp_path, monkeypatch, capsys):
@@ -1001,7 +1001,7 @@ class TestOneDrainPerCommand:
         argv = ["study", "run", "all", *self.SMALL, "--store", str(store)]
         assert main(argv) == 0
         assert drains == [58]  # the union of every study's campaigns
-        assert len(list((store / "queue" / "workers").iterdir())) == 1
+        assert sorted(path.name for path in store.iterdir()) == ["analysis", "shards", "studies"]
         assert self._cache_lines(capsys.readouterr().out) == self.COLD_ALL
         assert main(argv) == 0  # warm: one call, every campaign a store hit
         assert drains == [58, 58]
@@ -1011,6 +1011,25 @@ class TestOneDrainPerCommand:
             for name, line in lines.items()
             if name != "table1"
         )
+
+    def test_a_two_worker_study_run_all_opens_one_pool(self, tmp_path, monkeypatch, capsys):
+        # The whole command's campaigns go to one process pool of at most
+        # two workers, whatever the number of its studies.
+        from repro.exec import executor
+
+        pools = []
+
+        class CountingPool(executor.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", CountingPool)
+        argv = ["study", "run", "all", *self.SMALL, "--jobs", "2",
+                "--store", str(tmp_path / "store")]
+        assert main(argv) == 0
+        assert pools == [2]
+        assert self._cache_lines(capsys.readouterr().out) == self.COLD_ALL
 
     def test_study_compare_drains_once(self, tmp_path, monkeypatch, capsys):
         drains = self._count_drains(monkeypatch)
@@ -1052,6 +1071,35 @@ class TestOneDrainPerCommand:
         assert later.report.cache_hits == 11
         assert later.report.simulated == later.report.planned - 11
         assert first.report.shards_executed + later.report.shards_executed == 22
+
+    @pytest.mark.parametrize("names", [("table2", "fig4a"), ("fig4a", "table2")])
+    def test_a_refresh_fits_each_analysed_campaign_once(
+        self, tmp_path, monkeypatch, names
+    ):
+        # On a warm store, --no-cache clears each campaign's analyses with
+        # its ranges, so the first study to analyse a campaign fits and
+        # stores it, and a later study reads what it stored: 22 fits for
+        # the 22 analysis files, as on a cold store.
+        from repro.study import resultset as resultset_module
+        from repro.study import run_studies
+
+        store = ResultStore(tmp_path / "store")
+        cold = run_studies(names, self.SETTINGS, store=store)
+        analyses = store.analysis_keys()
+        assert len(analyses) == 22
+        fitted = []
+        batch = resultset_module.apply_mbpta_batch
+
+        def counting(samples, *args, **kwargs):
+            fitted.extend(len(sample) for sample in samples)
+            return batch(samples, *args, **kwargs)
+
+        monkeypatch.setattr(resultset_module, "apply_mbpta_batch", counting)
+        refreshed = run_studies(names, self.SETTINGS, store=store, use_cache=False)
+        assert len(fitted) == len(analyses)
+        assert store.analysis_keys() == analyses
+        for before, after in zip(cold, refreshed):
+            assert after.result.format() == before.result.format()
 
     def test_run_studies_matches_one_run_study_per_study(self, tmp_path):
         from repro.study import run_studies

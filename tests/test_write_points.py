@@ -1,19 +1,18 @@
 """A kill at any store write point leaves the store old or new.
 
-Every file write of the result store and its work queue is one of four
-primitives: ``os.replace`` (in ``_replace_atomically``, the one writer of
-lane ranges, analyses, tasks and heartbeats, and in a stale-lease
-reclaim), the lease's ``os.link``, a study marker's exclusive ``os.open``,
-and ``os.unlink``.  Run as a script, this module is a driver that wraps
-those OS calls from outside the package and SIGKILLs itself just before
-or just after a chosen call, during a queued run of two small campaigns
-of three shards each.  After each kill:
+A file write of the result store is one of four primitives:
+``os.replace`` (in ``_replace_atomically``, the one writer of lane ranges
+and analyses), ``os.link``, a study marker's exclusive ``os.open``, and
+``os.unlink``; a run uses the first and the third.  Run as a script, this
+module is a driver that wraps those OS calls from outside the package and
+SIGKILLs itself just before or just after a chosen call, during a run of
+two small campaigns of three shards each.  After each kill:
 
 * every listing (``keys``, ``analysis_keys``, ``shard_keys``,
-  ``study_index``, ``FileQueue.tasks``) names only files that load;
+  ``study_index``) names only files that load;
 * a rerun exits 0;
 * the final store is byte-identical to an uninterrupted run's, apart from
-  ``queue/`` and ``*.tmp`` leftovers.
+  ``*.tmp`` leftovers.
 
 The driver imports the package once and forks one child per run, so a
 kill costs a run, not an interpreter start.  Each (primitive, caller)
@@ -38,7 +37,6 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.exec import FileQueue
 from repro.study import ResultStore
 
 #: Environment switch (read here only): kill at every call, not each pair's first.
@@ -50,19 +48,13 @@ SHARD_SIZE = 8
 
 #: Every (primitive, caller) pair of an uninterrupted run, in first-call order.
 WRITE_POINTS: Tuple[Tuple[str, str], ...] = (
-    ("replace", "enqueue"),
-    ("replace", "_write"),
-    ("link", "try_claim"),
-    ("unlink", "try_claim"),
     ("replace", "save_shard"),
-    ("unlink", "complete"),
-    ("unlink", "release"),
     ("create", "record_study"),
     ("replace", "save_analysis"),
 )
 
 #: The callers of ``_replace_atomically``, each failed once with ENOSPC.
-ATOMIC_WRITERS = ("enqueue", "_write", "save_shard", "save_analysis")
+ATOMIC_WRITERS = ("save_shard", "save_analysis")
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +224,11 @@ def drive(workdir: Path, every: bool) -> None:
 
 
 def _tree(root: Path) -> Dict[str, bytes]:
-    """Every file under ``root`` by relative path, without ``queue/`` and ``*.tmp``."""
+    """Every file under ``root`` by relative path, without ``*.tmp``."""
     return {
         path.relative_to(root).as_posix(): path.read_bytes()
         for path in sorted(root.rglob("*"))
-        if path.is_file()
-        and path.relative_to(root).parts[0] != "queue"
-        and not path.name.endswith(".tmp")
+        if path.is_file() and not path.name.endswith(".tmp")
     }
 
 
@@ -246,7 +236,6 @@ def _listing_problems(root: Path) -> List[str]:
     """What a listing names that does not load: every spec hash ``keys``
     lists and every marker must load as a whole campaign."""
     store = ResultStore(root)
-    queue = FileQueue(store.queue_root)
     problems = [f"entry {key}" for key in store.keys() if store.load(key) is None]
     problems += [f"analysis {pair}" for pair in store.analysis_keys()
                  if store.load_analysis(*pair) is None]
@@ -255,7 +244,6 @@ def _listing_problems(root: Path) -> List[str]:
     # A marker is created after its study's ranges are all published.
     problems += [f"marker {studies} {key}" for key, studies in store.study_index().items()
                  if store.load(key) is None]
-    problems += [f"task {path.name}" for path in queue.tasks() if queue.read_task(path) is None]
     return problems
 
 
@@ -309,25 +297,6 @@ def test_a_kill_leaves_the_store_old_or_new(driven, primitive, caller, when):
         assert _tree(workdir / name) == reference, name
 
 
-def test_a_worker_killed_between_claim_and_publish_leaves_its_task(driven):
-    workdir, results = driven
-    point = next(
-        point for point in results["kills"]
-        if (point["primitive"], point["caller"], point["when"]) == ("link", "try_claim", "after")
-    )
-    store = ResultStore(workdir / f"{point['name']}.interrupted")
-    queue = FileQueue(store.queue_root)
-    leased = [path for path in queue.tasks() if queue.lease_for(path) is not None]
-    assert len(leased) == 1 and len(queue.tasks()) == 2 * RUNS // SHARD_SIZE
-    assert not queue.lease_for(leased[0]).active()  # its owner is dead
-    spec_hash, key = leased[0].name.split(".")[:2]
-    assert not store.has_shard(spec_hash, key)
-    # The rerun reclaims the dead lease and executes every planned shard.
-    report = point["rerun_report"]
-    assert report["shards_executed"] == report["shards_planned"] == len(queue.tasks())
-    assert FileQueue(workdir / point["name"] / "queue").tasks() == []
-
-
 @pytest.mark.parametrize("caller", ATOMIC_WRITERS)
 def test_a_full_disk_in_the_temp_write_leaves_the_store_old(driven, caller):
     workdir, results = driven
@@ -335,21 +304,11 @@ def test_a_full_disk_in_the_temp_write_leaves_the_store_old(driven, caller):
     name = point["name"]
     failed = workdir / f"{name}.interrupted"
     store = ResultStore(failed)
-    # A heartbeat is telemetry: its failure never takes the worker down.
-    assert point["status"] == (0 if caller == "_write" else 1), _log(workdir, name)
+    assert point["status"] == 1, _log(workdir, name)
     assert list(failed.rglob("*.tmp")) == []  # the failed write removed its temp
     assert _listing_problems(failed) == []
-    written = {
-        "enqueue": lambda: FileQueue(store.queue_root).tasks(),
-        "save_shard": store.shard_keys,
-        "save_analysis": store.analysis_keys,
-    }
-    if caller in written:
-        assert written[caller]() == []
-    if caller == "save_shard":
-        # The failed publish released its lease and kept every task.
-        assert list(failed.glob("queue/leases/*.lease")) == []
-        assert len(FileQueue(store.queue_root).tasks()) == 2 * RUNS // SHARD_SIZE
+    written = {"save_shard": store.shard_keys, "save_analysis": store.analysis_keys}
+    assert written[caller]() == []
     assert point["rerun"] == 0, _log(workdir, name)
     assert _tree(workdir / name) == _tree(workdir / "reference")
 
